@@ -201,6 +201,14 @@ def optomechanical_cooperativity(Gamma: float, gamma_b: float) -> float:
     return Gamma / gamma_b
 
 
+def _nbar_b(spec: SystemSpec) -> float | None:
+    """Mode b's bath occupation when its bath is at another temperature than
+    mode a's; None (reuse mode a's nbar) when the two share a temperature."""
+    if spec.mode_a.bath_temperature == spec.mode_b.bath_temperature:
+        return None
+    return spec.mode_b.nbar
+
+
 def n_eff_closed_form(
     spec: SystemSpec,
     Gamma: float,
@@ -285,12 +293,7 @@ def cooling_summary(
         Gamma = optical_damping(spec.cavity.alpha_g0, spec.cavity.kappa)
     if nbar is None:
         nbar = spec.mode_a.nbar
-    nbar_b = (
-        None
-        if spec.mode_a.bath_temperature == spec.mode_b.bath_temperature
-        else spec.mode_b.nbar
-    )
-    n_eff = n_eff_closed_form(spec, Gamma, nbar, nbar_b=nbar_b)
+    n_eff = n_eff_closed_form(spec, Gamma, nbar, nbar_b=_nbar_b(spec))
     omega_pulled, gamma_prime = mode_a_response(spec.mode_a.omega, spec, Gamma)
     return CoolingSummary(
         Gamma=Gamma,

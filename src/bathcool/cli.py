@@ -16,7 +16,7 @@ import difflib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -451,7 +451,7 @@ _RUNNERS = {
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -518,9 +518,9 @@ def main(argv=None) -> int:
                 f"config task {config.task!r} does not match subcommand {args.task!r}"
             )
         if args.fidelity:
-            config = RunConfig(**{**asdict_shallow(config), "fidelity": args.fidelity})
+            config = replace(config, fidelity=args.fidelity)
         if args.format:
-            config = RunConfig(**{**asdict_shallow(config), "format": args.format})
+            config = replace(config, format=args.format)
         summary = run(config, out=args.out)
     except OSError as exc:
         _emit_error("config_error", str(exc))
@@ -541,10 +541,6 @@ def main(argv=None) -> int:
         json.dump(summary, sys.stdout, sort_keys=True, indent=2)
         sys.stdout.write("\n")
     return 0
-
-
-def asdict_shallow(config: RunConfig) -> dict:
-    return {f: getattr(config, f) for f in config.__dataclass_fields__}
 
 
 def _emit_error(kind: str, message: str):

@@ -12,6 +12,8 @@ Conventions
   ``(c_in, a_in, b_in)``.
 * Full-model basis order is ``(a, a_dag, b, b_dag, c, c_dag)`` with the
   correspondingly doubled input channels.
+* :meth:`DriftModel.paired` puts either model in a conjugate-paired basis,
+  where the position quadrature ``a + a_dag`` is a single row.
 * The intracavity amplitude is taken real (a pump phase choice); only
   ``|alpha| * g0`` enters the drift matrices.
 """
@@ -22,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .constants import HBAR, KB
 from .errors import NumericsError
@@ -203,7 +206,7 @@ class DriftModel:
         Operator basis labels, same order as the drift rows.
     kind : str
         "rwa" (annihilation-operator basis) or "full" (conjugate-paired
-        basis including counter-rotating terms).
+        basis).
     """
 
     dimension: int
@@ -235,6 +238,26 @@ class DriftModel:
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
+
+    def paired(self) -> "DriftModel":
+        """This model in a conjugate-paired basis.
+
+        A full model is returned as is.  An rwa model on ``(c, a, b)``
+        becomes blockdiag(A, conj A) on ``(c, a, b, c_dag, a_dag, b_dag)``
+        with the conjugate inputs, whose <xi xi^dag> weight is nbar where
+        the annihilation inputs carry nbar + 1.
+        """
+        if self.kind == "full":
+            return self
+        plus, minus = self.input_correlations
+        return DriftModel(
+            dimension=2 * self.dimension,
+            drift=block_diag(self.drift, self.drift.conj()),
+            noise_input=block_diag(self.noise_input, self.noise_input),
+            input_correlations=[np.r_[plus, minus], np.r_[minus, plus]],
+            labels=self.labels + tuple(f"{label}_dag" for label in self.labels),
+            kind="full",
+        )
 
 
 def thermal_occupation(omega: float, temperature: float) -> float:

@@ -1,10 +1,12 @@
 """Exact frequency-domain solution of a linear Langevin DriftModel.
 
-Builds adaptive frequency grids around every resonance of the drift
-matrix, inverts (-i*omega*I - A) in batch, propagates the thermal input
-correlators into position fluctuation spectra S_xx(omega), integrates
-occupations, fits Lorentzian lines, and evaluates the fluctuating-force
-density seen by a selected mode.
+Every model is solved in its conjugate-paired basis
+(:meth:`DriftModel.paired`).  Builds adaptive frequency grids around
+every resonance of the drift matrix, solves for the needed rows of the
+susceptibility (-i*omega*I - A)^-1 in batch, propagates the thermal
+input correlators into position fluctuation spectra S_xx(omega),
+integrates occupations, fits Lorentzian lines, and evaluates the
+fluctuating-force density seen by a selected mode.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ DEFAULT_SPAN = 50.0            # linewidths covered on each side of a resonance
 DEFAULT_POINTS_PER_LW = 20.0   # dense sampling within +-5 linewidths
 DEFAULT_LOG_POINTS = 160       # log-spaced fill per side from 5 to `span` linewidths
 
+# numpy < 2 names the trapezoidal rule ``trapz``
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -71,10 +76,14 @@ class FrequencyGrid:
 
     def halved(self) -> "FrequencyGrid":
         """Every other point (endpoints kept); used for refinement checks."""
-        idx = np.arange(0, self.points.size, 2)
-        if idx[-1] != self.points.size - 1:
-            idx = np.append(idx, self.points.size - 1)
+        idx = _every_other(self.points.size)
         return FrequencyGrid(points=self.points[idx], clusters=self.clusters)
+
+
+def _every_other(n: int) -> np.ndarray:
+    """Indices 0, 2, 4, ... of ``n`` points, with the last one always kept."""
+    idx = np.arange(0, n, 2)
+    return idx if idx[-1] == n - 1 else np.append(idx, n - 1)
 
 
 @dataclass(frozen=True)
@@ -128,24 +137,18 @@ def make_grid(
     points_per_linewidth: float = DEFAULT_POINTS_PER_LW,
     log_points: int = DEFAULT_LOG_POINTS,
 ) -> FrequencyGrid:
-    """Adaptive grid covering every resonance of the drift matrix.
+    """Adaptive grid covering every resonance of the paired drift matrix.
 
-    Each eigenvalue contributes a cluster at its resonance frequency:
-    linear sampling (``points_per_linewidth`` per linewidth) within +-5
-    linewidths, log-spaced fill out to ``span_linewidths``.  For RWA
-    models the mirrored (negative-frequency) clusters are added as well,
-    since the spectrum formula samples the response at -omega.
+    Each eigenvalue of ``model.paired()`` contributes a cluster at its
+    resonance frequency: linear sampling (``points_per_linewidth`` per
+    linewidth) within +-5 linewidths, log-spaced fill out to
+    ``span_linewidths``.  The conjugate eigenvalues give the
+    negative-frequency clusters.  Refuses unstable models.
     """
     if span_linewidths < 5:
         raise ValueError("span_linewidths must be >= 5")
-    eigs = _require_stable(model)
-    clusters = []
-    for eig in eigs:
-        center = -eig.imag
-        width = -2.0 * eig.real
-        clusters.append((center, width))
-        if model.kind == "rwa":
-            clusters.append((-center, width))
+    eigs = _require_stable(model.paired())
+    clusters = [(-eig.imag, -2.0 * eig.real) for eig in eigs]
 
     # every cluster's log fill runs out to the global grid extent, so a
     # narrow line's power-law tail is never left to another cluster's
@@ -165,14 +168,24 @@ def make_grid(
     return FrequencyGrid(points=points, clusters=tuple(clusters))
 
 
-def _chi_batch(model: DriftModel, omegas: np.ndarray) -> np.ndarray:
-    """(-i*omega*I - A)^-1 for every omega, with residual guarantee."""
+def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows @ chi(omega)`` of the susceptibility, shape (n, k, d).
+
+    Solves T^T y = u with T = -i*omega*I - A for each of the k rows u of
+    ``rows`` at every omega.  A row whose relative residual
+    ||T^T y - u|| / (||T|| ||y||) exceeds RESIDUAL_TOL gets one
+    refinement step; NumericsError if it still does.
+    """
     a = model.drift
     d = model.dimension
-    eye = np.eye(d, dtype=complex)
-    t = -1j * omegas[:, None, None] * eye - a
+    tt = np.empty((omegas.size, d, d), dtype=complex)
+    tt[:] = -a.T
+    diag = np.arange(d)
+    tt[:, diag, diag] -= 1j * omegas[:, None]
+    u = np.asarray(rows, dtype=complex).T
+    u = np.broadcast_to(u, (omegas.size,) + u.shape)
     try:
-        chi = np.linalg.inv(t)
+        y = np.linalg.solve(tt, u)
     except np.linalg.LinAlgError as exc:
         eigs = np.linalg.eigvals(a)
         worst = min(
@@ -183,15 +196,19 @@ def _chi_batch(model: DriftModel, omegas: np.ndarray) -> np.ndarray:
             f"(drift eigenvalue within {worst[0]:.3g} of the pole)"
         ) from exc
 
-    resid = t @ chi - eye
-    scale = np.linalg.norm(t, axis=(1, 2)) * np.linalg.norm(chi, axis=(1, 2))
-    rel = np.linalg.norm(resid, axis=(1, 2)) / scale
+    t_norm = np.linalg.norm(tt, axis=(1, 2))[:, None]
+
+    def residual(sel):
+        """T^T y - u and the worst relative residual per omega, on ``sel``."""
+        r = tt[sel] @ y[sel] - u[sel]
+        rel = np.linalg.norm(r, axis=1) / (t_norm[sel] * np.linalg.norm(y[sel], axis=1))
+        return r, rel.max(axis=1)
+
+    resid, rel = residual(slice(None))
     bad = rel > RESIDUAL_TOL
     if np.any(bad):
-        # one Newton refinement step: X <- X (2I - T X)
-        chi[bad] = chi[bad] @ (2 * eye - t[bad] @ chi[bad])
-        resid = t[bad] @ chi[bad] - eye
-        rel_bad = np.linalg.norm(resid, axis=(1, 2)) / scale[bad]
+        y[bad] -= np.linalg.solve(tt[bad], resid[bad])
+        _, rel_bad = residual(bad)
         if np.any(rel_bad > RESIDUAL_TOL):
             i = int(np.argmax(rel_bad))
             raise NumericsError(
@@ -199,7 +216,12 @@ def _chi_batch(model: DriftModel, omegas: np.ndarray) -> np.ndarray:
                 f"{rel_bad[i]:.3g} exceeds {RESIDUAL_TOL} at "
                 f"omega={omegas[np.flatnonzero(bad)[i]]:.6g} rad/s"
             )
-    return chi
+    return y.transpose(0, 2, 1)
+
+
+def _chi_batch(model: DriftModel, omegas: np.ndarray) -> np.ndarray:
+    """(-i*omega*I - A)^-1 for every omega, with residual guarantee."""
+    return _solve_rows(model, omegas, np.eye(model.dimension))
 
 
 def susceptibility_matrix(
@@ -214,46 +236,27 @@ def susceptibility_matrix(
     return _chi_batch(model, np.atleast_1d(float(omega)))[0]
 
 
-def _quadrature_rows(model: DriftModel, select: str, chi: np.ndarray) -> np.ndarray:
-    """Transfer from input channels to the selected quadrature, (n, nchan)."""
-    b = model.noise_input
-    i = model.index(select)
-    if model.kind == "full":
-        row = chi[:, i, :] + chi[:, model.index(select + "_dag"), :]
-    else:
-        row = chi[:, i, :]
-    return row @ b
-
-
-def _spectrum_values(model: DriftModel, select: str, points: np.ndarray) -> np.ndarray:
-    corr_plus, corr_minus = model.input_correlations
-    chi = _chi_batch(model, points)
-    w_plus = _quadrature_rows(model, select, chi)
-    values = np.abs(w_plus) ** 2 @ corr_plus
-    if model.kind == "rwa":
-        chi_m = _chi_batch(model, -points)
-        w_minus = _quadrature_rows(model, select, chi_m)
-        values = values + np.abs(w_minus) ** 2 @ corr_minus
-    return values
-
-
 def position_spectrum(
     model: DriftModel, select: str, grid: FrequencyGrid | None = None
 ) -> SpectrumResult:
     """Position fluctuation spectrum S_xx(omega) for x = a + a_dag.
 
-    Propagates the thermal input correlators through the susceptibility
-    matrix.  The RWA (annihilation-basis) model uses the asymmetric
-    nbar+1 / nbar correlators with the mirrored resonance added
-    explicitly; the full model carries both conjugate channels and covers
-    both +-omega resonances by construction.
+    In the conjugate-paired basis of ``model.paired()`` the quadrature is
+    the single susceptibility row u = e_select + e_select_dag, so
+    S_xx = |u chi B|^2 . <xi xi^dag>, which covers both +-omega
+    resonances.  Refuses unstable models.
     """
-    _require_stable(model)
     if select not in model.labels:
         raise ValueError(f"unknown mode label {select!r}; have {model.labels}")
     if grid is None:
         grid = make_grid(model)
-    values = _spectrum_values(model, select, grid.points)
+    else:
+        _require_stable(model)
+    paired = model.paired()
+    u = np.zeros((1, paired.dimension))
+    u[0, [paired.index(select), paired.index(select + "_dag")]] = 1.0
+    w = _solve_rows(paired, grid.points, u)[:, 0, :] @ paired.noise_input
+    values = np.abs(w) ** 2 @ paired.input_correlations[0]
 
     vmax = float(values.max())
     neg = values < 0
@@ -303,11 +306,7 @@ def _edge_tail(points: np.ndarray, values: np.ndarray, right: bool) -> float:
     return float(s2 * d)
 
 
-def integrate_occupation(
-    grid: FrequencyGrid | np.ndarray,
-    values: np.ndarray,
-    omega_center: float | None = None,
-) -> tuple:
+def integrate_occupation(grid: FrequencyGrid | np.ndarray, values: np.ndarray) -> tuple:
     """Occupation from the integrated spectrum: (1/2pi) int S dw / 2 - 1/2.
 
     Trapezoidal quadrature on the adaptive grid with an analytic
@@ -320,11 +319,9 @@ def integrate_occupation(
     if points.shape != values.shape:
         raise ValueError("grid and values must have matching shapes")
 
-    raw = float(np.trapezoid(values, points))
-    idx = np.arange(0, points.size, 2)
-    if idx[-1] != points.size - 1:
-        idx = np.append(idx, points.size - 1)
-    coarse = float(np.trapezoid(values[idx], points[idx]))
+    raw = float(_trapezoid(values, points))
+    idx = _every_other(points.size)
+    coarse = float(_trapezoid(values[idx], points[idx]))
     err_quad = abs(raw - coarse) / 3.0
 
     tail = _edge_tail(points, values, right=False) + _edge_tail(
@@ -332,9 +329,8 @@ def integrate_occupation(
     )
     ref = max(abs(raw), 1e-300)
     if tail > 0.01 * ref:
-        where = f" around omega={omega_center:.6g}" if omega_center else ""
         raise CoverageError(
-            f"spectrum tails{where} carry {tail / ref:.2%} of the integral; "
+            f"spectrum tails carry {tail / ref:.2%} of the integral; "
             "widen the grid span (>= 50 linewidths per resonance required)"
         )
     total = raw + tail
@@ -423,16 +419,18 @@ def force_spectrum_numeric(
     ga = spec.mode_a.gamma
     if not ga > 0:
         raise ValueError("gamma_a must be > 0 to normalize the force transfer")
-    _require_stable(model)
     if grid is None:
         grid = make_grid(model)
+    else:
+        _require_stable(model)
 
-    ia = model.index("a")
-    chi = _chi_batch(model, grid.points)
-    resp = chi[:, ia, :] @ model.noise_input
+    paired = model.paired()
+    ia = paired.index("a")
+    u = np.eye(paired.dimension)[[ia]]
+    resp = _solve_rows(paired, grid.points, u)[:, 0, :] @ paired.noise_input
     chi_eff = resp[:, ia] / math.sqrt(ga)
     f = resp / chi_eff[:, None]  # f[:, a_in] = sqrt(gamma_a) exactly
-    weights = model.input_correlations.sum(axis=0)  # 2*nbar + 1 per channel
+    weights = paired.input_correlations.sum(axis=0)  # 2*nbar + 1 per channel
     prefactor = HBAR * spec.mass_a * spec.mode_a.omega / 2.0
     s_ff = prefactor * (np.abs(f) ** 2 @ weights)
     baseline = prefactor * ga * weights[ia]

@@ -13,17 +13,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics import (
+    _nbar_b,
     cooperativity_ab,
     induced_damping_detuned,
     n_eff_closed_form,
 )
 from .errors import BathcoolError, PhysicsError
-from .model import (
-    SystemSpec,
-    build_full_system,
-    effective_temperature,
-    thermal_occupation,
-)
+from .model import SystemSpec, build_full_system, effective_temperature
 from .spectra import fit_lorentzian, position_spectrum
 
 __all__ = ["SweepResult", "sweep_cooperativity", "find_optimum", "sweep_detuning"]
@@ -76,41 +72,24 @@ def _with_cooling_rate(spec: SystemSpec, Gamma: float) -> SystemSpec:
     return replace(spec, cavity=new_cav)
 
 
-def _nbar_a(spec: SystemSpec) -> float:
-    return thermal_occupation(spec.mode_a.omega, spec.mode_a.bath_temperature)
-
-
 def _point_rwa(spec: SystemSpec, Gamma: float):
-    nbar = _nbar_a(spec)
-    nbar_b = (
-        None
-        if spec.mode_a.bath_temperature == spec.mode_b.bath_temperature
-        else spec.mode_b.nbar
-    )
-    n_eff = n_eff_closed_form(spec, Gamma, nbar, nbar_b=nbar_b)
+    n_eff = n_eff_closed_form(spec, Gamma, spec.mode_a.nbar, nbar_b=_nbar_b(spec))
     delta = spec.mode_b.omega - spec.mode_a.omega
     lw = spec.mode_a.gamma + induced_damping_detuned(
         spec.coupling, spec.mode_b.gamma, Gamma, delta
     )
     return float(n_eff), lw, n_eff.flags
 
+
 def _point_full(spec: SystemSpec, Gamma: float, fit_line: bool):
     spec_g = _with_cooling_rate(spec, Gamma)
-    model = build_full_system(spec_g)
-    result = position_spectrum(model, "a")
+    result = position_spectrum(build_full_system(spec_g), "a")
+    _, gp, flags = _point_rwa(spec_g, Gamma)
     lw = math.nan
     if fit_line:
         # window around the dressed mode-a line
-        _, _, flags = _point_rwa(spec_g, Gamma)
-        gp = spec.mode_a.gamma + induced_damping_detuned(
-            spec.coupling, spec.mode_b.gamma, Gamma,
-            spec.mode_b.omega - spec.mode_a.omega,
-        )
         wa = spec.mode_a.omega
-        fit = fit_lorentzian(result.grid, result.values, (wa - 8 * gp, wa + 8 * gp))
-        lw = fit.fwhm
-    else:
-        _, _, flags = _point_rwa(spec_g, Gamma)
+        lw = fit_lorentzian(result.grid, result.values, (wa - 8 * gp, wa + 8 * gp)).fwhm
     return result.n_eff, lw, flags
 
 
@@ -120,6 +99,41 @@ def _evaluate_n_eff(spec: SystemSpec, Gamma: float, fidelity: str) -> float:
     if fidelity == "full":
         return _point_full(spec, Gamma, fit_line=False)[0]
     raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")
+
+
+def _sweep(spec: SystemSpec, axis_name: str, values: np.ndarray, point) -> SweepResult:
+    """Evaluate ``point(x) -> (n_eff, linewidth, flags)`` at every axis value.
+
+    A point that raises a BathcoolError records its message and NaNs; the
+    sweep continues.
+    """
+    t_bath = spec.mode_a.bath_temperature
+    n_eff = np.full(values.size, math.nan)
+    t_ratio = np.full(values.size, math.nan)
+    lws = np.full(values.size, math.nan)
+    flags, errors = [], []
+    for i, x in enumerate(values):
+        try:
+            n, lw, fl = point(x)
+        except BathcoolError as exc:
+            flags.append(None)
+            errors.append(f"{exc.kind}: {exc}")
+            continue
+        n_eff[i] = n
+        lws[i] = lw
+        if t_bath > 0:
+            t_ratio[i] = effective_temperature(n, spec.mode_a.omega) / t_bath
+        flags.append(fl)
+        errors.append(None)
+    return SweepResult(
+        axis_name=axis_name,
+        axis_values=values,
+        n_eff=n_eff,
+        T_ratio=t_ratio,
+        linewidths=lws,
+        validity_flags=tuple(flags),
+        errors=tuple(errors),
+    )
 
 
 def sweep_cooperativity(
@@ -141,41 +155,11 @@ def sweep_cooperativity(
         raise ValueError("C_OM values must be sorted strictly increasing")
     if np.any(values < 0):
         raise ValueError("C_OM values must be >= 0")
-    t_bath = spec.mode_a.bath_temperature
     gb = spec.mode_b.gamma
-
-    n_eff = np.full(values.size, math.nan)
-    t_ratio = np.full(values.size, math.nan)
-    lws = np.full(values.size, math.nan)
-    flags, errors = [], []
-    for i, c_om in enumerate(values):
-        gamma = c_om * gb
-        try:
-            if fidelity == "rwa":
-                n, lw, fl = _point_rwa(spec, gamma)
-            else:
-                n, lw, fl = _point_full(spec, gamma, fit_line=fit_lines)
-        except BathcoolError as exc:
-            flags.append(None)
-            errors.append(f"{exc.kind}: {exc}")
-            continue
-        n_eff[i] = n
-        lws[i] = lw
-        t_ratio[i] = (
-            effective_temperature(n, spec.mode_a.omega) / t_bath
-            if t_bath > 0
-            else math.nan
-        )
-        flags.append(fl)
-        errors.append(None)
-    return SweepResult(
-        axis_name="C_OM",
-        axis_values=values,
-        n_eff=n_eff,
-        T_ratio=t_ratio,
-        linewidths=lws,
-        validity_flags=tuple(flags),
-        errors=tuple(errors),
+    if fidelity == "rwa":
+        return _sweep(spec, "C_OM", values, lambda c: _point_rwa(spec, c * gb))
+    return _sweep(
+        spec, "C_OM", values, lambda c: _point_full(spec, c * gb, fit_line=fit_lines)
     )
 
 
@@ -245,43 +229,18 @@ def sweep_detuning(
     if c_om is None and not optimize_each:
         cab = cooperativity_ab(spec)
         c_om = math.sqrt(1.0 + cab) if math.isfinite(cab) else 1.0
-    t_bath = spec.mode_a.bath_temperature
     gb = spec.mode_b.gamma
 
-    n_eff = np.full(values.size, math.nan)
-    t_ratio = np.full(values.size, math.nan)
-    lws = np.full(values.size, math.nan)
-    flags, errors = [], []
-    for i, delta in enumerate(values):
+    def point(delta):
         mode_b = replace(spec.mode_b, omega=spec.mode_a.omega + delta)
         spec_d = replace(spec, mode_b=mode_b)
-        try:
-            if optimize_each:
-                c_pt, n = find_optimum(spec_d, bracket, fidelity)
-                gamma = c_pt * gb
-            else:
-                gamma = c_om * gb
-                n = _evaluate_n_eff(spec_d, gamma, fidelity)
-            _, lw, fl = _point_rwa(spec_d, gamma)
-        except BathcoolError as exc:
-            flags.append(None)
-            errors.append(f"{exc.kind}: {exc}")
-            continue
-        n_eff[i] = n
-        lws[i] = lw
-        t_ratio[i] = (
-            effective_temperature(n, spec.mode_a.omega) / t_bath
-            if t_bath > 0
-            else math.nan
-        )
-        flags.append(fl)
-        errors.append(None)
-    return SweepResult(
-        axis_name="delta_ab",
-        axis_values=values,
-        n_eff=n_eff,
-        T_ratio=t_ratio,
-        linewidths=lws,
-        validity_flags=tuple(flags),
-        errors=tuple(errors),
-    )
+        if optimize_each:
+            c_pt, n = find_optimum(spec_d, bracket, fidelity)
+            gamma = c_pt * gb
+        else:
+            gamma = c_om * gb
+            n = _evaluate_n_eff(spec_d, gamma, fidelity)
+        _, lw, fl = _point_rwa(spec_d, gamma)
+        return n, lw, fl
+
+    return _sweep(spec, "delta_ab", values, point)

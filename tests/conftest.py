@@ -1,10 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 from bathcool import CavityDrive, MechanicalMode, SystemSpec
 
 TWO_PI = 2.0 * math.pi
+
+if not hasattr(np, "trapezoid"):  # numpy < 2 names the trapezoidal rule trapz
+    np.trapezoid = np.trapz
 
 
 def make_spec(

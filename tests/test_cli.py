@@ -141,6 +141,9 @@ class TestArtifacts:
         lines = table.strip().split("\n")
         assert lines[0] == "C_OM,n_eff,T_ratio,linewidth_rad_s,flags"
         assert len(lines) == 62  # header + 3 decades * 20 + 1 points
+        for line in lines[1:]:
+            for cell in line.split(",")[:4]:
+                float(cell)  # plain numbers, not numpy scalar reprs
         summary = json.loads((tmp_path / "result.summary.json").read_text())
         assert summary["C_OM_star"] == pytest.approx(math.sqrt(51.0), rel=0.06)
         assert summary["C_ab"] == pytest.approx(50.0, rel=1e-9)

@@ -229,6 +229,39 @@ class TestBuildFullSystem:
         assert np.allclose(corr[0, 1::2], corr[1, 0::2])
 
 
+class TestPairedBasis:
+    def test_full_model_is_its_own_pairing(self):
+        full = build_full_system(make_spec(c_om=2.0))
+        assert full.paired() is full
+
+    def test_rwa_pairing_adds_conjugate_eigenvalues(self):
+        rwa = build_rwa_system(make_spec(c_om=2.0))
+        paired = rwa.paired()
+        assert paired.dimension == 2 * rwa.dimension
+        assert paired.paired() is paired
+        eigs = np.linalg.eigvals(rwa.drift)
+        expected = np.sort_complex(np.concatenate([eigs, eigs.conj()]))
+        got = np.sort_complex(np.linalg.eigvals(paired.drift))
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_rwa_pairing_is_full_model_without_counter_rotating_terms(self):
+        spec = make_spec(c_om=2.0)
+        full = build_full_system(spec)
+        paired = build_rwa_system(spec).paired()
+        assert paired.labels == ("c", "a", "b", "c_dag", "a_dag", "b_dag")
+        a = full.drift.copy()
+        for i, li in enumerate(full.labels):
+            for j, lj in enumerate(full.labels):
+                if i != j and li.endswith("_dag") != lj.endswith("_dag"):
+                    a[i, j] = 0.0
+        idx = [full.index(x) for x in paired.labels]
+        assert np.array_equal(a[np.ix_(idx, idx)], paired.drift)
+        assert np.array_equal(full.noise_input[np.ix_(idx, idx)], paired.noise_input)
+        assert np.array_equal(
+            full.input_correlations[:, idx], paired.input_correlations
+        )
+
+
 class TestStability:
     def test_decoupled_real_parts(self):
         spec = make_spec(c_ab=0.0)

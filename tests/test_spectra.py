@@ -19,13 +19,15 @@ from bathcool import (
     position_spectrum,
     susceptibility_matrix,
 )
+from bathcool import spectra
 from bathcool.errors import (
     CoverageError,
     FitFailureError,
+    NumericsError,
     UnstableSystemError,
 )
 from bathcool.model import CavityDrive, MechanicalMode, SystemSpec
-from bathcool.spectra import RESIDUAL_TOL, _chi_batch
+from bathcool.spectra import RESIDUAL_TOL, _chi_batch, _solve_rows
 
 from conftest import TWO_PI, make_spec
 
@@ -116,6 +118,59 @@ class TestSusceptibility:
         assert np.all(np.isfinite(chi))
 
 
+class TestRowSolve:
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_quadrature_row_matches_chi_batch(self, builder, spec50):
+        model = builder(make_spec(c_ab=50.0, c_om=5.0)).paired()
+        omegas = np.linspace(-2.0, 2.0, 9) * spec50.mode_a.omega
+        u = np.zeros((1, model.dimension))
+        u[0, [model.index("a"), model.index("a_dag")]] = 1.0
+        got = _solve_rows(model, omegas, u)[:, 0, :]
+        chi = _chi_batch(model, omegas)
+        expected = chi[:, model.index("a"), :] + chi[:, model.index("a_dag"), :]
+        rel = np.linalg.norm(got - expected, axis=1) / np.linalg.norm(expected, axis=1)
+        assert np.all(rel <= 1e-12)
+
+    def test_refinement_step_repairs_a_poor_solve(self, spec50, monkeypatch):
+        model = build_full_system(make_spec(c_ab=50.0, c_om=5.0))
+        omegas = np.linspace(0.5, 1.5, 5) * spec50.mode_a.omega
+        clean = _chi_batch(model, omegas)
+        solve = np.linalg.solve
+        calls = []
+
+        def poor_first_solve(a, b):
+            calls.append(a.shape[0])
+            x = solve(a, b)
+            return x * (1.0 + 1e-6) if len(calls) == 1 else x
+
+        monkeypatch.setattr(np.linalg, "solve", poor_first_solve)
+        chi = _chi_batch(model, omegas)
+        assert calls == [omegas.size, omegas.size]  # solve, then one refinement
+        assert np.allclose(chi, clean, rtol=1e-12, atol=0.0)
+
+    def test_residual_beyond_tolerance_raises(self, spec50, monkeypatch):
+        model = build_full_system(spec50)
+        monkeypatch.setattr(spectra, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(NumericsError, match="susceptibility residual"):
+            _chi_batch(model, np.array([spec50.mode_a.omega]))
+
+    @pytest.mark.parametrize("with_grid", [False, True])
+    def test_one_eigendecomposition_per_spectrum(self, spec50, monkeypatch, with_grid):
+        model = build_rwa_system(spec50)
+        grid = make_grid(model) if with_grid else None
+        calls = []
+        eigs = spectra.stability_eigenvalues
+
+        def counted(m):
+            calls.append(m.dimension)
+            return eigs(m)
+
+        monkeypatch.setattr(spectra, "stability_eigenvalues", counted)
+        position_spectrum(model, "a", grid)
+        force_spectrum_numeric(model, spec50, grid)
+        assert len(calls) == 2
+
+
 class TestPositionSpectrum:
     def test_thermal_equilibrium_rwa(self):
         spec = make_spec(c_ab=0.0)
@@ -154,6 +209,23 @@ class TestPositionSpectrum:
         full = position_spectrum(model, "a", grid=grid)
         half = position_spectrum(model, "a", grid=grid.halved())
         assert half.n_eff == pytest.approx(full.n_eff, rel=1e-3)
+
+    def test_rwa_matches_mirrored_susceptibility_reference(self):
+        # S_xx = |chi(w)_a B|^2 (nbar+1) + |chi(-w)_a B|^2 nbar in the
+        # annihilation basis, sampled at the peak, the tails and -omega
+        spec = make_spec(c_ab=50.0, c_om=5.0)
+        model = build_rwa_system(spec)
+        res = position_spectrum(model, "a")
+        n_plus, n_minus = model.input_correlations
+        ia = model.index("a")
+        pts = res.grid.points
+        picks = [0, pts.size // 4, int(np.argmax(res.values)), pts.size - 1]
+        picks.append(int(np.argmin(np.abs(pts + spec.mode_a.omega))))
+        for i in picks:
+            w_p = susceptibility_matrix(model, pts[i])[ia] @ model.noise_input
+            w_m = susceptibility_matrix(model, -pts[i])[ia] @ model.noise_input
+            expected = np.abs(w_p) ** 2 @ n_plus + np.abs(w_m) ** 2 @ n_minus
+            assert res.values[i] == pytest.approx(expected, rel=1e-10)
 
     def test_unknown_label(self, spec50):
         model = build_rwa_system(spec50)
