@@ -63,6 +63,7 @@ from .spectra import (
     integrate_occupation,
     make_grid,
     position_spectrum,
+    steady_state_occupation,
     susceptibility_matrix,
 )
 from .sweeps import SweepResult, find_optimum, sweep_cooperativity, sweep_detuning

@@ -43,7 +43,12 @@ from .model import (
     thermal_occupation,
 )
 from .spectra import force_spectrum_numeric, make_grid, position_spectrum
-from .sweeps import find_optimum, sweep_cooperativity
+from .sweeps import (
+    DEFAULT_POINTS_PER_DECADE,
+    DEFAULT_RANGE,
+    find_optimum,
+    sweep_cooperativity,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -125,9 +130,23 @@ class RunConfig:
 
 def _float(section, key, raw):
     try:
-        return float(raw)
-    except ValueError:
+        value = float(raw)
+    except (TypeError, ValueError):
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: not a finite number: {raw!r}")
+    return value
+
+
+def _c_om_range(section: str, items: dict) -> dict:
+    """``c_om_min`` and ``c_om_max`` of ``section``, 0 < c_om_min < c_om_max."""
+    lo = _float(section, "c_om_min", items.get("c_om_min", DEFAULT_RANGE[0]))
+    hi = _float(section, "c_om_max", items.get("c_om_max", DEFAULT_RANGE[1]))
+    if not 0 < lo < hi:
+        raise ConfigError(
+            f"[{section}] needs 0 < c_om_min < c_om_max, got {lo!r} and {hi!r}"
+        )
+    return {"c_om_min": lo, "c_om_max": hi}
 
 
 def _check_keys(section: str, items: dict):
@@ -242,17 +261,16 @@ def config_from_dict(sections: dict) -> RunConfig:
     grid = {
         k: _float("grid", k, v) for k, v in sections.get("grid", {}).items()
     }
-    sweep = {
-        "c_om_min": float(sections.get("sweep", {}).get("c_om_min", 1e-2)),
-        "c_om_max": float(sections.get("sweep", {}).get("c_om_max", 1e3)),
-        "points_per_decade": int(
-            float(sections.get("sweep", {}).get("points_per_decade", 60))
-        ),
-    }
-    optimize = {
-        "c_om_min": float(sections.get("optimize", {}).get("c_om_min", 1e-2)),
-        "c_om_max": float(sections.get("optimize", {}).get("c_om_max", 1e3)),
-    }
+    sweep_items = sections.get("sweep", {})
+    per_decade = _float(
+        "sweep",
+        "points_per_decade",
+        sweep_items.get("points_per_decade", DEFAULT_POINTS_PER_DECADE),
+    )
+    if per_decade < 1:
+        raise ConfigError(f"[sweep] points_per_decade must be >= 1, got {per_decade!r}")
+    sweep = {**_c_om_range("sweep", sweep_items), "points_per_decade": int(per_decade)}
+    optimize = _c_om_range("optimize", sections.get("optimize", {}))
     return RunConfig(
         task=task,
         fidelity=fidelity,

@@ -6,7 +6,9 @@ every resonance of the drift matrix, solves for the needed rows of the
 susceptibility (-i*omega*I - A)^-1 in batch, propagates the thermal
 input correlators into position fluctuation spectra S_xx(omega),
 integrates occupations, fits Lorentzian lines, and evaluates the
-fluctuating-force density seen by a selected mode.
+fluctuating-force density seen by a selected mode.  The exact stationary
+occupation comes from the steady-state covariance instead, one Lyapunov
+solve with no grid.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_continuous_lyapunov
 from scipy.optimize import least_squares
 from scipy.signal import find_peaks
 
@@ -40,6 +43,7 @@ __all__ = [
     "make_grid",
     "susceptibility_matrix",
     "position_spectrum",
+    "steady_state_occupation",
     "integrate_occupation",
     "fit_lorentzian",
     "force_spectrum_numeric",
@@ -143,12 +147,13 @@ def make_grid(
     resonance frequency: linear sampling (``points_per_linewidth`` per
     linewidth) within +-5 linewidths, log-spaced fill out to
     ``span_linewidths``.  The conjugate eigenvalues give the
-    negative-frequency clusters.  Refuses unstable models.
+    negative-frequency clusters.  Degenerate resonances share one center
+    (:func:`_clusters`), so the grid does not depend on the last bits of
+    the eigensolve.  Refuses unstable models.
     """
     if span_linewidths < 5:
         raise ValueError("span_linewidths must be >= 5")
-    eigs = _require_stable(model.paired())
-    clusters = [(-eig.imag, -2.0 * eig.real) for eig in eigs]
+    clusters = _clusters(_require_stable(model.paired()))
 
     # every cluster's log fill runs out to the global grid extent, so a
     # narrow line's power-law tail is never left to another cluster's
@@ -158,7 +163,8 @@ def make_grid(
     pieces = []
     n_dense = int(round(10 * points_per_linewidth)) + 1
     for center, width in clusters:
-        dense = np.linspace(center - 5 * width, center + 5 * width, n_dense)
+        # offsets from the center, so clusters sharing a center share it bitwise
+        dense = center + width * np.linspace(-5.0, 5.0, n_dense)
         right = max(hi - center, span_linewidths * width)
         left = max(center - lo, span_linewidths * width)
         tail_r = np.geomspace(5 * width, right, log_points + 1)[1:]
@@ -166,6 +172,29 @@ def make_grid(
         pieces.extend([dense, center + tail_r, center - tail_l])
     points = np.unique(np.concatenate(pieces))
     return FrequencyGrid(points=points, clusters=tuple(clusters))
+
+
+def _clusters(eigs: np.ndarray) -> list:
+    """(center, linewidth) of every eigenvalue, degenerate ones merged.
+
+    A center within ``tol`` of an earlier one takes that center's value,
+    and a cluster whose width is also within ``tol`` is dropped.  ``tol``
+    is 1e-9 of the width or 1e-12 of the largest |eigenvalue|, whichever
+    is larger: the eigensolve places degenerate eigenvalues a few ulps of
+    the largest one apart, which can exceed 1e-9 of a narrow line.
+    """
+    floor = 1e-12 * float(np.max(np.abs(eigs)))
+    clusters = []
+    for eig in eigs:
+        center, width = -eig.imag, -2.0 * eig.real
+        tol = max(1e-9 * width, floor)
+        same = [c for c in clusters if abs(c[0] - center) <= tol]
+        if same:
+            center = same[0][0]
+            if any(abs(w - width) <= tol for _, w in same):
+                continue
+        clusters.append((center, width))
+    return clusters
 
 
 def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -253,8 +282,7 @@ def position_spectrum(
     else:
         _require_stable(model)
     paired = model.paired()
-    u = np.zeros((1, paired.dimension))
-    u[0, [paired.index(select), paired.index(select + "_dag")]] = 1.0
+    u = _quadrature(paired, select)[None, :]
     w = _solve_rows(paired, grid.points, u)[:, 0, :] @ paired.noise_input
     values = np.abs(w) ** 2 @ paired.input_correlations[0]
 
@@ -284,6 +312,49 @@ def position_spectrum(
         T_eff=t_eff,
         select=select,
     )
+
+
+def _quadrature(paired: DriftModel, select: str) -> np.ndarray:
+    """The row u = e_select + e_select_dag that reads x = select + select_dag."""
+    u = np.zeros(paired.dimension)
+    u[[paired.index(select), paired.index(select + "_dag")]] = 1.0
+    return u
+
+
+def steady_state_occupation(model: DriftModel, select: str) -> float:
+    """Exact stationary occupation (u Sigma u^T - 1) / 2 of mode ``select``.
+
+    Sigma = <v v^dag> solves A Sigma + Sigma A^dag + Q = 0 with
+    Q = B diag(<xi xi^dag>) B^T in the basis of ``model.paired()``, and
+    u = e_select + e_select_dag, so u Sigma u^T = <x^2> is the integral
+    (1/2pi) int S_xx dw that :func:`position_spectrum` approximates by
+    quadrature.  Refuses unstable models; NumericsError when the relative
+    residual ||A Sigma + Sigma A^dag + Q|| / (2 ||A|| ||Sigma|| + ||Q||)
+    exceeds RESIDUAL_TOL.
+    """
+    if select not in model.labels:
+        raise ValueError(f"unknown mode label {select!r}; have {model.labels}")
+    _require_stable(model)
+    paired = model.paired()
+    a, b = paired.drift, paired.noise_input
+    q = (b * paired.input_correlations[0]) @ b.T
+    sigma = solve_continuous_lyapunov(a, -q)
+    resid = np.linalg.norm(a @ sigma + sigma @ a.conj().T + q) / (
+        2.0 * np.linalg.norm(a) * np.linalg.norm(sigma) + np.linalg.norm(q)
+    )
+    if not resid <= RESIDUAL_TOL:
+        raise NumericsError(
+            f"Lyapunov residual {resid:.3g} exceeds {RESIDUAL_TOL}"
+        )
+    u = _quadrature(paired, select)
+    x2 = float((u @ sigma @ u).real)
+    n_eff = (x2 - 1.0) / 2.0
+    if n_eff < 0:
+        # the vacuum floor <x^2> = 1 up to roundoff
+        if n_eff < -1e-9 * x2:
+            raise NumericsError(f"steady-state occupation {n_eff:.4g} < 0")
+        n_eff = 0.0
+    return n_eff
 
 
 def _edge_tail(points: np.ndarray, values: np.ndarray, right: bool) -> float:

@@ -2,7 +2,9 @@
 
 The optomechanical cooperativity C_OM = Gamma/gamma_b is swept by
 adjusting alpha*g0 at fixed kappa (the experimental pump-power knob), at
-either closed-form ("rwa") or exact six-component ("full") fidelity.
+either closed-form ("rwa") or exact six-component ("full") fidelity.  A
+full-fidelity n_eff is the exact steady-state covariance of the 6x6
+model (:func:`steady_state_occupation`), not a spectrum integral.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .analytics import (
 )
 from .errors import BathcoolError, PhysicsError
 from .model import SystemSpec, build_full_system, effective_temperature
-from .spectra import fit_lorentzian, position_spectrum
+from .spectra import fit_lorentzian, position_spectrum, steady_state_occupation
 
 __all__ = ["SweepResult", "sweep_cooperativity", "find_optimum", "sweep_detuning"]
 
@@ -82,15 +84,19 @@ def _point_rwa(spec: SystemSpec, Gamma: float):
 
 
 def _point_full(spec: SystemSpec, Gamma: float, fit_line: bool):
+    """Exact n_eff from the steady-state covariance; the spectrum is built
+    only for a line fit."""
     spec_g = _with_cooling_rate(spec, Gamma)
-    result = position_spectrum(build_full_system(spec_g), "a")
+    model = build_full_system(spec_g)
+    n_eff = steady_state_occupation(model, "a")
     _, gp, flags = _point_rwa(spec_g, Gamma)
     lw = math.nan
     if fit_line:
         # window around the dressed mode-a line
+        result = position_spectrum(model, "a")
         wa = spec.mode_a.omega
         lw = fit_lorentzian(result.grid, result.values, (wa - 8 * gp, wa + 8 * gp)).fwhm
-    return result.n_eff, lw, flags
+    return n_eff, lw, flags
 
 
 def _evaluate_n_eff(spec: SystemSpec, Gamma: float, fidelity: str) -> float:

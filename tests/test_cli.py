@@ -131,6 +131,51 @@ class TestMainExitCodes:
         assert summary["C_OM_star"] == pytest.approx(math.sqrt(51.0), rel=0.05)
 
 
+class TestConfigBoundary:
+    """Out-of-domain values exit 1 with one JSON object on stderr."""
+
+    @pytest.mark.parametrize(
+        "task, extra, replace_from, replace_to",
+        [
+            ("sweep", "\n[sweep]\nc_om_min = 0\n", None, None),
+            ("optimize", "\n[optimize]\nc_om_min = 0\n", None, None),
+            ("sweep", "\n[sweep]\nc_om_min = -1\n", None, None),
+            ("optimize", "\n[optimize]\nc_om_min = -1\n", None, None),
+            ("sweep", "\n[sweep]\nc_om_min = abc\n", None, None),
+            ("optimize", "\n[optimize]\nc_om_min = abc\n", None, None),
+            ("sweep", "\n[sweep]\nc_om_min = 10\nc_om_max = 1\n", None, None),
+            ("sweep", "\n[sweep]\npoints_per_decade = 0\n", None, None),
+            ("optimize", "", "temperature_k = 300", "temperature_k = inf"),
+            ("sweep", "", "temperature_k = 300", "temperature_k = nan"),
+        ],
+        ids=[
+            "sweep-c_om_min-zero",
+            "optimize-c_om_min-zero",
+            "sweep-c_om_min-negative",
+            "optimize-c_om_min-negative",
+            "sweep-c_om_min-text",
+            "optimize-c_om_min-text",
+            "sweep-range-reversed",
+            "sweep-points_per_decade-zero",
+            "temperature-inf",
+            "temperature-nan",
+        ],
+    )
+    def test_rejected_with_exit_1(
+        self, tmp_path, capsys, task, extra, replace_from, replace_to
+    ):
+        text = base_config(task, extra=extra)
+        if replace_from:
+            assert replace_from in text
+            text = text.replace(replace_from, replace_to)
+        path = write_config(tmp_path, text)
+        assert main([task, "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)  # exactly one JSON object
+        assert err["error"] == "config_error"
+
+
 class TestArtifacts:
     def test_sweep_csv_and_summary(self, tmp_path):
         extra = "\n[sweep]\nc_om_min = 0.1\nc_om_max = 100\npoints_per_decade = 20\n"

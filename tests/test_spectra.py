@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bathcool import (
     n_eff_closed_form,
     optical_damping,
     position_spectrum,
+    steady_state_occupation,
     susceptibility_matrix,
 )
 from bathcool import spectra
@@ -26,7 +28,7 @@ from bathcool.errors import (
     NumericsError,
     UnstableSystemError,
 )
-from bathcool.model import CavityDrive, MechanicalMode, SystemSpec
+from bathcool.model import CavityDrive, DriftModel, MechanicalMode, SystemSpec
 from bathcool.spectra import RESIDUAL_TOL, _chi_batch, _solve_rows
 
 from conftest import TWO_PI, make_spec
@@ -63,6 +65,51 @@ class TestGrid:
         assert half.points[0] == grid.points[0]
         assert half.points[-1] == grid.points[-1]
         assert half.points.size < 0.6 * grid.points.size
+
+
+def _diagonal_model(eigs):
+    """A DriftModel whose drift is diag(eigs): one cluster per entry."""
+    d = len(eigs)
+    return DriftModel(
+        dimension=d,
+        drift=np.diag(eigs),
+        noise_input=np.eye(d),
+        input_correlations=np.ones((2, d)),
+        labels=tuple(f"m{i}" for i in range(d)),
+        kind="full",
+    )
+
+
+class TestGridClusters:
+    EIG = complex(-0.05, -TWO_PI * 3e6)  # a narrow line far from omega = 0
+
+    def _ulp_neighbour(self, eig):
+        return complex(eig.real, np.nextafter(eig.imag, 0.0))
+
+    def test_duplicate_in_last_bits_is_one_cluster(self):
+        twin = _diagonal_model([self.EIG, self._ulp_neighbour(self.EIG)])
+        single = _diagonal_model([self.EIG])
+        grid = make_grid(twin)
+        assert grid.clusters == make_grid(single).clusters
+        assert np.array_equal(grid.points, make_grid(single).points)
+
+    def test_degenerate_centers_share_one_center(self):
+        # three lines at one resonance with different widths, as for
+        # omega_a = omega_b below the exceptional point; the centers
+        # differing in the last bit must not add grid points
+        wide = complex(-50.0, self.EIG.imag)
+        exact = _diagonal_model([self.EIG, wide])
+        rounded = _diagonal_model([self.EIG, self._ulp_neighbour(wide)])
+        grid = make_grid(rounded)
+        assert len(grid.clusters) == 2
+        assert grid.clusters[0][0] == grid.clusters[1][0]
+        assert np.array_equal(grid.points, make_grid(exact).points)
+
+    def test_distinct_resonances_kept(self):
+        near = complex(self.EIG.real, self.EIG.imag + 1e-3)  # 1/50 linewidth away
+        grid = make_grid(_diagonal_model([self.EIG, near]))
+        assert len(grid.clusters) == 2
+        assert grid.clusters[0][0] != grid.clusters[1][0]
 
 
 class TestSusceptibility:
@@ -231,6 +278,68 @@ class TestPositionSpectrum:
         model = build_rwa_system(spec50)
         with pytest.raises(ValueError):
             position_spectrum(model, "q")
+
+
+def _criterion_7_draws(n, seed=7):
+    """Seeded systems from the criterion-7 distribution."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        omega_hz = 10 ** rng.uniform(6, 7)
+        gamma_a_hz = 10 ** rng.uniform(-2, 0)
+        gamma_b_hz = gamma_a_hz * 10 ** rng.uniform(2, 4)
+        c_ab = 10 ** rng.uniform(0, 2)
+        c_om = 10 ** rng.uniform(-0.5, 1.3)
+        t_a = 10 ** rng.uniform(-1, 3)
+        t_b = t_a * 10 ** rng.uniform(-1, 1)
+        spec = make_spec(
+            c_ab=c_ab,
+            gamma_a_hz=gamma_a_hz,
+            gamma_b_hz=gamma_b_hz,
+            omega_hz=omega_hz,
+            temperature=t_a,
+            c_om=c_om,
+        )
+        yield replace(spec, mode_b=replace(spec.mode_b, bath_temperature=t_b))
+
+
+class TestSteadyStateOccupation:
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_quadrature_agrees_with_covariance(self, builder):
+        for spec in _criterion_7_draws(50):
+            model = builder(spec)
+            exact = steady_state_occupation(model, "a")
+            quad = position_spectrum(model, "a").n_eff
+            assert quad == pytest.approx(exact, rel=1e-3)
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_decoupled_limit_is_bath_occupation(self, builder):
+        spec = make_spec(c_ab=0.0, c_om=5.0)
+        n = steady_state_occupation(builder(spec), "a")
+        assert n == pytest.approx(spec.mode_a.nbar, rel=1e-12)
+
+    def test_zero_temperature_rwa_is_vacuum(self):
+        spec = make_spec(c_ab=50.0, c_om=5.0, temperature=0.0)
+        n = steady_state_occupation(build_rwa_system(spec), "a")
+        assert 0.0 <= n <= 1e-9  # the vacuum floor, to roundoff
+
+    def test_residual_beyond_tolerance_raises(self, monkeypatch):
+        model = build_full_system(make_spec(c_ab=50.0, c_om=5.0))
+        solve = spectra.solve_continuous_lyapunov
+        monkeypatch.setattr(
+            spectra, "solve_continuous_lyapunov", lambda a, q: solve(a, q) * (1.0 + 1e-6)
+        )
+        with pytest.raises(NumericsError, match="Lyapunov residual"):
+            steady_state_occupation(model, "a")
+
+    def test_unstable_refused(self):
+        spec = make_spec(c_ab=10.0, c_om=50.0)
+        spec = replace(spec, cavity=replace(spec.cavity, detuning=-spec.cavity.detuning))
+        with pytest.raises(UnstableSystemError):
+            steady_state_occupation(build_full_system(spec), "a")
+
+    def test_unknown_label(self, spec50):
+        with pytest.raises(ValueError):
+            steady_state_occupation(build_rwa_system(spec50), "q")
 
 
 class TestIntegration:

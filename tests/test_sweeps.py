@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from bathcool import (
+    build_full_system,
     cooling_limit_ratio,
     find_optimum,
     n_eff_closed_form,
     narrowed_linewidth,
     optimal_cooperativity,
+    steady_state_occupation,
     sweep_cooperativity,
     sweep_detuning,
 )
+from bathcool import sweeps
 from bathcool.errors import PhysicsError
 
 from conftest import make_spec
@@ -81,6 +84,45 @@ class TestSweepCooperativity:
         res = sweep_cooperativity(spec, [c_om], fidelity="full", fit_lines=True)
         expected = narrowed_linewidth(spec.mode_a.gamma, 50.0)
         assert res.linewidths[0] == pytest.approx(expected, rel=0.03)
+
+
+class TestFullFidelityCovariance:
+    """Full-fidelity occupations come from the steady-state covariance."""
+
+    SPEC = make_spec(c_ab=50.0, gamma_a_hz=0.1, gamma_b_hz=10.0, kappa_hz=1e4)
+
+    @pytest.fixture
+    def no_spectrum(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("spectrum built without a line fit")
+
+        monkeypatch.setattr(sweeps, "position_spectrum", refused)
+
+    def test_sweep_points_are_exact_covariances(self, no_spectrum):
+        c_oms = np.geomspace(1.0, 30.0, 5)
+        res = sweep_cooperativity(self.SPEC, c_oms, fidelity="full")
+        gb = self.SPEC.mode_b.gamma
+        for c, n in zip(c_oms, res.n_eff):
+            model = build_full_system(sweeps._with_cooling_rate(self.SPEC, c * gb))
+            assert n == steady_state_occupation(model, "a")
+
+    def test_optimum_and_detuning_without_spectra(self, no_spectrum):
+        c_star, _ = find_optimum(self.SPEC, bracket=(1.0, 60.0), fidelity="full")
+        assert c_star == pytest.approx(math.sqrt(51.0), rel=0.05)
+        res = sweep_detuning(self.SPEC, [0.0, 10.0], fidelity="full", c_om=c_star)
+        assert all(e is None for e in res.errors)
+
+    def test_line_fit_still_builds_the_spectrum(self, monkeypatch):
+        calls = []
+        spectrum = sweeps.position_spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "position_spectrum", counted)
+        sweep_cooperativity(self.SPEC, [3.0, 7.0], fidelity="full", fit_lines=True)
+        assert len(calls) == 2
 
 
 class TestFindOptimum:
