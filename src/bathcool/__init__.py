@@ -64,6 +64,7 @@ from .spectra import (
     make_grid,
     position_spectrum,
     steady_state_occupation,
+    steady_state_occupations,
     susceptibility_matrix,
 )
 from .sweeps import SweepResult, find_optimum, sweep_cooperativity, sweep_detuning

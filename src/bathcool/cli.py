@@ -53,6 +53,7 @@ from .sweeps import (
 TWO_PI = 2.0 * math.pi
 
 TASKS = ("spectrum", "sweep", "optimize", "design", "sense")
+MODES = ("a", "b", "c")
 
 # section -> {key: required}
 _SCHEMA = {
@@ -161,30 +162,36 @@ def _check_keys(section: str, items: dict):
             raise ConfigError(f"missing required key {key!r} in [{section}]")
 
 
+def _build_cavity(items: dict) -> CavityDrive:
+    g = lambda k, d=None: _float("cavity", k, items[k]) if k in items else d
+    kappa = g("kappa_hz") * TWO_PI
+    detuning = g("detuning_hz") * TWO_PI
+    g0 = g("g0_hz") * TWO_PI
+    t_cav = g("bath_temperature_k", 0.0)
+    try:
+        if "pump_hz" in items:
+            return CavityDrive.from_pump(
+                g("pump_hz") * TWO_PI, detuning, kappa, g0, bath_temperature=t_cav
+            )
+        return CavityDrive(
+            kappa=kappa,
+            detuning=detuning,
+            g0=g0,
+            alpha=g("alpha", 0.0),
+            bath_temperature=t_cav,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _build_system(items: dict, cav_items: dict) -> SystemSpec:
     g = lambda k, d=None: _float("system", k, items[k]) if k in items else d
     t = g("temperature_k")
     tb = g("temperature_b_k", t)
     if g("gamma_a_hz") < 0 or g("gamma_b_hz") < 0:
         raise ConfigError("gamma must be >= 0")
-    gc = lambda k, d=None: _float("cavity", k, cav_items[k]) if k in cav_items else d
-    kappa = gc("kappa_hz") * TWO_PI
-    detuning = gc("detuning_hz") * TWO_PI
-    g0 = gc("g0_hz") * TWO_PI
-    t_cav = gc("bath_temperature_k", 0.0)
+    cavity = _build_cavity(cav_items)
     try:
-        if "pump_hz" in cav_items:
-            cavity = CavityDrive.from_pump(
-                gc("pump_hz") * TWO_PI, detuning, kappa, g0, bath_temperature=t_cav
-            )
-        else:
-            cavity = CavityDrive(
-                kappa=kappa,
-                detuning=detuning,
-                g0=g0,
-                alpha=gc("alpha", 0.0),
-                bath_temperature=t_cav,
-            )
         return SystemSpec(
             mode_a=MechanicalMode(g("omega_a_hz") * TWO_PI, g("gamma_a_hz") * TWO_PI, t),
             mode_b=MechanicalMode(g("omega_b_hz") * TWO_PI, g("gamma_b_hz") * TWO_PI, tb),
@@ -194,6 +201,34 @@ def _build_system(items: dict, cav_items: dict) -> SystemSpec:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _design_inputs(d: dict, cav_items: dict | None) -> dict:
+    """Beam geometry, temperature, material and optional cavity of a design task."""
+    g = lambda k: _float("design", k, d[k])
+    custom = ("youngs_modulus_pa", "density_kg_m3", "tec_per_k", "heat_capacity_j_m3k")
+    try:
+        inputs = {
+            "geometry": BeamGeometry(
+                L_left=g("l_left_m"), L_right=g("l_right_m"), h=g("h_m"), w=g("w_m")
+            ),
+            "temperature": g("temperature_k"),
+        }
+        if not inputs["temperature"] > 0:
+            raise ValueError("temperature_k must be > 0")
+        if set(custom) <= set(d):
+            inputs["material"] = Material(
+                *(g(k) for k in custom), name=d.get("material", "custom")
+            )
+        else:
+            inputs["material"] = load_material(d.get("material", "silicon_nitride"))
+    except ValueError as exc:
+        raise ConfigError(f"[design] {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"[design] {exc.args[0]}") from exc
+    if cav_items is not None:
+        inputs["cavity"] = _build_cavity(cav_items)
+    return inputs
 
 
 def config_from_dict(sections: dict) -> RunConfig:
@@ -213,6 +248,9 @@ def config_from_dict(sections: dict) -> RunConfig:
     fidelity = run.get("fidelity", "rwa")
     if fidelity not in ("rwa", "full"):
         raise ConfigError(f"fidelity must be rwa|full, got {fidelity!r}")
+    select = run.get("select", "a")
+    if select not in MODES:
+        raise ConfigError(f"select must be one of {MODES}, got {select!r}")
     fmt = run.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv|json, got {fmt!r}")
@@ -222,37 +260,7 @@ def config_from_dict(sections: dict) -> RunConfig:
     if task == "design":
         if "design" not in sections:
             raise ConfigError("task 'design' needs a [design] section")
-        d = dict(sections["design"])
-        design_inputs = {
-            "geometry": BeamGeometry(
-                L_left=_float("design", "l_left_m", d["l_left_m"]),
-                L_right=_float("design", "l_right_m", d["l_right_m"]),
-                h=_float("design", "h_m", d["h_m"]),
-                w=_float("design", "w_m", d["w_m"]),
-            ),
-            "temperature": _float("design", "temperature_k", d["temperature_k"]),
-        }
-        if {"youngs_modulus_pa", "density_kg_m3", "tec_per_k", "heat_capacity_j_m3k"} <= set(d):
-            design_inputs["material"] = Material(
-                youngs_modulus=float(d["youngs_modulus_pa"]),
-                density=float(d["density_kg_m3"]),
-                tec=float(d["tec_per_k"]),
-                heat_capacity_vol=float(d["heat_capacity_j_m3k"]),
-                name=d.get("material", "custom"),
-            )
-        else:
-            design_inputs["material"] = load_material(
-                d.get("material", "silicon_nitride")
-            )
-        if "cavity" in sections:
-            c = sections["cavity"]
-            design_inputs["cavity"] = CavityDrive(
-                kappa=float(c["kappa_hz"]) * TWO_PI,
-                detuning=float(c["detuning_hz"]) * TWO_PI,
-                g0=float(c["g0_hz"]) * TWO_PI,
-                alpha=float(c.get("alpha", 0.0)),
-                bath_temperature=float(c.get("bath_temperature_k", 0.0)),
-            )
+        design_inputs = _design_inputs(sections["design"], sections.get("cavity"))
     else:
         if "system" not in sections or "cavity" not in sections:
             raise ConfigError(f"task {task!r} needs [system] and [cavity] sections")
@@ -274,7 +282,7 @@ def config_from_dict(sections: dict) -> RunConfig:
     return RunConfig(
         task=task,
         fidelity=fidelity,
-        select=run.get("select", "a"),
+        select=select,
         system=system,
         design_inputs=design_inputs,
         grid=grid,

@@ -56,7 +56,7 @@ class MechanicalMode:
     gamma : float
         Energy damping rate (rad/s, >= 0).
     bath_temperature : float
-        Bath temperature (K, >= 0).
+        Bath temperature (K, finite, >= 0).
     """
 
     omega: float
@@ -68,9 +68,9 @@ class MechanicalMode:
             raise ValueError(f"omega must be > 0, got {self.omega}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.bath_temperature < 0:
+        if not 0 <= self.bath_temperature < math.inf:
             raise ValueError(
-                f"bath_temperature must be >= 0, got {self.bath_temperature}"
+                f"bath_temperature must be finite and >= 0, got {self.bath_temperature}"
             )
 
     @property
@@ -105,8 +105,10 @@ class CavityDrive:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
         if self.g0 < 0:
             raise ValueError(f"g0 must be >= 0, got {self.g0}")
-        if self.bath_temperature < 0:
-            raise ValueError("bath_temperature must be >= 0")
+        if not 0 <= self.bath_temperature < math.inf:
+            raise ValueError(
+                f"bath_temperature must be finite and >= 0, got {self.bath_temperature}"
+            )
         if self.pump is not None:
             expected = intracavity_amplitude(self.pump, self.detuning, self.kappa)
             scale = max(abs(expected), abs(self.alpha), 1e-300)

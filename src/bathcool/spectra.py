@@ -23,6 +23,7 @@ from scipy.signal import find_peaks
 
 from .constants import HBAR
 from .errors import (
+    BathcoolError,
     CoverageError,
     FitFailureError,
     NumericsError,
@@ -44,6 +45,7 @@ __all__ = [
     "susceptibility_matrix",
     "position_spectrum",
     "steady_state_occupation",
+    "steady_state_occupations",
     "integrate_occupation",
     "fit_lorentzian",
     "force_spectrum_numeric",
@@ -126,13 +128,21 @@ class ForceSpectrumResult:
 
 def _require_stable(model: DriftModel):
     eigs = stability_eigenvalues(model)
-    bad = eigs[eigs.real >= 0]
-    if bad.size:
-        raise UnstableSystemError(
-            "drift matrix has non-negative-real-part eigenvalue(s): "
-            + ", ".join(f"{z:.6g}" for z in bad)
-        )
+    error = _instability(eigs)
+    if error is not None:
+        raise error
     return eigs
+
+
+def _instability(eigs: np.ndarray) -> UnstableSystemError | None:
+    """The error for drift eigenvalues with a non-negative real part, if any."""
+    bad = eigs[eigs.real >= 0]
+    if not bad.size:
+        return None
+    return UnstableSystemError(
+        "drift matrix has non-negative-real-part eigenvalue(s): "
+        + ", ".join(f"{z:.6g}" for z in bad)
+    )
 
 
 def make_grid(
@@ -330,29 +340,100 @@ def steady_state_occupation(model: DriftModel, select: str) -> float:
     (1/2pi) int S_xx dw that :func:`position_spectrum` approximates by
     quadrature.  Refuses unstable models; NumericsError when the relative
     residual ||A Sigma + Sigma A^dag + Q|| / (2 ||A|| ||Sigma|| + ||Q||)
-    exceeds RESIDUAL_TOL.
+    exceeds RESIDUAL_TOL.  The batch of one of
+    :func:`steady_state_occupations`.
     """
-    if select not in model.labels:
-        raise ValueError(f"unknown mode label {select!r}; have {model.labels}")
-    _require_stable(model)
-    paired = model.paired()
-    a, b = paired.drift, paired.noise_input
-    q = (b * paired.input_correlations[0]) @ b.T
-    sigma = solve_continuous_lyapunov(a, -q)
-    resid = np.linalg.norm(a @ sigma + sigma @ a.conj().T + q) / (
-        2.0 * np.linalg.norm(a) * np.linalg.norm(sigma) + np.linalg.norm(q)
-    )
-    if not resid <= RESIDUAL_TOL:
-        raise NumericsError(
-            f"Lyapunov residual {resid:.3g} exceeds {RESIDUAL_TOL}"
-        )
-    u = _quadrature(paired, select)
-    x2 = float((u @ sigma @ u).real)
+    (n_eff,) = steady_state_occupations([model], select)
+    if isinstance(n_eff, BathcoolError):
+        raise n_eff
+    return n_eff
+
+
+def steady_state_occupations(models, select: str) -> list:
+    """:func:`steady_state_occupation` of every model, in one batched solve.
+
+    Entry i is the occupation of ``models[i]`` or the BathcoolError that
+    point raises; an unknown label raises ValueError for the whole call.
+    One eigendecomposition A = V diag(lam) V^-1 of the stacked paired
+    drift matrices gives the stability check and
+    Sigma = V X V^dag with X_ij = -(V^-1 Q V^-dag)_ij / (lam_i + conj lam_j).
+    A point whose residual misses RESIDUAL_TOL (an ill-conditioned
+    eigenbasis, near an exceptional point) is solved again by
+    Bartels-Stewart (``solve_continuous_lyapunov``).
+    """
+    for model in models:
+        if select not in model.labels:
+            raise ValueError(f"unknown mode label {select!r}; have {model.labels}")
+    paired = [model.paired() for model in models]
+    results = [None] * len(paired)
+    if not paired:
+        return results
+    a = np.stack([p.drift for p in paired])
+    b = np.stack([p.noise_input for p in paired])
+    weights = np.stack([p.input_correlations[0] for p in paired])
+    q = (b * weights[:, None, :]) @ b.swapaxes(1, 2)
+    finite = np.isfinite(a).all(axis=(1, 2))
+    for i in np.flatnonzero(~finite):
+        results[i] = NumericsError("drift matrix has non-finite entries")
+    idx = np.flatnonzero(finite)
+    lam, v = np.linalg.eig(a[idx])
+    stable = np.all(lam.real < 0, axis=1)
+    for i, eigs in zip(idx[~stable], lam[~stable]):
+        results[i] = _instability(eigs)
+    idx = idx[stable]
+    sigma = _eigenbasis_lyapunov(lam[stable], v[stable], q[idx])
+    resid = _lyapunov_residuals(a[idx], sigma, q[idx])
+    for k in np.flatnonzero(~(resid <= RESIDUAL_TOL)):
+        i = idx[k]
+        sigma[k] = solve_continuous_lyapunov(a[i], -q[i])
+        resid[k] = _lyapunov_residuals(a[i : i + 1], sigma[k : k + 1], q[i : i + 1])[0]
+    # <x^2> = u Sigma u^T with u = e_select + e_select_dag
+    rows = np.array([[p.index(select), p.index(select + "_dag")] for p in paired])
+    r, c = rows[idx].T
+    k = np.arange(idx.size)
+    x2 = (sigma[k, r, r] + sigma[k, r, c] + sigma[k, c, r] + sigma[k, c, c]).real
+    for i, res, x in zip(idx, resid, x2.tolist()):
+        if not res <= RESIDUAL_TOL:
+            results[i] = NumericsError(
+                f"Lyapunov residual {res:.3g} exceeds {RESIDUAL_TOL}"
+            )
+        else:
+            results[i] = _occupation(x)
+    return results
+
+
+def _eigenbasis_lyapunov(lam: np.ndarray, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Sigma solving A Sigma + Sigma A^dag + Q = 0 for a stack of A = V diag(lam) V^-1.
+
+    Every lam has a negative real part, so no lam_i + conj lam_j vanishes.
+    """
+    vinv = np.linalg.inv(v)
+    qt = vinv @ q @ _dagger(vinv)
+    x = -qt / (lam[:, :, None] + lam.conj()[:, None, :])
+    return v @ x @ _dagger(v)
+
+
+def _lyapunov_residuals(a: np.ndarray, sigma: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """||A Sigma + Sigma A^dag + Q|| / (2 ||A|| ||Sigma|| + ||Q||) per stacked point."""
+    norm = lambda m: np.linalg.norm(m, axis=(1, 2))
+    r = a @ sigma + sigma @ _dagger(a) + q
+    return norm(r) / (2.0 * norm(a) * norm(sigma) + norm(q))
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _occupation(x2: float) -> float | NumericsError:
+    """(<x^2> - 1) / 2, the vacuum floor <x^2> = 1 clipped to roundoff.
+
+    Returns, not raises, the NumericsError for a result below the floor.
+    """
     n_eff = (x2 - 1.0) / 2.0
     if n_eff < 0:
-        # the vacuum floor <x^2> = 1 up to roundoff
         if n_eff < -1e-9 * x2:
-            raise NumericsError(f"steady-state occupation {n_eff:.4g} < 0")
+            return NumericsError(f"steady-state occupation {n_eff:.4g} < 0")
         n_eff = 0.0
     return n_eff
 

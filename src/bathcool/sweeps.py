@@ -22,7 +22,7 @@ from .analytics import (
 )
 from .errors import BathcoolError, PhysicsError
 from .model import SystemSpec, build_full_system, effective_temperature
-from .spectra import fit_lorentzian, position_spectrum, steady_state_occupation
+from .spectra import fit_lorentzian, position_spectrum, steady_state_occupations
 
 __all__ = ["SweepResult", "sweep_cooperativity", "find_optimum", "sweep_detuning"]
 
@@ -83,32 +83,53 @@ def _point_rwa(spec: SystemSpec, Gamma: float):
     return float(n_eff), lw, n_eff.flags
 
 
-def _point_full(spec: SystemSpec, Gamma: float, fit_line: bool):
-    """Exact n_eff from the steady-state covariance; the spectrum is built
-    only for a line fit."""
-    spec_g = _with_cooling_rate(spec, Gamma)
-    model = build_full_system(spec_g)
-    n_eff = steady_state_occupation(model, "a")
+def _n_effs(specs, gammas, fidelity: str) -> list:
+    """n_eff at every (spec, Gamma) point.
+
+    At full fidelity all points share one batched steady-state covariance
+    solve, and the entry of a point that failed is its BathcoolError.
+    """
+    if fidelity == "rwa":
+        return [_point_rwa(s, g)[0] for s, g in zip(specs, gammas)]
+    if fidelity == "full":
+        return _covariance_n_effs([_with_cooling_rate(s, g) for s, g in zip(specs, gammas)])
+    raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")
+
+
+def _covariance_n_effs(driven_specs) -> list:
+    """Exact n_eff of each spec at its own drive, or the BathcoolError
+    that point raises, from one batched steady-state covariance solve."""
+    return steady_state_occupations([build_full_system(s) for s in driven_specs], "a")
+
+
+def _value(n_eff):
+    """An entry of :func:`_n_effs`: the float, or raise its error."""
+    if isinstance(n_eff, BathcoolError):
+        raise n_eff
+    return n_eff
+
+
+def _evaluate_n_eff(spec: SystemSpec, Gamma: float, fidelity: str) -> float:
+    return _value(_n_effs([spec], [Gamma], fidelity)[0])
+
+
+def _point_full(spec_g: SystemSpec, Gamma: float, n_eff, fit_line: bool):
+    """A full-fidelity point of ``spec_g``, driven at Gamma, from its entry
+    of :func:`_covariance_n_effs`; the spectrum is built only for a line
+    fit."""
+    n_eff = _value(n_eff)
     _, gp, flags = _point_rwa(spec_g, Gamma)
     lw = math.nan
     if fit_line:
         # window around the dressed mode-a line
-        result = position_spectrum(model, "a")
-        wa = spec.mode_a.omega
+        result = position_spectrum(build_full_system(spec_g), "a")
+        wa = spec_g.mode_a.omega
         lw = fit_lorentzian(result.grid, result.values, (wa - 8 * gp, wa + 8 * gp)).fwhm
     return n_eff, lw, flags
 
 
-def _evaluate_n_eff(spec: SystemSpec, Gamma: float, fidelity: str) -> float:
-    if fidelity == "rwa":
-        return _point_rwa(spec, Gamma)[0]
-    if fidelity == "full":
-        return _point_full(spec, Gamma, fit_line=False)[0]
-    raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")
-
-
 def _sweep(spec: SystemSpec, axis_name: str, values: np.ndarray, point) -> SweepResult:
-    """Evaluate ``point(x) -> (n_eff, linewidth, flags)`` at every axis value.
+    """Evaluate ``point(i) -> (n_eff, linewidth, flags)`` at every axis index.
 
     A point that raises a BathcoolError records its message and NaNs; the
     sweep continues.
@@ -118,9 +139,9 @@ def _sweep(spec: SystemSpec, axis_name: str, values: np.ndarray, point) -> Sweep
     t_ratio = np.full(values.size, math.nan)
     lws = np.full(values.size, math.nan)
     flags, errors = [], []
-    for i, x in enumerate(values):
+    for i in range(values.size):
         try:
-            n, lw, fl = point(x)
+            n, lw, fl = point(i)
         except BathcoolError as exc:
             flags.append(None)
             errors.append(f"{exc.kind}: {exc}")
@@ -161,11 +182,16 @@ def sweep_cooperativity(
         raise ValueError("C_OM values must be sorted strictly increasing")
     if np.any(values < 0):
         raise ValueError("C_OM values must be >= 0")
-    gb = spec.mode_b.gamma
+    gammas = values * spec.mode_b.gamma
     if fidelity == "rwa":
-        return _sweep(spec, "C_OM", values, lambda c: _point_rwa(spec, c * gb))
+        return _sweep(spec, "C_OM", values, lambda i: _point_rwa(spec, gammas[i]))
+    driven = [_with_cooling_rate(spec, g) for g in gammas]
+    n_effs = _covariance_n_effs(driven)
     return _sweep(
-        spec, "C_OM", values, lambda c: _point_full(spec, c * gb, fit_line=fit_lines)
+        spec,
+        "C_OM",
+        values,
+        lambda i: _point_full(driven[i], gammas[i], n_effs[i], fit_line=fit_lines),
     )
 
 
@@ -190,7 +216,8 @@ def find_optimum(
         return _evaluate_n_eff(spec, math.exp(log_c) * gb, fidelity)
 
     xs = np.linspace(math.log(lo), math.log(hi), coarse_points)
-    ys = np.array([f(x) for x in xs])
+    coarse = _n_effs([spec] * xs.size, [math.exp(x) * gb for x in xs], fidelity)
+    ys = np.array([_value(n) for n in coarse])
     imin = int(np.argmin(ys))
     if imin in (0, coarse_points - 1):
         raise PhysicsError(
@@ -236,17 +263,21 @@ def sweep_detuning(
         cab = cooperativity_ab(spec)
         c_om = math.sqrt(1.0 + cab) if math.isfinite(cab) else 1.0
     gb = spec.mode_b.gamma
+    specs = [
+        replace(spec, mode_b=replace(spec.mode_b, omega=spec.mode_a.omega + delta))
+        for delta in values
+    ]
+    if not optimize_each:
+        gamma = c_om * gb
+        n_effs = _n_effs(specs, [gamma] * values.size, fidelity)
 
-    def point(delta):
-        mode_b = replace(spec.mode_b, omega=spec.mode_a.omega + delta)
-        spec_d = replace(spec, mode_b=mode_b)
+    def point(i):
         if optimize_each:
-            c_pt, n = find_optimum(spec_d, bracket, fidelity)
-            gamma = c_pt * gb
+            c_pt, n = find_optimum(specs[i], bracket, fidelity)
+            _, lw, fl = _point_rwa(specs[i], c_pt * gb)
         else:
-            gamma = c_om * gb
-            n = _evaluate_n_eff(spec_d, gamma, fidelity)
-        _, lw, fl = _point_rwa(spec_d, gamma)
+            n = _value(n_effs[i])
+            _, lw, fl = _point_rwa(specs[i], gamma)
         return n, lw, fl
 
     return _sweep(spec, "delta_ab", values, point)

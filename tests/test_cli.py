@@ -39,6 +39,20 @@ alpha = {_ALPHA!r}
 """
 
 
+DESIGN_CONFIG = """
+[run]
+task = design
+
+[design]
+l_left_m = 20.01e-6
+l_right_m = 19.99e-6
+h_m = 0.3e-6
+w_m = 0.3e-6
+material = silicon_nitride
+temperature_k = 300
+"""
+
+
 def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -168,6 +182,34 @@ class TestConfigBoundary:
         if replace_from:
             assert replace_from in text
             text = text.replace(replace_from, replace_to)
+        path = write_config(tmp_path, text)
+        assert main([task, "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)  # exactly one JSON object
+        assert err["error"] == "config_error"
+
+    @pytest.mark.parametrize(
+        "task, text",
+        [
+            (
+                "design",
+                DESIGN_CONFIG + "\n[cavity]\nkappa_hz = abc\ndetuning_hz = -1e6\ng0_hz = 10\n",
+            ),
+            ("design", DESIGN_CONFIG.replace("= silicon_nitride", "= unobtainium")),
+            ("design", DESIGN_CONFIG.replace("l_left_m = 20.01e-6", "l_left_m = -20.01e-6")),
+            ("design", DESIGN_CONFIG.replace("temperature_k = 300", "temperature_k = 0")),
+            ("spectrum", base_config("spectrum").replace("[system]", "select = q\n\n[system]")),
+        ],
+        ids=[
+            "design-cavity-text",
+            "design-material-unknown",
+            "design-length-negative",
+            "design-temperature-zero",
+            "select-unknown",
+        ],
+    )
+    def test_domain_errors_rejected_with_exit_1(self, tmp_path, capsys, task, text):
         path = write_config(tmp_path, text)
         assert main([task, "--config", path]) == 1
         captured = capsys.readouterr()

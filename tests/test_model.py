@@ -110,6 +110,16 @@ class TestTypes:
         m = MechanicalMode(omega=TWO_PI * 1e6, gamma=TWO_PI * 10.0, bath_temperature=1.0)
         assert m.quality_factor == pytest.approx(1e5)
 
+    @pytest.mark.parametrize("temperature", [math.inf, math.nan])
+    def test_non_finite_bath_temperature_rejected(self, temperature):
+        with pytest.raises(ValueError, match="finite"):
+            MechanicalMode(omega=TWO_PI * 6e6, gamma=1.0, bath_temperature=temperature)
+        with pytest.raises(ValueError, match="finite"):
+            CavityDrive(
+                kappa=TWO_PI * 1e5, detuning=-TWO_PI * 1e6, g0=1.0,
+                bath_temperature=temperature,
+            )
+
     def test_cavity_pump_consistency_asserted(self):
         kappa, det = TWO_PI * 1e5, -TWO_PI * 1e6
         cav = CavityDrive.from_pump(1e7, det, kappa, g0=TWO_PI * 10)

@@ -323,13 +323,25 @@ class TestSteadyStateOccupation:
         assert 0.0 <= n <= 1e-9  # the vacuum floor, to roundoff
 
     def test_residual_beyond_tolerance_raises(self, monkeypatch):
+        # both paths return a perturbed Sigma: the eigenbasis one misses the
+        # gate, and so does its Bartels-Stewart fallback
         model = build_full_system(make_spec(c_ab=50.0, c_om=5.0))
+        calls = []
+        eigenbasis = spectra._eigenbasis_lyapunov
         solve = spectra.solve_continuous_lyapunov
-        monkeypatch.setattr(
-            spectra, "solve_continuous_lyapunov", lambda a, q: solve(a, q) * (1.0 + 1e-6)
-        )
+
+        def perturbed(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args) * (1.0 + 1e-6)
+
+            return wrapped
+
+        monkeypatch.setattr(spectra, "_eigenbasis_lyapunov", perturbed("eig", eigenbasis))
+        monkeypatch.setattr(spectra, "solve_continuous_lyapunov", perturbed("bs", solve))
         with pytest.raises(NumericsError, match="Lyapunov residual"):
             steady_state_occupation(model, "a")
+        assert calls == ["eig", "bs"]
 
     def test_unstable_refused(self):
         spec = make_spec(c_ab=10.0, c_om=50.0)
@@ -340,6 +352,98 @@ class TestSteadyStateOccupation:
     def test_unknown_label(self, spec50):
         with pytest.raises(ValueError):
             steady_state_occupation(build_rwa_system(spec50), "q")
+
+
+def _exceptional_point_spec():
+    """omega_a = omega_b, alpha = 0 and lambda = (gamma_b - gamma_a)/4: the
+    two mechanical eigenvalues coalesce and the eigenbasis is defective."""
+    spec = make_spec(c_ab=50.0, c_om=None)
+    return replace(spec, coupling=(spec.mode_b.gamma - spec.mode_a.gamma) / 4.0)
+
+
+def _bartels_stewart_occupation(model, select="a"):
+    """Independent n_eff: scipy's Schur-based solve and u Sigma u^T."""
+    paired = model.paired()
+    b = paired.noise_input
+    q = (b * paired.input_correlations[0]) @ b.T
+    sigma = spectra.solve_continuous_lyapunov(paired.drift, -q)
+    u = np.zeros(paired.dimension)
+    u[[paired.index(select), paired.index(select + "_dag")]] = 1.0
+    return ((u @ sigma @ u).real - 1.0) / 2.0
+
+
+class TestBatchedCovariance:
+    """steady_state_occupations: one eigenbasis solve per batch, a
+    Bartels-Stewart fallback where the residual gate fails."""
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_exceptional_point_falls_back_to_bartels_stewart(self, builder, monkeypatch):
+        model = builder(_exceptional_point_spec())
+        paired = model.paired()
+        b = paired.noise_input
+        q = ((b * paired.input_correlations[0]) @ b.T)[None]
+        lam, v = np.linalg.eig(paired.drift[None])
+        sigma = spectra._eigenbasis_lyapunov(lam, v, q)
+        assert spectra._lyapunov_residuals(paired.drift[None], sigma, q)[0] > RESIDUAL_TOL
+
+        n = steady_state_occupation(model, "a")
+        assert n == pytest.approx(_bartels_stewart_occupation(model), rel=1e-12)
+        # the same number as a solve that skips the eigenbasis altogether
+        def missed(lam, v, q):
+            return np.full(q.shape, np.nan, dtype=complex)
+
+        monkeypatch.setattr(spectra, "_eigenbasis_lyapunov", missed)
+        assert steady_state_occupation(model, "a") == n
+
+    def test_mixed_batch_matches_single_calls(self):
+        stable = build_full_system(make_spec(c_ab=50.0, c_om=5.0))
+        blue = make_spec(c_ab=10.0, c_om=50.0)
+        blue = replace(blue, cavity=replace(blue.cavity, detuning=-blue.cavity.detuning))
+        models = [
+            stable,
+            build_full_system(blue),
+            build_full_system(_exceptional_point_spec()),
+            build_rwa_system(make_spec(c_ab=8.0, c_om=3.0)),
+        ]
+        batch = spectra.steady_state_occupations(models, "a")
+        assert isinstance(batch[1], UnstableSystemError)
+        for model, entry in zip(models, batch):
+            try:
+                single = steady_state_occupation(model, "a")
+            except UnstableSystemError as exc:
+                assert type(entry) is type(exc) and str(entry) == str(exc)
+            else:
+                assert entry == single
+
+    def test_non_finite_drift_is_a_per_point_error(self):
+        good = build_full_system(make_spec(c_ab=50.0, c_om=5.0))
+        drift = good.drift.copy()
+        drift[0, 0] = complex(math.nan, 0.0)
+        bad = replace(good, drift=drift)
+        n_bad, n_good = spectra.steady_state_occupations([bad, good], "a")
+        assert isinstance(n_bad, NumericsError)
+        assert n_good == steady_state_occupation(good, "a")
+
+    def test_empty_batch_and_unknown_label(self, spec50):
+        assert spectra.steady_state_occupations([], "a") == []
+        with pytest.raises(ValueError):
+            spectra.steady_state_occupations([build_full_system(spec50)], "q")
+
+    def test_one_eigendecomposition_per_batch(self, monkeypatch):
+        spec = make_spec(c_ab=50.0, gamma_a_hz=0.1, gamma_b_hz=10.0, kappa_hz=1e4)
+        models = [build_full_system(replace(spec, coupling=spec.coupling * f))
+                  for f in (0.5, 1.0, 2.0)]
+        calls = []
+        eig = np.linalg.eig
+
+        def counted(a):
+            calls.append(a.shape)
+            return eig(a)
+
+        monkeypatch.setattr(spectra.np.linalg, "eig", counted)
+        monkeypatch.setattr(spectra, "stability_eigenvalues", None)
+        spectra.steady_state_occupations(models, "a")
+        assert calls == [(3, 6, 6)]
 
 
 class TestIntegration:

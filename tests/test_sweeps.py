@@ -112,6 +112,25 @@ class TestFullFidelityCovariance:
         res = sweep_detuning(self.SPEC, [0.0, 10.0], fidelity="full", c_om=c_star)
         assert all(e is None for e in res.errors)
 
+    def test_sweep_into_instability_matches_point_by_point(self):
+        # blue detuning: anti-damping destabilizes the upper part of the range
+        spec = replace(
+            self.SPEC, cavity=replace(self.SPEC.cavity, detuning=-self.SPEC.cavity.detuning)
+        )
+        c_oms = np.geomspace(0.01, 100.0, 13)
+        res = sweep_cooperativity(spec, c_oms, fidelity="full")
+        failed = [e is not None for e in res.errors]
+        assert any(failed) and not all(failed)
+        for i, c in enumerate(c_oms):
+            one = sweep_cooperativity(spec, [c], fidelity="full")
+            assert res.errors[i] == one.errors[0]
+            assert np.array_equal(res.n_eff[i], one.n_eff[0], equal_nan=True)
+            if failed[i]:
+                assert "unstable" in res.errors[i]
+            else:
+                model = build_full_system(sweeps._with_cooling_rate(spec, c * spec.mode_b.gamma))
+                assert res.n_eff[i] == steady_state_occupation(model, "a")
+
     def test_line_fit_still_builds_the_spectrum(self, monkeypatch):
         calls = []
         spectrum = sweeps.position_spectrum
