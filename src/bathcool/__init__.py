@@ -25,6 +25,7 @@ from .analytics import (
     optical_damping,
     optimal_cooperativity,
     optomechanical_cooperativity,
+    regime_flags,
 )
 from .design import (
     BeamGeometry,
@@ -45,7 +46,6 @@ from .model import (
     DriftModel,
     MechanicalMode,
     SystemSpec,
-    ThermalBathSpec,
     build_full_system,
     build_rwa_system,
     effective_temperature,

@@ -6,8 +6,9 @@ the effective occupation and its optimum over the optomechanical
 cooperativity, and the thermomechanical force-noise density.
 
 The closed forms assume a degenerate, sideband-resolved, hierarchical
-regime.  Rather than refusing to evaluate near the regime edges, results
-carry boolean validity flags computed with a threshold factor of 10.
+regime.  Rather than refusing to evaluate near the regime edges,
+:func:`regime_flags` reports boolean validity flags computed with a
+threshold factor of 10.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ __all__ = [
     "RegimeFlags",
     "CoolingSummary",
     "ForceNoiseResult",
-    "OccupationResult",
+    "regime_flags",
     "optical_damping",
     "chi_b",
     "chi_a",
@@ -91,18 +92,8 @@ class ForceNoiseResult:
     classical: bool
 
 
-class OccupationResult(float):
-    """A float occupation that also carries regime validity flags."""
-
-    flags: RegimeFlags
-
-    def __new__(cls, value: float, flags: RegimeFlags):
-        obj = super().__new__(cls, value)
-        obj.flags = flags
-        return obj
-
-
 def regime_flags(spec: SystemSpec, Gamma: float) -> RegimeFlags:
+    """Where the closed forms hold at optical damping Gamma (see RegimeFlags)."""
     gtot = spec.mode_b.gamma + Gamma
     delta_ab = abs(spec.mode_a.omega - spec.mode_b.omega)
     cab = cooperativity_ab(spec)
@@ -214,7 +205,7 @@ def n_eff_closed_form(
     Gamma: float,
     nbar: float,
     nbar_b: float | None = None,
-) -> OccupationResult:
+) -> float:
     """Effective occupation of mode a from the weighted bath average.
 
     n_eff = (gamma_a*nbar_a + Gamma_a*(gamma_b/(Gamma+gamma_b))*nbar_b)
@@ -223,8 +214,9 @@ def n_eff_closed_form(
     ``nbar`` is the mode-a bath occupation (evaluated at omega_a); by
     default the same value is used for mode b's bath, pass ``nbar_b`` for
     distinct temperatures.  Gamma_a uses the detuning-aware Lorentzian so
-    the formula degrades gracefully when omega_a != omega_b; regime
-    violations are reported through the result's ``flags``, not raised.
+    the formula degrades gracefully when omega_a != omega_b; it is
+    evaluated outside the regime too, whose edges :func:`regime_flags`
+    reports.
     """
     if nbar < 0 or (nbar_b is not None and nbar_b < 0):
         raise ValueError("occupations must be >= 0")
@@ -234,8 +226,7 @@ def n_eff_closed_form(
     delta = spec.mode_b.omega - spec.mode_a.omega
     gamma_a_ind = induced_damping_detuned(spec.coupling, gb, Gamma, delta)
     num = ga * nbar + gamma_a_ind * (gb / (gb + Gamma)) * nbar_b
-    value = num / (ga + gamma_a_ind)
-    return OccupationResult(value, regime_flags(spec, Gamma))
+    return float(num / (ga + gamma_a_ind))
 
 
 def optimal_cooperativity(C_ab: float) -> float:
@@ -300,8 +291,8 @@ def cooling_summary(
         Gamma_a=gamma_prime - spec.mode_a.gamma,
         C_ab=cooperativity_ab(spec),
         C_OM=optomechanical_cooperativity(Gamma, spec.mode_b.gamma),
-        n_eff=float(n_eff),
+        n_eff=n_eff,
         linewidth_a=gamma_prime,
         omega_a_pulled=omega_pulled,
-        flags=n_eff.flags,
+        flags=regime_flags(spec, Gamma),
     )

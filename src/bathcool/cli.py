@@ -29,19 +29,8 @@ from .design import (
     design_to_system,
     load_material,
 )
-from .errors import (
-    BathcoolError,
-    ConfigError,
-    NumericsError,
-    PhysicsError,
-)
-from .model import (
-    MechanicalMode,
-    SystemSpec,
-    build_full_system,
-    build_rwa_system,
-    thermal_occupation,
-)
+from .errors import BathcoolError, ConfigError, PhysicsError
+from .model import MechanicalMode, SystemSpec, build_full_system, build_rwa_system
 from .spectra import force_spectrum_numeric, make_grid, position_spectrum
 from .sweeps import (
     DEFAULT_POINTS_PER_DECADE,
@@ -80,7 +69,6 @@ _SCHEMA = {
         "g0_hz": True,
         "alpha": False,
         "pump_hz": False,
-        "bath_temperature_k": False,
     },
     "grid": {
         "span_linewidths": False,
@@ -150,6 +138,21 @@ def _c_om_range(section: str, items: dict) -> dict:
     return {"c_om_min": lo, "c_om_max": hi}
 
 
+def _grid(items: dict) -> dict:
+    """``make_grid`` keyword arguments from [grid]."""
+    kw = {k: _float("grid", k, v) for k, v in items.items()}
+    for key, ok, need in (
+        ("span_linewidths", lambda v: v >= 5, ">= 5"),
+        ("points_per_linewidth", lambda v: v > 0, "> 0"),
+        ("log_points", lambda v: v >= 0 and v.is_integer(), "a whole number >= 0"),
+    ):
+        if key in kw and not ok(kw[key]):
+            raise ConfigError(f"[grid] {key} must be {need}, got {items[key]!r}")
+    if "log_points" in kw:
+        kw["log_points"] = int(kw["log_points"])
+    return kw
+
+
 def _check_keys(section: str, items: dict):
     known = _SCHEMA[section]
     for key in items:
@@ -167,19 +170,10 @@ def _build_cavity(items: dict) -> CavityDrive:
     kappa = g("kappa_hz") * TWO_PI
     detuning = g("detuning_hz") * TWO_PI
     g0 = g("g0_hz") * TWO_PI
-    t_cav = g("bath_temperature_k", 0.0)
     try:
         if "pump_hz" in items:
-            return CavityDrive.from_pump(
-                g("pump_hz") * TWO_PI, detuning, kappa, g0, bath_temperature=t_cav
-            )
-        return CavityDrive(
-            kappa=kappa,
-            detuning=detuning,
-            g0=g0,
-            alpha=g("alpha", 0.0),
-            bath_temperature=t_cav,
-        )
+            return CavityDrive.from_pump(g("pump_hz") * TWO_PI, detuning, kappa, g0)
+        return CavityDrive(kappa=kappa, detuning=detuning, g0=g0, alpha=g("alpha", 0.0))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -266,9 +260,7 @@ def config_from_dict(sections: dict) -> RunConfig:
             raise ConfigError(f"task {task!r} needs [system] and [cavity] sections")
         system = _build_system(sections["system"], sections["cavity"])
 
-    grid = {
-        k: _float("grid", k, v) for k, v in sections.get("grid", {}).items()
-    }
+    grid = _grid(sections.get("grid", {}))
     sweep_items = sections.get("sweep", {})
     per_decade = _float(
         "sweep",
@@ -305,17 +297,6 @@ def parse_config(text: str) -> RunConfig:
     return config_from_dict(sections)
 
 
-def _grid_kwargs(config: RunConfig) -> dict:
-    kw = {}
-    if "span_linewidths" in config.grid:
-        kw["span_linewidths"] = config.grid["span_linewidths"]
-    if "points_per_linewidth" in config.grid:
-        kw["points_per_linewidth"] = config.grid["points_per_linewidth"]
-    if "log_points" in config.grid:
-        kw["log_points"] = int(config.grid["log_points"])
-    return kw
-
-
 def _build_model(config: RunConfig):
     builder = build_rwa_system if config.fidelity == "rwa" else build_full_system
     return builder(config.system)
@@ -336,7 +317,7 @@ def _flags_str(flags) -> str:
 
 def _run_spectrum(config: RunConfig):
     model = _build_model(config)
-    grid = make_grid(model, **_grid_kwargs(config))
+    grid = make_grid(model, **config.grid)
     result = position_spectrum(model, config.select, grid)
     header = ["omega_rad_s", "Sxx_per_rad_s"]
     rows = list(zip(result.grid.points.tolist(), result.values.tolist()))
@@ -371,9 +352,7 @@ def _run_sweep(config: RunConfig):
     if not finite.any():
         raise PhysicsError("every sweep point failed")
     imin = int(np.nanargmin(result.n_eff))
-    nbar = thermal_occupation(
-        config.system.mode_a.omega, config.system.mode_a.bath_temperature
-    )
+    nbar = config.system.mode_a.nbar
     summary = {
         "C_OM_star": float(result.axis_values[imin]),
         "n_eff_min": float(result.n_eff[imin]),
@@ -392,9 +371,7 @@ def _run_optimize(config: RunConfig):
         bracket=(o["c_om_min"], o["c_om_max"]),
         fidelity=config.fidelity,
     )
-    nbar = thermal_occupation(
-        config.system.mode_a.omega, config.system.mode_a.bath_temperature
-    )
+    nbar = config.system.mode_a.nbar
     header = ["C_OM_star", "n_eff_star", "n_ratio_star"]
     ratio = n_star / nbar if nbar > 0 else math.nan
     rows = [(c_star, n_star, ratio)]
@@ -445,7 +422,7 @@ def _run_sense(config: RunConfig):
     if spec.mass_a is None:
         raise ConfigError("task 'sense' requires mass_a_kg in [system]")
     model = _build_model(config)
-    grid = make_grid(model, **_grid_kwargs(config))
+    grid = make_grid(model, **config.grid)
     result = force_spectrum_numeric(model, spec, grid)
     header = ["omega_rad_s", "S_FF_N2_per_Hz", "factor"]
     rows = list(
@@ -551,18 +528,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit_error("config_error", str(exc))
         return 1
-    except ConfigError as exc:
+    except BathcoolError as exc:
         _emit_error(exc.kind, str(exc))
-        return 1
-    except PhysicsError as exc:
-        _emit_error(exc.kind, str(exc))
-        return 2
-    except NumericsError as exc:
-        _emit_error(exc.kind, str(exc))
-        return 3
-    except BathcoolError as exc:  # pragma: no cover - safety net
-        _emit_error(exc.kind, str(exc))
-        return 3
+        return exc.exit_code
     if not (args.out or config.output):
         json.dump(summary, sys.stdout, sort_keys=True, indent=2)
         sys.stdout.write("\n")

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 1, PhysicsError
-subclasses -> 2, NumericsError -> 3.
+Each class carries the CLI exit code it maps onto: ConfigError -> 1,
+PhysicsError subclasses -> 2, NumericsError (and the base class) -> 3.
 """
 
 
@@ -9,18 +9,21 @@ class BathcoolError(Exception):
     """Base class for all package errors."""
 
     kind = "error"
+    exit_code = 3
 
 
 class ConfigError(BathcoolError):
     """Malformed or invalid configuration / usage."""
 
     kind = "config_error"
+    exit_code = 1
 
 
 class PhysicsError(BathcoolError):
     """A physical precondition is violated (instability, regime, fit)."""
 
     kind = "physics_error"
+    exit_code = 2
 
 
 class UnstableSystemError(PhysicsError):

@@ -33,7 +33,6 @@ __all__ = [
     "MechanicalMode",
     "CavityDrive",
     "SystemSpec",
-    "ThermalBathSpec",
     "DriftModel",
     "thermal_occupation",
     "effective_temperature",
@@ -52,9 +51,9 @@ class MechanicalMode:
     Parameters
     ----------
     omega : float
-        Resonance frequency (rad/s, > 0).
+        Resonance frequency (rad/s, finite, > 0).
     gamma : float
-        Energy damping rate (rad/s, >= 0).
+        Energy damping rate (rad/s, finite, >= 0).
     bath_temperature : float
         Bath temperature (K, finite, >= 0).
     """
@@ -64,10 +63,10 @@ class MechanicalMode:
     bath_temperature: float
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not 0 <= self.bath_temperature < math.inf:
             raise ValueError(
                 f"bath_temperature must be finite and >= 0, got {self.bath_temperature}"
@@ -98,17 +97,14 @@ class CavityDrive:
     g0: float
     alpha: complex = 0.0
     pump: complex | None = None
-    bath_temperature: float = 0.0
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        if self.g0 < 0:
-            raise ValueError(f"g0 must be >= 0, got {self.g0}")
-        if not 0 <= self.bath_temperature < math.inf:
-            raise ValueError(
-                f"bath_temperature must be finite and >= 0, got {self.bath_temperature}"
-            )
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
+        if not math.isfinite(self.detuning):
+            raise ValueError(f"detuning must be finite, got {self.detuning}")
+        if not 0 <= self.g0 < math.inf:
+            raise ValueError(f"g0 must be finite and >= 0, got {self.g0}")
         if self.pump is not None:
             expected = intracavity_amplitude(self.pump, self.detuning, self.kappa)
             scale = max(abs(expected), abs(self.alpha), 1e-300)
@@ -119,16 +115,9 @@ class CavityDrive:
                 )
 
     @classmethod
-    def from_pump(cls, pump, detuning, kappa, g0, bath_temperature=0.0):
+    def from_pump(cls, pump, detuning, kappa, g0):
         alpha = intracavity_amplitude(pump, detuning, kappa)
-        return cls(
-            kappa=kappa,
-            detuning=detuning,
-            g0=g0,
-            alpha=alpha,
-            pump=pump,
-            bath_temperature=bath_temperature,
-        )
+        return cls(kappa=kappa, detuning=detuning, g0=g0, alpha=alpha, pump=pump)
 
     @property
     def alpha_g0(self) -> float:
@@ -152,41 +141,10 @@ class SystemSpec:
     mass_a: float | None = None
 
     def __post_init__(self):
-        if self.coupling < 0:
-            raise ValueError(f"coupling must be >= 0, got {self.coupling}")
-        if self.mass_a is not None and not self.mass_a > 0:
-            raise ValueError(f"mass_a must be > 0, got {self.mass_a}")
-
-    def baths(self) -> "ThermalBathSpec":
-        """Bath occupations at the respective carrier frequencies.
-
-        The cavity bath is vacuum (its optical carrier frequency is far
-        above any thermal scale here); pass an explicit ThermalBathSpec to
-        the system builders to override nbar_c.
-        """
-        return ThermalBathSpec(
-            nbar_a=self.mode_a.nbar,
-            nbar_b=self.mode_b.nbar,
-            nbar_c=0.0,
-        )
-
-
-@dataclass(frozen=True)
-class ThermalBathSpec:
-    """Mean input-noise occupations for the three baths.
-
-    The cavity bath defaults to vacuum (``nbar_c = 0``) unless explicitly
-    overridden.
-    """
-
-    nbar_a: float
-    nbar_b: float
-    nbar_c: float = 0.0
-
-    def __post_init__(self):
-        for name in ("nbar_a", "nbar_b", "nbar_c"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if not 0 <= self.coupling < math.inf:
+            raise ValueError(f"coupling must be finite and >= 0, got {self.coupling}")
+        if self.mass_a is not None and not 0 < self.mass_a < math.inf:
+            raise ValueError(f"mass_a must be finite and > 0, got {self.mass_a}")
 
 
 @dataclass(frozen=True)
@@ -301,7 +259,7 @@ def intracavity_amplitude(pump: complex, detuning: float, kappa: float) -> compl
     return pump / (1j * detuning - kappa / 2.0)
 
 
-def build_rwa_system(spec: SystemSpec, baths: ThermalBathSpec | None = None) -> DriftModel:
+def build_rwa_system(spec: SystemSpec) -> DriftModel:
     """Assemble the 3x3 rotating-wave Langevin system on basis (c, a, b).
 
     Rows implement
@@ -311,8 +269,6 @@ def build_rwa_system(spec: SystemSpec, baths: ThermalBathSpec | None = None) -> 
         db/dt = (-i*omega_b - gamma_b/2) b - i*lambda a + i*alpha*g0 c
                 + sqrt(gamma_b) b_in
     """
-    if baths is None:
-        baths = spec.baths()
     ma, mb, cav = spec.mode_a, spec.mode_b, spec.cavity
     lam = spec.coupling
     ag = cav.alpha_g0
@@ -326,7 +282,8 @@ def build_rwa_system(spec: SystemSpec, baths: ThermalBathSpec | None = None) -> 
         dtype=complex,
     )
     noise = np.diag([math.sqrt(cav.kappa), math.sqrt(ma.gamma), math.sqrt(mb.gamma)])
-    nbars = np.array([baths.nbar_c, baths.nbar_a, baths.nbar_b])
+    # the cavity input is vacuum: nbar ~ 0 at optical frequencies
+    nbars = np.array([0.0, ma.nbar, mb.nbar])
     corr = np.vstack([nbars + 1.0, nbars])
     return DriftModel(
         dimension=3,
@@ -338,7 +295,7 @@ def build_rwa_system(spec: SystemSpec, baths: ThermalBathSpec | None = None) -> 
     )
 
 
-def build_full_system(spec: SystemSpec, baths: ThermalBathSpec | None = None) -> DriftModel:
+def build_full_system(spec: SystemSpec) -> DriftModel:
     """Assemble the 6x6 system retaining counter-rotating terms.
 
     Basis (a, a_dag, b, b_dag, c, c_dag).  The mechanical coupling keeps
@@ -346,8 +303,6 @@ def build_full_system(spec: SystemSpec, baths: ThermalBathSpec | None = None) ->
     -alpha*g0*(b*c + b_dag*c_dag); damping enters as -gamma/2 on diagonal
     pairs and input channels double to include the conjugate inputs.
     """
-    if baths is None:
-        baths = spec.baths()
     ma, mb, cav = spec.mode_a, spec.mode_b, spec.cavity
     lam = spec.coupling
     ag = cav.alpha_g0
@@ -369,7 +324,8 @@ def build_full_system(spec: SystemSpec, baths: ThermalBathSpec | None = None) ->
     )
     amps = [math.sqrt(ga)] * 2 + [math.sqrt(gb)] * 2 + [math.sqrt(kp)] * 2
     noise = np.diag(amps)
-    na, nb, nc = baths.nbar_a, baths.nbar_b, baths.nbar_c
+    # the cavity input is vacuum: nbar ~ 0 at optical frequencies
+    na, nb, nc = ma.nbar, mb.nbar, 0.0
     # channel order (a_in, a_in_dag, b_in, b_in_dag, c_in, c_in_dag):
     # row 0 = <xi xi^dag> weight, row 1 = <xi^dag xi> weight.
     corr = np.array(

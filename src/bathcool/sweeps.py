@@ -19,6 +19,7 @@ from .analytics import (
     cooperativity_ab,
     induced_damping_detuned,
     n_eff_closed_form,
+    regime_flags,
 )
 from .errors import BathcoolError, PhysicsError
 from .model import SystemSpec, build_full_system, effective_temperature
@@ -74,13 +75,13 @@ def _with_cooling_rate(spec: SystemSpec, Gamma: float) -> SystemSpec:
     return replace(spec, cavity=new_cav)
 
 
-def _point_rwa(spec: SystemSpec, Gamma: float):
-    n_eff = n_eff_closed_form(spec, Gamma, spec.mode_a.nbar, nbar_b=_nbar_b(spec))
+def _rwa_line(spec: SystemSpec, Gamma: float):
+    """Closed-form mode-a linewidth and regime flags at optical damping Gamma."""
     delta = spec.mode_b.omega - spec.mode_a.omega
     lw = spec.mode_a.gamma + induced_damping_detuned(
         spec.coupling, spec.mode_b.gamma, Gamma, delta
     )
-    return float(n_eff), lw, n_eff.flags
+    return lw, regime_flags(spec, Gamma)
 
 
 def _n_effs(specs, gammas, fidelity: str) -> list:
@@ -90,16 +91,14 @@ def _n_effs(specs, gammas, fidelity: str) -> list:
     solve, and the entry of a point that failed is its BathcoolError.
     """
     if fidelity == "rwa":
-        return [_point_rwa(s, g)[0] for s, g in zip(specs, gammas)]
+        return [
+            n_eff_closed_form(s, g, s.mode_a.nbar, nbar_b=_nbar_b(s))
+            for s, g in zip(specs, gammas)
+        ]
     if fidelity == "full":
-        return _covariance_n_effs([_with_cooling_rate(s, g) for s, g in zip(specs, gammas)])
+        models = [build_full_system(_with_cooling_rate(s, g)) for s, g in zip(specs, gammas)]
+        return steady_state_occupations(models, "a")
     raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")
-
-
-def _covariance_n_effs(driven_specs) -> list:
-    """Exact n_eff of each spec at its own drive, or the BathcoolError
-    that point raises, from one batched steady-state covariance solve."""
-    return steady_state_occupations([build_full_system(s) for s in driven_specs], "a")
 
 
 def _value(n_eff):
@@ -107,25 +106,6 @@ def _value(n_eff):
     if isinstance(n_eff, BathcoolError):
         raise n_eff
     return n_eff
-
-
-def _evaluate_n_eff(spec: SystemSpec, Gamma: float, fidelity: str) -> float:
-    return _value(_n_effs([spec], [Gamma], fidelity)[0])
-
-
-def _point_full(spec_g: SystemSpec, Gamma: float, n_eff, fit_line: bool):
-    """A full-fidelity point of ``spec_g``, driven at Gamma, from its entry
-    of :func:`_covariance_n_effs`; the spectrum is built only for a line
-    fit."""
-    n_eff = _value(n_eff)
-    _, gp, flags = _point_rwa(spec_g, Gamma)
-    lw = math.nan
-    if fit_line:
-        # window around the dressed mode-a line
-        result = position_spectrum(build_full_system(spec_g), "a")
-        wa = spec_g.mode_a.omega
-        lw = fit_lorentzian(result.grid, result.values, (wa - 8 * gp, wa + 8 * gp)).fwhm
-    return n_eff, lw, flags
 
 
 def _sweep(spec: SystemSpec, axis_name: str, values: np.ndarray, point) -> SweepResult:
@@ -175,24 +155,29 @@ def sweep_cooperativity(
     (alpha*g0 = sqrt(Gamma*kappa)/2).  Instability or fit failure at a
     point records a per-point error; the sweep continues.
     """
-    if fidelity not in ("rwa", "full"):
-        raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")
     values = np.asarray(list(c_om_values), dtype=float)
     if values.size and np.any(np.diff(values) <= 0):
         raise ValueError("C_OM values must be sorted strictly increasing")
     if np.any(values < 0):
         raise ValueError("C_OM values must be >= 0")
     gammas = values * spec.mode_b.gamma
-    if fidelity == "rwa":
-        return _sweep(spec, "C_OM", values, lambda i: _point_rwa(spec, gammas[i]))
-    driven = [_with_cooling_rate(spec, g) for g in gammas]
-    n_effs = _covariance_n_effs(driven)
-    return _sweep(
-        spec,
-        "C_OM",
-        values,
-        lambda i: _point_full(driven[i], gammas[i], n_effs[i], fit_line=fit_lines),
-    )
+    n_effs = _n_effs([spec] * values.size, gammas, fidelity)
+
+    def point(i):
+        n_eff = _value(n_effs[i])
+        lw, flags = _rwa_line(spec, gammas[i])
+        if fidelity == "full":
+            # a full-fidelity linewidth comes only from a line fit, in a
+            # window of 8 closed-form linewidths around the mode-a line
+            window = (spec.mode_a.omega - 8 * lw, spec.mode_a.omega + 8 * lw)
+            lw = math.nan
+            if fit_lines:
+                driven = build_full_system(_with_cooling_rate(spec, gammas[i]))
+                result = position_spectrum(driven, "a")
+                lw = fit_lorentzian(result.grid, result.values, window).fwhm
+        return n_eff, lw, flags
+
+    return _sweep(spec, "C_OM", values, point)
 
 
 def find_optimum(
@@ -213,7 +198,7 @@ def find_optimum(
     gb = spec.mode_b.gamma
 
     def f(log_c):
-        return _evaluate_n_eff(spec, math.exp(log_c) * gb, fidelity)
+        return _value(_n_effs([spec], [math.exp(log_c) * gb], fidelity)[0])
 
     xs = np.linspace(math.log(lo), math.log(hi), coarse_points)
     coarse = _n_effs([spec] * xs.size, [math.exp(x) * gb for x in xs], fidelity)
@@ -274,10 +259,10 @@ def sweep_detuning(
     def point(i):
         if optimize_each:
             c_pt, n = find_optimum(specs[i], bracket, fidelity)
-            _, lw, fl = _point_rwa(specs[i], c_pt * gb)
+            lw, fl = _rwa_line(specs[i], c_pt * gb)
         else:
             n = _value(n_effs[i])
-            _, lw, fl = _point_rwa(specs[i], gamma)
+            lw, fl = _rwa_line(specs[i], gamma)
         return n, lw, fl
 
     return _sweep(spec, "delta_ab", values, point)

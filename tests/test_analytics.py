@@ -149,7 +149,7 @@ class TestNEffClosedForm:
     def test_regime_violation_flags_not_error(self):
         spec = make_spec(c_ab=50.0, delta_b_hz=5e4)  # far detuned modes
         result = n_eff_closed_form(spec, TWO_PI * 100.0, 10.0)
-        assert not result.flags.degenerate
+        assert not regime_flags(spec, TWO_PI * 100.0).degenerate
         assert float(result) > 0
 
 
@@ -238,6 +238,12 @@ class TestSummaryAndFlags:
         )
         assert s.omega_a_pulled == pytest.approx(spec.mode_a.omega)
         assert s.flags.ok
+
+    def test_regime_flags_exported(self):
+        import bathcool
+
+        assert bathcool.regime_flags is regime_flags
+        assert type(n_eff_closed_form(make_spec(), 1.0, 10.0)) is float
 
     def test_flags_threshold_factor_ten(self):
         spec = make_spec(c_ab=50.0, kappa_hz=3e5)

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bathcool.cli import main, parse_config
 from bathcool.errors import ConfigError
@@ -161,6 +167,10 @@ class TestConfigBoundary:
             ("sweep", "\n[sweep]\npoints_per_decade = 0\n", None, None),
             ("optimize", "", "temperature_k = 300", "temperature_k = inf"),
             ("sweep", "", "temperature_k = 300", "temperature_k = nan"),
+            ("spectrum", "\n[grid]\nspan_linewidths = 3\n", None, None),
+            ("spectrum", "\n[grid]\nlog_points = -5\n", None, None),
+            ("spectrum", "\n[grid]\nlog_points = 2.5\n", None, None),
+            ("spectrum", "\n[grid]\npoints_per_linewidth = -1\n", None, None),
         ],
         ids=[
             "sweep-c_om_min-zero",
@@ -173,6 +183,10 @@ class TestConfigBoundary:
             "sweep-points_per_decade-zero",
             "temperature-inf",
             "temperature-nan",
+            "grid-span_linewidths-below-5",
+            "grid-log_points-negative",
+            "grid-log_points-fraction",
+            "grid-points_per_linewidth-negative",
         ],
     )
     def test_rejected_with_exit_1(
@@ -216,6 +230,18 @@ class TestConfigBoundary:
         assert captured.out == ""
         err = json.loads(captured.err)  # exactly one JSON object
         assert err["error"] == "config_error"
+
+
+    def test_cavity_bath_temperature_is_an_unknown_key(self, tmp_path, capsys):
+        # the cavity input is vacuum; a cavity temperature is not a setting
+        text = base_config("spectrum", extra="bath_temperature_k = 4")
+        path = write_config(tmp_path, text)
+        assert main(["spectrum", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "config_error"
+        assert "bath_temperature_k" in err["message"]
 
 
 class TestArtifacts:
@@ -298,3 +324,101 @@ temperature_k = 300
     def test_no_subcommand_prints_help(self, capsys):
         assert main([]) == 1
         assert "spectrum" in capsys.readouterr().err
+
+
+# [section] -> {key: a valid value}; the grid values are small, so that no
+# draw builds a large grid
+FUZZ_SECTIONS = {
+    "spectrum": {
+        "system": {
+            "omega_a_hz": "1e6",
+            "gamma_a_hz": "1.0",
+            "omega_b_hz": "1e6",
+            "gamma_b_hz": "1e3",
+            "lambda_hz": "111.8",
+            "temperature_k": "300",
+            "temperature_b_k": "300",
+            "mass_a_kg": "1e-12",
+        },
+        "cavity": {
+            "kappa_hz": "3e5",
+            "detuning_hz": "-1e6",
+            "g0_hz": "10",
+            "alpha": "2314.0",
+        },
+        "grid": {"span_linewidths": "10", "points_per_linewidth": "4", "log_points": "20"},
+    },
+    "design": {
+        "design": {
+            "l_left_m": "20.01e-6",
+            "l_right_m": "19.99e-6",
+            "h_m": "0.3e-6",
+            "w_m": "0.3e-6",
+            "material": "silicon_nitride",
+            "temperature_k": "300",
+            "youngs_modulus_pa": "250e9",
+            "density_kg_m3": "3100",
+            "tec_per_k": "2.2e-6",
+            "heat_capacity_j_m3k": "2.2e6",
+        },
+        "cavity": {"kappa_hz": "3e5", "detuning_hz": "-1e6", "g0_hz": "10"},
+    },
+}
+FUZZ_UNKNOWN = (("system", "omega_c_hz"), ("cavity", "bath_temperature_k"), ("grid", "points"))
+FUZZ_KINDS = ("malformed", "negative", "zero", "inf", "nan", "missing")
+
+
+def _fuzzed(kind, ok):
+    try:
+        negative = repr(-float(ok))
+    except ValueError:
+        negative = "-" + ok
+    return {"malformed": "abc", "negative": negative, "zero": "0", "inf": "inf", "nan": "nan"}[kind]
+
+
+@st.composite
+def fuzz_configs(draw, task):
+    """INI text for ``task`` with up to three values spoiled and, in a
+    third of the draws, one unknown key."""
+    sections = FUZZ_SECTIONS[task]
+    keys = [(section, key) for section, items in sections.items() for key in items]
+    spoiled = draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(FUZZ_KINDS), max_size=3))
+    unknown = draw(st.sampled_from((None,) * 6 + FUZZ_UNKNOWN))
+    lines = [f"[run]\ntask = {task}\nfidelity = rwa"]
+    for section, items in sections.items():
+        if task == "design" and section == "cavity" and not draw(st.booleans()):
+            continue
+        lines.append(f"\n[{section}]")
+        for key, ok in items.items():
+            kind = spoiled.get((section, key))
+            if kind != "missing":
+                lines.append(f"{key} = {_fuzzed(kind, ok) if kind else ok}")
+        if unknown and unknown[0] == section:
+            lines.append(f"{unknown[1]} = 1")
+    return "\n".join(lines) + "\n"
+
+
+class TestConfigFuzz:
+    """Any config exits 0-3; a failure is one JSON object on stderr."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), task=st.sampled_from(["spectrum", "design"]))
+    def test_exit_code_and_one_json_error(self, data, task):
+        text = data.draw(fuzz_configs(task))
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.ini")
+            with open(path, "w") as fh:
+                fh.write(text)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([task, "--config", path])
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            assert err.getvalue() == ""
+            assert json.loads(out.getvalue())["task"] == task
+        else:
+            assert out.getvalue() == ""
+            assert "Traceback" not in err.getvalue()
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "message"}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -114,11 +115,25 @@ class TestTypes:
     def test_non_finite_bath_temperature_rejected(self, temperature):
         with pytest.raises(ValueError, match="finite"):
             MechanicalMode(omega=TWO_PI * 6e6, gamma=1.0, bath_temperature=temperature)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "part, field",
+        [
+            ("mode_a", "omega"),
+            ("mode_a", "gamma"),
+            ("cavity", "kappa"),
+            ("cavity", "detuning"),
+            ("cavity", "g0"),
+            (None, "coupling"),
+            (None, "mass_a"),
+        ],
+    )
+    def test_non_finite_rates_rejected(self, part, field, value):
+        spec = make_spec()
+        target = getattr(spec, part) if part else spec
         with pytest.raises(ValueError, match="finite"):
-            CavityDrive(
-                kappa=TWO_PI * 1e5, detuning=-TWO_PI * 1e6, g0=1.0,
-                bath_temperature=temperature,
-            )
+            replace(target, **{field: value})
 
     def test_cavity_pump_consistency_asserted(self):
         kappa, det = TWO_PI * 1e5, -TWO_PI * 1e6
@@ -237,6 +252,15 @@ class TestBuildFullSystem:
         corr = model.input_correlations
         assert np.allclose(corr[0, 0::2], corr[1, 1::2])
         assert np.allclose(corr[0, 1::2], corr[1, 0::2])
+
+    def test_inputs_are_the_two_mode_baths_and_cavity_vacuum(self):
+        spec = make_spec()
+        spec = replace(spec, mode_b=replace(spec.mode_b, bath_temperature=4.0))
+        na, nb = spec.mode_a.nbar, spec.mode_b.nbar
+        assert build_full_system(spec).input_correlations[1].tolist() == [
+            na, na + 1, nb, nb + 1, 0.0, 1.0
+        ]
+        assert build_rwa_system(spec).input_correlations[1].tolist() == [0.0, na, nb]
 
 
 class TestPairedBasis:
