@@ -31,6 +31,7 @@ from .design import (
 )
 from .errors import BathcoolError, ConfigError, PhysicsError
 from .model import MechanicalMode, SystemSpec, build_full_system, build_rwa_system
+from .spectra import DEFAULT_LOG_POINTS, DEFAULT_POINTS_PER_LW
 from .spectra import force_spectrum_numeric, make_grid, position_spectrum
 from .sweeps import (
     DEFAULT_POINTS_PER_DECADE,
@@ -43,6 +44,9 @@ TWO_PI = 2.0 * math.pi
 
 TASKS = ("spectrum", "sweep", "optimize", "design", "sense")
 MODES = ("a", "b", "c")
+# most grid points a [grid] may ask for: the (n, 6, 6) complex solve stack
+# of 1e5 points takes about 58 MB
+_MAX_GRID_POINTS = 100_000
 
 # section -> {key: required}
 _SCHEMA = {
@@ -148,6 +152,14 @@ def _grid(items: dict) -> dict:
     ):
         if key in kw and not ok(kw[key]):
             raise ConfigError(f"[grid] {key} must be {need}, got {items[key]!r}")
+    # each of the at most 6 drift eigenvalues adds round(10 ppl) + 1 dense
+    # and 2 log_points tail points
+    ppl = kw.get("points_per_linewidth", DEFAULT_POINTS_PER_LW)
+    bound = 6 * (np.round(10 * ppl) + 1 + 2 * kw.get("log_points", DEFAULT_LOG_POINTS))
+    if bound > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"[grid] allows up to {bound:.6g} grid points, more than {_MAX_GRID_POINTS}"
+        )
     if "log_points" in kw:
         kw["log_points"] = int(kw["log_points"])
     return kw
@@ -297,6 +309,13 @@ def parse_config(text: str) -> RunConfig:
     return config_from_dict(sections)
 
 
+def _require_positive(task: str, **values):
+    """ConfigError unless every [system] value is > 0."""
+    for key, value in values.items():
+        if not value > 0:
+            raise ConfigError(f"task {task!r} needs [system] {key} > 0")
+
+
 def _build_model(config: RunConfig):
     builder = build_rwa_system if config.fidelity == "rwa" else build_full_system
     return builder(config.system)
@@ -332,6 +351,8 @@ def _run_spectrum(config: RunConfig):
 
 
 def _run_sweep(config: RunConfig):
+    # C_OM = Gamma/gamma_b
+    _require_positive("sweep", gamma_b_hz=config.system.mode_b.gamma)
     s = config.sweep
     decades = math.log10(s["c_om_max"] / s["c_om_min"])
     n = max(2, int(round(decades * s["points_per_decade"])) + 1)
@@ -365,6 +386,7 @@ def _run_sweep(config: RunConfig):
 
 
 def _run_optimize(config: RunConfig):
+    _require_positive("optimize", gamma_b_hz=config.system.mode_b.gamma)
     o = config.optimize
     c_star, n_star = find_optimum(
         config.system,
@@ -421,6 +443,11 @@ def _run_sense(config: RunConfig):
     spec = config.system
     if spec.mass_a is None:
         raise ConfigError("task 'sense' requires mass_a_kg in [system]")
+    # the force noise is normalized to the bare mode a at its bath temperature
+    _require_positive(
+        "sense", gamma_a_hz=spec.mode_a.gamma, gamma_b_hz=spec.mode_b.gamma,
+        temperature_k=spec.mode_a.bath_temperature,
+    )
     model = _build_model(config)
     grid = make_grid(model, **config.grid)
     result = force_spectrum_numeric(model, spec, grid)

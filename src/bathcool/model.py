@@ -1,30 +1,30 @@
 """Physical data model and linear Langevin system assembly.
 
 Defines the three-mode system (two mechanical modes ``a``, ``b`` plus a
-driven cavity ``c``), Bose-Einstein occupation helpers, and builders for
-the drift/noise matrices of both the rotating-wave (3x3) and the full
-counter-rotating (6x6) models.
+driven cavity ``c``), Bose-Einstein occupation helpers, and the builders
+of the drift/noise matrices: the full model, which keeps the
+counter-rotating terms, and the rotating-wave model, which zeroes them.
 
 Conventions
 -----------
 * All frequencies and rates are angular (rad/s).
-* RWA basis order is ``(c, a, b)`` with input channels
-  ``(c_in, a_in, b_in)``.
-* Full-model basis order is ``(a, a_dag, b, b_dag, c, c_dag)`` with the
-  correspondingly doubled input channels.
-* :meth:`DriftModel.paired` puts either model in a conjugate-paired basis,
-  where the position quadrature ``a + a_dag`` is a single row.
+* Both models are 6x6 in one conjugate-paired basis
+  ``(a, a_dag, b, b_dag, c, c_dag)``, with input channels
+  ``(a_in, a_in_dag, b_in, b_in_dag, c_in, c_in_dag)``; the position
+  quadrature ``a + a_dag`` is a single row.
+* The drift is affine in the linearized coupling G = |alpha|*g0,
+  A(G) = A0 + G*A1; the noise does not depend on G.
 * The intracavity amplitude is taken real (a pump phase choice); only
   ``|alpha| * g0`` enters the drift matrices.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .constants import HBAR, KB
 from .errors import NumericsError
@@ -105,6 +105,10 @@ class CavityDrive:
             raise ValueError(f"detuning must be finite, got {self.detuning}")
         if not 0 <= self.g0 < math.inf:
             raise ValueError(f"g0 must be finite and >= 0, got {self.g0}")
+        if self.pump is not None and not cmath.isfinite(self.pump):
+            raise ValueError(f"pump must be finite, got {self.pump}")
+        if not cmath.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.pump is not None:
             expected = intracavity_amplitude(self.pump, self.detuning, self.kappa)
             scale = max(abs(expected), abs(self.alpha), 1e-300)
@@ -151,6 +155,9 @@ class SystemSpec:
 class DriftModel:
     """Linear Langevin system dv/dt = drift @ v + noise_input @ xi.
 
+    The solvers read the rows ``select`` and ``select_dag`` of the
+    conjugate-paired basis the builders use.
+
     Attributes
     ----------
     drift : (d, d) complex ndarray
@@ -164,9 +171,6 @@ class DriftModel:
         input correlators).
     labels : tuple of str
         Operator basis labels, same order as the drift rows.
-    kind : str
-        "rwa" (annihilation-operator basis) or "full" (conjugate-paired
-        basis).
     """
 
     dimension: int
@@ -174,7 +178,6 @@ class DriftModel:
     noise_input: np.ndarray
     input_correlations: np.ndarray
     labels: tuple
-    kind: str
 
     def __post_init__(self):
         a = np.asarray(self.drift, dtype=complex)
@@ -193,31 +196,9 @@ class DriftModel:
             raise ValueError("input_correlations must be (2, n_channels)")
         if len(self.labels) != self.dimension:
             raise ValueError("labels must match dimension")
-        if self.kind not in ("rwa", "full"):
-            raise ValueError("kind must be 'rwa' or 'full'")
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
-
-    def paired(self) -> "DriftModel":
-        """This model in a conjugate-paired basis.
-
-        A full model is returned as is.  An rwa model on ``(c, a, b)``
-        becomes blockdiag(A, conj A) on ``(c, a, b, c_dag, a_dag, b_dag)``
-        with the conjugate inputs, whose <xi xi^dag> weight is nbar where
-        the annihilation inputs carry nbar + 1.
-        """
-        if self.kind == "full":
-            return self
-        plus, minus = self.input_correlations
-        return DriftModel(
-            dimension=2 * self.dimension,
-            drift=block_diag(self.drift, self.drift.conj()),
-            noise_input=block_diag(self.noise_input, self.noise_input),
-            input_correlations=[np.r_[plus, minus], np.r_[minus, plus]],
-            labels=self.labels + tuple(f"{label}_dag" for label in self.labels),
-            kind="full",
-        )
 
 
 def thermal_occupation(omega: float, temperature: float) -> float:
@@ -259,90 +240,68 @@ def intracavity_amplitude(pump: complex, detuning: float, kappa: float) -> compl
     return pump / (1j * detuning - kappa / 2.0)
 
 
-def build_rwa_system(spec: SystemSpec) -> DriftModel:
-    """Assemble the 3x3 rotating-wave Langevin system on basis (c, a, b).
+def _pencil(spec: SystemSpec, rotating_wave: bool) -> tuple:
+    """``(A0, A1, noise_input, input_correlations, labels)`` of ``spec``.
 
-    Rows implement
-
-        dc/dt = (i*Delta - kappa/2) c + i*alpha*g0 b + sqrt(kappa) c_in
-        da/dt = (-i*omega_a - gamma_a/2) a - i*lambda b + sqrt(gamma_a) a_in
-        db/dt = (-i*omega_b - gamma_b/2) b - i*lambda a + i*alpha*g0 c
-                + sqrt(gamma_b) b_in
+    The drift at linearized coupling G = |alpha|*g0 is A0 + G*A1 on the
+    basis (a, a_dag, b, b_dag, c, c_dag); the noise does not depend on G.
+    The mechanical coupling keeps the lambda*(a*b + a_dag*b_dag) terms
+    and the optomechanical part the -G*(b*c + b_dag*c_dag) terms, unless
+    ``rotating_wave`` zeroes every counter-rotating (annihilation <->
+    creation) entry.  Damping enters as -gamma/2 on the diagonal and the
+    input channels double to include the conjugate inputs.
     """
     ma, mb, cav = spec.mode_a, spec.mode_b, spec.cavity
     lam = spec.coupling
-    ag = cav.alpha_g0
-
-    drift = np.array(
-        [
-            [1j * cav.detuning - cav.kappa / 2, 0.0, 1j * ag],
-            [0.0, -1j * ma.omega - ma.gamma / 2, -1j * lam],
-            [1j * ag, -1j * lam, -1j * mb.omega - mb.gamma / 2],
-        ],
-        dtype=complex,
-    )
-    noise = np.diag([math.sqrt(cav.kappa), math.sqrt(ma.gamma), math.sqrt(mb.gamma)])
-    # the cavity input is vacuum: nbar ~ 0 at optical frequencies
-    nbars = np.array([0.0, ma.nbar, mb.nbar])
-    corr = np.vstack([nbars + 1.0, nbars])
-    return DriftModel(
-        dimension=3,
-        drift=drift,
-        noise_input=noise,
-        input_correlations=corr,
-        labels=("c", "a", "b"),
-        kind="rwa",
-    )
-
-
-def build_full_system(spec: SystemSpec) -> DriftModel:
-    """Assemble the 6x6 system retaining counter-rotating terms.
-
-    Basis (a, a_dag, b, b_dag, c, c_dag).  The mechanical coupling keeps
-    the lambda*(a*b + a_dag*b_dag) terms and the optomechanical part keeps
-    -alpha*g0*(b*c + b_dag*c_dag); damping enters as -gamma/2 on diagonal
-    pairs and input channels double to include the conjugate inputs.
-    """
-    ma, mb, cav = spec.mode_a, spec.mode_b, spec.cavity
-    lam = spec.coupling
-    ag = cav.alpha_g0
-
     wa, ga = ma.omega, ma.gamma
     wb, gb = mb.omega, mb.gamma
     dd, kp = cav.detuning, cav.kappa
 
-    drift = np.array(
-        [
-            [-1j * wa - ga / 2, 0, -1j * lam, -1j * lam, 0, 0],
-            [0, 1j * wa - ga / 2, 1j * lam, 1j * lam, 0, 0],
-            [-1j * lam, -1j * lam, -1j * wb - gb / 2, 0, 1j * ag, 1j * ag],
-            [1j * lam, 1j * lam, 0, 1j * wb - gb / 2, -1j * ag, -1j * ag],
-            [0, 0, 1j * ag, 1j * ag, 1j * dd - kp / 2, 0],
-            [0, 0, -1j * ag, -1j * ag, 0, -1j * dd - kp / 2],
-        ],
-        dtype=complex,
-    )
+    # each mode's pole and its conjugate on the diagonal; -i*lambda*(b + b_dag)
+    # drives a and -i*lambda*(a + a_dag) drives b, i*G*(c + c_dag) drives b
+    # and i*G*(b + b_dag) drives c; the conjugate rows flip the sign
+    poles = (-1j * wa - ga / 2, -1j * wb - gb / 2, 1j * dd - kp / 2)
+    a0 = np.diag([p for z in poles for p in (z, z.conjugate())])
+    a0[0:2, 2:4] = a0[2:4, 0:2] = [[-1j * lam], [1j * lam]]
+    a1 = np.zeros((6, 6), dtype=complex)
+    a1[2:4, 4:6] = a1[4:6, 2:4] = [[1j], [-1j]]
+    if rotating_wave:
+        dag = np.arange(6) % 2 == 1
+        counter = dag[:, None] != dag[None, :]
+        a0[counter] = 0.0
+        a1[counter] = 0.0
     amps = [math.sqrt(ga)] * 2 + [math.sqrt(gb)] * 2 + [math.sqrt(kp)] * 2
-    noise = np.diag(amps)
     # the cavity input is vacuum: nbar ~ 0 at optical frequencies
     na, nb, nc = ma.nbar, mb.nbar, 0.0
-    # channel order (a_in, a_in_dag, b_in, b_in_dag, c_in, c_in_dag):
-    # row 0 = <xi xi^dag> weight, row 1 = <xi^dag xi> weight.
-    corr = np.array(
-        [
-            [na + 1, na, nb + 1, nb, nc + 1, nc],
-            [na, na + 1, nb, nb + 1, nc, nc + 1],
-        ],
-        dtype=float,
-    )
-    return DriftModel(
-        dimension=6,
-        drift=drift,
-        noise_input=noise,
-        input_correlations=corr,
-        labels=("a", "a_dag", "b", "b_dag", "c", "c_dag"),
-        kind="full",
-    )
+    # channel order (a_in, a_in_dag, b_in, b_in_dag, c_in, c_in_dag);
+    # <xi xi^dag> and <xi^dag xi> weights
+    plus = [na + 1, na, nb + 1, nb, nc + 1, nc]
+    minus = [na, na + 1, nb, nb + 1, nc, nc + 1]
+    corr = np.array([plus, minus], dtype=float)
+    return a0, a1, np.diag(amps), corr, ("a", "a_dag", "b", "b_dag", "c", "c_dag")
+
+
+def build_rwa_system(spec: SystemSpec) -> DriftModel:
+    """The rotating-wave model: :func:`build_full_system` with every
+    counter-rotating entry zeroed, in the same basis.
+
+    Its annihilation rows implement
+
+        da/dt = (-i*omega_a - gamma_a/2) a - i*lambda b + sqrt(gamma_a) a_in
+        db/dt = (-i*omega_b - gamma_b/2) b - i*lambda a + i*alpha*g0 c
+                + sqrt(gamma_b) b_in
+        dc/dt = (i*Delta - kappa/2) c + i*alpha*g0 b + sqrt(kappa) c_in
+
+    and the creation rows their conjugates.
+    """
+    a0, a1, *inputs = _pencil(spec, rotating_wave=True)
+    return DriftModel(6, a0 + spec.cavity.alpha_g0 * a1, *inputs)
+
+
+def build_full_system(spec: SystemSpec) -> DriftModel:
+    """The 6x6 system retaining counter-rotating terms (see :func:`_pencil`)."""
+    a0, a1, *inputs = _pencil(spec, rotating_wave=False)
+    return DriftModel(6, a0 + spec.cavity.alpha_g0 * a1, *inputs)
 
 
 def stability_eigenvalues(model: DriftModel) -> np.ndarray:

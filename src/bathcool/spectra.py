@@ -1,14 +1,15 @@
 """Exact frequency-domain solution of a linear Langevin DriftModel.
 
-Every model is solved in its conjugate-paired basis
-(:meth:`DriftModel.paired`).  Builds adaptive frequency grids around
+Every model is solved in the conjugate-paired basis the builders put it
+in (:mod:`bathcool.model`).  Builds adaptive frequency grids around
 every resonance of the drift matrix, solves for the needed rows of the
 susceptibility (-i*omega*I - A)^-1 in batch, propagates the thermal
 input correlators into position fluctuation spectra S_xx(omega),
 integrates occupations, fits Lorentzian lines, and evaluates the
-fluctuating-force density seen by a selected mode.  The exact stationary
-occupation comes from the steady-state covariance instead, one Lyapunov
-solve with no grid.
+fluctuating-force density seen by a selected mode.  The stationary
+occupation comes from the steady-state covariance instead: one Lyapunov
+solve with no grid, of the exact equation, to about
+eps*max|lam|/min(-Re lam) relative.
 """
 
 from __future__ import annotations
@@ -151,9 +152,9 @@ def make_grid(
     points_per_linewidth: float = DEFAULT_POINTS_PER_LW,
     log_points: int = DEFAULT_LOG_POINTS,
 ) -> FrequencyGrid:
-    """Adaptive grid covering every resonance of the paired drift matrix.
+    """Adaptive grid covering every resonance of the drift matrix.
 
-    Each eigenvalue of ``model.paired()`` contributes a cluster at its
+    Each eigenvalue of ``model.drift`` contributes a cluster at its
     resonance frequency: linear sampling (``points_per_linewidth`` per
     linewidth) within +-5 linewidths, log-spaced fill out to
     ``span_linewidths``.  The conjugate eigenvalues give the
@@ -163,7 +164,7 @@ def make_grid(
     """
     if span_linewidths < 5:
         raise ValueError("span_linewidths must be >= 5")
-    clusters = _clusters(_require_stable(model.paired()))
+    clusters = _clusters(_require_stable(model))
 
     # every cluster's log fill runs out to the global grid extent, so a
     # narrow line's power-law tail is never left to another cluster's
@@ -280,8 +281,8 @@ def position_spectrum(
 ) -> SpectrumResult:
     """Position fluctuation spectrum S_xx(omega) for x = a + a_dag.
 
-    In the conjugate-paired basis of ``model.paired()`` the quadrature is
-    the single susceptibility row u = e_select + e_select_dag, so
+    In the conjugate-paired basis the quadrature is the single
+    susceptibility row u = e_select + e_select_dag, so
     S_xx = |u chi B|^2 . <xi xi^dag>, which covers both +-omega
     resonances.  Refuses unstable models.
     """
@@ -291,10 +292,9 @@ def position_spectrum(
         grid = make_grid(model)
     else:
         _require_stable(model)
-    paired = model.paired()
-    u = _quadrature(paired, select)[None, :]
-    w = _solve_rows(paired, grid.points, u)[:, 0, :] @ paired.noise_input
-    values = np.abs(w) ** 2 @ paired.input_correlations[0]
+    u = _quadrature(model, select)[None, :]
+    w = _solve_rows(model, grid.points, u)[:, 0, :] @ model.noise_input
+    values = np.abs(w) ** 2 @ model.input_correlations[0]
 
     vmax = float(values.max())
     neg = values < 0
@@ -324,24 +324,25 @@ def position_spectrum(
     )
 
 
-def _quadrature(paired: DriftModel, select: str) -> np.ndarray:
+def _quadrature(model: DriftModel, select: str) -> np.ndarray:
     """The row u = e_select + e_select_dag that reads x = select + select_dag."""
-    u = np.zeros(paired.dimension)
-    u[[paired.index(select), paired.index(select + "_dag")]] = 1.0
+    u = np.zeros(model.dimension)
+    u[[model.index(select), model.index(select + "_dag")]] = 1.0
     return u
 
 
 def steady_state_occupation(model: DriftModel, select: str) -> float:
-    """Exact stationary occupation (u Sigma u^T - 1) / 2 of mode ``select``.
+    """Stationary occupation (u Sigma u^T - 1) / 2 of mode ``select``.
 
     Sigma = <v v^dag> solves A Sigma + Sigma A^dag + Q = 0 with
-    Q = B diag(<xi xi^dag>) B^T in the basis of ``model.paired()``, and
-    u = e_select + e_select_dag, so u Sigma u^T = <x^2> is the integral
-    (1/2pi) int S_xx dw that :func:`position_spectrum` approximates by
-    quadrature.  Refuses unstable models; NumericsError when the relative
-    residual ||A Sigma + Sigma A^dag + Q|| / (2 ||A|| ||Sigma|| + ||Q||)
-    exceeds RESIDUAL_TOL.  The batch of one of
-    :func:`steady_state_occupations`.
+    Q = B diag(<xi xi^dag>) B^T, and u = e_select + e_select_dag, so
+    u Sigma u^T = <x^2> is the integral (1/2pi) int S_xx dw that
+    :func:`position_spectrum` approximates by quadrature.  The equation
+    is exact; it is solved to about eps*max|lam|/min(-Re lam) relative,
+    lam the drift eigenvalues.  Refuses unstable models; NumericsError
+    when the relative residual
+    ||A Sigma + Sigma A^dag + Q|| / (2 ||A|| ||Sigma|| + ||Q||) exceeds
+    RESIDUAL_TOL.  The batch of one of :func:`steady_state_occupations`.
     """
     (n_eff,) = steady_state_occupations([model], select)
     if isinstance(n_eff, BathcoolError):
@@ -354,24 +355,35 @@ def steady_state_occupations(models, select: str) -> list:
 
     Entry i is the occupation of ``models[i]`` or the BathcoolError that
     point raises; an unknown label raises ValueError for the whole call.
-    One eigendecomposition A = V diag(lam) V^-1 of the stacked paired
-    drift matrices gives the stability check and
+    """
+    for model in models:
+        if select not in model.labels:
+            raise ValueError(f"unknown mode label {select!r}; have {model.labels}")
+    if not models:
+        return []
+    rows = np.array([[m.index(select), m.index(select + "_dag")] for m in models])
+    return _stacked_occupations(
+        np.stack([m.drift for m in models]),
+        np.stack([m.noise_input for m in models]),
+        np.stack([m.input_correlations[0] for m in models]),
+        *rows.T,
+    )
+
+
+def _stacked_occupations(a, b, weights, r, c) -> list:
+    """Occupation of x = v_r + v_c at every drift matrix of the stack ``a``.
+
+    ``a`` is (n, d, d); the noise inputs ``b`` and <xi xi^dag> weights
+    broadcast against it, as do the row indices ``r``, ``c``.  Entry i is
+    a float or the BathcoolError of point i.  One eigendecomposition
+    A = V diag(lam) V^-1 of the stack gives the stability check and
     Sigma = V X V^dag with X_ij = -(V^-1 Q V^-dag)_ij / (lam_i + conj lam_j).
     A point whose residual misses RESIDUAL_TOL (an ill-conditioned
     eigenbasis, near an exceptional point) is solved again by
     Bartels-Stewart (``solve_continuous_lyapunov``).
     """
-    for model in models:
-        if select not in model.labels:
-            raise ValueError(f"unknown mode label {select!r}; have {model.labels}")
-    paired = [model.paired() for model in models]
-    results = [None] * len(paired)
-    if not paired:
-        return results
-    a = np.stack([p.drift for p in paired])
-    b = np.stack([p.noise_input for p in paired])
-    weights = np.stack([p.input_correlations[0] for p in paired])
-    q = (b * weights[:, None, :]) @ b.swapaxes(1, 2)
+    results = [None] * a.shape[0]
+    q = np.broadcast_to((b * weights[..., None, :]) @ b.swapaxes(-1, -2), a.shape)
     finite = np.isfinite(a).all(axis=(1, 2))
     for i in np.flatnonzero(~finite):
         results[i] = NumericsError("drift matrix has non-finite entries")
@@ -387,9 +399,8 @@ def steady_state_occupations(models, select: str) -> list:
         i = idx[k]
         sigma[k] = solve_continuous_lyapunov(a[i], -q[i])
         resid[k] = _lyapunov_residuals(a[i : i + 1], sigma[k : k + 1], q[i : i + 1])[0]
-    # <x^2> = u Sigma u^T with u = e_select + e_select_dag
-    rows = np.array([[p.index(select), p.index(select + "_dag")] for p in paired])
-    r, c = rows[idx].T
+    # <x^2> = u Sigma u^T with u = e_r + e_c
+    r, c = (np.broadcast_to(x, a.shape[:1])[idx] for x in (r, c))
     k = np.arange(idx.size)
     x2 = (sigma[k, r, r] + sigma[k, r, c] + sigma[k, c, r] + sigma[k, c, c]).real
     for i, res, x in zip(idx, resid, x2.tolist()):
@@ -576,13 +587,12 @@ def force_spectrum_numeric(
     else:
         _require_stable(model)
 
-    paired = model.paired()
-    ia = paired.index("a")
-    u = np.eye(paired.dimension)[[ia]]
-    resp = _solve_rows(paired, grid.points, u)[:, 0, :] @ paired.noise_input
+    ia = model.index("a")
+    u = np.eye(model.dimension)[[ia]]
+    resp = _solve_rows(model, grid.points, u)[:, 0, :] @ model.noise_input
     chi_eff = resp[:, ia] / math.sqrt(ga)
     f = resp / chi_eff[:, None]  # f[:, a_in] = sqrt(gamma_a) exactly
-    weights = paired.input_correlations.sum(axis=0)  # 2*nbar + 1 per channel
+    weights = model.input_correlations.sum(axis=0)  # 2*nbar + 1 per channel
     prefactor = HBAR * spec.mass_a * spec.mode_a.omega / 2.0
     s_ff = prefactor * (np.abs(f) ** 2 @ weights)
     baseline = prefactor * ga * weights[ia]

@@ -1,14 +1,16 @@
 """Parameter sweeps over cooperativity and mode detuning, and optimum finding.
 
 The optomechanical cooperativity C_OM = Gamma/gamma_b is swept by
-adjusting alpha*g0 at fixed kappa (the experimental pump-power knob), at
-either closed-form ("rwa") or exact six-component ("full") fidelity.  A
-full-fidelity n_eff is the exact steady-state covariance of the 6x6
-model (:func:`steady_state_occupation`), not a spectrum integral.
+setting G = |alpha|*g0 = sqrt(Gamma*kappa)/2 at fixed kappa (the
+experimental pump-power knob), at either closed-form ("rwa") or
+six-component ("full") fidelity.  A full-fidelity n_eff is the
+steady-state covariance of the 6x6 drift A0 + G*A1, one batched solve
+over the points, not a spectrum integral.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -22,8 +24,8 @@ from .analytics import (
     regime_flags,
 )
 from .errors import BathcoolError, PhysicsError
-from .model import SystemSpec, build_full_system, effective_temperature
-from .spectra import fit_lorentzian, position_spectrum, steady_state_occupations
+from .model import DriftModel, SystemSpec, _pencil, effective_temperature
+from .spectra import _stacked_occupations, fit_lorentzian, position_spectrum
 
 __all__ = ["SweepResult", "sweep_cooperativity", "find_optimum", "sweep_detuning"]
 
@@ -57,24 +59,6 @@ class SweepResult:
             raise ValueError("flags/errors length mismatch")
 
 
-def _with_cooling_rate(spec: SystemSpec, Gamma: float) -> SystemSpec:
-    """Return a spec whose cavity drive realizes the given Gamma.
-
-    alpha*g0 = sqrt(Gamma*kappa)/2 at fixed kappa; alpha absorbs the
-    change (g0 must be positive to solve for alpha).
-    """
-    cav = spec.cavity
-    target = math.sqrt(Gamma * cav.kappa) / 2.0
-    if cav.g0 > 0:
-        alpha = target / cav.g0
-        new_cav = replace(cav, alpha=alpha, pump=None)
-    elif target == 0.0:
-        new_cav = replace(cav, alpha=0.0, pump=None)
-    else:
-        raise ValueError("cavity g0 must be > 0 to set a nonzero cooling rate")
-    return replace(spec, cavity=new_cav)
-
-
 def _rwa_line(spec: SystemSpec, Gamma: float):
     """Closed-form mode-a linewidth and regime flags at optical damping Gamma."""
     delta = spec.mode_b.omega - spec.mode_a.omega
@@ -84,21 +68,35 @@ def _rwa_line(spec: SystemSpec, Gamma: float):
     return lw, regime_flags(spec, Gamma)
 
 
-def _n_effs(specs, gammas, fidelity: str) -> list:
-    """n_eff at every (spec, Gamma) point.
+def _n_effs(specs, fidelity: str):
+    """``gammas -> entries``: n_eff of mode a at every point (specs[i], gammas[i]).
 
-    At full fidelity all points share one batched steady-state covariance
-    solve, and the entry of a point that failed is its BathcoolError.
+    ``specs`` holds one spec per point, or one spec for all points.  At
+    full fidelity the pencil of each spec is built once, here, and every
+    call is one batched steady-state covariance solve of the drift stack
+    A0 + G*A1 at G = |alpha|*g0 = sqrt(Gamma*kappa)/2, the drive that damps
+    mode b at rate Gamma; the entry of a point that failed is its
+    BathcoolError.
     """
     if fidelity == "rwa":
-        return [
+        return lambda gammas: [
             n_eff_closed_form(s, g, s.mode_a.nbar, nbar_b=_nbar_b(s))
-            for s, g in zip(specs, gammas)
+            for s, g in zip(itertools.cycle(specs), gammas)
         ]
-    if fidelity == "full":
-        models = [build_full_system(_with_cooling_rate(s, g)) for s, g in zip(specs, gammas)]
-        return steady_state_occupations(models, "a")
-    raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")
+    if fidelity != "full":
+        raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")
+    if not specs:
+        return lambda gammas: []
+    a0, a1, b, corr, labels = zip(*(_pencil(s, rotating_wave=False) for s in specs))
+    a0, a1, b, corr = map(np.stack, (a0, a1, b, corr))
+    kappa = np.array([s.cavity.kappa for s in specs])
+    rows = labels[0].index("a"), labels[0].index("a_dag")
+
+    def covariance(gammas):
+        g = np.sqrt(np.asarray(gammas, dtype=float) * kappa) / 2.0
+        return _stacked_occupations(a0 + g[:, None, None] * a1, b, corr[:, 0], *rows)
+
+    return covariance
 
 
 def _value(n_eff):
@@ -152,8 +150,9 @@ def sweep_cooperativity(
     """n_eff, T_eff/T and linewidth versus optomechanical cooperativity.
 
     For each C_OM the optical damping is set to Gamma = C_OM*gamma_b
-    (alpha*g0 = sqrt(Gamma*kappa)/2).  Instability or fit failure at a
-    point records a per-point error; the sweep continues.
+    (G = |alpha|*g0 = sqrt(Gamma*kappa)/2; the drive of ``spec`` is not
+    used).  Instability or fit failure at a point records a per-point
+    error; the sweep continues.
     """
     values = np.asarray(list(c_om_values), dtype=float)
     if values.size and np.any(np.diff(values) <= 0):
@@ -161,7 +160,9 @@ def sweep_cooperativity(
     if np.any(values < 0):
         raise ValueError("C_OM values must be >= 0")
     gammas = values * spec.mode_b.gamma
-    n_effs = _n_effs([spec] * values.size, gammas, fidelity)
+    n_effs = _n_effs([spec], fidelity)(gammas)
+    if fit_lines and fidelity == "full":
+        a0, a1, *inputs = _pencil(spec, rotating_wave=False)
 
     def point(i):
         n_eff = _value(n_effs[i])
@@ -172,8 +173,8 @@ def sweep_cooperativity(
             window = (spec.mode_a.omega - 8 * lw, spec.mode_a.omega + 8 * lw)
             lw = math.nan
             if fit_lines:
-                driven = build_full_system(_with_cooling_rate(spec, gammas[i]))
-                result = position_spectrum(driven, "a")
+                g = np.sqrt(gammas[i] * spec.cavity.kappa) / 2.0
+                result = position_spectrum(DriftModel(6, a0 + g * a1, *inputs), "a")
                 lw = fit_lorentzian(result.grid, result.values, window).fwhm
         return n_eff, lw, flags
 
@@ -196,12 +197,13 @@ def find_optimum(
     if not (0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
     gb = spec.mode_b.gamma
+    n_effs = _n_effs([spec], fidelity)
 
     def f(log_c):
-        return _value(_n_effs([spec], [math.exp(log_c) * gb], fidelity)[0])
+        return _value(n_effs([math.exp(log_c) * gb])[0])
 
     xs = np.linspace(math.log(lo), math.log(hi), coarse_points)
-    coarse = _n_effs([spec] * xs.size, [math.exp(x) * gb for x in xs], fidelity)
+    coarse = n_effs([math.exp(x) * gb for x in xs])
     ys = np.array([_value(n) for n in coarse])
     imin = int(np.argmin(ys))
     if imin in (0, coarse_points - 1):
@@ -254,7 +256,7 @@ def sweep_detuning(
     ]
     if not optimize_each:
         gamma = c_om * gb
-        n_effs = _n_effs(specs, [gamma] * values.size, fidelity)
+        n_effs = _n_effs(specs, fidelity)([gamma] * values.size)
 
     def point(i):
         if optimize_each:

@@ -6,9 +6,10 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bathcool import cli
 from bathcool.cli import main, parse_config
 from bathcool.errors import ConfigError
 
@@ -171,6 +172,11 @@ class TestConfigBoundary:
             ("spectrum", "\n[grid]\nlog_points = -5\n", None, None),
             ("spectrum", "\n[grid]\nlog_points = 2.5\n", None, None),
             ("spectrum", "\n[grid]\npoints_per_linewidth = -1\n", None, None),
+            ("spectrum", "\n[grid]\npoints_per_linewidth = 1e308\n", None, None),
+            ("sense", "\n[grid]\nlog_points = 1e12\n", None, None),
+            ("optimize", "", "gamma_b_hz = 1000.0", "gamma_b_hz = 0"),
+            ("sense", "", "gamma_a_hz = 1.0", "gamma_a_hz = 0"),
+            ("sense", "", "temperature_k = 300", "temperature_k = 0"),
         ],
         ids=[
             "sweep-c_om_min-zero",
@@ -187,6 +193,11 @@ class TestConfigBoundary:
             "grid-log_points-negative",
             "grid-log_points-fraction",
             "grid-points_per_linewidth-negative",
+            "grid-points_per_linewidth-huge",
+            "grid-log_points-huge",
+            "optimize-gamma_b-zero",
+            "sense-gamma_a-zero",
+            "sense-temperature-zero",
         ],
     )
     def test_rejected_with_exit_1(
@@ -231,6 +242,36 @@ class TestConfigBoundary:
         err = json.loads(captured.err)  # exactly one JSON object
         assert err["error"] == "config_error"
 
+    def test_grid_cap_names_the_point_count(self, tmp_path, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(cli, "make_grid", refused)
+        # 6 * (round(10 * 20) + 1 + 2 * 8500) = 103206 points
+        text = base_config("spectrum", extra="\n[grid]\nlog_points = 8500\n")
+        assert main(["spectrum", "--config", write_config(tmp_path, text)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config_error"
+        assert "103206" in err["message"]
+        # 6 * (201 + 2 * 8000) = 97206 points are allowed
+        text = base_config("spectrum", extra="\n[grid]\nlog_points = 8000\n")
+        assert parse_config(text).grid == {"log_points": 8000}
+
+    @pytest.mark.parametrize("task", ["sweep", "optimize"])
+    def test_zero_g0_at_full_fidelity(self, tmp_path, task):
+        # the sweep sets G = |alpha|*g0 directly, so g0 does not matter
+        extra = (
+            "\n[sweep]\nc_om_min = 1\nc_om_max = 100\npoints_per_decade = 5\n"
+            "\n[optimize]\nc_om_min = 1\nc_om_max = 60\n"
+        )
+        tables = []
+        for g0 in ("10", "0"):
+            text = base_config(task, extra=extra).replace("g0_hz = 10", f"g0_hz = {g0}")
+            path = write_config(tmp_path, text, name=f"g0_{g0}.ini")
+            out = str(tmp_path / f"g0_{g0}")
+            assert main([task, "--config", path, "--fidelity", "full", "--out", out]) == 0
+            tables.append((tmp_path / f"g0_{g0}.csv").read_text())
+        assert tables[0] == tables[1]
 
     def test_cavity_bath_temperature_is_an_unknown_key(self, tmp_path, capsys):
         # the cavity input is vacuum; a cavity temperature is not a setting
@@ -326,28 +367,35 @@ temperature_k = 300
         assert "spectrum" in capsys.readouterr().err
 
 
-# [section] -> {key: a valid value}; the grid values are small, so that no
-# draw builds a large grid
-FUZZ_SECTIONS = {
-    "spectrum": {
-        "system": {
-            "omega_a_hz": "1e6",
-            "gamma_a_hz": "1.0",
-            "omega_b_hz": "1e6",
-            "gamma_b_hz": "1e3",
-            "lambda_hz": "111.8",
-            "temperature_k": "300",
-            "temperature_b_k": "300",
-            "mass_a_kg": "1e-12",
-        },
-        "cavity": {
-            "kappa_hz": "3e5",
-            "detuning_hz": "-1e6",
-            "g0_hz": "10",
-            "alpha": "2314.0",
-        },
-        "grid": {"span_linewidths": "10", "points_per_linewidth": "4", "log_points": "20"},
+_FUZZ_SYSTEM = {
+    "system": {
+        "omega_a_hz": "1e6",
+        "gamma_a_hz": "1.0",
+        "omega_b_hz": "1e6",
+        "gamma_b_hz": "1e3",
+        "lambda_hz": "111.8",
+        "temperature_k": "300",
+        "temperature_b_k": "300",
+        "mass_a_kg": "1e-12",
     },
+    "cavity": {
+        "kappa_hz": "3e5",
+        "detuning_hz": "-1e6",
+        "g0_hz": "10",
+        "alpha": "2314.0",
+    },
+}
+_FUZZ_GRID = {"span_linewidths": "10", "points_per_linewidth": "4", "log_points": "20"}
+# task -> [section] -> {key: a valid value}; the grid values, sweep points
+# and C_OM ranges are small, so that no draw builds a large grid or sweep
+FUZZ_SECTIONS = {
+    "spectrum": {**_FUZZ_SYSTEM, "grid": _FUZZ_GRID},
+    "sense": {**_FUZZ_SYSTEM, "grid": _FUZZ_GRID},
+    "sweep": {
+        **_FUZZ_SYSTEM,
+        "sweep": {"c_om_min": "3", "c_om_max": "30", "points_per_decade": "4"},
+    },
+    "optimize": {**_FUZZ_SYSTEM, "optimize": {"c_om_min": "1", "c_om_max": "60"}},
     "design": {
         "design": {
             "l_left_m": "20.01e-6",
@@ -364,7 +412,13 @@ FUZZ_SECTIONS = {
         "cavity": {"kappa_hz": "3e5", "detuning_hz": "-1e6", "g0_hz": "10"},
     },
 }
-FUZZ_UNKNOWN = (("system", "omega_c_hz"), ("cavity", "bath_temperature_k"), ("grid", "points"))
+FUZZ_UNKNOWN = (
+    ("system", "omega_c_hz"),
+    ("cavity", "bath_temperature_k"),
+    ("grid", "points"),
+    ("sweep", "points"),
+    ("optimize", "c_om"),
+)
 FUZZ_KINDS = ("malformed", "negative", "zero", "inf", "nan", "missing")
 
 
@@ -376,17 +430,13 @@ def _fuzzed(kind, ok):
     return {"malformed": "abc", "negative": negative, "zero": "0", "inf": "inf", "nan": "nan"}[kind]
 
 
-@st.composite
-def fuzz_configs(draw, task):
-    """INI text for ``task`` with up to three values spoiled and, in a
-    third of the draws, one unknown key."""
-    sections = FUZZ_SECTIONS[task]
-    keys = [(section, key) for section, items in sections.items() for key in items]
-    spoiled = draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(FUZZ_KINDS), max_size=3))
-    unknown = draw(st.sampled_from((None,) * 6 + FUZZ_UNKNOWN))
-    lines = [f"[run]\ntask = {task}\nfidelity = rwa"]
-    for section, items in sections.items():
-        if task == "design" and section == "cavity" and not draw(st.booleans()):
+def fuzz_text(task, fidelity, spoiled=(), unknown=None, with_cavity=True):
+    """INI text for ``task`` with the values of ``spoiled`` ({(section, key):
+    kind}) spoiled and ``unknown`` = (section, key) added."""
+    spoiled = dict(spoiled)
+    lines = [f"[run]\ntask = {task}\nfidelity = {fidelity}"]
+    for section, items in FUZZ_SECTIONS[task].items():
+        if section == "cavity" and not with_cavity:
             continue
         lines.append(f"\n[{section}]")
         for key, ok in items.items():
@@ -398,13 +448,32 @@ def fuzz_configs(draw, task):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def fuzz_cases(draw):
+    """(task, INI text) at either fidelity, with up to three values spoiled
+    and, in a third of the draws, one unknown key."""
+    task = draw(st.sampled_from(tuple(FUZZ_SECTIONS)))
+    fidelity = draw(st.sampled_from(("rwa", "full")))
+    sections = FUZZ_SECTIONS[task]
+    keys = [(section, key) for section, items in sections.items() for key in items]
+    spoiled = draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(FUZZ_KINDS), max_size=3))
+    unknown = draw(st.sampled_from((None,) * 10 + FUZZ_UNKNOWN))
+    with_cavity = task != "design" or draw(st.booleans())
+    return task, fuzz_text(task, fidelity, spoiled, unknown, with_cavity)
+
+
+_ZERO_G0 = {("cavity", "g0_hz"): "zero"}
+
+
 class TestConfigFuzz:
     """Any config exits 0-3; a failure is one JSON object on stderr."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), task=st.sampled_from(["spectrum", "design"]))
-    def test_exit_code_and_one_json_error(self, data, task):
-        text = data.draw(fuzz_configs(task))
+    @settings(max_examples=300, deadline=None)
+    @given(case=fuzz_cases())
+    @example(case=("sweep", fuzz_text("sweep", "full", _ZERO_G0)))
+    @example(case=("optimize", fuzz_text("optimize", "full", _ZERO_G0)))
+    def test_exit_code_and_one_json_error(self, case):
+        task, text = case
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "run.ini")

@@ -127,13 +127,22 @@ class TestTypes:
             ("cavity", "g0"),
             (None, "coupling"),
             (None, "mass_a"),
+            ("cavity", "alpha"),
+            ("cavity", "pump"),
+            ("complex", "alpha"),  # alpha = complex(value, 0)
+            ("from_pump", "pump"),  # CavityDrive.from_pump(complex(value, 0), ...)
         ],
     )
     def test_non_finite_rates_rejected(self, part, field, value):
         spec = make_spec()
-        target = getattr(spec, part) if part else spec
+        cav = spec.cavity
         with pytest.raises(ValueError, match="finite"):
-            replace(target, **{field: value})
+            if part == "from_pump":
+                CavityDrive.from_pump(complex(value, 0), cav.detuning, cav.kappa, cav.g0)
+            elif part == "complex":
+                replace(cav, **{field: complex(value, 0)})
+            else:
+                replace(getattr(spec, part) if part else spec, **{field: value})
 
     def test_cavity_pump_consistency_asserted(self):
         kappa, det = TWO_PI * 1e5, -TWO_PI * 1e6
@@ -157,16 +166,15 @@ class TestBuildRwaSystem:
     def test_decoupled_eigenvalues_exact(self):
         spec = make_spec(c_ab=0.0, c_om=None)
         model = build_rwa_system(spec)
-        eigs = sorted(stability_eigenvalues(model), key=lambda z: z.real)
+        eigs = np.sort_complex(stability_eigenvalues(model))
         kappa, det = spec.cavity.kappa, spec.cavity.detuning
-        expected = sorted(
-            [
-                1j * det - kappa / 2,
-                -1j * spec.mode_a.omega - spec.mode_a.gamma / 2,
-                -1j * spec.mode_b.omega - spec.mode_b.gamma / 2,
-            ],
-            key=lambda z: z.real,
-        )
+        poles = [
+            1j * det - kappa / 2,
+            -1j * spec.mode_a.omega - spec.mode_a.gamma / 2,
+            -1j * spec.mode_b.omega - spec.mode_b.gamma / 2,
+        ]
+        # the annihilation poles and their conjugates
+        expected = np.sort_complex(np.concatenate([poles, np.conj(poles)]))
         assert np.allclose(eigs, expected, rtol=1e-12)
 
     def test_coupling_entries(self, spec50):
@@ -184,18 +192,17 @@ class TestBuildRwaSystem:
     def test_noise_amplitudes_and_correlations(self):
         spec = make_spec()
         model = build_rwa_system(spec)
+        rate = {"a": spec.mode_a.gamma, "b": spec.mode_b.gamma, "c": spec.cavity.kappa}
         assert np.allclose(
             np.diag(model.noise_input),
-            [
-                math.sqrt(spec.cavity.kappa),
-                math.sqrt(spec.mode_a.gamma),
-                math.sqrt(spec.mode_b.gamma),
-            ],
+            [math.sqrt(rate[label[0]]) for label in model.labels],
         )
+        a, a_dag, c = (model.index(x) for x in ("a", "a_dag", "c"))
         nbar = spec.mode_a.nbar
-        assert model.input_correlations[0, 0] == 1.0  # cavity vacuum
-        assert model.input_correlations[1, 1] == pytest.approx(nbar)
-        assert model.input_correlations[0, 1] == pytest.approx(nbar + 1.0)
+        assert model.input_correlations[0, c] == 1.0  # cavity vacuum
+        assert model.input_correlations[0, a] == pytest.approx(nbar + 1.0)
+        assert model.input_correlations[0, a_dag] == pytest.approx(nbar)
+        assert model.input_correlations[1, a] == pytest.approx(nbar)
 
     def test_conjugation_linearity(self):
         # drift of the conjugated basis = elementwise conjugate
@@ -231,14 +238,8 @@ class TestBuildFullSystem:
         spec = make_spec(c_om=2.0)
         full = build_full_system(spec)
         rwa = build_rwa_system(spec)
-        a = full.drift.copy()
-        # zero the counter-rotating blocks (annihilation <-> creation)
-        for i, li in enumerate(full.labels):
-            for j, lj in enumerate(full.labels):
-                if i != j and li.endswith("_dag") != lj.endswith("_dag"):
-                    a[i, j] = 0.0
-        idx = [full.index(x) for x in ("c", "a", "b")]
-        assert np.allclose(a[np.ix_(idx, idx)], rwa.drift)
+        assert rwa.labels == full.labels
+        assert np.array_equal(_without_counter_rotating(full), rwa.drift)
 
     def test_pure_bitwise_identical(self):
         spec = make_spec(c_om=3.0)
@@ -257,43 +258,56 @@ class TestBuildFullSystem:
         spec = make_spec()
         spec = replace(spec, mode_b=replace(spec.mode_b, bath_temperature=4.0))
         na, nb = spec.mode_a.nbar, spec.mode_b.nbar
-        assert build_full_system(spec).input_correlations[1].tolist() == [
-            na, na + 1, nb, nb + 1, 0.0, 1.0
-        ]
-        assert build_rwa_system(spec).input_correlations[1].tolist() == [0.0, na, nb]
+        for build in (build_full_system, build_rwa_system):
+            assert build(spec).input_correlations[1].tolist() == [
+                na, na + 1, nb, nb + 1, 0.0, 1.0
+            ]
+
+
+def _without_counter_rotating(model):
+    """The drift with every annihilation <-> creation entry zeroed."""
+    a = model.drift.copy()
+    for i, li in enumerate(model.labels):
+        for j, lj in enumerate(model.labels):
+            if li.endswith("_dag") != lj.endswith("_dag"):
+                a[i, j] = 0.0
+    return a
 
 
 class TestPairedBasis:
+    """Both builders return 6x6 models in one conjugate-paired basis."""
+
     def test_full_model_is_its_own_pairing(self):
         full = build_full_system(make_spec(c_om=2.0))
-        assert full.paired() is full
+        assert full.labels == ("a", "a_dag", "b", "b_dag", "c", "c_dag")
+        # swapping every x with x_dag maps the drift to its conjugate
+        swap = [
+            full.index(x[: -len("_dag")] if x.endswith("_dag") else x + "_dag")
+            for x in full.labels
+        ]
+        assert np.array_equal(full.drift[np.ix_(swap, swap)], full.drift.conj())
 
     def test_rwa_pairing_adds_conjugate_eigenvalues(self):
         rwa = build_rwa_system(make_spec(c_om=2.0))
-        paired = rwa.paired()
-        assert paired.dimension == 2 * rwa.dimension
-        assert paired.paired() is paired
-        eigs = np.linalg.eigvals(rwa.drift)
-        expected = np.sort_complex(np.concatenate([eigs, eigs.conj()]))
-        got = np.sort_complex(np.linalg.eigvals(paired.drift))
-        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+        ann = [rwa.index(x) for x in ("a", "b", "c")]
+        block = rwa.drift[np.ix_(ann, ann)]
+        eigs = np.linalg.eigvals(block)
+        expected = np.concatenate([eigs, eigs.conj()])
+        got = np.linalg.eigvals(rwa.drift)
+        # pair each eigenvalue with its nearest counterpart: conjugate pairs
+        # share a real part, so a sort would order them by roundoff
+        gap = np.abs(got[:, None] - expected[None, :])
+        assert sorted(np.argmin(gap, axis=1)) == list(range(6))
+        assert np.all(gap.min(axis=1) <= 1e-12 * np.abs(got))
 
     def test_rwa_pairing_is_full_model_without_counter_rotating_terms(self):
         spec = make_spec(c_om=2.0)
         full = build_full_system(spec)
-        paired = build_rwa_system(spec).paired()
-        assert paired.labels == ("c", "a", "b", "c_dag", "a_dag", "b_dag")
-        a = full.drift.copy()
-        for i, li in enumerate(full.labels):
-            for j, lj in enumerate(full.labels):
-                if i != j and li.endswith("_dag") != lj.endswith("_dag"):
-                    a[i, j] = 0.0
-        idx = [full.index(x) for x in paired.labels]
-        assert np.array_equal(a[np.ix_(idx, idx)], paired.drift)
-        assert np.array_equal(full.noise_input[np.ix_(idx, idx)], paired.noise_input)
-        assert np.array_equal(
-            full.input_correlations[:, idx], paired.input_correlations
-        )
+        rwa = build_rwa_system(spec)
+        assert rwa.dimension == full.dimension == 6
+        assert np.array_equal(_without_counter_rotating(full), rwa.drift)
+        assert np.array_equal(full.noise_input, rwa.noise_input)
+        assert np.array_equal(full.input_correlations, rwa.input_correlations)
 
 
 class TestStability:
@@ -302,7 +316,7 @@ class TestStability:
         model = build_rwa_system(spec)
         reals = sorted(stability_eigenvalues(model).real)
         expected = sorted(
-            [-spec.cavity.kappa / 2, -spec.mode_a.gamma / 2, -spec.mode_b.gamma / 2]
+            [-spec.cavity.kappa / 2, -spec.mode_a.gamma / 2, -spec.mode_b.gamma / 2] * 2
         )
         assert np.allclose(reals, expected, rtol=1e-12)
         assert is_stable(model)

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -38,7 +39,7 @@ class TestGrid:
     def test_rwa_mirrored_clusters(self, spec50):
         model = build_rwa_system(spec50)
         grid = make_grid(model)
-        assert len(grid.clusters) == 2 * model.dimension
+        assert len(grid.clusters) == model.dimension == 6
         centers = sorted(c for c, _ in grid.clusters)
         assert centers == sorted(-c for c in centers)  # mirror symmetry
 
@@ -76,7 +77,6 @@ def _diagonal_model(eigs):
         noise_input=np.eye(d),
         input_correlations=np.ones((2, d)),
         labels=tuple(f"m{i}" for i in range(d)),
-        kind="full",
     )
 
 
@@ -168,7 +168,7 @@ class TestSusceptibility:
 class TestRowSolve:
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
     def test_quadrature_row_matches_chi_batch(self, builder, spec50):
-        model = builder(make_spec(c_ab=50.0, c_om=5.0)).paired()
+        model = builder(make_spec(c_ab=50.0, c_om=5.0))
         omegas = np.linspace(-2.0, 2.0, 9) * spec50.mode_a.omega
         u = np.zeros((1, model.dimension))
         u[0, [model.index("a"), model.index("a_dag")]] = 1.0
@@ -363,13 +363,54 @@ def _exceptional_point_spec():
 
 def _bartels_stewart_occupation(model, select="a"):
     """Independent n_eff: scipy's Schur-based solve and u Sigma u^T."""
-    paired = model.paired()
-    b = paired.noise_input
-    q = (b * paired.input_correlations[0]) @ b.T
-    sigma = spectra.solve_continuous_lyapunov(paired.drift, -q)
-    u = np.zeros(paired.dimension)
-    u[[paired.index(select), paired.index(select + "_dag")]] = 1.0
+    b = model.noise_input
+    q = (b * model.input_correlations[0]) @ b.T
+    sigma = spectra.solve_continuous_lyapunov(model.drift, -q)
+    u = np.zeros(model.dimension)
+    u[[model.index(select), model.index(select + "_dag")]] = 1.0
     return ((u @ sigma @ u).real - 1.0) / 2.0
+
+
+def _kronecker_occupation(model, select="a", digits=40):
+    """n_eff from a ``digits``-digit solve of the Kronecker form
+    (I (x) A + conj(A) (x) I) vec(Sigma) = -vec(Q), column-major vec."""
+    d = model.dimension
+    b = model.noise_input
+    q = (b * model.input_correlations[0]) @ b.T
+    with mpmath.workdps(digits):
+        a = mpmath.matrix(model.drift.tolist())
+        m = mpmath.zeros(d * d, d * d)
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    m[j * d + i, j * d + k] += a[i, k]  # (A Sigma)_ij
+                    m[j * d + i, k * d + i] += mpmath.conj(a[j, k])  # (Sigma A^dag)_ij
+        sigma = mpmath.lu_solve(m, mpmath.matrix([-q[i, j] for j in range(d) for i in range(d)]))
+        rows = (model.index(select), model.index(select + "_dag"))
+        x2 = sum(sigma[j * d + i] for i in rows for j in rows)
+        return float((mpmath.re(x2) - 1) / 2)
+
+
+class TestConditioning:
+    """The covariance solve is accurate to about eps*max|lam|/min(-Re lam)."""
+
+    # stiff draws: omega_a/gamma_a up to 5e8, min(-Re lam) a few mrad/s
+    DRAWS = [
+        dict(omega_hz=6.99e6, gamma_a_hz=0.0245, gamma_b_hz=27.5, c_ab=1.86, c_om=6.29),
+        dict(omega_hz=3.27e6, gamma_a_hz=0.0133, gamma_b_hz=22.6, c_ab=21.9, c_om=4.62),
+        dict(omega_hz=6.58e6, gamma_a_hz=0.0186, gamma_b_hz=78.8, c_ab=1.21, c_om=0.339),
+    ]
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_within_the_eigenvalue_bound_of_a_40_digit_solve(self, builder):
+        for kw in self.DRAWS:
+            model = builder(make_spec(**kw))
+            lam = np.linalg.eigvals(model.drift)
+            bound = np.finfo(float).eps * np.abs(lam).max() / (-lam.real).min()
+            assert bound > 1e-9  # stiff enough that the bound says something
+            exact = _kronecker_occupation(model)
+            n = steady_state_occupation(model, "a")
+            assert abs(n - exact) <= bound * exact
 
 
 class TestBatchedCovariance:
@@ -379,12 +420,11 @@ class TestBatchedCovariance:
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
     def test_exceptional_point_falls_back_to_bartels_stewart(self, builder, monkeypatch):
         model = builder(_exceptional_point_spec())
-        paired = model.paired()
-        b = paired.noise_input
-        q = ((b * paired.input_correlations[0]) @ b.T)[None]
-        lam, v = np.linalg.eig(paired.drift[None])
+        b = model.noise_input
+        q = ((b * model.input_correlations[0]) @ b.T)[None]
+        lam, v = np.linalg.eig(model.drift[None])
         sigma = spectra._eigenbasis_lyapunov(lam, v, q)
-        assert spectra._lyapunov_residuals(paired.drift[None], sigma, q)[0] > RESIDUAL_TOL
+        assert spectra._lyapunov_residuals(model.drift[None], sigma, q)[0] > RESIDUAL_TOL
 
         n = steady_state_occupation(model, "a")
         assert n == pytest.approx(_bartels_stewart_occupation(model), rel=1e-12)

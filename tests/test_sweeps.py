@@ -21,6 +21,12 @@ from bathcool.errors import PhysicsError
 from conftest import make_spec
 
 
+def _driven(spec, c_om):
+    """The full model at G = sqrt(Gamma*kappa)/2 exactly (g0 = 1, alpha = G)."""
+    g = math.sqrt(c_om * spec.mode_b.gamma * spec.cavity.kappa) / 2.0
+    return build_full_system(replace(spec, cavity=replace(spec.cavity, alpha=g, g0=1.0)))
+
+
 class TestSweepCooperativity:
     def test_rwa_points_match_closed_form(self, spec50):
         c_oms = np.geomspace(0.1, 100.0, 13)
@@ -101,10 +107,8 @@ class TestFullFidelityCovariance:
     def test_sweep_points_are_exact_covariances(self, no_spectrum):
         c_oms = np.geomspace(1.0, 30.0, 5)
         res = sweep_cooperativity(self.SPEC, c_oms, fidelity="full")
-        gb = self.SPEC.mode_b.gamma
         for c, n in zip(c_oms, res.n_eff):
-            model = build_full_system(sweeps._with_cooling_rate(self.SPEC, c * gb))
-            assert n == steady_state_occupation(model, "a")
+            assert n == steady_state_occupation(_driven(self.SPEC, c), "a")
 
     def test_optimum_and_detuning_without_spectra(self, no_spectrum):
         c_star, _ = find_optimum(self.SPEC, bracket=(1.0, 60.0), fidelity="full")
@@ -128,8 +132,21 @@ class TestFullFidelityCovariance:
             if failed[i]:
                 assert "unstable" in res.errors[i]
             else:
-                model = build_full_system(sweeps._with_cooling_rate(spec, c * spec.mode_b.gamma))
-                assert res.n_eff[i] == steady_state_occupation(model, "a")
+                assert res.n_eff[i] == steady_state_occupation(_driven(spec, c), "a")
+
+    def test_one_pencil_per_call(self, monkeypatch):
+        calls = []
+        pencil = sweeps._pencil
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return pencil(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "_pencil", counted)
+        sweep_cooperativity(self.SPEC, np.geomspace(0.01, 1e3, 301), fidelity="full")
+        assert len(calls) == 1
+        find_optimum(self.SPEC, bracket=(1.0, 60.0), fidelity="full")
+        assert len(calls) == 2
 
     def test_line_fit_still_builds_the_spectrum(self, monkeypatch):
         calls = []
@@ -201,6 +218,11 @@ class TestSweepDetuning:
             spec50, deltas, fidelity="rwa", optimize_each=True, bracket=(0.1, 1e4)
         )
         assert opt.n_eff[0] <= fixed.n_eff[0] * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
+    def test_empty_axis(self, spec50, fidelity):
+        assert sweep_detuning(spec50, [], fidelity=fidelity).n_eff.size == 0
+        assert sweep_cooperativity(spec50, [], fidelity=fidelity).n_eff.size == 0
 
     def test_negative_detuning_rejected(self, spec50):
         with pytest.raises(ValueError):
