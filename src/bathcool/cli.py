@@ -44,8 +44,8 @@ TWO_PI = 2.0 * math.pi
 
 TASKS = ("spectrum", "sweep", "optimize", "design", "sense")
 MODES = ("a", "b", "c")
-# most grid points a [grid] may ask for: the (n, 6, 6) complex solve stack
-# of 1e5 points takes about 58 MB
+# most grid points a [grid] may ask for: the (6, 7, n) complex elimination
+# array of one susceptibility row at 1e5 points takes about 67 MB
 _MAX_GRID_POINTS = 100_000
 
 # section -> {key: required}

@@ -211,52 +211,96 @@ def _clusters(eigs: np.ndarray) -> list:
 def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Rows ``rows @ chi(omega)`` of the susceptibility, shape (n, k, d).
 
-    Solves T^T y = u with T = -i*omega*I - A for each of the k rows u of
-    ``rows`` at every omega.  A row whose relative residual
-    ||T^T y - u|| / (||T|| ||y||) exceeds RESIDUAL_TOL gets one
-    refinement step; NumericsError if it still does.
+    Solves y T = u with T = -i*omega*I - A for each of the k rows u of
+    ``rows`` at every omega (:func:`_eliminate`).  A row whose relative
+    residual ||y T - u|| / (||T|| ||y||) is not within RESIDUAL_TOL (NaN
+    included) gets one refinement step; NumericsError if it still misses.
+    The residual costs O(n d^2) and forms no matrix stack: T's diagonal
+    -i*omega - A_jj is formed first, as inside T, so omega - omega_j is
+    exact near a resonance, and ||T||_F comes in closed form.
     """
     a = model.drift
     d = model.dimension
-    tt = np.empty((omegas.size, d, d), dtype=complex)
-    tt[:] = -a.T
-    diag = np.arange(d)
-    tt[:, diag, diag] -= 1j * omegas[:, None]
-    u = np.asarray(rows, dtype=complex).T
-    u = np.broadcast_to(u, (omegas.size,) + u.shape)
-    try:
-        y = np.linalg.solve(tt, u)
-    except np.linalg.LinAlgError as exc:
-        eigs = np.linalg.eigvals(a)
-        worst = min(
-            (min(abs(-1j * w - eigs)), w) for w in np.atleast_1d(omegas)
-        )
-        raise NumericsError(
-            f"singular susceptibility near omega={worst[1]:.6g} rad/s "
-            f"(drift eigenvalue within {worst[0]:.3g} of the pole)"
-        ) from exc
-
-    t_norm = np.linalg.norm(tt, axis=(1, 2))[:, None]
+    u = np.asarray(rows, dtype=complex)
+    y = _eliminate(a, omegas, u).T  # (d, k, n)
+    shift = -1j * omegas - np.diag(a)[:, None]
+    off = a - np.diag(np.diag(a))
+    t_norm = np.sqrt(np.sum(np.abs(off) ** 2) + _abs2(shift).sum(axis=0))
 
     def residual(sel):
-        """T^T y - u and the worst relative residual per omega, on ``sel``."""
-        r = tt[sel] @ y[sel] - u[sel]
-        rel = np.linalg.norm(r, axis=1) / (t_norm[sel] * np.linalg.norm(y[sel], axis=1))
-        return r, rel.max(axis=1)
+        """y T - u, as (d, k, n), and the worst relative residual per omega, on ``sel``."""
+        ys = y[..., sel]
+        r = ys * shift[:, None, sel] - (off.T @ ys.reshape(d, -1)).reshape(ys.shape) - u.T[..., None]
+        rel = np.sqrt(_abs2(r).sum(axis=0) / _abs2(ys).sum(axis=0)) / t_norm[sel]
+        return r, rel.max(axis=0)
 
     resid, rel = residual(slice(None))
-    bad = rel > RESIDUAL_TOL
+    bad = ~(rel <= RESIDUAL_TOL)
     if np.any(bad):
-        y[bad] -= np.linalg.solve(tt[bad], resid[bad])
+        y[..., bad] -= _eliminate(a, omegas[bad], resid.T[bad]).T
         _, rel_bad = residual(bad)
-        if np.any(rel_bad > RESIDUAL_TOL):
-            i = int(np.argmax(rel_bad))
+        if np.any(~(rel_bad <= RESIDUAL_TOL)):
+            i = int(np.argmax(rel_bad))  # np.argmax picks a NaN first
             raise NumericsError(
                 "susceptibility residual "
                 f"{rel_bad[i]:.3g} exceeds {RESIDUAL_TOL} at "
                 f"omega={omegas[np.flatnonzero(bad)[i]]:.6g} rad/s"
             )
-    return y.transpose(0, 2, 1)
+    return y.T
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2, elementwise."""
+    return z.real**2 + z.imag**2
+
+
+def _eliminate(a: np.ndarray, omegas: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Rows y (n, k, d) with y T = u at every omega, T = -i*omega*I - A.
+
+    Gaussian elimination with partial pivoting on T^T = -A^T - i*omega*I,
+    each column's pivot its largest |Re| + |Im| (the rule of LAPACK
+    zgetrf).  The augmented system is held as (row, column, omega), so
+    every pivot, swap, update and back-substitution step is one vector
+    operation over the grid.  ``u`` broadcasts to (n, k, d).  An exactly
+    zero pivot raises NumericsError.  Not an eigen or Schur form: a
+    unitary transform moves the poles by about eps*||A||, which is not
+    small next to the narrowest linewidths.
+    """
+    d, n = a.shape[0], omegas.size
+    u = np.broadcast_to(u, (n,) + u.shape[-2:])
+    m = np.empty((d, d + u.shape[1], n), dtype=complex)
+    m[:, :d] = -a.T[:, :, None]
+    diag = np.arange(d)
+    m[diag, diag] -= 1j * omegas
+    m[:, d:] = u.transpose(2, 1, 0)
+    for j in range(d):
+        col = m[j:, j]
+        p = np.argmax(np.abs(col.real) + np.abs(col.imag), axis=0)
+        swap = np.flatnonzero(p)  # the omegas whose pivot is not on the diagonal
+        if swap.size:
+            rows = j + p[swap]
+            row_j = m[j, j:, swap]
+            m[j, j:, swap] = m[rows, j:, swap]
+            m[rows, j:, swap] = row_j
+        pivot_row = m[j, j:]
+        if not np.all(pivot_row[0] != 0):
+            _raise_singular(a, omegas)
+        factors = m[j + 1 :, j] * (1.0 / pivot_row[0])
+        m[j + 1 :, j + 1 :] -= factors[:, None, :] * pivot_row[None, 1:, :]
+    y = np.empty_like(m[:, d:])
+    for i in range(d - 1, -1, -1):
+        y[i] = (m[i, d:] - np.sum(m[i, i + 1 : d, None, :] * y[i + 1 :], axis=0)) / m[i, i]
+    return y.T
+
+
+def _raise_singular(a: np.ndarray, omegas: np.ndarray):
+    """NumericsError naming the omega of ``omegas`` closest to a pole of A."""
+    dist = np.abs(-1j * omegas[:, None] - np.linalg.eigvals(a)).min(axis=1)
+    i = int(np.argmin(dist))
+    raise NumericsError(
+        f"singular susceptibility near omega={omegas[i]:.6g} rad/s "
+        f"(drift eigenvalue within {dist[i]:.3g} of the pole)"
+    )
 
 
 def _chi_batch(model: DriftModel, omegas: np.ndarray) -> np.ndarray:

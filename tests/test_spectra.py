@@ -182,15 +182,15 @@ class TestRowSolve:
         model = build_full_system(make_spec(c_ab=50.0, c_om=5.0))
         omegas = np.linspace(0.5, 1.5, 5) * spec50.mode_a.omega
         clean = _chi_batch(model, omegas)
-        solve = np.linalg.solve
+        eliminate = spectra._eliminate
         calls = []
 
-        def poor_first_solve(a, b):
-            calls.append(a.shape[0])
-            x = solve(a, b)
-            return x * (1.0 + 1e-6) if len(calls) == 1 else x
+        def poor_first_solve(a, omegas, u):
+            calls.append(omegas.size)
+            y = eliminate(a, omegas, u)
+            return y * (1.0 + 1e-6) if len(calls) == 1 else y
 
-        monkeypatch.setattr(np.linalg, "solve", poor_first_solve)
+        monkeypatch.setattr(spectra, "_eliminate", poor_first_solve)
         chi = _chi_batch(model, omegas)
         assert calls == [omegas.size, omegas.size]  # solve, then one refinement
         assert np.allclose(chi, clean, rtol=1e-12, atol=0.0)
@@ -200,6 +200,59 @@ class TestRowSolve:
         monkeypatch.setattr(spectra, "RESIDUAL_TOL", 0.0)
         with pytest.raises(NumericsError, match="susceptibility residual"):
             _chi_batch(model, np.array([spec50.mode_a.omega]))
+
+    def test_nan_solution_misses_the_gate(self, spec50, monkeypatch):
+        model = build_full_system(spec50)
+        nan_rows = lambda a, omegas, u: np.full((omegas.size,) + u.shape[-2:], np.nan + 0j)
+        monkeypatch.setattr(spectra, "_eliminate", nan_rows)
+        with pytest.raises(NumericsError, match="susceptibility residual"):
+            _chi_batch(model, np.array([spec50.mode_a.omega]))
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_elimination_matches_lapack(self, builder):
+        for spec in _criterion_7_draws(10):
+            model = builder(spec)
+            omegas = make_grid(model).points
+            u = np.eye(model.dimension)[:2]
+            got = spectra._eliminate(model.drift, omegas, u)
+            tt = np.empty((omegas.size,) + model.drift.shape, dtype=complex)
+            tt[:] = -model.drift.T
+            tt[:, range(model.dimension), range(model.dimension)] -= 1j * omegas[:, None]
+            expected = np.linalg.solve(tt, np.broadcast_to(u.T, tt.shape[:2] + (2,)))
+            expected = expected.transpose(0, 2, 1)
+            rel = np.linalg.norm(got - expected, axis=2) / np.linalg.norm(expected, axis=2)
+            assert rel.max() <= 1e-13
+
+    def test_rows_near_the_narrowest_line_match_a_40_digit_solve(self):
+        # a unitary (eigen or Schur) form would be ~1e-7 off here: it moves
+        # the poles by eps*||A|| ~ 1e-8 rad/s against a 0.19 rad/s line
+        model = build_full_system(make_spec(**TestConditioning.DRAWS[0]))
+        grid = make_grid(model)
+        center, _ = min(grid.clusters, key=lambda c: c[1])
+        omegas = np.sort(grid.points[np.argsort(np.abs(grid.points - center))[:15]])
+        u = spectra._quadrature(model, "a")
+        got = _solve_rows(model, omegas, u[None, :])[:, 0, :]
+        with mpmath.workdps(40):
+            for w, y in zip(omegas, got):
+                tt = -mpmath.matrix(model.drift.T.tolist())
+                for i in range(model.dimension):
+                    tt[i, i] -= 1j * mpmath.mpf(w)
+                exact = mpmath.lu_solve(tt, mpmath.matrix(u.tolist()))
+                err = mpmath.norm(mpmath.matrix(y.tolist()) - exact) / mpmath.norm(exact)
+                assert float(err) <= 1e-14
+
+    def test_undamped_pole_is_singular(self):
+        spec = SystemSpec(
+            mode_a=MechanicalMode(TWO_PI * 1e6, 0.0, 0.0),
+            mode_b=MechanicalMode(TWO_PI * 1e6, TWO_PI * 10.0, 0.0),
+            cavity=CavityDrive(
+                kappa=TWO_PI * 1e5, detuning=-TWO_PI * 1e6, g0=0.0, alpha=0.0
+            ),
+            coupling=0.0,
+        )
+        model = build_rwa_system(spec)
+        with pytest.raises(NumericsError, match="singular susceptibility"):
+            susceptibility_matrix(model, spec.mode_a.omega, allow_unstable=True)
 
     @pytest.mark.parametrize("with_grid", [False, True])
     def test_one_eigendecomposition_per_spectrum(self, spec50, monkeypatch, with_grid):
