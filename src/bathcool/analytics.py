@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import KB
+from .errors import UnstableSystemError
 from .model import SystemSpec, thermal_occupation
 
 __all__ = [
@@ -225,6 +226,8 @@ def n_eff_closed_form(
     ga, gb = spec.mode_a.gamma, spec.mode_b.gamma
     delta = spec.mode_b.omega - spec.mode_a.omega
     gamma_a_ind = induced_damping_detuned(spec.coupling, gb, Gamma, delta)
+    if not ga + gamma_a_ind > 0:
+        raise UnstableSystemError("mode a is undamped (gamma_a + Gamma_a = 0)")
     num = ga * nbar + gamma_a_ind * (gb / (gb + Gamma)) * nbar_b
     return float(num / (ga + gamma_a_ind))
 

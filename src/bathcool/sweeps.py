@@ -79,9 +79,15 @@ def _n_effs(specs, fidelity: str):
     BathcoolError.
     """
     if fidelity == "rwa":
+
+        def closed_form(s, g):
+            try:
+                return n_eff_closed_form(s, g, s.mode_a.nbar, nbar_b=_nbar_b(s))
+            except BathcoolError as exc:
+                return exc
+
         return lambda gammas: [
-            n_eff_closed_form(s, g, s.mode_a.nbar, nbar_b=_nbar_b(s))
-            for s, g in zip(itertools.cycle(specs), gammas)
+            closed_form(s, g) for s, g in zip(itertools.cycle(specs), gammas)
         ]
     if fidelity != "full":
         raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")

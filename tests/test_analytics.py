@@ -19,6 +19,7 @@ from bathcool import (
 )
 from bathcool.analytics import induced_damping_detuned, regime_flags
 from bathcool.constants import KB
+from bathcool.errors import UnstableSystemError
 
 from conftest import TWO_PI, make_spec
 
@@ -151,6 +152,12 @@ class TestNEffClosedForm:
         result = n_eff_closed_form(spec, TWO_PI * 100.0, 10.0)
         assert not regime_flags(spec, TWO_PI * 100.0).degenerate
         assert float(result) > 0
+
+    def test_undamped_mode_a_is_unstable(self):
+        # no intrinsic damping and no coupling to b: no steady state, not 0/0
+        spec = make_spec(c_ab=0.0, gamma_a_hz=0.0)
+        with pytest.raises(UnstableSystemError):
+            n_eff_closed_form(spec, TWO_PI * 100.0, 10.0)
 
 
 class TestOptimum:

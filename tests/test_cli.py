@@ -463,6 +463,8 @@ def fuzz_cases(draw):
 
 
 _ZERO_G0 = {("cavity", "g0_hz"): "zero"}
+# mode a with neither intrinsic damping nor coupling to b
+_UNDAMPED_A = {("system", "gamma_a_hz"): "zero", ("system", "lambda_hz"): "zero"}
 
 
 class TestConfigFuzz:
@@ -472,6 +474,8 @@ class TestConfigFuzz:
     @given(case=fuzz_cases())
     @example(case=("sweep", fuzz_text("sweep", "full", _ZERO_G0)))
     @example(case=("optimize", fuzz_text("optimize", "full", _ZERO_G0)))
+    @example(case=("sweep", fuzz_text("sweep", "rwa", _UNDAMPED_A)))
+    @example(case=("optimize", fuzz_text("optimize", "rwa", _UNDAMPED_A)))
     def test_exit_code_and_one_json_error(self, case):
         task, text = case
         out, err = io.StringIO(), io.StringIO()
