@@ -232,6 +232,25 @@ def n_eff_closed_form(
     return float(num / (ga + gamma_a_ind))
 
 
+def _n_eff_closed_form_slope(
+    spec: SystemSpec, Gamma: float, nbar: float, nbar_b: float | None = None
+) -> float:
+    """dn/dGamma of :func:`n_eff_closed_form`.
+
+    With g = gamma_b + Gamma and D = delta^2 + g^2/4, multiplying through
+    by D makes n_eff = P/R a ratio of quadratics in g:
+    P = gamma_a*nbar*D + lambda^2*gamma_b*nbar_b, R = gamma_a*D + lambda^2*g.
+    """
+    if nbar_b is None:
+        nbar_b = nbar
+    ga, gb, lam2 = spec.mode_a.gamma, spec.mode_b.gamma, spec.coupling**2
+    g = gb + Gamma
+    d = (spec.mode_b.omega - spec.mode_a.omega) ** 2 + g**2 / 4.0
+    r = ga * d + lam2 * g
+    n = (ga * nbar * d + lam2 * gb * nbar_b) / r
+    return (ga * nbar * g / 2.0 - n * (ga * g / 2.0 + lam2)) / r
+
+
 def optimal_cooperativity(C_ab: float) -> float:
     """Occupation-minimizing optomechanical cooperativity sqrt(1 + C_ab)."""
     if C_ab < 0:

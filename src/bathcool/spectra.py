@@ -414,7 +414,7 @@ def steady_state_occupations(models, select: str) -> list:
     )
 
 
-def _stacked_occupations(a, b, weights, r, c) -> list:
+def _stacked_occupations(a, b, weights, r, c, a1=None) -> list:
     """Occupation of x = v_r + v_c at every drift matrix of the stack ``a``.
 
     ``a`` is (n, d, d); the noise inputs ``b`` and <xi xi^dag> weights
@@ -425,6 +425,11 @@ def _stacked_occupations(a, b, weights, r, c) -> list:
     A point whose residual misses RESIDUAL_TOL (an ill-conditioned
     eigenbasis, near an exceptional point) is solved again by
     Bartels-Stewart (``solve_continuous_lyapunov``).
+
+    Given ``a1``, the dA/dG of a drift A0 + G*A1 (broadcasting like
+    ``b``), the float of entry i becomes ``(n, dn/dG)``.  dSigma/dG
+    solves the same operator, A S + S A^dag + A1 Sigma + Sigma A1^dag = 0,
+    by the method that solved Sigma at that point.
     """
     results = [None] * a.shape[0]
     q = np.broadcast_to((b * weights[..., None, :]) @ b.swapaxes(-1, -2), a.shape)
@@ -437,23 +442,36 @@ def _stacked_occupations(a, b, weights, r, c) -> list:
     for i, eigs in zip(idx[~stable], lam[~stable]):
         results[i] = _instability(eigs)
     idx = idx[stable]
-    sigma = _eigenbasis_lyapunov(lam[stable], v[stable], q[idx])
+    lam, v = lam[stable], v[stable]
+    sigma = _eigenbasis_lyapunov(lam, v, q[idx])
     resid = _lyapunov_residuals(a[idx], sigma, q[idx])
-    for k in np.flatnonzero(~(resid <= RESIDUAL_TOL)):
+    fallback = np.flatnonzero(~(resid <= RESIDUAL_TOL))
+    for k in fallback:
         i = idx[k]
         sigma[k] = solve_continuous_lyapunov(a[i], -q[i])
         resid[k] = _lyapunov_residuals(a[i : i + 1], sigma[k : k + 1], q[i : i + 1])[0]
+    sigmas = [sigma]
+    if a1 is not None:
+        a1 = np.broadcast_to(a1, a.shape)[idx]
+        rhs = a1 @ sigma + sigma @ _dagger(a1)
+        s = _eigenbasis_lyapunov(lam, v, rhs)
+        for k in fallback:
+            s[k] = solve_continuous_lyapunov(a[idx[k]], -rhs[k])
+        sigmas.append(s)
     # <x^2> = u Sigma u^T with u = e_r + e_c
     r, c = (np.broadcast_to(x, a.shape[:1])[idx] for x in (r, c))
     k = np.arange(idx.size)
-    x2 = (sigma[k, r, r] + sigma[k, r, c] + sigma[k, c, r] + sigma[k, c, c]).real
-    for i, res, x in zip(idx, resid, x2.tolist()):
+    x2 = [(s[k, r, r] + s[k, r, c] + s[k, c, r] + s[k, c, c]).real.tolist() for s in sigmas]
+    for i, res, x, *slope in zip(idx, resid, *x2):
         if not res <= RESIDUAL_TOL:
             results[i] = NumericsError(
                 f"Lyapunov residual {res:.3g} exceeds {RESIDUAL_TOL}"
             )
         else:
-            results[i] = _occupation(x)
+            n = _occupation(x)
+            if slope and not isinstance(n, BathcoolError):
+                n = (n, slope[0] / 2.0)
+            results[i] = n
     return results
 
 

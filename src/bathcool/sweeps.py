@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics import (
+    _n_eff_closed_form_slope,
     _nbar_b,
     cooperativity_ab,
     induced_damping_detuned,
@@ -69,44 +70,61 @@ def _rwa_line(spec: SystemSpec, Gamma: float):
 
 
 def _n_effs(specs, fidelity: str):
-    """``gammas -> entries``: n_eff of mode a at every point (specs[i], gammas[i]).
+    """``(gammas, slopes=False) -> entries``: n_eff of mode a at every
+    point (specs[i], gammas[i]).
 
     ``specs`` holds one spec per point, or one spec for all points.  At
     full fidelity the pencil of each spec is built once, here, and every
     call is one batched steady-state covariance solve of the drift stack
     A0 + G*A1 at G = |alpha|*g0 = sqrt(Gamma*kappa)/2, the drive that damps
-    mode b at rate Gamma; the entry of a point that failed is its
-    BathcoolError.
+    mode b at rate Gamma.  With ``slopes`` an entry is
+    ``(n_eff, dn_eff/dlog Gamma)``, from the Lyapunov sensitivity or the
+    derivative of the closed form; without, no derivative is computed.
+    The entry of a point that failed is its BathcoolError.
     """
     if fidelity == "rwa":
 
-        def closed_form(s, g):
+        def closed_form(s, g, slopes):
             try:
-                return n_eff_closed_form(s, g, s.mode_a.nbar, nbar_b=_nbar_b(s))
+                nbar_b = _nbar_b(s)
+                n = n_eff_closed_form(s, g, s.mode_a.nbar, nbar_b=nbar_b)
+                if not slopes:
+                    return n
+                # d/dlog Gamma = Gamma d/dGamma
+                return n, g * _n_eff_closed_form_slope(s, g, s.mode_a.nbar, nbar_b=nbar_b)
             except BathcoolError as exc:
                 return exc
 
-        return lambda gammas: [
-            closed_form(s, g) for s, g in zip(itertools.cycle(specs), gammas)
+        return lambda gammas, slopes=False: [
+            closed_form(s, g, slopes) for s, g in zip(itertools.cycle(specs), gammas)
         ]
     if fidelity != "full":
         raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")
     if not specs:
-        return lambda gammas: []
+        return lambda gammas, slopes=False: []
     a0, a1, b, corr, labels = zip(*(_pencil(s, rotating_wave=False) for s in specs))
     a0, a1, b, corr = map(np.stack, (a0, a1, b, corr))
     kappa = np.array([s.cavity.kappa for s in specs])
     rows = labels[0].index("a"), labels[0].index("a_dag")
 
-    def covariance(gammas):
+    def covariance(gammas, slopes=False):
         g = np.sqrt(np.asarray(gammas, dtype=float) * kappa) / 2.0
-        return _stacked_occupations(a0 + g[:, None, None] * a1, b, corr[:, 0], *rows)
+        entries = _stacked_occupations(
+            a0 + g[:, None, None] * a1, b, corr[:, 0], *rows, a1=a1 if slopes else None
+        )
+        if not slopes:
+            return entries
+        # d/dlog Gamma = (G/2) d/dG
+        return [
+            e if isinstance(e, BathcoolError) else (e[0], h * e[1])
+            for e, h in zip(entries, (g / 2.0).tolist())
+        ]
 
     return covariance
 
 
 def _value(n_eff):
-    """An entry of :func:`_n_effs`: the float, or raise its error."""
+    """An entry of :func:`_n_effs`: its value, or raise its error."""
     if isinstance(n_eff, BathcoolError):
         raise n_eff
     return n_eff
@@ -191,49 +209,61 @@ def find_optimum(
     spec: SystemSpec,
     bracket: tuple = DEFAULT_RANGE,
     fidelity: str = "rwa",
-    rel_tol: float = 1e-4,
+    rel_tol: float = 1e-6,
     coarse_points: int = 25,
 ) -> tuple:
-    """Locate the n_eff minimum over C_OM by golden-section search on log C_OM.
+    """Locate the n_eff minimum over C_OM as a stationary point in log C_OM.
 
-    The bracket must contain an interior minimum (checked on a coarse
-    log-spaced scan first).  Returns ``(c_om_star, n_eff_star)``.
+    A scan of ``coarse_points`` log-spaced points over ``bracket`` (one
+    batched call) must find its lowest n_eff at an interior point, else
+    PhysicsError.  From the vertex of the parabola through that point and
+    its two neighbours, a safeguarded secant iteration drives the exact
+    dn_eff/dlog C_OM to zero inside the neighbours: the slope is the
+    Lyapunov sensitivity of the covariance at full fidelity and the
+    derivative of the closed form at rwa, and the curvature is the
+    parabola's at the first step and the slope difference of the last two
+    points after.  A step that leaves the bracket or fails to halve the
+    previous one, or a curvature that is not positive, becomes a bisection
+    on the sign of the slope.  The search stops when the step in log C_OM
+    is below ``rel_tol``.  Returns ``(c_om_star, n_eff_star)``, n_eff_star
+    the gated n_eff evaluated at c_om_star.
     """
     lo, hi = bracket
     if not (0 < lo < hi):
         raise ValueError("bracket must satisfy 0 < lo < hi")
+    if not rel_tol > 0:
+        raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
+    if coarse_points < 3:
+        raise ValueError(f"coarse_points must be >= 3, got {coarse_points}")
     gb = spec.mode_b.gamma
     n_effs = _n_effs([spec], fidelity)
-
-    def f(log_c):
-        return _value(n_effs([math.exp(log_c) * gb])[0])
-
-    xs = np.linspace(math.log(lo), math.log(hi), coarse_points)
-    coarse = n_effs([math.exp(x) * gb for x in xs])
-    ys = np.array([_value(n) for n in coarse])
-    imin = int(np.argmin(ys))
-    if imin in (0, coarse_points - 1):
+    xs = np.linspace(math.log(lo), math.log(hi), coarse_points).tolist()
+    ys = [_value(n) for n in n_effs([math.exp(x) * gb for x in xs])]
+    k = int(np.argmin(ys))
+    if k in (0, coarse_points - 1):
         raise PhysicsError(
             f"no interior n_eff minimum in C_OM bracket [{lo:g}, {hi:g}]"
         )
 
-    a, b = xs[imin - 1], xs[imin + 1]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+    left, right = xs[k - 1], xs[k + 1]
+    h = (right - left) / 2.0
+    curvature = (ys[k - 1] - 2.0 * ys[k] + ys[k + 1]) / h**2
+    x = xs[k] - (ys[k + 1] - ys[k - 1]) / (2.0 * h * curvature) if curvature > 0 else xs[k]
+    last, previous = right - left, None
+    while True:
+        n, slope = _value(n_effs([math.exp(x) * gb], slopes=True)[0])
+        if slope > 0:
+            right = x
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x_star = (a + b) / 2.0
-    c_star = math.exp(x_star)
-    return c_star, f(x_star)
+            left = x
+        if previous is not None:
+            curvature = (slope - previous[1]) / (x - previous[0])
+        step = -slope / curvature if curvature > 0 else math.nan
+        if not (left <= x + step <= right and abs(step) <= last / 2.0):
+            step = (left + right) / 2.0 - x
+        if abs(step) < rel_tol:
+            return math.exp(x), n
+        previous, x, last = (x, slope), x + step, abs(step)
 
 
 def sweep_detuning(

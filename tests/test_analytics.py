@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bathcool import (
+    MechanicalMode,
     chi_a,
     chi_b,
     cooling_limit_ratio,
@@ -17,7 +19,11 @@ from bathcool import (
     optical_damping,
     optimal_cooperativity,
 )
-from bathcool.analytics import induced_damping_detuned, regime_flags
+from bathcool.analytics import (
+    _n_eff_closed_form_slope,
+    induced_damping_detuned,
+    regime_flags,
+)
 from bathcool.constants import KB
 from bathcool.errors import UnstableSystemError
 
@@ -158,6 +164,24 @@ class TestNEffClosedForm:
         spec = make_spec(c_ab=0.0, gamma_a_hz=0.0)
         with pytest.raises(UnstableSystemError):
             n_eff_closed_form(spec, TWO_PI * 100.0, 10.0)
+
+    @pytest.mark.parametrize(
+        "spec, nbar_b",
+        [
+            (make_spec(c_ab=50.0), None),
+            (make_spec(c_ab=50.0, delta_b_hz=2e3), None),  # b detuned by 2 gamma_b
+            (make_spec(c_ab=20.0, delta_b_hz=-700.0), 37.0),  # and a colder bath
+            # gamma_a = 0 at the coupling of C_ab = 50: R = lambda^2 g only
+            (replace(make_spec(c_ab=50.0), mode_a=MechanicalMode(TWO_PI * 1e6, 0.0, 300.0)), None),
+        ],
+    )
+    def test_slope_matches_central_differences(self, spec, nbar_b):
+        nbar = 100.0
+        n = lambda g: n_eff_closed_form(spec, g, nbar, nbar_b=nbar_b)
+        for gamma in TWO_PI * np.array([300.0, 4e3, 5e4]):
+            slope = _n_eff_closed_form_slope(spec, gamma, nbar, nbar_b=nbar_b)
+            h = 1e-4 * gamma
+            assert slope == pytest.approx((n(gamma + h) - n(gamma - h)) / (2 * h), rel=1e-6)
 
 
 class TestOptimum:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from bathcool import (
     build_full_system,
@@ -15,7 +16,7 @@ from bathcool import (
     sweep_cooperativity,
     sweep_detuning,
 )
-from bathcool import sweeps
+from bathcool import spectra, sweeps
 from bathcool.errors import PhysicsError
 
 from conftest import make_spec
@@ -25,6 +26,34 @@ def _driven(spec, c_om):
     """The full model at G = sqrt(Gamma*kappa)/2 exactly (g0 = 1, alpha = G)."""
     g = math.sqrt(c_om * spec.mode_b.gamma * spec.cavity.kappa) / 2.0
     return build_full_system(replace(spec, cavity=replace(spec.cavity, alpha=g, g0=1.0)))
+
+
+def _criterion_1_spec(c_ab):
+    """The criterion-1 system: lambda = 1e-4 * omega_a at the requested C_ab."""
+    return make_spec(c_ab=c_ab, gamma_a_hz=40.0 / c_ab, gamma_b_hz=1e3, kappa_hz=3e5)
+
+
+# (spec, bracket): the README system over the CLI default range, and the
+# three criterion-1 systems over their acceptance brackets
+OPTIMA = [(make_spec(c_ab=50.0), (1e-2, 1e3))] + [
+    (_criterion_1_spec(c), (0.3 * math.sqrt(1 + c), 3.0 * math.sqrt(1 + c)))
+    for c in (8.0, 50.0, 200.0)
+]
+
+
+@pytest.fixture
+def covariance_calls(monkeypatch):
+    """``(points, with derivatives)`` of every batched covariance solve the
+    sweeps make."""
+    calls = []
+    solve = sweeps._stacked_occupations
+
+    def counted(a, *args, a1=None):
+        calls.append((a.shape[0], a1 is not None))
+        return solve(a, *args, a1=a1)
+
+    monkeypatch.setattr(sweeps, "_stacked_occupations", counted)
+    return calls
 
 
 class TestSweepCooperativity:
@@ -191,6 +220,172 @@ class TestFindOptimum:
             find_optimum(spec50, bracket=(1.0, 1.0))
         with pytest.raises(ValueError):
             find_optimum(spec50, bracket=(-1.0, 10.0))
+
+    @pytest.fixture
+    def no_evaluation(self, monkeypatch):
+        # a tolerance the loop can never meet must fail before any evaluation,
+        # so the test fails rather than hangs if the check is lost
+        def refused(*args, **kwargs):
+            raise AssertionError("evaluated before the arguments were checked")
+
+        monkeypatch.setattr(sweeps, "_n_effs", refused)
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-4, math.nan])
+    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
+    def test_tolerance_must_be_positive(self, spec50, no_evaluation, rel_tol, fidelity):
+        with pytest.raises(ValueError, match="rel_tol"):
+            find_optimum(spec50, fidelity=fidelity, rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("coarse_points", [0, 1, 2])
+    def test_coarse_scan_needs_three_points(self, spec50, no_evaluation, coarse_points):
+        with pytest.raises(ValueError, match="coarse_points"):
+            find_optimum(spec50, coarse_points=coarse_points)
+
+    def test_rwa_lands_on_the_analytic_optimum(self, spec50):
+        # with the detuning-free closed form the optimum is sqrt(1 + C_ab) exactly
+        c_star, n_star = find_optimum(spec50, fidelity="rwa")
+        assert c_star == pytest.approx(math.sqrt(51.0), rel=1e-9)
+        gamma = c_star * spec50.mode_b.gamma
+        assert n_star == n_eff_closed_form(spec50, gamma, spec50.mode_a.nbar)
+
+    def test_three_point_scan_is_enough(self, spec50):
+        # from a bracket five decades wide the search still stops within its
+        # tolerance of 1e-6 in log C_OM
+        c_star, _ = find_optimum(spec50, bracket=(1e-2, 1e3), fidelity="rwa", coarse_points=3)
+        assert c_star == pytest.approx(math.sqrt(51.0), rel=1e-6)
+
+    def test_bisects_on_the_slope_sign_alone(self, spec50, monkeypatch):
+        # a slope of fixed, huge magnitude carries its sign only: the first
+        # step leaves the bracket, two points on one side give no curvature,
+        # and a secant across the optimum lands midway, so every step is a
+        # bisection and the search still reaches the optimum at that rate
+        n_effs = sweeps._n_effs
+        steps = []
+
+        def sign_only(specs, fidelity):
+            evaluate = n_effs(specs, fidelity)
+
+            def entries(gammas, slopes=False):
+                out = evaluate(gammas, slopes)
+                if slopes:
+                    steps.append(gammas)
+                    out = [(n, math.copysign(1e12, d1)) for n, d1 in out]
+                return out
+
+            return entries
+
+        monkeypatch.setattr(sweeps, "_n_effs", sign_only)
+        c_star, _ = find_optimum(spec50, fidelity="rwa")
+        assert c_star == pytest.approx(math.sqrt(51.0), rel=2e-6)
+        # the bracket is 2h wide, h = log(1e5)/24, and each evaluation halves
+        # it until the step is below 1e-6
+        assert len(steps) <= math.ceil(math.log2(2 * math.log(1e5) / 24 / 1e-6)) + 1
+
+
+class TestSecantSearch:
+    """The search is checked against methods that share none of its code:
+    a derivative-free minimizer and finite differences of the values."""
+
+    @pytest.mark.parametrize("spec, bracket", OPTIMA)
+    def test_matches_a_value_only_minimizer(self, spec, bracket):
+        c_star, n_star = find_optimum(spec, bracket=bracket, fidelity="full")
+        xs = np.linspace(math.log(bracket[0]), math.log(bracket[1]), 25)
+        k = int(np.argmin(np.abs(xs - math.log(c_star))))
+        n = lambda x: steady_state_occupation(_driven(spec, math.exp(x)), "a")
+        ref = minimize_scalar(
+            n, bounds=(xs[k - 1], xs[k + 1]), method="bounded", options={"xatol": 1e-10}
+        )
+        # n_eff carries roundoff of about 1e-10 relative here (omega_a/gamma_a ~
+        # 1e6); with a curvature of order 1 in log C_OM, n_eff changes by that
+        # much only about 3e-5 from the minimum, so a minimizer that sees values
+        # alone locates it to about 3e-5, whatever its xatol
+        assert c_star == pytest.approx(math.exp(ref.x), rel=1e-4)
+        assert n_star <= ref.fun * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("spec, bracket", OPTIMA)
+    def test_stationary_by_finite_differences(self, spec, bracket):
+        c_star, n_star = find_optimum(spec, bracket=bracket, fidelity="full")
+        assert n_star == pytest.approx(
+            steady_state_occupation(_driven(spec, c_star), "a"), rel=1e-9
+        )
+        # the Newton step from central differences of the values, which average
+        # the roundoff over h = 1e-2, is below the 1e-6 tolerance in log C_OM
+        h = 1e-2
+        lo, mid, hi = (
+            steady_state_occupation(_driven(spec, c_star * math.exp(s * h)), "a")
+            for s in (-1, 0, 1)
+        )
+        d1, d2 = (hi - lo) / (2 * h), (hi - 2 * mid + lo) / h**2
+        assert d2 > 0
+        assert abs(d1 / d2) < 1e-6
+
+    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
+    def test_slopes_match_central_differences(self, fidelity):
+        spec = make_spec(c_ab=50.0, delta_b_hz=300.0)  # b detuned by 0.3 gamma_b
+        gb = spec.mode_b.gamma
+        if fidelity == "full":
+            n = lambda c: steady_state_occupation(_driven(spec, c), "a")
+            h, tol = 1e-3, 1e-5
+        else:
+            n = lambda c: n_eff_closed_form(spec, c * gb, spec.mode_a.nbar)
+            h, tol = 1e-4, 1e-7
+        entries = sweeps._n_effs([spec], fidelity)
+        for c in (1.0, 3.0, 30.0):
+            (value, slope), = entries([c * gb], slopes=True)
+            assert value == entries([c * gb])[0]
+            assert slope == pytest.approx(
+                (n(c * math.exp(h)) - n(c * math.exp(-h))) / (2 * h), rel=tol
+            )
+
+    def test_bartels_stewart_points_get_the_same_slopes(self, monkeypatch):
+        spec = make_spec(c_ab=50.0)
+        gammas = [c * spec.mode_b.gamma for c in (1.0, 7.0, 30.0)]
+        eigenbasis = sweeps._n_effs([spec], "full")(gammas, slopes=True)
+
+        def missed(lam, v, q):
+            return np.full(q.shape, np.nan, dtype=complex)
+
+        monkeypatch.setattr(spectra, "_eigenbasis_lyapunov", missed)
+        fallback = sweeps._n_effs([spec], "full")(gammas, slopes=True)
+        for got, want in zip(fallback, eigenbasis):
+            assert got == pytest.approx(want, rel=1e-7)
+
+
+class TestEvaluationCounts:
+    SPEC = make_spec(c_ab=50.0)
+
+    @pytest.mark.parametrize("spec, bracket", OPTIMA)
+    def test_find_optimum_full_makes_at_most_six_solves(self, spec, bracket, covariance_calls):
+        find_optimum(spec, bracket=bracket, fidelity="full")
+        # the coarse scan is one batched call without derivatives
+        assert covariance_calls[0] == (25, False)
+        assert covariance_calls[1:] == [(1, True)] * (len(covariance_calls) - 1)
+        assert len(covariance_calls) <= 6
+
+    def test_sweeps_compute_no_derivatives(self, covariance_calls):
+        sweep_cooperativity(self.SPEC, np.geomspace(0.01, 1e3, 301), fidelity="full")
+        sweep_detuning(self.SPEC, [0.0, 1e3], fidelity="full", c_om=7.0)
+        assert covariance_calls == [(301, False), (2, False)]
+
+    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
+    def test_optimize_each_matches_point_by_point(self, fidelity):
+        # at 40 gamma_b of splitting the optimum leaves the bracket (0.1, 30):
+        # that point records its PhysicsError, the others their optimum
+        gb = self.SPEC.mode_b.gamma
+        deltas = np.array([0.0, 0.5, 2.0, 40.0]) * gb
+        bracket = (0.1, 30.0)
+        res = sweep_detuning(
+            self.SPEC, deltas, fidelity=fidelity, optimize_each=True, bracket=bracket
+        )
+        assert res.errors[-1] is not None and "no interior" in res.errors[-1]
+        assert math.isnan(res.n_eff[-1])
+        for i, delta in enumerate(deltas[:-1]):
+            assert res.errors[i] is None
+            mode_b = replace(self.SPEC.mode_b, omega=self.SPEC.mode_a.omega + delta)
+            one = replace(self.SPEC, mode_b=mode_b)
+            c_star, n_star = find_optimum(one, bracket=bracket, fidelity=fidelity)
+            assert res.n_eff[i] == n_star
+            assert res.linewidths[i] == sweeps._rwa_line(one, c_star * gb)[0]
 
 
 class TestSweepDetuning:
