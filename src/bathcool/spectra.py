@@ -10,17 +10,18 @@ fluctuating-force density seen by a selected mode.  The stationary
 occupation comes from the steady-state covariance instead: one Lyapunov
 solve with no grid, of the exact equation, to about
 eps*max|lam|/min(-Re lam) relative.
+
+scipy is imported on first use, by the line fit and the Bartels-Stewart
+fallback only, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
-from scipy.optimize import least_squares
-from scipy.signal import find_peaks
 
 from .constants import HBAR
 from .errors import (
@@ -56,6 +57,7 @@ RESIDUAL_TOL = 1e-10
 DEFAULT_SPAN = 50.0            # linewidths covered on each side of a resonance
 DEFAULT_POINTS_PER_LW = 20.0   # dense sampling within +-5 linewidths
 DEFAULT_LOG_POINTS = 160       # log-spaced fill per side from 5 to `span` linewidths
+MAX_FIT_EVALUATIONS = 2000     # least-squares budget of one line fit
 
 # numpy < 2 names the trapezoidal rule ``trapz``
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -125,6 +127,20 @@ class ForceSpectrumResult:
     grid: FrequencyGrid
     s_ff: np.ndarray
     factor: np.ndarray
+
+
+def __getattr__(name: str):
+    """``solve_continuous_lyapunov``, imported from scipy on first access.
+
+    It is then cached as a module global, so it can be read and patched
+    like any module attribute (PEP 562).
+    """
+    if name == "solve_continuous_lyapunov":
+        from scipy.linalg import solve_continuous_lyapunov
+
+        globals()[name] = solve_continuous_lyapunov
+        return solve_continuous_lyapunov
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _require_stable(model: DriftModel):
@@ -448,7 +464,7 @@ def _stacked_occupations(a, b, weights, r, c, a1=None) -> list:
     fallback = np.flatnonzero(~(resid <= RESIDUAL_TOL))
     for k in fallback:
         i = idx[k]
-        sigma[k] = solve_continuous_lyapunov(a[i], -q[i])
+        sigma[k] = _bartels_stewart(a[i], q[i])
         resid[k] = _lyapunov_residuals(a[i : i + 1], sigma[k : k + 1], q[i : i + 1])[0]
     sigmas = [sigma]
     if a1 is not None:
@@ -456,7 +472,7 @@ def _stacked_occupations(a, b, weights, r, c, a1=None) -> list:
         rhs = a1 @ sigma + sigma @ _dagger(a1)
         s = _eigenbasis_lyapunov(lam, v, rhs)
         for k in fallback:
-            s[k] = solve_continuous_lyapunov(a[idx[k]], -rhs[k])
+            s[k] = _bartels_stewart(a[idx[k]], rhs[k])
         sigmas.append(s)
     # <x^2> = u Sigma u^T with u = e_r + e_c
     r, c = (np.broadcast_to(x, a.shape[:1])[idx] for x in (r, c))
@@ -473,6 +489,15 @@ def _stacked_occupations(a, b, weights, r, c, a1=None) -> list:
                 n = (n, slope[0] / 2.0)
             results[i] = n
     return results
+
+
+def _bartels_stewart(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Sigma solving A Sigma + Sigma A^dag + Q = 0 by scipy's Schur method.
+
+    Looked up through the module, which imports it on the first fallback
+    and honours a patched ``solve_continuous_lyapunov``.
+    """
+    return sys.modules[__name__].solve_continuous_lyapunov(a, -q)
 
 
 def _eigenbasis_lyapunov(lam: np.ndarray, v: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -570,16 +595,33 @@ def _lorentz(params, omega):
     return amp * hw**2 / ((omega - center) ** 2 + hw**2) + base
 
 
+def _lorentz_jacobian(params, omega):
+    """d :func:`_lorentz` / d(center, fwhm, amp, base), shape (n, 4)."""
+    center, fwhm, amp, base = params
+    hw = fwhm / 2.0
+    dx = omega - center
+    den = dx**2 + hw**2
+    shape = hw**2 / den
+    return np.column_stack(
+        (2.0 * amp * shape * dx / den, amp * hw * dx**2 / den**2, shape, np.ones_like(dx))
+    )
+
+
 def fit_lorentzian(
     grid: FrequencyGrid | np.ndarray, values: np.ndarray, window: tuple
 ) -> LorentzFit:
     """Nonlinear least-squares Lorentzian fit inside ``window = (lo, hi)``.
 
     The window must contain exactly one local maximum; initialization uses
-    the peak location and half-maximum crossings.  Fails when no peak is
-    present, several peaks overlap, or the residual exceeds 5% of the
-    peak.
+    the peak location and half-maximum crossings.  The fit runs in the
+    offset from the peak's grid point, with the analytic Jacobian, so the
+    center is resolved far below the linewidth.  Fails when no peak is
+    present, several peaks overlap, the fit does not converge, or the
+    residual exceeds 5% of the peak.
     """
+    from scipy.optimize import least_squares
+    from scipy.signal import find_peaks
+
     points = grid.points if isinstance(grid, FrequencyGrid) else np.asarray(grid)
     lo, hi = window
     mask = (points >= lo) & (points <= hi)
@@ -607,24 +649,28 @@ def fit_lorentzian(
         w0 = x[ipk + right[0]] - x[left[-1]]
     else:
         w0 = (x[-1] - x[0]) / 4.0
-    x0 = np.array([x[ipk], w0, amp0, base0])
+    dx = x - x[ipk]
 
     res = least_squares(
-        lambda p: _lorentz(p, x) - y,
-        x0,
+        lambda p: _lorentz(p, dx) - y,
+        np.array([0.0, w0, amp0, base0]),
+        jac=lambda p: _lorentz_jacobian(p, dx),
         xtol=1e-9,
         ftol=1e-15,
         gtol=None,
         x_scale="jac",
-        max_nfev=2000,
+        max_nfev=MAX_FIT_EVALUATIONS,
     )
-    center, fwhm, amp, base = res.x
+    if res.status == 0:
+        raise FitFailureError(f"fit did not converge in {res.nfev} evaluations")
+    offset, fwhm, amp, base = res.x
     fwhm = abs(fwhm)
-    resid = np.max(np.abs(_lorentz(res.x, x) - y))
+    resid = np.max(np.abs(_lorentz(res.x, dx) - y))
     if resid > 0.05 * (amp + abs(base)):
         raise FitFailureError(
             f"fit residual {resid:.3g} exceeds 5% of peak {amp:.3g}"
         )
+    center = x[ipk] + offset
     return LorentzFit(center=float(center), fwhm=float(fwhm), area=float(amp * math.pi * fwhm / 2.0))
 
 

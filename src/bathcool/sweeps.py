@@ -24,7 +24,7 @@ from .analytics import (
     n_eff_closed_form,
     regime_flags,
 )
-from .errors import BathcoolError, PhysicsError
+from .errors import BathcoolError, PhysicsError, UnstableSystemError
 from .model import DriftModel, SystemSpec, _pencil, effective_temperature
 from .spectra import _stacked_occupations, fit_lorentzian, position_spectrum
 
@@ -215,10 +215,13 @@ def find_optimum(
     """Locate the n_eff minimum over C_OM as a stationary point in log C_OM.
 
     A scan of ``coarse_points`` log-spaced points over ``bracket`` (one
-    batched call) must find its lowest n_eff at an interior point, else
-    PhysicsError.  From the vertex of the parabola through that point and
-    its two neighbours, a safeguarded secant iteration drives the exact
-    dn_eff/dlog C_OM to zero inside the neighbours: the slope is the
+    batched call) must find its lowest n_eff at a point whose two
+    neighbours are stable, else PhysicsError.  An unstable point scores
+    +inf; a scan with no stable point raises its first
+    UnstableSystemError, and any other point error is raised.  From the
+    vertex of the parabola through that point and its two neighbours, a
+    safeguarded secant iteration drives the exact dn_eff/dlog C_OM to
+    zero inside the neighbours: the slope is the
     Lyapunov sensitivity of the covariance at full fidelity and the
     derivative of the closed form at rwa, and the curvature is the
     parabola's at the first step and the slope difference of the last two
@@ -238,9 +241,13 @@ def find_optimum(
     gb = spec.mode_b.gamma
     n_effs = _n_effs([spec], fidelity)
     xs = np.linspace(math.log(lo), math.log(hi), coarse_points).tolist()
-    ys = [_value(n) for n in n_effs([math.exp(x) * gb for x in xs])]
+    scan = n_effs([math.exp(x) * gb for x in xs])
+    unstable = [n for n in scan if isinstance(n, UnstableSystemError)]
+    if len(unstable) == coarse_points:
+        raise unstable[0]
+    ys = [math.inf if isinstance(n, UnstableSystemError) else _value(n) for n in scan]
     k = int(np.argmin(ys))
-    if k in (0, coarse_points - 1):
+    if k in (0, coarse_points - 1) or math.inf in (ys[k - 1], ys[k + 1]):
         raise PhysicsError(
             f"no interior n_eff minimum in C_OM bracket [{lo:g}, {hi:g}]"
         )

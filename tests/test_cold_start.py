@@ -1,0 +1,92 @@
+"""Cold start: importing bathcool and running the CLI tasks load no scipy.
+
+scipy is imported on first use only, by the line fit and the
+Bartels-Stewart fallback.  Each check runs in a fresh interpreter, since
+this one has long since imported scipy.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bathcool
+
+SRC = str(Path(bathcool.__file__).resolve().parent.parent)
+
+README_CONFIG = """
+[run]
+task = {task}
+
+[system]
+omega_a_hz = 1e6
+gamma_a_hz = 1.0
+omega_b_hz = 1e6
+gamma_b_hz = 1e3
+lambda_hz = 111.8
+temperature_k = 300
+mass_a_kg = 1e-12
+
+[cavity]
+kappa_hz = 3e5
+detuning_hz = -1e6
+g0_hz = 10
+"""
+
+# the last line a script prints: the scipy modules it has loaded
+SCIPY_LOADED = (
+    "import sys\n"
+    "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+)
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports bathcool from this
+    tree; returns the last line of its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    assert run_fresh("import bathcool, bathcool.cli\n" + SCIPY_LOADED) == "[]"
+
+
+@pytest.mark.parametrize("task", ["sweep", "optimize"])
+def test_full_fidelity_task_loads_no_scipy(tmp_path, task):
+    config = tmp_path / f"{task}.ini"
+    config.write_text(README_CONFIG.format(task=task))
+    args = [task, "--config", str(config), "--fidelity", "full", "--out", str(tmp_path / task)]
+    code = f"from bathcool import cli\nassert cli.main({args!r}) == 0\n" + SCIPY_LOADED
+    assert run_fresh(code) == "[]"
+    assert (tmp_path / f"{task}.summary.json").is_file()
+
+
+def test_first_line_fit_in_a_fresh_process():
+    code = (
+        "import numpy as np\n"
+        "from bathcool import fit_lorentzian\n"
+        "x = np.linspace(-5.0, 5.0, 1001)\n"
+        "fit = fit_lorentzian(x, 0.25 / (x**2 + 0.25) + 0.01, (-5.0, 5.0))\n"
+        "print(fit.center, fit.fwhm)\n"
+    )
+    center, fwhm = map(float, run_fresh(code).split())
+    assert center == pytest.approx(0.0, abs=1e-9)
+    assert fwhm == pytest.approx(1.0, rel=1e-9)
+
+
+def test_first_bartels_stewart_solve_in_a_fresh_process():
+    # A = -I, Q = 2I: Sigma = I
+    code = (
+        "import numpy as np\n"
+        "from bathcool import spectra\n"
+        "sigma = spectra._bartels_stewart(-np.eye(2), 2.0 * np.eye(2))\n"
+        "print(float(abs(sigma - np.eye(2)).max()))\n"
+    )
+    assert float(run_fresh(code)) <= 1e-15

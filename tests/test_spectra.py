@@ -10,6 +10,7 @@ from bathcool import (
     build_rwa_system,
     chi_a,
     chi_b,
+    cooling_summary,
     cooperativity_ab,
     effective_temperature,
     fit_lorentzian,
@@ -621,6 +622,64 @@ class TestLorentzFit:
         y = np.exp(-(x**2) / 0.5)  # Gaussian deviates > 5% from any Lorentzian
         with pytest.raises(FitFailureError):
             fit_lorentzian(x, y, (-5.0, 5.0))
+
+
+    def test_width_is_the_drift_eigenvalue_width(self):
+        # a single line is the quasi-normal mode of one drift eigenvalue,
+        # whose FWHM is -2 Re lam
+        checked = 0
+        for spec in _criterion_7_draws(50):
+            participation, width = _mode_a_line(build_full_system(spec))
+            if abs(participation - 1.0) > 1e-2:
+                continue
+            assert _fit_mode_a(spec).fwhm == pytest.approx(width, rel=1e-4)
+            checked += 1
+        assert checked >= 40
+
+    # narrow lines of split modes: fitted in absolute omega, with a numeric
+    # Jacobian, the first came out 3.4e-3 wide of -2 Re lam and the second
+    # ran out of 2000 evaluations
+    NARROW_SPLIT = [
+        dict(omega_hz=9.32e6, gamma_a_hz=0.0104, gamma_b_hz=3.64, c_ab=34.5,
+             c_om=1.59, delta_b_hz=-33.8, temperature=44.8),
+        dict(omega_hz=2.27e6, gamma_a_hz=0.0102, gamma_b_hz=2.99, c_ab=29.0,
+             c_om=2.72, delta_b_hz=-25.3, temperature=22.2),
+    ]
+
+    @pytest.mark.parametrize("kw", NARROW_SPLIT)
+    def test_narrow_split_line_converges_to_the_eigenvalue_width(self, kw, monkeypatch):
+        monkeypatch.setattr(spectra, "MAX_FIT_EVALUATIONS", 20)
+        spec = make_spec(**kw)
+        participation, width = _mode_a_line(build_full_system(spec))
+        assert participation == pytest.approx(1.0, abs=1e-2)
+        assert _fit_mode_a(spec).fwhm == pytest.approx(width, rel=1e-4)
+
+    def test_unconverged_fit_raises(self, monkeypatch):
+        monkeypatch.setattr(spectra, "MAX_FIT_EVALUATIONS", 1)
+        x = np.linspace(-5.0, 5.0, 1001)
+        y = 0.25 / (x**2 + 0.25) + 0.01
+        with pytest.raises(FitFailureError, match="did not converge"):
+            fit_lorentzian(x, y, (-5.0, 5.0))
+
+
+def _mode_a_line(model):
+    """``(participation, FWHM)`` of the drift eigenvalue carrying mode a's
+    positive-frequency line: the largest |V_ak (V^-1)_ka| with Im lam_k < 0."""
+    lam, v = np.linalg.eig(model.drift)
+    ia = model.index("a")
+    part = np.where(lam.imag < 0, np.abs(v[ia] * np.linalg.inv(v)[:, ia]), -np.inf)
+    k = int(np.argmax(part))
+    return float(part[k]), float(-2.0 * lam[k].real)
+
+
+def _fit_mode_a(spec):
+    """Line fit of the full mode-a spectrum, 8 closed-form linewidths each
+    side of the pulled line."""
+    summary = cooling_summary(spec)
+    res = position_spectrum(build_full_system(spec), "a")
+    half = 8.0 * summary.linewidth_a
+    center = summary.omega_a_pulled
+    return fit_lorentzian(res.grid, res.values, (center - half, center + half))
 
 
 class TestForceSpectrum:

@@ -17,7 +17,7 @@ from bathcool import (
     sweep_detuning,
 )
 from bathcool import spectra, sweeps
-from bathcool.errors import PhysicsError
+from bathcool.errors import NumericsError, PhysicsError, UnstableSystemError
 
 from conftest import make_spec
 
@@ -280,6 +280,56 @@ class TestFindOptimum:
         # the bracket is 2h wide, h = log(1e5)/24, and each evaluation halves
         # it until the step is below 1e-6
         assert len(steps) <= math.ceil(math.log2(2 * math.log(1e5) / 24 / 1e-6)) + 1
+
+
+class TestUnstableScanPoints:
+    """An unstable point of the coarse scan scores +inf; the search fails
+    only when the minimum of the stable points is not interior to them."""
+
+    WIDE = (0.1, 1e4)  # the README system is unstable from C_OM ~ 3.8e3 up
+
+    def test_full_search_skips_the_unstable_end(self, spec50):
+        gb = spec50.mode_b.gamma
+        (top,) = sweeps._n_effs([spec50], "full")([self.WIDE[1] * gb])
+        assert isinstance(top, UnstableSystemError)
+        c_star, n_star = find_optimum(spec50, self.WIDE, "full")
+        c_ref, n_ref = find_optimum(spec50, fidelity="full")
+        assert c_star == pytest.approx(c_ref, rel=1e-5)
+        assert n_star == pytest.approx(n_ref, rel=1e-9)
+
+    def test_optimize_each_has_no_error_rows(self, spec50):
+        splittings = np.linspace(0.0, 3.0, 7) * spec50.mode_b.gamma
+        res = sweep_detuning(
+            spec50, splittings, fidelity="full", optimize_each=True, bracket=self.WIDE
+        )
+        assert res.errors == (None,) * splittings.size
+        assert np.all(np.isfinite(res.n_eff))
+
+    @pytest.fixture
+    def scan(self, monkeypatch):
+        """Let find_optimum see ``entries[i]`` at scan point i."""
+
+        def install(entries):
+            monkeypatch.setattr(
+                sweeps, "_n_effs", lambda specs, fidelity: lambda gammas, slopes=False: entries
+            )
+
+        return install
+
+    def test_minimum_next_to_an_unstable_point_rejected(self, spec50, scan):
+        scan([3.0, 2.0, 1.0, UnstableSystemError("u1"), UnstableSystemError("u2")])
+        with pytest.raises(PhysicsError, match="no interior"):
+            find_optimum(spec50, coarse_points=5)
+
+    def test_every_point_unstable_raises_the_first(self, spec50, scan):
+        scan([UnstableSystemError("u1"), UnstableSystemError("u2"), UnstableSystemError("u3")])
+        with pytest.raises(UnstableSystemError, match="u1"):
+            find_optimum(spec50, coarse_points=3)
+
+    def test_other_point_errors_still_raise(self, spec50, scan):
+        scan([3.0, 1.0, 2.0, NumericsError("n1"), UnstableSystemError("u1")])
+        with pytest.raises(NumericsError, match="n1"):
+            find_optimum(spec50, coarse_points=5)
 
 
 class TestSecantSearch:
