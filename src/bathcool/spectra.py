@@ -3,10 +3,11 @@
 Every model is solved in the conjugate-paired basis the builders put it
 in (:mod:`bathcool.model`).  Builds adaptive frequency grids around
 every resonance of the drift matrix, solves for the needed rows of the
-susceptibility (-i*omega*I - A)^-1 in batch, propagates the thermal
-input correlators into position fluctuation spectra S_xx(omega),
-integrates occupations, fits Lorentzian lines, and evaluates the
-fluctuating-force density seen by a selected mode.  The stationary
+susceptibility (-i*omega*I - A)^-1 in batch (at omega >= 0, the rows at
+-omega by conjugation), propagates the thermal input correlators into
+position fluctuation spectra S_xx(omega), integrates occupations, fits
+Lorentzian lines, and evaluates the fluctuating-force density seen by a
+selected mode.  The stationary
 occupation comes from the steady-state covariance instead: one Lyapunov
 solve with no grid, of the exact equation, to about
 eps*max|lam|/min(-Re lam) relative.
@@ -17,6 +18,7 @@ fallback only, so importing this module loads numpy alone.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -177,27 +179,37 @@ def make_grid(
     negative-frequency clusters.  Degenerate resonances share one center
     (:func:`_clusters`), so the grid does not depend on the last bits of
     the eigensolve.  Refuses unstable models.
+
+    For a paired model (:func:`_pairing`) the grid is mirror-symmetric:
+    the positive points, their negations and omega = 0, an odd count, so
+    :meth:`FrequencyGrid.halved` is symmetric too.  The positive points
+    nearest zero are dropped where needed so that the grid has no more
+    points than the unmirrored one.  :func:`_solve_rows` then solves only
+    the omega >= 0 half.
     """
     if span_linewidths < 5:
         raise ValueError("span_linewidths must be >= 5")
     clusters = _clusters(_require_stable(model))
+    centers, widths = map(np.array, zip(*clusters))
 
     # every cluster's log fill runs out to the global grid extent, so a
     # narrow line's power-law tail is never left to another cluster's
     # coarse sampling
-    lo = min(c - span_linewidths * w for c, w in clusters)
-    hi = max(c + span_linewidths * w for c, w in clusters)
-    pieces = []
+    lo = np.min(centers - span_linewidths * widths)
+    hi = np.max(centers + span_linewidths * widths)
     n_dense = int(round(10 * points_per_linewidth)) + 1
-    for center, width in clusters:
-        # offsets from the center, so clusters sharing a center share it bitwise
-        dense = center + width * np.linspace(-5.0, 5.0, n_dense)
-        right = max(hi - center, span_linewidths * width)
-        left = max(center - lo, span_linewidths * width)
-        tail_r = np.geomspace(5 * width, right, log_points + 1)[1:]
-        tail_l = np.geomspace(5 * width, left, log_points + 1)[1:]
-        pieces.extend([dense, center + tail_r, center - tail_l])
-    points = np.unique(np.concatenate(pieces))
+    # offsets from the center, so clusters sharing a center share it bitwise
+    dense = centers[:, None] + widths[:, None] * np.linspace(-5.0, 5.0, n_dense)
+    right = np.maximum(hi - centers, span_linewidths * widths)
+    left = np.maximum(centers - lo, span_linewidths * widths)
+    tail_r = np.geomspace(5 * widths, right, log_points + 1, axis=1)[:, 1:]
+    tail_l = np.geomspace(5 * widths, left, log_points + 1, axis=1)[:, 1:]
+    pieces = (dense, centers[:, None] + tail_r, centers[:, None] - tail_l)
+    points = np.unique(np.concatenate([x.ravel() for x in pieces]))
+    if _pairing(model) is not None:
+        half = points[points > 0]
+        half = half[max(half.size - (points.size - 1) // 2, 0) :]
+        points = np.concatenate((-half[::-1], [0.0], half))
     return FrequencyGrid(points=points, clusters=tuple(clusters))
 
 
@@ -224,21 +236,72 @@ def _clusters(eigs: np.ndarray) -> list:
     return clusters
 
 
+def _pairing(model: DriftModel) -> np.ndarray | None:
+    """The permutation that swaps every ``x`` and ``x_dag`` label, if A respects it.
+
+    Returns ``perm`` when every label has its mate and
+    ``drift[perm][:, perm] == conj(drift)`` holds exactly, as for both
+    builders' models; else None.  For such a model
+    T(-omega) = P conj(T(omega)) P, with P the permutation matrix of
+    ``perm`` and T = -i*omega*I - A.
+    """
+    labels = model.labels
+    mates = [x.removesuffix("_dag") if x.endswith("_dag") else x + "_dag" for x in labels]
+    if not set(mates) <= set(labels):
+        return None
+    perm = np.array([labels.index(x) for x in mates])
+    if not np.array_equal(model.drift[np.ix_(perm, perm)], model.drift.conj()):
+        return None
+    return perm
+
+
+def _mirrors(omegas: np.ndarray) -> tuple:
+    """Indices of the omegas < 0 whose exact negation is in ``omegas``, and of that negation."""
+    order = np.argsort(omegas)
+    neg = np.flatnonzero(omegas < 0)
+    k = np.minimum(np.searchsorted(omegas[order], -omegas[neg]), omegas.size - 1)
+    hit = omegas[order[k]] == -omegas[neg]
+    return neg[hit], order[k[hit]]
+
+
 def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Rows ``rows @ chi(omega)`` of the susceptibility, shape (n, k, d).
 
     Solves y T = u with T = -i*omega*I - A for each of the k rows u of
-    ``rows`` at every omega (:func:`_eliminate`).  A row whose relative
-    residual ||y T - u|| / (||T|| ||y||) is not within RESIDUAL_TOL (NaN
-    included) gets one refinement step; NumericsError if it still misses.
-    The residual costs O(n d^2) and forms no matrix stack: T's diagonal
-    -i*omega - A_jj is formed first, as inside T, so omega - omega_j is
-    exact near a resonance, and ||T||_F comes in closed form.
+    ``rows`` (:func:`_eliminate`).  For a paired model (:func:`_pairing`)
+    an omega < 0 whose negation is also in ``omegas`` is not eliminated:
+    from T(-omega) = P conj(T(omega)) P, its row is
+    y_u(-omega) = conj(y_u'(omega)) P with u' = conj(u) P, so the
+    elimination at omega >= 0 also solves the rows u' where ``rows`` does
+    not already hold them.  No eigen or Schur transform is involved.
+    Every returned row, mirrored ones included, is gated: a row whose
+    relative residual ||y T - u|| / (||T|| ||y||) is not within
+    RESIDUAL_TOL (NaN included) gets one refinement step; NumericsError
+    if it still misses.  The residual costs O(n d^2) and forms no matrix
+    stack: T's diagonal -i*omega - A_jj is formed first, as inside T, so
+    omega - omega_j is exact near a resonance, and ||T||_F comes in
+    closed form.
     """
     a = model.drift
     d = model.dimension
     u = np.asarray(rows, dtype=complex)
-    y = _eliminate(a, omegas, u).T  # (d, k, n)
+    k = u.shape[0]
+    perm = _pairing(model)
+    mirror, mate = _mirrors(omegas) if perm is not None else ((), ())
+    if len(mirror):
+        solve = np.delete(np.arange(omegas.size), mirror)
+        mates = u[:, perm].conj()
+        hits = np.all(mates[:, None, :] == u[None, :, :], axis=2)
+        if hits.any(axis=1).all():
+            solved, twin = u, hits.argmax(axis=1)
+        else:
+            solved, twin = np.concatenate((u, mates)), np.arange(k, 2 * k)
+        z = _eliminate(a, omegas[solve], solved).T  # (d, k or 2k, n_solve)
+        y = np.empty((d, k, omegas.size), dtype=complex)
+        y[..., solve] = z[:, :k]
+        y[..., mirror] = z[np.ix_(perm, twin, np.searchsorted(solve, mate))].conj()
+    else:
+        y = _eliminate(a, omegas, u).T
     shift = -1j * omegas - np.diag(a)[:, None]
     off = a - np.diag(np.diag(a))
     t_norm = np.sqrt(np.sum(np.abs(off) ** 2) + _abs2(shift).sum(axis=0))
@@ -281,6 +344,11 @@ def _eliminate(a: np.ndarray, omegas: np.ndarray, u: np.ndarray) -> np.ndarray:
     zero pivot raises NumericsError.  Not an eigen or Schur form: a
     unitary transform moves the poles by about eps*||A||, which is not
     small next to the narrowest linewidths.
+
+    Each step works only on the rows that can be nonzero in its column
+    and the columns its pivot row can fill (:func:`_band`); every entry
+    it skips is an exact zero, so the result is the dense elimination's
+    (a dense A runs exactly as the dense one).
     """
     d, n = a.shape[0], omegas.size
     u = np.broadcast_to(u, (n,) + u.shape[-2:])
@@ -289,24 +357,58 @@ def _eliminate(a: np.ndarray, omegas: np.ndarray, u: np.ndarray) -> np.ndarray:
     diag = np.arange(d)
     m[diag, diag] -= 1j * omegas
     m[:, d:] = u.transpose(2, 1, 0)
+    rows, cols = _band(d, (a != 0).tobytes())
     for j in range(d):
-        col = m[j:, j]
+        search, fill = rows[j], cols[j]
+        col = m[search, j]
         p = np.argmax(np.abs(col.real) + np.abs(col.imag), axis=0)
         swap = np.flatnonzero(p)  # the omegas whose pivot is not on the diagonal
         if swap.size:
-            rows = j + p[swap]
+            other = j + search.step * p[swap]
             row_j = m[j, j:, swap]
-            m[j, j:, swap] = m[rows, j:, swap]
-            m[rows, j:, swap] = row_j
-        pivot_row = m[j, j:]
-        if not np.all(pivot_row[0] != 0):
+            m[j, j:, swap] = m[other, j:, swap]
+            m[other, j:, swap] = row_j
+        if not np.all(m[j, j] != 0):
             _raise_singular(a, omegas)
-        factors = m[j + 1 :, j] * (1.0 / pivot_row[0])
-        m[j + 1 :, j + 1 :] -= factors[:, None, :] * pivot_row[None, 1:, :]
+        below = slice(j + search.step, search.stop, search.step)
+        factors = m[below, j] * (1.0 / m[j, j])
+        m[below, fill] -= factors[:, None, :] * m[j, fill][None]
+        m[below, d:] -= factors[:, None, :] * m[j, d:][None]
     y = np.empty_like(m[:, d:])
     for i in range(d - 1, -1, -1):
-        y[i] = (m[i, d:] - np.sum(m[i, i + 1 : d, None, :] * y[i + 1 :], axis=0)) / m[i, i]
+        y[i] = (m[i, d:] - np.sum(m[i, cols[i], None, :] * y[cols[i]], axis=0)) / m[i, i]
     return y.T
+
+
+@functools.lru_cache(maxsize=16)
+def _band(d: int, pattern: bytes) -> tuple:
+    """Where the elimination of T^T = -A^T - i*omega*I can meet nonzeros.
+
+    ``rows[j]`` is a slice from j over every row that can be nonzero in
+    column j at step j, and ``cols[j]`` a slice over every column > j in
+    which the pivot row of step j can be nonzero.  From the zero pattern
+    of A^T (plus the diagonal), with the fill of partial pivoting: any
+    candidate row may become the pivot, so after the step each candidate
+    holds the union of their patterns.  The RWA's two decoupled chains
+    give slices of step 2.  ``pattern`` is the bytes of the (d, d) bool
+    array A != 0; every model of one builder shares it, so it is cached.
+    """
+    s = np.frombuffer(pattern, dtype=bool).reshape(d, d).T | np.eye(d, dtype=bool)
+    rows, cols = [], []
+    for j in range(d):
+        cand = j + np.flatnonzero(s[j:, j])
+        s[cand] = s[cand].any(axis=0)
+        rows.append(_slice(cand))
+        cols.append(_slice(j + 1 + np.flatnonzero(s[j, j + 1 :])))
+    return tuple(rows), tuple(cols)
+
+
+def _slice(idx: np.ndarray) -> slice:
+    """The slice with the longest step that covers the sorted indices ``idx``."""
+    if not idx.size:
+        return slice(0, 0)
+    step = int(np.gcd.reduce(np.diff(idx))) or 1  # the gcd of no differences is 0
+    return slice(int(idx[0]), int(idx[-1]) + 1, step)
 
 
 def _raise_singular(a: np.ndarray, omegas: np.ndarray):
@@ -616,8 +718,9 @@ def fit_lorentzian(
     the peak location and half-maximum crossings.  The fit runs in the
     offset from the peak's grid point, with the analytic Jacobian, so the
     center is resolved far below the linewidth.  Fails when no peak is
-    present, several peaks overlap, the fit does not converge, or the
-    residual exceeds 5% of the peak.
+    present, several peaks overlap, the fit does not converge, the
+    residual exceeds 5% of the peak, or the fitted FWHM is below the grid
+    spacing at the center (a line the grid does not resolve).
     """
     from scipy.optimize import least_squares
     from scipy.signal import find_peaks
@@ -671,6 +774,12 @@ def fit_lorentzian(
             f"fit residual {resid:.3g} exceeds 5% of peak {amp:.3g}"
         )
     center = x[ipk] + offset
+    k = min(max(int(np.searchsorted(x, center)), 1), x.size - 1)
+    if fwhm < x[k] - x[k - 1]:
+        raise FitFailureError(
+            f"fitted FWHM {fwhm:.3g} is below the grid spacing "
+            f"{x[k] - x[k - 1]:.3g} at the center; the line is not resolved"
+        )
     return LorentzFit(center=float(center), fwhm=float(fwhm), area=float(amp * math.pi * fwhm / 2.0))
 
 

@@ -68,6 +68,67 @@ class TestGrid:
         assert half.points[-1] == grid.points[-1]
         assert half.points.size < 0.6 * grid.points.size
 
+    # (points_per_linewidth, log_points): default, the criterion-7 fine
+    # grid, an even dense count, and no log fill
+    GRID_SETTINGS = [(20.0, 160), (60.0, 240), (2.5, 3), (1.0, 0)]
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_paired_grids_are_mirror_symmetric(self, builder):
+        for spec in _criterion_7_draws(10):
+            model = builder(spec)
+            for ppl, log_points in self.GRID_SETTINGS:
+                grid = make_grid(model, points_per_linewidth=ppl, log_points=log_points)
+                assert grid.points.size % 2 == 1  # omega = 0 and its mirrored halves
+                for points in (grid.points, grid.halved().points):
+                    assert np.array_equal(points, -points[::-1])
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_count_never_exceeds_the_documented_cap(self, builder):
+        # README [grid]: at most 6 * (round(10 ppl) + 1 + 2 log_points) points
+        for spec in _criterion_7_draws(50):
+            model = builder(spec)
+            for ppl, log_points in self.GRID_SETTINGS:
+                grid = make_grid(model, points_per_linewidth=ppl, log_points=log_points)
+                assert grid.points.size <= 6 * (round(10 * ppl) + 1 + 2 * log_points)
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_unpaired_points_match_a_per_cluster_construction(self, builder):
+        for spec in _criterion_7_draws(10):
+            model = _unpaired(builder(spec))
+            for ppl, log_points in self.GRID_SETTINGS:
+                grid = make_grid(model, points_per_linewidth=ppl, log_points=log_points)
+                expected = _per_cluster_points(grid.clusters, 50.0, ppl, log_points)
+                assert np.array_equal(grid.points, expected)
+
+    def test_mirrored_grid_has_no_more_points_than_the_unmirrored_one(self, spec50):
+        model = build_full_system(spec50)
+        grid = make_grid(model)
+        unmirrored = make_grid(_unpaired(model)).points
+        assert grid.points.size <= unmirrored.size
+        assert np.array_equal(grid.points[grid.points > 0][-100:], unmirrored[-100:])
+
+
+def _unpaired(model):
+    """``model`` with labels that pair no rows, so no mirror is used."""
+    return replace(model, labels=tuple(f"m{i}" for i in range(model.dimension)))
+
+
+def _per_cluster_points(clusters, span, ppl, log_points):
+    """The unmirrored grid points, built one cluster at a time."""
+    lo = min(c - span * w for c, w in clusters)
+    hi = max(c + span * w for c, w in clusters)
+    n_dense = int(round(10 * ppl)) + 1
+    pieces = []
+    for center, width in clusters:
+        right = max(hi - center, span * width)
+        left = max(center - lo, span * width)
+        pieces += [
+            center + width * np.linspace(-5.0, 5.0, n_dense),
+            center + np.geomspace(5 * width, right, log_points + 1)[1:],
+            center - np.geomspace(5 * width, left, log_points + 1)[1:],
+        ]
+    return np.unique(np.concatenate(pieces))
+
 
 def _diagonal_model(eigs):
     """A DriftModel whose drift is diag(eigs): one cluster per entry."""
@@ -270,6 +331,148 @@ class TestRowSolve:
         position_spectrum(model, "a", grid)
         force_spectrum_numeric(model, spec50, grid)
         assert len(calls) == 2
+
+
+def _dense_eliminate(a, omegas, u):
+    """The elimination of ``spectra._eliminate`` over every row and column
+    at every step: the reference its band restriction must match."""
+    d, n = a.shape[0], omegas.size
+    u = np.broadcast_to(u, (n,) + u.shape[-2:])
+    m = np.empty((d, d + u.shape[1], n), dtype=complex)
+    m[:, :d] = -a.T[:, :, None]
+    diag = np.arange(d)
+    m[diag, diag] -= 1j * omegas
+    m[:, d:] = u.transpose(2, 1, 0)
+    for j in range(d):
+        col = m[j:, j]
+        p = np.argmax(np.abs(col.real) + np.abs(col.imag), axis=0)
+        swap = np.flatnonzero(p)
+        if swap.size:
+            rows = j + p[swap]
+            row_j = m[j, j:, swap]
+            m[j, j:, swap] = m[rows, j:, swap]
+            m[rows, j:, swap] = row_j
+        pivot_row = m[j, j:]
+        factors = m[j + 1 :, j] * (1.0 / pivot_row[0])
+        m[j + 1 :, j + 1 :] -= factors[:, None, :] * pivot_row[None, 1:, :]
+    y = np.empty_like(m[:, d:])
+    for i in range(d - 1, -1, -1):
+        y[i] = (m[i, d:] - np.sum(m[i, i + 1 : d, None, :] * y[i + 1 :], axis=0)) / m[i, i]
+    return y.T
+
+
+# the row sets the solvers read: the quadrature, a row that is not its own
+# mate (the force spectrum's e_a), and every row
+ROW_SETS = {
+    "quadrature": lambda model: spectra._quadrature(model, "a")[None, :],
+    "e_a": lambda model: np.eye(model.dimension)[[model.index("a")]],
+    "identity": lambda model: np.eye(model.dimension),
+}
+
+
+class TestMirroredSolve:
+    @pytest.mark.parametrize("rows", ROW_SETS)
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_mirrored_rows_match_a_direct_solve(self, builder, rows):
+        for spec in _criterion_7_draws(10):
+            model = builder(spec)
+            omegas = make_grid(model).points
+            u = ROW_SETS[rows](model)
+            got = _solve_rows(model, omegas, u)
+            neg = omegas < 0
+            direct = spectra._eliminate(model.drift, omegas[neg], u)
+            # normwise at each omega: a row of chi far below its peak is
+            # only as accurate as the peak, by either route
+            err = np.abs(got[neg] - direct).max(axis=(1, 2))
+            assert np.all(err <= 1e-14 * np.abs(direct).max(axis=(1, 2)))
+            solved = spectra._eliminate(model.drift, omegas[~neg], u)
+            assert np.array_equal(got[~neg], solved)
+
+    def test_pairing_needs_the_exact_conjugate_symmetry(self, spec50):
+        model = build_full_system(spec50)
+        assert spectra._pairing(model).tolist() == [1, 0, 3, 2, 5, 4]
+        drift = model.drift.copy()
+        drift[0, 2] = complex(drift[0, 2].real, np.nextafter(drift[0, 2].imag, 0.0))
+        assert spectra._pairing(replace(model, drift=drift)) is None
+        assert spectra._pairing(_unpaired(model)) is None
+
+    def _record(self, monkeypatch):
+        calls = []
+        eliminate = spectra._eliminate
+
+        def recorded(a, omegas, u):
+            calls.append((omegas.copy(), np.shape(u)[-2]))
+            return eliminate(a, omegas, u)
+
+        monkeypatch.setattr(spectra, "_eliminate", recorded)
+        return calls
+
+    def test_unpaired_model_keeps_its_grid_and_solves_every_point(self, monkeypatch):
+        eig = TestGridClusters.EIG
+        model = _diagonal_model([eig, eig.conjugate()])
+        grid = make_grid(model)
+        assert np.array_equal(grid.points, _per_cluster_points(grid.clusters, 50.0, 20.0, 160))
+        omegas = np.linspace(-1.5, 1.5, 7) * abs(eig.imag)  # exact mirrors
+        calls = self._record(monkeypatch)
+        got = _solve_rows(model, omegas, np.eye(2))
+        assert [(w.size, k) for w, k in calls] == [(7, 2)]
+        expected = 1.0 / (-1j * omegas[:, None] - np.array([eig, eig.conjugate()]))
+        assert np.allclose(got[:, [0, 1], [0, 1]], expected, rtol=1e-14, atol=0.0)
+
+    def test_corrupted_solve_is_caught_at_mirrored_points(self, spec50, monkeypatch):
+        model = build_full_system(make_spec(c_ab=50.0, c_om=5.0))
+        omegas = np.linspace(-1.5, 1.5, 7) * spec50.mode_a.omega
+        clean = _chi_batch(model, omegas)
+        eliminate = spectra._eliminate
+        calls = []
+
+        def poor_first_solve(a, w, u):
+            calls.append(w.copy())
+            y = eliminate(a, w, u)
+            if len(calls) == 1:
+                y[w == omegas[-1]] *= 1.0 + 1e-6  # also read mirrored at omegas[0]
+            return y
+
+        monkeypatch.setattr(spectra, "_eliminate", poor_first_solve)
+        chi = _chi_batch(model, omegas)
+        assert calls[0].tolist() == omegas[3:].tolist()  # omega >= 0 only
+        assert calls[1].tolist() == [omegas[0], omegas[-1]]  # both gated and refined
+        err = np.abs(chi - clean).max(axis=(1, 2))
+        assert np.all(err <= 1e-12 * np.abs(clean).max(axis=(1, 2)))
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_spectrum_eliminates_at_most_half_its_points(self, builder, monkeypatch):
+        calls = self._record(monkeypatch)
+        for spec in _criterion_7_draws(5):
+            model = builder(spec)
+            grid = make_grid(model)
+            for g in (grid, grid.halved()):
+                n = g.points.size
+                calls.clear()
+                position_spectrum(model, "a", g)
+                force_spectrum_numeric(model, spec, g)
+                # the force spectrum's e_a row takes its mate e_a_dag along
+                assert [k for _, k in calls] == [1, 2]
+                assert all(w.size <= math.ceil(n / 2) + 1 for w, _ in calls)
+
+    @pytest.mark.parametrize("rows", ROW_SETS)
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_banded_elimination_is_bitwise_the_dense_one(self, builder, rows):
+        for spec in _criterion_7_draws(10):
+            model = builder(spec)
+            omegas = make_grid(model).points
+            u = ROW_SETS[rows](model)
+            got = spectra._eliminate(model.drift, omegas, u)
+            assert np.array_equal(got, _dense_eliminate(model.drift, omegas, u))
+
+    def test_dense_drift_runs_the_dense_elimination(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) - 4.0 * np.eye(6)
+        omegas = np.linspace(-10.0, 10.0, 101)
+        u = rng.normal(size=(2, 6))
+        rows, cols = spectra._band(6, (a != 0).tobytes())
+        assert rows == tuple(slice(j, 6, 1) for j in range(6))
+        assert np.array_equal(spectra._eliminate(a, omegas, u), _dense_eliminate(a, omegas, u))
 
 
 class TestPositionSpectrum:
@@ -660,6 +863,16 @@ class TestLorentzFit:
         y = 0.25 / (x**2 + 0.25) + 0.01
         with pytest.raises(FitFailureError, match="did not converge"):
             fit_lorentzian(x, y, (-5.0, 5.0))
+
+    @pytest.mark.parametrize("baseline", [0.0, 0.1])
+    def test_line_the_grid_does_not_resolve_raises(self, baseline):
+        # a peak one grid point wide converges to a FWHM of about 1e-9 to
+        # 1e-8, far below the 0.02 spacing
+        x = np.linspace(-1.0, 1.0, 101)
+        y = np.full_like(x, baseline)
+        y[50] += 1.0
+        with pytest.raises(FitFailureError, match="below the grid spacing"):
+            fit_lorentzian(x, y, (-1.0, 1.0))
 
 
 def _mode_a_line(model):
