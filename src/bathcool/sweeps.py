@@ -105,12 +105,13 @@ def _n_effs(specs, fidelity: str):
     a0, a1, b, corr, labels = zip(*(_pencil(s, rotating_wave=False) for s in specs))
     a0, a1, b, corr = map(np.stack, (a0, a1, b, corr))
     kappa = np.array([s.cavity.kappa for s in specs])
-    rows = labels[0].index("a"), labels[0].index("a_dag")
+    labels = labels[0]
+    rows = labels.index("a"), labels.index("a_dag")
 
     def covariance(gammas, slopes=False):
         g = np.sqrt(np.asarray(gammas, dtype=float) * kappa) / 2.0
         entries = _stacked_occupations(
-            a0 + g[:, None, None] * a1, b, corr[:, 0], *rows, a1=a1 if slopes else None
+            a0 + g[:, None, None] * a1, b, corr[:, 0], *rows, labels, a1=a1 if slopes else None
         )
         if not slopes:
             return entries

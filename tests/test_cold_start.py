@@ -1,8 +1,8 @@
 """Cold start: importing bathcool and running the CLI tasks load no scipy.
 
-scipy is imported on first use only, by the line fit and the
-Bartels-Stewart fallback.  Each check runs in a fresh interpreter, since
-this one has long since imported scipy.
+scipy is imported on first use only, by the line fit; the steady-state
+covariance solve needs numpy alone.  Each check runs in a fresh
+interpreter, since this one has long since imported scipy.
 """
 
 import os
@@ -81,12 +81,24 @@ def test_first_line_fit_in_a_fresh_process():
     assert fwhm == pytest.approx(1.0, rel=1e-9)
 
 
-def test_first_bartels_stewart_solve_in_a_fresh_process():
-    # A = -I, Q = 2I: Sigma = I
-    code = (
-        "import numpy as np\n"
-        "from bathcool import spectra\n"
-        "sigma = spectra._bartels_stewart(-np.eye(2), 2.0 * np.eye(2))\n"
-        "print(float(abs(sigma - np.eye(2)).max()))\n"
-    )
-    assert float(run_fresh(code)) <= 1e-15
+# the README system at C_OM = 7.14, built through the public API
+README_SPEC = """
+import math
+from bathcool import *
+two_pi = 2.0 * math.pi
+spec = SystemSpec(
+    mode_a=MechanicalMode(two_pi * 1e6, two_pi * 1.0, 300.0),
+    mode_b=MechanicalMode(two_pi * 1e6, two_pi * 1e3, 300.0),
+    cavity=CavityDrive(kappa=two_pi * 3e5, detuning=-two_pi * 1e6, g0=two_pi * 10.0,
+                       alpha=math.sqrt(7.14e3 * 3e5) / 2.0 / 10.0),
+    coupling=two_pi * 111.8,
+)
+n = steady_state_occupation(build_full_system(spec), "a")
+"""
+
+
+def test_steady_state_occupation_loads_no_scipy():
+    scope = {}
+    exec(README_SPEC, scope)
+    code = README_SPEC + f"assert n == {scope['n']!r}, n\n" + SCIPY_LOADED
+    assert run_fresh(code) == "[]"

@@ -30,7 +30,7 @@ from bathcool.errors import (
     NumericsError,
     UnstableSystemError,
 )
-from bathcool.model import CavityDrive, DriftModel, MechanicalMode, SystemSpec
+from bathcool.model import CavityDrive, DriftModel, MechanicalMode, SystemSpec, _pencil
 from bathcool.spectra import RESIDUAL_TOL, _chi_batch, _solve_rows
 
 from conftest import TWO_PI, make_spec
@@ -172,6 +172,42 @@ class TestGridClusters:
         grid = make_grid(_diagonal_model([self.EIG, near]))
         assert len(grid.clusters) == 2
         assert grid.clusters[0][0] != grid.clusters[1][0]
+
+    def test_paired_clusters_mirror_each_other(self):
+        for spec in _criterion_7_draws(50):
+            for builder in (build_rwa_system, build_full_system):
+                assert _mirrored(make_grid(builder(spec)).clusters)
+
+    def test_merging_does_not_follow_the_eigenvalue_order(self):
+        # config 41 of operating-point seed 501, full model: taken in this
+        # order, the wide line shared the 1247 rad/s line's center at
+        # +omega but not at -omega
+        eigs = np.array([
+            -0.22008529410231858 - 34535779.67159277j,
+            -623.5996535874934 - 34535797.71169121j,
+            -941904.9112744611 - 34535797.70992689j,
+            -941904.911274463 + 34535797.709926896j,
+            -623.5996535755321 + 34535797.71169125j,
+            -0.22008530339046625 + 34535779.671592794j,
+        ])
+        clusters = spectra._clusters(eigs)
+        assert _mirrored(clusters)
+        assert len({c for c, _ in clusters}) == 4
+        assert spectra._clusters(eigs[::-1]) == clusters
+
+
+def _mirrored(clusters):
+    """True when the clusters at omega < 0 mirror those at omega > 0: the
+    same count, the same centers shared, and centers and widths within
+    the merge tolerance of their mirror."""
+    c = np.array(clusters)
+    pos, neg = c[c[:, 0] > 0], c[c[:, 0] < 0] * [-1.0, 1.0]
+    if len(pos) != len(neg) or len(pos) + len(neg) != len(c):
+        return False
+    pos, neg = (x[np.lexsort(x.T[::-1])] for x in (pos, neg))
+    tol = np.maximum(1e-9 * pos[:, 1:], 1e-12 * np.abs(c[:, 0]).max())
+    shared = lambda x: x[:, None, 0] == x[None, :, 0]
+    return bool(np.all(np.abs(pos - neg) <= tol)) and np.array_equal(shared(pos), shared(neg))
 
 
 class TestSusceptibility:
@@ -390,11 +426,14 @@ class TestMirroredSolve:
 
     def test_pairing_needs_the_exact_conjugate_symmetry(self, spec50):
         model = build_full_system(spec50)
-        assert spectra._pairing(model).tolist() == [1, 0, 3, 2, 5, 4]
+        assert spectra._pairing(model.labels, model.drift).tolist() == [1, 0, 3, 2, 5, 4]
         drift = model.drift.copy()
         drift[0, 2] = complex(drift[0, 2].real, np.nextafter(drift[0, 2].imag, 0.0))
-        assert spectra._pairing(replace(model, drift=drift)) is None
-        assert spectra._pairing(_unpaired(model)) is None
+        assert spectra._pairing(model.labels, drift) is None
+        assert spectra._pairing(_unpaired(model).labels, model.drift) is None
+        # a stack pairs only if every matrix of it does
+        assert spectra._pairing(model.labels, np.stack([model.drift] * 2)) is not None
+        assert spectra._pairing(model.labels, np.stack([model.drift, drift])) is None
 
     def _record(self, monkeypatch):
         calls = []
@@ -580,25 +619,19 @@ class TestSteadyStateOccupation:
         assert 0.0 <= n <= 1e-9  # the vacuum floor, to roundoff
 
     def test_residual_beyond_tolerance_raises(self, monkeypatch):
-        # both paths return a perturbed Sigma: the eigenbasis one misses the
-        # gate, and so does its Bartels-Stewart fallback
+        # the one linear solve returns a perturbed Sigma, which misses the gate
         model = build_full_system(make_spec(c_ab=50.0, c_om=5.0))
         calls = []
-        eigenbasis = spectra._eigenbasis_lyapunov
-        solve = spectra.solve_continuous_lyapunov
+        solve = np.linalg.solve
 
-        def perturbed(name, fn):
-            def wrapped(*args):
-                calls.append(name)
-                return fn(*args) * (1.0 + 1e-6)
+        def perturbed(k, q):
+            calls.append(k.shape)
+            return solve(k, q) * (1.0 + 1e-6)
 
-            return wrapped
-
-        monkeypatch.setattr(spectra, "_eigenbasis_lyapunov", perturbed("eig", eigenbasis))
-        monkeypatch.setattr(spectra, "solve_continuous_lyapunov", perturbed("bs", solve))
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
         with pytest.raises(NumericsError, match="Lyapunov residual"):
             steady_state_occupation(model, "a")
-        assert calls == ["eig", "bs"]
+        assert calls == [(1, 21, 21)]
 
     def test_unstable_refused(self):
         spec = make_spec(c_ab=10.0, c_om=50.0)
@@ -618,19 +651,20 @@ def _exceptional_point_spec():
     return replace(spec, coupling=(spec.mode_b.gamma - spec.mode_a.gamma) / 4.0)
 
 
-def _bartels_stewart_occupation(model, select="a"):
-    """Independent n_eff: scipy's Schur-based solve and u Sigma u^T."""
-    b = model.noise_input
-    q = (b * model.input_correlations[0]) @ b.T
-    sigma = spectra.solve_continuous_lyapunov(model.drift, -q)
-    u = np.zeros(model.dimension)
-    u[[model.index(select), model.index(select + "_dag")]] = 1.0
-    return ((u @ sigma @ u).real - 1.0) / 2.0
+_EXACT = {}  # a 40-digit solve takes about 0.2 s; tests share them
 
 
 def _kronecker_occupation(model, select="a", digits=40):
     """n_eff from a ``digits``-digit solve of the Kronecker form
     (I (x) A + conj(A) (x) I) vec(Sigma) = -vec(Q), column-major vec."""
+    key = (model.drift.tobytes(), model.noise_input.tobytes(),
+           model.input_correlations.tobytes(), model.labels, select, digits)
+    if key not in _EXACT:
+        _EXACT[key] = _kronecker_solve(model, select, digits)
+    return _EXACT[key]
+
+
+def _kronecker_solve(model, select, digits):
     d = model.dimension
     b = model.noise_input
     q = (b * model.input_correlations[0]) @ b.T
@@ -670,27 +704,36 @@ class TestConditioning:
             assert abs(n - exact) <= bound * exact
 
 
-class TestBatchedCovariance:
-    """steady_state_occupations: one eigenbasis solve per batch, a
-    Bartels-Stewart fallback where the residual gate fails."""
+class TestCovarianceAccuracy:
+    """The folded real solve against a 40-digit one, on stiff draws, the
+    exceptional point and criterion-7 draws."""
+
+    SPECS = (
+        [make_spec(**kw) for kw in TestConditioning.DRAWS]
+        + [_exceptional_point_spec()]
+        + list(_criterion_7_draws(6))
+    )
 
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
-    def test_exceptional_point_falls_back_to_bartels_stewart(self, builder, monkeypatch):
+    def test_within_1e_14_of_a_40_digit_solve(self, builder):
+        for spec in self.SPECS:
+            model = builder(spec)
+            exact = _kronecker_occupation(model)
+            assert abs(steady_state_occupation(model, "a") - exact) <= 1e-14 * exact
+
+
+class TestBatchedCovariance:
+    """steady_state_occupations: one eigvals call and one folded real
+    linear solve per batch."""
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_exceptional_point_matches_a_40_digit_solve(self, builder):
         model = builder(_exceptional_point_spec())
-        b = model.noise_input
-        q = ((b * model.input_correlations[0]) @ b.T)[None]
-        lam, v = np.linalg.eig(model.drift[None])
-        sigma = spectra._eigenbasis_lyapunov(lam, v, q)
-        assert spectra._lyapunov_residuals(model.drift[None], sigma, q)[0] > RESIDUAL_TOL
-
-        n = steady_state_occupation(model, "a")
-        assert n == pytest.approx(_bartels_stewart_occupation(model), rel=1e-12)
-        # the same number as a solve that skips the eigenbasis altogether
-        def missed(lam, v, q):
-            return np.full(q.shape, np.nan, dtype=complex)
-
-        monkeypatch.setattr(spectra, "_eigenbasis_lyapunov", missed)
-        assert steady_state_occupation(model, "a") == n
+        # the eigenbasis is defective there: an eigenvector solve is ill-conditioned
+        _, v = np.linalg.eig(model.drift)
+        assert np.linalg.cond(v) > 1e5
+        exact = _kronecker_occupation(model)
+        assert abs(steady_state_occupation(model, "a") - exact) <= 1e-14 * exact
 
     def test_mixed_batch_matches_single_calls(self):
         stable = build_full_system(make_spec(c_ab=50.0, c_om=5.0))
@@ -726,21 +769,101 @@ class TestBatchedCovariance:
         with pytest.raises(ValueError):
             spectra.steady_state_occupations([build_full_system(spec50)], "q")
 
-    def test_one_eigendecomposition_per_batch(self, monkeypatch):
+    def test_one_eigvals_and_one_solve_per_batch(self, monkeypatch):
         spec = make_spec(c_ab=50.0, gamma_a_hz=0.1, gamma_b_hz=10.0, kappa_hz=1e4)
         models = [build_full_system(replace(spec, coupling=spec.coupling * f))
                   for f in (0.5, 1.0, 2.0)]
         calls = []
-        eig = np.linalg.eig
 
-        def counted(a):
-            calls.append(a.shape)
-            return eig(a)
+        def counted(name, fn):
+            def wrapped(*args):
+                calls.append((name, args[0].shape))
+                return fn(*args)
 
-        monkeypatch.setattr(spectra.np.linalg, "eig", counted)
+            return wrapped
+
+        def refused(*args):
+            raise AssertionError("no eigenvectors are needed")
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+        monkeypatch.setattr(np.linalg, "eig", refused)
         monkeypatch.setattr(spectra, "stability_eigenvalues", None)
         spectra.steady_state_occupations(models, "a")
-        assert calls == [(3, 6, 6)]
+        # 21 = 6*7/2 real coordinates of a paired Hermitian Sigma
+        assert calls == [("eigvals", (3, 6, 6)), ("solve", (3, 21, 21))]
+
+    @pytest.mark.parametrize("perm, m", [((1, 0, 3, 2, 5, 4), 21), (None, 36)])
+    def test_fold_is_exact_and_combines_at_most_two_entries(self, perm, m):
+        # so it adds no rounding to A or Q beyond their own, in any batch
+        op, qmap, unfold = spectra._fold(6, perm)
+        assert op.shape == (72, m * m) and qmap.shape == (36, m) and unfold.shape == (m, 72)
+        for x in (op, qmap, unfold):
+            assert set(np.unique(x)) <= {-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0}
+            assert (x != 0).sum(axis=0).max() <= 2
+
+
+class TestUnpairedCovariance:
+    """A stack the labels do not pair is solved on all d^2 coordinates of
+    Sigma (the identity fold), with the raw Q."""
+
+    def _folds(self, monkeypatch):
+        folds = []
+        fold = spectra._fold
+
+        def recorded(d, perm):
+            folds.append((d, perm))
+            return fold(d, perm)
+
+        monkeypatch.setattr(spectra, "_fold", recorded)
+        return folds
+
+    def test_diagonal_drift_matches_the_closed_form(self, monkeypatch):
+        # x and x_dag with widths that break the pairing: Sigma is diagonal,
+        # Sigma_ii = Q_ii / (-2 Re lam_i)
+        lam = np.array([complex(-0.3, -5.0), complex(-0.7, 5.0)])
+        weights = np.array([[4.0, 3.0], [3.0, 4.0]])
+        model = DriftModel(2, np.diag(lam), np.diag([1.5, 2.0]), weights, ("x", "x_dag"))
+        folds = self._folds(monkeypatch)
+        n = steady_state_occupation(model, "x")
+        sigma = np.array([1.5**2, 2.0**2]) * weights[0] / (-2.0 * lam.real)
+        assert n == pytest.approx((sigma.sum() - 1.0) / 2.0, rel=1e-15)
+        assert folds == [(2, None)]
+
+    def test_unpaired_labels_match_a_40_digit_solve(self, monkeypatch):
+        model = build_full_system(make_spec(**TestConditioning.DRAWS[0]))
+        folds = self._folds(monkeypatch)
+        (n,) = spectra._stacked_occupations(
+            model.drift[None], model.noise_input, model.input_correlations[0],
+            0, 1, _unpaired(model).labels,
+        )
+        assert folds == [(6, None)]
+        exact = _kronecker_occupation(model)
+        assert abs(n - exact) <= 1e-14 * exact
+
+    def test_a1_alone_can_break_the_pairing(self, monkeypatch):
+        # a paired stack with a paired and an unpaired dA/dG: the second
+        # takes the identity fold, with the same n and its own exact slope
+        spec = make_spec(c_ab=50.0, c_om=5.0)
+        a0, a1, b, corr, labels = _pencil(spec, rotating_wave=False)
+        g = spec.cavity.alpha_g0
+        bad = a1.copy()
+        bad[0, 2] += 0.3j  # no conjugate partner at [1, 3]
+        assert spectra._pairing(labels, a0 + g * a1, a1) is not None
+        assert spectra._pairing(labels, a0 + g * a1, bad) is None
+        folds = self._folds(monkeypatch)
+
+        def entry(drift, a1=None):
+            (e,) = spectra._stacked_occupations(drift[None], b, corr[0], 0, 1, labels, a1=a1)
+            return e
+
+        n_paired, _ = entry(a0 + g * a1, a1)
+        n, slope = entry(a0 + g * a1, bad)
+        assert folds[:2] == [(6, (1, 0, 3, 2, 5, 4)), (6, None)]
+        assert abs(n - n_paired) <= 1e-14 * n_paired
+        h = 1e-6 * g
+        fd = (entry(a0 + g * a1 + h * bad) - entry(a0 + g * a1 - h * bad)) / (2.0 * h)
+        assert slope == pytest.approx(fd, rel=1e-6)
 
 
 class TestIntegration:

@@ -18,6 +18,7 @@ from bathcool import (
 )
 from bathcool import spectra, sweeps
 from bathcool.errors import NumericsError, PhysicsError, UnstableSystemError
+from bathcool.model import DriftModel, _pencil
 
 from conftest import make_spec
 
@@ -387,19 +388,24 @@ class TestSecantSearch:
                 (n(c * math.exp(h)) - n(c * math.exp(-h))) / (2 * h), rel=tol
             )
 
-    def test_bartels_stewart_points_get_the_same_slopes(self, monkeypatch):
+    def test_slopes_at_the_exceptional_point_match_central_differences(self):
+        # omega_a = omega_b, alpha = 0, lambda = (gamma_b - gamma_a)/4: the
+        # mechanical eigenvalues coalesce; the slope along dA/dlambda is
+        # solved on the same folded operator as Sigma
         spec = make_spec(c_ab=50.0)
-        gammas = [c * spec.mode_b.gamma for c in (1.0, 7.0, 30.0)]
-        eigenbasis = sweeps._n_effs([spec], "full")(gammas, slopes=True)
+        lam = (spec.mode_b.gamma - spec.mode_a.gamma) / 4.0
+        drift = lambda x: _pencil(replace(spec, coupling=x), rotating_wave=False)[0]
+        _, _, b, corr, labels = _pencil(spec, rotating_wave=False)
+        da = drift(1.0) - drift(0.0)  # exact: the lambda entries are +-1j
 
-        def missed(lam, v, q):
-            return np.full(q.shape, np.nan, dtype=complex)
+        def entry(x, a1=None):
+            (e,) = spectra._stacked_occupations(drift(x)[None], b, corr[0], 0, 1, labels, a1=a1)
+            return e
 
-        monkeypatch.setattr(spectra, "_eigenbasis_lyapunov", missed)
-        fallback = sweeps._n_effs([spec], "full")(gammas, slopes=True)
-        for got, want in zip(fallback, eigenbasis):
-            assert got == pytest.approx(want, rel=1e-7)
-
+        n, slope = entry(lam, da)
+        assert n == steady_state_occupation(DriftModel(6, drift(lam), b, corr, labels), "a")
+        h = 1e-2 * lam
+        assert slope == pytest.approx((entry(lam + h) - entry(lam - h)) / (2 * h), rel=1e-5)
 
 class TestEvaluationCounts:
     SPEC = make_spec(c_ab=50.0)
