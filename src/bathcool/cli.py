@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import difflib
+import functools
 import json
 import math
 import sys
@@ -359,16 +360,9 @@ def _run_sweep(config: RunConfig):
     values = np.geomspace(s["c_om_min"], s["c_om_max"], n)
     result = sweep_cooperativity(config.system, values, fidelity=config.fidelity)
     header = ["C_OM", "n_eff", "T_ratio", "linewidth_rad_s", "flags"]
-    rows = [
-        (
-            result.axis_values[i],
-            result.n_eff[i],
-            result.T_ratio[i],
-            result.linewidths[i],
-            _flags_str(result.validity_flags[i]),
-        )
-        for i in range(values.size)
-    ]
+    columns = (result.axis_values, result.n_eff, result.T_ratio, result.linewidths)
+    flags = [_flags_str(f) for f in result.validity_flags]
+    rows = list(zip(*(x.tolist() for x in columns), flags))
     finite = np.isfinite(result.n_eff)
     if not finite.any():
         raise PhysicsError("every sweep point failed")
@@ -522,7 +516,9 @@ def run(config: RunConfig, out: str | None = None):
     return summary
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="bathcool",
         description="Optomechanical bath-engineering cooling toolkit",
@@ -535,7 +531,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output base path")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--fidelity", choices=("rwa", "full"), default=None)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.task is None:
         parser.print_help(sys.stderr)

@@ -137,13 +137,18 @@ def _require_stable(model: DriftModel):
 
 
 def _instability(eigs: np.ndarray) -> UnstableSystemError | None:
-    """The error for drift eigenvalues with a non-negative real part, if any."""
-    bad = eigs[eigs.real >= 0]
+    """The error for drift eigenvalues with a non-negative real part, if any.
+
+    They are listed by imaginary part, then real part, and formatted as
+    complex numbers even when ``eigs`` is a real array, so the complex
+    and the real-form eigensolves give the same message layout.
+    """
+    bad = eigs[eigs.real >= 0].astype(complex)
     if not bad.size:
         return None
     return UnstableSystemError(
         "drift matrix has non-negative-real-part eigenvalue(s): "
-        + ", ".join(f"{z:.6g}" for z in bad)
+        + ", ".join(f"{z:.6g}" for z in bad[np.lexsort((bad.real, bad.imag))])
     )
 
 
@@ -527,18 +532,20 @@ def _stacked_occupations(a, b, weights, r, c, labels, a1=None) -> list:
     ``a`` is (n, d, d); the noise inputs ``b`` and <xi xi^dag> weights
     broadcast against it, as do the row indices ``r``, ``c``.  Entry i is
     a float or the BathcoolError of point i.  The eigenvalues of the stack
-    give the stability check.  Sigma comes from one batched real linear
+    give the stability check: if ``labels`` (None if the points share
+    none) pair the finite stack (:func:`_pairing`), those of its real
+    quadrature form (:func:`_quadrature_map`), from the real eigensolver,
+    else those of A itself.  Sigma comes from one batched real linear
     solve of A Sigma + Sigma A^dag = -Q on its real coordinates
     (:func:`_fold`), LU with partial pivoting: backward stable however
-    ill-conditioned the eigenbasis, so there is no fallback.  If
-    ``labels`` (None if the points share none) pair the stack and ``a1``
-    (:func:`_pairing`), Q becomes (Q + P conj(Q) P)/2, weight (2n+1)/2 per
-    channel, so Sigma = P conj(Sigma) P has d(d+1)/2 coordinates, not d^2,
-    and u Sigma u^T is unchanged (u = e_r + e_c is real, u P = u).  Within
-    5e-16 of a 40-digit solve on 68 models (stiff, exceptional-point and
-    criterion-7 draws).  Each point's ||A Sigma + Sigma A^dag + Q|| /
-    (2 ||A|| ||Sigma|| + ||Q||), for the Q solved, must be within
-    RESIDUAL_TOL, else NumericsError.
+    ill-conditioned the eigenbasis, so there is no fallback.  If the
+    labels pair the stack and ``a1`` too, Q becomes (Q + P conj(Q) P)/2,
+    weight (2n+1)/2 per channel, so Sigma = P conj(Sigma) P has d(d+1)/2
+    coordinates, not d^2, and u Sigma u^T is unchanged (u = e_r + e_c is
+    real, u P = u).  Within 5e-16 of a 40-digit solve on 68 models (stiff,
+    exceptional-point and criterion-7 draws).  Each point's
+    ||A Sigma + Sigma A^dag + Q|| / (2 ||A|| ||Sigma|| + ||Q||), for the Q
+    solved, must be within RESIDUAL_TOL, else NumericsError.
 
     Given ``a1``, the dA/dG of a drift A0 + G*A1 (broadcasting like
     ``b``), the float of entry i becomes ``(n, dn/dG)``: dSigma/dG solves
@@ -550,13 +557,20 @@ def _stacked_occupations(a, b, weights, r, c, labels, a1=None) -> list:
     for i in np.flatnonzero(~finite):
         results[i] = NumericsError("drift matrix has non-finite entries")
     idx = np.flatnonzero(finite)
-    lam = np.linalg.eigvals(a[idx])
+    d = a.shape[-1]
+    perm = None if labels is None else _pairing(labels, a[idx])
+    if perm is None:
+        lam = np.linalg.eigvals(a[idx])
+    else:  # the same spectrum from the real eigensolver, about half the work
+        to_real = _quadrature_map(d, tuple(perm.tolist()))
+        real_form = a[idx].view(float).reshape(-1, 2 * d * d) @ to_real
+        lam = np.linalg.eigvals(real_form.reshape(-1, d, d))
     stable = np.all(lam.real < 0, axis=1)
     for i, eigs in zip(idx[~stable], lam[~stable]):
         results[i] = _instability(eigs)
     idx = idx[stable]
-    perm = None if labels is None else _pairing(labels, a[idx], *([] if a1 is None else [a1]))
-    d = a.shape[-1]
+    if a1 is not None and perm is not None and _pairing(labels, a1) is None:
+        perm = None
     op, qmap, unfold = _fold(d, None if perm is None else tuple(perm.tolist()))
     m = qmap.shape[1]
     # a complex matrix enters by its float view, [Re A_00, Im A_00, Re A_01, ...]
@@ -624,6 +638,34 @@ def _fold(d: int, perm: tuple | None) -> tuple:
     qmap = (qmap + qmap @ image) / 2.0
     unfold = (span.T @ basis.reshape(n, n)).view(float)
     return (op @ span)[:, keep].reshape(2 * n, -1), qmap[:, keep], unfold
+
+
+@functools.lru_cache(maxsize=4)
+def _quadrature_map(d: int, perm: tuple) -> np.ndarray:
+    """(2d^2, d^2): A's float view -> the real M = U A U^-1, row-major.
+
+    U maps each pair v_i, v_Pi (i < Pi) to x = v_i + v_Pi and
+    p = -i (v_i - v_Pi), in the order x, p of pair 0, then pair 1, ...
+    For A = P conj(A) P (:func:`_pairing`), A_{Pi,Pj} = conj(A_ij) makes
+    M real with the eigenvalues of A: M[x_k, x_l] = Re A_ij + Re A_{i,Pj},
+    M[x_k, p_l] = -Im A_ij + Im A_{i,Pj}, M[p_k, x_l] = Im A_ij + Im A_{i,Pj}
+    and M[p_k, p_l] = Re A_ij - Re A_{i,Pj}, for the k-th pair's i and the
+    l-th pair's j.  Entries 0 and +-1 only: each entry of M combines at
+    most two entries of A with one rounding, less than the eps*||A||
+    backward error of the complex eigensolve.
+    """
+    perm = np.array(perm)
+    pairs = np.flatnonzero(np.arange(d) < perm)
+    k, l = np.meshgrid(np.arange(pairs.size), np.arange(pairs.size), indexing="ij")
+    i, j = pairs[k], pairs[l]
+    pj = perm[j]
+    out = np.zeros((2 * d * d, d * d))
+    # (row x/p, column x/p, Im part?, sign of A_ij, sign of A_{i,Pj})
+    for p, q, im, s, t in ((0, 0, 0, 1, 1), (0, 1, 1, -1, 1), (1, 0, 1, 1, 1), (1, 1, 0, 1, -1)):
+        entry = (2 * k + p) * d + 2 * l + q
+        out[2 * (i * d + j) + im, entry] = s
+        out[2 * (i * d + pj) + im, entry] = t
+    return out
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bathcool import cli
+from bathcool import __version__, cli
 from bathcool.cli import main, parse_config
 from bathcool.errors import ConfigError
 
@@ -365,6 +365,48 @@ temperature_k = 300
     def test_no_subcommand_prints_help(self, capsys):
         assert main([]) == 1
         assert "spectrum" in capsys.readouterr().err
+
+
+class TestCachedParser:
+    """The parser is built once per process; no call carries into the next."""
+
+    def test_calls_are_independent(self, tmp_path):
+        extra = "\n[sweep]\nc_om_min = 0.1\nc_om_max = 100\npoints_per_decade = 4\n"
+        path = write_config(tmp_path, base_config("sweep", extra=extra))
+        calls = [
+            ["--format", "csv", "--fidelity", "rwa"],
+            ["--format", "json", "--fidelity", "full"],
+            ["--format", "csv", "--fidelity", "rwa"],
+            [],  # the config's own: csv, rwa
+        ]
+        for k, options in enumerate(calls):
+            out = str(tmp_path / f"r{k}")
+            assert main(["sweep", "--config", path, "--out", out, *options]) == 0
+        assert cli._parser() is cli._parser()
+        summaries = [json.loads((tmp_path / f"r{k}.summary.json").read_text()) for k in range(4)]
+        assert [s["fidelity"] for s in summaries] == ["rwa", "full", "rwa", "rwa"]
+        csv = (tmp_path / "r0.csv").read_bytes()
+        assert (tmp_path / "r2.csv").read_bytes() == csv
+        assert (tmp_path / "r3.csv").read_bytes() == csv
+        assert json.loads((tmp_path / "r1.json").read_text())["columns"][0] == "C_OM"
+        assert not (tmp_path / "r1.csv").exists()
+
+    def test_bad_argv_then_a_good_call(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config("optimize"))
+        for argv in (["optimize", "--config", path, "--fidelity", "exact"], ["optimize"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["optimize", "--config", path]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["fidelity"] == "rwa" and captured.err == ""
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"{__version__}\n"
 
 
 _FUZZ_SYSTEM = {

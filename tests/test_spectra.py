@@ -775,9 +775,12 @@ class TestBatchedCovariance:
                   for f in (0.5, 1.0, 2.0)]
         calls = []
 
+        dtypes = []
+
         def counted(name, fn):
             def wrapped(*args):
                 calls.append((name, args[0].shape))
+                dtypes.append(args[0].dtype)
                 return fn(*args)
 
             return wrapped
@@ -792,6 +795,18 @@ class TestBatchedCovariance:
         spectra.steady_state_occupations(models, "a")
         # 21 = 6*7/2 real coordinates of a paired Hermitian Sigma
         assert calls == [("eigvals", (3, 6, 6)), ("solve", (3, 21, 21))]
+        # a paired stack: the eigenvalues of its real quadrature form
+        assert dtypes[0] == np.float64
+        # an unpaired one: those of the complex A itself, on all 36 coordinates
+        calls.clear()
+        dtypes.clear()
+        m0 = models[0]
+        spectra._stacked_occupations(
+            np.stack([m.drift for m in models]), m0.noise_input, m0.input_correlations[0],
+            0, 1, _unpaired(m0).labels,
+        )
+        assert calls == [("eigvals", (3, 6, 6)), ("solve", (3, 36, 36))]
+        assert dtypes[0] == np.complex128
 
     @pytest.mark.parametrize("perm, m", [((1, 0, 3, 2, 5, 4), 21), (None, 36)])
     def test_fold_is_exact_and_combines_at_most_two_entries(self, perm, m):
@@ -801,6 +816,72 @@ class TestBatchedCovariance:
         for x in (op, qmap, unfold):
             assert set(np.unique(x)) <= {-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0}
             assert (x != 0).sum(axis=0).max() <= 2
+
+
+def _real_form(model):
+    """M = U A U^-1 of a paired model, through spectra's cached map."""
+    d = model.dimension
+    perm = spectra._pairing(model.labels, model.drift)
+    to_real = spectra._quadrature_map(d, tuple(perm.tolist()))
+    return (model.drift.view(float).reshape(2 * d * d) @ to_real).reshape(d, d)
+
+
+class TestRealQuadratureForm:
+    """The stability check of a paired stack takes the eigenvalues of its
+    real quadrature form, x = v + v^dag and p = -i (v - v^dag) per mode."""
+
+    @pytest.mark.parametrize("perm", [(1, 0, 3, 2, 5, 4), (1, 0)])
+    def test_map_is_exact_and_combines_at_most_two_entries(self, perm):
+        # so M carries one rounding per entry, less than zgeev's eps*||A||
+        d = len(perm)
+        to_real = spectra._quadrature_map(d, perm)
+        assert to_real.shape == (2 * d * d, d * d)
+        assert set(np.unique(to_real)) == {-1.0, 0.0, 1.0}
+        assert (to_real != 0).sum(axis=0).max() == 2
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_eigenvalues_match_the_complex_eigensolve(self, builder):
+        from scipy.optimize import linear_sum_assignment
+
+        for spec in _criterion_7_draws(256):
+            model = builder(spec)
+            tol = 1e3 * np.finfo(float).eps * np.linalg.norm(model.drift)
+            real_form = np.linalg.eigvals(_real_form(model))
+            complex_form = spectra.stability_eigenvalues(model)
+            # pair each eigenvalue with its nearest counterpart, conjugates
+            # included; a sort would reorder near-equal real parts
+            gap = np.abs(real_form[:, None] - complex_form[None, :])
+            rows, cols = linear_sum_assignment(gap)
+            assert gap[rows, cols].max() <= tol
+
+    def test_stability_decisions_match_on_the_readme_sweep(self):
+        # the README system at C_OM in [0.1, 1e5], as a full-fidelity CLI sweep
+        c_om = np.geomspace(0.1, 1e5, 61)
+        models = [build_full_system(make_spec(c_ab=50.0, c_om=c)) for c in c_om]
+        entries = spectra.steady_state_occupations(models, "a")
+        unstable = [isinstance(e, UnstableSystemError) for e in entries]
+        assert sum(unstable) == 15
+        complex_form = [spectra.stability_eigenvalues(m) for m in models]
+        assert unstable == [bool(np.any(lam.real >= 0)) for lam in complex_form]
+
+    def test_instability_messages_are_canonical(self):
+        # by imaginary part, then real part, always complex-formatted
+        error = spectra._instability(np.array([2.0, -1.0, 1.0]))
+        assert str(error).endswith(": 1+0j, 2+0j")
+        error = spectra._instability(np.array([1 + 2j, 3 - 1j, 0.5 - 1j, -1 + 0j]))
+        assert str(error).endswith(": 0.5-1j, 3-1j, 1+2j")
+
+    def test_stacked_and_single_model_messages_agree(self):
+        spec = make_spec(c_ab=10.0, c_om=50.0)
+        spec = replace(spec, cavity=replace(spec.cavity, detuning=-spec.cavity.detuning))
+        model = build_full_system(spec)
+        (stacked,) = spectra.steady_state_occupations([model], "a")
+        with pytest.raises(UnstableSystemError) as single:
+            spectra._require_stable(model)
+        values = lambda exc: np.array([complex(z) for z in str(exc).split(": ")[1].split(", ")])
+        assert isinstance(stacked, UnstableSystemError)
+        assert len(values(stacked)) == len(values(single.value)) == 2
+        assert np.allclose(values(stacked), values(single.value), rtol=1e-5)
 
 
 class TestUnpairedCovariance:
