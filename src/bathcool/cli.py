@@ -179,6 +179,9 @@ def _check_keys(section: str, items: dict):
 
 
 def _build_cavity(items: dict) -> CavityDrive:
+    """The drive of [cavity]: from ``pump_hz`` if given, else from ``alpha`` (default 0)."""
+    if "alpha" in items and "pump_hz" in items:
+        raise ConfigError("[cavity] gives both alpha and pump_hz; give one")
     g = lambda k, d=None: _float("cavity", k, items[k]) if k in items else d
     kappa = g("kappa_hz") * TWO_PI
     detuning = g("detuning_hz") * TWO_PI

@@ -168,7 +168,7 @@ class DriftModel:
     input_correlations : (2, n) float ndarray
         Row 0 holds the <xi_k xi_k^dag> coefficients, row 1 the
         <xi_k^dag xi_k> coefficients (nbar+1 / nbar pairs per the thermal
-        input correlators).
+        input correlators); finite and >= 0, so every spectrum is >= 0.
     labels : tuple of str
         Operator basis labels, same order as the drift rows.
     """
@@ -194,6 +194,8 @@ class DriftModel:
             raise ValueError("noise_input must have `dimension` rows")
         if c.shape != (2, b.shape[1]):
             raise ValueError("input_correlations must be (2, n_channels)")
+        if not np.all((c >= 0) & (c < math.inf)):
+            raise ValueError(f"input_correlations must be finite and >= 0, got {c.tolist()}")
         if len(self.labels) != self.dimension:
             raise ValueError("labels must match dimension")
 

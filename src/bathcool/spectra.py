@@ -140,12 +140,14 @@ def _instability(eigs: np.ndarray) -> UnstableSystemError | None:
     """The error for drift eigenvalues with a non-negative real part, if any.
 
     They are listed by imaginary part, then real part, and formatted as
-    complex numbers even when ``eigs`` is a real array, so the complex
-    and the real-form eigensolves give the same message layout.
+    complex numbers even when ``eigs`` is a real array.  An imaginary part
+    within 1e3*eps*max|lam|, roundoff of the complex eigensolve on a real
+    eigenvalue, is written as 0, so both eigensolves give one message.
     """
     bad = eigs[eigs.real >= 0].astype(complex)
     if not bad.size:
         return None
+    bad.imag[np.abs(bad.imag) <= 1e3 * np.finfo(float).eps * np.abs(eigs).max()] = 0.0
     return UnstableSystemError(
         "drift matrix has non-negative-real-part eigenvalue(s): "
         + ", ".join(f"{z:.6g}" for z in bad[np.lexsort((bad.real, bad.imag))])
@@ -233,7 +235,8 @@ def _pairing(labels: tuple, *drifts) -> np.ndarray | None:
 
     Returns ``perm`` when every label has its mate and
     ``drift[..., perm, perm] == conj(drift)`` holds exactly for every
-    drift (a matrix or a stack), as for both builders' models; else None.
+    drift (a matrix or a stack; None is skipped), as for both builders'
+    models; else None.
     For such a drift T(-omega) = P conj(T(omega)) P, with P the
     permutation matrix of ``perm`` and T = -i*omega*I - A.
     """
@@ -242,7 +245,7 @@ def _pairing(labels: tuple, *drifts) -> np.ndarray | None:
         return None
     perm = np.array([labels.index(x) for x in mates])
     for drift in drifts:
-        if not np.array_equal(drift[..., perm[:, None], perm], drift.conj()):
+        if drift is not None and not np.array_equal(drift[..., perm[:, None], perm], drift.conj()):
             return None
     return perm
 
@@ -438,7 +441,8 @@ def position_spectrum(
     In the conjugate-paired basis the quadrature is the single
     susceptibility row u = e_select + e_select_dag, so
     S_xx = |u chi B|^2 . <xi xi^dag>, which covers both +-omega
-    resonances.  Refuses unstable models.
+    resonances and, as :class:`DriftModel` holds the correlations >= 0,
+    is >= 0 unclipped.  Refuses unstable models.
     """
     if select not in model.labels:
         raise ValueError(f"unknown mode label {select!r}; have {model.labels}")
@@ -449,18 +453,6 @@ def position_spectrum(
     u = _quadrature(model, select)[None, :]
     w = _solve_rows(model, grid.points, u)[:, 0, :] @ model.noise_input
     values = np.abs(w) ** 2 @ model.input_correlations[0]
-
-    vmax = float(values.max())
-    neg = values < 0
-    if np.any(values < -1e-12 * vmax):
-        raise NumericsError("spectrum has negative values beyond roundoff level")
-    n_neg = int(np.count_nonzero(neg))
-    if n_neg > 1e-4 * values.size:
-        raise NumericsError(
-            f"{n_neg} of {values.size} spectral points negative before clipping"
-        )
-    values = np.where(neg, 0.0, values)
-
     n_eff, err = integrate_occupation(grid, values)
     if n_eff < 0:
         if n_eff < -1e-3:
@@ -531,21 +523,22 @@ def _stacked_occupations(a, b, weights, r, c, labels, a1=None) -> list:
 
     ``a`` is (n, d, d); the noise inputs ``b`` and <xi xi^dag> weights
     broadcast against it, as do the row indices ``r``, ``c``.  Entry i is
-    a float or the BathcoolError of point i.  The eigenvalues of the stack
-    give the stability check: if ``labels`` (None if the points share
-    none) pair the finite stack (:func:`_pairing`), those of its real
-    quadrature form (:func:`_quadrature_map`), from the real eigensolver,
-    else those of A itself.  Sigma comes from one batched real linear
-    solve of A Sigma + Sigma A^dag = -Q on its real coordinates
+    a float or the BathcoolError of point i.  One pairing decision serves
+    the call: the stack is paired if ``labels`` (None if the points share
+    none) pair its finite drifts and ``a1`` (:func:`_pairing`).  The
+    stability check takes the eigenvalues of a paired stack's real
+    quadrature form (``to_real`` of :func:`_fold`) from the real
+    eigensolver, else those of A itself.  Sigma comes from one batched real
+    linear solve of A Sigma + Sigma A^dag = -Q on its real coordinates
     (:func:`_fold`), LU with partial pivoting: backward stable however
-    ill-conditioned the eigenbasis, so there is no fallback.  If the
-    labels pair the stack and ``a1`` too, Q becomes (Q + P conj(Q) P)/2,
-    weight (2n+1)/2 per channel, so Sigma = P conj(Sigma) P has d(d+1)/2
-    coordinates, not d^2, and u Sigma u^T is unchanged (u = e_r + e_c is
-    real, u P = u).  Within 5e-16 of a 40-digit solve on 68 models (stiff,
-    exceptional-point and criterion-7 draws).  Each point's
-    ||A Sigma + Sigma A^dag + Q|| / (2 ||A|| ||Sigma|| + ||Q||), for the Q
-    solved, must be within RESIDUAL_TOL, else NumericsError.
+    ill-conditioned the eigenbasis, so there is no fallback.  For a paired
+    stack Q becomes (Q + P conj(Q) P)/2, weight (2n+1)/2 per channel, so
+    Sigma = P conj(Sigma) P has d(d+1)/2 coordinates, not d^2, and
+    u Sigma u^T is unchanged (u = e_r + e_c is real, u P = u).  Within 5e-16
+    of a 40-digit solve on 68 models (stiff, exceptional-point and
+    criterion-7 draws).  Each point's ||A Sigma + Sigma A^dag + Q|| /
+    (2 ||A|| ||Sigma|| + ||Q||), for the Q solved, must be within
+    RESIDUAL_TOL, else NumericsError.
 
     Given ``a1``, the dA/dG of a drift A0 + G*A1 (broadcasting like
     ``b``), the float of entry i becomes ``(n, dn/dG)``: dSigma/dG solves
@@ -558,20 +551,17 @@ def _stacked_occupations(a, b, weights, r, c, labels, a1=None) -> list:
         results[i] = NumericsError("drift matrix has non-finite entries")
     idx = np.flatnonzero(finite)
     d = a.shape[-1]
-    perm = None if labels is None else _pairing(labels, a[idx])
-    if perm is None:
+    perm = None if labels is None else _pairing(labels, a[idx], a1)
+    op, qmap, unfold, to_real = _fold(d, None if perm is None else tuple(perm.tolist()))
+    if to_real is None:
         lam = np.linalg.eigvals(a[idx])
     else:  # the same spectrum from the real eigensolver, about half the work
-        to_real = _quadrature_map(d, tuple(perm.tolist()))
         real_form = a[idx].view(float).reshape(-1, 2 * d * d) @ to_real
         lam = np.linalg.eigvals(real_form.reshape(-1, d, d))
     stable = np.all(lam.real < 0, axis=1)
     for i, eigs in zip(idx[~stable], lam[~stable]):
         results[i] = _instability(eigs)
     idx = idx[stable]
-    if a1 is not None and perm is not None and _pairing(labels, a1) is None:
-        perm = None
-    op, qmap, unfold = _fold(d, None if perm is None else tuple(perm.tolist()))
     m = qmap.shape[1]
     # a complex matrix enters by its float view, [Re A_00, Im A_00, Re A_01, ...]
     operator = lambda x: (
@@ -604,7 +594,8 @@ def _stacked_occupations(a, b, weights, r, c, labels, a1=None) -> list:
 
 @functools.lru_cache(maxsize=4)
 def _fold(d: int, perm: tuple | None) -> tuple:
-    """``(op, qmap, unfold)``: A Sigma + Sigma A^dag on Sigma's real coordinates.
+    """``(op, qmap, unfold, to_real)``: A Sigma + Sigma A^dag on Sigma's real
+    coordinates, and A's real quadrature form.
 
     A Hermitian Sigma has d^2 real coordinates, Re Sigma_ij (i <= j) and
     Im Sigma_ij (i < j).  With ``perm``, Sigma -> P conj(Sigma) P sends
@@ -614,9 +605,15 @@ def _fold(d: int, perm: tuple | None) -> tuple:
     folded operator of A is its float view times ``op`` (m x m), the folded
     (Q + P conj(Q) P)/2 of a real Q is ``Q.ravel() @ qmap``, and the
     Hermitian matrix of folded coordinates y has the float view
-    ``y @ unfold``.  All entries are 0, +-1/2, +-1 or +-2, built exactly,
-    and each folded entry combines at most two entries of A or Q, so it is
-    A's own roundoff (a 1/sqrt(2) basis change perturbs A by eps*||A||,
+    ``y @ unfold``.  ``to_real`` (None without ``perm``) takes A's float
+    view to M = U A U^-1, row-major, U mapping each pair i < Pi in turn to
+    x = v_i + v_Pi and p = -i (v_i - v_Pi).  For A = P conj(A) P, M is real
+    with A's eigenvalues: M[x_k, x_l] = Re A_ij + Re A_{i,Pj},
+    M[x_k, p_l] = -Im A_ij + Im A_{i,Pj}, M[p_k, x_l] = Im A_ij + Im A_{i,Pj}
+    and M[p_k, p_l] = Re A_ij - Re A_{i,Pj} (pair k's i, pair l's j).  All
+    entries are 0, +-1/2, +-1 or +-2, built exactly, and each entry of a
+    folded operator or of M combines at most two entries of A or Q, so it
+    is A's own roundoff (a 1/sqrt(2) basis change perturbs A by eps*||A||,
     more than the narrowest lines absorb) and the same bits in any batch.
     """
     n = d * d
@@ -637,35 +634,15 @@ def _fold(d: int, perm: tuple | None) -> tuple:
     qmap = coords(real_a[::2])
     qmap = (qmap + qmap @ image) / 2.0
     unfold = (span.T @ basis.reshape(n, n)).view(float)
-    return (op @ span)[:, keep].reshape(2 * n, -1), qmap[:, keep], unfold
-
-
-@functools.lru_cache(maxsize=4)
-def _quadrature_map(d: int, perm: tuple) -> np.ndarray:
-    """(2d^2, d^2): A's float view -> the real M = U A U^-1, row-major.
-
-    U maps each pair v_i, v_Pi (i < Pi) to x = v_i + v_Pi and
-    p = -i (v_i - v_Pi), in the order x, p of pair 0, then pair 1, ...
-    For A = P conj(A) P (:func:`_pairing`), A_{Pi,Pj} = conj(A_ij) makes
-    M real with the eigenvalues of A: M[x_k, x_l] = Re A_ij + Re A_{i,Pj},
-    M[x_k, p_l] = -Im A_ij + Im A_{i,Pj}, M[p_k, x_l] = Im A_ij + Im A_{i,Pj}
-    and M[p_k, p_l] = Re A_ij - Re A_{i,Pj}, for the k-th pair's i and the
-    l-th pair's j.  Entries 0 and +-1 only: each entry of M combines at
-    most two entries of A with one rounding, less than the eps*||A||
-    backward error of the complex eigensolve.
-    """
-    perm = np.array(perm)
-    pairs = np.flatnonzero(np.arange(d) < perm)
-    k, l = np.meshgrid(np.arange(pairs.size), np.arange(pairs.size), indexing="ij")
-    i, j = pairs[k], pairs[l]
-    pj = perm[j]
-    out = np.zeros((2 * d * d, d * d))
-    # (row x/p, column x/p, Im part?, sign of A_ij, sign of A_{i,Pj})
-    for p, q, im, s, t in ((0, 0, 0, 1, 1), (0, 1, 1, -1, 1), (1, 0, 1, 1, 1), (1, 1, 0, 1, -1)):
-        entry = (2 * k + p) * d + 2 * l + q
-        out[2 * (i * d + j) + im, entry] = s
-        out[2 * (i * d + pj) + im, entry] = t
-    return out
+    to_real = None
+    if perm is not None:  # rows x_k, p_k of M: 2 Re, 2 Im of row i of A U^-1
+        i = np.flatnonzero(np.arange(d) < perm)
+        u_inv = np.zeros((d, i.size, 2), dtype=complex)  # v_i, v_Pi = (x +- i p)/2
+        u_inv[i, range(i.size)], u_inv[np.take(perm, i), range(i.size)] = (0.5, 0.5j), (0.5, -0.5j)
+        rows = real_a[:, i] @ u_inv.reshape(d, d)
+        # stacked into a C-contiguous array; .real alone is a strided view
+        to_real = 2.0 * np.stack((rows.real, rows.imag), axis=2).reshape(2 * n, n)
+    return (op @ span)[:, keep].reshape(2 * n, -1), qmap[:, keep], unfold, to_real
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:

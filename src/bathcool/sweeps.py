@@ -177,9 +177,12 @@ def sweep_cooperativity(
     For each C_OM the optical damping is set to Gamma = C_OM*gamma_b
     (G = |alpha|*g0 = sqrt(Gamma*kappa)/2; the drive of ``spec`` is not
     used).  Instability or fit failure at a point records a per-point
-    error; the sweep continues.
+    error; the sweep continues.  A non-finite C_OM is a ValueError.
     """
     values = np.asarray(list(c_om_values), dtype=float)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"C_OM values must be finite, got {float(bad[0])!r}")
     if values.size and np.any(np.diff(values) <= 0):
         raise ValueError("C_OM values must be sorted strictly increasing")
     if np.any(values < 0):
@@ -204,6 +207,14 @@ def sweep_cooperativity(
         return n_eff, lw, flags
 
     return _sweep(spec, "C_OM", values, point)
+
+
+def _bracket(bracket: tuple) -> tuple:
+    """``(lo, hi)`` of a C_OM bracket, or ValueError unless 0 < lo < hi < inf."""
+    lo, hi = bracket
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"bracket must satisfy 0 < lo < hi < inf, got {bracket!r}")
+    return lo, hi
 
 
 def find_optimum(
@@ -232,9 +243,7 @@ def find_optimum(
     is below ``rel_tol``.  Returns ``(c_om_star, n_eff_star)``, n_eff_star
     the gated n_eff evaluated at c_om_star.
     """
-    lo, hi = bracket
-    if not (0 < lo < hi):
-        raise ValueError("bracket must satisfy 0 < lo < hi")
+    lo, hi = _bracket(bracket)
     if not rel_tol > 0:
         raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
     if coarse_points < 3:
@@ -285,11 +294,16 @@ def sweep_detuning(
     """n_eff versus mechanical mode splitting |omega_a - omega_b|.
 
     omega_b is moved away from the fixed omega_a.  Evaluation is either
-    at a fixed C_OM or, with ``optimize_each``, at the per-point optimum.
+    at a fixed C_OM or, with ``optimize_each``, at the per-point optimum
+    within ``bracket``.  A non-finite or negative ``c_om`` and a
+    non-finite bracket end are ValueErrors.
     """
     values = np.asarray(list(delta_ab_values), dtype=float)
     if np.any(values < 0):
         raise ValueError("detuning values must be >= 0")
+    _bracket(bracket)
+    if c_om is not None and not 0 <= c_om < math.inf:
+        raise ValueError(f"c_om must be finite and >= 0, got {c_om!r}")
     if c_om is None and not optimize_each:
         cab = cooperativity_ab(spec)
         c_om = math.sqrt(1.0 + cab) if math.isfinite(cab) else 1.0

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bathcool import __version__, cli
 from bathcool.cli import main, parse_config
 from bathcool.errors import ConfigError
+from bathcool.model import intracavity_amplitude
 
 from conftest import TWO_PI
 
@@ -283,6 +284,62 @@ class TestConfigBoundary:
         err = json.loads(captured.err)
         assert err["error"] == "config_error"
         assert "bath_temperature_k" in err["message"]
+
+
+class TestCavityDrive:
+    """[cavity] takes the drive as ``alpha`` or as ``pump_hz``, not both."""
+
+    def test_alpha_and_pump_together_exit_1(self, tmp_path, capsys):
+        text = base_config("spectrum").replace(f"alpha = {_ALPHA!r}", "alpha = 5\npump_hz = 1e9")
+        assert main(["spectrum", "--config", write_config(tmp_path, text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config_error"
+        assert "alpha" in err["message"] and "pump_hz" in err["message"]
+
+    def test_pump_gives_the_n_eff_of_its_alpha(self, tmp_path, capsys):
+        alpha = abs(intracavity_amplitude(TWO_PI * 1e9, -TWO_PI * 1e6, TWO_PI * KAPPA_HZ))
+        summaries = []
+        for drive in ("pump_hz = 1e9", f"alpha = {alpha!r}"):
+            text = base_config("spectrum").replace(f"alpha = {_ALPHA!r}", drive)
+            assert drive in text
+            path = write_config(tmp_path, text, name=f"{drive.split()[0]}.ini")
+            assert main(["spectrum", "--config", path]) == 0
+            summaries.append(json.loads(capsys.readouterr().out))
+        assert summaries[0]["n_eff"] == summaries[1]["n_eff"]
+
+
+_NO_RUN = base_config("spectrum").replace("[run]\ntask = spectrum\nfidelity = rwa\n", "")
+
+
+class TestConfigErrorPaths:
+    """Each of these configs exits 1 with no stdout and one config_error line."""
+
+    @pytest.mark.parametrize(
+        "task, text, needle",
+        [
+            ("spectrum", _NO_RUN, "missing [run]"),
+            ("spectrum", base_config("spectrum").replace("fidelity = rwa", "format = xml"), "format"),
+            ("design", "[run]\ntask = design\n", "[design]"),
+            ("sweep", "[run]\ntask = sweep\n", "[system] and [cavity]"),
+            ("spectrum", base_config("spectrum").replace("[run]", "[run"), "parse error"),
+            ("sense", base_config("sense").replace("mass_a_kg = 1e-12", ""), "mass_a_kg"),
+        ],
+        ids=["missing-run", "format-xml", "design-no-design", "sweep-no-system",
+             "unparsable-header", "sense-no-mass"],
+    )
+    def test_exit_1_with_one_config_error(self, tmp_path, capsys, task, text, needle):
+        assert main([task, "--config", write_config(tmp_path, text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config_error"
+        assert needle in err["message"]
 
 
 class TestArtifacts:

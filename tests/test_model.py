@@ -144,6 +144,15 @@ class TestTypes:
             else:
                 replace(getattr(spec, part) if part else spec, **{field: value})
 
+    @pytest.mark.parametrize("value", [-1e-300, -1.0, math.nan, math.inf])
+    def test_drift_model_refuses_bad_correlations(self, value):
+        # every spectrum sums |.|^2 times these, so >= 0 keeps it >= 0
+        model = build_full_system(make_spec())
+        corr = model.input_correlations.copy()
+        corr[1, 2] = value
+        with pytest.raises(ValueError, match="input_correlations must be finite and >= 0"):
+            replace(model, input_correlations=corr)
+
     def test_cavity_pump_consistency_asserted(self):
         kappa, det = TWO_PI * 1e5, -TWO_PI * 1e6
         cav = CavityDrive.from_pump(1e7, det, kappa, g0=TWO_PI * 10)

@@ -57,6 +57,15 @@ class TestGrid:
             assert grid.points[0] <= center - 49 * width
             assert grid.points[-1] >= center + 49 * width
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [([0.0, 1.0, 2.0], "at least 4"), ([0.0, 1.0, 1.0, 2.0], "strictly increasing"),
+         ([0.0, 2.0, 1.0, 3.0], "strictly increasing"), ([[0.0, 1.0], [2.0, 3.0]], "at least 4")],
+    )
+    def test_frequency_grid_refuses_bad_points(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            spectra.FrequencyGrid(points=np.array(points), clusters=())
+
     def test_minimum_span_enforced(self, spec50):
         with pytest.raises(ValueError):
             make_grid(build_rwa_system(spec50), span_linewidths=3)
@@ -811,18 +820,20 @@ class TestBatchedCovariance:
     @pytest.mark.parametrize("perm, m", [((1, 0, 3, 2, 5, 4), 21), (None, 36)])
     def test_fold_is_exact_and_combines_at_most_two_entries(self, perm, m):
         # so it adds no rounding to A or Q beyond their own, in any batch
-        op, qmap, unfold = spectra._fold(6, perm)
+        op, qmap, unfold, to_real = spectra._fold(6, perm)
         assert op.shape == (72, m * m) and qmap.shape == (36, m) and unfold.shape == (m, 72)
         for x in (op, qmap, unfold):
             assert set(np.unique(x)) <= {-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0}
             assert (x != 0).sum(axis=0).max() <= 2
+        # the real quadrature form exists only for a paired stack
+        assert (to_real is None) == (perm is None)
 
 
 def _real_form(model):
-    """M = U A U^-1 of a paired model, through spectra's cached map."""
+    """M = U A U^-1 of a paired model, through spectra's cached fold."""
     d = model.dimension
     perm = spectra._pairing(model.labels, model.drift)
-    to_real = spectra._quadrature_map(d, tuple(perm.tolist()))
+    to_real = spectra._fold(d, tuple(perm.tolist()))[3]
     return (model.drift.view(float).reshape(2 * d * d) @ to_real).reshape(d, d)
 
 
@@ -830,14 +841,35 @@ class TestRealQuadratureForm:
     """The stability check of a paired stack takes the eigenvalues of its
     real quadrature form, x = v + v^dag and p = -i (v - v^dag) per mode."""
 
-    @pytest.mark.parametrize("perm", [(1, 0, 3, 2, 5, 4), (1, 0)])
+    @pytest.mark.parametrize("perm", [(1, 0, 3, 2, 5, 4), (1, 0), (3, 2, 1, 0)])
     def test_map_is_exact_and_combines_at_most_two_entries(self, perm):
         # so M carries one rounding per entry, less than zgeev's eps*||A||
         d = len(perm)
-        to_real = spectra._quadrature_map(d, perm)
+        to_real = spectra._fold(d, perm)[3]
         assert to_real.shape == (2 * d * d, d * d)
         assert set(np.unique(to_real)) == {-1.0, 0.0, 1.0}
         assert (to_real != 0).sum(axis=0).max() == 2
+        assert not np.signbit(to_real[to_real == 0]).any()
+        assert to_real.flags.c_contiguous
+
+    @pytest.mark.parametrize("perm", [(1, 0, 3, 2, 5, 4), (1, 0), (3, 2, 1, 0)])
+    def test_map_gives_the_documented_entries_bitwise(self, perm):
+        # on random paired A: M[x_k, x_l] = Re A_ij + Re A_{i,Pj}, and so on
+        d = len(perm)
+        p = np.array(perm)
+        rng = np.random.default_rng(20161)
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        pairs = np.flatnonzero(np.arange(d) < p)
+        a[p[pairs][:, None], p] = a[pairs].conj()  # A = P conj(A) P, from the rows i < Pi
+        assert np.array_equal(a[p[:, None], p], a.conj())
+        m = (a.view(float).reshape(2 * d * d) @ spectra._fold(d, perm)[3]).reshape(d, d)
+        for k, i in enumerate(pairs):
+            for l, j in enumerate(pairs):
+                aij, aipj = a[i, j], a[i, p[j]]
+                assert m[2 * k, 2 * l] == aij.real + aipj.real
+                assert m[2 * k, 2 * l + 1] == -aij.imag + aipj.imag
+                assert m[2 * k + 1, 2 * l] == aij.imag + aipj.imag
+                assert m[2 * k + 1, 2 * l + 1] == aij.real - aipj.real
 
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
     def test_eigenvalues_match_the_complex_eigensolve(self, builder):
@@ -870,18 +902,29 @@ class TestRealQuadratureForm:
         assert str(error).endswith(": 1+0j, 2+0j")
         error = spectra._instability(np.array([1 + 2j, 3 - 1j, 0.5 - 1j, -1 + 0j]))
         assert str(error).endswith(": 0.5-1j, 3-1j, 1+2j")
+        # an imaginary part within 1e3 eps*max|lam| is zgeev's roundoff on a
+        # real eigenvalue (up to ~17 eps*max|lam| measured); one beyond stays
+        eps = np.finfo(float).eps
+        error = spectra._instability(np.array([2.0 - 3e3 * eps * 1j, -3.0 + 1j]))
+        assert str(error).endswith(": 2+0j")
+        error = spectra._instability(np.array([2.0 + 1e4 * eps * 1j, -3.0]))
+        assert str(error).endswith(f": {2.0 + 1e4 * eps * 1j:.6g}")
 
     def test_stacked_and_single_model_messages_agree(self):
-        spec = make_spec(c_ab=10.0, c_om=50.0)
-        spec = replace(spec, cavity=replace(spec.cavity, detuning=-spec.cavity.detuning))
-        model = build_full_system(spec)
-        (stacked,) = spectra.steady_state_occupations([model], "a")
-        with pytest.raises(UnstableSystemError) as single:
-            spectra._require_stable(model)
-        values = lambda exc: np.array([complex(z) for z in str(exc).split(": ")[1].split(", ")])
-        assert isinstance(stacked, UnstableSystemError)
-        assert len(values(stacked)) == len(values(single.value)) == 2
-        assert np.allclose(values(stacked), values(single.value), rtol=1e-5)
+        blue = make_spec(c_ab=10.0, c_om=50.0)
+        blue = replace(blue, cavity=replace(blue.cavity, detuning=-blue.cavity.detuning))
+        # the README system at C_OM = 1e4: a real unstable eigenvalue, on
+        # which zgeev leaves an imaginary part
+        readme = make_spec(c_ab=50.0, c_om=1e4)
+        for spec, n_bad in ((blue, 2), (readme, 1)):
+            model = build_full_system(spec)
+            (stacked,) = spectra.steady_state_occupations([model], "a")
+            with pytest.raises(UnstableSystemError) as single:
+                spectra._require_stable(model)
+            assert isinstance(stacked, UnstableSystemError)
+            assert str(stacked) == str(single.value)
+            assert str(stacked).count(", ") == n_bad - 1
+        assert str(stacked).endswith(": 4.89986e+06+0j")
 
 
 class TestUnpairedCovariance:
@@ -948,6 +991,20 @@ class TestUnpairedCovariance:
 
 
 class TestIntegration:
+    def test_edge_tail_of_a_zero_edge_is_zero(self):
+        points = np.arange(20.0)
+        values = np.linspace(2.0, 0.0, 20)
+        assert spectra._edge_tail(points, values, right=True) == 0.0
+        assert spectra._edge_tail(points, values[::-1], right=False) == 0.0
+
+    def test_edge_tail_of_a_non_decaying_edge_is_a_rectangle(self):
+        # no 1/omega^2 decay to extrapolate: the edge value times the span
+        # of the last k = 8 intervals
+        points = np.arange(20.0)
+        values = np.linspace(1.0, 3.0, 20)
+        assert spectra._edge_tail(points, values, right=True) == 3.0 * 8.0
+        assert spectra._edge_tail(points, values[::-1], right=False) == 3.0 * 8.0
+
     def _lorentz_grid(self, center, fwhm, span=50.0):
         hw = fwhm / 2.0
         dense = np.linspace(center - 5 * fwhm, center + 5 * fwhm, 2001)
@@ -1018,6 +1075,27 @@ class TestLorentzFit:
         y = 1.0 / ((x - 3) ** 2 + 0.04) + 1.0 / ((x - 7) ** 2 + 0.04)
         with pytest.raises(FitFailureError):
             fit_lorentzian(x, y, (0.0, 10.0))
+
+    def test_fewer_than_8_points_rejected(self):
+        x = np.linspace(-5.0, 5.0, 1001)
+        y = 1.0 / (x**2 + 1.0)
+        with pytest.raises(FitFailureError, match="fewer than 8"):
+            fit_lorentzian(x, y, (-0.03, 0.03))
+
+    def test_edge_maximum_is_no_interior_peak(self):
+        x = np.linspace(0.0, 10.0, 200)
+        with pytest.raises(FitFailureError, match="no interior peak"):
+            fit_lorentzian(x, 1.0 / ((x - 12.0) ** 2 + 1.0), (0.0, 10.0))
+
+    def test_line_without_a_half_maximum_on_one_side(self):
+        # the window stops above half maximum left of the peak, so the
+        # start width is a quarter of the window; the fit still converges
+        x = np.linspace(0.0, 10.0, 1001)
+        y = 3.0 * 4.0 / ((x - 1.0) ** 2 + 4.0)  # FWHM 4, centered at 1
+        assert y[:100].min() > (y.max() + y.min()) / 2.0
+        fit = fit_lorentzian(x, y, (0.0, 10.0))
+        assert fit.center == pytest.approx(1.0, rel=1e-6)
+        assert fit.fwhm == pytest.approx(4.0, rel=1e-6)
 
     def test_flat_rejected(self):
         x = np.linspace(0.0, 10.0, 100)
@@ -1133,6 +1211,12 @@ class TestForceSpectrum:
         got = self._factor_at(res, spec.mode_a.omega)
         cab = cooperativity_ab(spec)
         assert 1.0 <= got <= 1.0 + cab
+
+    def test_undamped_mode_a_cannot_normalize(self):
+        spec = make_spec(c_ab=0.0)
+        spec = replace(spec, mode_a=replace(spec.mode_a, gamma=0.0))
+        with pytest.raises(ValueError, match="gamma_a must be > 0"):
+            force_spectrum_numeric(build_rwa_system(spec), spec)
 
     def test_mass_required(self):
         spec = make_spec()

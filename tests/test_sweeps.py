@@ -478,3 +478,42 @@ class TestSweepDetuning:
     def test_negative_detuning_rejected(self, spec50):
         with pytest.raises(ValueError):
             sweep_detuning(spec50, [-1.0], c_om=1.0)
+
+
+class TestNonFiniteInputs:
+    """A non-finite C_OM, bracket end or c_om is a ValueError naming it,
+    raised before any point is evaluated."""
+
+    @pytest.fixture(autouse=True)
+    def no_evaluation(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("evaluated before the arguments were checked")
+
+        monkeypatch.setattr(sweeps, "_n_effs", refused)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
+    def test_sweep_cooperativity(self, spec50, fidelity, bad):
+        with pytest.raises(ValueError, match=f"C_OM values must be finite, got {bad!r}"):
+            sweep_cooperativity(spec50, [1.0, bad], fidelity=fidelity)
+
+    @pytest.mark.parametrize("bracket", [(0.01, math.inf), (math.nan, 10.0), (0.01, math.nan)])
+    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
+    def test_find_optimum_bracket(self, spec50, fidelity, bracket):
+        with pytest.raises(ValueError, match=f"got \\({bracket[0]!r}, {bracket[1]!r}\\)"):
+            find_optimum(spec50, bracket=bracket, fidelity=fidelity)
+
+    @pytest.mark.parametrize("optimize_each", [False, True])
+    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
+    def test_sweep_detuning_bracket(self, spec50, fidelity, optimize_each):
+        with pytest.raises(ValueError, match="got \\(0.01, inf\\)"):
+            sweep_detuning(
+                spec50, [0.0], fidelity=fidelity, optimize_each=optimize_each,
+                bracket=(0.01, math.inf),
+            )
+
+    @pytest.mark.parametrize("c_om", [math.inf, -math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
+    def test_sweep_detuning_c_om(self, spec50, fidelity, c_om):
+        with pytest.raises(ValueError, match=f"c_om must be finite and >= 0, got {c_om!r}"):
+            sweep_detuning(spec50, [0.0], fidelity=fidelity, c_om=c_om)
