@@ -731,9 +731,27 @@ class TestCovarianceAccuracy:
             assert abs(steady_state_occupation(model, "a") - exact) <= 1e-14 * exact
 
 
+def _mixed_batch():
+    """A stable, a blue-detuned, an exceptional-point and an rwa model."""
+    blue = make_spec(c_ab=10.0, c_om=50.0)
+    blue = replace(blue, cavity=replace(blue.cavity, detuning=-blue.cavity.detuning))
+    return [
+        build_full_system(make_spec(c_ab=50.0, c_om=5.0)),
+        build_full_system(blue),
+        build_full_system(_exceptional_point_spec()),
+        build_rwa_system(make_spec(c_ab=8.0, c_om=3.0)),
+    ]
+
+
+def _entry(e):
+    """An entry of steady_state_occupations, comparable with ==."""
+    return (type(e), str(e)) if isinstance(e, Exception) else e
+
+
 class TestBatchedCovariance:
-    """steady_state_occupations: one eigvals call and one folded real
-    linear solve per batch."""
+    """steady_state_occupations: one folded real linear solve per batch,
+    and an eigensolve only of the points the solved covariances do not
+    certify stable."""
 
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
     def test_exceptional_point_matches_a_40_digit_solve(self, builder):
@@ -745,15 +763,7 @@ class TestBatchedCovariance:
         assert abs(steady_state_occupation(model, "a") - exact) <= 1e-14 * exact
 
     def test_mixed_batch_matches_single_calls(self):
-        stable = build_full_system(make_spec(c_ab=50.0, c_om=5.0))
-        blue = make_spec(c_ab=10.0, c_om=50.0)
-        blue = replace(blue, cavity=replace(blue.cavity, detuning=-blue.cavity.detuning))
-        models = [
-            stable,
-            build_full_system(blue),
-            build_full_system(_exceptional_point_spec()),
-            build_rwa_system(make_spec(c_ab=8.0, c_om=3.0)),
-        ]
+        models = _mixed_batch()
         batch = spectra.steady_state_occupations(models, "a")
         assert isinstance(batch[1], UnstableSystemError)
         for model, entry in zip(models, batch):
@@ -778,7 +788,7 @@ class TestBatchedCovariance:
         with pytest.raises(ValueError):
             spectra.steady_state_occupations([build_full_system(spec50)], "q")
 
-    def test_one_eigvals_and_one_solve_per_batch(self, monkeypatch):
+    def test_eigvals_runs_only_on_uncertified_points(self, monkeypatch):
         spec = make_spec(c_ab=50.0, gamma_a_hz=0.1, gamma_b_hz=10.0, kappa_hz=1e4)
         models = [build_full_system(replace(spec, coupling=spec.coupling * f))
                   for f in (0.5, 1.0, 2.0)]
@@ -802,20 +812,84 @@ class TestBatchedCovariance:
         monkeypatch.setattr(np.linalg, "eig", refused)
         monkeypatch.setattr(spectra, "stability_eigenvalues", None)
         spectra.steady_state_occupations(models, "a")
-        # 21 = 6*7/2 real coordinates of a paired Hermitian Sigma
-        assert calls == [("eigvals", (3, 6, 6)), ("solve", (3, 21, 21))]
-        # a paired stack: the eigenvalues of its real quadrature form
-        assert dtypes[0] == np.float64
-        # an unpaired one: those of the complex A itself, on all 36 coordinates
+        # 21 = 6*7/2 real coordinates of a paired Hermitian Sigma; every
+        # point's covariance certifies it stable, so no eigensolve runs
+        assert calls == [("solve", (3, 21, 21))]
+        # one blue-detuned point: it alone takes the eigensolve, that of its
+        # real quadrature form, and the batch is not solved again
+        calls.clear()
+        dtypes.clear()
+        blue = make_spec(c_ab=10.0, c_om=50.0)
+        blue = replace(blue, cavity=replace(blue.cavity, detuning=-blue.cavity.detuning))
+        entries = spectra.steady_state_occupations(
+            [models[0], build_full_system(blue), models[2]], "a"
+        )
+        assert isinstance(entries[1], UnstableSystemError)
+        assert calls == [("solve", (3, 21, 21)), ("eigvals", (1, 6, 6))]
+        assert dtypes[1] == np.float64
+        # an unpaired one: its raw Q is singular (the vacuum c_dag weight is
+        # 0), so the eigenvalues of the complex A come first, then the solve
+        # on all 36 coordinates
         calls.clear()
         dtypes.clear()
         m0 = models[0]
+        assert m0.input_correlations[0][m0.index("c_dag")] == 0.0
         spectra._stacked_occupations(
             np.stack([m.drift for m in models]), m0.noise_input, m0.input_correlations[0],
             0, 1, _unpaired(m0).labels,
         )
         assert calls == [("eigvals", (3, 6, 6)), ("solve", (3, 36, 36))]
         assert dtypes[0] == np.complex128
+
+    def test_a_failed_first_solve_takes_the_eigensolve_first(self, monkeypatch):
+        models = _mixed_batch()
+        expected = spectra.steady_state_occupations(models, "a")
+        calls = []
+        solve, eigvals = np.linalg.solve, np.linalg.eigvals
+
+        def solve_once(k, q):
+            calls.append(("solve", k.shape))
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(k, q)
+
+        def counted(x):
+            calls.append(("eigvals", x.shape))
+            return eigvals(x)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_once)
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        entries = spectra.steady_state_occupations(models, "a")
+        # the order without a certificate: every point's eigenvalues, then
+        # one solve of the stable ones
+        assert calls == [("solve", (4, 21, 21)), ("eigvals", (4, 6, 6)), ("solve", (3, 21, 21))]
+        assert [_entry(e) for e in entries] == [_entry(e) for e in expected]
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_undamped_mode_a_takes_the_eigensolve_first(self, builder, monkeypatch):
+        # gamma_a = 0 leaves Q singular, so no covariance can certify a point
+        spec = make_spec(c_ab=50.0, gamma_a_hz=0.0, c_om=5.0)  # lambda = 0 as well
+        # with lambda > 0, mode a is damped through b
+        undamped, coupled = builder(spec), builder(replace(spec, coupling=TWO_PI * 100.0))
+        lam = np.linalg.eigvals(coupled.drift)
+        bound = np.finfo(float).eps * np.abs(lam).max() / (-lam.real).min()
+        calls = []
+        for name in ("solve", "eigvals"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args)
+            )
+        (error,) = spectra.steady_state_occupations([undamped], "a")
+        assert isinstance(error, UnstableSystemError)
+        assert str(error) == (
+            "drift matrix has non-negative-real-part eigenvalue(s): 0-6.28319e+06j, 0+6.28319e+06j"
+        )
+        assert calls == ["eigvals"]
+        calls.clear()
+        (n,) = spectra.steady_state_occupations([coupled], "a")
+        assert calls == ["eigvals", "solve"]
+        exact = _kronecker_occupation(coupled)
+        assert abs(n - exact) <= bound * exact
 
     @pytest.mark.parametrize("perm, m", [((1, 0, 3, 2, 5, 4), 21), (None, 36)])
     def test_fold_is_exact_and_combines_at_most_two_entries(self, perm, m):
@@ -925,6 +999,73 @@ class TestRealQuadratureForm:
             assert str(stacked) == str(single.value)
             assert str(stacked).count(", ") == n_bad - 1
         assert str(stacked).endswith(": 4.89986e+06+0j")
+
+
+def _pencil_stack(spec, c_om, rotating_wave=False):
+    """A0 + G A1 at every C_OM of ``c_om``, as a sweep stacks them, with
+    the noise input, the <xi xi^dag> weights and the labels."""
+    a0, a1, b, corr, labels = _pencil(spec, rotating_wave=rotating_wave)
+    g = np.sqrt(np.asarray(c_om) * spec.mode_b.gamma * spec.cavity.kappa) / 2.0
+    return a0 + g[:, None, None] * a1, b, corr[0], labels
+
+
+class TestStabilityCertificate:
+    """A point whose solved covariance certifies it stable runs no
+    eigensolve, and the certified points are exactly those the real-form
+    eigensolve calls stable."""
+
+    def _check(self, monkeypatch, drifts, b, weights, labels):
+        """The decisions, and that the eigensolve saw exactly the unstable points."""
+        eigvals = np.linalg.eigvals
+        d = drifts.shape[-1]
+        to_real = spectra._fold(d, tuple(spectra._pairing(labels, drifts).tolist()))[3]
+        forms = (drifts.view(float).reshape(-1, 2 * d * d) @ to_real).reshape(-1, d, d)
+        unstable = np.any(eigvals(forms).real >= 0, axis=1)
+        seen = [np.empty((0, d, d))]
+        monkeypatch.setattr(np.linalg, "eigvals", lambda x: seen.append(x) or eigvals(x))
+        entries = spectra._stacked_occupations(drifts, b, weights, 0, 1, labels)
+        monkeypatch.undo()
+        assert [isinstance(e, UnstableSystemError) for e in entries] == unstable.tolist()
+        assert np.array_equal(np.concatenate(seen), forms[unstable])
+        return unstable
+
+    @pytest.mark.parametrize("rotating_wave", [True, False])
+    def test_decisions_match_the_real_form_eigensolve(self, rotating_wave, monkeypatch):
+        # criterion-7 draws out to C_OM = 1e6, deep into the full model's
+        # unstable region (the rwa model, without counter-rotating terms,
+        # stays stable there)
+        c_om = np.geomspace(1e-2, 1e6, 60)
+        counts = np.zeros(2, dtype=int)
+        for spec in _criterion_7_draws(256, seed=501):
+            unstable = self._check(monkeypatch, *_pencil_stack(spec, c_om, rotating_wave))
+            counts += (~unstable).sum(), unstable.sum()
+        assert counts[0] > 13000 and (rotating_wave or counts[1] > 1000)
+
+    def test_decisions_match_on_the_readme_boundary_scan(self, monkeypatch):
+        # 20001 points 3.5e-5 apart across the boundary at C_OM = 3408.33,
+        # where the last stable points have ||Sigma|| ~ 1e13
+        scan = np.linspace(3408.0, 3408.7, 20001)
+        unstable = [
+            self._check(monkeypatch, *_pencil_stack(make_spec(c_ab=50.0), chunk))
+            for chunk in np.array_split(scan, 10)
+        ]
+        assert 9000 < np.concatenate(unstable).sum() < 11000
+
+    def test_a_large_residual_is_not_certified(self, monkeypatch):
+        # an unstable drift handed the positive-definite Sigma of a stable
+        # one (same Q): only ||R|| against lambda_min(Q) rejects it
+        stable = make_spec(c_ab=10.0, c_om=50.0)
+        blue = replace(stable, cavity=replace(stable.cavity, detuning=-stable.cavity.detuning))
+        stable, blue = build_full_system(stable), build_full_system(blue)
+        with pytest.raises(UnstableSystemError) as single:
+            spectra._require_stable(blue)
+        op = spectra._fold(6, (1, 0, 3, 2, 5, 4))[0]
+        stable_op = (stable.drift.view(float).reshape(1, -1) @ op).reshape(1, 21, 21)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda k, q: solve(stable_op, q))
+        (entry,) = spectra.steady_state_occupations([blue], "a")
+        assert isinstance(entry, UnstableSystemError)
+        assert str(entry) == str(single.value)
 
 
 class TestUnpairedCovariance:
