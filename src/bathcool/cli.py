@@ -45,8 +45,8 @@ TWO_PI = 2.0 * math.pi
 
 TASKS = ("spectrum", "sweep", "optimize", "design", "sense")
 MODES = ("a", "b", "c")
-# most grid points a [grid] may ask for: the (6, 7, n) complex elimination
-# array of one susceptibility row at 1e5 points takes about 67 MB
+# most grid points of a [grid] and C_OM points of a [sweep]: at 1e5 points one
+# susceptibility row's (6, 7, n) elimination takes 67 MB, a full sweep 800 MiB
 _MAX_GRID_POINTS = 100_000
 
 # section -> {key: required}
@@ -285,7 +285,12 @@ def config_from_dict(sections: dict) -> RunConfig:
     )
     if per_decade < 1:
         raise ConfigError(f"[sweep] points_per_decade must be >= 1, got {per_decade!r}")
-    sweep = {**_c_om_range("sweep", sweep_items), "points_per_decade": int(per_decade)}
+    sweep = _c_om_range("sweep", sweep_items)
+    # at least 2 points; capped before rounding, which raises on an inf count
+    count = math.log10(sweep["c_om_max"] / sweep["c_om_min"]) * int(per_decade)
+    sweep["points"] = max(2, int(round(min(count, _MAX_GRID_POINTS))) + 1)
+    if sweep["points"] > _MAX_GRID_POINTS:
+        raise ConfigError(f"[sweep] asks for {count + 1:.6g} C_OM points, over {_MAX_GRID_POINTS}")
     optimize = _c_om_range("optimize", sections.get("optimize", {}))
     return RunConfig(
         task=task,
@@ -358,9 +363,7 @@ def _run_sweep(config: RunConfig):
     # C_OM = Gamma/gamma_b
     _require_positive("sweep", gamma_b_hz=config.system.mode_b.gamma)
     s = config.sweep
-    decades = math.log10(s["c_om_max"] / s["c_om_min"])
-    n = max(2, int(round(decades * s["points_per_decade"])) + 1)
-    values = np.geomspace(s["c_om_min"], s["c_om_max"], n)
+    values = np.geomspace(s["c_om_min"], s["c_om_max"], s["points"])
     result = sweep_cooperativity(config.system, values, fidelity=config.fidelity)
     header = ["C_OM", "n_eff", "T_ratio", "linewidth_rad_s", "flags"]
     columns = (result.axis_values, result.n_eff, result.T_ratio, result.linewidths)
@@ -408,7 +411,10 @@ def _run_design(config: RunConfig):
     cavity = d.get("cavity") or CavityDrive(
         kappa=TWO_PI * 1e6, detuning=-TWO_PI * 1e6, g0=0.0, alpha=0.0
     )
-    report = design_to_system(d["geometry"], d["material"], d["temperature"], cavity)
+    try:
+        report = design_to_system(d["geometry"], d["material"], d["temperature"], cavity)
+    except (ValueError, ArithmeticError) as exc:  # e.g. a length whose square overflows
+        raise ConfigError(f"[design] no finite design for this beam: {exc}") from exc
     b = report.budget
     header = ["quantity", "value", "units"]
     rows = [

@@ -21,6 +21,7 @@ Conventions
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -155,8 +156,10 @@ class SystemSpec:
 class DriftModel:
     """Linear Langevin system dv/dt = drift @ v + noise_input @ xi.
 
-    The solvers read the rows ``select`` and ``select_dag`` of the
-    conjugate-paired basis the builders use.
+    The basis is conjugate-paired, else ValueError: labels come in
+    ``x``/``x_dag`` pairs, and a finite drift satisfies A = P conj(A) P
+    exactly, P swapping each ``x`` and ``x_dag`` (the solvers refuse a
+    non-finite one).  The solvers read the rows ``select`` and ``select_dag``.
 
     Attributes
     ----------
@@ -198,9 +201,33 @@ class DriftModel:
             raise ValueError(f"input_correlations must be finite and >= 0, got {c.tolist()}")
         if len(self.labels) != self.dimension:
             raise ValueError("labels must match dimension")
+        _conjugate_swap(self.labels, *([a] if np.isfinite(a).all() else []))
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
+
+
+def _conjugate_swap(labels: tuple, *drifts) -> np.ndarray:
+    """The permutation ``perm`` that swaps every ``x`` and ``x_dag`` label.
+
+    ValueError unless the labels come in distinct ``x``/``x_dag`` pairs and
+    each drift, a matrix or a stack, has ``drift[..., perm, perm] == conj(drift)``.
+    """
+    perm = _mates(tuple(labels))
+    if not all(np.array_equal(x[..., perm[:, None], perm], x.conj()) for x in drifts):
+        raise ValueError("drift is not conjugate-paired: A != P conj(A) P")
+    return perm
+
+
+@functools.lru_cache(maxsize=16)
+def _mates(labels: tuple) -> np.ndarray:
+    """The read-only ``perm`` of :func:`_conjugate_swap`, built once per label tuple."""
+    mates = [x.removesuffix("_dag") if x.endswith("_dag") else x + "_dag" for x in labels]
+    perm = np.array([labels.index(x) if x in labels else -1 for x in mates], dtype=int)
+    if not np.array_equal(perm[perm], np.arange(perm.size)):  # also fails on a -1
+        raise ValueError(f"labels must come in distinct x/x_dag pairs, got {labels}")
+    perm.setflags(write=False)
+    return perm
 
 
 def thermal_occupation(omega: float, temperature: float) -> float:

@@ -1,7 +1,7 @@
 """Exact frequency-domain solution of a linear Langevin DriftModel.
 
-Every model is solved in the conjugate-paired basis the builders put it
-in (:mod:`bathcool.model`).  Builds adaptive frequency grids around
+Every model is solved in the conjugate-paired basis :class:`DriftModel`
+holds it to.  Builds adaptive frequency grids around
 every resonance of the drift matrix, solves for the needed rows of the
 susceptibility (-i*omega*I - A)^-1 in batch (at omega >= 0, the rows at
 -omega by conjugation), propagates the thermal input correlators into
@@ -33,6 +33,7 @@ from .errors import (
 from .model import (
     DriftModel,
     SystemSpec,
+    _conjugate_swap,
     effective_temperature,
     stability_eigenvalues,
 )
@@ -170,12 +171,10 @@ def make_grid(
     (:func:`_clusters`), so the grid does not depend on the last bits of
     the eigensolve.  Refuses unstable models.
 
-    For a paired model (:func:`_pairing`) the grid is mirror-symmetric:
-    the positive points, their negations and omega = 0, an odd count, so
-    :meth:`FrequencyGrid.halved` is symmetric too.  The positive points
-    nearest zero are dropped where needed so that the grid has no more
-    points than the unmirrored one.  :func:`_solve_rows` then solves only
-    the omega >= 0 half.
+    The grid is the positive points, their negations and omega = 0 (an odd
+    count, so :meth:`FrequencyGrid.halved` is mirror-symmetric too), less
+    the positive points nearest zero that would exceed the clusters'
+    count.  :func:`_solve_rows` then solves only the omega >= 0 half.
     """
     if span_linewidths < 5:
         raise ValueError("span_linewidths must be >= 5")
@@ -196,10 +195,9 @@ def make_grid(
     tail_l = np.geomspace(5 * widths, left, log_points + 1, axis=1)[:, 1:]
     pieces = (dense, centers[:, None] + tail_r, centers[:, None] - tail_l)
     points = np.unique(np.concatenate([x.ravel() for x in pieces]))
-    if _pairing(model.labels, model.drift) is not None:
-        half = points[points > 0]
-        half = half[max(half.size - (points.size - 1) // 2, 0) :]
-        points = np.concatenate((-half[::-1], [0.0], half))
+    half = points[points > 0]
+    half = half[max(half.size - (points.size - 1) // 2, 0) :]
+    points = np.concatenate((-half[::-1], [0.0], half))
     return FrequencyGrid(points=points, clusters=tuple(clusters))
 
 
@@ -230,26 +228,6 @@ def _clusters(eigs: np.ndarray) -> list:
     return clusters
 
 
-def _pairing(labels: tuple, *drifts) -> np.ndarray | None:
-    """The permutation that swaps every ``x`` and ``x_dag`` label, if every drift respects it.
-
-    Returns ``perm`` when every label has its mate and
-    ``drift[..., perm, perm] == conj(drift)`` holds exactly for every
-    drift (a matrix or a stack; None is skipped), as for both builders'
-    models; else None.
-    For such a drift T(-omega) = P conj(T(omega)) P, with P the
-    permutation matrix of ``perm`` and T = -i*omega*I - A.
-    """
-    mates = [x.removesuffix("_dag") if x.endswith("_dag") else x + "_dag" for x in labels]
-    if not set(mates) <= set(labels):
-        return None
-    perm = np.array([labels.index(x) for x in mates])
-    for drift in drifts:
-        if drift is not None and not np.array_equal(drift[..., perm[:, None], perm], drift.conj()):
-            return None
-    return perm
-
-
 def _mirrors(omegas: np.ndarray) -> tuple:
     """Indices of the omegas < 0 whose exact negation is in ``omegas``, and of that negation."""
     order = np.argsort(omegas)
@@ -263,10 +241,9 @@ def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.n
     """Rows ``rows @ chi(omega)`` of the susceptibility, shape (n, k, d).
 
     Solves y T = u with T = -i*omega*I - A for each of the k rows u of
-    ``rows`` (:func:`_eliminate`).  For a paired model (:func:`_pairing`)
-    an omega < 0 whose negation is also in ``omegas`` is not eliminated:
-    from T(-omega) = P conj(T(omega)) P, its row is
-    y_u(-omega) = conj(y_u'(omega)) P with u' = conj(u) P, so the
+    ``rows`` (:func:`_eliminate`).  An omega < 0 whose negation is also in
+    ``omegas`` is not eliminated: as A = P conj(A) P (:class:`DriftModel`),
+    its row is y_u(-omega) = conj(y_u'(omega)) P with u' = conj(u) P, so the
     elimination at omega >= 0 also solves the rows u' where ``rows`` does
     not already hold them.  No eigen or Schur transform is involved.
     Every returned row, mirrored ones included, is gated: a row whose
@@ -281,9 +258,9 @@ def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.n
     d = model.dimension
     u = np.asarray(rows, dtype=complex)
     k = u.shape[0]
-    perm = _pairing(model.labels, model.drift)
-    mirror, mate = _mirrors(omegas) if perm is not None else ((), ())
-    if len(mirror):
+    perm = _conjugate_swap(model.labels)
+    mirror, mate = _mirrors(omegas)
+    if mirror.size:
         solve = np.delete(np.arange(omegas.size), mirror)
         mates = u[:, perm].conj()
         hits = np.all(mates[:, None, :] == u[None, :, :], axis=2)
@@ -500,42 +477,40 @@ def steady_state_occupations(models, select: str) -> list:
     """:func:`steady_state_occupation` of every model, in one batched solve.
 
     Entry i is the occupation of ``models[i]`` or the BathcoolError that
-    point raises; an unknown label raises ValueError for the whole call.
+    point raises; an unknown label, or models that do not share one label
+    tuple, raise ValueError for the whole call.
     """
-    for model in models:
-        if select not in model.labels:
-            raise ValueError(f"unknown mode label {select!r}; have {model.labels}")
     if not models:
         return []
-    rows = np.array([[m.index(select), m.index(select + "_dag")] for m in models])
-    labels = {m.labels for m in models}
+    labels = models[0].labels
+    if any(m.labels != labels for m in models):
+        raise ValueError(f"models must share one basis, got {sorted({m.labels for m in models})}")
+    if select not in labels:
+        raise ValueError(f"unknown mode label {select!r}; have {labels}")
     return _stacked_occupations(
         np.stack([m.drift for m in models]),
         np.stack([m.noise_input for m in models]),
         np.stack([m.input_correlations[0] for m in models]),
-        *rows.T,
-        labels.pop() if len(labels) == 1 else None,
+        labels.index(select),
+        _conjugate_swap(labels),
     )
 
 
-def _stacked_occupations(a, b, weights, r, c, labels, a1=None) -> list:
-    """Occupation of x = v_r + v_c at every drift matrix of the stack ``a``.
+def _stacked_occupations(a, b, weights, r, perm, a1=None) -> list:
+    """Occupation of x = v_r + v_c, c = perm[r], at every drift of the stack ``a``.
 
-    ``a`` is (n, d, d); the noise inputs ``b`` and <xi xi^dag> weights
-    broadcast against it, as do the row indices ``r``, ``c``.  Entry i is
-    a float or the BathcoolError of point i.  One pairing decision serves
-    the call: the stack is paired if ``labels`` (None if the points share
-    none) pair its finite drifts and ``a1`` (:func:`_pairing`).  Sigma
-    comes from one batched real linear solve of A Sigma + Sigma A^dag = -Q
-    on its real coordinates (:func:`_fold`), LU with partial pivoting:
-    backward stable however ill-conditioned the eigenbasis, so there is no
-    fallback.  For a paired stack Q becomes (Q + P conj(Q) P)/2, weight
-    (2n+1)/2 per channel, so Sigma = P conj(Sigma) P has d(d+1)/2
-    coordinates, not d^2, and u Sigma u^T is unchanged (u = e_r + e_c is
-    real, u P = u).  Within 5e-16 of a 40-digit solve on 68 models (stiff,
-    exceptional-point and criterion-7 draws).  Each point's
-    ||A Sigma + Sigma A^dag + Q|| / (2 ||A|| ||Sigma|| + ||Q||), for the Q
-    solved, must be within RESIDUAL_TOL, else NumericsError.
+    ``a`` is (n, d, d), the noise inputs ``b`` and <xi xi^dag> weights
+    broadcast against it, and its finite drifts and ``a1`` satisfy
+    A = P conj(A) P, P the conjugate swap ``perm`` (:class:`DriftModel`).
+    Entry i is a float or the BathcoolError of point i.  Sigma comes from
+    one batched real linear solve of A Sigma + Sigma A^dag = -Q on its
+    real coordinates (:func:`_fold`), LU with partial pivoting: backward
+    stable however ill-conditioned the eigenbasis, so there is no
+    fallback.  Q becomes (Q + P conj(Q) P)/2, weight (2n+1)/2 per channel,
+    so Sigma = P conj(Sigma) P has d(d+1)/2 coordinates, not d^2, and
+    u Sigma u^T is unchanged (u = e_r + e_c is real, u P = u).  Each
+    point's ||A Sigma + Sigma A^dag + Q|| / (2 ||A|| ||Sigma|| + ||Q||),
+    for this Q, must be within RESIDUAL_TOL, else NumericsError.
 
     Stability comes from the solve where it can.  For the computed S and
     R = A S + S A^dag + Q, a left eigenvector v^dag A = lam v^dag gives
@@ -543,20 +518,17 @@ def _stacked_occupations(a, b, weights, r, c, labels, a1=None) -> list:
     ||R||_F < lambda_min(Q), the right side is negative, so Re lam < 0 for
     the exact A (Lyapunov's theorem).  So every finite point whose Q has a
     positive Gershgorin lower bound L <= lambda_min(Q) (exact for the
-    builders' diagonal Q; positive at every point of a paired stack with
-    positive rates, even at T = 0) is solved first.  It is certified
-    stable when ||R||_F + (d + 3) eps (2 ||A|| ||S|| + ||Q||) < L, which
-    also needs S finite, and S - d^2 eps ||S||_F I passes
-    :func:`_positive_definite`: (d + 3) eps bounds the rounding of the
-    computed R, d^2 eps the backward error of the Cholesky test.  Only the
-    other points run an eigensolve, of a paired stack's real quadrature
-    form (``to_real`` of :func:`_fold`) by the real eigensolver, else of A
-    itself, and :func:`_instability` words their error.  So a singular Q
-    (the raw Q of an unpaired stack, whose vacuum ``x_dag`` weight is 0,
-    or gamma_a = 0), or a first solve that raises LinAlgError, takes the
-    eigensolve first and then solves the stable points; an uncertified
-    point that its eigenvalues call stable keeps its S under the residual
-    gate.
+    builders' diagonal Q; positive for positive rates, even at T = 0) is
+    solved first.  It is certified stable when
+    ||R||_F + (d + 3) eps (2 ||A|| ||S|| + ||Q||) < L, which also needs S
+    finite, and S - d^2 eps ||S||_F I passes :func:`_positive_definite`:
+    (d + 3) eps bounds the rounding of the computed R, d^2 eps the
+    backward error of the Cholesky test.  Only the other points run an
+    eigensolve, of the real quadrature form (``to_real`` of :func:`_fold`),
+    and :func:`_instability` words their error.  So a singular Q
+    (gamma_a = 0), or a first solve that raises LinAlgError, takes the
+    eigensolve first; an uncertified point that its eigenvalues call
+    stable keeps its S under the residual gate.
 
     Given ``a1``, the dA/dG of a drift A0 + G*A1 (broadcasting like
     ``b``), the float of entry i becomes ``(n, dn/dG)``: dSigma/dG solves
@@ -569,8 +541,7 @@ def _stacked_occupations(a, b, weights, r, c, labels, a1=None) -> list:
     idx = np.flatnonzero(finite)
     a_idx = a[idx]
     d = a.shape[-1]
-    perm = None if labels is None else _pairing(labels, a_idx, a1)
-    op, qmap, unfold, to_real = _fold(d, None if perm is None else tuple(perm.tolist()))
+    op, qmap, unfold, to_real = _fold(d, tuple(perm.tolist()))
     m = qmap.shape[1]
     eps = np.finfo(float).eps
     # a complex matrix enters by its float view, [Re A_00, Im A_00, Re A_01, ...]
@@ -614,11 +585,9 @@ def _stacked_occupations(a, b, weights, r, c, labels, a1=None) -> list:
     ok[fits] = _positive_definite(s[fits] - (d * d * eps * s_norm[fits])[:, None, None] * np.eye(d))
     if not ok.all():
         rest = np.flatnonzero(~ok)
-        if to_real is None:
-            lam = np.linalg.eigvals(a_idx[rest])
-        else:  # the same spectrum from the real eigensolver, about half the work
-            real_form = a_idx[rest].view(float).reshape(-1, 2 * d * d) @ to_real
-            lam = np.linalg.eigvals(real_form.reshape(-1, d, d))
+        # A's spectrum from the real eigensolver, about half the work of the complex one
+        real_form = a_idx[rest].view(float).reshape(-1, 2 * d * d) @ to_real
+        lam = np.linalg.eigvals(real_form.reshape(-1, d, d))
         stable = np.all(lam.real < 0, axis=1)
         for i, eigs in zip(idx[rest[~stable]], lam[~stable]):
             results[i] = _instability(eigs)
@@ -632,10 +601,8 @@ def _stacked_occupations(a, b, weights, r, c, labels, a1=None) -> list:
     if a1 is not None:
         sigmas.append(hermitian(np.linalg.solve(lyapunov[k], -(operator(a1)[k] @ y[k]))))
     resid = r_norm[k] / scale[k]
-    # <x^2> = u Sigma u^T with u = e_r + e_c
-    r, c = (np.broadcast_to(x, a.shape[:1])[idx[k]] for x in (r, c))
-    j = np.arange(len(sigmas[0]))
-    x2 = [(s[j, r, r] + s[j, r, c] + s[j, c, r] + s[j, c, c]).real.tolist() for s in sigmas]
+    c = perm[r]  # <x^2> = u Sigma u^T with u = e_r + e_c
+    x2 = [(s[:, r, r] + s[:, r, c] + s[:, c, r] + s[:, c, c]).real.tolist() for s in sigmas]
     for i, res, x, *slope in zip(idx[k], resid, *x2):
         n = (x - 1.0) / 2.0  # the vacuum floor <x^2> = 1 is clipped to roundoff
         if not res <= RESIDUAL_TOL:
@@ -668,21 +635,21 @@ def _positive_definite(h: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _fold(d: int, perm: tuple | None) -> tuple:
+def _fold(d: int, perm: tuple) -> tuple:
     """``(op, qmap, unfold, to_real)``: A Sigma + Sigma A^dag on Sigma's real
     coordinates, and A's real quadrature form.
 
     A Hermitian Sigma has d^2 real coordinates, Re Sigma_ij (i <= j) and
-    Im Sigma_ij (i < j).  With ``perm``, Sigma -> P conj(Sigma) P sends
-    each to +-1 times one coordinate; the folded space it fixes has basis
-    vectors e_k + s e_k' (orbits of two) and e_k (fixed coordinates), read
-    back by coordinate k.  Without ``perm`` that map is the identity.  The
-    folded operator of A is its float view times ``op`` (m x m), the folded
+    Im Sigma_ij (i < j).  Sigma -> P conj(Sigma) P, P the permutation
+    matrix of ``perm``, sends each to +-1 times one coordinate; the folded
+    space it fixes has basis vectors e_k + s e_k' (orbits of two) and e_k
+    (fixed coordinates), read back by coordinate k.  The folded operator
+    of A is its float view times ``op`` (m x m), the folded
     (Q + P conj(Q) P)/2 of a real Q is ``Q.ravel() @ qmap``, and the
     Hermitian matrix of folded coordinates y has the float view
-    ``y @ unfold``.  ``to_real`` (None without ``perm``) takes A's float
-    view to M = U A U^-1, row-major, U mapping each pair i < Pi in turn to
-    x = v_i + v_Pi and p = -i (v_i - v_Pi).  For A = P conj(A) P, M is real
+    ``y @ unfold``.  ``to_real`` takes A's float view to M = U A U^-1,
+    row-major, U mapping each pair i < Pi in turn to x = v_i + v_Pi and
+    p = -i (v_i - v_Pi).  For A = P conj(A) P, M is real
     with A's eigenvalues: M[x_k, x_l] = Re A_ij + Re A_{i,Pj},
     M[x_k, p_l] = -Im A_ij + Im A_{i,Pj}, M[p_k, x_l] = Im A_ij + Im A_{i,Pj}
     and M[p_k, p_l] = Re A_ij - Re A_{i,Pj} (pair k's i, pair l's j).  All
@@ -699,7 +666,7 @@ def _fold(d: int, perm: tuple | None) -> tuple:
     k, j = np.arange(iu.size), iu.size + np.arange(su.size)
     basis[k, iu, ju] = basis[k, ju, iu] = 1.0
     basis[j, su, sv], basis[j, sv, su] = 1j, -1j
-    image = np.eye(n) if perm is None else coords(basis[np.ix_(range(n), perm, perm)].conj())
+    image = coords(basis[np.ix_(range(n), perm, perm)].conj())
     target = np.abs(image).argmax(axis=1)  # image[k] = sign[k] * e_target[k]
     keep = np.flatnonzero(np.arange(n) <= target)  # no coordinate maps to minus itself
     span = np.eye(n)[:, keep]
@@ -709,14 +676,12 @@ def _fold(d: int, perm: tuple | None) -> tuple:
     qmap = coords(real_a[::2])
     qmap = (qmap + qmap @ image) / 2.0
     unfold = (span.T @ basis.reshape(n, n)).view(float)
-    to_real = None
-    if perm is not None:  # rows x_k, p_k of M: 2 Re, 2 Im of row i of A U^-1
-        i = np.flatnonzero(np.arange(d) < perm)
-        u_inv = np.zeros((d, i.size, 2), dtype=complex)  # v_i, v_Pi = (x +- i p)/2
-        u_inv[i, range(i.size)], u_inv[np.take(perm, i), range(i.size)] = (0.5, 0.5j), (0.5, -0.5j)
-        rows = real_a[:, i] @ u_inv.reshape(d, d)
-        # stacked into a C-contiguous array; .real alone is a strided view
-        to_real = 2.0 * np.stack((rows.real, rows.imag), axis=2).reshape(2 * n, n)
+    i = np.flatnonzero(np.arange(d) < perm)  # rows x_k, p_k of M: 2 Re, 2 Im of row i of A U^-1
+    u_inv = np.zeros((d, i.size, 2), dtype=complex)  # v_i, v_Pi = (x +- i p)/2
+    u_inv[i, range(i.size)], u_inv[np.take(perm, i), range(i.size)] = (0.5, 0.5j), (0.5, -0.5j)
+    rows = real_a[:, i] @ u_inv.reshape(d, d)
+    # stacked into a C-contiguous array; .real alone is a strided view
+    to_real = 2.0 * np.stack((rows.real, rows.imag), axis=2).reshape(2 * n, n)
     return (op @ span)[:, keep].reshape(2 * n, -1), qmap[:, keep], unfold, to_real
 
 

@@ -25,7 +25,7 @@ from .analytics import (
     regime_flags,
 )
 from .errors import BathcoolError, PhysicsError, UnstableSystemError
-from .model import DriftModel, SystemSpec, _pencil, effective_temperature
+from .model import DriftModel, SystemSpec, _conjugate_swap, _pencil, effective_temperature
 from .spectra import _stacked_occupations, fit_lorentzian, position_spectrum
 
 __all__ = ["SweepResult", "sweep_cooperativity", "find_optimum", "sweep_detuning"]
@@ -74,13 +74,14 @@ def _n_effs(specs, fidelity: str):
     point (specs[i], gammas[i]).
 
     ``specs`` holds one spec per point, or one spec for all points.  At
-    full fidelity the pencil of each spec is built once, here, and every
-    call is one batched steady-state covariance solve of the drift stack
-    A0 + G*A1 at G = |alpha|*g0 = sqrt(Gamma*kappa)/2, the drive that damps
-    mode b at rate Gamma.  With ``slopes`` an entry is
-    ``(n_eff, dn_eff/dlog Gamma)``, from the Lyapunov sensitivity or the
-    derivative of the closed form; without, no derivative is computed.
-    The entry of a point that failed is its BathcoolError.
+    full fidelity the pencil of each spec is built once, here, and must be
+    conjugate-paired (ValueError); every call is one batched steady-state
+    covariance solve of the drift stack A0 + G*A1 at
+    G = |alpha|*g0 = sqrt(Gamma*kappa)/2, the drive that damps mode b at
+    rate Gamma.  With ``slopes`` an entry is ``(n_eff, dn_eff/dlog Gamma)``,
+    from the Lyapunov sensitivity or the derivative of the closed form;
+    without, no derivative is computed.  The entry of a point that failed
+    is its BathcoolError.
     """
     if fidelity == "rwa":
 
@@ -105,13 +106,13 @@ def _n_effs(specs, fidelity: str):
     a0, a1, b, corr, labels = zip(*(_pencil(s, rotating_wave=False) for s in specs))
     a0, a1, b, corr = map(np.stack, (a0, a1, b, corr))
     kappa = np.array([s.cavity.kappa for s in specs])
-    labels = labels[0]
-    rows = labels.index("a"), labels.index("a_dag")
+    perm = _conjugate_swap(labels[0], a0, a1)
+    row = labels[0].index("a")
 
     def covariance(gammas, slopes=False):
         g = np.sqrt(np.asarray(gammas, dtype=float) * kappa) / 2.0
         entries = _stacked_occupations(
-            a0 + g[:, None, None] * a1, b, corr[:, 0], *rows, labels, a1=a1 if slopes else None
+            a0 + g[:, None, None] * a1, b, corr[:, 0], row, perm, a1=a1 if slopes else None
         )
         if not slopes:
             return entries

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -327,9 +328,20 @@ class TestConfigErrorPaths:
             ("sweep", "[run]\ntask = sweep\n", "[system] and [cavity]"),
             ("spectrum", base_config("spectrum").replace("[run]", "[run"), "parse error"),
             ("sense", base_config("sense").replace("mass_a_kg = 1e-12", ""), "mass_a_kg"),
+            ("sweep", base_config("sweep", "\n[sweep]\npoints_per_decade = 1e17\n"), "5e+17"),
+            # 600 decades: the count is inf before it is rounded
+            ("sweep", base_config("sweep", "\n[sweep]\nc_om_min = 1e-300\nc_om_max = 1e300\n"),
+             "over 100000"),
+            # (L_left / h)^2 overflows in the clamped-free frequency
+            ("design",
+             DESIGN_CONFIG.replace("= 20.01e-6", "= 1e200").replace("= 19.99e-6", "= 1e200"),
+             "no finite design"),
+            # (L / h)^2 overflows in the clamping Q
+            ("design", DESIGN_CONFIG.replace("h_m = 0.3e-6", "h_m = 1e-300"), "no finite design"),
         ],
         ids=["missing-run", "format-xml", "design-no-design", "sweep-no-system",
-             "unparsable-header", "sense-no-mass"],
+             "unparsable-header", "sense-no-mass", "sweep-oversized", "sweep-inf-count",
+             "design-arms-overflow", "design-thickness-underflow"],
     )
     def test_exit_1_with_one_config_error(self, tmp_path, capsys, task, text, needle):
         assert main([task, "--config", write_config(tmp_path, text)]) == 1
@@ -340,6 +352,46 @@ class TestConfigErrorPaths:
         err = json.loads(lines[0])
         assert err["error"] == "config_error"
         assert needle in err["message"]
+
+
+class TestSweepCap:
+    """A [sweep] may ask for at most as many C_OM points as a [grid] may."""
+
+    def test_cap_names_the_point_count(self, tmp_path, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("sweep run")
+
+        monkeypatch.setattr(cli, "sweep_cooperativity", refused)
+        # one decade at 100000 points per decade is 100001 points
+        extra = "\n[sweep]\nc_om_min = 1\nc_om_max = 10\npoints_per_decade = 100000\n"
+        text = base_config("sweep", extra=extra)
+        assert main(["sweep", "--config", write_config(tmp_path, text), "--fidelity", "full"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "config_error"
+        assert "100001" in err["message"]
+        # 99999 per decade is 100000 points, which are allowed
+        text = text.replace("= 100000", "= 99999")
+        assert parse_config(text).sweep == {"c_om_min": 1.0, "c_om_max": 10.0, "points": 100000}
+
+
+class TestOverflowingDrive:
+    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
+    def test_is_one_numerical_failure(self, tmp_path, capsys, fidelity):
+        # |alpha| g0 overflows to inf, so the drift has NaN entries; numpy
+        # warns on the way, which is not what this checks
+        text = base_config("spectrum").replace("g0_hz = 10", "g0_hz = 1e200")
+        text = text.replace(f"alpha = {_ALPHA!r}", "alpha = 1e200")
+        path = write_config(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["spectrum", "--config", path, "--fidelity", fidelity]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"] == "numerical_failure"
 
 
 class TestArtifacts:

@@ -30,7 +30,14 @@ from bathcool.errors import (
     NumericsError,
     UnstableSystemError,
 )
-from bathcool.model import CavityDrive, DriftModel, MechanicalMode, SystemSpec, _pencil
+from bathcool.model import (
+    CavityDrive,
+    DriftModel,
+    MechanicalMode,
+    SystemSpec,
+    _conjugate_swap,
+    _pencil,
+)
 from bathcool.spectra import RESIDUAL_TOL, _chi_batch, _solve_rows
 
 from conftest import TWO_PI, make_spec
@@ -102,24 +109,22 @@ class TestGrid:
 
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
     def test_unpaired_points_match_a_per_cluster_construction(self, builder):
+        # the grid's positive half is the top of the points before the
+        # mirror pairs them, built one cluster at a time
         for spec in _criterion_7_draws(10):
-            model = _unpaired(builder(spec))
+            model = builder(spec)
             for ppl, log_points in self.GRID_SETTINGS:
                 grid = make_grid(model, points_per_linewidth=ppl, log_points=log_points)
-                expected = _per_cluster_points(grid.clusters, 50.0, ppl, log_points)
-                assert np.array_equal(grid.points, expected)
+                unpaired = _per_cluster_points(grid.clusters, 50.0, ppl, log_points)
+                half, top = grid.points[grid.points > 0], unpaired[unpaired > 0]
+                assert np.array_equal(half, top[top.size - half.size :])
+                assert grid.points.size <= unpaired.size
 
     def test_mirrored_grid_has_no_more_points_than_the_unmirrored_one(self, spec50):
-        model = build_full_system(spec50)
-        grid = make_grid(model)
-        unmirrored = make_grid(_unpaired(model)).points
+        grid = make_grid(build_full_system(spec50))
+        unmirrored = _per_cluster_points(grid.clusters, 50.0, 20.0, 160)
         assert grid.points.size <= unmirrored.size
         assert np.array_equal(grid.points[grid.points > 0][-100:], unmirrored[-100:])
-
-
-def _unpaired(model):
-    """``model`` with labels that pair no rows, so no mirror is used."""
-    return replace(model, labels=tuple(f"m{i}" for i in range(model.dimension)))
 
 
 def _per_cluster_points(clusters, span, ppl, log_points):
@@ -140,14 +145,15 @@ def _per_cluster_points(clusters, span, ppl, log_points):
 
 
 def _diagonal_model(eigs):
-    """A DriftModel whose drift is diag(eigs): one cluster per entry."""
-    d = len(eigs)
+    """A paired DriftModel whose drift is diag(eig, conj(eig), ...) with
+    labels x_k, x_k_dag: one cluster per entry and one per its mirror."""
+    d = 2 * len(eigs)
     return DriftModel(
         dimension=d,
-        drift=np.diag(eigs),
+        drift=np.diag([z for eig in eigs for z in (eig, np.conj(eig))]),
         noise_input=np.eye(d),
         input_correlations=np.ones((2, d)),
-        labels=tuple(f"m{i}" for i in range(d)),
+        labels=tuple(x for k in range(len(eigs)) for x in (f"x{k}", f"x{k}_dag")),
     )
 
 
@@ -172,15 +178,15 @@ class TestGridClusters:
         exact = _diagonal_model([self.EIG, wide])
         rounded = _diagonal_model([self.EIG, self._ulp_neighbour(wide)])
         grid = make_grid(rounded)
-        assert len(grid.clusters) == 2
-        assert grid.clusters[0][0] == grid.clusters[1][0]
+        # narrowest first: the line at +-omega, then the wide one at each
+        (c0, _), (c1, _), (c2, _), (c3, _) = grid.clusters
+        assert (c2, c3) == (c0, c1) == (-c1, c1)
         assert np.array_equal(grid.points, make_grid(exact).points)
 
     def test_distinct_resonances_kept(self):
         near = complex(self.EIG.real, self.EIG.imag + 1e-3)  # 1/50 linewidth away
         grid = make_grid(_diagonal_model([self.EIG, near]))
-        assert len(grid.clusters) == 2
-        assert grid.clusters[0][0] != grid.clusters[1][0]
+        assert len({c for c, _ in grid.clusters}) == len(grid.clusters) == 4
 
     def test_paired_clusters_mirror_each_other(self):
         for spec in _criterion_7_draws(50):
@@ -434,15 +440,31 @@ class TestMirroredSolve:
             assert np.array_equal(got[~neg], solved)
 
     def test_pairing_needs_the_exact_conjugate_symmetry(self, spec50):
+        # the mirrored rows rely on it, so a DriftModel refuses a drift one
+        # ulp off A = P conj(A) P
         model = build_full_system(spec50)
-        assert spectra._pairing(model.labels, model.drift).tolist() == [1, 0, 3, 2, 5, 4]
+        assert _conjugate_swap(model.labels, model.drift).tolist() == [1, 0, 3, 2, 5, 4]
         drift = model.drift.copy()
         drift[0, 2] = complex(drift[0, 2].real, np.nextafter(drift[0, 2].imag, 0.0))
-        assert spectra._pairing(model.labels, drift) is None
-        assert spectra._pairing(_unpaired(model).labels, model.drift) is None
+        with pytest.raises(ValueError, match="not conjugate-paired"):
+            replace(model, drift=drift)
         # a stack pairs only if every matrix of it does
-        assert spectra._pairing(model.labels, np.stack([model.drift] * 2)) is not None
-        assert spectra._pairing(model.labels, np.stack([model.drift, drift])) is None
+        assert _conjugate_swap(model.labels, np.stack([model.drift] * 2)) is not None
+        with pytest.raises(ValueError, match="not conjugate-paired"):
+            _conjugate_swap(model.labels, np.stack([model.drift, drift]))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [("a", "a_dag", "b", "b_dag", "c", "m"),
+         ("a", "a_dag", "b", "b_dag", "c_dag", "m_dag"),
+         ("a", "a_dag", "b", "b_dag", "a", "a_dag"),
+         ("a", "a_dag", "b", "b_dag", "c", "c_dag_dag")],
+        ids=["no-dag-mate", "no-plain-mate", "duplicate-pair", "dag-of-a-dag"],
+    )
+    def test_labels_without_their_mate_are_refused(self, spec50, labels):
+        model = build_full_system(spec50)
+        with pytest.raises(ValueError, match="x/x_dag pairs"):
+            replace(model, labels=labels)
 
     def _record(self, monkeypatch):
         calls = []
@@ -454,18 +476,6 @@ class TestMirroredSolve:
 
         monkeypatch.setattr(spectra, "_eliminate", recorded)
         return calls
-
-    def test_unpaired_model_keeps_its_grid_and_solves_every_point(self, monkeypatch):
-        eig = TestGridClusters.EIG
-        model = _diagonal_model([eig, eig.conjugate()])
-        grid = make_grid(model)
-        assert np.array_equal(grid.points, _per_cluster_points(grid.clusters, 50.0, 20.0, 160))
-        omegas = np.linspace(-1.5, 1.5, 7) * abs(eig.imag)  # exact mirrors
-        calls = self._record(monkeypatch)
-        got = _solve_rows(model, omegas, np.eye(2))
-        assert [(w.size, k) for w, k in calls] == [(7, 2)]
-        expected = 1.0 / (-1j * omegas[:, None] - np.array([eig, eig.conjugate()]))
-        assert np.allclose(got[:, [0, 1], [0, 1]], expected, rtol=1e-14, atol=0.0)
 
     def test_corrupted_solve_is_caught_at_mirrored_points(self, spec50, monkeypatch):
         model = build_full_system(make_spec(c_ab=50.0, c_om=5.0))
@@ -788,6 +798,20 @@ class TestBatchedCovariance:
         with pytest.raises(ValueError):
             spectra.steady_state_occupations([build_full_system(spec50)], "q")
 
+    def test_models_in_different_bases_are_refused(self, spec50):
+        # the same system with its b and c pairs swapped: a paired basis of
+        # its own, but not one stack with the original
+        model = build_full_system(spec50)
+        order = [0, 1, 4, 5, 2, 3]
+        swapped = DriftModel(
+            6, model.drift[np.ix_(order, order)], model.noise_input[order],
+            model.input_correlations, tuple(model.labels[i] for i in order),
+        )
+        n = steady_state_occupation(model, "a")
+        assert steady_state_occupation(swapped, "a") == pytest.approx(n, rel=1e-14)
+        with pytest.raises(ValueError, match="share one basis"):
+            spectra.steady_state_occupations([model, swapped], "a")
+
     def test_eigvals_runs_only_on_uncertified_points(self, monkeypatch):
         spec = make_spec(c_ab=50.0, gamma_a_hz=0.1, gamma_b_hz=10.0, kappa_hz=1e4)
         models = [build_full_system(replace(spec, coupling=spec.coupling * f))
@@ -827,19 +851,6 @@ class TestBatchedCovariance:
         assert isinstance(entries[1], UnstableSystemError)
         assert calls == [("solve", (3, 21, 21)), ("eigvals", (1, 6, 6))]
         assert dtypes[1] == np.float64
-        # an unpaired one: its raw Q is singular (the vacuum c_dag weight is
-        # 0), so the eigenvalues of the complex A come first, then the solve
-        # on all 36 coordinates
-        calls.clear()
-        dtypes.clear()
-        m0 = models[0]
-        assert m0.input_correlations[0][m0.index("c_dag")] == 0.0
-        spectra._stacked_occupations(
-            np.stack([m.drift for m in models]), m0.noise_input, m0.input_correlations[0],
-            0, 1, _unpaired(m0).labels,
-        )
-        assert calls == [("eigvals", (3, 6, 6)), ("solve", (3, 36, 36))]
-        assert dtypes[0] == np.complex128
 
     def test_a_failed_first_solve_takes_the_eigensolve_first(self, monkeypatch):
         models = _mixed_batch()
@@ -891,23 +902,20 @@ class TestBatchedCovariance:
         exact = _kronecker_occupation(coupled)
         assert abs(n - exact) <= bound * exact
 
-    @pytest.mark.parametrize("perm, m", [((1, 0, 3, 2, 5, 4), 21), (None, 36)])
+    @pytest.mark.parametrize("perm, m", [((1, 0, 3, 2, 5, 4), 21)])
     def test_fold_is_exact_and_combines_at_most_two_entries(self, perm, m):
         # so it adds no rounding to A or Q beyond their own, in any batch
-        op, qmap, unfold, to_real = spectra._fold(6, perm)
+        op, qmap, unfold, _ = spectra._fold(6, perm)
         assert op.shape == (72, m * m) and qmap.shape == (36, m) and unfold.shape == (m, 72)
         for x in (op, qmap, unfold):
             assert set(np.unique(x)) <= {-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0}
             assert (x != 0).sum(axis=0).max() <= 2
-        # the real quadrature form exists only for a paired stack
-        assert (to_real is None) == (perm is None)
 
 
 def _real_form(model):
     """M = U A U^-1 of a paired model, through spectra's cached fold."""
     d = model.dimension
-    perm = spectra._pairing(model.labels, model.drift)
-    to_real = spectra._fold(d, tuple(perm.tolist()))[3]
+    to_real = spectra._fold(d, tuple(_conjugate_swap(model.labels).tolist()))[3]
     return (model.drift.view(float).reshape(2 * d * d) @ to_real).reshape(d, d)
 
 
@@ -1018,12 +1026,13 @@ class TestStabilityCertificate:
         """The decisions, and that the eigensolve saw exactly the unstable points."""
         eigvals = np.linalg.eigvals
         d = drifts.shape[-1]
-        to_real = spectra._fold(d, tuple(spectra._pairing(labels, drifts).tolist()))[3]
+        perm = _conjugate_swap(labels, drifts)
+        to_real = spectra._fold(d, tuple(perm.tolist()))[3]
         forms = (drifts.view(float).reshape(-1, 2 * d * d) @ to_real).reshape(-1, d, d)
         unstable = np.any(eigvals(forms).real >= 0, axis=1)
         seen = [np.empty((0, d, d))]
         monkeypatch.setattr(np.linalg, "eigvals", lambda x: seen.append(x) or eigvals(x))
-        entries = spectra._stacked_occupations(drifts, b, weights, 0, 1, labels)
+        entries = spectra._stacked_occupations(drifts, b, weights, 0, perm)
         monkeypatch.undo()
         assert [isinstance(e, UnstableSystemError) for e in entries] == unstable.tolist()
         assert np.array_equal(np.concatenate(seen), forms[unstable])
@@ -1066,69 +1075,6 @@ class TestStabilityCertificate:
         (entry,) = spectra.steady_state_occupations([blue], "a")
         assert isinstance(entry, UnstableSystemError)
         assert str(entry) == str(single.value)
-
-
-class TestUnpairedCovariance:
-    """A stack the labels do not pair is solved on all d^2 coordinates of
-    Sigma (the identity fold), with the raw Q."""
-
-    def _folds(self, monkeypatch):
-        folds = []
-        fold = spectra._fold
-
-        def recorded(d, perm):
-            folds.append((d, perm))
-            return fold(d, perm)
-
-        monkeypatch.setattr(spectra, "_fold", recorded)
-        return folds
-
-    def test_diagonal_drift_matches_the_closed_form(self, monkeypatch):
-        # x and x_dag with widths that break the pairing: Sigma is diagonal,
-        # Sigma_ii = Q_ii / (-2 Re lam_i)
-        lam = np.array([complex(-0.3, -5.0), complex(-0.7, 5.0)])
-        weights = np.array([[4.0, 3.0], [3.0, 4.0]])
-        model = DriftModel(2, np.diag(lam), np.diag([1.5, 2.0]), weights, ("x", "x_dag"))
-        folds = self._folds(monkeypatch)
-        n = steady_state_occupation(model, "x")
-        sigma = np.array([1.5**2, 2.0**2]) * weights[0] / (-2.0 * lam.real)
-        assert n == pytest.approx((sigma.sum() - 1.0) / 2.0, rel=1e-15)
-        assert folds == [(2, None)]
-
-    def test_unpaired_labels_match_a_40_digit_solve(self, monkeypatch):
-        model = build_full_system(make_spec(**TestConditioning.DRAWS[0]))
-        folds = self._folds(monkeypatch)
-        (n,) = spectra._stacked_occupations(
-            model.drift[None], model.noise_input, model.input_correlations[0],
-            0, 1, _unpaired(model).labels,
-        )
-        assert folds == [(6, None)]
-        exact = _kronecker_occupation(model)
-        assert abs(n - exact) <= 1e-14 * exact
-
-    def test_a1_alone_can_break_the_pairing(self, monkeypatch):
-        # a paired stack with a paired and an unpaired dA/dG: the second
-        # takes the identity fold, with the same n and its own exact slope
-        spec = make_spec(c_ab=50.0, c_om=5.0)
-        a0, a1, b, corr, labels = _pencil(spec, rotating_wave=False)
-        g = spec.cavity.alpha_g0
-        bad = a1.copy()
-        bad[0, 2] += 0.3j  # no conjugate partner at [1, 3]
-        assert spectra._pairing(labels, a0 + g * a1, a1) is not None
-        assert spectra._pairing(labels, a0 + g * a1, bad) is None
-        folds = self._folds(monkeypatch)
-
-        def entry(drift, a1=None):
-            (e,) = spectra._stacked_occupations(drift[None], b, corr[0], 0, 1, labels, a1=a1)
-            return e
-
-        n_paired, _ = entry(a0 + g * a1, a1)
-        n, slope = entry(a0 + g * a1, bad)
-        assert folds[:2] == [(6, (1, 0, 3, 2, 5, 4)), (6, None)]
-        assert abs(n - n_paired) <= 1e-14 * n_paired
-        h = 1e-6 * g
-        fd = (entry(a0 + g * a1 + h * bad) - entry(a0 + g * a1 - h * bad)) / (2.0 * h)
-        assert slope == pytest.approx(fd, rel=1e-6)
 
 
 class TestIntegration:

@@ -18,7 +18,7 @@ from bathcool import (
 )
 from bathcool import spectra, sweeps
 from bathcool.errors import NumericsError, PhysicsError, UnstableSystemError
-from bathcool.model import DriftModel, _pencil
+from bathcool.model import DriftModel, _conjugate_swap, _pencil
 
 from conftest import make_spec
 
@@ -177,6 +177,23 @@ class TestFullFidelityCovariance:
         assert len(calls) == 1
         find_optimum(self.SPEC, bracket=(1.0, 60.0), fidelity="full")
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_a_pencil_off_its_pairing_is_refused(self, monkeypatch, part):
+        # the covariance solve folds onto the paired coordinates, so a
+        # pencil whose A0 or A1 breaks A = P conj(A) P must not reach it
+        pencil = sweeps._pencil
+
+        def broken(*args, **kwargs):
+            parts = list(pencil(*args, **kwargs))
+            parts[part] = parts[part].copy()
+            parts[part][0, 2] += 0.3j  # no conjugate partner at [1, 3]
+            return tuple(parts)
+
+        monkeypatch.setattr(sweeps, "_pencil", broken)
+        monkeypatch.setattr(sweeps, "_stacked_occupations", None)
+        with pytest.raises(ValueError, match="not conjugate-paired"):
+            sweeps._n_effs([self.SPEC], "full")
 
     def test_line_fit_still_builds_the_spectrum(self, monkeypatch):
         calls = []
@@ -398,8 +415,10 @@ class TestSecantSearch:
         _, _, b, corr, labels = _pencil(spec, rotating_wave=False)
         da = drift(1.0) - drift(0.0)  # exact: the lambda entries are +-1j
 
+        perm = _conjugate_swap(labels, da)
+
         def entry(x, a1=None):
-            (e,) = spectra._stacked_occupations(drift(x)[None], b, corr[0], 0, 1, labels, a1=a1)
+            (e,) = spectra._stacked_occupations(drift(x)[None], b, corr[0], 0, perm, a1=a1)
             return e
 
         n, slope = entry(lam, da)
