@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import KB
 from .errors import UnstableSystemError
 from .model import SystemSpec, thermal_occupation
@@ -42,6 +44,7 @@ __all__ = [
 ]
 
 REGIME_FACTOR = 10.0
+UNDAMPED = "mode a is undamped (gamma_a + Gamma_a = 0)"
 
 
 @dataclass(frozen=True)
@@ -95,22 +98,30 @@ class ForceNoiseResult:
 
 def regime_flags(spec: SystemSpec, Gamma: float) -> RegimeFlags:
     """Where the closed forms hold at optical damping Gamma (see RegimeFlags)."""
+    return RegimeFlags(*_regime_tests(spec, Gamma, spec.mode_b.omega))
+
+
+def _regime_tests(spec: SystemSpec, Gamma, omega_b) -> tuple:
+    """:func:`regime_flags`' tests, mode b at omega_b; on floats or arrays."""
     gtot = spec.mode_b.gamma + Gamma
-    delta_ab = abs(spec.mode_a.omega - spec.mode_b.omega)
     cab = cooperativity_ab(spec)
     kappa = spec.cavity.kappa
-    sideband = (kappa >= REGIME_FACTOR * gtot) and (
-        abs(spec.cavity.detuning + spec.mode_b.omega) * REGIME_FACTOR <= kappa / 2
+    sideband = (kappa >= REGIME_FACTOR * gtot) & (
+        abs(spec.cavity.detuning + omega_b) * REGIME_FACTOR <= kappa / 2
     )
-    hierarchy = (
-        spec.mode_a.gamma == 0.0 or gtot / spec.mode_a.gamma >= REGIME_FACTOR * cab
-    )
-    return RegimeFlags(
-        degenerate=delta_ab * REGIME_FACTOR <= gtot,
-        sideband=sideband,
-        hierarchy=hierarchy,
-        cooperative=cab >= REGIME_FACTOR,
-    )
+    hierarchy = spec.mode_a.gamma == 0.0 or gtot / spec.mode_a.gamma >= REGIME_FACTOR * cab
+    degenerate = abs(spec.mode_a.omega - omega_b) * REGIME_FACTOR <= gtot
+    return degenerate, sideband, hierarchy, cab >= REGIME_FACTOR
+
+
+# every RegimeFlags, at index 8*degenerate + 4*sideband + 2*hierarchy + cooperative
+_FLAG_SETS = tuple(RegimeFlags(*(bool(k & bit) for bit in (8, 4, 2, 1))) for k in range(16))
+
+
+def _regime_flags_column(spec: SystemSpec, Gamma: np.ndarray, omega_b) -> list:
+    """:func:`regime_flags` at each Gamma, mode b at omega_b; one instance per flag set."""
+    d, s, h, c = _regime_tests(spec, Gamma, omega_b)
+    return [_FLAG_SETS[k] for k in (8 * d + 4 * s + 2 * h + c).tolist()]
 
 
 def optical_damping(alpha_g0: float, kappa: float) -> float:
@@ -178,6 +189,17 @@ def induced_damping_detuned(
     return lam**2 * gtot / (delta**2 + gtot**2 / 4.0)
 
 
+def _induced_damping_detuned_column(lam, gamma_b, Gamma: np.ndarray, delta: np.ndarray):
+    """:func:`induced_damping_detuned` at every point of 1-D arrays that broadcast."""
+    gtot = gamma_b + Gamma
+    if not np.all(gtot > 0):
+        raise ValueError("gamma_b + Gamma must be > 0")
+    # x**2 by libm pow, as for a float: numpy squares by x*x, which differs
+    # in the last bit for about one value in a thousand
+    square = lambda x: np.array([v**2 for v in x.tolist()])
+    return lam**2 * gtot / (square(delta) + square(gtot) / 4.0)
+
+
 def cooperativity_ab(spec: SystemSpec) -> float:
     """C_ab = 4*lambda^2/(gamma_a*gamma_b)."""
     ga, gb = spec.mode_a.gamma, spec.mode_b.gamma
@@ -227,9 +249,19 @@ def n_eff_closed_form(
     delta = spec.mode_b.omega - spec.mode_a.omega
     gamma_a_ind = induced_damping_detuned(spec.coupling, gb, Gamma, delta)
     if not ga + gamma_a_ind > 0:
-        raise UnstableSystemError("mode a is undamped (gamma_a + Gamma_a = 0)")
+        raise UnstableSystemError(UNDAMPED)
     num = ga * nbar + gamma_a_ind * (gb / (gb + Gamma)) * nbar_b
     return float(num / (ga + gamma_a_ind))
+
+
+def _n_eff_closed_form_column(spec, Gamma: np.ndarray, nbar, nbar_b, omega_b) -> np.ndarray:
+    """:func:`n_eff_closed_form` at each Gamma, mode b at omega_b; NaN if undamped."""
+    ga, gb = spec.mode_a.gamma, spec.mode_b.gamma
+    delta = omega_b - spec.mode_a.omega
+    gamma_a_ind = _induced_damping_detuned_column(spec.coupling, gb, Gamma, delta)
+    num = ga * nbar + gamma_a_ind * (gb / (gb + Gamma)) * nbar_b
+    den = ga + gamma_a_ind
+    return np.divide(num, den, out=np.full(den.shape, math.nan), where=den > 0)
 
 
 def _n_eff_closed_form_slope(

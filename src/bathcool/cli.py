@@ -17,7 +17,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -333,14 +333,8 @@ def _build_model(config: RunConfig):
 def _flags_str(flags) -> str:
     if flags is None:
         return "error"
-    if flags.ok:
-        return "ok"
-    bad = [
-        name
-        for name in ("degenerate", "sideband", "hierarchy", "cooperative")
-        if not getattr(flags, name)
-    ]
-    return "violated:" + "+".join(bad)
+    bad = [f.name for f in fields(flags) if not getattr(flags, f.name)]
+    return "violated:" + "+".join(bad) if bad else "ok"
 
 
 def _run_spectrum(config: RunConfig):
@@ -348,7 +342,7 @@ def _run_spectrum(config: RunConfig):
     grid = make_grid(model, **config.grid)
     result = position_spectrum(model, config.select, grid)
     header = ["omega_rad_s", "Sxx_per_rad_s"]
-    rows = list(zip(result.grid.points.tolist(), result.values.tolist()))
+    columns = [result.grid.points, result.values]
     summary = {
         "n_eff": result.n_eff,
         "n_eff_error_rel": result.n_eff_error,
@@ -356,7 +350,7 @@ def _run_spectrum(config: RunConfig):
         "select": result.select,
         "n_points": int(result.grid.points.size),
     }
-    return header, rows, summary
+    return header, columns, summary
 
 
 def _run_sweep(config: RunConfig):
@@ -366,9 +360,11 @@ def _run_sweep(config: RunConfig):
     values = np.geomspace(s["c_om_min"], s["c_om_max"], s["points"])
     result = sweep_cooperativity(config.system, values, fidelity=config.fidelity)
     header = ["C_OM", "n_eff", "T_ratio", "linewidth_rad_s", "flags"]
-    columns = (result.axis_values, result.n_eff, result.T_ratio, result.linewidths)
-    flags = [_flags_str(f) for f in result.validity_flags]
-    rows = list(zip(*(x.tolist() for x in columns), flags))
+    # equal flag sets share one RegimeFlags instance: word each instance once
+    distinct = {id(f): f for f in result.validity_flags}
+    words = {key: _flags_str(f) for key, f in distinct.items()}
+    flags = [words[id(f)] for f in result.validity_flags]
+    columns = [result.axis_values, result.n_eff, result.T_ratio, result.linewidths, flags]
     finite = np.isfinite(result.n_eff)
     if not finite.any():
         raise PhysicsError("every sweep point failed")
@@ -382,7 +378,7 @@ def _run_sweep(config: RunConfig):
         "C_ab": cooperativity_ab(config.system),
         "n_errors": sum(e is not None for e in result.errors),
     }
-    return header, rows, summary
+    return header, columns, summary
 
 
 def _run_optimize(config: RunConfig):
@@ -396,14 +392,14 @@ def _run_optimize(config: RunConfig):
     nbar = config.system.mode_a.nbar
     header = ["C_OM_star", "n_eff_star", "n_ratio_star"]
     ratio = n_star / nbar if nbar > 0 else math.nan
-    rows = [(c_star, n_star, ratio)]
+    columns = [np.array([v]) for v in (c_star, n_star, ratio)]
     summary = {
         "C_OM_star": c_star,
         "n_eff_star": n_star,
         "n_ratio_min": ratio if nbar > 0 else None,
         "C_ab": cooperativity_ab(config.system),
     }
-    return header, rows, summary
+    return header, columns, summary
 
 
 def _run_design(config: RunConfig):
@@ -417,29 +413,14 @@ def _run_design(config: RunConfig):
         raise ConfigError(f"[design] no finite design for this beam: {exc}") from exc
     b = report.budget
     header = ["quantity", "value", "units"]
-    rows = [
-        ("omega0", b.omega0, "rad_s"),
-        ("lambda", b.coupling, "rad_s"),
-        ("gamma_clamp", b.gamma_clamp, "rad_s"),
-        ("gamma_ted", b.gamma_ted, "rad_s"),
-        ("Q_clamp", b.Q_clamp, "dimensionless"),
-        ("Q_ted", b.Q_ted, "dimensionless"),
-        ("epsilon", report.epsilon, "dimensionless"),
-        ("C_ab", report.C_ab, "dimensionless"),
-    ]
-    summary = {
-        "omega0_rad_s": b.omega0,
-        "lambda_rad_s": b.coupling,
-        "gamma_clamp_rad_s": b.gamma_clamp,
-        "gamma_ted_rad_s": b.gamma_ted,
-        "Q_clamp": b.Q_clamp,
-        "Q_ted": b.Q_ted,
-        "epsilon": report.epsilon,
-        "C_ab": report.C_ab,
-        "material": d["material"].name,
-        "warnings": list(report.warnings),
-    }
-    return header, rows, summary
+    names = ["omega0", "lambda", "gamma_clamp", "gamma_ted", "Q_clamp", "Q_ted", "epsilon", "C_ab"]
+    values = [b.omega0, b.coupling, b.gamma_clamp, b.gamma_ted, b.Q_clamp, b.Q_ted,
+              report.epsilon, report.C_ab]
+    units = ["rad_s"] * 4 + ["dimensionless"] * 4
+    # the summary keys are the table's quantities, a rate's with its unit
+    summary = {n + "_rad_s" * (u == "rad_s"): v for n, v, u in zip(names, values, units)}
+    summary.update(material=d["material"].name, warnings=list(report.warnings))
+    return header, [names, np.array(values), units], summary
 
 
 def _run_sense(config: RunConfig):
@@ -455,9 +436,7 @@ def _run_sense(config: RunConfig):
     grid = make_grid(model, **config.grid)
     result = force_spectrum_numeric(model, spec, grid)
     header = ["omega_rad_s", "S_FF_N2_per_Hz", "factor"]
-    rows = list(
-        zip(result.grid.points.tolist(), result.s_ff.tolist(), result.factor.tolist())
-    )
+    columns = [result.grid.points, result.s_ff, result.factor]
     i_res = int(np.argmin(np.abs(result.grid.points - spec.mode_a.omega)))
     gamma = optical_damping(spec.cavity.alpha_g0, spec.cavity.kappa)
     closed = force_noise_psd(spec, gamma, spec.mode_a.bath_temperature)
@@ -470,7 +449,7 @@ def _run_sense(config: RunConfig):
         "reduction_vs_conventional": (1.0 + cab) / closed.factor,
         "classical_limit_ok": closed.classical,
     }
-    return header, rows, summary
+    return header, columns, summary
 
 
 _RUNNERS = {
@@ -482,20 +461,17 @@ _RUNNERS = {
 }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_table(path, header, rows, fmt):
+def _write_table(path, header, columns, fmt):
+    """Write a table given by its columns: float ndarrays, or lists of str."""
+    floats = [isinstance(c, np.ndarray) for c in columns]
+    columns = [c.tolist() if f else c for c, f in zip(columns, floats)]
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        # row by row, so that only one row's cells are alive at a time
+        cells = [map(repr, c) if f else c for c, f in zip(columns, floats)]
+        text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
     else:
         text = json.dumps(
-            {"columns": header, "rows": [list(r) for r in rows]},
+            {"columns": header, "rows": [list(r) for r in zip(*columns)]},
             sort_keys=True,
         ) + "\n"
     with open(path, "w") as fh:
@@ -508,7 +484,7 @@ def run(config: RunConfig, out: str | None = None):
     Returns the summary dict.  Output is byte-identical for identical
     (config, version).
     """
-    header, rows, summary = _RUNNERS[config.task](config)
+    header, columns, summary = _RUNNERS[config.task](config)
     summary = dict(summary)
     summary["task"] = config.task
     summary["fidelity"] = config.fidelity
@@ -518,7 +494,7 @@ def run(config: RunConfig, out: str | None = None):
     if out:
         ext = ".csv" if config.format == "csv" else ".json"
         base = out[: -len(ext)] if out.endswith(ext) else out
-        _write_table(base + ext, header, rows, config.format)
+        _write_table(base + ext, header, columns, config.format)
         with open(base + ".summary.json", "w") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
             fh.write("\n")

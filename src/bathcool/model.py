@@ -324,13 +324,20 @@ def build_rwa_system(spec: SystemSpec) -> DriftModel:
     and the creation rows their conjugates.
     """
     a0, a1, *inputs = _pencil(spec, rotating_wave=True)
-    return DriftModel(6, a0 + spec.cavity.alpha_g0 * a1, *inputs)
+    return DriftModel(6, a0 + _drive(spec) * a1, *inputs)
 
 
 def build_full_system(spec: SystemSpec) -> DriftModel:
     """The 6x6 system retaining counter-rotating terms (see :func:`_pencil`)."""
     a0, a1, *inputs = _pencil(spec, rotating_wave=False)
-    return DriftModel(6, a0 + spec.cavity.alpha_g0 * a1, *inputs)
+    return DriftModel(6, a0 + _drive(spec) * a1, *inputs)
+
+
+def _drive(spec: SystemSpec) -> float:
+    """G = |alpha|*g0 of ``spec``, refused if it overflowed: G*A1 would be inf*0 = NaN."""
+    if not math.isfinite(g := spec.cavity.alpha_g0):
+        raise NumericsError(f"linearized coupling |alpha|*g0 = {g!r} is not finite")
+    return g
 
 
 def stability_eigenvalues(model: DriftModel) -> np.ndarray:

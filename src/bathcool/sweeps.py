@@ -17,12 +17,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics import (
+    UNDAMPED,
+    _induced_damping_detuned_column,
+    _n_eff_closed_form_column,
     _n_eff_closed_form_slope,
     _nbar_b,
+    _regime_flags_column,
     cooperativity_ab,
     induced_damping_detuned,
-    n_eff_closed_form,
-    regime_flags,
 )
 from .errors import BathcoolError, PhysicsError, UnstableSystemError
 from .model import DriftModel, SystemSpec, _conjugate_swap, _pencil, effective_temperature
@@ -53,56 +55,48 @@ class SweepResult:
 
     def __post_init__(self):
         n = len(self.axis_values)
-        for name in ("n_eff", "T_ratio", "linewidths"):
+        for name in ("n_eff", "T_ratio", "linewidths", "validity_flags", "errors"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length mismatch")
-        if len(self.validity_flags) != n or len(self.errors) != n:
-            raise ValueError("flags/errors length mismatch")
-
-
-def _rwa_line(spec: SystemSpec, Gamma: float):
-    """Closed-form mode-a linewidth and regime flags at optical damping Gamma."""
-    delta = spec.mode_b.omega - spec.mode_a.omega
-    lw = spec.mode_a.gamma + induced_damping_detuned(
-        spec.coupling, spec.mode_b.gamma, Gamma, delta
-    )
-    return lw, regime_flags(spec, Gamma)
 
 
 def _n_effs(specs, fidelity: str):
     """``(gammas, slopes=False) -> entries``: n_eff of mode a at every
     point (specs[i], gammas[i]).
 
-    ``specs`` holds one spec per point, or one spec for all points.  At
-    full fidelity the pencil of each spec is built once, here, and must be
-    conjugate-paired (ValueError); every call is one batched steady-state
-    covariance solve of the drift stack A0 + G*A1 at
-    G = |alpha|*g0 = sqrt(Gamma*kappa)/2, the drive that damps mode b at
-    rate Gamma.  With ``slopes`` an entry is ``(n_eff, dn_eff/dlog Gamma)``,
-    from the Lyapunov sensitivity or the derivative of the closed form;
-    without, no derivative is computed.  The entry of a point that failed
-    is its BathcoolError.
+    ``specs`` holds one spec per point, or one spec for all points; they
+    differ at most in mode b's frequency.  At rwa fidelity n_eff is one
+    evaluation of the closed form over the array.  At full fidelity the
+    pencil of each spec is built once, here, and must be conjugate-paired
+    (ValueError); every call is one batched steady-state covariance solve
+    of the drift stack A0 + G*A1 at G = |alpha|*g0 = sqrt(Gamma*kappa)/2,
+    the drive that damps mode b at rate Gamma.  With ``slopes`` an entry
+    is ``(n_eff, dn_eff/dlog Gamma)``, from the Lyapunov sensitivity or
+    the derivative of the closed form; without, no derivative is
+    computed.  The entry of a point that failed is its BathcoolError.
     """
-    if fidelity == "rwa":
-
-        def closed_form(s, g, slopes):
-            try:
-                nbar_b = _nbar_b(s)
-                n = n_eff_closed_form(s, g, s.mode_a.nbar, nbar_b=nbar_b)
-                if not slopes:
-                    return n
-                # d/dlog Gamma = Gamma d/dGamma
-                return n, g * _n_eff_closed_form_slope(s, g, s.mode_a.nbar, nbar_b=nbar_b)
-            except BathcoolError as exc:
-                return exc
-
-        return lambda gammas, slopes=False: [
-            closed_form(s, g, slopes) for s, g in zip(itertools.cycle(specs), gammas)
-        ]
-    if fidelity != "full":
+    if fidelity not in ("rwa", "full"):
         raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")
     if not specs:
         return lambda gammas, slopes=False: []
+    if fidelity == "rwa":
+        omega_b = np.array([s.mode_b.omega for s in specs])
+        nbar_b = np.array([s.mode_a.nbar if _nbar_b(s) is None else s.mode_b.nbar for s in specs])
+
+        def closed_form(gammas, slopes=False):
+            gammas = np.asarray(gammas, dtype=float)
+            n = _n_eff_closed_form_column(specs[0], gammas, specs[0].mode_a.nbar, nbar_b, omega_b)
+            entries = [UnstableSystemError(UNDAMPED) if math.isnan(x) else x for x in n.tolist()]
+            if not slopes:
+                return entries
+            # d/dlog Gamma = Gamma d/dGamma
+            return [
+                e if isinstance(e, BathcoolError)
+                else (e, g * _n_eff_closed_form_slope(s, g, s.mode_a.nbar, nbar_b=_nbar_b(s)))
+                for e, g, s in zip(entries, gammas.tolist(), itertools.cycle(specs))
+            ]
+
+        return closed_form
     a0, a1, b, corr, labels = zip(*(_pencil(s, rotating_wave=False) for s in specs))
     a0, a1, b, corr = map(np.stack, (a0, a1, b, corr))
     kappa = np.array([s.cavity.kappa for s in specs])
@@ -132,39 +126,32 @@ def _value(n_eff):
     return n_eff
 
 
-def _sweep(spec: SystemSpec, axis_name: str, values: np.ndarray, point) -> SweepResult:
-    """Evaluate ``point(i) -> (n_eff, linewidth, flags)`` at every axis index.
+def _sweep(
+    spec: SystemSpec, axis_name: str, values, entries, gammas, omega_b, linewidths=None
+) -> SweepResult:
+    """A sweep's columns from its :func:`_n_effs` entries at the dampings
+    ``gammas``, mode b at ``omega_b`` (floats or arrays like ``values``).
 
-    A point that raises a BathcoolError records its message and NaNs; the
-    sweep continues.
+    A point whose entry is a BathcoolError records its message and NaNs.
+    T_ratio, the flags and, unless given, the closed-form linewidths are
+    computed at the other points only.
     """
-    t_bath = spec.mode_a.bath_temperature
-    n_eff = np.full(values.size, math.nan)
+    errors = tuple(f"{e.kind}: {e}" if isinstance(e, BathcoolError) else None for e in entries)
+    ok = np.array([e is None for e in errors], dtype=bool)
+    n_eff = np.array([n if e is None else math.nan for n, e in zip(entries, errors)], dtype=float)
+    gammas, omega_b = (np.broadcast_to(x, values.shape)[ok] for x in (gammas, omega_b))
     t_ratio = np.full(values.size, math.nan)
-    lws = np.full(values.size, math.nan)
-    flags, errors = [], []
-    for i in range(values.size):
-        try:
-            n, lw, fl = point(i)
-        except BathcoolError as exc:
-            flags.append(None)
-            errors.append(f"{exc.kind}: {exc}")
-            continue
-        n_eff[i] = n
-        lws[i] = lw
-        if t_bath > 0:
-            t_ratio[i] = effective_temperature(n, spec.mode_a.omega) / t_bath
-        flags.append(fl)
-        errors.append(None)
-    return SweepResult(
-        axis_name=axis_name,
-        axis_values=values,
-        n_eff=n_eff,
-        T_ratio=t_ratio,
-        linewidths=lws,
-        validity_flags=tuple(flags),
-        errors=tuple(errors),
-    )
+    if spec.mode_a.bath_temperature > 0:
+        t_ratio[ok] = [effective_temperature(n, spec.mode_a.omega) for n in n_eff[ok].tolist()]
+        t_ratio /= spec.mode_a.bath_temperature
+    if linewidths is None:
+        linewidths = np.full(values.size, math.nan)
+        linewidths[ok] = spec.mode_a.gamma + _induced_damping_detuned_column(
+            spec.coupling, spec.mode_b.gamma, gammas, omega_b - spec.mode_a.omega
+        )
+    flags = iter(_regime_flags_column(spec, gammas, omega_b))
+    flags = tuple(next(flags) if k else None for k in ok.tolist())
+    return SweepResult(axis_name, values, n_eff, t_ratio, linewidths, flags, errors)
 
 
 def sweep_cooperativity(
@@ -189,25 +176,28 @@ def sweep_cooperativity(
     if np.any(values < 0):
         raise ValueError("C_OM values must be >= 0")
     gammas = values * spec.mode_b.gamma
-    n_effs = _n_effs([spec], fidelity)(gammas)
-    if fit_lines and fidelity == "full":
+    entries = _n_effs([spec], fidelity)(gammas)
+    if fidelity == "rwa":
+        return _sweep(spec, "C_OM", values, entries, gammas, spec.mode_b.omega)
+    # a full-fidelity linewidth comes only from a line fit, in a window of 8
+    # closed-form linewidths around the mode-a line
+    linewidths = np.full(values.size, math.nan)
+    fit = [i for i, e in enumerate(entries) if fit_lines and not isinstance(e, BathcoolError)]
+    if fit:
         a0, a1, *inputs = _pencil(spec, rotating_wave=False)
-
-    def point(i):
-        n_eff = _value(n_effs[i])
-        lw, flags = _rwa_line(spec, gammas[i])
-        if fidelity == "full":
-            # a full-fidelity linewidth comes only from a line fit, in a
-            # window of 8 closed-form linewidths around the mode-a line
-            window = (spec.mode_a.omega - 8 * lw, spec.mode_a.omega + 8 * lw)
-            lw = math.nan
-            if fit_lines:
-                g = np.sqrt(gammas[i] * spec.cavity.kappa) / 2.0
-                result = position_spectrum(DriftModel(6, a0 + g * a1, *inputs), "a")
-                lw = fit_lorentzian(result.grid, result.values, window).fwhm
-        return n_eff, lw, flags
-
-    return _sweep(spec, "C_OM", values, point)
+    wa, gb = spec.mode_a.omega, spec.mode_b.gamma
+    for i in fit:
+        lw = spec.mode_a.gamma + induced_damping_detuned(
+            spec.coupling, gb, gammas[i], spec.mode_b.omega - wa
+        )
+        g = np.sqrt(gammas[i] * spec.cavity.kappa) / 2.0
+        try:
+            result = position_spectrum(DriftModel(6, a0 + g * a1, *inputs), "a")
+            line = fit_lorentzian(result.grid, result.values, (wa - 8 * lw, wa + 8 * lw))
+            linewidths[i] = line.fwhm
+        except BathcoolError as exc:
+            entries[i] = exc
+    return _sweep(spec, "C_OM", values, entries, gammas, spec.mode_b.omega, linewidths)
 
 
 def _bracket(bracket: tuple) -> tuple:
@@ -309,21 +299,19 @@ def sweep_detuning(
         cab = cooperativity_ab(spec)
         c_om = math.sqrt(1.0 + cab) if math.isfinite(cab) else 1.0
     gb = spec.mode_b.gamma
-    specs = [
-        replace(spec, mode_b=replace(spec.mode_b, omega=spec.mode_a.omega + delta))
-        for delta in values
-    ]
+    omega_b = spec.mode_a.omega + values
+    specs = [replace(spec, mode_b=replace(spec.mode_b, omega=w)) for w in omega_b]
     if not optimize_each:
-        gamma = c_om * gb
-        n_effs = _n_effs(specs, fidelity)([gamma] * values.size)
-
-    def point(i):
-        if optimize_each:
-            c_pt, n = find_optimum(specs[i], bracket, fidelity)
-            lw, fl = _rwa_line(specs[i], c_pt * gb)
-        else:
-            n = _value(n_effs[i])
-            lw, fl = _rwa_line(specs[i], gamma)
-        return n, lw, fl
-
-    return _sweep(spec, "delta_ab", values, point)
+        gammas = c_om * gb
+        entries = _n_effs(specs, fidelity)([gammas] * values.size)
+    else:
+        entries, gammas = [], np.full(values.size, math.nan)
+        for i, s in enumerate(specs):
+            try:
+                c_pt, n = find_optimum(s, bracket, fidelity)
+            except BathcoolError as exc:
+                entries.append(exc)
+            else:
+                entries.append(n)
+                gammas[i] = c_pt * gb
+    return _sweep(spec, "delta_ab", values, entries, gammas, omega_b)

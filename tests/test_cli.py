@@ -4,13 +4,12 @@ import json
 import math
 import os
 import tempfile
-import warnings
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bathcool import __version__, cli
+from bathcool import __version__, analytics, cli, sweeps
 from bathcool.cli import main, parse_config
 from bathcool.errors import ConfigError
 from bathcool.model import intracavity_amplitude
@@ -380,18 +379,64 @@ class TestSweepCap:
 class TestOverflowingDrive:
     @pytest.mark.parametrize("fidelity", ["rwa", "full"])
     def test_is_one_numerical_failure(self, tmp_path, capsys, fidelity):
-        # |alpha| g0 overflows to inf, so the drift has NaN entries; numpy
-        # warns on the way, which is not what this checks
+        # |alpha| g0 overflows to inf: the builders refuse it before the
+        # drift is formed, so numpy never warns (RuntimeWarning is an error here)
         text = base_config("spectrum").replace("g0_hz = 10", "g0_hz = 1e200")
         text = text.replace(f"alpha = {_ALPHA!r}", "alpha = 1e200")
         path = write_config(tmp_path, text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main(["spectrum", "--config", path, "--fidelity", fidelity]) == 3
+        assert main(["spectrum", "--config", path, "--fidelity", fidelity]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
-        assert json.loads(line)["error"] == "numerical_failure"
+        error = json.loads(line)
+        assert error["error"] == "numerical_failure"
+        assert error["message"] == "linearized coupling |alpha|*g0 = inf is not finite"
+
+
+# the README system over C_OM in [0.1, 1e5]: at full fidelity 46 stable
+# points, then 15 unstable ones
+_MIXED_SWEEP = "\n[sweep]\nc_om_min = 0.1\nc_om_max = 100000\npoints_per_decade = 10\n"
+
+
+class TestSweepTable:
+    """The sweep CSV is the SweepResult, one row per point, floats by repr."""
+
+    @pytest.fixture
+    def sweep_results(self, monkeypatch):
+        results, sweep = [], cli.sweep_cooperativity
+        monkeypatch.setattr(cli, "sweep_cooperativity", lambda *a, **k: results.append(
+            sweep(*a, **k)) or results[-1])
+        return results
+
+    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
+    @pytest.mark.parametrize("extra", ["", _MIXED_SWEEP], ids=["readme", "mixed"])
+    def test_csv_bytes(self, tmp_path, sweep_results, fidelity, extra):
+        path = write_config(tmp_path, base_config("sweep", extra=extra))
+        out = str(tmp_path / "result")
+        assert main(["sweep", "--config", path, "--out", out, "--fidelity", fidelity]) == 0
+        (res,) = sweep_results
+        columns = (res.axis_values, res.n_eff, res.T_ratio, res.linewidths)
+        rows = [
+            ",".join([*map(repr, values), cli._flags_str(flags)])
+            for *values, flags in zip(*(c.tolist() for c in columns), res.validity_flags)
+        ]
+        lines = ["C_OM,n_eff,T_ratio,linewidth_rad_s,flags", *rows]
+        assert (tmp_path / "result.csv").read_text() == "\n".join(lines) + "\n"
+        errors = sum(e is not None for e in res.errors)
+        assert errors == (15 if extra and fidelity == "full" else 0)
+        assert rows[-1].endswith(",error") == bool(errors)
+
+    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
+    def test_no_scalar_closed_forms_per_point(self, tmp_path, monkeypatch, fidelity):
+        # a sweep without line fits evaluates the closed forms as columns only
+        def refused(*args, **kwargs):
+            raise AssertionError("scalar closed form called by a sweep")
+
+        for name in ("regime_flags", "induced_damping_detuned", "n_eff_closed_form"):
+            for module in (analytics, sweeps):  # wherever the sweeps may bind it
+                monkeypatch.setattr(module, name, refused, raising=False)
+        path = write_config(tmp_path, base_config("sweep", extra=_MIXED_SWEEP))
+        assert main(["sweep", "--config", path, "--fidelity", fidelity]) == 0
 
 
 class TestArtifacts:

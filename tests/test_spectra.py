@@ -652,6 +652,16 @@ class TestSteadyStateOccupation:
             steady_state_occupation(model, "a")
         assert calls == [(1, 21, 21)]
 
+    def test_occupation_below_the_vacuum_raises(self, monkeypatch):
+        # a Sigma at half the vacuum's, let through the residual gate, reads
+        # <x^2> = 1/2 at both points of a batch: n = -1/4
+        models = [build_rwa_system(make_spec(c_ab=c, c_om=5.0, temperature=0.0)) for c in (8, 50)]
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda k, q: solve(k, q) * 0.5)
+        monkeypatch.setattr(spectra, "RESIDUAL_TOL", math.inf)
+        errors = spectra.steady_state_occupations(models, "a")
+        assert [str(e) for e in errors] == ["steady-state occupation -0.25 < 0"] * 2
+
     def test_unstable_refused(self):
         spec = make_spec(c_ab=10.0, c_om=50.0)
         spec = replace(spec, cavity=replace(spec.cavity, detuning=-spec.cavity.detuning))
@@ -1059,6 +1069,21 @@ class TestStabilityCertificate:
             for chunk in np.array_split(scan, 10)
         ]
         assert 9000 < np.concatenate(unstable).sum() < 11000
+
+    def test_positive_definite_mixed_stack(self):
+        # a stack of positive definite and indefinite Hermitian matrices
+        # fails the batched Cholesky; the pivots then decide each matrix
+        rng = np.random.default_rng(16)
+        m = rng.normal(size=(400, 6, 6)) + 1j * rng.normal(size=(400, 6, 6))
+        h = m @ spectra._dagger(m) + rng.uniform(-6.0, 6.0, 400)[:, None, None] * np.eye(6)
+        lam = np.linalg.eigvalsh(h)[:, 0]
+        clear = np.abs(lam) > 1e-6
+        assert 100 < (lam[clear] > 0).sum() < 300
+        assert np.array_equal(spectra._positive_definite(h)[clear], lam[clear] > 0)
+        # an update that overflows gives a NaN Cholesky factor, not an error
+        h = np.repeat(np.eye(6, dtype=complex)[None], 2, axis=0)
+        h[0, 0, 0], h[0, 0, 1], h[0, 1, 0] = 1e-300, 1e200, 1e200
+        assert spectra._positive_definite(h).tolist() == [False, True]
 
     def test_a_large_residual_is_not_certified(self, monkeypatch):
         # an unstable drift handed the positive-definite Sigma of a stable

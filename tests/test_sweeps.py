@@ -16,11 +16,13 @@ from bathcool import (
     sweep_cooperativity,
     sweep_detuning,
 )
-from bathcool import spectra, sweeps
-from bathcool.errors import NumericsError, PhysicsError, UnstableSystemError
-from bathcool.model import DriftModel, _conjugate_swap, _pencil
+from bathcool import analytics, spectra, sweeps
+from bathcool.analytics import _nbar_b, induced_damping_detuned, regime_flags
+from bathcool.errors import BathcoolError, NumericsError, PhysicsError, UnstableSystemError
+from bathcool.model import DriftModel, _conjugate_swap, _pencil, effective_temperature
 
 from conftest import make_spec
+from test_spectra import _criterion_7_draws
 
 
 def _driven(spec, c_om):
@@ -460,7 +462,9 @@ class TestEvaluationCounts:
             one = replace(self.SPEC, mode_b=mode_b)
             c_star, n_star = find_optimum(one, bracket=bracket, fidelity=fidelity)
             assert res.n_eff[i] == n_star
-            assert res.linewidths[i] == sweeps._rwa_line(one, c_star * gb)[0]
+            split = one.mode_b.omega - one.mode_a.omega
+            gamma_a = induced_damping_detuned(one.coupling, gb, c_star * gb, split)
+            assert res.linewidths[i] == self.SPEC.mode_a.gamma + gamma_a
 
 
 class TestSweepDetuning:
@@ -536,3 +540,97 @@ class TestNonFiniteInputs:
     def test_sweep_detuning_c_om(self, spec50, fidelity, c_om):
         with pytest.raises(ValueError, match=f"c_om must be finite and >= 0, got {c_om!r}"):
             sweep_detuning(spec50, [0.0], fidelity=fidelity, c_om=c_om)
+
+
+# C_OM over eight decades: the full model is unstable at the top of the range
+WIDE = np.geomspace(1e-2, 1e6, 61)
+# the README system over C_OM in [0.1, 1e5]: 46 stable points, then 15 unstable
+MIXED = (make_spec(c_ab=50.0), np.geomspace(0.1, 1e5, 61))
+
+
+def _split(spec, delta):
+    """``spec`` with mode b moved to omega_a + delta, as sweep_detuning moves it."""
+    return replace(spec, mode_b=replace(spec.mode_b, omega=spec.mode_a.omega + delta))
+
+
+def _rebuild(spec, fidelity, gamma, closed_form_linewidth=True):
+    """``(n_eff, T_ratio, linewidth, flags, error)`` of one sweep point,
+    from the scalar public functions alone."""
+    try:
+        if fidelity == "rwa":
+            n = n_eff_closed_form(spec, gamma, spec.mode_a.nbar, nbar_b=_nbar_b(spec))
+        else:
+            g = math.sqrt(gamma * spec.cavity.kappa) / 2.0
+            drive = replace(spec.cavity, alpha=g, g0=1.0)
+            n = steady_state_occupation(build_full_system(replace(spec, cavity=drive)), "a")
+    except BathcoolError as exc:
+        return math.nan, math.nan, math.nan, None, f"{exc.kind}: {exc}"
+    t = spec.mode_a.bath_temperature
+    t_ratio = effective_temperature(n, spec.mode_a.omega) / t if t > 0 else math.nan
+    lw = math.nan
+    if closed_form_linewidth:
+        delta = spec.mode_b.omega - spec.mode_a.omega
+        lw = spec.mode_a.gamma + induced_damping_detuned(
+            spec.coupling, spec.mode_b.gamma, gamma, delta
+        )
+    return n, t_ratio, lw, regime_flags(spec, gamma), None
+
+
+def _assert_rebuilt(res, points):
+    """``res`` equals the point-by-point rebuild, bit for bit."""
+    n, t_ratio, lw, flags, errors = zip(*points)
+    for column, expected in ((res.n_eff, n), (res.T_ratio, t_ratio), (res.linewidths, lw)):
+        assert np.array_equal(column, expected, equal_nan=True)
+    assert res.validity_flags == flags
+    assert res.errors == errors
+
+
+class TestColumnsMatchScalars:
+    """The column forms of the closed forms, and the sweeps built on them,
+    equal the scalar public functions bit for bit."""
+
+    @pytest.mark.parametrize("split", [0.0, 0.7, -3.0])
+    def test_closed_form_columns(self, split):
+        # mode b detuned by split * gamma_b; the draws' baths differ in temperature
+        squares_that_differ = 0
+        for spec in _criterion_7_draws(48, seed=16):
+            spec = _split(spec, split * spec.mode_b.gamma)
+            gb, wa, wb = spec.mode_b.gamma, spec.mode_a.omega, spec.mode_b.omega
+            gammas = WIDE * gb
+            omega_b = np.full(gammas.size, wb)
+            flags = analytics._regime_flags_column(spec, gammas, omega_b)
+            damping = analytics._induced_damping_detuned_column(
+                spec.coupling, gb, gammas, omega_b - wa
+            )
+            nbar, nbar_b = spec.mode_a.nbar, spec.mode_b.nbar
+            n = analytics._n_eff_closed_form_column(
+                spec, gammas, nbar, np.full(gammas.size, nbar_b), omega_b
+            )
+            for i, g in enumerate(gammas.tolist()):
+                assert flags[i] == regime_flags(spec, g)
+                assert damping[i] == induced_damping_detuned(spec.coupling, gb, g, wb - wa)
+                assert n[i] == n_eff_closed_form(spec, g, nbar, nbar_b=nbar_b)
+                squares_that_differ += (gb + g) ** 2 != (gb + g) * (gb + g)
+            assert len({id(f) for f in flags}) == len(set(flags))  # one instance per flag set
+        # numpy's x*x would have failed the comparisons above at these points
+        assert squares_that_differ > 0
+
+    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
+    def test_sweep_cooperativity(self, fidelity):
+        cases = [(spec, WIDE) for spec in _criterion_7_draws(6, seed=17)] + [MIXED]
+        for spec, c_oms in cases:
+            res = sweep_cooperativity(spec, c_oms, fidelity=fidelity)
+            gammas = (c_oms * spec.mode_b.gamma).tolist()
+            _assert_rebuilt(res, [_rebuild(spec, fidelity, g, fidelity == "rwa") for g in gammas])
+        # the README sweep: the unstable points keep their None flags and errors
+        assert fidelity == "rwa" or sum(e is not None for e in res.errors) == 15
+
+    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
+    def test_sweep_detuning(self, fidelity):
+        for spec in list(_criterion_7_draws(6, seed=18)) + [MIXED[0]]:
+            gb = spec.mode_b.gamma
+            deltas = np.array([0.0, 0.05, 0.5, 2.0, 7.5, 40.0]) * gb
+            for c_om in (3.0, 3e5):
+                res = sweep_detuning(spec, deltas, fidelity=fidelity, c_om=c_om)
+                points = [_rebuild(_split(spec, d), fidelity, c_om * gb) for d in deltas]
+                _assert_rebuilt(res, points)
