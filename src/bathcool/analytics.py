@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 REGIME_FACTOR = 10.0
-UNDAMPED = "mode a is undamped (gamma_a + Gamma_a = 0)"
 
 
 @dataclass(frozen=True)
@@ -185,19 +184,14 @@ def induced_damping_detuned(
     """
     if not gamma_b + Gamma > 0:
         raise ValueError("gamma_b + Gamma must be > 0")
-    gtot = gamma_b + Gamma
-    return lam**2 * gtot / (delta**2 + gtot**2 / 4.0)
+    return _induced_damping(lam, gamma_b + Gamma, delta)
 
 
-def _induced_damping_detuned_column(lam, gamma_b, Gamma: np.ndarray, delta: np.ndarray):
-    """:func:`induced_damping_detuned` at every point of 1-D arrays that broadcast."""
-    gtot = gamma_b + Gamma
-    if not np.all(gtot > 0):
-        raise ValueError("gamma_b + Gamma must be > 0")
-    # x**2 by libm pow, as for a float: numpy squares by x*x, which differs
-    # in the last bit for about one value in a thousand
-    square = lambda x: np.array([v**2 for v in x.tolist()])
-    return lam**2 * gtot / (square(delta) + square(gtot) / 4.0)
+def _induced_damping(lam, gtot, delta):
+    """:func:`induced_damping_detuned` at total b damping gtot, on floats or arrays,
+    squaring by libm pow: numpy's x**2 is x*x, which can differ in the last bit."""
+    square = np.float_power if isinstance(gtot, np.ndarray) else pow
+    return lam**2 * gtot / (square(delta, 2) + square(gtot, 2) / 4.0)
 
 
 def cooperativity_ab(spec: SystemSpec) -> float:
@@ -249,19 +243,9 @@ def n_eff_closed_form(
     delta = spec.mode_b.omega - spec.mode_a.omega
     gamma_a_ind = induced_damping_detuned(spec.coupling, gb, Gamma, delta)
     if not ga + gamma_a_ind > 0:
-        raise UnstableSystemError(UNDAMPED)
+        raise UnstableSystemError("mode a is undamped (gamma_a + Gamma_a = 0)")
     num = ga * nbar + gamma_a_ind * (gb / (gb + Gamma)) * nbar_b
     return float(num / (ga + gamma_a_ind))
-
-
-def _n_eff_closed_form_column(spec, Gamma: np.ndarray, nbar, nbar_b, omega_b) -> np.ndarray:
-    """:func:`n_eff_closed_form` at each Gamma, mode b at omega_b; NaN if undamped."""
-    ga, gb = spec.mode_a.gamma, spec.mode_b.gamma
-    delta = omega_b - spec.mode_a.omega
-    gamma_a_ind = _induced_damping_detuned_column(spec.coupling, gb, Gamma, delta)
-    num = ga * nbar + gamma_a_ind * (gb / (gb + Gamma)) * nbar_b
-    den = ga + gamma_a_ind
-    return np.divide(num, den, out=np.full(den.shape, math.nan), where=den > 0)
 
 
 def _n_eff_closed_form_slope(

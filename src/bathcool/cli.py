@@ -17,7 +17,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -330,11 +330,18 @@ def _build_model(config: RunConfig):
     return builder(config.system)
 
 
+@functools.cache
 def _flags_str(flags) -> str:
     if flags is None:
         return "error"
-    bad = [f.name for f in fields(flags) if not getattr(flags, f.name)]
-    return "violated:" + "+".join(bad) if bad else "ok"
+    if flags.ok:
+        return "ok"
+    bad = [
+        name
+        for name in ("degenerate", "sideband", "hierarchy", "cooperative")
+        if not getattr(flags, name)
+    ]
+    return "violated:" + "+".join(bad)
 
 
 def _run_spectrum(config: RunConfig):
@@ -360,10 +367,7 @@ def _run_sweep(config: RunConfig):
     values = np.geomspace(s["c_om_min"], s["c_om_max"], s["points"])
     result = sweep_cooperativity(config.system, values, fidelity=config.fidelity)
     header = ["C_OM", "n_eff", "T_ratio", "linewidth_rad_s", "flags"]
-    # equal flag sets share one RegimeFlags instance: word each instance once
-    distinct = {id(f): f for f in result.validity_flags}
-    words = {key: _flags_str(f) for key, f in distinct.items()}
-    flags = [words[id(f)] for f in result.validity_flags]
+    flags = [_flags_str(f) for f in result.validity_flags]
     columns = [result.axis_values, result.n_eff, result.T_ratio, result.linewidths, flags]
     finite = np.isfinite(result.n_eff)
     if not finite.any():
@@ -413,13 +417,29 @@ def _run_design(config: RunConfig):
         raise ConfigError(f"[design] no finite design for this beam: {exc}") from exc
     b = report.budget
     header = ["quantity", "value", "units"]
-    names = ["omega0", "lambda", "gamma_clamp", "gamma_ted", "Q_clamp", "Q_ted", "epsilon", "C_ab"]
-    values = [b.omega0, b.coupling, b.gamma_clamp, b.gamma_ted, b.Q_clamp, b.Q_ted,
-              report.epsilon, report.C_ab]
-    units = ["rad_s"] * 4 + ["dimensionless"] * 4
-    # the summary keys are the table's quantities, a rate's with its unit
-    summary = {n + "_rad_s" * (u == "rad_s"): v for n, v, u in zip(names, values, units)}
-    summary.update(material=d["material"].name, warnings=list(report.warnings))
+    rows = [
+        ("omega0", b.omega0, "rad_s"),
+        ("lambda", b.coupling, "rad_s"),
+        ("gamma_clamp", b.gamma_clamp, "rad_s"),
+        ("gamma_ted", b.gamma_ted, "rad_s"),
+        ("Q_clamp", b.Q_clamp, "dimensionless"),
+        ("Q_ted", b.Q_ted, "dimensionless"),
+        ("epsilon", report.epsilon, "dimensionless"),
+        ("C_ab", report.C_ab, "dimensionless"),
+    ]
+    summary = {
+        "omega0_rad_s": b.omega0,
+        "lambda_rad_s": b.coupling,
+        "gamma_clamp_rad_s": b.gamma_clamp,
+        "gamma_ted_rad_s": b.gamma_ted,
+        "Q_clamp": b.Q_clamp,
+        "Q_ted": b.Q_ted,
+        "epsilon": report.epsilon,
+        "C_ab": report.C_ab,
+        "material": d["material"].name,
+        "warnings": list(report.warnings),
+    }
+    names, values, units = map(list, zip(*rows))
     return header, [names, np.array(values), units], summary
 
 
@@ -463,15 +483,13 @@ _RUNNERS = {
 
 def _write_table(path, header, columns, fmt):
     """Write a table given by its columns: float ndarrays, or lists of str."""
-    floats = [isinstance(c, np.ndarray) for c in columns]
-    columns = [c.tolist() if f else c for c, f in zip(columns, floats)]
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
     if fmt == "csv":
-        # row by row, so that only one row's cells are alive at a time
-        cells = [map(repr, c) if f else c for c, f in zip(columns, floats)]
-        text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+        # str of a float is its repr
+        text = "\n".join([",".join(header), *(",".join(map(str, r)) for r in rows)]) + "\n"
     else:
         text = json.dumps(
-            {"columns": header, "rows": [list(r) for r in zip(*columns)]},
+            {"columns": header, "rows": [list(r) for r in rows]},
             sort_keys=True,
         ) + "\n"
     with open(path, "w") as fh:

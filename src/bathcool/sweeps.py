@@ -17,14 +17,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics import (
-    UNDAMPED,
-    _induced_damping_detuned_column,
-    _n_eff_closed_form_column,
+    _induced_damping,
     _n_eff_closed_form_slope,
     _nbar_b,
     _regime_flags_column,
     cooperativity_ab,
     induced_damping_detuned,
+    n_eff_closed_form,
 )
 from .errors import BathcoolError, PhysicsError, UnstableSystemError
 from .model import DriftModel, SystemSpec, _conjugate_swap, _pencil, effective_temperature
@@ -64,39 +63,36 @@ def _n_effs(specs, fidelity: str):
     """``(gammas, slopes=False) -> entries``: n_eff of mode a at every
     point (specs[i], gammas[i]).
 
-    ``specs`` holds one spec per point, or one spec for all points; they
-    differ at most in mode b's frequency.  At rwa fidelity n_eff is one
-    evaluation of the closed form over the array.  At full fidelity the
-    pencil of each spec is built once, here, and must be conjugate-paired
-    (ValueError); every call is one batched steady-state covariance solve
-    of the drift stack A0 + G*A1 at G = |alpha|*g0 = sqrt(Gamma*kappa)/2,
-    the drive that damps mode b at rate Gamma.  With ``slopes`` an entry
-    is ``(n_eff, dn_eff/dlog Gamma)``, from the Lyapunov sensitivity or
-    the derivative of the closed form; without, no derivative is
-    computed.  The entry of a point that failed is its BathcoolError.
+    ``specs`` holds one spec per point, or one spec for all points.  At
+    full fidelity the pencil of each spec is built once, here, and must be
+    conjugate-paired (ValueError); every call is one batched steady-state
+    covariance solve of the drift stack A0 + G*A1 at
+    G = |alpha|*g0 = sqrt(Gamma*kappa)/2, the drive that damps mode b at
+    rate Gamma.  With ``slopes`` an entry is ``(n_eff, dn_eff/dlog Gamma)``,
+    from the Lyapunov sensitivity or the derivative of the closed form;
+    without, no derivative is computed.  The entry of a point that failed
+    is its BathcoolError.
     """
-    if fidelity not in ("rwa", "full"):
+    if fidelity == "rwa":
+
+        def closed_form(s, g, slopes):
+            try:
+                nbar_b = _nbar_b(s)
+                n = n_eff_closed_form(s, g, s.mode_a.nbar, nbar_b=nbar_b)
+                if not slopes:
+                    return n
+                # d/dlog Gamma = Gamma d/dGamma
+                return n, g * _n_eff_closed_form_slope(s, g, s.mode_a.nbar, nbar_b=nbar_b)
+            except BathcoolError as exc:
+                return exc
+
+        return lambda gammas, slopes=False: [
+            closed_form(s, g, slopes) for s, g in zip(itertools.cycle(specs), gammas)
+        ]
+    if fidelity != "full":
         raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")
     if not specs:
         return lambda gammas, slopes=False: []
-    if fidelity == "rwa":
-        omega_b = np.array([s.mode_b.omega for s in specs])
-        nbar_b = np.array([s.mode_a.nbar if _nbar_b(s) is None else s.mode_b.nbar for s in specs])
-
-        def closed_form(gammas, slopes=False):
-            gammas = np.asarray(gammas, dtype=float)
-            n = _n_eff_closed_form_column(specs[0], gammas, specs[0].mode_a.nbar, nbar_b, omega_b)
-            entries = [UnstableSystemError(UNDAMPED) if math.isnan(x) else x for x in n.tolist()]
-            if not slopes:
-                return entries
-            # d/dlog Gamma = Gamma d/dGamma
-            return [
-                e if isinstance(e, BathcoolError)
-                else (e, g * _n_eff_closed_form_slope(s, g, s.mode_a.nbar, nbar_b=_nbar_b(s)))
-                for e, g, s in zip(entries, gammas.tolist(), itertools.cycle(specs))
-            ]
-
-        return closed_form
     a0, a1, b, corr, labels = zip(*(_pencil(s, rotating_wave=False) for s in specs))
     a0, a1, b, corr = map(np.stack, (a0, a1, b, corr))
     kappa = np.array([s.cavity.kappa for s in specs])
@@ -146,9 +142,11 @@ def _sweep(
         t_ratio /= spec.mode_a.bath_temperature
     if linewidths is None:
         linewidths = np.full(values.size, math.nan)
-        linewidths[ok] = spec.mode_a.gamma + _induced_damping_detuned_column(
-            spec.coupling, spec.mode_b.gamma, gammas, omega_b - spec.mode_a.omega
-        )
+        gtot = spec.mode_b.gamma + gammas
+        if not np.all(gtot > 0):
+            raise ValueError("gamma_b + Gamma must be > 0")
+        delta = omega_b - spec.mode_a.omega
+        linewidths[ok] = spec.mode_a.gamma + _induced_damping(spec.coupling, gtot, delta)
     flags = iter(_regime_flags_column(spec, gammas, omega_b))
     flags = tuple(next(flags) if k else None for k in ok.tolist())
     return SweepResult(axis_name, values, n_eff, t_ratio, linewidths, flags, errors)
@@ -185,11 +183,9 @@ def sweep_cooperativity(
     fit = [i for i, e in enumerate(entries) if fit_lines and not isinstance(e, BathcoolError)]
     if fit:
         a0, a1, *inputs = _pencil(spec, rotating_wave=False)
-    wa, gb = spec.mode_a.omega, spec.mode_b.gamma
+    wa, gb, delta = spec.mode_a.omega, spec.mode_b.gamma, spec.mode_b.omega - spec.mode_a.omega
     for i in fit:
-        lw = spec.mode_a.gamma + induced_damping_detuned(
-            spec.coupling, gb, gammas[i], spec.mode_b.omega - wa
-        )
+        lw = spec.mode_a.gamma + induced_damping_detuned(spec.coupling, gb, gammas[i], delta)
         g = np.sqrt(gammas[i] * spec.cavity.kappa) / 2.0
         try:
             result = position_spectrum(DriftModel(6, a0 + g * a1, *inputs), "a")
@@ -305,13 +301,11 @@ def sweep_detuning(
         gammas = c_om * gb
         entries = _n_effs(specs, fidelity)([gammas] * values.size)
     else:
-        entries, gammas = [], np.full(values.size, math.nan)
+        entries, gammas = [None] * values.size, np.full(values.size, math.nan)
         for i, s in enumerate(specs):
             try:
-                c_pt, n = find_optimum(s, bracket, fidelity)
-            except BathcoolError as exc:
-                entries.append(exc)
-            else:
-                entries.append(n)
+                c_pt, entries[i] = find_optimum(s, bracket, fidelity)
                 gammas[i] = c_pt * gb
+            except BathcoolError as exc:
+                entries[i] = exc
     return _sweep(spec, "delta_ab", values, entries, gammas, omega_b)

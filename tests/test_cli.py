@@ -426,13 +426,18 @@ class TestSweepTable:
         assert errors == (15 if extra and fidelity == "full" else 0)
         assert rows[-1].endswith(",error") == bool(errors)
 
-    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
-    def test_no_scalar_closed_forms_per_point(self, tmp_path, monkeypatch, fidelity):
-        # a sweep without line fits evaluates the closed forms as columns only
+    @pytest.mark.parametrize(
+        "fidelity, names",
+        [("full", ("regime_flags", "induced_damping_detuned")), ("rwa", ("regime_flags",))],
+    )
+    def test_no_scalar_closed_forms_per_point(self, tmp_path, monkeypatch, fidelity, names):
+        # a sweep without line fits evaluates the flags, and at full fidelity
+        # computes no closed-form linewidth, as columns only; an rwa n_eff is
+        # the scalar n_eff_closed_form, which calls induced_damping_detuned
         def refused(*args, **kwargs):
             raise AssertionError("scalar closed form called by a sweep")
 
-        for name in ("regime_flags", "induced_damping_detuned", "n_eff_closed_form"):
+        for name in names:
             for module in (analytics, sweeps):  # wherever the sweeps may bind it
                 monkeypatch.setattr(module, name, refused, raising=False)
         path = write_config(tmp_path, base_config("sweep", extra=_MIXED_SWEEP))

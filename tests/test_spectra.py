@@ -1072,7 +1072,7 @@ class TestStabilityCertificate:
 
     def test_positive_definite_mixed_stack(self):
         # a stack of positive definite and indefinite Hermitian matrices
-        # fails the batched Cholesky; the pivots then decide each matrix
+        # fails the batched Cholesky; eigvalsh then decides each matrix
         rng = np.random.default_rng(16)
         m = rng.normal(size=(400, 6, 6)) + 1j * rng.normal(size=(400, 6, 6))
         h = m @ spectra._dagger(m) + rng.uniform(-6.0, 6.0, 400)[:, None, None] * np.eye(6)
