@@ -189,9 +189,16 @@ def induced_damping_detuned(
 
 def _induced_damping(lam, gtot, delta):
     """:func:`induced_damping_detuned` at total b damping gtot, on floats or arrays,
-    squaring by libm pow: numpy's x**2 is x*x, which can differ in the last bit."""
-    square = np.float_power if isinstance(gtot, np.ndarray) else pow
-    return lam**2 * gtot / (square(delta, 2) + square(gtot, 2) / 4.0)
+    squaring by libm pow: numpy's x**2 is x*x, which can differ in the last bit.
+    Where a square overflows, the Lorentzian takes its limit, 0."""
+    if isinstance(gtot, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            den = np.float_power(delta, 2) + np.float_power(gtot, 2) / 4.0
+            return np.where(np.isinf(den), 0.0, lam**2 * gtot / den)
+    try:
+        return lam**2 * gtot / (pow(delta, 2) + pow(gtot, 2) / 4.0)
+    except OverflowError:  # a float's pow raises where numpy's returns inf
+        return 0.0
 
 
 def cooperativity_ab(spec: SystemSpec) -> float:

@@ -416,31 +416,20 @@ def _run_design(config: RunConfig):
     except (ValueError, ArithmeticError) as exc:  # e.g. a length whose square overflows
         raise ConfigError(f"[design] no finite design for this beam: {exc}") from exc
     b = report.budget
-    header = ["quantity", "value", "units"]
-    rows = [
-        ("omega0", b.omega0, "rad_s"),
-        ("lambda", b.coupling, "rad_s"),
-        ("gamma_clamp", b.gamma_clamp, "rad_s"),
-        ("gamma_ted", b.gamma_ted, "rad_s"),
-        ("Q_clamp", b.Q_clamp, "dimensionless"),
-        ("Q_ted", b.Q_ted, "dimensionless"),
-        ("epsilon", report.epsilon, "dimensionless"),
-        ("C_ab", report.C_ab, "dimensionless"),
+    # (row name, summary key, value, units)
+    table = [
+        ("omega0", "omega0_rad_s", b.omega0, "rad_s"),
+        ("lambda", "lambda_rad_s", b.coupling, "rad_s"),
+        ("gamma_clamp", "gamma_clamp_rad_s", b.gamma_clamp, "rad_s"),
+        ("gamma_ted", "gamma_ted_rad_s", b.gamma_ted, "rad_s"),
+        ("Q_clamp", "Q_clamp", b.Q_clamp, "dimensionless"),
+        ("Q_ted", "Q_ted", b.Q_ted, "dimensionless"),
+        ("epsilon", "epsilon", report.epsilon, "dimensionless"),
+        ("C_ab", "C_ab", report.C_ab, "dimensionless"),
     ]
-    summary = {
-        "omega0_rad_s": b.omega0,
-        "lambda_rad_s": b.coupling,
-        "gamma_clamp_rad_s": b.gamma_clamp,
-        "gamma_ted_rad_s": b.gamma_ted,
-        "Q_clamp": b.Q_clamp,
-        "Q_ted": b.Q_ted,
-        "epsilon": report.epsilon,
-        "C_ab": report.C_ab,
-        "material": d["material"].name,
-        "warnings": list(report.warnings),
-    }
-    names, values, units = map(list, zip(*rows))
-    return header, [names, np.array(values), units], summary
+    names, keys, values, units = map(list, zip(*table))
+    summary = dict(zip(keys, values), material=d["material"].name, warnings=list(report.warnings))
+    return ["quantity", "value", "units"], [names, np.array(values), units], summary
 
 
 def _run_sense(config: RunConfig):

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+from .analytics import cooperativity_ab
 from .errors import RegimeError
 from .model import CavityDrive, MechanicalMode, SystemSpec
 
@@ -272,13 +273,10 @@ def design_to_system(
         Q_ted=q_ted,
         coupling=lam,
     )
-    c_ab = (
-        4.0 * lam**2 / (gamma_a * gamma_b) if gamma_a > 0 and gamma_b > 0 else math.inf
-    )
     return DesignReport(
         system=spec,
         budget=budget,
         epsilon=epsilon,
-        C_ab=c_ab,
+        C_ab=cooperativity_ab(spec),
         warnings=tuple(warnings),
     )

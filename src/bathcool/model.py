@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,15 +89,13 @@ class CavityDrive:
 
     ``alpha`` is stored explicitly so users may set the intracavity
     amplitude (equivalently the cooling rate) directly without choosing a
-    pump strength and detuning.  When ``pump`` is given, consistency
-    ``alpha = pump / (i*detuning - kappa/2)`` is asserted.
+    pump strength and detuning; :meth:`from_pump` derives it from a pump.
     """
 
     kappa: float
     detuning: float
     g0: float
     alpha: complex = 0.0
-    pump: complex | None = None
 
     def __post_init__(self):
         if not 0 < self.kappa < math.inf:
@@ -106,23 +104,17 @@ class CavityDrive:
             raise ValueError(f"detuning must be finite, got {self.detuning}")
         if not 0 <= self.g0 < math.inf:
             raise ValueError(f"g0 must be finite and >= 0, got {self.g0}")
-        if self.pump is not None and not cmath.isfinite(self.pump):
-            raise ValueError(f"pump must be finite, got {self.pump}")
         if not cmath.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
-        if self.pump is not None:
-            expected = intracavity_amplitude(self.pump, self.detuning, self.kappa)
-            scale = max(abs(expected), abs(self.alpha), 1e-300)
-            if abs(expected - self.alpha) > 1e-9 * scale:
-                raise ValueError(
-                    "alpha inconsistent with pump: expected "
-                    f"{expected}, got {self.alpha}"
-                )
 
     @classmethod
     def from_pump(cls, pump, detuning, kappa, g0):
+        """The drive whose ``alpha`` is :func:`intracavity_amplitude` of a finite ``pump``."""
         alpha = intracavity_amplitude(pump, detuning, kappa)
-        return cls(kappa=kappa, detuning=detuning, g0=g0, alpha=alpha, pump=pump)
+        drive = cls(kappa=kappa, detuning=detuning, g0=g0)  # the other fields are checked first
+        if not cmath.isfinite(pump):
+            raise ValueError(f"pump must be finite, got {pump}")
+        return replace(drive, alpha=alpha)
 
     @property
     def alpha_g0(self) -> float:

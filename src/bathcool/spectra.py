@@ -112,7 +112,6 @@ class SpectrumResult:
     n_eff_error: float
     T_eff: float
     select: str
-    fit: LorentzFit | None = None
 
 
 @dataclass(frozen=True)
@@ -244,8 +243,9 @@ def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.n
     ``rows`` (:func:`_eliminate`).  An omega < 0 whose negation is also in
     ``omegas`` is not eliminated: as A = P conj(A) P (:class:`DriftModel`),
     its row is y_u(-omega) = conj(y_u'(omega)) P with u' = conj(u) P, so the
-    elimination at omega >= 0 also solves the rows u' where ``rows`` does
-    not already hold them.  No eigen or Schur transform is involved.
+    elimination also solves the rows u' where ``rows`` does not already
+    hold them, on any grid: each row's values do not depend on the others.
+    No eigen or Schur transform is involved.
     Every returned row, mirrored ones included, is gated: a row whose
     relative residual ||y T - u|| / (||T|| ||y||) is not within
     RESIDUAL_TOL (NaN included) gets one refinement step; NumericsError
@@ -260,20 +260,17 @@ def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.n
     k = u.shape[0]
     perm = _conjugate_swap(model.labels)
     mirror, mate = _mirrors(omegas)
-    if mirror.size:
-        solve = np.delete(np.arange(omegas.size), mirror)
-        mates = u[:, perm].conj()
-        hits = np.all(mates[:, None, :] == u[None, :, :], axis=2)
-        if hits.any(axis=1).all():
-            solved, twin = u, hits.argmax(axis=1)
-        else:
-            solved, twin = np.concatenate((u, mates)), np.arange(k, 2 * k)
-        z = _eliminate(a, omegas[solve], solved).T  # (d, k or 2k, n_solve)
-        y = np.empty((d, k, omegas.size), dtype=complex)
-        y[..., solve] = z[:, :k]
-        y[..., mirror] = z[np.ix_(perm, twin, np.searchsorted(solve, mate))].conj()
+    solve = np.delete(np.arange(omegas.size), mirror)
+    mates = u[:, perm].conj()
+    hits = np.all(mates[:, None, :] == u[None, :, :], axis=2)
+    if hits.any(axis=1).all():
+        solved, twin = u, hits.argmax(axis=1)
     else:
-        y = _eliminate(a, omegas, u).T
+        solved, twin = np.concatenate((u, mates)), np.arange(k, 2 * k)
+    z = _eliminate(a, omegas[solve], solved).T  # (d, k or 2k, n_solve)
+    y = np.empty((d, k, omegas.size), dtype=complex)
+    y[..., solve] = z[:, :k]
+    y[..., mirror] = z[np.ix_(perm, twin, np.searchsorted(solve, mate))].conj()
     shift = -1j * omegas - np.diag(a)[:, None]
     off = a - np.diag(np.diag(a))
     t_norm = np.sqrt(np.sum(np.abs(off) ** 2) + _abs2(shift).sum(axis=0))
@@ -393,11 +390,6 @@ def _raise_singular(a: np.ndarray, omegas: np.ndarray):
     )
 
 
-def _chi_batch(model: DriftModel, omegas: np.ndarray) -> np.ndarray:
-    """(-i*omega*I - A)^-1 for every omega, with residual guarantee."""
-    return _solve_rows(model, omegas, np.eye(model.dimension))
-
-
 def susceptibility_matrix(
     model: DriftModel, omega: float, allow_unstable: bool = False
 ) -> np.ndarray:
@@ -407,7 +399,7 @@ def susceptibility_matrix(
     """
     if not allow_unstable:
         _require_stable(model)
-    return _chi_batch(model, np.atleast_1d(float(omega)))[0]
+    return _solve_rows(model, np.atleast_1d(float(omega)), np.eye(model.dimension))[0]
 
 
 def position_spectrum(
@@ -423,12 +415,7 @@ def position_spectrum(
     """
     if select not in model.labels:
         raise ValueError(f"unknown mode label {select!r}; have {model.labels}")
-    if grid is None:
-        grid = make_grid(model)
-    else:
-        _require_stable(model)
-    u = _quadrature(model, select)[None, :]
-    w = _solve_rows(model, grid.points, u)[:, 0, :] @ model.noise_input
+    grid, w = _transfer(model, grid, _quadrature(model, select))
     values = np.abs(w) ** 2 @ model.input_correlations[0]
     n_eff, err = integrate_occupation(grid, values)
     if n_eff < 0:
@@ -445,6 +432,16 @@ def position_spectrum(
         T_eff=t_eff,
         select=select,
     )
+
+
+def _transfer(model: DriftModel, grid: FrequencyGrid | None, u: np.ndarray) -> tuple:
+    """``(grid, u chi B)`` over ``grid``, made by :func:`make_grid` if None;
+    refuses unstable models either way."""
+    if grid is None:
+        grid = make_grid(model)
+    else:
+        _require_stable(model)
+    return grid, _solve_rows(model, grid.points, u[None, :])[:, 0, :] @ model.noise_input
 
 
 def _quadrature(model: DriftModel, select: str) -> np.ndarray:
@@ -852,14 +849,8 @@ def force_spectrum_numeric(
     ga = spec.mode_a.gamma
     if not ga > 0:
         raise ValueError("gamma_a must be > 0 to normalize the force transfer")
-    if grid is None:
-        grid = make_grid(model)
-    else:
-        _require_stable(model)
-
     ia = model.index("a")
-    u = np.eye(model.dimension)[[ia]]
-    resp = _solve_rows(model, grid.points, u)[:, 0, :] @ model.noise_input
+    grid, resp = _transfer(model, grid, np.eye(model.dimension)[ia])
     chi_eff = resp[:, ia] / math.sqrt(ga)
     f = resp / chi_eff[:, None]  # f[:, a_in] = sqrt(gamma_a) exactly
     weights = model.input_correlations.sum(axis=0)  # 2*nbar + 1 per channel

@@ -87,7 +87,7 @@ def _n_effs(specs, fidelity: str):
                 return exc
 
         return lambda gammas, slopes=False: [
-            closed_form(s, g, slopes) for s, g in zip(itertools.cycle(specs), gammas)
+            closed_form(s, g, slopes) for s, g in zip(itertools.cycle(specs), map(float, gammas))
         ]
     if fidelity != "full":
         raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")

@@ -152,6 +152,8 @@ class TestNEffClosedForm:
         nbar = 100.0
         got = float(n_eff_closed_form(spec50, 1e9 * spec50.mode_b.gamma, nbar))
         assert got == pytest.approx(nbar, rel=1e-3)
+        # (gamma_b + Gamma)^2 overflows past Gamma ~ 1.3e154: Gamma_a takes its limit, 0
+        assert n_eff_closed_form(spec50, 1e200, nbar) == nbar
 
     def test_regime_violation_flags_not_error(self):
         spec = make_spec(c_ab=50.0, delta_b_hz=5e4)  # far detuned modes

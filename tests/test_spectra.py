@@ -38,7 +38,7 @@ from bathcool.model import (
     _conjugate_swap,
     _pencil,
 )
-from bathcool.spectra import RESIDUAL_TOL, _chi_batch, _solve_rows
+from bathcool.spectra import RESIDUAL_TOL, _solve_rows
 
 from conftest import TWO_PI, make_spec
 
@@ -253,7 +253,7 @@ class TestSusceptibility:
     def test_residual_guarantee(self, spec50):
         model = build_full_system(spec50)
         omegas = np.linspace(0.2, 2.0, 7) * spec50.mode_a.omega
-        chi = _chi_batch(model, omegas)
+        chi = _solve_rows(model, omegas, np.eye(model.dimension))
         eye = np.eye(model.dimension)
         for w, x in zip(omegas, chi):
             t = -1j * w * eye - model.drift
@@ -286,7 +286,7 @@ class TestRowSolve:
         u = np.zeros((1, model.dimension))
         u[0, [model.index("a"), model.index("a_dag")]] = 1.0
         got = _solve_rows(model, omegas, u)[:, 0, :]
-        chi = _chi_batch(model, omegas)
+        chi = _solve_rows(model, omegas, np.eye(model.dimension))
         expected = chi[:, model.index("a"), :] + chi[:, model.index("a_dag"), :]
         rel = np.linalg.norm(got - expected, axis=1) / np.linalg.norm(expected, axis=1)
         assert np.all(rel <= 1e-12)
@@ -294,7 +294,7 @@ class TestRowSolve:
     def test_refinement_step_repairs_a_poor_solve(self, spec50, monkeypatch):
         model = build_full_system(make_spec(c_ab=50.0, c_om=5.0))
         omegas = np.linspace(0.5, 1.5, 5) * spec50.mode_a.omega
-        clean = _chi_batch(model, omegas)
+        clean = _solve_rows(model, omegas, np.eye(model.dimension))
         eliminate = spectra._eliminate
         calls = []
 
@@ -304,7 +304,7 @@ class TestRowSolve:
             return y * (1.0 + 1e-6) if len(calls) == 1 else y
 
         monkeypatch.setattr(spectra, "_eliminate", poor_first_solve)
-        chi = _chi_batch(model, omegas)
+        chi = _solve_rows(model, omegas, np.eye(model.dimension))
         assert calls == [omegas.size, omegas.size]  # solve, then one refinement
         assert np.allclose(chi, clean, rtol=1e-12, atol=0.0)
 
@@ -312,14 +312,14 @@ class TestRowSolve:
         model = build_full_system(spec50)
         monkeypatch.setattr(spectra, "RESIDUAL_TOL", 0.0)
         with pytest.raises(NumericsError, match="susceptibility residual"):
-            _chi_batch(model, np.array([spec50.mode_a.omega]))
+            _solve_rows(model, np.array([spec50.mode_a.omega]), np.eye(model.dimension))
 
     def test_nan_solution_misses_the_gate(self, spec50, monkeypatch):
         model = build_full_system(spec50)
         nan_rows = lambda a, omegas, u: np.full((omegas.size,) + u.shape[-2:], np.nan + 0j)
         monkeypatch.setattr(spectra, "_eliminate", nan_rows)
         with pytest.raises(NumericsError, match="susceptibility residual"):
-            _chi_batch(model, np.array([spec50.mode_a.omega]))
+            _solve_rows(model, np.array([spec50.mode_a.omega]), np.eye(model.dimension))
 
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
     def test_elimination_matches_lapack(self, builder):
@@ -429,6 +429,13 @@ class TestMirroredSolve:
             model = builder(spec)
             omegas = make_grid(model).points
             u = ROW_SETS[rows](model)
+            # grids with nothing to mirror, criterion 7's probe and the made grid
+            # shifted off its mirrors, are eliminated throughout, e_a's mate alongside
+            wa, ga = spec.mode_a.omega, spec.mode_a.gamma
+            for unmirrored in (wa + ga * np.array([-2.0, -1.0, 0.0, 1.0]), omegas + ga / 3):
+                assert spectra._mirrors(unmirrored)[0].size == 0
+                direct = spectra._eliminate(model.drift, unmirrored, u)
+                assert np.array_equal(_solve_rows(model, unmirrored, u), direct)
             got = _solve_rows(model, omegas, u)
             neg = omegas < 0
             direct = spectra._eliminate(model.drift, omegas[neg], u)
@@ -480,7 +487,7 @@ class TestMirroredSolve:
     def test_corrupted_solve_is_caught_at_mirrored_points(self, spec50, monkeypatch):
         model = build_full_system(make_spec(c_ab=50.0, c_om=5.0))
         omegas = np.linspace(-1.5, 1.5, 7) * spec50.mode_a.omega
-        clean = _chi_batch(model, omegas)
+        clean = _solve_rows(model, omegas, np.eye(model.dimension))
         eliminate = spectra._eliminate
         calls = []
 
@@ -492,7 +499,7 @@ class TestMirroredSolve:
             return y
 
         monkeypatch.setattr(spectra, "_eliminate", poor_first_solve)
-        chi = _chi_batch(model, omegas)
+        chi = _solve_rows(model, omegas, np.eye(model.dimension))
         assert calls[0].tolist() == omegas[3:].tolist()  # omega >= 0 only
         assert calls[1].tolist() == [omegas[0], omegas[-1]]  # both gated and refined
         err = np.abs(chi - clean).max(axis=(1, 2))

@@ -124,6 +124,27 @@ class TestSweepCooperativity:
         assert res.linewidths[0] == pytest.approx(expected, rel=0.03)
 
 
+    def test_fit_failure_is_a_point_error(self):
+        # at C_OM = 0.5 and 5 the mode-a window holds a doublet; the sweep goes on
+        spec = make_spec(c_ab=400.0, gamma_a_hz=1.0, gamma_b_hz=10.0)
+        c_oms = [0.5, 5.0, 50.0, 500.0]
+        res = sweep_cooperativity(spec, c_oms, fidelity="full", fit_lines=True)
+        assert res.errors[:2] == ("fit_failure: 2 peaks in window; need exactly one",) * 2
+        assert np.isnan(res.n_eff[:2]).all() and res.validity_flags[:2] == (None, None)
+        assert res.errors[2:] == (None, None)
+        assert res.linewidths[2:] == pytest.approx([56.4, 11.3], rel=1e-3)
+        plain = sweep_cooperativity(spec, c_oms, fidelity="full")
+        assert res.n_eff[2:].tolist() == plain.n_eff[2:].tolist()
+
+    def test_rwa_where_the_squares_overflow(self, spec50):
+        # (gamma_b + Gamma)^2 overflows past Gamma ~ 1.3e154 and lambda^2 (gamma_b + Gamma)
+        # near C_OM = 1e299: Gamma_a takes its limit, 0, without a warning
+        res = sweep_cooperativity(spec50, [1e-2, 1e150, 1e200, 1e299, 1e300], fidelity="rwa")
+        assert res.errors == (None,) * 5
+        assert res.n_eff[2:].tolist() == [spec50.mode_a.nbar] * 3
+        assert res.linewidths[2:].tolist() == [spec50.mode_a.gamma] * 3
+
+
 class TestFullFidelityCovariance:
     """Full-fidelity occupations come from the steady-state covariance."""
 
@@ -497,6 +518,11 @@ class TestSweepDetuning:
     def test_empty_axis(self, spec50, fidelity):
         assert sweep_detuning(spec50, [], fidelity=fidelity).n_eff.size == 0
         assert sweep_cooperativity(spec50, [], fidelity=fidelity).n_eff.size == 0
+
+    def test_rwa_at_an_overflowing_gamma(self, spec50):
+        res = sweep_detuning(spec50, [0.0, 10.0], fidelity="rwa", c_om=1e300)
+        assert res.errors == (None, None)
+        assert res.n_eff.tolist() == [spec50.mode_a.nbar] * 2
 
     def test_negative_detuning_rejected(self, spec50):
         with pytest.raises(ValueError):
