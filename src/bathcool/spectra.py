@@ -11,7 +11,8 @@ selected mode.  The stationary occupation comes from the steady-state
 covariance instead: one real linear solve of the exact Lyapunov
 equation, with no grid, within 5e-16 of a 40-digit solve where measured.
 
-Only the line fit needs scipy, imported on first use.
+Needs numpy alone: the line fit's peak test and least-squares solve are
+its own (:func:`_peaks`, :func:`_levenberg_marquardt`).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ RESIDUAL_TOL = 1e-10
 DEFAULT_SPAN = 50.0            # linewidths covered on each side of a resonance
 DEFAULT_POINTS_PER_LW = 20.0   # dense sampling within +-5 linewidths
 DEFAULT_LOG_POINTS = 160       # log-spaced fill per side from 5 to `span` linewidths
-MAX_FIT_EVALUATIONS = 2000     # least-squares budget of one line fit
+MAX_FIT_EVALUATIONS = 2000     # function evaluations one line fit may use
 
 # numpy < 2 names the trapezoidal rule ``trapz``
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -530,6 +531,10 @@ def _stacked_occupations(a, b, weights, r, perm, a1=None) -> list:
     Given ``a1``, the dA/dG of a drift A0 + G*A1 (broadcasting like
     ``b``), the float of entry i becomes ``(n, dn/dG)``: dSigma/dG solves
     A S + S A^dag + A1 Sigma + Sigma A1^dag = 0 on the same operator.
+
+    Every gate fails on a non-finite value, so a point whose norms or
+    Sigma overflow is decided by the eigensolve and the residual gate; the
+    sweeps call this with numpy's overflow and invalid warnings off.
     """
     results = [None] * a.shape[0]
     finite = np.isfinite(a).all(axis=(1, 2))
@@ -764,29 +769,34 @@ def fit_lorentzian(
 ) -> LorentzFit:
     """Nonlinear least-squares Lorentzian fit inside ``window = (lo, hi)``.
 
-    The window must contain exactly one local maximum; initialization uses
-    the peak location and half-maximum crossings.  The fit runs in the
-    offset from the peak's grid point, with the analytic Jacobian, so the
-    center is resolved far below the linewidth.  Fails when no peak is
-    present, several peaks overlap, the fit does not converge, the
+    The window must hold finite values and exactly one peak of prominence
+    at least 5% of its range (:func:`_peaks`); initialization uses the
+    peak location and half-maximum crossings.  The fit runs in the offset
+    from the peak's grid point, with the analytic Jacobian
+    (:func:`_levenberg_marquardt`), so the center is resolved far below
+    the linewidth.  Fails when no peak is present, several peaks overlap,
+    the fit does not converge in MAX_FIT_EVALUATIONS evaluations, the
     residual exceeds 5% of the peak, or the fitted FWHM is below the grid
-    spacing at the center (a line the grid does not resolve).
+    spacing at the center (a line the grid does not resolve).  Mismatched
+    ``grid`` and ``values`` shapes are a ValueError.
     """
-    from scipy.optimize import least_squares
-    from scipy.signal import find_peaks
-
     points = grid.points if isinstance(grid, FrequencyGrid) else np.asarray(grid)
+    values = np.asarray(values, dtype=float)
+    if points.shape != values.shape:
+        raise ValueError("grid and values must have matching shapes")
     lo, hi = window
     mask = (points >= lo) & (points <= hi)
     x = points[mask]
-    y = np.asarray(values, dtype=float)[mask]
+    y = values[mask]
     if x.size < 8:
         raise FitFailureError("window contains fewer than 8 grid points")
+    if not np.isfinite(y).all():
+        raise FitFailureError("non-finite spectrum value in window")
 
     span = float(y.max() - y.min())
     if span <= 0:
         raise FitFailureError("no peak in window (flat spectrum)")
-    peaks, _ = find_peaks(y, prominence=0.05 * span)
+    peaks = _peaks(y, 0.05 * span)
     if peaks.size == 0:
         raise FitFailureError("no interior peak in window")
     if peaks.size > 1:
@@ -804,21 +814,15 @@ def fit_lorentzian(
         w0 = (x[-1] - x[0]) / 4.0
     dx = x - x[ipk]
 
-    res = least_squares(
+    params = _levenberg_marquardt(
         lambda p: _lorentz(p, dx) - y,
+        lambda p: _lorentz_jacobian(p, dx),
         np.array([0.0, w0, amp0, base0]),
-        jac=lambda p: _lorentz_jacobian(p, dx),
-        xtol=1e-9,
-        ftol=1e-15,
-        gtol=None,
-        x_scale="jac",
-        max_nfev=MAX_FIT_EVALUATIONS,
+        MAX_FIT_EVALUATIONS,
     )
-    if res.status == 0:
-        raise FitFailureError(f"fit did not converge in {res.nfev} evaluations")
-    offset, fwhm, amp, base = res.x
+    offset, fwhm, amp, base = params
     fwhm = abs(fwhm)
-    resid = np.max(np.abs(_lorentz(res.x, dx) - y))
+    resid = np.max(np.abs(_lorentz(params, dx) - y))
     if resid > 0.05 * (amp + abs(base)):
         raise FitFailureError(
             f"fit residual {resid:.3g} exceeds 5% of peak {amp:.3g}"
@@ -831,6 +835,83 @@ def fit_lorentzian(
             f"{x[k] - x[k - 1]:.3g} at the center; the line is not resolved"
         )
     return LorentzFit(center=float(center), fwhm=float(fwhm), area=float(amp * math.pi * fwhm / 2.0))
+
+
+def _peaks(y: np.ndarray, prominence: float) -> np.ndarray:
+    """Interior local maxima of the finite ``y`` whose prominence is at least
+    ``prominence``; the indices ``scipy.signal.find_peaks`` returns.
+
+    A maximum is a sample, or a flat run of equal samples, with a lower
+    neighbour on each side; a run is reported by its middle index (the
+    left one of two).  Its prominence is its height less the higher of the
+    two minima between it and the nearest strictly higher sample on each
+    side, or the end of ``y`` where there is none.
+    """
+    k = np.flatnonzero(np.diff(y))  # the steps y[k] -> y[k + 1] that change
+    turn = (y[k[1:] + 1] < y[k[1:]]) & (y[k[:-1]] < y[k[:-1] + 1])
+    tops = (k[:-1][turn] + 1 + k[1:][turn]) // 2  # a rise, a flat run, then a fall
+    keep = []
+    for p in tops.tolist():
+        higher_left = np.flatnonzero(y[:p] > y[p])
+        higher_right = np.flatnonzero(y[p:] > y[p])
+        start = higher_left[-1] + 1 if higher_left.size else 0
+        stop = p + higher_right[0] if higher_right.size else y.size
+        base = max(y[start : p + 1].min(), y[p:stop].min())
+        keep.append(y[p] - base >= prominence)
+    return tops[np.array(keep, dtype=bool)]
+
+
+def _levenberg_marquardt(fun, jac, x, max_evaluations) -> np.ndarray:
+    """Least-squares minimum of ||fun(x)||^2 from the start ``x``.
+
+    Each trial step solves (J^T J + mu D^2) dx = -J^T f by one SVD of J D^-1
+    per Jacobian, D the column norms of J, never decreasing (Moré's
+    scaling; scipy's ``x_scale="jac"``).  A step that lowers the cost is
+    taken; mu then shrinks by max(1/3, 1 - (2 rho - 1)^3), rho the ratio of
+    actual to predicted reduction, and otherwise grows by a factor that
+    doubles on each rejection in a row (Nielsen's update).  It stops, as
+    scipy's ``least_squares``, after an evaluation whose step has
+    ||dx|| < xtol (xtol + ||x||), or whose relative cost reduction is
+    below ``ftol`` with rho > 1/4.  ``max_evaluations`` counts calls of
+    ``fun``, the start's included; running out raises FitFailureError.
+    """
+    xtol, ftol = 1e-9, 1e-15
+    f = fun(x)
+    cost = f @ f / 2.0
+    evaluations = 1
+    j = jac(x)
+    d = np.linalg.norm(j, axis=0)
+    d[d == 0] = 1.0
+    mu, grow = 1e-3, 2.0
+    while evaluations < max_evaluations:
+        u, s, vt = np.linalg.svd(j / d, full_matrices=False)
+        uf = u.T @ f
+        while evaluations < max_evaluations:
+            shrink = s**2 / (s**2 + mu)
+            step = -(vt.T @ (s * uf / (s**2 + mu))) / d
+            f_new = fun(x + step)
+            evaluations += 1
+            if not np.isfinite(f_new).all():
+                mu, grow = mu * grow, 2.0 * grow
+                continue
+            reduction = cost - f_new @ f_new / 2.0
+            predicted = np.sum(uf**2 * shrink * (1.0 - shrink / 2.0))
+            rho = reduction / predicted if predicted > 0 else float(reduction == predicted)
+            done = np.linalg.norm(step) < xtol * (xtol + np.linalg.norm(x)) or (
+                reduction < ftol * cost and rho > 0.25
+            )
+            if reduction > 0:
+                x, f, cost = x + step, f_new, cost - reduction
+            if done:
+                return x
+            if reduction > 0:
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                grow = 2.0
+                break
+            mu, grow = mu * grow, 2.0 * grow
+        j = jac(x)
+        d = np.maximum(d, np.linalg.norm(j, axis=0))
+    raise FitFailureError(f"fit did not converge in {evaluations} evaluations")
 
 
 def force_spectrum_numeric(

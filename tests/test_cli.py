@@ -393,6 +393,24 @@ class TestOverflowingDrive:
         assert error["message"] == "linearized coupling |alpha|*g0 = inf is not finite"
 
 
+class TestSweepToTheFloatRange:
+    def test_full_sweep_to_1e300_is_quiet(self, tmp_path, capsys):
+        # past C_OM ~ 1e200 the unstable drifts overflow the certificate's
+        # norms, and past 1e298 G itself: each is a point error, with
+        # nothing on stderr (RuntimeWarning is an error here)
+        sweep = "\n[sweep]\nc_om_min = 0.01\nc_om_max = 1e300\npoints_per_decade = 5\n"
+        path = write_config(tmp_path, base_config("sweep", sweep, fidelity="full"))
+        out = str(tmp_path / "s")
+        assert main(["sweep", "--config", path, "--fidelity", "full", "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out + ".csv") as f:
+            rows = [line.rstrip("\n").split(",") for line in f][1:]
+        assert len(rows) == 1511
+        assert [row[-1] for row in rows[-3:]] == ["error"] * 3
+        with open(out + ".summary.json") as f:
+            assert json.load(f)["n_errors"] == sum(row[-1] == "error" for row in rows)
+
+
 # the README system over C_OM in [0.1, 1e5]: at full fidelity 46 stable
 # points, then 15 unstable ones
 _MIXED_SWEEP = "\n[sweep]\nc_om_min = 0.1\nc_om_max = 100000\npoints_per_decade = 10\n"

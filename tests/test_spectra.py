@@ -1,9 +1,14 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
+from scipy.signal import find_peaks
 
 from bathcool import (
     build_full_system,
@@ -23,6 +28,7 @@ from bathcool import (
     steady_state_occupation,
     susceptibility_matrix,
 )
+import bathcool
 from bathcool import spectra
 from bathcool.errors import (
     CoverageError,
@@ -38,7 +44,7 @@ from bathcool.model import (
     _conjugate_swap,
     _pencil,
 )
-from bathcool.spectra import RESIDUAL_TOL, _solve_rows
+from bathcool.spectra import RESIDUAL_TOL, _peaks, _solve_rows
 
 from conftest import TWO_PI, make_spec
 
@@ -1265,6 +1271,21 @@ class TestLorentzFit:
         with pytest.raises(FitFailureError, match="did not converge"):
             fit_lorentzian(x, y, (-5.0, 5.0))
 
+    def test_shape_mismatch_is_a_value_error(self):
+        x = np.linspace(-5.0, 5.0, 1001)
+        with pytest.raises(ValueError, match="matching shapes"):
+            fit_lorentzian(x, 0.25 / (x[1:] ** 2 + 0.25), (-5.0, 5.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_in_window_rejected(self, bad):
+        x = np.linspace(-5.0, 5.0, 1001)
+        y = 0.25 / (x**2 + 0.25) + 0.01
+        y[700] = bad
+        with pytest.raises(FitFailureError, match="non-finite"):
+            fit_lorentzian(x, y, (-5.0, 5.0))
+        # outside the window it is not read
+        assert fit_lorentzian(x, y, (-5.0, 1.0)).fwhm == pytest.approx(1.0, rel=1e-9)
+
     @pytest.mark.parametrize("baseline", [0.0, 0.1])
     def test_line_the_grid_does_not_resolve_raises(self, baseline):
         # a peak one grid point wide converges to a FWHM of about 1e-9 to
@@ -1274,6 +1295,69 @@ class TestLorentzFit:
         y[50] += 1.0
         with pytest.raises(FitFailureError, match="below the grid spacing"):
             fit_lorentzian(x, y, (-1.0, 1.0))
+
+
+class TestFitMatchesScipy:
+    """The numpy peak test and least-squares fit against the scipy calls
+    they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(st.sampled_from([-2, -1, 0, 0, 0, 1, 2]), min_size=3, max_size=80),
+        level=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    )
+    @example(steps=[0, 1, 0, 0, -1], level=0.0)  # a top three samples wide
+    @example(steps=[0, 1, 0, 0, 0, -1], level=0.0)  # four wide: the left middle
+    def test_peaks_on_arrays_with_plateaus(self, steps, level):
+        # zero steps make flat runs, at maxima and minima and at the ends
+        y = np.cumsum(steps).astype(float)
+        prominence = level * float(y.max() - y.min())
+        assert np.array_equal(_peaks(y, prominence), find_peaks(y, prominence=prominence)[0])
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_peaks_on_spectrum_windows(self, builder):
+        for spec in _criterion_7_draws(40):
+            summary = cooling_summary(spec)
+            res = position_spectrum(builder(spec), "a")
+            for lws in (8, 30, 200):
+                half = lws * summary.linewidth_a
+                inside = np.abs(res.grid.points - summary.omega_a_pulled) <= half
+                y = res.values[inside]
+                prominence = 0.05 * float(y.max() - y.min())
+                assert np.array_equal(
+                    _peaks(y, prominence), find_peaks(y, prominence=prominence)[0]
+                )
+
+    def test_fits_of_the_operating_point_windows(self, monkeypatch):
+        # every window the benchmark's operating-point workload fits, for
+        # seeds 501-504: the same problem solved by least_squares
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        solve = spectra._levenberg_marquardt
+        gaps = []
+
+        def both(fun, jac, x0, budget):
+            params = solve(fun, jac, x0, budget)
+            ref = least_squares(
+                fun, x0, jac=jac, xtol=1e-9, ftol=1e-15, gtol=None, x_scale="jac",
+                max_nfev=budget,
+            )
+            assert ref.status > 0
+            fwhm = abs(ref.x[1])
+            gaps.append((abs(params[0] - ref.x[0]) / fwhm, abs(abs(params[1]) - fwhm) / fwhm))
+            return params
+
+        monkeypatch.setattr(spectra, "_levenberg_marquardt", both)
+        for seed in (501, 502, 503, 504):
+            for spec in workloads.OperatingPoint(bathcool, seed, None).specs:
+                summary = cooling_summary(spec)
+                res = position_spectrum(build_full_system(spec), "a")
+                half = 8.0 * summary.linewidth_a
+                center = summary.omega_a_pulled
+                fit_lorentzian(res.grid, res.values, (center - half, center + half))
+        assert len(gaps) == 4 * workloads.OperatingPoint.N_CONFIGS
+        assert np.max(gaps) <= 1e-6
 
 
 def _mode_a_line(model):

@@ -144,6 +144,19 @@ class TestSweepCooperativity:
         assert res.n_eff[2:].tolist() == [spec50.mode_a.nbar] * 3
         assert res.linewidths[2:].tolist() == [spec50.mode_a.gamma] * 3
 
+    def test_full_where_the_drift_overflows(self, spec50):
+        # at 1e298 the norms of the certificate overflow; past it G overflows
+        # and the drift holds inf * 0: point errors of their own kind, and
+        # no warning (RuntimeWarning is an error here)
+        c_oms = [1e298, 1e299, 1e300]
+        res = sweep_cooperativity(spec50, c_oms, fidelity="full")
+        kinds = [e.split(":")[0] for e in res.errors]
+        assert kinds == ["unstable_system", "numerical_failure", "numerical_failure"]
+        assert res.errors[1:] == ("numerical_failure: drift matrix has non-finite entries",) * 2
+        assert np.isnan(res.n_eff).all()
+        for c, error in zip(c_oms, res.errors):
+            assert sweep_cooperativity(spec50, [c], fidelity="full").errors == (error,)
+
 
 class TestFullFidelityCovariance:
     """Full-fidelity occupations come from the steady-state covariance."""
