@@ -1,0 +1,127 @@
+#!/usr/bin/env bash
+# Packaging smoke test of an installed bathcool, run in the current directory:
+#   bash .github/packaging-smoke.sh
+# BATHCOOL is the CLI command (default: bathcool).
+#
+# tier-1 imports from src/, so only an installed wheel shows a missing
+# data file (data/materials.json) or a broken console script; the
+# full-fidelity spectrum runs the susceptibility solver from the wheel,
+# sense its two-row case (the e_a row and its conjugate mate), and the
+# full-fidelity optimum and sweep the Lyapunov solve and its
+# derivatives; every scan point of the optimum over C_OM in [5e3, 1e5]
+# is unstable, so no solved covariance certifies it and the real-form
+# eigensolve words the error, which must exit 2 with one JSON error; a
+# full sweep over C_OM in [0.1, 1e5] mixes 46 certified points with 15
+# unstable ones, which must exit 0 with "n_errors": 15 in its summary;
+# the full spectrum at C_OM = 1e4 fails the complex eigensolve, whose
+# message must word the real unstable eigenvalue as the real form does
+# (ending in +0j); a [cavity] with both alpha and pump_hz, a [sweep] of
+# more than 100000 points and a [design] whose 1e200 m arms overflow
+# must each exit 1 with one config_error line and no stdout; a drive
+# whose |alpha| g0 overflows (alpha = 1e200, g0_hz = 1e200) must exit 3
+# with no stdout and a stderr of exactly one numerical_failure line, no
+# numpy warning before it; an rwa sweep over C_OM in [0.01, 1e300], where
+# (gamma_b + Gamma)^2 overflows, must exit 0 with an empty stderr and
+# "n_errors": 0, and the full sweep over the same range, whose unstable
+# drifts overflow, must exit 0 with an empty stderr; a spectrum whose
+# [cavity] gives only pump_hz must exit 0 (CavityDrive.from_pump);
+# importing the installed CLI, a steady-state occupation of the README
+# system and a Lorentzian line fit must load no scipy module, and the
+# wheel must require scipy only in its test extra
+set -euo pipefail
+BATHCOOL=${BATHCOOL:-bathcool}
+printf '%s\n' '[run]' 'task = design' '' '[design]' \
+  'l_left_m = 20.01e-6' 'l_right_m = 19.99e-6' 'h_m = 0.3e-6' 'w_m = 0.3e-6' \
+  'material = silicon_nitride' 'temperature_k = 300' > design.ini
+$BATHCOOL design --config design.ini
+printf '%s\n' '[run]' 'task = spectrum' '' '[system]' 'omega_a_hz = 1e6' \
+  'gamma_a_hz = 1.0' 'omega_b_hz = 1e6' 'gamma_b_hz = 1e3' 'lambda_hz = 111.8' \
+  'temperature_k = 300' 'mass_a_kg = 1e-12' '' '[cavity]' 'kappa_hz = 3e5' \
+  'detuning_hz = -1e6' 'g0_hz = 10' > spectrum.ini
+$BATHCOOL spectrum --config spectrum.ini --fidelity full
+sed -e 's/^task = spectrum$/task = sense/' spectrum.ini > sense.ini
+$BATHCOOL sense --config sense.ini --fidelity full
+sed -e 's/^task = spectrum$/task = optimize/' spectrum.ini > optimize.ini
+printf '%s\n' '' '[optimize]' 'c_om_min = 0.01' 'c_om_max = 1000' >> optimize.ini
+$BATHCOOL optimize --config optimize.ini --fidelity full
+sed -e 's/^task = spectrum$/task = optimize/' spectrum.ini > unstable.ini
+printf '%s\n' '' '[optimize]' 'c_om_min = 5000' 'c_om_max = 100000' >> unstable.ini
+code=0
+$BATHCOOL optimize --config unstable.ini --fidelity full > unstable.out 2> unstable.err || code=$?
+test "$code" -eq 2
+test ! -s unstable.out
+python -c "import json; lines = open('unstable.err').read().splitlines(); assert len(lines) == 1 and json.loads(lines[0])['error'] == 'unstable_system', lines"
+sed -e 's/^task = spectrum$/task = sweep/' spectrum.ini > mixed.ini
+printf '%s\n' '' '[sweep]' 'c_om_min = 0.1' 'c_om_max = 100000' 'points_per_decade = 10' >> mixed.ini
+code=0
+$BATHCOOL sweep --config mixed.ini --fidelity full > mixed.out || code=$?
+test "$code" -eq 0
+grep -q '"n_errors": 15' mixed.out
+cp spectrum.ini c1e4.ini
+printf '%s\n' 'alpha = 86602.54' >> c1e4.ini
+code=0
+$BATHCOOL spectrum --config c1e4.ini --fidelity full > c1e4.out 2> c1e4.err || code=$?
+test "$code" -eq 2
+test ! -s c1e4.out
+python -c "import json; lines = open('c1e4.err').read().splitlines(); assert len(lines) == 1 and json.loads(lines[0])['error'] == 'unstable_system' and json.loads(lines[0])['message'].endswith('+0j'), lines"
+cp c1e4.ini both.ini
+printf '%s\n' 'pump_hz = 1e9' >> both.ini
+code=0
+$BATHCOOL spectrum --config both.ini > both.out 2> both.err || code=$?
+test "$code" -eq 1
+test ! -s both.out
+python -c "import json; lines = open('both.err').read().splitlines(); assert len(lines) == 1 and json.loads(lines[0])['error'] == 'config_error', lines"
+sed -e 's/^task = spectrum$/task = sweep/' spectrum.ini > huge.ini
+printf '%s\n' '' '[sweep]' 'points_per_decade = 1e17' >> huge.ini
+code=0
+$BATHCOOL sweep --config huge.ini --fidelity full > huge.out 2> huge.err || code=$?
+test "$code" -eq 1
+test ! -s huge.out
+python -c "import json; lines = open('huge.err').read().splitlines(); assert len(lines) == 1 and json.loads(lines[0])['error'] == 'config_error', lines"
+sed -e 's/^l_left_m = .*/l_left_m = 1e200/' -e 's/^l_right_m = .*/l_right_m = 1e200/' design.ini > arms.ini
+code=0
+$BATHCOOL design --config arms.ini > arms.out 2> arms.err || code=$?
+test "$code" -eq 1
+test ! -s arms.out
+python -c "import json; lines = open('arms.err').read().splitlines(); assert len(lines) == 1 and json.loads(lines[0])['error'] == 'config_error', lines"
+sed -e 's/^g0_hz = 10$/g0_hz = 1e200/' spectrum.ini > overflow.ini
+printf '%s\n' 'alpha = 1e200' >> overflow.ini
+code=0
+$BATHCOOL spectrum --config overflow.ini --fidelity full > overflow.out 2> overflow.err || code=$?
+test "$code" -eq 3
+test ! -s overflow.out
+python -c "import json; lines = open('overflow.err').read().splitlines(); assert len(lines) == 1 and json.loads(lines[0])['error'] == 'numerical_failure', lines"
+sed -e 's/^task = spectrum$/task = sweep/' spectrum.ini > huge_gamma.ini
+printf '%s\n' '' '[sweep]' 'c_om_min = 0.01' 'c_om_max = 1e300' >> huge_gamma.ini
+$BATHCOOL sweep --config huge_gamma.ini --fidelity rwa > huge_gamma.out 2> huge_gamma.err
+test ! -s huge_gamma.err
+grep -q '"n_errors": 0' huge_gamma.out
+$BATHCOOL sweep --config huge_gamma.ini --fidelity full > huge_gamma_full.out 2> huge_gamma_full.err
+test ! -s huge_gamma_full.err
+cp spectrum.ini pump.ini
+printf '%s\n' 'pump_hz = 1e9' >> pump.ini
+$BATHCOOL spectrum --config pump.ini --fidelity full > pump.out
+sed -e 's/^task = spectrum$/task = sweep/' spectrum.ini > sweep.ini
+$BATHCOOL sweep --config sweep.ini --fidelity full --out sweep
+python -c "import sys, bathcool.cli; loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; assert not loaded, loaded"
+python - <<'EOF'
+import math, sys
+import bathcool
+tp = 2 * math.pi
+spec = bathcool.SystemSpec(
+    mode_a=bathcool.MechanicalMode(tp * 1e6, tp * 1.0, 300.0),
+    mode_b=bathcool.MechanicalMode(tp * 1e6, tp * 1e3, 300.0),
+    cavity=bathcool.CavityDrive(kappa=tp * 3e5, detuning=-tp * 1e6, g0=tp * 10.0, alpha=2314.0),
+    coupling=tp * 111.8,
+)
+n = bathcool.steady_state_occupation(bathcool.build_full_system(spec), "a")
+assert abs(n - 1539060.98919747) <= 1e-9 * n, n
+x = [0.01 * k for k in range(-500, 501)]
+fit = bathcool.fit_lorentzian(x, [0.25 / (v * v + 0.25) + 0.01 for v in x], (-5.0, 5.0))
+assert abs(fit.center) <= 1e-9 and abs(fit.fwhm - 1.0) <= 1e-9, fit
+loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']
+assert not loaded, loaded
+from importlib.metadata import requires
+needs_scipy = [r for r in requires("bathcool") if r.startswith("scipy")]
+assert needs_scipy and all("extra ==" in r for r in needs_scipy), needs_scipy
+EOF

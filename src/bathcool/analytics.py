@@ -190,15 +190,16 @@ def induced_damping_detuned(
 def _induced_damping(lam, gtot, delta):
     """:func:`induced_damping_detuned` at total b damping gtot, on floats or arrays,
     squaring by libm pow: numpy's x**2 is x*x, which can differ in the last bit.
-    Where a square overflows, the Lorentzian takes its limit, 0."""
+    Where a square overflows or gtot is infinite, the Lorentzian takes its limit, 0."""
     if isinstance(gtot, np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
             den = np.float_power(delta, 2) + np.float_power(gtot, 2) / 4.0
             return np.where(np.isinf(den), 0.0, lam**2 * gtot / den)
     try:
-        return lam**2 * gtot / (pow(delta, 2) + pow(gtot, 2) / 4.0)
+        den = pow(delta, 2) + pow(gtot, 2) / 4.0
     except OverflowError:  # a float's pow raises where numpy's returns inf
         return 0.0
+    return lam**2 * gtot / den if den < math.inf else 0.0
 
 
 def cooperativity_ab(spec: SystemSpec) -> float:
@@ -216,36 +217,28 @@ def optomechanical_cooperativity(Gamma: float, gamma_b: float) -> float:
     return Gamma / gamma_b
 
 
-def _nbar_b(spec: SystemSpec) -> float | None:
-    """Mode b's bath occupation when its bath is at another temperature than
-    mode a's; None (reuse mode a's nbar) when the two share a temperature."""
+def _bath_occupations(spec: SystemSpec) -> tuple:
+    """``(nbar_a, nbar_b)`` of :func:`n_eff_closed_form`."""
+    nbar = spec.mode_a.nbar
     if spec.mode_a.bath_temperature == spec.mode_b.bath_temperature:
-        return None
-    return spec.mode_b.nbar
+        return nbar, nbar
+    return nbar, spec.mode_b.nbar
 
 
-def n_eff_closed_form(
-    spec: SystemSpec,
-    Gamma: float,
-    nbar: float,
-    nbar_b: float | None = None,
-) -> float:
+def n_eff_closed_form(spec: SystemSpec, Gamma: float) -> float:
     """Effective occupation of mode a from the weighted bath average.
 
     n_eff = (gamma_a*nbar_a + Gamma_a*(gamma_b/(Gamma+gamma_b))*nbar_b)
             / (gamma_a + Gamma_a)
 
-    ``nbar`` is the mode-a bath occupation (evaluated at omega_a); by
-    default the same value is used for mode b's bath, pass ``nbar_b`` for
-    distinct temperatures.  Gamma_a uses the detuning-aware Lorentzian so
-    the formula degrades gracefully when omega_a != omega_b; it is
-    evaluated outside the regime too, whose edges :func:`regime_flags`
-    reports.
+    nbar_a is mode a's bath occupation, evaluated at omega_a.  When the
+    two baths share a temperature, mode b's bath takes the same value, as
+    the paper's formula does; otherwise nbar_b is mode b's own, evaluated
+    at omega_b.  Gamma_a uses the detuning-aware Lorentzian so the formula degrades
+    gracefully when omega_a != omega_b; it is evaluated outside the regime
+    too, whose edges :func:`regime_flags` reports.
     """
-    if nbar < 0 or (nbar_b is not None and nbar_b < 0):
-        raise ValueError("occupations must be >= 0")
-    if nbar_b is None:
-        nbar_b = nbar
+    nbar, nbar_b = _bath_occupations(spec)
     ga, gb = spec.mode_a.gamma, spec.mode_b.gamma
     delta = spec.mode_b.omega - spec.mode_a.omega
     gamma_a_ind = induced_damping_detuned(spec.coupling, gb, Gamma, delta)
@@ -255,17 +248,14 @@ def n_eff_closed_form(
     return float(num / (ga + gamma_a_ind))
 
 
-def _n_eff_closed_form_slope(
-    spec: SystemSpec, Gamma: float, nbar: float, nbar_b: float | None = None
-) -> float:
+def _n_eff_closed_form_slope(spec: SystemSpec, Gamma: float) -> float:
     """dn/dGamma of :func:`n_eff_closed_form`.
 
     With g = gamma_b + Gamma and D = delta^2 + g^2/4, multiplying through
     by D makes n_eff = P/R a ratio of quadratics in g:
-    P = gamma_a*nbar*D + lambda^2*gamma_b*nbar_b, R = gamma_a*D + lambda^2*g.
+    P = gamma_a*nbar_a*D + lambda^2*gamma_b*nbar_b, R = gamma_a*D + lambda^2*g.
     """
-    if nbar_b is None:
-        nbar_b = nbar
+    nbar, nbar_b = _bath_occupations(spec)
     ga, gb, lam2 = spec.mode_a.gamma, spec.mode_b.gamma, spec.coupling**2
     g = gb + Gamma
     d = (spec.mode_b.omega - spec.mode_a.omega) ** 2 + g**2 / 4.0
@@ -317,19 +307,11 @@ def force_noise_psd(
     return ForceNoiseResult(s_ff=s_ff, factor=factor, classical=nbar >= REGIME_FACTOR)
 
 
-def cooling_summary(
-    spec: SystemSpec, Gamma: float | None = None, nbar: float | None = None
-) -> CoolingSummary:
-    """Assemble every closed-form figure of merit for one operating point.
-
-    Gamma defaults to the value implied by the system's cavity drive; nbar
-    defaults to the mode-a bath occupation.
-    """
-    if Gamma is None:
-        Gamma = optical_damping(spec.cavity.alpha_g0, spec.cavity.kappa)
-    if nbar is None:
-        nbar = spec.mode_a.nbar
-    n_eff = n_eff_closed_form(spec, Gamma, nbar, nbar_b=_nbar_b(spec))
+def cooling_summary(spec: SystemSpec) -> CoolingSummary:
+    """Every closed-form figure of merit at the operating point of ``spec``,
+    Gamma the optical damping of its cavity drive."""
+    Gamma = optical_damping(spec.cavity.alpha_g0, spec.cavity.kappa)
+    n_eff = n_eff_closed_form(spec, Gamma)
     omega_pulled, gamma_prime = mode_a_response(spec.mode_a.omega, spec, Gamma)
     return CoolingSummary(
         Gamma=Gamma,

@@ -226,10 +226,13 @@ def _design_inputs(d: dict, cav_items: dict | None) -> dict:
         }
         if not inputs["temperature"] > 0:
             raise ValueError("temperature_k must be > 0")
-        if set(custom) <= set(d):
+        missing = [k for k in custom if k not in d]
+        if not missing:
             inputs["material"] = Material(
                 *(g(k) for k in custom), name=d.get("material", "custom")
             )
+        elif len(missing) < len(custom):
+            raise ValueError(f"a custom material also needs {', '.join(missing)}")
         else:
             inputs["material"] = load_material(d.get("material", "silicon_nitride"))
     except ValueError as exc:

@@ -122,13 +122,9 @@ def available_materials() -> tuple:
     return tuple(sorted(_materials_db()))
 
 
-def load_material(name: str, path=None) -> Material:
-    """Load a named material from the shipped database (or a JSON file)."""
-    if path is not None:
-        with open(path) as fh:
-            db = json.load(fh)
-    else:
-        db = _materials_db()
+def load_material(name: str) -> Material:
+    """Load a named material from the shipped database."""
+    db = _materials_db()
     try:
         entry = db[name]
     except KeyError:
@@ -171,17 +167,15 @@ def cantilever_frequency(L: float, h: float, material: Material) -> float:
     )
 
 
-def clamping_Q(
-    L: float, h: float, calibration: float = DEFAULT_CLAMPING_CALIBRATION
-) -> float:
-    """Clamping-loss quality factor of a clamped-free beam: calibration*(L/h)^2.
+def clamping_Q(L: float, h: float) -> float:
+    """Clamping-loss quality factor of a clamped-free beam: c*(L/h)^2.
 
-    The default calibration (~1.77) reproduces the published datapoint
-    Q ~= 7.87e3 at L/h = 66.7.
+    The calibration c = DEFAULT_CLAMPING_CALIBRATION (~1.77) reproduces
+    the published datapoint Q ~= 7.87e3 at L/h = 66.7.
     """
     if not (L > 0 and h > 0):
         raise ValueError("L and h must be > 0")
-    return calibration * (L / h) ** 2
+    return DEFAULT_CLAMPING_CALIBRATION * (L / h) ** 2
 
 
 def clamping_gamma_quasimode(J: float, rho_dos: float) -> float:
@@ -224,11 +218,7 @@ def ted_quality_factor(
 
 
 def design_to_system(
-    geometry: BeamGeometry,
-    material: Material,
-    temperature: float,
-    cavity: CavityDrive,
-    clamping_calibration: float = DEFAULT_CLAMPING_CALIBRATION,
+    geometry: BeamGeometry, material: Material, temperature: float, cavity: CavityDrive
 ) -> DesignReport:
     """Compose the beam design into a SystemSpec plus its loss budget.
 
@@ -242,7 +232,7 @@ def design_to_system(
     omega_r = cantilever_frequency(geometry.L_right, geometry.h, material)
     omega0, epsilon, lam = normal_mode_map(omega_l, omega_r)
 
-    q_clamp = clamping_Q(geometry.nominal_length, geometry.h, clamping_calibration)
+    q_clamp = clamping_Q(geometry.nominal_length, geometry.h)
     q_ted = ted_quality_factor(material, temperature, geometry.h, omega0)
     gamma_b = omega0 / q_clamp
     gamma_a = omega0 / q_ted

@@ -391,15 +391,12 @@ def _raise_singular(a: np.ndarray, omegas: np.ndarray):
     )
 
 
-def susceptibility_matrix(
-    model: DriftModel, omega: float, allow_unstable: bool = False
-) -> np.ndarray:
+def susceptibility_matrix(model: DriftModel, omega: float) -> np.ndarray:
     """Dense susceptibility (-i*omega*I - A)^-1 at a single frequency.
 
-    Refuses unstable models unless ``allow_unstable`` (diagnostic use).
+    Refuses unstable models.
     """
-    if not allow_unstable:
-        _require_stable(model)
+    _require_stable(model)
     return _solve_rows(model, np.atleast_1d(float(omega)), np.eye(model.dimension))[0]
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from .analytics import (
     _induced_damping,
     _n_eff_closed_form_slope,
-    _nbar_b,
     _regime_flags_column,
     cooperativity_ab,
     induced_damping_detuned,
@@ -33,6 +32,9 @@ __all__ = ["SweepResult", "sweep_cooperativity", "find_optimum", "sweep_detuning
 
 DEFAULT_POINTS_PER_DECADE = 60
 DEFAULT_RANGE = (1e-2, 1e3)
+# find_optimum's coarse scan size and its stopping step in log C_OM
+_COARSE_POINTS = 25
+_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,10 @@ class SweepResult:
 
     ``errors`` holds None for successful points and the error message for
     points that failed (e.g. instability); failed points carry NaN in the
-    numeric columns.
+    numeric columns.  ``linewidths`` holds mode a's closed-form linewidth
+    gamma_a + Gamma_a for an rwa sweep and a full :func:`sweep_detuning`,
+    and for a full :func:`sweep_cooperativity` the fitted FWHM with
+    ``fit_lines``, NaN without.
     """
 
     axis_name: str
@@ -85,12 +90,11 @@ def _n_effs(specs, fidelity: str):
 
         def closed_form(s, g, slopes):
             try:
-                nbar_b = _nbar_b(s)
-                n = n_eff_closed_form(s, g, s.mode_a.nbar, nbar_b=nbar_b)
+                n = n_eff_closed_form(s, g)
                 if not slopes:
                     return n
                 # d/dlog Gamma = Gamma d/dGamma
-                return n, g * _n_eff_closed_form_slope(s, g, s.mode_a.nbar, nbar_b=nbar_b)
+                return n, g * _n_eff_closed_form_slope(s, g)
             except BathcoolError as exc:
                 return exc
 
@@ -214,16 +218,10 @@ def _bracket(bracket: tuple) -> tuple:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # see _n_effs
-def find_optimum(
-    spec: SystemSpec,
-    bracket: tuple = DEFAULT_RANGE,
-    fidelity: str = "rwa",
-    rel_tol: float = 1e-6,
-    coarse_points: int = 25,
-) -> tuple:
+def find_optimum(spec: SystemSpec, bracket: tuple = DEFAULT_RANGE, fidelity: str = "rwa") -> tuple:
     """Locate the n_eff minimum over C_OM as a stationary point in log C_OM.
 
-    A scan of ``coarse_points`` log-spaced points over ``bracket`` (one
+    A scan of 25 log-spaced points over ``bracket`` (one
     batched call) must find its lowest n_eff at a point whose two
     neighbours are stable, else PhysicsError.  An unstable point scores
     +inf; a scan with no stable point raises its first
@@ -237,24 +235,20 @@ def find_optimum(
     points after.  A step that leaves the bracket or fails to halve the
     previous one, or a curvature that is not positive, becomes a bisection
     on the sign of the slope.  The search stops when the step in log C_OM
-    is below ``rel_tol``.  Returns ``(c_om_star, n_eff_star)``, n_eff_star
+    is below 1e-6.  Returns ``(c_om_star, n_eff_star)``, n_eff_star
     the gated n_eff evaluated at c_om_star.
     """
     lo, hi = _bracket(bracket)
-    if not rel_tol > 0:
-        raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
-    if coarse_points < 3:
-        raise ValueError(f"coarse_points must be >= 3, got {coarse_points}")
     gb = spec.mode_b.gamma
     n_effs = _n_effs([spec], fidelity)
-    xs = np.linspace(math.log(lo), math.log(hi), coarse_points).tolist()
+    xs = np.linspace(math.log(lo), math.log(hi), _COARSE_POINTS).tolist()
     scan = n_effs([math.exp(x) * gb for x in xs])
     unstable = [n for n in scan if isinstance(n, UnstableSystemError)]
-    if len(unstable) == coarse_points:
+    if len(unstable) == _COARSE_POINTS:
         raise unstable[0]
     ys = [math.inf if isinstance(n, UnstableSystemError) else _value(n) for n in scan]
     k = int(np.argmin(ys))
-    if k in (0, coarse_points - 1) or math.inf in (ys[k - 1], ys[k + 1]):
+    if k in (0, _COARSE_POINTS - 1) or math.inf in (ys[k - 1], ys[k + 1]):
         raise PhysicsError(
             f"no interior n_eff minimum in C_OM bracket [{lo:g}, {hi:g}]"
         )
@@ -275,7 +269,7 @@ def find_optimum(
         step = -slope / curvature if curvature > 0 else math.nan
         if not (left <= x + step <= right and abs(step) <= last / 2.0):
             step = (left + right) / 2.0 - x
-        if abs(step) < rel_tol:
+        if abs(step) < _REL_TOL:
             return math.exp(x), n
         previous, x, last = (x, slope), x + step, abs(step)
 

@@ -136,28 +136,34 @@ class TestInducedDamping:
         assert far < 1e-3 * induced_damping(lam, gb, gamma)
 
 
+def _colder_b(spec, temperature):
+    """``spec`` with mode b's bath at ``temperature``."""
+    return replace(spec, mode_b=replace(spec.mode_b, bath_temperature=temperature))
+
+
 class TestNEffClosedForm:
     def test_thermal_equilibrium(self):
         spec = make_spec(c_ab=0.0)
-        nbar = 1234.5
-        assert float(n_eff_closed_form(spec, 0.0, nbar)) == pytest.approx(nbar)
+        assert float(n_eff_closed_form(spec, 0.0)) == pytest.approx(spec.mode_a.nbar)
 
     def test_optimum_value_cab_50(self, spec50):
         gamma_star = optimal_cooperativity(50.0) * spec50.mode_b.gamma
-        ratio = float(n_eff_closed_form(spec50, gamma_star, 1.0))
+        ratio = float(n_eff_closed_form(spec50, gamma_star)) / spec50.mode_a.nbar
         assert ratio == pytest.approx(2.0 / (1.0 + math.sqrt(51.0)), rel=1e-9)
         assert ratio == pytest.approx(0.2457, abs=2e-4)
 
     def test_large_gamma_returns_to_thermal(self, spec50):
-        nbar = 100.0
-        got = float(n_eff_closed_form(spec50, 1e9 * spec50.mode_b.gamma, nbar))
+        nbar = spec50.mode_a.nbar
+        got = float(n_eff_closed_form(spec50, 1e9 * spec50.mode_b.gamma))
         assert got == pytest.approx(nbar, rel=1e-3)
         # (gamma_b + Gamma)^2 overflows past Gamma ~ 1.3e154: Gamma_a takes its limit, 0
-        assert n_eff_closed_form(spec50, 1e200, nbar) == nbar
+        assert n_eff_closed_form(spec50, 1e200) == nbar
+        # as it does where Gamma itself is infinite, as C_OM*gamma_b can be
+        assert n_eff_closed_form(spec50, math.inf) == nbar
 
     def test_regime_violation_flags_not_error(self):
         spec = make_spec(c_ab=50.0, delta_b_hz=5e4)  # far detuned modes
-        result = n_eff_closed_form(spec, TWO_PI * 100.0, 10.0)
+        result = n_eff_closed_form(spec, TWO_PI * 100.0)
         assert not regime_flags(spec, TWO_PI * 100.0).degenerate
         assert float(result) > 0
 
@@ -165,10 +171,31 @@ class TestNEffClosedForm:
         # no intrinsic damping and no coupling to b: no steady state, not 0/0
         spec = make_spec(c_ab=0.0, gamma_a_hz=0.0)
         with pytest.raises(UnstableSystemError):
-            n_eff_closed_form(spec, TWO_PI * 100.0, 10.0)
+            n_eff_closed_form(spec, TWO_PI * 100.0)
+
+    def test_bath_occupations_follow_the_temperatures(self):
+        # one temperature: mode b's bath takes mode a's nbar, evaluated at
+        # omega_a, as the paper's formula does, also with b detuned; a bath
+        # at another temperature brings its own nbar, at omega_b
+        spec = make_spec(c_ab=20.0, delta_b_hz=300.0)
+        gamma = TWO_PI * 2e3
+        ga, gb = spec.mode_a.gamma, spec.mode_b.gamma
+        delta = spec.mode_b.omega - spec.mode_a.omega
+        gamma_a_ind = induced_damping_detuned(spec.coupling, gb, gamma, delta)
+
+        def weighted(nbar_b):
+            num = ga * spec.mode_a.nbar + gamma_a_ind * (gb / (gb + gamma)) * nbar_b
+            return num / (ga + gamma_a_ind)
+
+        assert spec.mode_b.nbar != pytest.approx(spec.mode_a.nbar, rel=1e-6)
+        same = n_eff_closed_form(spec, gamma)
+        assert same == pytest.approx(weighted(spec.mode_a.nbar), rel=1e-14)
+        cold = _colder_b(spec, 40.0)
+        colder = n_eff_closed_form(cold, gamma)
+        assert colder == pytest.approx(weighted(cold.mode_b.nbar), rel=1e-14)
 
     @pytest.mark.parametrize(
-        "spec, nbar_b",
+        "spec, temperature_b",
         [
             (make_spec(c_ab=50.0), None),
             (make_spec(c_ab=50.0, delta_b_hz=2e3), None),  # b detuned by 2 gamma_b
@@ -177,11 +204,12 @@ class TestNEffClosedForm:
             (replace(make_spec(c_ab=50.0), mode_a=MechanicalMode(TWO_PI * 1e6, 0.0, 300.0)), None),
         ],
     )
-    def test_slope_matches_central_differences(self, spec, nbar_b):
-        nbar = 100.0
-        n = lambda g: n_eff_closed_form(spec, g, nbar, nbar_b=nbar_b)
+    def test_slope_matches_central_differences(self, spec, temperature_b):
+        if temperature_b is not None:
+            spec = _colder_b(spec, temperature_b)
+        n = lambda g: n_eff_closed_form(spec, g)
         for gamma in TWO_PI * np.array([300.0, 4e3, 5e4]):
-            slope = _n_eff_closed_form_slope(spec, gamma, nbar, nbar_b=nbar_b)
+            slope = _n_eff_closed_form_slope(spec, gamma)
             h = 1e-4 * gamma
             assert slope == pytest.approx((n(gamma + h) - n(gamma - h)) / (2 * h), rel=1e-6)
 
@@ -276,7 +304,7 @@ class TestSummaryAndFlags:
         import bathcool
 
         assert bathcool.regime_flags is regime_flags
-        assert type(n_eff_closed_form(make_spec(), 1.0, 10.0)) is float
+        assert type(n_eff_closed_form(make_spec(), 1.0)) is float
 
     def test_flags_threshold_factor_ten(self):
         spec = make_spec(c_ab=50.0, kappa_hz=3e5)

@@ -59,6 +59,12 @@ w_m = 0.3e-6
 material = silicon_nitride
 temperature_k = 300
 """
+# silicon nitride's constants with a Young's modulus 250 times lower
+CUSTOM_MATERIAL = """youngs_modulus_pa = 1e9
+density_kg_m3 = 3100
+tec_per_k = 2.2e-6
+heat_capacity_j_m3k = 2.2e6
+"""
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -337,10 +343,16 @@ class TestConfigErrorPaths:
              "no finite design"),
             # (L / h)^2 overflows in the clamping Q
             ("design", DESIGN_CONFIG.replace("h_m = 0.3e-6", "h_m = 1e-300"), "no finite design"),
+            # a custom material needs all four keys
+            ("design", DESIGN_CONFIG + "youngs_modulus_pa = 1e9\n",
+             "needs density_kg_m3, tec_per_k, heat_capacity_j_m3k"),
+            ("design", DESIGN_CONFIG + CUSTOM_MATERIAL.replace("heat_capacity_j_m3k = 2.2e6\n", ""),
+             "needs heat_capacity_j_m3k"),
         ],
         ids=["missing-run", "format-xml", "design-no-design", "sweep-no-system",
              "unparsable-header", "sense-no-mass", "sweep-oversized", "sweep-inf-count",
-             "design-arms-overflow", "design-thickness-underflow"],
+             "design-arms-overflow", "design-thickness-underflow", "design-material-one-key",
+             "design-material-three-keys"],
     )
     def test_exit_1_with_one_config_error(self, tmp_path, capsys, task, text, needle):
         assert main([task, "--config", write_config(tmp_path, text)]) == 1
@@ -538,6 +550,15 @@ temperature_k = 300
         assert summary["Q_ted"] > 1e10
         assert summary["omega0_rad_s"] == pytest.approx(TWO_PI * 1.088e6, rel=1e-2)
         assert summary["warnings"] == []
+
+    def test_design_custom_material(self, tmp_path, capsys):
+        text = DESIGN_CONFIG + CUSTOM_MATERIAL
+        assert main(["design", "--config", write_config(tmp_path, text)]) == 0
+        custom = json.loads(capsys.readouterr().out)
+        assert main(["design", "--config", write_config(tmp_path, DESIGN_CONFIG)]) == 0
+        shipped = json.loads(capsys.readouterr().out)
+        # 250 times softer than silicon nitride: sqrt(250) times lower in frequency
+        assert custom["omega0_rad_s"] == pytest.approx(shipped["omega0_rad_s"] / math.sqrt(250.0))
 
     def test_no_subcommand_prints_help(self, capsys):
         assert main([]) == 1

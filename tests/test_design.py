@@ -111,9 +111,6 @@ class TestClampingLoss:
             4 * clamping_Q(20e-6, 0.3e-6), rel=1e-12
         )
 
-    def test_custom_calibration(self):
-        assert clamping_Q(1.0, 1.0, calibration=3.5) == 3.5
-
     def test_quasimode_golden_rule(self):
         assert clamping_gamma_quasimode(2.0, 3.0) == pytest.approx(12.0)
         assert clamping_gamma_quasimode(0.0, 3.0) == 0.0

@@ -83,9 +83,9 @@ class TestDampingLaws:
         spec = make_spec(c_ab=cab)
         gb = spec.mode_b.gamma
         c_star = optimal_cooperativity(cab)
-        n_star = float(n_eff_closed_form(spec, c_star * gb, 1.0))
+        n_star = float(n_eff_closed_form(spec, c_star * gb))
         for c in (c_star * factor, c_star / factor):
-            assert n_star <= float(n_eff_closed_form(spec, c * gb, 1.0)) * (1 + 1e-12)
+            assert n_star <= float(n_eff_closed_form(spec, c * gb)) * (1 + 1e-12)
 
     @given(cab=st.floats(min_value=0.0, max_value=1e6), com=pos)
     def test_force_factor_bounds(self, cab, com):

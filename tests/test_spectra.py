@@ -280,7 +280,7 @@ class TestSusceptibility:
         model = build_rwa_system(spec)
         with pytest.raises(UnstableSystemError):
             susceptibility_matrix(model, TWO_PI * 1e6)
-        chi = susceptibility_matrix(model, TWO_PI * 1.5e6, allow_unstable=True)
+        chi = _solve_rows(model, np.array([TWO_PI * 1.5e6]), np.eye(model.dimension))[0]
         assert np.all(np.isfinite(chi))
 
 
@@ -371,7 +371,7 @@ class TestRowSolve:
         )
         model = build_rwa_system(spec)
         with pytest.raises(NumericsError, match="singular susceptibility"):
-            susceptibility_matrix(model, spec.mode_a.omega, allow_unstable=True)
+            _solve_rows(model, np.array([spec.mode_a.omega]), np.eye(model.dimension))
 
     @pytest.mark.parametrize("with_grid", [False, True])
     def test_one_eigendecomposition_per_spectrum(self, spec50, monkeypatch, with_grid):
@@ -562,7 +562,7 @@ class TestPositionSpectrum:
         spec = make_spec(c_ab=50.0, c_om=math.sqrt(51.0))
         model = build_rwa_system(spec)
         gamma = optical_damping(spec.cavity.alpha_g0, spec.cavity.kappa)
-        expected = float(n_eff_closed_form(spec, gamma, spec.mode_a.nbar))
+        expected = float(n_eff_closed_form(spec, gamma))
         res = position_spectrum(model, "a")
         assert res.n_eff == pytest.approx(expected, rel=3e-3)
 
@@ -606,6 +606,24 @@ class TestPositionSpectrum:
         model = build_rwa_system(spec50)
         with pytest.raises(ValueError):
             position_spectrum(model, "q")
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_slightly_negative_occupation_reads_zero(self, builder):
+        # a zero-temperature mode a next to a narrow b: the tail-corrected
+        # integral lands about 7e-6 below zero, within roundoff of the vacuum
+        model = builder(make_spec(c_ab=1.0, c_om=0.0, temperature=0.0, gamma_b_hz=10.0))
+        res = position_spectrum(model, "a")
+        assert integrate_occupation(res.grid, res.values)[0] < 0.0
+        assert res.n_eff == 0.0
+        assert res.T_eff == 0.0
+
+    def test_occupation_below_minus_1e_3_raises(self, spec50, monkeypatch):
+        model = build_rwa_system(spec50)
+        monkeypatch.setattr(spectra, "integrate_occupation", lambda grid, values: (-1e-3, 0.0))
+        assert position_spectrum(model, "a").n_eff == 0.0
+        monkeypatch.setattr(spectra, "integrate_occupation", lambda grid, values: (-1.01e-3, 0.0))
+        with pytest.raises(NumericsError, match="integrated occupation -0.00101 < 0"):
+            position_spectrum(model, "a")
 
 
 def _criterion_7_draws(n, seed=7):
@@ -1295,6 +1313,25 @@ class TestLorentzFit:
         y[50] += 1.0
         with pytest.raises(FitFailureError, match="below the grid spacing"):
             fit_lorentzian(x, y, (-1.0, 1.0))
+
+
+class TestLevenbergMarquardt:
+    def test_non_finite_trial_steps_are_rejected(self):
+        # atan(x) from x = 2: the first steps overshoot past |x| = 3, where
+        # the residual is infinite, and each such trial raises the damping
+        # until a step lands inside; from there it converges to 0
+        trials = []
+
+        def fun(x):
+            trials.append(float(x[0]))
+            return np.where(np.abs(x) > 3.0, np.inf, np.arctan(x))
+
+        x = spectra._levenberg_marquardt(
+            fun, lambda x: (1.0 / (1.0 + x**2))[:, None], np.array([2.0]), 100
+        )
+        assert sum(abs(t) > 3.0 for t in trials) == 4
+        assert abs(x[0]) < 1e-25
+        assert len(trials) == 16
 
 
 class TestFitMatchesScipy:

@@ -17,7 +17,7 @@ from bathcool import (
     sweep_detuning,
 )
 from bathcool import analytics, spectra, sweeps
-from bathcool.analytics import _nbar_b, induced_damping_detuned, regime_flags
+from bathcool.analytics import induced_damping_detuned, regime_flags
 from bathcool.errors import BathcoolError, NumericsError, PhysicsError, UnstableSystemError
 from bathcool.model import DriftModel, _conjugate_swap, _pencil, effective_temperature
 
@@ -65,11 +65,8 @@ class TestSweepCooperativity:
         res = sweep_cooperativity(spec50, c_oms, fidelity="rwa")
         assert res.axis_name == "C_OM"
         gb = spec50.mode_b.gamma
-        nbar = spec50.mode_a.nbar
         for c, n, lw in zip(c_oms, res.n_eff, res.linewidths):
-            assert n == pytest.approx(
-                float(n_eff_closed_form(spec50, c * gb, nbar)), rel=1e-12
-            )
+            assert n == pytest.approx(float(n_eff_closed_form(spec50, c * gb)), rel=1e-12)
             expected_lw = spec50.mode_a.gamma * (1.0 + 50.0 / (1.0 + c))
             assert lw == pytest.approx(expected_lw, rel=1e-9)
         assert all(e is None for e in res.errors)
@@ -143,6 +140,13 @@ class TestSweepCooperativity:
         assert res.errors == (None,) * 5
         assert res.n_eff[2:].tolist() == [spec50.mode_a.nbar] * 3
         assert res.linewidths[2:].tolist() == [spec50.mode_a.gamma] * 3
+
+    def test_rwa_where_gamma_overflows(self, spec50):
+        # past C_OM ~ 2.9e304 Gamma = C_OM gamma_b is inf: the same limit, no error
+        res = sweep_cooperativity(spec50, [1e300, 1e305, 1.7e308], fidelity="rwa")
+        assert res.errors == (None,) * 3
+        assert res.n_eff.tolist() == [spec50.mode_a.nbar] * 3
+        assert res.linewidths.tolist() == [spec50.mode_a.gamma] * 3
 
     def test_full_where_the_drift_overflows(self, spec50):
         # at 1e298 the norms of the certificate overflow; past it G overflows
@@ -275,38 +279,12 @@ class TestFindOptimum:
         with pytest.raises(ValueError):
             find_optimum(spec50, bracket=(-1.0, 10.0))
 
-    @pytest.fixture
-    def no_evaluation(self, monkeypatch):
-        # a tolerance the loop can never meet must fail before any evaluation,
-        # so the test fails rather than hangs if the check is lost
-        def refused(*args, **kwargs):
-            raise AssertionError("evaluated before the arguments were checked")
-
-        monkeypatch.setattr(sweeps, "_n_effs", refused)
-
-    @pytest.mark.parametrize("rel_tol", [0.0, -1e-4, math.nan])
-    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
-    def test_tolerance_must_be_positive(self, spec50, no_evaluation, rel_tol, fidelity):
-        with pytest.raises(ValueError, match="rel_tol"):
-            find_optimum(spec50, fidelity=fidelity, rel_tol=rel_tol)
-
-    @pytest.mark.parametrize("coarse_points", [0, 1, 2])
-    def test_coarse_scan_needs_three_points(self, spec50, no_evaluation, coarse_points):
-        with pytest.raises(ValueError, match="coarse_points"):
-            find_optimum(spec50, coarse_points=coarse_points)
-
     def test_rwa_lands_on_the_analytic_optimum(self, spec50):
         # with the detuning-free closed form the optimum is sqrt(1 + C_ab) exactly
         c_star, n_star = find_optimum(spec50, fidelity="rwa")
         assert c_star == pytest.approx(math.sqrt(51.0), rel=1e-9)
         gamma = c_star * spec50.mode_b.gamma
-        assert n_star == n_eff_closed_form(spec50, gamma, spec50.mode_a.nbar)
-
-    def test_three_point_scan_is_enough(self, spec50):
-        # from a bracket five decades wide the search still stops within its
-        # tolerance of 1e-6 in log C_OM
-        c_star, _ = find_optimum(spec50, bracket=(1e-2, 1e3), fidelity="rwa", coarse_points=3)
-        assert c_star == pytest.approx(math.sqrt(51.0), rel=1e-6)
+        assert n_star == n_eff_closed_form(spec50, gamma)
 
     def test_bisects_on_the_slope_sign_alone(self, spec50, monkeypatch):
         # a slope of fixed, huge magnitude carries its sign only: the first
@@ -371,19 +349,19 @@ class TestUnstableScanPoints:
         return install
 
     def test_minimum_next_to_an_unstable_point_rejected(self, spec50, scan):
-        scan([3.0, 2.0, 1.0, UnstableSystemError("u1"), UnstableSystemError("u2")])
+        scan([3.0] * 21 + [2.0, 1.0, UnstableSystemError("u1"), UnstableSystemError("u2")])
         with pytest.raises(PhysicsError, match="no interior"):
-            find_optimum(spec50, coarse_points=5)
+            find_optimum(spec50)
 
     def test_every_point_unstable_raises_the_first(self, spec50, scan):
-        scan([UnstableSystemError("u1"), UnstableSystemError("u2"), UnstableSystemError("u3")])
+        scan([UnstableSystemError("u1")] + [UnstableSystemError("u2")] * 24)
         with pytest.raises(UnstableSystemError, match="u1"):
-            find_optimum(spec50, coarse_points=3)
+            find_optimum(spec50)
 
     def test_other_point_errors_still_raise(self, spec50, scan):
-        scan([3.0, 1.0, 2.0, NumericsError("n1"), UnstableSystemError("u1")])
+        scan([3.0, 1.0] + [2.0] * 21 + [NumericsError("n1"), UnstableSystemError("u1")])
         with pytest.raises(NumericsError, match="n1"):
-            find_optimum(spec50, coarse_points=5)
+            find_optimum(spec50)
 
 
 class TestSecantSearch:
@@ -431,7 +409,7 @@ class TestSecantSearch:
             n = lambda c: steady_state_occupation(_driven(spec, c), "a")
             h, tol = 1e-3, 1e-5
         else:
-            n = lambda c: n_eff_closed_form(spec, c * gb, spec.mode_a.nbar)
+            n = lambda c: n_eff_closed_form(spec, c * gb)
             h, tol = 1e-4, 1e-7
         entries = sweeps._n_effs([spec], fidelity)
         for c in (1.0, 3.0, 30.0):
@@ -597,7 +575,7 @@ def _rebuild(spec, fidelity, gamma, closed_form_linewidth=True):
     from the scalar public functions alone."""
     try:
         if fidelity == "rwa":
-            n = n_eff_closed_form(spec, gamma, spec.mode_a.nbar, nbar_b=_nbar_b(spec))
+            n = n_eff_closed_form(spec, gamma)
         else:
             g = math.sqrt(gamma * spec.cavity.kappa) / 2.0
             drive = replace(spec.cavity, alpha=g, g0=1.0)
