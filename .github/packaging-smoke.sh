@@ -6,7 +6,9 @@
 # tier-1 imports from src/, so only an installed wheel shows a missing
 # data file (data/materials.json) or a broken console script; the
 # full-fidelity spectrum runs the susceptibility solver from the wheel,
-# sense its two-row case (the e_a row and its conjugate mate), and the
+# sense its two-row case (the e_a row and its conjugate mate); spectrum
+# and sense at rwa run the rotating-wave band, whose step-2 fill keeps
+# its own right-hand-side update, and must exit 0 with an empty stderr; the
 # full-fidelity optimum and sweep the Lyapunov solve and its
 # derivatives; every scan point of the optimum over C_OM in [5e3, 1e5]
 # is unstable, so no solved covariance certifies it and the real-form
@@ -41,6 +43,10 @@ printf '%s\n' '[run]' 'task = spectrum' '' '[system]' 'omega_a_hz = 1e6' \
 $BATHCOOL spectrum --config spectrum.ini --fidelity full
 sed -e 's/^task = spectrum$/task = sense/' spectrum.ini > sense.ini
 $BATHCOOL sense --config sense.ini --fidelity full
+$BATHCOOL spectrum --config spectrum.ini --fidelity rwa > spectrum_rwa.out 2> spectrum_rwa.err
+test ! -s spectrum_rwa.err
+$BATHCOOL sense --config sense.ini --fidelity rwa > sense_rwa.out 2> sense_rwa.err
+test ! -s sense_rwa.err
 sed -e 's/^task = spectrum$/task = optimize/' spectrum.ini > optimize.ini
 printf '%s\n' '' '[optimize]' 'c_om_min = 0.01' 'c_om_max = 1000' >> optimize.ini
 $BATHCOOL optimize --config optimize.ini --fidelity full

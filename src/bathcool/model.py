@@ -183,6 +183,7 @@ class DriftModel:
         object.__setattr__(self, "drift", a)
         object.__setattr__(self, "noise_input", b)
         object.__setattr__(self, "input_correlations", c)
+        object.__setattr__(self, "_memo", {})  # spectra's grids and eigenvalues of this model
         if a.shape != (self.dimension, self.dimension):
             raise ValueError("drift must be square with `dimension` rows")
         if b.shape[0] != self.dimension:

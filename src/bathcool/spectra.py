@@ -130,7 +130,9 @@ class ForceSpectrumResult:
 
 
 def _require_stable(model: DriftModel):
-    eigs = stability_eigenvalues(model)
+    eigs = model._memo.get("eigs")
+    if eigs is None:
+        eigs = model._memo["eigs"] = stability_eigenvalues(model)
     error = _instability(eigs)
     if error is not None:
         raise error
@@ -175,9 +177,14 @@ def make_grid(
     count, so :meth:`FrequencyGrid.halved` is mirror-symmetric too), less
     the positive points nearest zero that would exceed the clusters'
     count.  :func:`_solve_rows` then solves only the omega >= 0 half.
+    The grid, and the eigenvalues, are kept on the immutable ``model`` by
+    the call's arguments, so a second call returns the same object.
     """
     if span_linewidths < 5:
         raise ValueError("span_linewidths must be >= 5")
+    key = (span_linewidths, points_per_linewidth, log_points)
+    if key in model._memo:
+        return model._memo[key]
     clusters = _clusters(_require_stable(model))
     centers, widths = map(np.array, zip(*clusters))
 
@@ -191,14 +198,14 @@ def make_grid(
     dense = centers[:, None] + widths[:, None] * np.linspace(-5.0, 5.0, n_dense)
     right = np.maximum(hi - centers, span_linewidths * widths)
     left = np.maximum(centers - lo, span_linewidths * widths)
-    tail_r = np.geomspace(5 * widths, right, log_points + 1, axis=1)[:, 1:]
-    tail_l = np.geomspace(5 * widths, left, log_points + 1, axis=1)[:, 1:]
+    fills = np.geomspace(5 * np.tile(widths, 2), np.concatenate((right, left)), log_points + 1, axis=1)
+    tail_r, tail_l = np.split(fills[:, 1:], 2)
     pieces = (dense, centers[:, None] + tail_r, centers[:, None] - tail_l)
     points = np.unique(np.concatenate([x.ravel() for x in pieces]))
     half = points[points > 0]
     half = half[max(half.size - (points.size - 1) // 2, 0) :]
     points = np.concatenate((-half[::-1], [0.0], half))
-    return FrequencyGrid(points=points, clusters=tuple(clusters))
+    return model._memo.setdefault(key, FrequencyGrid(points=points, clusters=tuple(clusters)))
 
 
 def _clusters(eigs: np.ndarray) -> list:
@@ -229,12 +236,18 @@ def _clusters(eigs: np.ndarray) -> list:
 
 
 def _mirrors(omegas: np.ndarray) -> tuple:
-    """Indices of the omegas < 0 whose exact negation is in ``omegas``, and of that negation."""
-    order = np.argsort(omegas)
-    neg = np.flatnonzero(omegas < 0)
-    k = np.minimum(np.searchsorted(omegas[order], -omegas[neg]), omegas.size - 1)
-    hit = omegas[order[k]] == -omegas[neg]
-    return neg[hit], order[k[hit]]
+    """``(mirror, solve, at)``: the omegas < 0 whose exact negation is in ``omegas``,
+    the others, and where in ``omegas[solve]`` each mirror's negation is.  ValueError
+    unless ``omegas`` is strictly increasing.  Slices, found by no search, when
+    ``omegas`` is its own mirror image, as every made grid is; else index arrays."""
+    if not np.all(np.diff(omegas) > 0):
+        raise ValueError("omegas must be strictly increasing")
+    n, h = omegas.size, int(np.searchsorted(omegas, 0.0))  # the omegas < 0 come first
+    if h and np.array_equal(omegas[n - h :], -omegas[h - 1 :: -1]):
+        return slice(h - 1, None, -1), slice(h, None), slice(n - 2 * h, n - h)
+    mirror = np.flatnonzero(np.isin(-omegas[:h], omegas))
+    solve = np.delete(np.arange(n), mirror)
+    return mirror, solve, np.searchsorted(omegas[solve], -omegas[mirror])
 
 
 def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -246,7 +259,8 @@ def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.n
     its row is y_u(-omega) = conj(y_u'(omega)) P with u' = conj(u) P, so the
     elimination also solves the rows u' where ``rows`` does not already
     hold them, on any grid: each row's values do not depend on the others.
-    No eigen or Schur transform is involved.
+    ``omegas`` must be strictly increasing (:func:`_mirrors`, ValueError);
+    a made grid's rows are placed by slices.  No eigen or Schur transform.
     Every returned row, mirrored ones included, is gated: a row whose
     relative residual ||y T - u|| / (||T|| ||y||) is not within
     RESIDUAL_TOL (NaN included) gets one refinement step; NumericsError
@@ -260,18 +274,17 @@ def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.n
     u = np.asarray(rows, dtype=complex)
     k = u.shape[0]
     perm = _conjugate_swap(model.labels)
-    mirror, mate = _mirrors(omegas)
-    solve = np.delete(np.arange(omegas.size), mirror)
+    mirror, solve, at = _mirrors(omegas)
     mates = u[:, perm].conj()
     hits = np.all(mates[:, None, :] == u[None, :, :], axis=2)
     if hits.any(axis=1).all():
         solved, twin = u, hits.argmax(axis=1)
     else:
-        solved, twin = np.concatenate((u, mates)), np.arange(k, 2 * k)
+        solved, twin = np.concatenate((u, mates)), slice(k, 2 * k)
     z = _eliminate(a, omegas[solve], solved).T  # (d, k or 2k, n_solve)
     y = np.empty((d, k, omegas.size), dtype=complex)
     y[..., solve] = z[:, :k]
-    y[..., mirror] = z[np.ix_(perm, twin, np.searchsorted(solve, mate))].conj()
+    y[..., mirror] = z[..., at][perm][:, twin].conj()
     shift = -1j * omegas - np.diag(a)[:, None]
     off = a - np.diag(np.diag(a))
     t_norm = np.sqrt(np.sum(np.abs(off) ** 2) + _abs2(shift).sum(axis=0))
@@ -279,7 +292,9 @@ def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.n
     def residual(sel):
         """y T - u, as (d, k, n), and the worst relative residual per omega, on ``sel``."""
         ys = y[..., sel]
-        r = ys * shift[:, None, sel] - (off.T @ ys.reshape(d, -1)).reshape(ys.shape) - u.T[..., None]
+        r = ys * shift[:, None, sel]
+        r -= (off.T @ ys.reshape(d, -1)).reshape(ys.shape)
+        r -= u.T[..., None]
         rel = np.sqrt(_abs2(r).sum(axis=0) / _abs2(ys).sum(axis=0)) / t_norm[sel]
         return r, rel.max(axis=0)
 
@@ -330,20 +345,25 @@ def _eliminate(a: np.ndarray, omegas: np.ndarray, u: np.ndarray) -> np.ndarray:
     rows, cols = _band(d, (a != 0).tobytes())
     for j in range(d):
         search, fill = rows[j], cols[j]
-        col = m[search, j]
-        p = np.argmax(np.abs(col.real) + np.abs(col.imag), axis=0)
-        swap = np.flatnonzero(p)  # the omegas whose pivot is not on the diagonal
-        if swap.size:
-            other = j + search.step * p[swap]
-            row_j = m[j, j:, swap]
-            m[j, j:, swap] = m[other, j:, swap]
-            m[other, j:, swap] = row_j
+        below = slice(j + search.step, search.stop, search.step)
+        many = below.start < below.stop  # more than one candidate row
+        if many:
+            col = m[search, j]
+            p = np.argmax(np.abs(col.real) + np.abs(col.imag), axis=0)
+            swap = np.flatnonzero(p)  # the omegas whose pivot is not on the diagonal
+            if swap.size:
+                other = j + search.step * p[swap]
+                row_j = m[j, j:, swap]
+                m[j, j:, swap] = m[other, j:, swap]
+                m[other, j:, swap] = row_j
         if not np.all(m[j, j] != 0):
             _raise_singular(a, omegas)
-        below = slice(j + search.step, search.stop, search.step)
+        if not many:
+            continue
         factors = m[below, j] * (1.0 / m[j, j])
-        m[below, fill] -= factors[:, None, :] * m[j, fill][None]
-        m[below, d:] -= factors[:, None, :] * m[j, d:][None]
+        through = fill.step == 1 and fill.stop == d  # fill and right-hand sides in one update
+        for part in (slice(fill.start, None),) if through else (fill, slice(d, None)):
+            m[below, part] -= factors[:, None, :] * m[j, part][None]
     y = np.empty_like(m[:, d:])
     for i in range(d - 1, -1, -1):
         y[i] = (m[i, d:] - np.sum(m[i, cols[i], None, :] * y[cols[i]], axis=0)) / m[i, i]

@@ -221,9 +221,9 @@ def _bracket(bracket: tuple) -> tuple:
 def find_optimum(spec: SystemSpec, bracket: tuple = DEFAULT_RANGE, fidelity: str = "rwa") -> tuple:
     """Locate the n_eff minimum over C_OM as a stationary point in log C_OM.
 
-    A scan of 25 log-spaced points over ``bracket`` (one
-    batched call) must find its lowest n_eff at a point whose two
-    neighbours are stable, else PhysicsError.  An unstable point scores
+    A scan of 25 log-spaced points over ``bracket`` (one batched call)
+    must find its lowest n_eff at a point whose two neighbours are
+    stable, else a PhysicsError that names that point.  An unstable point scores
     +inf; a scan with no stable point raises its first
     UnstableSystemError, and any other point error is raised.  From the
     vertex of the parabola through that point and its two neighbours, a
@@ -249,8 +249,10 @@ def find_optimum(spec: SystemSpec, bracket: tuple = DEFAULT_RANGE, fidelity: str
     ys = [math.inf if isinstance(n, UnstableSystemError) else _value(n) for n in scan]
     k = int(np.argmin(ys))
     if k in (0, _COARSE_POINTS - 1) or math.inf in (ys[k - 1], ys[k + 1]):
+        where = "at a bracket end" if k in (0, _COARSE_POINTS - 1) else "next to an unstable point"
         raise PhysicsError(
-            f"no interior n_eff minimum in C_OM bracket [{lo:g}, {hi:g}]"
+            f"no interior n_eff minimum in C_OM bracket [{lo:g}, {hi:g}]: the lowest of the "
+            f"{_COARSE_POINTS} scan points, point {k + 1} at C_OM = {math.exp(xs[k]):g}, is {where}"
         )
 
     left, right = xs[k - 1], xs[k + 1]

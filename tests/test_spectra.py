@@ -375,6 +375,8 @@ class TestRowSolve:
 
     @pytest.mark.parametrize("with_grid", [False, True])
     def test_one_eigendecomposition_per_spectrum(self, spec50, monkeypatch, with_grid):
+        # one per model: the model keeps its eigenvalues, so none when
+        # make_grid already ran on it
         model = build_rwa_system(spec50)
         grid = make_grid(model) if with_grid else None
         calls = []
@@ -387,7 +389,7 @@ class TestRowSolve:
         monkeypatch.setattr(spectra, "stability_eigenvalues", counted)
         position_spectrum(model, "a", grid)
         force_spectrum_numeric(model, spec50, grid)
-        assert len(calls) == 2
+        assert len(calls) == (0 if with_grid else 1)
 
 
 def _dense_eliminate(a, omegas, u):
@@ -451,6 +453,46 @@ class TestMirroredSolve:
             assert np.all(err <= 1e-14 * np.abs(direct).max(axis=(1, 2)))
             solved = spectra._eliminate(model.drift, omegas[~neg], u)
             assert np.array_equal(got[~neg], solved)
+
+    @pytest.mark.parametrize("rows", ROW_SETS)
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_rows_placed_by_index_arrays(self, builder, rows):
+        # grids whose mirrored and solved points are not runs: a made grid
+        # with every third negative point dropped, and one with extra points
+        # that nothing mirrors, on both sides of zero
+        for spec in _criterion_7_draws(10):
+            model = builder(spec)
+            points = make_grid(model).points
+            u = ROW_SETS[rows](model)
+            dropped = np.delete(points, np.arange(0, points.size // 2, 3))
+            extra = np.union1d(points, points[::50] + spec.mode_a.gamma / 3)
+            for omegas in (dropped, extra):
+                mirror, solve, at = spectra._mirrors(omegas)
+                assert not isinstance(mirror, slice) and not isinstance(solve, slice)
+                mirrored = np.isin(np.arange(omegas.size), mirror)
+                assert mirrored.any()
+                got = _solve_rows(model, omegas, u)
+                solved = spectra._eliminate(model.drift, omegas[~mirrored], u)
+                assert np.array_equal(got[~mirrored], solved)
+                direct = spectra._eliminate(model.drift, omegas[mirrored], u)
+                err = np.abs(got[mirrored] - direct).max(axis=(1, 2))
+                assert np.all(err <= 1e-14 * np.abs(direct).max(axis=(1, 2)))
+
+    def test_made_grids_are_placed_by_slices(self, spec50):
+        grid = make_grid(build_full_system(spec50))
+        for points in (grid.points, grid.halved().points):
+            mirror, solve, at = spectra._mirrors(points)
+            n, h = points.size, points.size // 2
+            assert (mirror, solve, at) == (slice(h - 1, None, -1), slice(h, None), slice(1, h + 1))
+            assert np.array_equal(points[mirror], -points[solve][at])
+
+    @pytest.mark.parametrize(
+        "omegas", [[1.0, 3.0, 2.0], [-1.0, 1.0, 1.0], [3.0, 2.0, 1.0], [0.0, np.nan, 1.0]]
+    )
+    def test_omegas_must_be_strictly_increasing(self, spec50, omegas):
+        model = build_full_system(spec50)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _solve_rows(model, np.array(omegas) * spec50.mode_a.omega, np.eye(model.dimension))
 
     def test_pairing_needs_the_exact_conjugate_symmetry(self, spec50):
         # the mirrored rows rely on it, so a DriftModel refuses a drift one
@@ -544,6 +586,91 @@ class TestMirroredSolve:
         rows, cols = spectra._band(6, (a != 0).tobytes())
         assert rows == tuple(slice(j, 6, 1) for j in range(6))
         assert np.array_equal(spectra._eliminate(a, omegas, u), _dense_eliminate(a, omegas, u))
+
+
+def _unstable_rwa_model():
+    """An rwa model whose undamped mode a sits on the imaginary axis."""
+    spec = SystemSpec(
+        mode_a=MechanicalMode(TWO_PI * 1e6, 0.0, 0.0),
+        mode_b=MechanicalMode(TWO_PI * 1e6, TWO_PI * 10.0, 0.0),
+        cavity=CavityDrive(kappa=TWO_PI * 1e5, detuning=-TWO_PI * 1e6, g0=0.0, alpha=0.0),
+        coupling=0.0,
+    )
+    return build_rwa_system(spec)
+
+
+def _outputs(result) -> list:
+    """Every number of a spectrum or force result, as bytes or floats."""
+    fields = ("values", "n_eff", "n_eff_error", "T_eff", "s_ff", "factor")
+    out = [result.grid.points.tobytes(), result.grid.clusters]
+    for name in fields:
+        x = getattr(result, name, None)
+        out.append(x.tobytes() if isinstance(x, np.ndarray) else x)
+    return out
+
+
+class TestModelMemo:
+    """A DriftModel keeps the grids make_grid built for it and its drift
+    eigenvalues; nothing else about a call may change."""
+
+    def test_second_grid_is_the_same_object(self, spec50):
+        model = build_full_system(spec50)
+        grids = []
+        for kw in ({}, {"span_linewidths": 60}, {"points_per_linewidth": 60}, {"log_points": 240}):
+            grid = make_grid(model, **kw)
+            assert make_grid(model, **kw) is grid
+            # each call's own grid, whatever this model built before
+            assert np.array_equal(grid.points, make_grid(replace(model), **kw).points)
+            grids.append(grid)
+        assert make_grid(model, 50.0, 20.0, 160) is grids[0]  # the defaults, passed
+
+    def test_replace_gives_a_fresh_memo(self, spec50):
+        model = build_full_system(spec50)
+        grid = make_grid(model)
+        copy = replace(model)
+        assert copy._memo == {}
+        again = make_grid(copy)
+        assert again is not grid and np.array_equal(again.points, grid.points)
+        assert make_grid(model) is grid
+
+    def test_unstable_model_raises_on_every_call(self):
+        model = _unstable_rwa_model()
+        calls = (
+            make_grid,
+            make_grid,
+            lambda m: position_spectrum(m, "a"),
+            lambda m: susceptibility_matrix(m, TWO_PI * 1e6),
+        )
+        messages = []
+        for call in calls:
+            with pytest.raises(UnstableSystemError) as err:
+                call(model)
+            messages.append(str(err.value))
+        with pytest.raises(UnstableSystemError) as fresh:
+            make_grid(_unstable_rwa_model())
+        assert messages == [str(fresh.value)] * len(calls)
+
+    def test_operating_point_calls_match_fresh_models(self):
+        # the operating point's calls on one model of each builder, against
+        # the same calls each on a newly built model
+        for spec in _criterion_7_draws(10):
+            full, rwa = build_full_system(spec), build_rwa_system(spec)
+            fine = make_grid(rwa, points_per_linewidth=60, log_points=240)
+            shared = [
+                position_spectrum(full, "a"),
+                force_spectrum_numeric(full, spec),
+                position_spectrum(rwa, "a", fine),
+                position_spectrum(rwa, "a", fine.halved()),
+            ]
+            fine_grid = lambda: make_grid(build_rwa_system(spec), points_per_linewidth=60, log_points=240)
+            fresh = [
+                position_spectrum(build_full_system(spec), "a"),
+                force_spectrum_numeric(build_full_system(spec), spec),
+                position_spectrum(build_rwa_system(spec), "a", fine_grid()),
+                position_spectrum(build_rwa_system(spec), "a", fine_grid().halved()),
+            ]
+            for one, new in zip(shared, fresh):
+                assert _outputs(one) == _outputs(new)
 
 
 class TestPositionSpectrum:

@@ -353,6 +353,25 @@ class TestUnstableScanPoints:
         with pytest.raises(PhysicsError, match="no interior"):
             find_optimum(spec50)
 
+    def test_failed_scan_names_its_lowest_point(self, spec50, scan):
+        scan([3.0] * 21 + [2.0, 1.0, UnstableSystemError("u1"), UnstableSystemError("u2")])
+        with pytest.raises(PhysicsError) as err:
+            find_optimum(spec50)
+        assert str(err.value) == (
+            "no interior n_eff minimum in C_OM bracket [0.01, 1000]: the lowest of the 25 "
+            "scan points, point 23 at C_OM = 383.119, is next to an unstable point"
+        )
+        scan([1.0] + [2.0] * 24)
+        with pytest.raises(PhysicsError, match=r"point 1 at C_OM = 0\.01, is at a bracket end$"):
+            find_optimum(spec50)
+
+    def test_scan_too_coarse_for_a_wide_bracket(self, spec50):
+        # 25 points over 137 decades step 5.7 decades: the README system's
+        # optimum near C_OM = 7 falls between points 1 and 2, and point 1 scores lower
+        assert find_optimum(spec50, (1e-2, 1e134))[0] == pytest.approx(7.14, rel=1e-3)
+        with pytest.raises(PhysicsError, match=r"^no interior n_eff minimum .*point 1 at C_OM = 0\.01, is at a bracket end$"):
+            find_optimum(spec50, (1e-2, 1e135))
+
     def test_every_point_unstable_raises_the_first(self, spec50, scan):
         scan([UnstableSystemError("u1")] + [UnstableSystemError("u2")] * 24)
         with pytest.raises(UnstableSystemError, match="u1"):
