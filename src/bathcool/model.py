@@ -183,7 +183,8 @@ class DriftModel:
         object.__setattr__(self, "drift", a)
         object.__setattr__(self, "noise_input", b)
         object.__setattr__(self, "input_correlations", c)
-        object.__setattr__(self, "_memo", {})  # spectra's grids and eigenvalues of this model
+        # spectra's grids, eigenvalues and last position spectrum per mode of this model
+        object.__setattr__(self, "_memo", {})
         if a.shape != (self.dimension, self.dimension):
             raise ValueError("drift must be square with `dimension` rows")
         if b.shape[0] != self.dimension:

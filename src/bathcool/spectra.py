@@ -258,16 +258,25 @@ def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.n
     ``omegas`` is not eliminated: as A = P conj(A) P (:class:`DriftModel`),
     its row is y_u(-omega) = conj(y_u'(omega)) P with u' = conj(u) P, so the
     elimination also solves the rows u' where ``rows`` does not already
-    hold them, on any grid: each row's values do not depend on the others.
+    hold them, on any grid.
     ``omegas`` must be strictly increasing (:func:`_mirrors`, ValueError);
     a made grid's rows are placed by slices.  No eigen or Schur transform.
-    Every returned row, mirrored ones included, is gated: a row whose
-    relative residual ||y T - u|| / (||T|| ||y||) is not within
-    RESIDUAL_TOL (NaN included) gets one refinement step; NumericsError
-    if it still misses.  The residual costs O(n d^2) and forms no matrix
+    Every returned row, mirrored ones included, is gated by the worst
+    relative residual ||y T - u|| / (||T|| ||y||) of the rows at its
+    omega: where that is not within RESIDUAL_TOL (NaN included), every
+    row at that omega gets one refinement step, so a row that passes is
+    refined with one that misses; NumericsError if the worst still
+    misses.  The residual costs O(n d^2) and forms no matrix
     stack: T's diagonal -i*omega - A_jj is formed first, as inside T, so
     omega - omega_j is exact near a resonance, and ||T||_F comes in
     closed form.
+
+    The rows at one omega do not depend on the other omegas: the
+    elimination, the gate and the refinement work omega by omega, and an
+    omega < 0 is mirrored whenever its negation is in ``omegas``.  So a
+    sub-grid holding the negation of each of its omegas < 0 gets the
+    full grid's bits at its points (:func:`position_spectrum` reads its
+    halved grid so).
     """
     a = model.drift
     d = model.dimension
@@ -430,11 +439,24 @@ def position_spectrum(
     S_xx = |u chi B|^2 . <xi xi^dag>, which covers both +-omega
     resonances and, as :class:`DriftModel` holds the correlations >= 0,
     is >= 0 unclipped.  Refuses unstable models.
+
+    The model keeps its last solved spectrum of each mode.  A ``grid``
+    that is its own mirror image and the :meth:`FrequencyGrid.halved` of
+    that spectrum's grid takes its values from it, with no solve: each
+    omega's row is solved on its own (:func:`_solve_rows`), so they are
+    the bits a solve would give.  ``values`` is read-only.
     """
     if select not in model.labels:
         raise ValueError(f"unknown mode label {select!r}; have {model.labels}")
-    grid, w = _transfer(model, grid, _quadrature(model, select))
-    values = np.abs(w) ** 2 @ model.input_correlations[0]
+    key = ("spectrum", select)
+    solved, solved_values = model._memo.get(key, (None, None))
+    if grid is not None and _reads_halved(grid.points, solved):
+        values = solved_values[_every_other(solved.size)]
+    else:
+        grid, w = _transfer(model, grid, _quadrature(model, select))
+        values = np.abs(w) ** 2 @ model.input_correlations[0]
+        model._memo[key] = (grid.points, values)
+    values.setflags(write=False)
     n_eff, err = integrate_occupation(grid, values)
     if n_eff < 0:
         if n_eff < -1e-3:
@@ -449,6 +471,23 @@ def position_spectrum(
         n_eff_error=err,
         T_eff=t_eff,
         select=select,
+    )
+
+
+def _reads_halved(points: np.ndarray, solved: np.ndarray | None) -> bool:
+    """Whether ``points`` are their own mirror image and the halved ``solved``.
+
+    Each omega < 0 of a mirror image has its negation in it and so in
+    ``solved``: both solves mirror it (:func:`_solve_rows`), and the
+    halved values are the solved grid's bit for bit.  Only the halving is
+    tested, not any subset: its indices come from :func:`_every_other`,
+    by no search, and it is the one sub-grid a caller asks for
+    (criterion 7's refinement check).
+    """
+    return (
+        solved is not None
+        and np.array_equal(points, -points[::-1])
+        and np.array_equal(points, solved[_every_other(solved.size)])
     )
 
 

@@ -521,17 +521,6 @@ class TestMirroredSolve:
         with pytest.raises(ValueError, match="x/x_dag pairs"):
             replace(model, labels=labels)
 
-    def _record(self, monkeypatch):
-        calls = []
-        eliminate = spectra._eliminate
-
-        def recorded(a, omegas, u):
-            calls.append((omegas.copy(), np.shape(u)[-2]))
-            return eliminate(a, omegas, u)
-
-        monkeypatch.setattr(spectra, "_eliminate", recorded)
-        return calls
-
     def test_corrupted_solve_is_caught_at_mirrored_points(self, spec50, monkeypatch):
         model = build_full_system(make_spec(c_ab=50.0, c_om=5.0))
         omegas = np.linspace(-1.5, 1.5, 7) * spec50.mode_a.omega
@@ -555,11 +544,12 @@ class TestMirroredSolve:
 
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
     def test_spectrum_eliminates_at_most_half_its_points(self, builder, monkeypatch):
-        calls = self._record(monkeypatch)
+        calls = _record_eliminations(monkeypatch)
         for spec in _criterion_7_draws(5):
-            model = builder(spec)
-            grid = make_grid(model)
+            grid = make_grid(builder(spec))
             for g in (grid, grid.halved()):
+                # a new model each, so the halved grid is solved, not read
+                model = builder(spec)
                 n = g.points.size
                 calls.clear()
                 position_spectrum(model, "a", g)
@@ -588,6 +578,19 @@ class TestMirroredSolve:
         assert np.array_equal(spectra._eliminate(a, omegas, u), _dense_eliminate(a, omegas, u))
 
 
+def _record_eliminations(monkeypatch) -> list:
+    """Record ``(omegas, row count)`` of every ``spectra._eliminate`` call."""
+    calls = []
+    eliminate = spectra._eliminate
+
+    def recorded(a, omegas, u):
+        calls.append((omegas.copy(), np.shape(u)[-2]))
+        return eliminate(a, omegas, u)
+
+    monkeypatch.setattr(spectra, "_eliminate", recorded)
+    return calls
+
+
 def _unstable_rwa_model():
     """An rwa model whose undamped mode a sits on the imaginary axis."""
     spec = SystemSpec(
@@ -610,8 +613,9 @@ def _outputs(result) -> list:
 
 
 class TestModelMemo:
-    """A DriftModel keeps the grids make_grid built for it and its drift
-    eigenvalues; nothing else about a call may change."""
+    """A DriftModel keeps the grids make_grid built for it, its drift
+    eigenvalues and its last position spectrum of each mode; nothing else
+    about a call may change."""
 
     def test_second_grid_is_the_same_object(self, spec50):
         model = build_full_system(spec50)
@@ -671,6 +675,59 @@ class TestModelMemo:
             ]
             for one, new in zip(shared, fresh):
                 assert _outputs(one) == _outputs(new)
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_halved_spectrum_reuses_the_fine_solve(self, builder, monkeypatch):
+        calls = _record_eliminations(monkeypatch)
+        for spec in _criterion_7_draws(5):
+            for kw in ({}, {"points_per_linewidth": 60, "log_points": 240}):
+                model = builder(spec)
+                grid = make_grid(model, **kw)
+                # the default grid by None, as the operating point's full spectrum
+                fine = position_spectrum(model, "a", grid if kw else None)
+                calls.clear()
+                coarse = position_spectrum(model, "a", grid.halved())
+                assert calls == []
+                every_other = spectra._every_other(grid.points.size)
+                assert np.array_equal(coarse.values, fine.values[every_other])
+                fresh = builder(spec)
+                new = position_spectrum(fresh, "a", make_grid(fresh, **kw).halved())
+                assert calls and _outputs(coarse) == _outputs(new)
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_spectra_the_fine_solve_lacks_are_solved(self, builder, monkeypatch):
+        calls = _record_eliminations(monkeypatch)
+        for spec in _criterion_7_draws(3):
+            grid = make_grid(builder(spec))
+            points, clusters = grid.points, grid.clusters
+            # not its own mirror image: every third negative point dropped
+            lopsided = np.delete(points, np.arange(0, points.size // 2, 3))
+            lopsided = spectra.FrequencyGrid(lopsided, clusters)
+            x = (points[-2] + points[-3]) / 2.0  # between two points of the made grid
+            extra = spectra.FrequencyGrid(np.union1d(grid.halved().points, [-x, x]), clusters)
+            cases = [  # (mode, grid) solved first, then (mode, grid) that must be solved too
+                (("a", lopsided), ("a", lopsided.halved())),
+                (("a", grid), ("a", extra)),
+                (("a", grid.halved()), ("a", grid)),
+                (("a", grid), ("b", grid.halved())),
+            ]
+            for (first_select, first), (select, second) in cases:
+                model = builder(spec)
+                position_spectrum(model, first_select, first)
+                calls.clear()
+                got = position_spectrum(model, select, second)
+                assert calls
+                assert _outputs(got) == _outputs(position_spectrum(builder(spec), select, second))
+
+    def test_spectrum_values_are_read_only(self, spec50):
+        model = build_rwa_system(spec50)
+        grid = make_grid(model)
+        coarse = position_spectrum(build_rwa_system(spec50), "a", grid.halved())
+        fine = position_spectrum(model, "a", grid)
+        for res in (fine, position_spectrum(model, "a", grid.halved())):
+            with pytest.raises(ValueError, match="read-only"):
+                res.values[:] = -1.0
+        assert _outputs(position_spectrum(model, "a", grid.halved())) == _outputs(coarse)
 
 
 class TestPositionSpectrum:
