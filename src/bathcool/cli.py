@@ -475,11 +475,12 @@ _RUNNERS = {
 
 def _write_table(path, header, columns, fmt):
     """Write a table given by its columns: float ndarrays, or lists of str."""
-    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
     if fmt == "csv":
-        # str of a float is its repr
-        text = "\n".join([",".join(header), *(",".join(map(str, r)) for r in rows)]) + "\n"
+        # each float column is formatted at once, by repr, which is str of a float
+        cells = [list(map(repr, c.tolist())) if isinstance(c, np.ndarray) else c for c in columns]
+        text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
     else:
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
         text = json.dumps(
             {"columns": header, "rows": [list(r) for r in rows]},
             sort_keys=True,

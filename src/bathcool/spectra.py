@@ -591,49 +591,100 @@ def _stacked_occupations(a, b, weights, r, perm, a1=None) -> list:
     Every gate fails on a non-finite value, so a point whose norms or
     Sigma overflow is decided by the eigensolve and the residual gate; the
     sweeps call this with numpy's overflow and invalid warnings off.
+
+    This is the one-shot form: :func:`_prepare_noise` forms what no drift
+    moves (``_fold``'s tables, the folded Q, its floor and norm, the
+    folded operator of ``a1``), then :func:`_occupations` solves the
+    stack.  A sweep prepares each pencil's noise side once and calls only
+    :func:`_occupations` per stack.
     """
+    return _occupations(_prepare_noise(b, weights, perm, a1), a, r)
+
+
+@dataclass(frozen=True)
+class _Noise:
+    """What :func:`_stacked_occupations` needs of a pencil that no drift moves.
+
+    ``fold`` holds :func:`_fold`'s tables for the conjugate swap ``perm``.
+    The arrays have one row per distinct Q, broadcasting over the points
+    like the noise inputs: ``qf`` is the folded Q that is solved, ``qs``
+    its Hermitian matrix, ``q_floor`` a Gershgorin lower bound on its
+    lambda_min and ``q_norm`` its Frobenius norm.  ``a1`` is the folded
+    operator of dA/dG, or None when no slope is solved.
+    """
+
+    perm: np.ndarray
+    fold: tuple
+    qf: np.ndarray
+    qs: np.ndarray
+    q_floor: np.ndarray
+    q_norm: np.ndarray
+    a1: np.ndarray | None
+
+
+def _prepare_noise(b, weights, perm, a1=None) -> _Noise:
+    """The :class:`_Noise` of the noise inputs ``b``, their <xi xi^dag>
+    ``weights`` and the slope's ``a1`` (see :func:`_stacked_occupations`)."""
+    d = b.shape[-2]
+    fold = _fold(d, tuple(perm.tolist()))
+    op, qmap, unfold, _ = fold
+    m = qmap.shape[1]
+    eps = np.finfo(float).eps
+    q = (b * weights[..., None, :]) @ b.swapaxes(-1, -2)
+    qf = (q.reshape(q.shape[:-2] + (d * d,)) @ qmap).reshape(-1, m)  # the Q that is solved
+    qs = _hermitian(qf, unfold, d)
+    # Gershgorin: lambda_min(Q) >= min_i Q_ii - sum_(j != i) |Q_ij|; 2 d eps covers its rounding
+    rows = (1 + 2 * d * eps) * np.abs(qs).sum(axis=2)
+    q_floor = (2 * qs.diagonal(axis1=1, axis2=2).real - rows).min(axis=1)
+    if a1 is not None:
+        a1 = _operator(a1, op, m)
+    return _Noise(perm, fold, qf, qs, q_floor, np.linalg.norm(qs, axis=(1, 2)), a1)
+
+
+def _occupations(noise: _Noise, a, r) -> list:
+    """The entries of :func:`_stacked_occupations` at every drift of the
+    stack ``a``, given its pencil's prepared ``noise`` side."""
     results = [None] * a.shape[0]
     finite = np.isfinite(a).all(axis=(1, 2))
     for i in np.flatnonzero(~finite):
         results[i] = NumericsError("drift matrix has non-finite entries")
     idx = np.flatnonzero(finite)
-    a_idx = a[idx]
+    # views, not copies, where every drift is finite
+    at = _where(finite)
+    a_idx = a[at]
+    qf, qs, q_floor, q_norm, a1 = (
+        None if x is None else _rows(x, at)
+        for x in (noise.qf, noise.qs, noise.q_floor, noise.q_norm, noise.a1)
+    )
     d = a.shape[-1]
-    op, qmap, unfold, to_real = _fold(d, tuple(perm.tolist()))
+    op, qmap, unfold, to_real = noise.fold
     m = qmap.shape[1]
     eps = np.finfo(float).eps
-    # a complex matrix enters by its float view, [Re A_00, Im A_00, Re A_01, ...]
-    operator = lambda x: (
-        np.broadcast_to(x, a.shape)[idx].view(float).reshape(-1, 2 * d * d) @ op
-    ).reshape(-1, m, m)
-    hermitian = lambda y: (y.reshape(-1, m) @ unfold).view(complex).reshape(-1, d, d)
     norm = lambda x: np.linalg.norm(x, axis=(1, 2))
-    q = (b * weights[..., None, :]) @ b.swapaxes(-1, -2)
-    qf = q.reshape(q.shape[:-2] + (d * d,)) @ qmap  # the Q that is solved
-    qs = hermitian(qf)
-    # Gershgorin: lambda_min(Q) >= min_i Q_ii - sum_(j != i) |Q_ij|; 2 d eps covers its rounding
-    rows = (1 + 2 * d * eps) * np.abs(qs).sum(axis=2)
-    q_floor = (2 * qs.diagonal(axis1=1, axis2=2).real - rows).min(axis=1)
-    # every Q per point, as computed once per distinct Q
-    q_floor = np.broadcast_to(q_floor, a.shape[:1])[idx]
-    qf = np.broadcast_to(qf, a.shape[:1] + (m,))[idx]
-    qs = np.broadcast_to(qs, a.shape)[idx]
-    a_norm, q_norm = norm(a_idx), norm(qs)
-    lyapunov = operator(a)
+    a_norm = norm(a_idx)
     y = np.zeros((idx.size, m, 1))  # folded Sigma where solved
+
+    def solve(sel, rhs):
+        """Solve the folded Lyapunov operators of the points ``sel`` for ``rhs``.
+
+        The operators are freed before Sigma is read back: kept for the
+        call, the 1 MiB stack of 301 points lifts its heap peak to glibc's
+        trim threshold, and every call then faults the heap in again.
+        """
+        return np.linalg.solve(_operator(a_idx[sel], op, m), rhs)
 
     def covariance():
         """Sigma, ||R||_F, ||Sigma||_F and 2 ||A|| ||Sigma|| + ||Q|| at every point."""
-        s = hermitian(y)
+        s = _hermitian(y, unfold, d)
         s_norm = norm(s)
         r_norm = norm(a_idx @ s + s @ _dagger(a_idx) + qs)
         return s, r_norm, s_norm, 2 * a_norm * s_norm + q_norm
 
-    solved = q_floor > 0
+    solved = q_floor > np.zeros(idx.size)  # one decision per point, Q shared or not
     first = _where(solved)
     try:
         if solved.any():
-            y[first] = np.linalg.solve(lyapunov[first], -qf[first, :, None])
+            y[first] = solve(first, -_rows(qf, first)[:, :, None])
     except np.linalg.LinAlgError:
         solved[:] = False
     s, r_norm, s_norm, scale = covariance()
@@ -652,14 +703,14 @@ def _stacked_occupations(a, b, weights, r, perm, a1=None) -> list:
         ok[rest[stable]] = True
         new = ok & ~solved
         if new.any():
-            y[new] = np.linalg.solve(lyapunov[new], -qf[new, :, None])
+            y[new] = solve(new, -_rows(qf, new)[:, :, None])
             s, r_norm, s_norm, scale = covariance()
     k = _where(ok)
     sigmas = [s[k]]
     if a1 is not None:
-        sigmas.append(hermitian(np.linalg.solve(lyapunov[k], -(operator(a1)[k] @ y[k]))))
+        sigmas.append(_hermitian(solve(k, -(_rows(a1, k) @ y[k])), unfold, d))
     resid = r_norm[k] / scale[k]
-    c = perm[r]  # <x^2> = u Sigma u^T with u = e_r + e_c
+    c = noise.perm[r]  # <x^2> = u Sigma u^T with u = e_r + e_c
     x2 = [(s[:, r, r] + s[:, r, c] + s[:, c, r] + s[:, c, c]).real.tolist() for s in sigmas]
     for i, res, x, *slope in zip(idx[k].tolist(), resid.tolist(), *x2):
         n = (x - 1.0) / 2.0  # the vacuum floor <x^2> = 1 is clipped to roundoff
@@ -670,6 +721,22 @@ def _stacked_occupations(a, b, weights, r, perm, a1=None) -> list:
         else:
             results[i] = (max(n, 0.0), slope[0] / 2.0) if slope else max(n, 0.0)
     return results
+
+
+def _rows(x: np.ndarray, sel) -> np.ndarray:
+    """Rows ``sel`` of the per-point stack ``x``; a stack of one row serves every point."""
+    return x if len(x) == 1 else x[sel]
+
+
+def _operator(x: np.ndarray, op: np.ndarray, m: int) -> np.ndarray:
+    """Folded operators (n, m, m) of A Sigma + Sigma A^dag, A the drifts ``x`` (:func:`_fold`)."""
+    # a complex matrix enters by its float view, [Re A_00, Im A_00, Re A_01, ...]
+    return (np.ascontiguousarray(x).view(float).reshape(-1, op.shape[0]) @ op).reshape(-1, m, m)
+
+
+def _hermitian(y: np.ndarray, unfold: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian matrices (n, d, d) of the folded coordinates ``y`` (:func:`_fold`)."""
+    return (y.reshape(-1, unfold.shape[0]) @ unfold).view(complex).reshape(-1, d, d)
 
 
 def _where(mask: np.ndarray):

@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -455,6 +456,20 @@ class TestSweepTable:
         errors = sum(e is not None for e in res.errors)
         assert errors == (15 if extra and fidelity == "full" else 0)
         assert rows[-1].endswith(",error") == bool(errors)
+
+    def test_columns_write_the_row_wise_str_text(self, tmp_path):
+        # the CSV formats each float column at once; its text is what str
+        # of every cell, row by row, writes
+        special = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e16, 1e-5]
+        rng = np.random.default_rng(5)
+        draws = rng.choice((-1.0, 1.0), 2000) * 10.0 ** rng.uniform(-320, 308, 2000)
+        x = np.concatenate((special, draws, rng.standard_normal(2000)))
+        columns = [x, x[::-1].copy(), [f"flag{i % 7}" for i in range(x.size)]]
+        path = tmp_path / "table.csv"
+        cli._write_table(str(path), ["x", "y", "flags"], columns, "csv")
+        rows = zip(x.tolist(), x[::-1].tolist(), columns[2])
+        expected = "\n".join(["x,y,flags", *(",".join(map(str, r)) for r in rows)]) + "\n"
+        assert path.read_text() == expected
 
     @pytest.mark.parametrize(
         "fidelity, names",

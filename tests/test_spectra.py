@@ -1317,6 +1317,102 @@ class TestStabilityCertificate:
         assert str(entry) == str(single.value)
 
 
+def _bits(entries):
+    """Covariance entries, comparable bit for bit: floats by hex, errors by type and text."""
+    return [
+        (type(e), str(e)) if isinstance(e, Exception)
+        else tuple(map(float.hex, e if isinstance(e, tuple) else (e,)))
+        for e in entries
+    ]
+
+
+class TestPreparedNoise:
+    """A sweep prepares each pencil's noise side once and solves only its
+    drift stacks: every entry is bitwise the one-shot _stacked_occupations'."""
+
+    def _one_pencil(self, drifts, b, weights, labels, a1=None):
+        """One preparation over a one-point stack and the rest, against the
+        one-shot solve of the whole stack with a noise row per point."""
+        perm = _conjugate_swap(labels)
+        noise = spectra._prepare_noise(b, weights, perm, a1)
+        parts = (drifts[:1], drifts[1:])
+        prepared = [e for part in parts for e in spectra._occupations(noise, part, 0)]
+        per_point = lambda x: None if x is None else np.repeat(x[None], len(drifts), axis=0)
+        one_shot = spectra._stacked_occupations(
+            drifts, per_point(b), per_point(weights), 0, perm, per_point(a1)
+        )
+        assert _bits(prepared) == _bits(one_shot)
+        return prepared
+
+    def _many_pencils(self, drifts, b, weights, labels, a1=None):
+        """One preparation of a pencil per point, against one-shot solves point by point."""
+        perm = _conjugate_swap(labels)
+        prepared = spectra._occupations(spectra._prepare_noise(b, weights, perm, a1), drifts, 0)
+        one_shot = [
+            e
+            for i in range(len(drifts))
+            for e in spectra._stacked_occupations(
+                drifts[i : i + 1], b[i], weights[i], 0, perm, None if a1 is None else a1[i]
+            )
+        ]
+        assert _bits(prepared) == _bits(one_shot)
+        return prepared
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    @pytest.mark.parametrize("rotating_wave", [True, False])
+    def test_criterion_7_draws(self, rotating_wave, slopes):
+        # out to C_OM = 1e6: the full model's stacks hold unstable points
+        c_om = np.geomspace(1e-2, 1e6, 24)
+        errors = 0
+        for spec in _criterion_7_draws(24, seed=502):
+            a1 = _pencil(spec, rotating_wave=rotating_wave)[1] if slopes else None
+            entries = self._one_pencil(*_pencil_stack(spec, c_om, rotating_wave), a1)
+            errors += sum(isinstance(e, UnstableSystemError) for e in entries)
+        assert rotating_wave or errors > 50
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    def test_mixed_batch(self, slopes):
+        models = _mixed_batch()
+        a1 = _pencil(make_spec(c_ab=50.0), rotating_wave=False)[1]
+        entries = self._many_pencils(
+            np.stack([m.drift for m in models]),
+            np.stack([m.noise_input for m in models]),
+            np.stack([m.input_correlations[0] for m in models]),
+            models[0].labels,
+            np.repeat(a1[None], len(models), axis=0) if slopes else None,
+        )
+        assert isinstance(entries[1], UnstableSystemError)
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    def test_non_finite_drifts(self, slopes):
+        spec = make_spec(c_ab=50.0)
+        drifts, *noise = _pencil_stack(spec, np.geomspace(0.1, 100.0, 12))
+        drifts[0, 0, 0] = math.nan  # the one-point stack alone
+        drifts[5, 2, 2] = math.inf
+        a1 = _pencil(spec, rotating_wave=False)[1] if slopes else None
+        entries = self._one_pencil(drifts, *noise, a1)
+        assert [isinstance(e, NumericsError) for e in entries] == [i in (0, 5) for i in range(12)]
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    def test_singular_noise_takes_the_eigensolve(self, slopes):
+        spec = replace(make_spec(c_ab=50.0, gamma_a_hz=0.0), coupling=TWO_PI * 100.0)
+        drifts, b, weights, labels = _pencil_stack(spec, np.geomspace(0.1, 1e5, 16))
+        assert (spectra._prepare_noise(b, weights, _conjugate_swap(labels)).q_floor <= 0).all()
+        a1 = _pencil(spec, rotating_wave=False)[1] if slopes else None
+        entries = self._one_pencil(drifts, b, weights, labels, a1)
+        assert not isinstance(entries[0], Exception)
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    def test_sweep_detuning_pencils(self, slopes):
+        # sweep_detuning stacks one pencil per splitting
+        spec = make_spec(c_ab=50.0)
+        specs = [replace(spec, mode_b=replace(spec.mode_b, omega=spec.mode_a.omega + x))
+                 for x in np.linspace(0.0, 40.0 * spec.mode_b.gamma, 9)]
+        drifts, b, weights, labels = zip(*(_pencil_stack(s, [7.0]) for s in specs))
+        a1 = np.stack([_pencil(s, rotating_wave=False)[1] for s in specs]) if slopes else None
+        self._many_pencils(np.concatenate(drifts), np.stack(b), np.stack(weights), labels[0], a1)
+
+
 class TestIntegration:
     def test_edge_tail_of_a_zero_edge_is_zero(self):
         points = np.arange(20.0)

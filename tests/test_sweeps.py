@@ -49,13 +49,13 @@ def covariance_calls(monkeypatch):
     """``(points, with derivatives)`` of every batched covariance solve the
     sweeps make."""
     calls = []
-    solve = sweeps._stacked_occupations
+    solve = sweeps._occupations
 
-    def counted(a, *args, a1=None):
-        calls.append((a.shape[0], a1 is not None))
-        return solve(a, *args, a1=a1)
+    def counted(noise, a, r):
+        calls.append((a.shape[0], noise.a1 is not None))
+        return solve(noise, a, r)
 
-    monkeypatch.setattr(sweeps, "_stacked_occupations", counted)
+    monkeypatch.setattr(sweeps, "_occupations", counted)
     return calls
 
 
@@ -231,7 +231,7 @@ class TestFullFidelityCovariance:
             return tuple(parts)
 
         monkeypatch.setattr(sweeps, "_pencil", broken)
-        monkeypatch.setattr(sweeps, "_stacked_occupations", None)
+        monkeypatch.setattr(sweeps, "_prepare_noise", None)
         with pytest.raises(ValueError, match="not conjugate-paired"):
             sweeps._n_effs([self.SPEC], "full")
 
@@ -469,6 +469,23 @@ class TestEvaluationCounts:
         assert covariance_calls[0] == (25, False)
         assert covariance_calls[1:] == [(1, True)] * (len(covariance_calls) - 1)
         assert len(covariance_calls) <= 6
+
+    def test_each_pencil_prepares_its_noise_side_once(self, monkeypatch, covariance_calls):
+        # a search's scan and secant steps, with and without slopes, all
+        # solve against the one preparation its _n_effs made
+        prepared = []
+        prepare = sweeps._prepare_noise
+
+        def counted(*args):
+            prepared.append(args)
+            return prepare(*args)
+
+        monkeypatch.setattr(sweeps, "_prepare_noise", counted)
+        find_optimum(self.SPEC, bracket=(1e-2, 1e3), fidelity="full")
+        assert len(prepared) == 1
+        assert {with_slopes for _, with_slopes in covariance_calls} == {False, True}
+        sweep_detuning(self.SPEC, [0.0, 1e3, 2e3], fidelity="full", c_om=7.0)
+        assert len(prepared) == 2 and prepared[1][0].shape[0] == 3
 
     def test_sweeps_compute_no_derivatives(self, covariance_calls):
         sweep_cooperativity(self.SPEC, np.geomspace(0.01, 1e3, 301), fidelity="full")
