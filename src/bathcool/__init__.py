@@ -18,7 +18,7 @@ from .analytics import (
     cooling_summary,
     cooperativity_ab,
     force_noise_psd,
-    induced_damping,
+    induced_damping_detuned,
     mode_a_response,
     n_eff_closed_form,
     narrowed_linewidth,
@@ -34,7 +34,6 @@ from .design import (
     Material,
     cantilever_frequency,
     clamping_Q,
-    clamping_gamma_quasimode,
     design_to_system,
     load_material,
     normal_mode_map,
@@ -50,11 +49,11 @@ from .model import (
     build_rwa_system,
     effective_temperature,
     intracavity_amplitude,
-    is_stable,
     stability_eigenvalues,
     thermal_occupation,
 )
 from .spectra import (
+    ForceSpectrumResult,
     FrequencyGrid,
     LorentzFit,
     SpectrumResult,
@@ -64,7 +63,5 @@ from .spectra import (
     make_grid,
     position_spectrum,
     steady_state_occupation,
-    steady_state_occupations,
-    susceptibility_matrix,
 )
 from .sweeps import SweepResult, find_optimum, sweep_cooperativity, sweep_detuning

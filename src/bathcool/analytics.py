@@ -31,7 +31,6 @@ __all__ = [
     "chi_b",
     "chi_a",
     "mode_a_response",
-    "induced_damping",
     "induced_damping_detuned",
     "cooperativity_ab",
     "optomechanical_cooperativity",
@@ -165,13 +164,6 @@ def mode_a_response(omega, spec: SystemSpec, Gamma: float):
     omega_pulled = spec.mode_a.omega + lam2 * (omega - spec.mode_b.omega) / denom
     gamma_prime = spec.mode_a.gamma + lam2 * gtot / denom
     return omega_pulled, gamma_prime
-
-
-def induced_damping(lam: float, gamma_b: float, Gamma: float) -> float:
-    """On-resonance induced damping of mode a: Gamma_a = 4*lambda^2/(gamma_b + Gamma)."""
-    if not gamma_b + Gamma > 0:
-        raise ValueError("gamma_b + Gamma must be > 0")
-    return 4.0 * lam**2 / (gamma_b + Gamma)
 
 
 def induced_damping_detuned(

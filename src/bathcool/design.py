@@ -23,12 +23,9 @@ __all__ = [
     "LossBudget",
     "DesignReport",
     "load_material",
-    "available_materials",
     "normal_mode_map",
-    "split_frequencies",
     "cantilever_frequency",
     "clamping_Q",
-    "clamping_gamma_quasimode",
     "ted_quality_factor",
     "ted_critical_width",
     "design_to_system",
@@ -118,10 +115,6 @@ def _materials_db() -> dict:
     return json.loads(text)
 
 
-def available_materials() -> tuple:
-    return tuple(sorted(_materials_db()))
-
-
 def load_material(name: str) -> Material:
     """Load a named material from the shipped database."""
     db = _materials_db()
@@ -148,11 +141,6 @@ def normal_mode_map(omega_L: float, omega_R: float) -> tuple:
     return omega0, epsilon, epsilon * omega0
 
 
-def split_frequencies(omega0: float, epsilon: float) -> tuple:
-    """Inverse of normal_mode_map: (omega_L, omega_R) = omega0*(1 +- epsilon)."""
-    return omega0 * (1 + epsilon), omega0 * (1 - epsilon)
-
-
 def cantilever_frequency(L: float, h: float, material: Material) -> float:
     """Fundamental clamped-free flexural frequency estimate (rad/s).
 
@@ -176,13 +164,6 @@ def clamping_Q(L: float, h: float) -> float:
     if not (L > 0 and h > 0):
         raise ValueError("L and h must be > 0")
     return DEFAULT_CLAMPING_CALIBRATION * (L / h) ** 2
-
-
-def clamping_gamma_quasimode(J: float, rho_dos: float) -> float:
-    """Golden-rule clamping rate into the support quasi-mode: gamma_b = J^2*rho."""
-    if J < 0 or rho_dos < 0:
-        raise ValueError("J and rho_dos must be >= 0")
-    return J**2 * rho_dos
 
 
 def ted_critical_width(omega: float) -> float:

@@ -41,7 +41,6 @@ __all__ = [
     "build_rwa_system",
     "build_full_system",
     "stability_eigenvalues",
-    "is_stable",
 ]
 
 
@@ -337,15 +336,9 @@ def _drive(spec: SystemSpec) -> float:
 def stability_eigenvalues(model: DriftModel) -> np.ndarray:
     """Eigenvalues of the drift matrix (complex, rad/s).
 
-    The system is stable iff every real part is negative (see
-    :func:`is_stable`).
+    The system is stable iff every real part is negative.
     """
     try:
         return np.linalg.eigvals(model.drift)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericsError(f"eigensolver failed: {exc}") from exc
-
-
-def is_stable(model: DriftModel) -> bool:
-    """True iff all drift eigenvalues have strictly negative real part."""
-    return bool(np.all(stability_eigenvalues(model).real < 0))

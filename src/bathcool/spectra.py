@@ -45,10 +45,8 @@ __all__ = [
     "LorentzFit",
     "ForceSpectrumResult",
     "make_grid",
-    "susceptibility_matrix",
     "position_spectrum",
     "steady_state_occupation",
-    "steady_state_occupations",
     "integrate_occupation",
     "fit_lorentzian",
     "force_spectrum_numeric",
@@ -420,15 +418,6 @@ def _raise_singular(a: np.ndarray, omegas: np.ndarray):
     )
 
 
-def susceptibility_matrix(model: DriftModel, omega: float) -> np.ndarray:
-    """Dense susceptibility (-i*omega*I - A)^-1 at a single frequency.
-
-    Refuses unstable models.
-    """
-    _require_stable(model)
-    return _solve_rows(model, np.atleast_1d(float(omega)), np.eye(model.dimension))[0]
-
-
 def position_spectrum(
     model: DriftModel, select: str, grid: FrequencyGrid | None = None
 ) -> SpectrumResult:
@@ -446,8 +435,7 @@ def position_spectrum(
     omega's row is solved on its own (:func:`_solve_rows`), so they are
     the bits a solve would give.  ``values`` is read-only.
     """
-    if select not in model.labels:
-        raise ValueError(f"unknown mode label {select!r}; have {model.labels}")
+    r = _mode(model, select)
     key = ("spectrum", select)
     solved, solved_values = model._memo.get(key, (None, None))
     if grid is not None and _reads_halved(grid.points, solved):
@@ -462,7 +450,7 @@ def position_spectrum(
         if n_eff < -1e-3:
             raise NumericsError(f"integrated occupation {n_eff:.4g} < 0")
         n_eff = 0.0
-    omega_sel = -model.drift[model.index(select), model.index(select)].imag
+    omega_sel = -model.drift[r, r].imag
     t_eff = effective_temperature(n_eff, abs(omega_sel))
     return SpectrumResult(
         grid=grid,
@@ -501,6 +489,13 @@ def _transfer(model: DriftModel, grid: FrequencyGrid | None, u: np.ndarray) -> t
     return grid, _solve_rows(model, grid.points, u[None, :])[:, 0, :] @ model.noise_input
 
 
+def _mode(model: DriftModel, select: str) -> int:
+    """Index of mode ``select``: a label whose ``_dag`` mate is a label too."""
+    if select not in model.labels or select + "_dag" not in model.labels:
+        raise ValueError(f"unknown mode label {select!r}; have {model.labels}")
+    return model.index(select)
+
+
 def _quadrature(model: DriftModel, select: str) -> np.ndarray:
     """The row u = e_select + e_select_dag that reads x = select + select_dag."""
     u = np.zeros(model.dimension)
@@ -518,36 +513,18 @@ def steady_state_occupation(model: DriftModel, select: str) -> float:
     is exact, and its backward-stable solve (:func:`_stacked_occupations`)
     is accurate to eps*max|lam|/min(-Re lam) relative at worst, lam the
     drift eigenvalues.  Refuses unstable models; NumericsError when the
-    Lyapunov residual exceeds RESIDUAL_TOL.  The batch of one of
-    :func:`steady_state_occupations`.
+    Lyapunov residual exceeds RESIDUAL_TOL.
     """
-    (n_eff,) = steady_state_occupations([model], select)
+    (n_eff,) = _stacked_occupations(
+        model.drift[None],
+        model.noise_input[None],
+        model.input_correlations[0][None],
+        _mode(model, select),
+        _conjugate_swap(model.labels),
+    )
     if isinstance(n_eff, BathcoolError):
         raise n_eff
     return n_eff
-
-
-def steady_state_occupations(models, select: str) -> list:
-    """:func:`steady_state_occupation` of every model, in one batched solve.
-
-    Entry i is the occupation of ``models[i]`` or the BathcoolError that
-    point raises; an unknown label, or models that do not share one label
-    tuple, raise ValueError for the whole call.
-    """
-    if not models:
-        return []
-    labels = models[0].labels
-    if any(m.labels != labels for m in models):
-        raise ValueError(f"models must share one basis, got {sorted({m.labels for m in models})}")
-    if select not in labels:
-        raise ValueError(f"unknown mode label {select!r}; have {labels}")
-    return _stacked_occupations(
-        np.stack([m.drift for m in models]),
-        np.stack([m.noise_input for m in models]),
-        np.stack([m.input_correlations[0] for m in models]),
-        labels.index(select),
-        _conjugate_swap(labels),
-    )
 
 
 def _stacked_occupations(a, b, weights, r, perm, a1=None) -> list:

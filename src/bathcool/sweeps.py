@@ -23,6 +23,7 @@ from .analytics import (
     cooperativity_ab,
     induced_damping_detuned,
     n_eff_closed_form,
+    optimal_cooperativity,
 )
 from .errors import BathcoolError, PhysicsError, UnstableSystemError
 from .model import DriftModel, SystemSpec, _conjugate_swap, _pencil, effective_temperature
@@ -84,7 +85,7 @@ def _n_effs(specs, fidelity: str):
     invalid warnings off: past C_OM ~ 1e200 an unstable drift can overflow
     the covariance certificate's norms, and where G overflows the drift
     holds inf * 0.  Every such point is already an error entry
-    (:func:`_stacked_occupations` gates on finite values).  The warnings
+    (:func:`_occupations` gates on finite values).  The warnings
     are switched off once per sweep or search, not per call here: a secant
     step's solve takes about 85 us and each switch 2 us.
     """
@@ -303,7 +304,7 @@ def sweep_detuning(
         raise ValueError(f"c_om must be finite and >= 0, got {c_om!r}")
     if c_om is None and not optimize_each:
         cab = cooperativity_ab(spec)
-        c_om = math.sqrt(1.0 + cab) if math.isfinite(cab) else 1.0
+        c_om = optimal_cooperativity(cab) if math.isfinite(cab) else 1.0
     gb = spec.mode_b.gamma
     omega_b = spec.mode_a.omega + values
     specs = [replace(spec, mode_b=replace(spec.mode_b, omega=w)) for w in omega_b]

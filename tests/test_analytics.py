@@ -12,18 +12,14 @@ from bathcool import (
     cooling_summary,
     cooperativity_ab,
     force_noise_psd,
-    induced_damping,
+    induced_damping_detuned,
     mode_a_response,
     n_eff_closed_form,
     narrowed_linewidth,
     optical_damping,
     optimal_cooperativity,
 )
-from bathcool.analytics import (
-    _n_eff_closed_form_slope,
-    induced_damping_detuned,
-    regime_flags,
-)
+from bathcool.analytics import _n_eff_closed_form_slope, regime_flags
 from bathcool.constants import KB
 from bathcool.errors import UnstableSystemError
 
@@ -78,7 +74,7 @@ class TestSusceptibilities:
     def test_chi_a_degenerate_resonance_matches_induced_damping(self, spec50):
         gamma = TWO_PI * 7141.4
         got = chi_a(spec50.mode_a.omega, spec50, gamma)
-        gamma_a_ind = induced_damping(spec50.coupling, spec50.mode_b.gamma, gamma)
+        gamma_a_ind = induced_damping_detuned(spec50.coupling, spec50.mode_b.gamma, gamma, 0.0)
         expected = 1.0 / ((spec50.mode_a.gamma + gamma_a_ind) / 2.0)
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -88,8 +84,8 @@ class TestModeAResponse:
         gamma = TWO_PI * 2000.0
         w, g = mode_a_response(spec50.mode_b.omega, spec50, gamma)
         assert w == pytest.approx(spec50.mode_a.omega)
-        expected = spec50.mode_a.gamma + induced_damping(
-            spec50.coupling, spec50.mode_b.gamma, gamma
+        expected = spec50.mode_a.gamma + induced_damping_detuned(
+            spec50.coupling, spec50.mode_b.gamma, gamma, 0.0
         )
         assert g == pytest.approx(expected, rel=1e-12)
 
@@ -111,29 +107,31 @@ class TestModeAResponse:
 class TestInducedDamping:
     def test_reference_numbers(self):
         # parameters chosen so C_ab = 50 at gamma_a = 2pi*1 Hz
-        got = induced_damping(TWO_PI * 111.8033989, TWO_PI * 1000.0, TWO_PI * 7141.43)
+        got = induced_damping_detuned(
+            TWO_PI * 111.8033989, TWO_PI * 1000.0, TWO_PI * 7141.43, 0.0
+        )
         assert got / TWO_PI == pytest.approx(6.1413, rel=1e-3)
 
     def test_zero_coupling(self):
-        assert induced_damping(0.0, TWO_PI * 1000.0, 0.0) == 0.0
+        assert induced_damping_detuned(0.0, TWO_PI * 1000.0, 0.0, 0.0) == 0.0
 
     def test_gamma_zero_identity_with_cooperativity(self, spec50):
-        gamma_a_ind = induced_damping(spec50.coupling, spec50.mode_b.gamma, 0.0)
+        gamma_a_ind = induced_damping_detuned(spec50.coupling, spec50.mode_b.gamma, 0.0, 0.0)
         assert gamma_a_ind == pytest.approx(
             cooperativity_ab(spec50) * spec50.mode_a.gamma, rel=1e-12
         )
 
     def test_zero_total_damping_rejected(self):
         with pytest.raises(ValueError):
-            induced_damping(1.0, 0.0, 0.0)
+            induced_damping_detuned(1.0, 0.0, 0.0, 0.0)
 
     def test_detuned_reduces_to_on_resonance(self):
+        # Gamma_a = 4 lambda^2/(gamma_b + Gamma) at delta = 0
         lam, gb, gamma = TWO_PI * 100.0, TWO_PI * 1e3, TWO_PI * 5e3
-        assert induced_damping_detuned(lam, gb, gamma, 0.0) == pytest.approx(
-            induced_damping(lam, gb, gamma), rel=1e-12
-        )
+        on = 4.0 * lam**2 / (gb + gamma)
+        assert induced_damping_detuned(lam, gb, gamma, 0.0) == pytest.approx(on, rel=1e-12)
         far = induced_damping_detuned(lam, gb, gamma, 100 * (gb + gamma))
-        assert far < 1e-3 * induced_damping(lam, gb, gamma)
+        assert far < 1e-3 * on
 
 
 def _colder_b(spec, temperature):
@@ -239,7 +237,9 @@ class TestOptimum:
         # gamma_a + Gamma_a(optimum) = gamma_a*sqrt(1 + C_ab) exactly
         cab = cooperativity_ab(spec50)
         gamma_star = optimal_cooperativity(cab) * spec50.mode_b.gamma
-        gamma_a_ind = induced_damping(spec50.coupling, spec50.mode_b.gamma, gamma_star)
+        gamma_a_ind = induced_damping_detuned(
+            spec50.coupling, spec50.mode_b.gamma, gamma_star, 0.0
+        )
         lhs = spec50.mode_a.gamma + gamma_a_ind
         assert lhs == pytest.approx(
             narrowed_linewidth(spec50.mode_a.gamma, cab), rel=1e-12

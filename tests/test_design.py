@@ -6,14 +6,12 @@ from bathcool import (
     Material,
     cantilever_frequency,
     clamping_Q,
-    clamping_gamma_quasimode,
     design_to_system,
     load_material,
     normal_mode_map,
     ted_critical_width,
     ted_quality_factor,
 )
-from bathcool.design import available_materials, split_frequencies
 from bathcool.errors import RegimeError
 
 from conftest import TWO_PI
@@ -40,8 +38,8 @@ class TestMaterials:
         assert sin.name == "silicon_nitride"
 
     def test_catalog(self):
-        names = available_materials()
-        assert "silicon_nitride" in names and "silicon" in names
+        assert load_material("silicon").name == "silicon"
+        assert load_material("silicon_nitride").name == "silicon_nitride"
 
     def test_unknown_material(self):
         with pytest.raises(KeyError, match="silicon_nitride"):
@@ -60,7 +58,8 @@ class TestNormalModeMap:
         assert lam == pytest.approx(0.01)
 
     def test_round_trip(self):
-        wl, wr = split_frequencies(TWO_PI * 1.1e6, 3.2e-4)
+        omega0, eps = TWO_PI * 1.1e6, 3.2e-4
+        wl, wr = omega0 * (1 + eps), omega0 * (1 - eps)
         omega0, eps, lam = normal_mode_map(wl, wr)
         assert omega0 == pytest.approx(TWO_PI * 1.1e6, rel=1e-12)
         assert eps == pytest.approx(3.2e-4, rel=1e-12)
@@ -110,12 +109,6 @@ class TestClampingLoss:
         assert clamping_Q(40e-6, 0.3e-6) == pytest.approx(
             4 * clamping_Q(20e-6, 0.3e-6), rel=1e-12
         )
-
-    def test_quasimode_golden_rule(self):
-        assert clamping_gamma_quasimode(2.0, 3.0) == pytest.approx(12.0)
-        assert clamping_gamma_quasimode(0.0, 3.0) == 0.0
-        with pytest.raises(ValueError):
-            clamping_gamma_quasimode(-1.0, 3.0)
 
 
 class TestThermoelasticDamping:

@@ -26,7 +26,6 @@ from bathcool import (
     optical_damping,
     position_spectrum,
     steady_state_occupation,
-    susceptibility_matrix,
 )
 import bathcool
 from bathcool import spectra
@@ -236,7 +235,7 @@ class TestSusceptibility:
         spec = make_spec(c_ab=0.0)
         model = build_rwa_system(spec)
         omega = spec.mode_a.omega + 3 * spec.mode_a.gamma
-        chi = susceptibility_matrix(model, omega)
+        chi = _solve_rows(model, np.array([omega]), np.eye(model.dimension))[0]
         ia = model.index("a")
         bare = 1.0 / (-1j * (omega - spec.mode_a.omega) + spec.mode_a.gamma / 2)
         assert chi[ia, ia] == pytest.approx(bare, rel=1e-12)
@@ -248,7 +247,7 @@ class TestSusceptibility:
         spec = make_spec(c_ab=50.0, c_om=5.0)
         model = build_rwa_system(spec)
         omega = spec.mode_b.omega
-        chi = susceptibility_matrix(model, omega)
+        chi = _solve_rows(model, np.array([omega]), np.eye(model.dimension))[0]
         ia, ib = model.index("a"), model.index("b")
         gamma = optical_damping(spec.cavity.alpha_g0, spec.cavity.kappa)
         expected = (
@@ -279,7 +278,7 @@ class TestSusceptibility:
         )
         model = build_rwa_system(spec)
         with pytest.raises(UnstableSystemError):
-            susceptibility_matrix(model, TWO_PI * 1e6)
+            make_grid(model)
         chi = _solve_rows(model, np.array([TWO_PI * 1.5e6]), np.eye(model.dimension))[0]
         assert np.all(np.isfinite(chi))
 
@@ -643,7 +642,6 @@ class TestModelMemo:
             make_grid,
             make_grid,
             lambda m: position_spectrum(m, "a"),
-            lambda m: susceptibility_matrix(m, TWO_PI * 1e6),
         )
         messages = []
         for call in calls:
@@ -780,9 +778,10 @@ class TestPositionSpectrum:
         pts = res.grid.points
         picks = [0, pts.size // 4, int(np.argmax(res.values)), pts.size - 1]
         picks.append(int(np.argmin(np.abs(pts + spec.mode_a.omega))))
+        eye = np.eye(model.dimension)
         for i in picks:
-            w_p = susceptibility_matrix(model, pts[i])[ia] @ model.noise_input
-            w_m = susceptibility_matrix(model, -pts[i])[ia] @ model.noise_input
+            w_p = _solve_rows(model, pts[i : i + 1], eye)[0, ia] @ model.noise_input
+            w_m = _solve_rows(model, -pts[i : i + 1], eye)[0, ia] @ model.noise_input
             expected = np.abs(w_p) ** 2 @ n_plus + np.abs(w_m) ** 2 @ n_minus
             assert res.values[i] == pytest.approx(expected, rel=1e-10)
 
@@ -874,7 +873,7 @@ class TestSteadyStateOccupation:
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda k, q: solve(k, q) * 0.5)
         monkeypatch.setattr(spectra, "RESIDUAL_TOL", math.inf)
-        errors = spectra.steady_state_occupations(models, "a")
+        errors = _batch(models)
         assert [str(e) for e in errors] == ["steady-state occupation -0.25 < 0"] * 2
 
     def test_unstable_refused(self):
@@ -886,6 +885,42 @@ class TestSteadyStateOccupation:
     def test_unknown_label(self, spec50):
         with pytest.raises(ValueError):
             steady_state_occupation(build_rwa_system(spec50), "q")
+
+
+class TestModeLabels:
+    """Both occupations read a mode: a label whose ``_dag`` mate is a label too."""
+
+    # the README system (C_ab = 50, alpha = 2314)
+    SPEC = SystemSpec(
+        mode_a=MechanicalMode(TWO_PI * 1e6, TWO_PI * 1.0, 300.0),
+        mode_b=MechanicalMode(TWO_PI * 1e6, TWO_PI * 1e3, 300.0),
+        cavity=CavityDrive(
+            kappa=TWO_PI * 3e5, detuning=-TWO_PI * 1e6, g0=TWO_PI * 10.0, alpha=2314.0
+        ),
+        coupling=TWO_PI * 111.8,
+        mass_a=1e-12,
+    )
+
+    @pytest.mark.parametrize("select", ["a_dag", "q"])
+    def test_a_label_that_is_not_a_mode_is_refused(self, select):
+        # "a_dag" is a label but not a mode: "a_dag_dag" is none
+        model = build_full_system(self.SPEC)
+        for call in (steady_state_occupation, position_spectrum):
+            with pytest.raises(ValueError, match=f"unknown mode label {select!r}; have"):
+                call(model, select)
+
+    def test_each_mode_keeps_its_occupation(self):
+        # the covariance and the quadrature of modes a, b and c, full model;
+        # the last bits depend on the BLAS kernels of the machine
+        expected = {
+            "a": (1539060.9891974698, 1539371.355550273),
+            "b": (790808.7679429114, 790963.3779258621),
+            "c": (18238.165157005005, 18241.8143905787),
+        }
+        model = build_full_system(self.SPEC)
+        for select, (exact, quad) in expected.items():
+            assert steady_state_occupation(model, select) == pytest.approx(exact, rel=1e-12)
+            assert position_spectrum(model, select).n_eff == pytest.approx(quad, rel=1e-12)
 
 
 def _exceptional_point_spec():
@@ -978,13 +1013,32 @@ def _mixed_batch():
     ]
 
 
+def _model_stack(models):
+    """The drifts, noise inputs and <xi xi^dag> weights of ``models``,
+    stacked, with the label tuple they share."""
+    return (
+        np.stack([m.drift for m in models]),
+        np.stack([m.noise_input for m in models]),
+        np.stack([m.input_correlations[0] for m in models]),
+        models[0].labels,
+    )
+
+
+def _batch(models):
+    """Mode a's covariance entries of ``models`` from one stacked solve."""
+    drifts, b, weights, labels = _model_stack(models)
+    return spectra._stacked_occupations(
+        drifts, b, weights, labels.index("a"), _conjugate_swap(labels)
+    )
+
+
 def _entry(e):
-    """An entry of steady_state_occupations, comparable with ==."""
+    """An entry of :func:`_batch`, comparable with ==."""
     return (type(e), str(e)) if isinstance(e, Exception) else e
 
 
 class TestBatchedCovariance:
-    """steady_state_occupations: one folded real linear solve per batch,
+    """The stacked covariance: one folded real linear solve per batch,
     and an eigensolve only of the points the solved covariances do not
     certify stable."""
 
@@ -999,7 +1053,7 @@ class TestBatchedCovariance:
 
     def test_mixed_batch_matches_single_calls(self):
         models = _mixed_batch()
-        batch = spectra.steady_state_occupations(models, "a")
+        batch = _batch(models)
         assert isinstance(batch[1], UnstableSystemError)
         for model, entry in zip(models, batch):
             try:
@@ -1014,18 +1068,13 @@ class TestBatchedCovariance:
         drift = good.drift.copy()
         drift[0, 0] = complex(math.nan, 0.0)
         bad = replace(good, drift=drift)
-        n_bad, n_good = spectra.steady_state_occupations([bad, good], "a")
+        n_bad, n_good = _batch([bad, good])
         assert isinstance(n_bad, NumericsError)
         assert n_good == steady_state_occupation(good, "a")
 
-    def test_empty_batch_and_unknown_label(self, spec50):
-        assert spectra.steady_state_occupations([], "a") == []
-        with pytest.raises(ValueError):
-            spectra.steady_state_occupations([build_full_system(spec50)], "q")
-
-    def test_models_in_different_bases_are_refused(self, spec50):
+    def test_a_reordered_basis_gives_the_same_occupation(self, spec50):
         # the same system with its b and c pairs swapped: a paired basis of
-        # its own, but not one stack with the original
+        # its own
         model = build_full_system(spec50)
         order = [0, 1, 4, 5, 2, 3]
         swapped = DriftModel(
@@ -1034,8 +1083,6 @@ class TestBatchedCovariance:
         )
         n = steady_state_occupation(model, "a")
         assert steady_state_occupation(swapped, "a") == pytest.approx(n, rel=1e-14)
-        with pytest.raises(ValueError, match="share one basis"):
-            spectra.steady_state_occupations([model, swapped], "a")
 
     def test_eigvals_runs_only_on_uncertified_points(self, monkeypatch):
         spec = make_spec(c_ab=50.0, gamma_a_hz=0.1, gamma_b_hz=10.0, kappa_hz=1e4)
@@ -1060,7 +1107,7 @@ class TestBatchedCovariance:
         monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
         monkeypatch.setattr(np.linalg, "eig", refused)
         monkeypatch.setattr(spectra, "stability_eigenvalues", None)
-        spectra.steady_state_occupations(models, "a")
+        _batch(models)
         # 21 = 6*7/2 real coordinates of a paired Hermitian Sigma; every
         # point's covariance certifies it stable, so no eigensolve runs
         assert calls == [("solve", (3, 21, 21))]
@@ -1070,16 +1117,14 @@ class TestBatchedCovariance:
         dtypes.clear()
         blue = make_spec(c_ab=10.0, c_om=50.0)
         blue = replace(blue, cavity=replace(blue.cavity, detuning=-blue.cavity.detuning))
-        entries = spectra.steady_state_occupations(
-            [models[0], build_full_system(blue), models[2]], "a"
-        )
+        entries = _batch([models[0], build_full_system(blue), models[2]])
         assert isinstance(entries[1], UnstableSystemError)
         assert calls == [("solve", (3, 21, 21)), ("eigvals", (1, 6, 6))]
         assert dtypes[1] == np.float64
 
     def test_a_failed_first_solve_takes_the_eigensolve_first(self, monkeypatch):
         models = _mixed_batch()
-        expected = spectra.steady_state_occupations(models, "a")
+        expected = _batch(models)
         calls = []
         solve, eigvals = np.linalg.solve, np.linalg.eigvals
 
@@ -1095,7 +1140,7 @@ class TestBatchedCovariance:
 
         monkeypatch.setattr(np.linalg, "solve", solve_once)
         monkeypatch.setattr(np.linalg, "eigvals", counted)
-        entries = spectra.steady_state_occupations(models, "a")
+        entries = _batch(models)
         # the order without a certificate: every point's eigenvalues, then
         # one solve of the stable ones
         assert calls == [("solve", (4, 21, 21)), ("eigvals", (4, 6, 6)), ("solve", (3, 21, 21))]
@@ -1115,14 +1160,14 @@ class TestBatchedCovariance:
             monkeypatch.setattr(
                 np.linalg, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args)
             )
-        (error,) = spectra.steady_state_occupations([undamped], "a")
+        (error,) = _batch([undamped])
         assert isinstance(error, UnstableSystemError)
         assert str(error) == (
             "drift matrix has non-negative-real-part eigenvalue(s): 0-6.28319e+06j, 0+6.28319e+06j"
         )
         assert calls == ["eigvals"]
         calls.clear()
-        (n,) = spectra.steady_state_occupations([coupled], "a")
+        (n,) = _batch([coupled])
         assert calls == ["eigvals", "solve"]
         exact = _kronecker_occupation(coupled)
         assert abs(n - exact) <= bound * exact
@@ -1197,7 +1242,7 @@ class TestRealQuadratureForm:
         # the README system at C_OM in [0.1, 1e5], as a full-fidelity CLI sweep
         c_om = np.geomspace(0.1, 1e5, 61)
         models = [build_full_system(make_spec(c_ab=50.0, c_om=c)) for c in c_om]
-        entries = spectra.steady_state_occupations(models, "a")
+        entries = _batch(models)
         unstable = [isinstance(e, UnstableSystemError) for e in entries]
         assert sum(unstable) == 15
         complex_form = [spectra.stability_eigenvalues(m) for m in models]
@@ -1225,7 +1270,7 @@ class TestRealQuadratureForm:
         readme = make_spec(c_ab=50.0, c_om=1e4)
         for spec, n_bad in ((blue, 2), (readme, 1)):
             model = build_full_system(spec)
-            (stacked,) = spectra.steady_state_occupations([model], "a")
+            (stacked,) = _batch([model])
             with pytest.raises(UnstableSystemError) as single:
                 spectra._require_stable(model)
             assert isinstance(stacked, UnstableSystemError)
@@ -1312,7 +1357,7 @@ class TestStabilityCertificate:
         stable_op = (stable.drift.view(float).reshape(1, -1) @ op).reshape(1, 21, 21)
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda k, q: solve(stable_op, q))
-        (entry,) = spectra.steady_state_occupations([blue], "a")
+        (entry,) = _batch([blue])
         assert isinstance(entry, UnstableSystemError)
         assert str(entry) == str(single.value)
 
@@ -1375,11 +1420,7 @@ class TestPreparedNoise:
         models = _mixed_batch()
         a1 = _pencil(make_spec(c_ab=50.0), rotating_wave=False)[1]
         entries = self._many_pencils(
-            np.stack([m.drift for m in models]),
-            np.stack([m.noise_input for m in models]),
-            np.stack([m.input_correlations[0] for m in models]),
-            models[0].labels,
-            np.repeat(a1[None], len(models), axis=0) if slopes else None,
+            *_model_stack(models), np.repeat(a1[None], len(models), axis=0) if slopes else None
         )
         assert isinstance(entries[1], UnstableSystemError)
 
