@@ -5,8 +5,9 @@
 #
 # tier-1 imports from src/, so only an installed wheel shows a missing
 # data file (data/materials.json) or a broken console script; the
-# full-fidelity spectrum runs the susceptibility solver from the wheel,
-# sense its two-row case (the e_a row and its conjugate mate); spectrum
+# full-fidelity spectrum runs the susceptibility solver from the wheel on
+# the two-row pair (e_a and its conjugate mate e_a_dag, summed into the
+# a + a_dag row), sense the e_a row, which takes its mate along; spectrum
 # and sense at rwa run the rotating-wave band, whose step-2 fill keeps
 # its own right-hand-side update, and must exit 0 with an empty stderr; the
 # full-fidelity optimum and sweep the Lyapunov solve and its

@@ -259,15 +259,14 @@ def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.n
     hold them, on any grid.
     ``omegas`` must be strictly increasing (:func:`_mirrors`, ValueError);
     a made grid's rows are placed by slices.  No eigen or Schur transform.
-    Every returned row, mirrored ones included, is gated by the worst
-    relative residual ||y T - u|| / (||T|| ||y||) of the rows at its
-    omega: where that is not within RESIDUAL_TOL (NaN included), every
-    row at that omega gets one refinement step, so a row that passes is
-    refined with one that misses; NumericsError if the worst still
-    misses.  The residual costs O(n d^2) and forms no matrix
-    stack: T's diagonal -i*omega - A_jj is formed first, as inside T, so
-    omega - omega_j is exact near a resonance, and ||T||_F comes in
-    closed form.
+
+    The eliminated rows, mates included, are gated and refined where they
+    were eliminated (:func:`_gate`), before the mirrored rows are placed:
+    T(-omega) = P conj(T(omega)) P exactly, so a mirrored row's residual
+    is its twin's, conjugated and permuted, and a mirrored row is bitwise
+    the conjugate of its twin's gated, refined value.  So every returned
+    row meets the gate, and a grid with nothing to mirror is gated at
+    every point.
 
     The rows at one omega do not depend on the other omegas: the
     elimination, the gate and the refinement work omega by omega, and an
@@ -277,7 +276,6 @@ def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.n
     halved grid so).
     """
     a = model.drift
-    d = model.dimension
     u = np.asarray(rows, dtype=complex)
     k = u.shape[0]
     perm = _conjugate_swap(model.labels)
@@ -289,9 +287,35 @@ def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.n
     else:
         solved, twin = np.concatenate((u, mates)), slice(k, 2 * k)
     z = _eliminate(a, omegas[solve], solved).T  # (d, k or 2k, n_solve)
-    y = np.empty((d, k, omegas.size), dtype=complex)
+    _gate(a, omegas[solve], solved, z)
+    return _place(z, k, omegas.size, (mirror, solve, at), perm, twin).T
+
+
+def _place(z: np.ndarray, k: int, n: int, mirrors: tuple, perm: np.ndarray, twin) -> np.ndarray:
+    """Rows (d, k, n) on all n omegas from the first k of the rows ``z``
+    (d, k', n_solve) solved at ``solve`` of ``mirrors = (mirror, solve, at)``
+    (:func:`_mirrors`): a mirrored row is conj(z[:, twin]) P at its negation."""
+    mirror, solve, at = mirrors
+    y = np.empty((z.shape[0], k, n), dtype=complex)
     y[..., solve] = z[:, :k]
     y[..., mirror] = z[..., at][perm][:, twin].conj()
+    return y
+
+
+def _gate(a: np.ndarray, omegas: np.ndarray, u: np.ndarray, y: np.ndarray):
+    """Refine, in place, the rows ``y`` (d, k, n) of y T = u (``u`` is (k, d))
+    at each omega where they miss the residual gate.
+
+    The gate is the worst relative residual ||y T - u|| / (||T|| ||y||)
+    of the rows at an omega: where that is not within RESIDUAL_TOL (NaN
+    included), every row at that omega gets one refinement step, so a row
+    that passes is refined with one that misses; NumericsError if the
+    worst still misses.  The residual costs O(n k d^2) and forms no matrix
+    stack: T's diagonal -i*omega - A_jj is formed first, as inside T, so
+    omega - omega_j is exact near a resonance, and ||T||_F comes in
+    closed form.
+    """
+    d = a.shape[0]
     shift = -1j * omegas - np.diag(a)[:, None]
     off = a - np.diag(np.diag(a))
     t_norm = np.sqrt(np.sum(np.abs(off) ** 2) + _abs2(shift).sum(axis=0))
@@ -317,7 +341,6 @@ def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.n
                 f"{rel_bad[i]:.3g} exceeds {RESIDUAL_TOL} at "
                 f"omega={omegas[np.flatnonzero(bad)[i]]:.6g} rad/s"
             )
-    return y.T
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -408,6 +431,25 @@ def _slice(idx: np.ndarray) -> slice:
     return slice(int(idx[0]), int(idx[-1]) + 1, step)
 
 
+@functools.lru_cache(maxsize=16)
+def _blocks(d: int, pattern: bytes) -> tuple:
+    """The block of each index: the lowest index a path joins it to in the
+    graph of A != 0, edges taken either way.
+
+    ``pattern`` is the bytes of the (d, d) bool array A != 0, cached as
+    for :func:`_band`.  The RWA keeps the annihilation and the creation
+    operators in two blocks; the full model's counter-rotating terms join
+    them into one.
+    """
+    s = np.frombuffer(pattern, dtype=bool).reshape(d, d)
+    reach = s | s.T | np.eye(d, dtype=bool)
+    while True:
+        wider = (reach.astype(int) @ reach) > 0
+        if np.array_equal(wider, reach):
+            return tuple(reach.argmax(axis=1).tolist())
+        reach = wider
+
+
 def _raise_singular(a: np.ndarray, omegas: np.ndarray):
     """NumericsError naming the omega of ``omegas`` closest to a pole of A."""
     dist = np.abs(-1j * omegas[:, None] - np.linalg.eigvals(a)).min(axis=1)
@@ -423,11 +465,20 @@ def position_spectrum(
 ) -> SpectrumResult:
     """Position fluctuation spectrum S_xx(omega) for x = a + a_dag.
 
-    In the conjugate-paired basis the quadrature is the single
-    susceptibility row u = e_select + e_select_dag, so
-    S_xx = |u chi B|^2 . <xi xi^dag>, which covers both +-omega
-    resonances and, as :class:`DriftModel` holds the correlations >= 0,
-    is >= 0 unclipped.  Refuses unstable models.
+    In the conjugate-paired basis the quadrature is the susceptibility row
+    u = e_select + e_select_dag, so S_xx = |u chi B|^2 . <xi xi^dag>, which
+    covers both +-omega resonances and, as :class:`DriftModel` holds the
+    correlations >= 0, is >= 0 unclipped.  Refuses unstable models.
+
+    Where no path joins ``select`` and ``select_dag`` in the graph of
+    A != 0 (:func:`_blocks`; every RWA drift), u is solved as one row.
+    Where one does (every full drift), the pair e_select, e_select_dag is
+    solved in one elimination (:func:`_solve_rows`), and u chi is the sum
+    of the two rows.  That sum keeps its own residual gate (:func:`_gate`)
+    where the pair was eliminated, and is mirrored from there as a solved
+    row is.  The model then keeps e_select chi B beside the spectrum,
+    which :func:`force_spectrum_numeric` reads on the same grid points
+    instead of solving again.
 
     The model keeps its last solved spectrum of each mode.  A ``grid``
     that is its own mirror image and the :meth:`FrequencyGrid.halved` of
@@ -437,13 +488,27 @@ def position_spectrum(
     """
     r = _mode(model, select)
     key = ("spectrum", select)
-    solved, solved_values = model._memo.get(key, (None, None))
+    solved, solved_values, _ = model._memo.get(key, (None, None, None))
     if grid is not None and _reads_halved(grid.points, solved):
         values = solved_values[_every_other(solved.size)]
     else:
-        grid, w = _transfer(model, grid, _quadrature(model, select))
-        values = np.abs(w) ** 2 @ model.input_correlations[0]
-        model._memo[key] = (grid.points, values)
+        grid = _grid(model, grid)
+        u = _quadrature(model, select)
+        c = model.index(select + "_dag")
+        blocks = _blocks(model.dimension, (model.drift != 0).tobytes())
+        if blocks[r] != blocks[c]:
+            y, kept = _solve_rows(model, grid.points, u[None, :])[:, 0, :], None
+        else:
+            pair = _solve_rows(model, grid.points, np.eye(model.dimension)[[r, c]]).T
+            mirrors = _mirrors(grid.points)
+            # u chi where the pair was eliminated, gated there, then mirrored
+            z = pair[:, :1, mirrors[1]] + pair[:, 1:, mirrors[1]]
+            _gate(model.drift, grid.points[mirrors[1]], u[None, :], z)
+            perm = _conjugate_swap(model.labels)
+            y = _place(z, 1, grid.points.size, mirrors, perm, [0]).T[:, 0, :]
+            kept = pair.T[:, 0, :] @ model.noise_input
+        values = np.abs(y @ model.noise_input) ** 2 @ model.input_correlations[0]
+        model._memo[key] = (grid.points, values, kept)
     values.setflags(write=False)
     n_eff, err = integrate_occupation(grid, values)
     if n_eff < 0:
@@ -479,14 +544,12 @@ def _reads_halved(points: np.ndarray, solved: np.ndarray | None) -> bool:
     )
 
 
-def _transfer(model: DriftModel, grid: FrequencyGrid | None, u: np.ndarray) -> tuple:
-    """``(grid, u chi B)`` over ``grid``, made by :func:`make_grid` if None;
-    refuses unstable models either way."""
+def _grid(model: DriftModel, grid: FrequencyGrid | None) -> FrequencyGrid:
+    """``grid``, made by :func:`make_grid` if None; refuses unstable models either way."""
     if grid is None:
-        grid = make_grid(model)
-    else:
-        _require_stable(model)
-    return grid, _solve_rows(model, grid.points, u[None, :])[:, 0, :] @ model.noise_input
+        return make_grid(model)
+    _require_stable(model)
+    return grid
 
 
 def _mode(model: DriftModel, select: str) -> int:
@@ -1020,18 +1083,28 @@ def force_spectrum_numeric(
     """Fluctuating-force density on mode a from the exact susceptibility.
 
     The per-channel force coefficients are extracted by deconvolving the
-    exact mode-a response with its own a_in transfer (which enters the
-    Langevin equation unfiltered with amplitude sqrt(gamma_a)); each
-    channel then contributes with the symmetrized weight 2*nbar + 1.  At
-    omega = omega_a the narrowband closed form is recovered.
+    exact mode-a response e_a chi B with its own a_in transfer (which
+    enters the Langevin equation unfiltered with amplitude sqrt(gamma_a));
+    each channel then contributes with the symmetrized weight 2*nbar + 1.
+    At omega = omega_a the narrowband closed form is recovered.  The
+    response is the one the model kept beside its last mode-a spectrum
+    (:func:`position_spectrum`) when that was solved on the same grid
+    points, else one row solve.  Needs an ``a``/``a_dag`` pair in the
+    model (ValueError) and refuses unstable models.
     """
     if spec.mass_a is None:
         raise ValueError("spec.mass_a must be set for force noise")
     ga = spec.mode_a.gamma
     if not ga > 0:
         raise ValueError("gamma_a must be > 0 to normalize the force transfer")
-    ia = model.index("a")
-    grid, resp = _transfer(model, grid, np.eye(model.dimension)[ia])
+    ia = _mode(model, "a")
+    grid = _grid(model, grid)
+    solved, _, kept = model._memo.get(("spectrum", "a"), (None, None, None))
+    if kept is not None and np.array_equal(solved, grid.points):
+        resp = kept
+    else:
+        resp = _solve_rows(model, grid.points, np.eye(model.dimension)[[ia]])[:, 0, :]
+        resp = resp @ model.noise_input
     chi_eff = resp[:, ia] / math.sqrt(ga)
     f = resp / chi_eff[:, None]  # f[:, a_in] = sqrt(gamma_a) exactly
     weights = model.input_correlations.sum(axis=0)  # 2*nbar + 1 per channel

@@ -537,9 +537,63 @@ class TestMirroredSolve:
         monkeypatch.setattr(spectra, "_eliminate", poor_first_solve)
         chi = _solve_rows(model, omegas, np.eye(model.dimension))
         assert calls[0].tolist() == omegas[3:].tolist()  # omega >= 0 only
-        assert calls[1].tolist() == [omegas[0], omegas[-1]]  # both gated and refined
+        # gated and refined where it was eliminated; omegas[0] takes the refined
+        # row's mirror
+        assert calls[1].tolist() == [omegas[-1]]
         err = np.abs(chi - clean).max(axis=(1, 2))
         assert np.all(err <= 1e-12 * np.abs(clean).max(axis=(1, 2)))
+
+    @pytest.mark.parametrize("rows", ["quadrature", "identity"])
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_refined_point_mirror_is_the_conjugate_of_its_twin(self, builder, rows, monkeypatch):
+        eliminate = spectra._eliminate
+        calls = []
+
+        def poor_first_solve(a, w, u):
+            calls.append(w.copy())
+            y = eliminate(a, w, u)
+            if len(calls) == 1:
+                y[w == target] += _noise(y[w == target])
+            return y
+
+        monkeypatch.setattr(spectra, "_eliminate", poor_first_solve)
+        for spec in _criterion_7_draws(5):
+            model = builder(spec)
+            omegas = make_grid(model).points
+            target = omegas[np.argmin(np.abs(omegas - spec.mode_a.omega))]
+            u = ROW_SETS[rows](model)
+            calls.clear()
+            got = _solve_rows(model, omegas, u)
+            assert calls[1].tolist() == [target]  # refined where it was eliminated
+            perm = _conjugate_swap(model.labels)
+            plus, minus = np.flatnonzero(omegas == target)[0], np.flatnonzero(omegas == -target)[0]
+            # each row's twin is its mate, u conj(P): the quadrature's is itself
+            twin = got[plus][perm] if rows == "identity" else got[plus]
+            assert np.array_equal(got[minus], twin.conj()[:, perm])
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_unmirrored_grid_is_gated_at_every_point(self, builder, monkeypatch):
+        eliminate = spectra._eliminate
+        calls = []
+
+        def poor_first_solve(a, w, u):
+            calls.append(w.copy())
+            y = eliminate(a, w, u)
+            return y + _noise(y) if len(calls) == 1 else y
+
+        monkeypatch.setattr(spectra, "_eliminate", poor_first_solve)
+        for spec in _criterion_7_draws(3):
+            model = builder(spec)
+            omegas = make_grid(model).points + spec.mode_a.gamma / 3  # nothing to mirror
+            for rows in ROW_SETS.values():
+                u = rows(model)
+                calls.clear()
+                got = _solve_rows(model, omegas, u)
+                assert [w.tolist() for w in calls] == [omegas.tolist()] * 2
+                # one refinement step leaves the noise times cond(T), up to 2e-8
+                # relative here, but within the gate: checked on dense T
+                for w, y in zip(omegas[::50], got[::50]):
+                    assert _dense_residual(model, w, u, y) <= RESIDUAL_TOL
 
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
     def test_spectrum_eliminates_at_most_half_its_points(self, builder, monkeypatch):
@@ -553,8 +607,11 @@ class TestMirroredSolve:
                 calls.clear()
                 position_spectrum(model, "a", g)
                 force_spectrum_numeric(model, spec, g)
-                # the force spectrum's e_a row takes its mate e_a_dag along
-                assert [k for _, k in calls] == [1, 2]
+                # the rwa spectrum solves u alone, and the force spectrum's e_a
+                # row takes its mate e_a_dag along; the full spectrum solves the
+                # pair e_a, e_a_dag once, and the force spectrum reads e_a
+                expected = [1, 2] if builder is build_rwa_system else [2]
+                assert [k for _, k in calls] == expected
                 assert all(w.size <= math.ceil(n / 2) + 1 for w, _ in calls)
 
     @pytest.mark.parametrize("rows", ROW_SETS)
@@ -575,6 +632,22 @@ class TestMirroredSolve:
         rows, cols = spectra._band(6, (a != 0).tobytes())
         assert rows == tuple(slice(j, 6, 1) for j in range(6))
         assert np.array_equal(spectra._eliminate(a, omegas, u), _dense_eliminate(a, omegas, u))
+
+
+def _dense_residual(model, omega, u, y):
+    """Worst ||y T - u|| / (||T||_F ||y||) of the rows ``y`` (k, d), T = -i*omega*I - A formed dense."""
+    t = -1j * omega * np.eye(model.dimension) - model.drift
+    rel = np.linalg.norm(y @ t - u, axis=1) / np.linalg.norm(y, axis=1) / np.linalg.norm(t)
+    return rel.max()
+
+
+def _noise(y):
+    """Seeded complex noise of 1e-6 of the largest |y| at each omega of the rows
+    ``y`` (n, k, d): it misses the residual gate at every omega, which a scaling
+    of y can pass near a resonance, where ||u|| is small against ||T|| ||y||."""
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=y.shape) + 1j * rng.normal(size=y.shape)
+    return 1e-6 * np.abs(y).max(axis=(1, 2))[:, None, None] * z
 
 
 def _record_eliminations(monkeypatch) -> list:
@@ -613,8 +686,9 @@ def _outputs(result) -> list:
 
 class TestModelMemo:
     """A DriftModel keeps the grids make_grid built for it, its drift
-    eigenvalues and its last position spectrum of each mode; nothing else
-    about a call may change."""
+    eigenvalues and its last position spectrum of each mode, with the
+    mode's e_select chi B where its pair was solved; nothing else about a
+    call may change."""
 
     def test_second_grid_is_the_same_object(self, spec50):
         model = build_full_system(spec50)
@@ -726,6 +800,98 @@ class TestModelMemo:
             with pytest.raises(ValueError, match="read-only"):
                 res.values[:] = -1.0
         assert _outputs(position_spectrum(model, "a", grid.halved())) == _outputs(coarse)
+
+
+def _direct_spectrum(model, select, points):
+    """S_xx from a direct solve of the one row u = e_select + e_select_dag."""
+    y = _solve_rows(model, points, spectra._quadrature(model, select)[None, :])[:, 0, :]
+    return np.abs(y @ model.noise_input) ** 2 @ model.input_correlations[0]
+
+
+class TestSharedPairSolve:
+    """A full model's spectrum solves mode a's pair e_a, e_a_dag once, and a
+    force spectrum on the same grid points reads e_a chi B from it; an RWA
+    model's spectrum solves u = e_a + e_a_dag alone."""
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_force_reads_the_kept_row(self, builder, monkeypatch):
+        calls = _record_eliminations(monkeypatch)
+        for spec in _criterion_7_draws(10):
+            model = builder(spec)
+            position_spectrum(model, "a")
+            calls.clear()
+            force = force_spectrum_numeric(model, spec)
+            # an rwa spectrum keeps no row, so its force spectrum solves e_a
+            assert [k for _, k in calls] == ([] if builder is build_full_system else [2])
+            assert _outputs(force) == _outputs(force_spectrum_numeric(builder(spec), spec))
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_each_miss_solves(self, builder, monkeypatch):
+        calls = _record_eliminations(monkeypatch)
+        for spec in _criterion_7_draws(5):
+            grid = make_grid(builder(spec))
+            other = make_grid(builder(spec), points_per_linewidth=30)
+            cases = [  # (spectrum mode, spectrum grid, force grid)
+                ("a", grid, other),
+                ("a", grid, grid.halved()),
+                ("b", grid, grid),
+                ("a", other, grid),
+            ]
+            for select, first, second in cases:
+                model = builder(spec)
+                position_spectrum(model, select, first)
+                calls.clear()
+                got = force_spectrum_numeric(model, spec, second)
+                assert [k for _, k in calls] == [2]
+                assert _outputs(got) == _outputs(force_spectrum_numeric(builder(spec), spec, second))
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_spectra_match_a_direct_row_solve(self, builder):
+        for spec in _criterion_7_draws(10):
+            model = builder(spec)
+            for select in ("a", "b", "c"):
+                res = position_spectrum(model, select)
+                direct = _direct_spectrum(model, select, res.grid.points)
+                if builder is build_rwa_system:
+                    assert np.array_equal(res.values, direct)
+                else:
+                    assert np.abs(res.values - direct).max() <= 1e-14 * direct.max()
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_summed_row_meets_the_gate_by_dense_residuals(self, builder, monkeypatch):
+        gate = spectra._gate
+        gated = []
+
+        def recorded(a, omegas, u, y):
+            gate(a, omegas, u, y)
+            gated.append((omegas, u, y))  # y is refined in place
+
+        monkeypatch.setattr(spectra, "_gate", recorded)
+        for spec in _criterion_7_draws(10):
+            model = builder(spec)
+            gated.clear()
+            position_spectrum(model, "a")
+            u = spectra._quadrature(model, "a")
+            (omegas, _, y), = [g for g in gated if np.array_equal(g[1], u[None, :])]
+            assert y.shape[1] == 1 and omegas.size == (make_grid(model).points.size + 1) // 2
+            for w, row in zip(omegas, y.T):
+                assert _dense_residual(model, w, u[None, :], row) <= RESIDUAL_TOL
+
+    def test_pair_split_follows_the_zero_pattern(self, monkeypatch):
+        # the RWA keeps each x and x_dag apart and the driven full model joins
+        # them; an undriven, uncoupled full model has the RWA's zero pattern,
+        # so it solves each spectrum's row u alone, as the RWA does
+        calls = _record_eliminations(monkeypatch)
+        spec, bare = make_spec(c_ab=50.0, c_om=5.0), make_spec(c_ab=0.0)
+        cases = ((build_rwa_system(spec), 1), (build_full_system(spec), 2), (build_full_system(bare), 1))
+        for model, rows in cases:
+            for select in ("a", "b", "c"):
+                calls.clear()
+                position_spectrum(model, select)
+                assert [k for _, k in calls] == [rows]
+        a = np.diag(-1.0 - 1j * np.arange(1.0, 7.0))
+        a[0, 5] = a[5, 0] = 0.5  # a joined to c_dag alone
+        assert spectra._blocks(6, (a != 0).tobytes()) == (0, 1, 2, 3, 4, 0)
 
 
 class TestPositionSpectrum:
@@ -908,6 +1074,11 @@ class TestModeLabels:
         for call in (steady_state_occupation, position_spectrum):
             with pytest.raises(ValueError, match=f"unknown mode label {select!r}; have"):
                 call(model, select)
+
+    def test_force_spectrum_needs_an_a_mode(self):
+        model = replace(build_full_system(self.SPEC), labels=("p", "p_dag", "b", "b_dag", "c", "c_dag"))
+        with pytest.raises(ValueError, match="unknown mode label 'a'; have"):
+            force_spectrum_numeric(model, self.SPEC)
 
     def test_each_mode_keeps_its_occupation(self):
         # the covariance and the quadrature of modes a, b and c, full model;
