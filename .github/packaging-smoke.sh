@@ -6,8 +6,8 @@
 # tier-1 imports from src/, so only an installed wheel shows a missing
 # data file (data/materials.json) or a broken console script; the
 # full-fidelity spectrum runs the susceptibility solver from the wheel on
-# the two-row pair (e_a and its conjugate mate e_a_dag, summed into the
-# a + a_dag row), sense the e_a row, which takes its mate along; spectrum
+# the joint rows a + a_dag and e_a, which take e_a's conjugate mate e_a_dag
+# along, sense the e_a row, which takes its mate along too; spectrum
 # and sense at rwa run the rotating-wave band, whose step-2 fill keeps
 # its own right-hand-side update, and must exit 0 with an empty stderr; the
 # full-fidelity optimum and sweep the Lyapunov solve and its

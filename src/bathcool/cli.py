@@ -46,8 +46,8 @@ TWO_PI = 2.0 * math.pi
 TASKS = ("spectrum", "sweep", "optimize", "design", "sense")
 MODES = ("a", "b", "c")
 # most grid points of a [grid] and C_OM points of a [sweep]: at 1e5 points the
-# full spectrum's elimination of a row pair, a (6, 8, n/2) stack over omega >= 0,
-# takes 38 MB, a full sweep 800 MiB
+# full spectrum's elimination of its rows a + a_dag, e_a and e_a_dag, a (6, 9, n/2)
+# stack over omega >= 0, takes 43 MB, a full sweep 800 MiB
 _MAX_GRID_POINTS = 100_000
 
 # section -> {key: required}

@@ -183,7 +183,7 @@ class DriftModel:
         object.__setattr__(self, "noise_input", b)
         object.__setattr__(self, "input_correlations", c)
         # spectra's grids, eigenvalues and last position spectrum per mode of this
-        # model, with the mode's e_select chi B where the spectrum solved its pair
+        # model, with the mode's e_select chi B where the spectrum solved that row
         object.__setattr__(self, "_memo", {})
         if a.shape != (self.dimension, self.dimension):
             raise ValueError("drift must be square with `dimension` rows")

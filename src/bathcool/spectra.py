@@ -234,46 +234,46 @@ def _clusters(eigs: np.ndarray) -> list:
 
 
 def _mirrors(omegas: np.ndarray) -> tuple:
-    """``(mirror, solve, at)``: the omegas < 0 whose exact negation is in ``omegas``,
-    the others, and where in ``omegas[solve]`` each mirror's negation is.  ValueError
-    unless ``omegas`` is strictly increasing.  Slices, found by no search, when
-    ``omegas`` is its own mirror image, as every made grid is; else index arrays."""
+    """``(mirror, solve, at)`` slices: the omegas mirrored from their negations,
+    the omegas solved, and where in ``omegas[solve]`` each mirror's negation is.
+    The omegas < 0 are mirrored when they negate the largest omegas, as on
+    every made grid and its halving; else none is.  Found by no search.
+    ValueError unless ``omegas`` is strictly increasing."""
     if not np.all(np.diff(omegas) > 0):
         raise ValueError("omegas must be strictly increasing")
     n, h = omegas.size, int(np.searchsorted(omegas, 0.0))  # the omegas < 0 come first
     if h and np.array_equal(omegas[n - h :], -omegas[h - 1 :: -1]):
         return slice(h - 1, None, -1), slice(h, None), slice(n - 2 * h, n - h)
-    mirror = np.flatnonzero(np.isin(-omegas[:h], omegas))
-    solve = np.delete(np.arange(n), mirror)
-    return mirror, solve, np.searchsorted(omegas[solve], -omegas[mirror])
+    return slice(0), slice(None), slice(0)
 
 
 def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Rows ``rows @ chi(omega)`` of the susceptibility, shape (n, k, d).
 
     Solves y T = u with T = -i*omega*I - A for each of the k rows u of
-    ``rows`` (:func:`_eliminate`).  An omega < 0 whose negation is also in
-    ``omegas`` is not eliminated: as A = P conj(A) P (:class:`DriftModel`),
-    its row is y_u(-omega) = conj(y_u'(omega)) P with u' = conj(u) P, so the
-    elimination also solves the rows u' where ``rows`` does not already
-    hold them, on any grid.
-    ``omegas`` must be strictly increasing (:func:`_mirrors`, ValueError);
-    a made grid's rows are placed by slices.  No eigen or Schur transform.
+    ``rows`` (:func:`_eliminate`).  As A = P conj(A) P (:class:`DriftModel`),
+    the row at -omega is y_u(-omega) = conj(y_u'(omega)) P, u' = conj(u) P
+    the mate of u, so an omega < 0 that :func:`_mirrors` pairs with its
+    negation is not eliminated.  One elimination solves the rows and the
+    mates they lack: rows [u, e_a] with u = e_a + e_a_dag, its own mate,
+    solve the three rows u, e_a and e_a_dag.  ``omegas`` must be strictly
+    increasing (ValueError).  No eigen or Schur transform.
 
-    The eliminated rows, mates included, are gated and refined where they
+    This is the one place rows are eliminated, gated and mirrored.  The
+    eliminated rows, mates included, are gated and refined where they
     were eliminated (:func:`_gate`), before the mirrored rows are placed:
     T(-omega) = P conj(T(omega)) P exactly, so a mirrored row's residual
     is its twin's, conjugated and permuted, and a mirrored row is bitwise
     the conjugate of its twin's gated, refined value.  So every returned
     row meets the gate, and a grid with nothing to mirror is gated at
-    every point.
+    every point.  Each row's bits do not depend on the other rows solved
+    with it, unless the gate refines them.
 
     The rows at one omega do not depend on the other omegas: the
-    elimination, the gate and the refinement work omega by omega, and an
-    omega < 0 is mirrored whenever its negation is in ``omegas``.  So a
-    sub-grid holding the negation of each of its omegas < 0 gets the
-    full grid's bits at its points (:func:`position_spectrum` reads its
-    halved grid so).
+    elimination, the gate and the refinement work omega by omega.  So a
+    mirror-symmetric grid and its halving, which :func:`_mirrors` pairs
+    throughout, give the same bits at the points they share
+    (:func:`position_spectrum` reads its halved grid so).
     """
     a = model.drift
     u = np.asarray(rows, dtype=complex)
@@ -282,24 +282,15 @@ def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.n
     mirror, solve, at = _mirrors(omegas)
     mates = u[:, perm].conj()
     hits = np.all(mates[:, None, :] == u[None, :, :], axis=2)
-    if hits.any(axis=1).all():
-        solved, twin = u, hits.argmax(axis=1)
-    else:
-        solved, twin = np.concatenate((u, mates)), slice(k, 2 * k)
-    z = _eliminate(a, omegas[solve], solved).T  # (d, k or 2k, n_solve)
+    lack = ~hits.any(axis=1)
+    solved = np.concatenate((u, mates[lack]))
+    twin = np.where(lack, k - 1 + np.cumsum(lack), hits.argmax(axis=1))  # each row's mate in solved
+    z = _eliminate(a, omegas[solve], solved).T  # (d, k + mates lacked, n_solve)
     _gate(a, omegas[solve], solved, z)
-    return _place(z, k, omegas.size, (mirror, solve, at), perm, twin).T
-
-
-def _place(z: np.ndarray, k: int, n: int, mirrors: tuple, perm: np.ndarray, twin) -> np.ndarray:
-    """Rows (d, k, n) on all n omegas from the first k of the rows ``z``
-    (d, k', n_solve) solved at ``solve`` of ``mirrors = (mirror, solve, at)``
-    (:func:`_mirrors`): a mirrored row is conj(z[:, twin]) P at its negation."""
-    mirror, solve, at = mirrors
-    y = np.empty((z.shape[0], k, n), dtype=complex)
+    y = np.empty((z.shape[0], k, omegas.size), dtype=complex)
     y[..., solve] = z[:, :k]
     y[..., mirror] = z[..., at][perm][:, twin].conj()
-    return y
+    return y.T
 
 
 def _gate(a: np.ndarray, omegas: np.ndarray, u: np.ndarray, y: np.ndarray):
@@ -470,19 +461,18 @@ def position_spectrum(
     covers both +-omega resonances and, as :class:`DriftModel` holds the
     correlations >= 0, is >= 0 unclipped.  Refuses unstable models.
 
-    Where no path joins ``select`` and ``select_dag`` in the graph of
-    A != 0 (:func:`_blocks`; every RWA drift), u is solved as one row.
-    Where one does (every full drift), the pair e_select, e_select_dag is
-    solved in one elimination (:func:`_solve_rows`), and u chi is the sum
-    of the two rows.  That sum keeps its own residual gate (:func:`_gate`)
-    where the pair was eliminated, and is mirrored from there as a solved
-    row is.  The model then keeps e_select chi B beside the spectrum,
-    which :func:`force_spectrum_numeric` reads on the same grid points
-    instead of solving again.
+    One row solve (:func:`_solve_rows`) gives the values.  Where no path
+    joins ``select`` and ``select_dag`` in the graph of A != 0
+    (:func:`_blocks`; every RWA drift), it solves u alone.  Where one does
+    (every full drift), it solves [u, e_select], to which the row solve
+    adds e_select's mate e_select_dag, and the model keeps e_select chi B
+    beside the spectrum, which :func:`force_spectrum_numeric` reads on the
+    same grid points instead of solving again.  Each row's bits are its
+    own solve's, so the values are those of u solved alone.
 
     The model keeps its last solved spectrum of each mode.  A ``grid``
-    that is its own mirror image and the :meth:`FrequencyGrid.halved` of
-    that spectrum's grid takes its values from it, with no solve: each
+    that is the :meth:`FrequencyGrid.halved` of that spectrum's grid, both
+    their own mirror images, takes its values from it, with no solve: each
     omega's row is solved on its own (:func:`_solve_rows`), so they are
     the bits a solve would give.  ``values`` is read-only.
     """
@@ -494,20 +484,11 @@ def position_spectrum(
     else:
         grid = _grid(model, grid)
         u = _quadrature(model, select)
-        c = model.index(select + "_dag")
         blocks = _blocks(model.dimension, (model.drift != 0).tobytes())
-        if blocks[r] != blocks[c]:
-            y, kept = _solve_rows(model, grid.points, u[None, :])[:, 0, :], None
-        else:
-            pair = _solve_rows(model, grid.points, np.eye(model.dimension)[[r, c]]).T
-            mirrors = _mirrors(grid.points)
-            # u chi where the pair was eliminated, gated there, then mirrored
-            z = pair[:, :1, mirrors[1]] + pair[:, 1:, mirrors[1]]
-            _gate(model.drift, grid.points[mirrors[1]], u[None, :], z)
-            perm = _conjugate_swap(model.labels)
-            y = _place(z, 1, grid.points.size, mirrors, perm, [0]).T[:, 0, :]
-            kept = pair.T[:, 0, :] @ model.noise_input
-        values = np.abs(y @ model.noise_input) ** 2 @ model.input_correlations[0]
+        joined = blocks[r] == blocks[model.index(select + "_dag")]
+        y = _solve_rows(model, grid.points, [u, np.eye(model.dimension)[r]] if joined else [u])
+        values = np.abs(y[:, 0] @ model.noise_input) ** 2 @ model.input_correlations[0]
+        kept = y[:, 1] @ model.noise_input if joined else None
         model._memo[key] = (grid.points, values, kept)
     values.setflags(write=False)
     n_eff, err = integrate_occupation(grid, values)
@@ -528,17 +509,18 @@ def position_spectrum(
 
 
 def _reads_halved(points: np.ndarray, solved: np.ndarray | None) -> bool:
-    """Whether ``points`` are their own mirror image and the halved ``solved``.
+    """Whether ``points`` are the halved ``solved``, both their own mirror images.
 
-    Each omega < 0 of a mirror image has its negation in it and so in
-    ``solved``: both solves mirror it (:func:`_solve_rows`), and the
-    halved values are the solved grid's bit for bit.  Only the halving is
+    Both solves then mirror every omega < 0 (:func:`_mirrors`), and the
+    halved values are the solved grid's bit for bit; a grid that is not
+    its own mirror image may be eliminated at every point.  Only the halving is
     tested, not any subset: its indices come from :func:`_every_other`,
     by no search, and it is the one sub-grid a caller asks for
     (criterion 7's refinement check).
     """
     return (
         solved is not None
+        and np.array_equal(solved, -solved[::-1])
         and np.array_equal(points, -points[::-1])
         and np.array_equal(points, solved[_every_other(solved.size)])
     )
@@ -573,30 +555,68 @@ def steady_state_occupation(model: DriftModel, select: str) -> float:
     Q = B diag(<xi xi^dag>) B^T, and u = e_select + e_select_dag, so
     u Sigma u^T = <x^2> is the integral (1/2pi) int S_xx dw that
     :func:`position_spectrum` approximates by quadrature.  The equation
-    is exact, and its backward-stable solve (:func:`_stacked_occupations`)
-    is accurate to eps*max|lam|/min(-Re lam) relative at worst, lam the
+    is exact, and its backward-stable solve (:func:`_occupations`) is
+    accurate to eps*max|lam|/min(-Re lam) relative at worst, lam the
     drift eigenvalues.  Refuses unstable models; NumericsError when the
     Lyapunov residual exceeds RESIDUAL_TOL.
     """
-    (n_eff,) = _stacked_occupations(
-        model.drift[None],
-        model.noise_input[None],
-        model.input_correlations[0][None],
-        _mode(model, select),
-        _conjugate_swap(model.labels),
+    noise = _prepare_noise(
+        model.noise_input[None], model.input_correlations[0][None], _conjugate_swap(model.labels)
     )
+    (n_eff,) = _occupations(noise, model.drift[None], _mode(model, select))
     if isinstance(n_eff, BathcoolError):
         raise n_eff
     return n_eff
 
 
-def _stacked_occupations(a, b, weights, r, perm, a1=None) -> list:
+@dataclass(frozen=True)
+class _Noise:
+    """What :func:`_occupations` needs of a pencil that no drift moves.
+
+    ``fold`` holds :func:`_fold`'s tables for the conjugate swap ``perm``.
+    The arrays have one row per distinct Q, broadcasting over the points
+    like the noise inputs: ``qf`` is the folded Q that is solved, ``qs``
+    its Hermitian matrix, ``q_floor`` a Gershgorin lower bound on its
+    lambda_min and ``q_norm`` its Frobenius norm.  ``a1`` is the folded
+    operator of dA/dG, or None when no slope is solved.
+    """
+
+    perm: np.ndarray
+    fold: tuple
+    qf: np.ndarray
+    qs: np.ndarray
+    q_floor: np.ndarray
+    q_norm: np.ndarray
+    a1: np.ndarray | None
+
+
+def _prepare_noise(b, weights, perm, a1=None) -> _Noise:
+    """The :class:`_Noise` of the noise inputs ``b``, their <xi xi^dag>
+    ``weights`` and the slope's ``a1`` (see :func:`_occupations`)."""
+    d = b.shape[-2]
+    fold = _fold(d, tuple(perm.tolist()))
+    op, qmap, unfold, _ = fold
+    m = qmap.shape[1]
+    eps = np.finfo(float).eps
+    q = (b * weights[..., None, :]) @ b.swapaxes(-1, -2)
+    qf = (q.reshape(q.shape[:-2] + (d * d,)) @ qmap).reshape(-1, m)  # the Q that is solved
+    qs = _hermitian(qf, unfold, d)
+    # Gershgorin: lambda_min(Q) >= min_i Q_ii - sum_(j != i) |Q_ij|; 2 d eps covers its rounding
+    rows = (1 + 2 * d * eps) * np.abs(qs).sum(axis=2)
+    q_floor = (2 * qs.diagonal(axis1=1, axis2=2).real - rows).min(axis=1)
+    if a1 is not None:
+        a1 = _operator(a1, op, m)
+    return _Noise(perm, fold, qf, qs, q_floor, np.linalg.norm(qs, axis=(1, 2)), a1)
+
+
+def _occupations(noise: _Noise, a, r) -> list:
     """Occupation of x = v_r + v_c, c = perm[r], at every drift of the stack ``a``.
 
-    ``a`` is (n, d, d), the noise inputs ``b`` and <xi xi^dag> weights
-    broadcast against it, and its finite drifts and ``a1`` satisfy
-    A = P conj(A) P, P the conjugate swap ``perm`` (:class:`DriftModel`).
-    Entry i is a float or the BathcoolError of point i.  Sigma comes from
+    ``noise`` is what no drift of the pencil moves (:func:`_prepare_noise`),
+    prepared once per pencil by a sweep.  ``a`` is (n, d, d), the noise
+    inputs and <xi xi^dag> weights broadcast against it, and its finite
+    drifts and ``a1`` satisfy A = P conj(A) P, P the conjugate swap
+    ``perm`` (:class:`DriftModel`).  Entry i is a float or the BathcoolError of point i.  Sigma comes from
     one batched real linear solve of A Sigma + Sigma A^dag = -Q on its
     real coordinates (:func:`_fold`), LU with partial pivoting: backward
     stable however ill-conditioned the eigenbasis, so there is no
@@ -624,66 +644,14 @@ def _stacked_occupations(a, b, weights, r, perm, a1=None) -> list:
     eigensolve first; an uncertified point that its eigenvalues call
     stable keeps its S under the residual gate.
 
-    Given ``a1``, the dA/dG of a drift A0 + G*A1 (broadcasting like
-    ``b``), the float of entry i becomes ``(n, dn/dG)``: dSigma/dG solves
+    Given ``a1``, the dA/dG of a drift A0 + G*A1 (broadcasting like the
+    noise inputs), the float of entry i becomes ``(n, dn/dG)``: dSigma/dG solves
     A S + S A^dag + A1 Sigma + Sigma A1^dag = 0 on the same operator.
 
     Every gate fails on a non-finite value, so a point whose norms or
     Sigma overflow is decided by the eigensolve and the residual gate; the
     sweeps call this with numpy's overflow and invalid warnings off.
-
-    This is the one-shot form: :func:`_prepare_noise` forms what no drift
-    moves (``_fold``'s tables, the folded Q, its floor and norm, the
-    folded operator of ``a1``), then :func:`_occupations` solves the
-    stack.  A sweep prepares each pencil's noise side once and calls only
-    :func:`_occupations` per stack.
     """
-    return _occupations(_prepare_noise(b, weights, perm, a1), a, r)
-
-
-@dataclass(frozen=True)
-class _Noise:
-    """What :func:`_stacked_occupations` needs of a pencil that no drift moves.
-
-    ``fold`` holds :func:`_fold`'s tables for the conjugate swap ``perm``.
-    The arrays have one row per distinct Q, broadcasting over the points
-    like the noise inputs: ``qf`` is the folded Q that is solved, ``qs``
-    its Hermitian matrix, ``q_floor`` a Gershgorin lower bound on its
-    lambda_min and ``q_norm`` its Frobenius norm.  ``a1`` is the folded
-    operator of dA/dG, or None when no slope is solved.
-    """
-
-    perm: np.ndarray
-    fold: tuple
-    qf: np.ndarray
-    qs: np.ndarray
-    q_floor: np.ndarray
-    q_norm: np.ndarray
-    a1: np.ndarray | None
-
-
-def _prepare_noise(b, weights, perm, a1=None) -> _Noise:
-    """The :class:`_Noise` of the noise inputs ``b``, their <xi xi^dag>
-    ``weights`` and the slope's ``a1`` (see :func:`_stacked_occupations`)."""
-    d = b.shape[-2]
-    fold = _fold(d, tuple(perm.tolist()))
-    op, qmap, unfold, _ = fold
-    m = qmap.shape[1]
-    eps = np.finfo(float).eps
-    q = (b * weights[..., None, :]) @ b.swapaxes(-1, -2)
-    qf = (q.reshape(q.shape[:-2] + (d * d,)) @ qmap).reshape(-1, m)  # the Q that is solved
-    qs = _hermitian(qf, unfold, d)
-    # Gershgorin: lambda_min(Q) >= min_i Q_ii - sum_(j != i) |Q_ij|; 2 d eps covers its rounding
-    rows = (1 + 2 * d * eps) * np.abs(qs).sum(axis=2)
-    q_floor = (2 * qs.diagonal(axis1=1, axis2=2).real - rows).min(axis=1)
-    if a1 is not None:
-        a1 = _operator(a1, op, m)
-    return _Noise(perm, fold, qf, qs, q_floor, np.linalg.norm(qs, axis=(1, 2)), a1)
-
-
-def _occupations(noise: _Noise, a, r) -> list:
-    """The entries of :func:`_stacked_occupations` at every drift of the
-    stack ``a``, given its pencil's prepared ``noise`` side."""
     results = [None] * a.shape[0]
     finite = np.isfinite(a).all(axis=(1, 2))
     for i in np.flatnonzero(~finite):
@@ -882,13 +850,11 @@ def integrate_occupation(grid: FrequencyGrid | np.ndarray, values: np.ndarray) -
     Trapezoidal quadrature on the adaptive grid with an analytic
     Lorentzian-tail correction beyond the grid edges.  Returns
     ``(n_eff, relative_error_estimate)``; raises CoverageError when the
-    raw tail estimate exceeds 1% of the integral.
+    raw tail estimate exceeds 1% of the integral.  A bare array of points
+    must pass :class:`FrequencyGrid`'s checks, and ``values`` match it
+    (ValueError).
     """
-    points = grid.points if isinstance(grid, FrequencyGrid) else np.asarray(grid)
-    values = np.asarray(values, dtype=float)
-    if points.shape != values.shape:
-        raise ValueError("grid and values must have matching shapes")
-
+    points, values = _sampled(grid, values)
     raw = float(_trapezoid(values, points))
     idx = _every_other(points.size)
     coarse = float(_trapezoid(values[idx], points[idx]))
@@ -907,6 +873,17 @@ def integrate_occupation(grid: FrequencyGrid | np.ndarray, values: np.ndarray) -
     n_eff = total / (2.0 * math.pi) / 2.0 - 0.5
     rel_err = (err_quad + 0.05 * tail) / max(abs(total), 1e-300)
     return n_eff, rel_err
+
+
+def _sampled(grid: FrequencyGrid | np.ndarray, values: np.ndarray) -> tuple:
+    """``(points, values)`` as floats: a bare array is checked as a grid's
+    points (at least 4, strictly increasing) and copied, not frozen."""
+    if not isinstance(grid, FrequencyGrid):
+        grid = FrequencyGrid(np.array(grid, dtype=float), ())
+    values = np.asarray(values, dtype=float)
+    if grid.points.shape != values.shape:
+        raise ValueError("grid and values must have matching shapes")
+    return grid.points, values
 
 
 def _lorentz(params, omega):
@@ -941,12 +918,10 @@ def fit_lorentzian(
     the fit does not converge in MAX_FIT_EVALUATIONS evaluations, the
     residual exceeds 5% of the peak, or the fitted FWHM is below the grid
     spacing at the center (a line the grid does not resolve).  Mismatched
-    ``grid`` and ``values`` shapes are a ValueError.
+    ``grid`` and ``values`` shapes, or a bare array of points that fails
+    :class:`FrequencyGrid`'s checks, are a ValueError.
     """
-    points = grid.points if isinstance(grid, FrequencyGrid) else np.asarray(grid)
-    values = np.asarray(values, dtype=float)
-    if points.shape != values.shape:
-        raise ValueError("grid and values must have matching shapes")
+    points, values = _sampled(grid, values)
     lo, hi = window
     mask = (points >= lo) & (points <= hi)
     x = points[mask]

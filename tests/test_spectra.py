@@ -436,13 +436,21 @@ class TestMirroredSolve:
             model = builder(spec)
             omegas = make_grid(model).points
             u = ROW_SETS[rows](model)
-            # grids with nothing to mirror, criterion 7's probe and the made grid
-            # shifted off its mirrors, are eliminated throughout, e_a's mate alongside
+            # grids that are not their own mirror image are eliminated throughout,
+            # e_a's mate alongside: criterion 7's probe, the made grid shifted off
+            # its mirrors, the made grid with every third negative point dropped,
+            # and the made grid with extra points on both sides of zero
             wa, ga = spec.mode_a.omega, spec.mode_a.gamma
-            for unmirrored in (wa + ga * np.array([-2.0, -1.0, 0.0, 1.0]), omegas + ga / 3):
-                assert spectra._mirrors(unmirrored)[0].size == 0
-                direct = spectra._eliminate(model.drift, unmirrored, u)
-                assert np.array_equal(_solve_rows(model, unmirrored, u), direct)
+            unmirrored = (
+                wa + ga * np.array([-2.0, -1.0, 0.0, 1.0]),
+                omegas + ga / 3,
+                np.delete(omegas, np.arange(0, omegas.size // 2, 3)),
+                np.union1d(omegas, omegas[::50] + ga / 3),
+            )
+            for w in unmirrored:
+                assert spectra._mirrors(w) == (slice(0), slice(None), slice(0))
+                direct = spectra._eliminate(model.drift, w, u)
+                assert np.array_equal(_solve_rows(model, w, u), direct)
             got = _solve_rows(model, omegas, u)
             neg = omegas < 0
             direct = spectra._eliminate(model.drift, omegas[neg], u)
@@ -452,30 +460,6 @@ class TestMirroredSolve:
             assert np.all(err <= 1e-14 * np.abs(direct).max(axis=(1, 2)))
             solved = spectra._eliminate(model.drift, omegas[~neg], u)
             assert np.array_equal(got[~neg], solved)
-
-    @pytest.mark.parametrize("rows", ROW_SETS)
-    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
-    def test_rows_placed_by_index_arrays(self, builder, rows):
-        # grids whose mirrored and solved points are not runs: a made grid
-        # with every third negative point dropped, and one with extra points
-        # that nothing mirrors, on both sides of zero
-        for spec in _criterion_7_draws(10):
-            model = builder(spec)
-            points = make_grid(model).points
-            u = ROW_SETS[rows](model)
-            dropped = np.delete(points, np.arange(0, points.size // 2, 3))
-            extra = np.union1d(points, points[::50] + spec.mode_a.gamma / 3)
-            for omegas in (dropped, extra):
-                mirror, solve, at = spectra._mirrors(omegas)
-                assert not isinstance(mirror, slice) and not isinstance(solve, slice)
-                mirrored = np.isin(np.arange(omegas.size), mirror)
-                assert mirrored.any()
-                got = _solve_rows(model, omegas, u)
-                solved = spectra._eliminate(model.drift, omegas[~mirrored], u)
-                assert np.array_equal(got[~mirrored], solved)
-                direct = spectra._eliminate(model.drift, omegas[mirrored], u)
-                err = np.abs(got[mirrored] - direct).max(axis=(1, 2))
-                assert np.all(err <= 1e-14 * np.abs(direct).max(axis=(1, 2)))
 
     def test_made_grids_are_placed_by_slices(self, spec50):
         grid = make_grid(build_full_system(spec50))
@@ -608,9 +592,9 @@ class TestMirroredSolve:
                 position_spectrum(model, "a", g)
                 force_spectrum_numeric(model, spec, g)
                 # the rwa spectrum solves u alone, and the force spectrum's e_a
-                # row takes its mate e_a_dag along; the full spectrum solves the
-                # pair e_a, e_a_dag once, and the force spectrum reads e_a
-                expected = [1, 2] if builder is build_rwa_system else [2]
+                # row takes its mate e_a_dag along; the full spectrum solves u and
+                # e_a, with e_a's mate e_a_dag, once, and the force spectrum reads e_a
+                expected = [1, 2] if builder is build_rwa_system else [3]
                 assert [k for _, k in calls] == expected
                 assert all(w.size <= math.ceil(n / 2) + 1 for w, _ in calls)
 
@@ -687,7 +671,7 @@ def _outputs(result) -> list:
 class TestModelMemo:
     """A DriftModel keeps the grids make_grid built for it, its drift
     eigenvalues and its last position spectrum of each mode, with the
-    mode's e_select chi B where its pair was solved; nothing else about a
+    mode's e_select chi B where the spectrum solved that row; nothing else about a
     call may change."""
 
     def test_second_grid_is_the_same_object(self, spec50):
@@ -777,8 +761,15 @@ class TestModelMemo:
             lopsided = spectra.FrequencyGrid(lopsided, clusters)
             x = (points[-2] + points[-3]) / 2.0  # between two points of the made grid
             extra = spectra.FrequencyGrid(np.union1d(grid.halved().points, [-x, x]), clusters)
+            # not its own mirror image, so eliminated throughout, though its halving
+            # is: a negative point the halving drops (an odd index) moved
+            i = points.size // 4 | 1
+            nudged = points.copy()
+            nudged[i] = (points[i - 1] + points[i]) / 2.0
+            nudged = spectra.FrequencyGrid(nudged, clusters)
             cases = [  # (mode, grid) solved first, then (mode, grid) that must be solved too
                 (("a", lopsided), ("a", lopsided.halved())),
+                (("a", nudged), ("a", nudged.halved())),
                 (("a", grid), ("a", extra)),
                 (("a", grid.halved()), ("a", grid)),
                 (("a", grid), ("b", grid.halved())),
@@ -809,9 +800,9 @@ def _direct_spectrum(model, select, points):
 
 
 class TestSharedPairSolve:
-    """A full model's spectrum solves mode a's pair e_a, e_a_dag once, and a
-    force spectrum on the same grid points reads e_a chi B from it; an RWA
-    model's spectrum solves u = e_a + e_a_dag alone."""
+    """A full model's spectrum solves u = e_a + e_a_dag and e_a, with e_a's
+    mate e_a_dag, in one elimination, and a force spectrum on the same grid
+    points reads e_a chi B from it; an RWA model's spectrum solves u alone."""
 
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
     def test_force_reads_the_kept_row(self, builder, monkeypatch):
@@ -851,11 +842,7 @@ class TestSharedPairSolve:
             model = builder(spec)
             for select in ("a", "b", "c"):
                 res = position_spectrum(model, select)
-                direct = _direct_spectrum(model, select, res.grid.points)
-                if builder is build_rwa_system:
-                    assert np.array_equal(res.values, direct)
-                else:
-                    assert np.abs(res.values - direct).max() <= 1e-14 * direct.max()
+                assert np.array_equal(res.values, _direct_spectrum(model, select, res.grid.points))
 
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
     def test_summed_row_meets_the_gate_by_dense_residuals(self, builder, monkeypatch):
@@ -867,15 +854,18 @@ class TestSharedPairSolve:
             gated.append((omegas, u, y))  # y is refined in place
 
         monkeypatch.setattr(spectra, "_gate", recorded)
+        # one gate per spectrum solve, over every row it eliminated: the summed
+        # row u = e_a + e_a_dag, and on the full model e_a and e_a_dag too
         for spec in _criterion_7_draws(10):
             model = builder(spec)
             gated.clear()
             position_spectrum(model, "a")
-            u = spectra._quadrature(model, "a")
-            (omegas, _, y), = [g for g in gated if np.array_equal(g[1], u[None, :])]
-            assert y.shape[1] == 1 and omegas.size == (make_grid(model).points.size + 1) // 2
-            for w, row in zip(omegas, y.T):
-                assert _dense_residual(model, w, u[None, :], row) <= RESIDUAL_TOL
+            (omegas, u, y), = gated
+            assert np.array_equal(u[0], spectra._quadrature(model, "a"))
+            assert u.shape[0] == (1 if builder is build_rwa_system else 3)
+            assert omegas.size == (make_grid(model).points.size + 1) // 2
+            for w, rows in zip(omegas, y.T):
+                assert _dense_residual(model, w, u, rows) <= RESIDUAL_TOL
 
     def test_pair_split_follows_the_zero_pattern(self, monkeypatch):
         # the RWA keeps each x and x_dag apart and the driven full model joins
@@ -883,7 +873,7 @@ class TestSharedPairSolve:
         # so it solves each spectrum's row u alone, as the RWA does
         calls = _record_eliminations(monkeypatch)
         spec, bare = make_spec(c_ab=50.0, c_om=5.0), make_spec(c_ab=0.0)
-        cases = ((build_rwa_system(spec), 1), (build_full_system(spec), 2), (build_full_system(bare), 1))
+        cases = ((build_rwa_system(spec), 1), (build_full_system(spec), 3), (build_full_system(bare), 1))
         for model, rows in cases:
             for select in ("a", "b", "c"):
                 calls.clear()
@@ -1198,9 +1188,8 @@ def _model_stack(models):
 def _batch(models):
     """Mode a's covariance entries of ``models`` from one stacked solve."""
     drifts, b, weights, labels = _model_stack(models)
-    return spectra._stacked_occupations(
-        drifts, b, weights, labels.index("a"), _conjugate_swap(labels)
-    )
+    noise = spectra._prepare_noise(b, weights, _conjugate_swap(labels))
+    return spectra._occupations(noise, drifts, labels.index("a"))
 
 
 def _entry(e):
@@ -1473,7 +1462,7 @@ class TestStabilityCertificate:
         unstable = np.any(eigvals(forms).real >= 0, axis=1)
         seen = [np.empty((0, d, d))]
         monkeypatch.setattr(np.linalg, "eigvals", lambda x: seen.append(x) or eigvals(x))
-        entries = spectra._stacked_occupations(drifts, b, weights, 0, perm)
+        entries = spectra._occupations(spectra._prepare_noise(b, weights, perm), drifts, 0)
         monkeypatch.undo()
         assert [isinstance(e, UnstableSystemError) for e in entries] == unstable.tolist()
         assert np.array_equal(np.concatenate(seen), forms[unstable])
@@ -1544,34 +1533,36 @@ def _bits(entries):
 
 class TestPreparedNoise:
     """A sweep prepares each pencil's noise side once and solves only its
-    drift stacks: every entry is bitwise the one-shot _stacked_occupations'."""
+    drift stacks: every entry is bitwise the one of a preparation per call."""
 
     def _one_pencil(self, drifts, b, weights, labels, a1=None):
-        """One preparation over a one-point stack and the rest, against the
-        one-shot solve of the whole stack with a noise row per point."""
+        """One preparation over a one-point stack and the rest, against a
+        preparation of the whole stack with a noise row per point."""
         perm = _conjugate_swap(labels)
         noise = spectra._prepare_noise(b, weights, perm, a1)
         parts = (drifts[:1], drifts[1:])
         prepared = [e for part in parts for e in spectra._occupations(noise, part, 0)]
         per_point = lambda x: None if x is None else np.repeat(x[None], len(drifts), axis=0)
-        one_shot = spectra._stacked_occupations(
-            drifts, per_point(b), per_point(weights), 0, perm, per_point(a1)
+        per_call = spectra._occupations(
+            spectra._prepare_noise(per_point(b), per_point(weights), perm, per_point(a1)), drifts, 0
         )
-        assert _bits(prepared) == _bits(one_shot)
+        assert _bits(prepared) == _bits(per_call)
         return prepared
 
     def _many_pencils(self, drifts, b, weights, labels, a1=None):
-        """One preparation of a pencil per point, against one-shot solves point by point."""
+        """One preparation of a pencil per point, against a preparation per one-point call."""
         perm = _conjugate_swap(labels)
         prepared = spectra._occupations(spectra._prepare_noise(b, weights, perm, a1), drifts, 0)
-        one_shot = [
+        per_call = [
             e
             for i in range(len(drifts))
-            for e in spectra._stacked_occupations(
-                drifts[i : i + 1], b[i], weights[i], 0, perm, None if a1 is None else a1[i]
+            for e in spectra._occupations(
+                spectra._prepare_noise(b[i], weights[i], perm, None if a1 is None else a1[i]),
+                drifts[i : i + 1],
+                0,
             )
         ]
-        assert _bits(prepared) == _bits(one_shot)
+        assert _bits(prepared) == _bits(per_call)
         return prepared
 
     @pytest.mark.parametrize("slopes", [False, True])
@@ -1682,6 +1673,19 @@ class TestIntegration:
         with pytest.raises(ValueError):
             integrate_occupation(np.arange(10.0), np.arange(9.0))
 
+    @pytest.mark.parametrize(
+        "points", [[], [1.0], np.linspace(50.0, -50.0, 2001)], ids=["empty", "one-point", "decreasing"]
+    )
+    def test_bare_points_are_checked_as_a_grid(self, points):
+        # the decreasing points carry a line of n = 1.07, which the trapezoid
+        # would integrate to -2.05
+        points = np.array(points)
+        values = 2.0 * (2.0 * 1.07 + 1.0) / 0.5 * 0.25 / (points**2 + 0.25)
+        with pytest.raises(ValueError, match="at least 4 points|strictly increasing"):
+            integrate_occupation(points, values)
+        if points.size > 1:  # the same line on increasing points
+            assert integrate_occupation(points[::-1], values[::-1])[0] == pytest.approx(1.07, rel=1e-5)
+
 
 class TestLorentzFit:
     def test_recovers_synthetic_line(self):
@@ -1693,6 +1697,21 @@ class TestLorentzFit:
         assert fit.center == pytest.approx(center, abs=1e-6 * fwhm)
         assert fit.fwhm == pytest.approx(fwhm, rel=1e-6)
         assert fit.area == pytest.approx(amp * math.pi * hw, rel=1e-6)
+        assert x.flags.writeable  # the points are checked as a grid's, not frozen
+
+    @pytest.mark.parametrize(
+        "points", [[], [1.0], np.arange(5.0, -5.001, -0.25)], ids=["empty", "one-point", "decreasing"]
+    )
+    def test_bare_points_are_checked_as_a_grid(self, points):
+        # a FWHM 0.1 line on a 0.25 grid: increasing, the grid does not resolve
+        # it; decreasing, the spacing test would read a negative spacing
+        points = np.array(points)
+        values = 0.05**2 / (points**2 + 0.05**2)
+        with pytest.raises(ValueError, match="at least 4 points|strictly increasing"):
+            fit_lorentzian(points, values, (-5.0, 5.0))
+        if points.size > 1:
+            with pytest.raises(FitFailureError, match="below the grid spacing"):
+                fit_lorentzian(points[::-1], values[::-1], (-5.0, 5.0))
 
     def test_fitted_linewidth_of_cooled_mode(self):
         # at the optimum working point the line is gamma_a*sqrt(1+C_ab) wide

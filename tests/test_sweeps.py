@@ -451,7 +451,7 @@ class TestSecantSearch:
         perm = _conjugate_swap(labels, da)
 
         def entry(x, a1=None):
-            (e,) = spectra._stacked_occupations(drift(x)[None], b, corr[0], 0, perm, a1=a1)
+            (e,) = spectra._occupations(spectra._prepare_noise(b, corr[0], perm, a1), drift(x)[None], 0)
             return e
 
         n, slope = entry(lam, da)
