@@ -436,21 +436,13 @@ class TestMirroredSolve:
             model = builder(spec)
             omegas = make_grid(model).points
             u = ROW_SETS[rows](model)
-            # grids that are not their own mirror image are eliminated throughout,
-            # e_a's mate alongside: criterion 7's probe, the made grid shifted off
-            # its mirrors, the made grid with every third negative point dropped,
-            # and the made grid with extra points on both sides of zero
+            # grids with nothing to mirror, criterion 7's probe and the made grid
+            # shifted off its mirrors, are eliminated throughout, e_a's mate alongside
             wa, ga = spec.mode_a.omega, spec.mode_a.gamma
-            unmirrored = (
-                wa + ga * np.array([-2.0, -1.0, 0.0, 1.0]),
-                omegas + ga / 3,
-                np.delete(omegas, np.arange(0, omegas.size // 2, 3)),
-                np.union1d(omegas, omegas[::50] + ga / 3),
-            )
-            for w in unmirrored:
-                assert spectra._mirrors(w) == (slice(0), slice(None), slice(0))
-                direct = spectra._eliminate(model.drift, w, u)
-                assert np.array_equal(_solve_rows(model, w, u), direct)
+            for unmirrored in (wa + ga * np.array([-2.0, -1.0, 0.0, 1.0]), omegas + ga / 3):
+                assert spectra._mirrors(unmirrored) == (slice(0), slice(None), slice(0))
+                direct = spectra._eliminate(model.drift, unmirrored, u)
+                assert np.array_equal(_solve_rows(model, unmirrored, u), direct)
             got = _solve_rows(model, omegas, u)
             neg = omegas < 0
             direct = spectra._eliminate(model.drift, omegas[neg], u)
@@ -460,6 +452,25 @@ class TestMirroredSolve:
             assert np.all(err <= 1e-14 * np.abs(direct).max(axis=(1, 2)))
             solved = spectra._eliminate(model.drift, omegas[~neg], u)
             assert np.array_equal(got[~neg], solved)
+
+    @pytest.mark.parametrize("rows", ROW_SETS)
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_rows_placed_by_index_arrays(self, builder, rows):
+        # grids whose mirrored and solved points would not be runs: a made grid
+        # with every third negative point dropped, and one with extra points
+        # that nothing mirrors, on both sides of zero. Neither is its own mirror
+        # image, so no index arrays place rows: every point is eliminated, and
+        # the rows are bitwise a direct solve
+        for spec in _criterion_7_draws(10):
+            model = builder(spec)
+            points = make_grid(model).points
+            u = ROW_SETS[rows](model)
+            dropped = np.delete(points, np.arange(0, points.size // 2, 3))
+            extra = np.union1d(points, points[::50] + spec.mode_a.gamma / 3)
+            for omegas in (dropped, extra):
+                assert spectra._mirrors(omegas) == (slice(0), slice(None), slice(0))
+                direct = spectra._eliminate(model.drift, omegas, u)
+                assert np.array_equal(_solve_rows(model, omegas, u), direct)
 
     def test_made_grids_are_placed_by_slices(self, spec50):
         grid = make_grid(build_full_system(spec50))
