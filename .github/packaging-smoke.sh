@@ -8,8 +8,9 @@
 # full-fidelity spectrum runs the susceptibility solver from the wheel on
 # the joint rows a + a_dag and e_a, which take e_a's conjugate mate e_a_dag
 # along, sense the e_a row, which takes its mate along too; spectrum
-# and sense at rwa run the rotating-wave band, whose step-2 fill keeps
-# its own right-hand-side update, and must exit 0 with an empty stderr; the
+# and sense at rwa run the rotating-wave band, whose row-by-row update
+# makes the step-2 fill's own right-hand-side update, with masked row
+# swaps, and must exit 0 with an empty stderr; the
 # full-fidelity optimum and sweep the Lyapunov solve and its
 # derivatives; every scan point of the optimum over C_OM in [5e3, 1e5]
 # is unstable, so no solved covariance certifies it and the real-form

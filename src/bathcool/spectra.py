@@ -67,14 +67,15 @@ class FrequencyGrid:
     """Sorted angular-frequency grid with its densification anchors.
 
     ``clusters`` records (center, linewidth) pairs for every resonance the
-    grid was built around.
+    grid was built around.  ``points`` is a read-only copy of the points
+    given, so the caller's array stays writeable.
     """
 
     points: np.ndarray
     clusters: tuple
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 4:
@@ -254,10 +255,12 @@ def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.n
     ``rows`` (:func:`_eliminate`).  As A = P conj(A) P (:class:`DriftModel`),
     the row at -omega is y_u(-omega) = conj(y_u'(omega)) P, u' = conj(u) P
     the mate of u, so an omega < 0 that :func:`_mirrors` pairs with its
-    negation is not eliminated.  One elimination solves the rows and the
-    mates they lack: rows [u, e_a] with u = e_a + e_a_dag, its own mate,
-    solve the three rows u, e_a and e_a_dag.  ``omegas`` must be strictly
-    increasing (ValueError).  No eigen or Schur transform.
+    negation is not eliminated.  One elimination solves the rows and, where
+    some omega is mirrored, the mates they lack: rows [u, e_a] with
+    u = e_a + e_a_dag, its own mate, solve the three rows u, e_a and
+    e_a_dag.  A grid with nothing to mirror solves the rows alone.
+    ``omegas`` must be strictly increasing (ValueError).  No eigen or
+    Schur transform.
 
     This is the one place rows are eliminated, gated and mirrored.  The
     eliminated rows, mates included, are gated and refined where they
@@ -282,7 +285,7 @@ def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.n
     mirror, solve, at = _mirrors(omegas)
     mates = u[:, perm].conj()
     hits = np.all(mates[:, None, :] == u[None, :, :], axis=2)
-    lack = ~hits.any(axis=1)
+    lack = ~hits.any(axis=1) & (omegas[mirror].size > 0)  # a mate only for a mirrored row
     solved = np.concatenate((u, mates[lack]))
     twin = np.where(lack, k - 1 + np.cumsum(lack), hits.argmax(axis=1))  # each row's mate in solved
     z = _eliminate(a, omegas[solve], solved).T  # (d, k + mates lacked, n_solve)
@@ -309,7 +312,7 @@ def _gate(a: np.ndarray, omegas: np.ndarray, u: np.ndarray, y: np.ndarray):
     d = a.shape[0]
     shift = -1j * omegas - np.diag(a)[:, None]
     off = a - np.diag(np.diag(a))
-    t_norm = np.sqrt(np.sum(np.abs(off) ** 2) + _abs2(shift).sum(axis=0))
+    t_norm = np.sqrt(np.sum(np.abs(off) ** 2) + _sum_abs2(shift))
 
     def residual(sel):
         """y T - u, as (d, k, n), and the worst relative residual per omega, on ``sel``."""
@@ -317,7 +320,7 @@ def _gate(a: np.ndarray, omegas: np.ndarray, u: np.ndarray, y: np.ndarray):
         r = ys * shift[:, None, sel]
         r -= (off.T @ ys.reshape(d, -1)).reshape(ys.shape)
         r -= u.T[..., None]
-        rel = np.sqrt(_abs2(r).sum(axis=0) / _abs2(ys).sum(axis=0)) / t_norm[sel]
+        rel = np.sqrt(_sum_abs2(r) / _sum_abs2(ys)) / t_norm[sel]
         return r, rel.max(axis=0)
 
     resid, rel = residual(slice(None))
@@ -334,9 +337,12 @@ def _gate(a: np.ndarray, omegas: np.ndarray, u: np.ndarray, y: np.ndarray):
             )
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2, elementwise."""
-    return z.real**2 + z.imag**2
+def _sum_abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 summed over the first axis: ``(z.real**2 + z.imag**2).sum(axis=0)``,
+    with one temporary fewer."""
+    sq = z.real**2
+    sq += z.imag**2
+    return sq.sum(axis=0)
 
 
 def _eliminate(a: np.ndarray, omegas: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -344,51 +350,104 @@ def _eliminate(a: np.ndarray, omegas: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Gaussian elimination with partial pivoting on T^T = -A^T - i*omega*I,
     each column's pivot its largest |Re| + |Im| (the rule of LAPACK
-    zgetrf).  The augmented system is held as (row, column, omega), so
-    every pivot, swap, update and back-substitution step is one vector
-    operation over the grid.  ``u`` broadcasts to (n, k, d).  An exactly
-    zero pivot raises NumericsError.  Not an eigen or Schur form: a
-    unitary transform moves the poles by about eps*||A||, which is not
-    small next to the narrowest linewidths.
+    zgetrf; :func:`_pivot`).  The augmented system is held as (row,
+    column, omega), so every pivot, swap, update and back-substitution
+    step is a vector operation over the grid.  ``u`` broadcasts to
+    (n, k, d).  An exactly zero pivot raises NumericsError.  Not an eigen
+    or Schur form: a unitary transform moves the poles by about
+    eps*||A||, which is not small next to the narrowest linewidths.
 
     Each step works only on the rows that can be nonzero in its column
     and the columns its pivot row can fill (:func:`_band`); every entry
-    it skips is an exact zero, so the result is the dense elimination's
-    (a dense A runs exactly as the dense one).
+    it skips is an exact zero.  Every entry it computes takes the same
+    operations, in the same order, as the dense elimination over every
+    row and column: the same pivot, the factor as the entry times the
+    reciprocal pivot, the back substitution's products summed column by
+    column as ``np.sum`` sums over its first axis.  So the result is the
+    dense elimination's bit for bit, and a dense A runs exactly as the
+    dense one.
+
+    Its memory is the augmented matrix, the rows y and temporaries of
+    one matrix row each: the diagonal is shifted, the rows are swapped
+    and updated, and y is summed one row at a time.  No scratch array the
+    size of the augmented matrix is kept: a block larger than any glibc
+    has freed is mapped afresh on every call, and its pages fault in again.
     """
     d, n = a.shape[0], omegas.size
     u = np.broadcast_to(u, (n,) + u.shape[-2:])
     m = np.empty((d, d + u.shape[1], n), dtype=complex)
     m[:, :d] = -a.T[:, :, None]
-    diag = np.arange(d)
-    m[diag, diag] -= 1j * omegas
+    shift = 1j * omegas
+    for i in range(d):
+        m[i, i] -= shift
     m[:, d:] = u.transpose(2, 1, 0)
     rows, cols = _band(d, (a != 0).tobytes())
+    scratch = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     for j in range(d):
-        search, fill = rows[j], cols[j]
-        below = slice(j + search.step, search.stop, search.step)
-        many = below.start < below.stop  # more than one candidate row
-        if many:
-            col = m[search, j]
-            p = np.argmax(np.abs(col.real) + np.abs(col.imag), axis=0)
-            swap = np.flatnonzero(p)  # the omegas whose pivot is not on the diagonal
-            if swap.size:
-                other = j + search.step * p[swap]
-                row_j = m[j, j:, swap]
-                m[j, j:, swap] = m[other, j:, swap]
-                m[other, j:, swap] = row_j
+        below = range(d)[rows[j]][1:]  # the candidate rows under the diagonal
+        if below:
+            _pivot(m, j, below, *scratch)
         if not np.all(m[j, j] != 0):
             _raise_singular(a, omegas)
-        if not many:
+        if not below:
             continue
-        factors = m[below, j] * (1.0 / m[j, j])
+        inv = 1.0 / m[j, j]
+        fill = cols[j]
         through = fill.step == 1 and fill.stop == d  # fill and right-hand sides in one update
-        for part in (slice(fill.start, None),) if through else (fill, slice(d, None)):
-            m[below, part] -= factors[:, None, :] * m[j, part][None]
+        parts = (slice(fill.start, None),) if through else (fill, slice(d, None))
+        for r in below:
+            f = m[r, j] * inv
+            for part in parts:
+                m[r, part] -= f * m[j, part]
     y = np.empty_like(m[:, d:])
+    acc = np.empty_like(y[0])
     for i in range(d - 1, -1, -1):
-        y[i] = (m[i, d:] - np.sum(m[i, cols[i], None, :] * y[cols[i]], axis=0)) / m[i, i]
+        c = range(d)[cols[i]]
+        if c:
+            np.multiply(m[i, c[0]], y[c[0]], out=acc)
+            for col in c[1:]:
+                acc += m[i, col] * y[col]
+            np.subtract(m[i, d:], acc, out=y[i])
+        else:
+            y[i] = m[i, d:]
+        y[i] /= m[i, i]
     return y.T
+
+
+def _pivot(m: np.ndarray, j: int, below: range, best: np.ndarray, key: np.ndarray, win: np.ndarray):
+    """Swap into row j of the augmented system ``m`` (row, column, omega), at
+    each omega, the row of j and ``below`` whose column-j entry has the
+    largest |Re| + |Im|.
+
+    The rows are compared one at a time, and a later row takes the pivot
+    only where its key is strictly larger or is the first NaN: the rule of
+    ``np.argmax`` over the rows.  Each swap is a masked copy over the
+    omegas that row won.  ``best`` and ``key`` (float) and ``win`` (bool)
+    are (n,) scratch.
+    """
+    np.abs(m[j, j].real, out=best)
+    best += np.abs(m[j, j].imag)
+    p, won = None, []
+    for r in below:
+        np.abs(m[r, j].real, out=key)
+        key += np.abs(m[r, j].imag)
+        np.less_equal(key, best, out=win)  # False where row r wins, or at a NaN
+        if win.all():
+            continue
+        np.logical_not(win, out=win)
+        win &= best == best  # a NaN already chosen keeps the pivot
+        if win.any():
+            if p is None:
+                p = np.zeros(best.size, dtype=np.intp)  # row j's own pivot, as r > j >= 0
+            np.copyto(p, r, where=win)
+            np.copyto(best, key, where=win)
+            won.append(r)
+    if won:
+        row_j = m[j, j:].copy()
+        for r in won:
+            np.equal(p, r, out=win)
+            np.copyto(m[j, j:], m[r, j:], where=win)
+            np.copyto(m[r, j:], row_j, where=win)
 
 
 @functools.lru_cache(maxsize=16)
@@ -877,9 +936,9 @@ def integrate_occupation(grid: FrequencyGrid | np.ndarray, values: np.ndarray) -
 
 def _sampled(grid: FrequencyGrid | np.ndarray, values: np.ndarray) -> tuple:
     """``(points, values)`` as floats: a bare array is checked as a grid's
-    points (at least 4, strictly increasing) and copied, not frozen."""
+    points (at least 4, strictly increasing)."""
     if not isinstance(grid, FrequencyGrid):
-        grid = FrequencyGrid(np.array(grid, dtype=float), ())
+        grid = FrequencyGrid(grid, ())
     values = np.asarray(values, dtype=float)
     if grid.points.shape != values.shape:
         raise ValueError("grid and values must have matching shapes")

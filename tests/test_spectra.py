@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -77,6 +78,14 @@ class TestGrid:
     def test_frequency_grid_refuses_bad_points(self, points, message):
         with pytest.raises(ValueError, match=message):
             spectra.FrequencyGrid(points=np.array(points), clusters=())
+
+    def test_frequency_grid_copies_its_points(self):
+        x = np.linspace(0.0, 1.0, 10)
+        grid = spectra.FrequencyGrid(x, ())
+        assert x.flags.writeable
+        assert not grid.points.flags.writeable
+        x[0] = -1.0
+        assert grid.points[0] == 0.0
 
     def test_minimum_span_enforced(self, spec50):
         with pytest.raises(ValueError):
@@ -437,7 +446,7 @@ class TestMirroredSolve:
             omegas = make_grid(model).points
             u = ROW_SETS[rows](model)
             # grids with nothing to mirror, criterion 7's probe and the made grid
-            # shifted off its mirrors, are eliminated throughout, e_a's mate alongside
+            # shifted off its mirrors, are eliminated throughout, the rows alone
             wa, ga = spec.mode_a.omega, spec.mode_a.gamma
             for unmirrored in (wa + ga * np.array([-2.0, -1.0, 0.0, 1.0]), omegas + ga / 3):
                 assert spectra._mirrors(unmirrored) == (slice(0), slice(None), slice(0))
@@ -609,6 +618,16 @@ class TestMirroredSolve:
                 assert [k for _, k in calls] == expected
                 assert all(w.size <= math.ceil(n / 2) + 1 for w, _ in calls)
 
+    def test_shifted_grid_force_eliminates_e_a_alone(self, spec50, monkeypatch):
+        # nothing on a grid shifted off its mirrors is mirrored, so no row
+        # reads e_a's mate e_a_dag, and it is not eliminated
+        calls = _record_eliminations(monkeypatch)
+        spec = make_spec(c_ab=50.0, c_om=5.0)
+        model = build_full_system(spec)
+        points = make_grid(model).points + 1.0
+        force_spectrum_numeric(model, spec, spectra.FrequencyGrid(points, ()))
+        assert [(w.size, k) for w, k in calls] == [(points.size, 1)]
+
     @pytest.mark.parametrize("rows", ROW_SETS)
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
     def test_banded_elimination_is_bitwise_the_dense_one(self, builder, rows):
@@ -627,6 +646,78 @@ class TestMirroredSolve:
         rows, cols = spectra._band(6, (a != 0).tobytes())
         assert rows == tuple(slice(j, 6, 1) for j in range(6))
         assert np.array_equal(spectra._eliminate(a, omegas, u), _dense_eliminate(a, omegas, u))
+
+
+    def test_tied_pivots_take_the_first_row(self):
+        # T^T's first column is [0.5 - i*omega, 0.5 + 0.5i, -i, 0.75 + 0.25i]:
+        # |Re| + |Im| ties rows 1-3 for |omega| < 0.5, where row 1 must win,
+        # and every row at |omega| = 0.5, where row 0 must stay
+        rng = np.random.default_rng(26)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        a[0] = [-0.5, -(0.5 + 0.5j), 1j, -(0.75 + 0.25j)]
+        omegas = np.array([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0])
+        u = rng.normal(size=(2, 4))
+        assert np.array_equal(spectra._eliminate(a, omegas, u), _dense_eliminate(a, omegas, u))
+
+    def test_pivot_is_the_first_argmax_nan_included(self):
+        # at each omega: no tie, ties with and without row 0, NaN keys first,
+        # later and twice, and an inf key before a NaN
+        col = np.array([
+            [1.0, 1.0, 2.0, np.nan, 1.0, 1.0, np.inf, 1.0],
+            [2.0, 1.0, 1.0, 5.0, np.nan, np.nan, 9.0, 3.0],
+            [0.5, 1.0, 3.0, np.nan, 7.0, np.nan, np.nan, 3.0],
+            [3.0, 0.5, 3.0, 1.0, np.nan, 2.0, np.inf, 1.0],
+        ])
+        rng = np.random.default_rng(26)
+        m = rng.normal(size=(4, 6, 8)) + 1j * rng.normal(size=(4, 6, 8))
+        m[:, 0] = col * (0.5 + 0.5j)  # |Re| + |Im| is |col|, NaN kept
+        expected = m.copy()
+        p = np.argmax(np.abs(m[:, 0].real) + np.abs(m[:, 0].imag), axis=0)
+        assert p.tolist() == [3, 0, 2, 0, 1, 1, 2, 1]
+        expected[0], expected[p, :, range(8)] = m[p, :, range(8)].T, m[0].T
+        spectra._pivot(m, 0, range(1, 4), np.empty(8), np.empty(8), np.empty(8, dtype=bool))
+        assert np.array_equal(m.view(float), expected.view(float), equal_nan=True)
+
+    def test_rows_swapped_at_most_points_of_every_step(self, monkeypatch):
+        # a dense random drift whose largest entries sit one row below T^T's
+        # diagonal, with the omegas on its resonances: most points, but not
+        # all, swap their pivot row at every step
+        rng = np.random.default_rng(22)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) - 0.5 * np.eye(6)
+        a += 30.0 * np.roll(np.eye(6), 1, axis=1)
+        omegas = np.unique(-np.linalg.eigvals(a).imag[:, None] + np.linspace(-0.5, 0.5, 21))
+        u = rng.normal(size=(2, 6))
+        swapped = []
+        pivot = spectra._pivot
+
+        def counted(m, j, *args):
+            before = m[j, j].copy()
+            pivot(m, j, *args)
+            swapped.append(np.mean(m[j, j] != before))
+
+        monkeypatch.setattr(spectra, "_pivot", counted)
+        got = spectra._eliminate(a, omegas, u)
+        assert len(swapped) == 5 and 0.75 <= min(swapped) and max(swapped) < 1.0
+        assert np.array_equal(got, _dense_eliminate(a, omegas, u))
+
+    def test_elimination_allocates_one_augmented_matrix(self):
+        # no scratch array the size of the augmented system: such a block is
+        # mapped afresh on every call and faults its pages in again
+        model = build_full_system(make_spec(c_ab=50.0, c_om=5.0))
+        points = make_grid(model).points
+        omegas = points[points >= 0]
+        u = np.eye(model.dimension)[[model.index("a"), model.index("a_dag")]]
+        u = np.vstack((u.sum(axis=0), u))
+        augmented = model.dimension * (model.dimension + u.shape[0]) * omegas.size * 16
+        spectra._eliminate(model.drift, omegas, u)
+        tracemalloc.start()
+        try:
+            spectra._eliminate(model.drift, omegas, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert omegas.size == 1559
+        assert peak <= 2.0 * augmented
 
 
 def _dense_residual(model, omega, u, y):
