@@ -24,7 +24,8 @@
 # must each exit 1 with one config_error line and no stdout; a drive
 # whose |alpha| g0 overflows (alpha = 1e200, g0_hz = 1e200) must exit 3
 # with no stdout and a stderr of exactly one numerical_failure line, no
-# numpy warning before it; an rwa sweep over C_OM in [0.01, 1e300], where
+# numpy warning before it, and so must a full spectrum with kappa_hz =
+# 1e306, whose frequency grid's extent overflows; an rwa sweep over C_OM in [0.01, 1e300], where
 # (gamma_b + Gamma)^2 overflows, must exit 0 with an empty stderr and
 # "n_errors": 0, and the full sweep over the same range, whose unstable
 # drifts overflow, must exit 0 with an empty stderr; a spectrum whose
@@ -99,6 +100,12 @@ $BATHCOOL spectrum --config overflow.ini --fidelity full > overflow.out 2> overf
 test "$code" -eq 3
 test ! -s overflow.out
 python -c "import json; lines = open('overflow.err').read().splitlines(); assert len(lines) == 1 and json.loads(lines[0])['error'] == 'numerical_failure', lines"
+sed -e 's/^kappa_hz = 3e5$/kappa_hz = 1e306/' spectrum.ini > kappa.ini
+code=0
+$BATHCOOL spectrum --config kappa.ini --fidelity full > kappa.out 2> kappa.err || code=$?
+test "$code" -eq 3
+test ! -s kappa.out
+python -c "import json; lines = open('kappa.err').read().splitlines(); assert len(lines) == 1 and json.loads(lines[0])['error'] == 'numerical_failure', lines"
 sed -e 's/^task = spectrum$/task = sweep/' spectrum.ini > huge_gamma.ini
 printf '%s\n' '' '[sweep]' 'c_om_min = 0.01' 'c_om_max = 1e300' >> huge_gamma.ini
 $BATHCOOL sweep --config huge_gamma.ini --fidelity rwa > huge_gamma.out 2> huge_gamma.err

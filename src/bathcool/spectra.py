@@ -25,7 +25,6 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import (
-    BathcoolError,
     CoverageError,
     FitFailureError,
     NumericsError,
@@ -68,7 +67,7 @@ class FrequencyGrid:
 
     ``clusters`` records (center, linewidth) pairs for every resonance the
     grid was built around.  ``points`` is a read-only copy of the points
-    given, so the caller's array stays writeable.
+    given, so the caller's array stays writeable; they must be finite.
     """
 
     points: np.ndarray
@@ -80,6 +79,8 @@ class FrequencyGrid:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 4:
             raise ValueError("grid needs at least 4 points")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("grid points must be finite")
         if not np.all(np.diff(pts) > 0):
             raise ValueError("grid points must be strictly increasing")
 
@@ -170,7 +171,7 @@ def make_grid(
     ``span_linewidths``.  The conjugate eigenvalues give the
     negative-frequency clusters.  Degenerate resonances share one center
     (:func:`_clusters`), so the grid does not depend on the last bits of
-    the eigensolve.  Refuses unstable models.
+    the eigensolve.  Refuses unstable models, and an overflowing extent (NumericsError).
 
     The grid is the positive points, their negations and omega = 0 (an odd
     count, so :meth:`FrequencyGrid.halved` is mirror-symmetric too), less
@@ -190,8 +191,11 @@ def make_grid(
     # every cluster's log fill runs out to the global grid extent, so a
     # narrow line's power-law tail is never left to another cluster's
     # coarse sampling
-    lo = np.min(centers - span_linewidths * widths)
-    hi = np.max(centers + span_linewidths * widths)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite extent is refused
+        lo = np.min(centers - span_linewidths * widths)
+        hi = np.max(centers + span_linewidths * widths)
+        if not np.isfinite(hi - lo):
+            raise NumericsError(f"frequency grid extent [{lo:.6g}, {hi:.6g}] rad/s is not finite")
     n_dense = int(round(10 * points_per_linewidth)) + 1
     # offsets from the center, so clusters sharing a center share it bitwise
     dense = centers[:, None] + widths[:, None] * np.linspace(-5.0, 5.0, n_dense)
@@ -296,6 +300,7 @@ def _solve_rows(model: DriftModel, omegas: np.ndarray, rows: np.ndarray) -> np.n
     return y.T
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _gate(a: np.ndarray, omegas: np.ndarray, u: np.ndarray, y: np.ndarray):
     """Refine, in place, the rows ``y`` (d, k, n) of y T = u (``u`` is (k, d))
     at each omega where they miss the residual gate.
@@ -307,7 +312,7 @@ def _gate(a: np.ndarray, omegas: np.ndarray, u: np.ndarray, y: np.ndarray):
     worst still misses.  The residual costs O(n k d^2) and forms no matrix
     stack: T's diagonal -i*omega - A_jj is formed first, as inside T, so
     omega - omega_j is exact near a resonance, and ||T||_F comes in
-    closed form.
+    closed form.  An overflow fails the gate as inf or NaN, unwarned.
     """
     d = a.shape[0]
     shift = -1j * omegas - np.diag(a)[:, None]
@@ -622,10 +627,20 @@ def steady_state_occupation(model: DriftModel, select: str) -> float:
     noise = _prepare_noise(
         model.noise_input[None], model.input_correlations[0][None], _conjugate_swap(model.labels)
     )
-    (n_eff,) = _occupations(noise, model.drift[None], _mode(model, select))
-    if isinstance(n_eff, BathcoolError):
-        raise n_eff
-    return n_eff
+    occupation = _occupations(noise, model.drift[None], _mode(model, select))
+    if occupation.errors:
+        raise occupation.errors[0]
+    return float(occupation.n[0])
+
+
+@dataclass(frozen=True)
+class _Occupations:
+    """Occupations ``n`` of a batch (NaN where a point failed), ``slope`` alike or None
+    unless asked for, and each failed point's BathcoolError by index, in index order."""
+
+    n: np.ndarray
+    slope: np.ndarray | None
+    errors: dict
 
 
 @dataclass(frozen=True)
@@ -668,19 +683,19 @@ def _prepare_noise(b, weights, perm, a1=None) -> _Noise:
     return _Noise(perm, fold, qf, qs, q_floor, np.linalg.norm(qs, axis=(1, 2)), a1)
 
 
-def _occupations(noise: _Noise, a, r) -> list:
+def _occupations(noise: _Noise, a, r) -> _Occupations:
     """Occupation of x = v_r + v_c, c = perm[r], at every drift of the stack ``a``.
 
     ``noise`` is what no drift of the pencil moves (:func:`_prepare_noise`),
     prepared once per pencil by a sweep.  ``a`` is (n, d, d), the noise
     inputs and <xi xi^dag> weights broadcast against it, and its finite
     drifts and ``a1`` satisfy A = P conj(A) P, P the conjugate swap
-    ``perm`` (:class:`DriftModel`).  Entry i is a float or the BathcoolError of point i.  Sigma comes from
-    one batched real linear solve of A Sigma + Sigma A^dag = -Q on its
-    real coordinates (:func:`_fold`), LU with partial pivoting: backward
-    stable however ill-conditioned the eigenbasis, so there is no
-    fallback.  Q becomes (Q + P conj(Q) P)/2, weight (2n+1)/2 per channel,
-    so Sigma = P conj(Sigma) P has d(d+1)/2 coordinates, not d^2, and
+    ``perm`` (:class:`DriftModel`).  Sigma comes from one batched real
+    linear solve of A Sigma + Sigma A^dag = -Q on its real coordinates
+    (:func:`_fold`), LU with partial pivoting: backward stable however
+    ill-conditioned the eigenbasis, so there is no fallback.  Q becomes
+    (Q + P conj(Q) P)/2, weight (2n+1)/2 per channel, so
+    Sigma = P conj(Sigma) P has d(d+1)/2 coordinates, not d^2, and
     u Sigma u^T is unchanged (u = e_r + e_c is real, u P = u).  Each
     point's ||A Sigma + Sigma A^dag + Q|| / (2 ||A|| ||Sigma|| + ||Q||),
     for this Q, must be within RESIDUAL_TOL, else NumericsError.
@@ -704,17 +719,17 @@ def _occupations(noise: _Noise, a, r) -> list:
     stable keeps its S under the residual gate.
 
     Given ``a1``, the dA/dG of a drift A0 + G*A1 (broadcasting like the
-    noise inputs), the float of entry i becomes ``(n, dn/dG)``: dSigma/dG solves
+    noise inputs), the record's ``slope`` is dn/dG: dSigma/dG solves
     A S + S A^dag + A1 Sigma + Sigma A1^dag = 0 on the same operator.
+    The record lists the errors by index, whichever gate found them.
 
     Every gate fails on a non-finite value, so a point whose norms or
     Sigma overflow is decided by the eigensolve and the residual gate; the
     sweeps call this with numpy's overflow and invalid warnings off.
     """
-    results = [None] * a.shape[0]
     finite = np.isfinite(a).all(axis=(1, 2))
-    for i in np.flatnonzero(~finite):
-        results[i] = NumericsError("drift matrix has non-finite entries")
+    non_finite = "drift matrix has non-finite entries"
+    errors = {i: NumericsError(non_finite) for i in np.flatnonzero(~finite).tolist()}
     idx = np.flatnonzero(finite)
     # views, not copies, where every drift is finite
     at = _where(finite)
@@ -765,8 +780,8 @@ def _occupations(noise: _Noise, a, r) -> list:
         real_form = a_idx[rest].view(float).reshape(-1, 2 * d * d) @ to_real
         lam = np.linalg.eigvals(real_form.reshape(-1, d, d))
         stable = np.all(lam.real < 0, axis=1)
-        for i, eigs in zip(idx[rest[~stable]], lam[~stable]):
-            results[i] = _instability(eigs)
+        for i, eigs in zip(idx[rest[~stable]].tolist(), lam[~stable]):
+            errors[i] = _instability(eigs)
         ok[rest[stable]] = True
         new = ok & ~solved
         if new.any():
@@ -778,16 +793,18 @@ def _occupations(noise: _Noise, a, r) -> list:
         sigmas.append(_hermitian(solve(k, -(_rows(a1, k) @ y[k])), unfold, d))
     resid = r_norm[k] / scale[k]
     c = noise.perm[r]  # <x^2> = u Sigma u^T with u = e_r + e_c
-    x2 = [(s[:, r, r] + s[:, r, c] + s[:, c, r] + s[:, c, c]).real.tolist() for s in sigmas]
-    for i, res, x, *slope in zip(idx[k].tolist(), resid.tolist(), *x2):
-        n = (x - 1.0) / 2.0  # the vacuum floor <x^2> = 1 is clipped to roundoff
-        if not res <= RESIDUAL_TOL:
-            results[i] = NumericsError(f"Lyapunov residual {res:.3g} exceeds {RESIDUAL_TOL}")
-        elif n < -1e-9 * x:
-            results[i] = NumericsError(f"steady-state occupation {n:.4g} < 0")
-        else:
-            results[i] = (max(n, 0.0), slope[0] / 2.0) if slope else max(n, 0.0)
-    return results
+    x, *slope = ((s[:, r, r] + s[:, r, c] + s[:, c, r] + s[:, c, c]).real for s in sigmas)
+    n = (x - 1.0) / 2.0  # the vacuum floor <x^2> = 1 is clipped to roundoff
+    out = np.full((len(sigmas), a.shape[0]), math.nan)  # n, and the slope if solved
+    points = idx[k]
+    out[:, points] = [np.maximum(n, 0.0), *(dn / 2.0 for dn in slope)]
+    for j in np.flatnonzero(~(resid <= RESIDUAL_TOL) | (n < -1e-9 * x)).tolist():
+        out[:, points[j]] = math.nan
+        message = f"steady-state occupation {n[j]:.4g} < 0"
+        if not resid[j] <= RESIDUAL_TOL:
+            message = f"Lyapunov residual {resid[j]:.3g} exceeds {RESIDUAL_TOL}"
+        errors[int(points[j])] = NumericsError(message)
+    return _Occupations(out[0], out[1] if slope else None, dict(sorted(errors.items())))
 
 
 def _rows(x: np.ndarray, sel) -> np.ndarray:

@@ -27,7 +27,7 @@ from .analytics import (
 )
 from .errors import BathcoolError, PhysicsError, UnstableSystemError
 from .model import DriftModel, SystemSpec, _conjugate_swap, _pencil, effective_temperature
-from .spectra import _occupations, _prepare_noise, fit_lorentzian, position_spectrum
+from .spectra import _occupations, _Occupations, _prepare_noise, fit_lorentzian, position_spectrum
 
 __all__ = ["SweepResult", "sweep_cooperativity", "find_optimum", "sweep_detuning"]
 
@@ -66,8 +66,8 @@ class SweepResult:
 
 
 def _n_effs(specs, fidelity: str):
-    """``(gammas, slopes=False) -> entries``: n_eff of mode a at every
-    point (specs[i], gammas[i]).
+    """``(gammas, slopes=False) -> _Occupations``: n_eff of mode a at
+    every point (specs[i], gammas[i]).
 
     ``specs`` holds one spec per point, or one spec for all points.  At
     full fidelity the pencil of each spec is built once, here, and must be
@@ -76,38 +76,36 @@ def _n_effs(specs, fidelity: str):
     folded A1), is prepared once here too.  So every call is one batched
     steady-state covariance solve of the drift stack A0 + G*A1 alone, at
     G = |alpha|*g0 = sqrt(Gamma*kappa)/2, the drive that damps mode b at
-    rate Gamma.  With ``slopes`` an entry is ``(n_eff, dn_eff/dlog Gamma)``,
+    rate Gamma.  With ``slopes`` the record's slope is dn_eff/dlog Gamma,
     from the Lyapunov sensitivity or the derivative of the closed form;
-    without, no derivative is computed.  The entry of a point that failed
-    is its BathcoolError.
+    without, no derivative is computed.
 
     The public sweeps and the optimum search run with numpy's overflow and
     invalid warnings off: past C_OM ~ 1e200 an unstable drift can overflow
     the covariance certificate's norms, and where G overflows the drift
-    holds inf * 0.  Every such point is already an error entry
+    holds inf * 0.  Every such point is already a recorded error
     (:func:`_occupations` gates on finite values).  The warnings
     are switched off once per sweep or search, not per call here: a secant
     step's solve takes about 85 us and each switch 2 us.
     """
     if fidelity == "rwa":
 
-        def closed_form(s, g, slopes):
-            try:
-                n = n_eff_closed_form(s, g)
-                if not slopes:
-                    return n
-                # d/dlog Gamma = Gamma d/dGamma
-                return n, g * _n_eff_closed_form_slope(s, g)
-            except BathcoolError as exc:
-                return exc
+        def closed_form(gammas, slopes=False):
+            out, errors = np.full((2, len(gammas)), math.nan), {}
+            for i, (s, g) in enumerate(zip(itertools.cycle(specs), map(float, gammas))):
+                try:
+                    out[0, i] = n_eff_closed_form(s, g)
+                    if slopes:  # d/dlog Gamma = Gamma d/dGamma
+                        out[1, i] = g * _n_eff_closed_form_slope(s, g)
+                except BathcoolError as exc:
+                    errors[i] = exc
+            return _Occupations(out[0], out[1] if slopes else None, errors)
 
-        return lambda gammas, slopes=False: [
-            closed_form(s, g, slopes) for s, g in zip(itertools.cycle(specs), map(float, gammas))
-        ]
+        return closed_form
     if fidelity != "full":
         raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")
     if not specs:
-        return lambda gammas, slopes=False: []
+        return lambda gammas, slopes=False: _Occupations(np.empty(0), None, {})
     a0, a1, b, corr, labels = zip(*(_pencil(s, rotating_wave=False) for s in specs))
     a0, a1, b, corr = map(np.stack, (a0, a1, b, corr))
     kappa = np.array([s.cavity.kappa for s in specs])
@@ -119,41 +117,34 @@ def _n_effs(specs, fidelity: str):
 
     def covariance(gammas, slopes=False):
         g = np.sqrt(np.asarray(gammas, dtype=float) * kappa) / 2.0
-        entries = _occupations(sloped if slopes else plain, a0 + g[:, None, None] * a1, row)
+        occupation = _occupations(sloped if slopes else plain, a0 + g[:, None, None] * a1, row)
         if not slopes:
-            return entries
+            return occupation
         # d/dlog Gamma = (G/2) d/dG
-        return [
-            e if isinstance(e, BathcoolError) else (e[0], h * e[1])
-            for e, h in zip(entries, (g / 2.0).tolist())
-        ]
+        return _Occupations(occupation.n, occupation.slope * (g / 2.0), occupation.errors)
 
     return covariance
 
 
-def _value(n_eff):
-    """An entry of :func:`_n_effs`: its value, or raise its error."""
-    if isinstance(n_eff, BathcoolError):
-        raise n_eff
-    return n_eff
-
-
 def _sweep(
-    spec: SystemSpec, axis_name: str, values, entries, gammas, omega_b, linewidths=None
+    spec: SystemSpec, axis_name: str, values, n_eff, errors, gammas, omega_b, linewidths=None
 ) -> SweepResult:
-    """A sweep's columns from its :func:`_n_effs` entries at the dampings
-    ``gammas``, mode b at ``omega_b`` (floats or arrays like ``values``).
-
-    A point whose entry is a BathcoolError records its message and NaNs.
-    T_ratio, the flags and, unless given, the closed-form linewidths are
-    computed at the other points only.
-    """
-    errors = tuple(f"{e.kind}: {e}" if isinstance(e, BathcoolError) else None for e in entries)
-    ok = np.array([e is None for e in errors], dtype=bool)
-    n_eff = np.array([n if e is None else math.nan for n, e in zip(entries, errors)], dtype=float)
+    """A sweep's columns from the occupations ``n_eff`` and the point
+    ``errors`` by index at the dampings ``gammas``, mode b at ``omega_b``
+    (floats or arrays like ``values``).  A failed point records its
+    message and NaNs; T_ratio, the flags and, unless given, the
+    closed-form linewidths are computed at the other points only."""
+    ok = np.ones(values.size, dtype=bool)
+    ok[list(errors)] = False
+    n_eff = np.where(ok, n_eff, math.nan)
+    messages = [None] * values.size
+    for i, e in errors.items():
+        messages[i] = f"{e.kind}: {e}"
     gammas, omega_b = (np.broadcast_to(x, values.shape)[ok] for x in (gammas, omega_b))
     t_ratio = np.full(values.size, math.nan)
     if spec.mode_a.bath_temperature > 0:
+        # one scalar call per point: np.log1p is not bitwise math.log1p, so
+        # a column form would change the T_ratio column's bits
         t_ratio[ok] = [effective_temperature(n, spec.mode_a.omega) for n in n_eff[ok].tolist()]
         t_ratio /= spec.mode_a.bath_temperature
     if linewidths is None:
@@ -165,7 +156,7 @@ def _sweep(
         linewidths[ok] = spec.mode_a.gamma + _induced_damping(spec.coupling, gtot, delta)
     flags = iter(_regime_flags_column(spec, gammas, omega_b))
     flags = tuple(next(flags) if k else None for k in ok.tolist())
-    return SweepResult(axis_name, values, n_eff, t_ratio, linewidths, flags, errors)
+    return SweepResult(axis_name, values, n_eff, t_ratio, linewidths, flags, tuple(messages))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # see _n_effs
@@ -191,13 +182,14 @@ def sweep_cooperativity(
     if np.any(values < 0):
         raise ValueError("C_OM values must be >= 0")
     gammas = values * spec.mode_b.gamma
-    entries = _n_effs([spec], fidelity)(gammas)
+    occupation = _n_effs([spec], fidelity)(gammas)
+    errors = dict(occupation.errors)
     if fidelity == "rwa":
-        return _sweep(spec, "C_OM", values, entries, gammas, spec.mode_b.omega)
+        return _sweep(spec, "C_OM", values, occupation.n, errors, gammas, spec.mode_b.omega)
     # a full-fidelity linewidth comes only from a line fit, in a window of 8
     # closed-form linewidths around the mode-a line
     linewidths = np.full(values.size, math.nan)
-    fit = [i for i, e in enumerate(entries) if fit_lines and not isinstance(e, BathcoolError)]
+    fit = [i for i in range(values.size) if fit_lines and i not in errors]
     if fit:
         a0, a1, *inputs = _pencil(spec, rotating_wave=False)
     wa, gb, delta = spec.mode_a.omega, spec.mode_b.gamma, spec.mode_b.omega - spec.mode_a.omega
@@ -209,8 +201,8 @@ def sweep_cooperativity(
             line = fit_lorentzian(result.grid, result.values, (wa - 8 * lw, wa + 8 * lw))
             linewidths[i] = line.fwhm
         except BathcoolError as exc:
-            entries[i] = exc
-    return _sweep(spec, "C_OM", values, entries, gammas, spec.mode_b.omega, linewidths)
+            errors[i] = exc
+    return _sweep(spec, "C_OM", values, occupation.n, errors, gammas, spec.mode_b.omega, linewidths)
 
 
 def _bracket(bracket: tuple) -> tuple:
@@ -229,7 +221,7 @@ def find_optimum(spec: SystemSpec, bracket: tuple = DEFAULT_RANGE, fidelity: str
     must find its lowest n_eff at a point whose two neighbours are
     stable, else a PhysicsError that names that point.  An unstable point scores
     +inf; a scan with no stable point raises its first
-    UnstableSystemError, and any other point error is raised.  From the
+    UnstableSystemError, and else the first other point error is raised.  From the
     vertex of the parabola through that point and its two neighbours, a
     safeguarded secant iteration drives the exact dn_eff/dlog C_OM to
     zero inside the neighbours: the slope is the
@@ -247,10 +239,10 @@ def find_optimum(spec: SystemSpec, bracket: tuple = DEFAULT_RANGE, fidelity: str
     n_effs = _n_effs([spec], fidelity)
     xs = np.linspace(math.log(lo), math.log(hi), _COARSE_POINTS).tolist()
     scan = n_effs([math.exp(x) * gb for x in xs])
-    unstable = [n for n in scan if isinstance(n, UnstableSystemError)]
-    if len(unstable) == _COARSE_POINTS:
-        raise unstable[0]
-    ys = [math.inf if isinstance(n, UnstableSystemError) else _value(n) for n in scan]
+    others = [e for e in scan.errors.values() if e.kind != UnstableSystemError.kind]  # by index
+    if others or len(scan.errors) == _COARSE_POINTS:
+        raise (others or list(scan.errors.values()))[0]
+    ys = [math.inf if i in scan.errors else n for i, n in enumerate(scan.n.tolist())]
     k = int(np.argmin(ys))
     if k in (0, _COARSE_POINTS - 1) or math.inf in (ys[k - 1], ys[k + 1]):
         where = "at a bracket end" if k in (0, _COARSE_POINTS - 1) else "next to an unstable point"
@@ -265,7 +257,10 @@ def find_optimum(spec: SystemSpec, bracket: tuple = DEFAULT_RANGE, fidelity: str
     x = xs[k] - (ys[k + 1] - ys[k - 1]) / (2.0 * h * curvature) if curvature > 0 else xs[k]
     last, previous = right - left, None
     while True:
-        n, slope = _value(n_effs([math.exp(x) * gb], slopes=True)[0])
+        point = n_effs([math.exp(x) * gb], slopes=True)
+        if point.errors:
+            raise point.errors[0]
+        n, slope = float(point.n[0]), float(point.slope[0])
         if slope > 0:
             right = x
         else:
@@ -310,13 +305,12 @@ def sweep_detuning(
     specs = [replace(spec, mode_b=replace(spec.mode_b, omega=w)) for w in omega_b]
     if not optimize_each:
         gammas = c_om * gb
-        entries = _n_effs(specs, fidelity)([gammas] * values.size)
-    else:
-        entries, gammas = [None] * values.size, np.full(values.size, math.nan)
-        for i, s in enumerate(specs):
-            try:
-                c_pt, entries[i] = find_optimum(s, bracket, fidelity)
-                gammas[i] = c_pt * gb
-            except BathcoolError as exc:
-                entries[i] = exc
-    return _sweep(spec, "delta_ab", values, entries, gammas, omega_b)
+        occupation = _n_effs(specs, fidelity)([gammas] * values.size)
+        return _sweep(spec, "delta_ab", values, occupation.n, occupation.errors, gammas, omega_b)
+    c_opt, n_eff, errors = np.full(values.size, math.nan), np.full(values.size, math.nan), {}
+    for i, s in enumerate(specs):
+        try:
+            c_opt[i], n_eff[i] = find_optimum(s, bracket, fidelity)
+        except BathcoolError as exc:
+            errors[i] = exc
+    return _sweep(spec, "delta_ab", values, n_eff, errors, c_opt * gb, omega_b)

@@ -406,6 +406,31 @@ class TestOverflowingDrive:
         assert error["message"] == "linearized coupling |alpha|*g0 = inf is not finite"
 
 
+class TestHugeCavityLinewidth:
+    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
+    @pytest.mark.parametrize("task", ["spectrum", "sense"])
+    @pytest.mark.parametrize(
+        "kappa_hz, needle",
+        [("1e306", "frequency grid extent"), ("1e300", "susceptibility residual nan")],
+    )
+    def test_is_one_numerical_failure(self, tmp_path, capsys, kappa_hz, needle, task, fidelity):
+        # the packaging smoke script's undriven system: at 1e306 the grid's
+        # extent overflows and make_grid refuses it; at 1e300 the grid is
+        # finite but the residual gate's square sums overflow, and the NaN
+        # residual fails the gate; numpy never warns (RuntimeWarning is an
+        # error here)
+        text = base_config(task).replace(f"kappa_hz = {KAPPA_HZ}", f"kappa_hz = {kappa_hz}")
+        text = text.replace(f"alpha = {_ALPHA!r}", "")
+        path = write_config(tmp_path, text)
+        assert main([task, "--config", path, "--fidelity", fidelity]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "numerical_failure"
+        assert error["message"].startswith(needle)
+
+
 class TestSweepToTheFloatRange:
     def test_full_sweep_to_1e300_is_quiet(self, tmp_path, capsys):
         # past C_OM ~ 1e200 the unstable drifts overflow the certificate's

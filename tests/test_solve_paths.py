@@ -1,8 +1,11 @@
 """The susceptibility rows have one solve path: only the row solve gates them,
-and only it and its gate eliminate."""
+and only it and its gate eliminate.  The sweeps read a batch's point errors
+by index, not by type."""
 
 import ast
 from pathlib import Path
+
+from bathcool import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,3 +35,22 @@ def test_only_the_row_solve_gates():
 
 def test_only_the_row_solve_and_its_gate_eliminate():
     assert set(_callers("_eliminate")) == {("spectra", "_solve_rows"), ("spectra", "_gate")}
+
+
+def test_sweeps_read_point_errors_by_index_not_by_type():
+    # a batch's occupations are one record of arrays with its errors by
+    # index, so the sweeps make no isinstance test against a package error
+    # to tell a failed point from a value (an except clause is no such test)
+    error_types = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.BathcoolError)
+    }
+    tree = ast.parse((ROOT / "src" / "bathcool" / "sweeps.py").read_text(encoding="utf-8"))
+    tested = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            tested += [n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)]
+            tested += [n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)]
+    assert not error_types & set(tested)
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_value" not in defined

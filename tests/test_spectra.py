@@ -31,6 +31,7 @@ from bathcool import (
 import bathcool
 from bathcool import spectra
 from bathcool.errors import (
+    BathcoolError,
     CoverageError,
     FitFailureError,
     NumericsError,
@@ -73,7 +74,9 @@ class TestGrid:
     @pytest.mark.parametrize(
         "points, message",
         [([0.0, 1.0, 2.0], "at least 4"), ([0.0, 1.0, 1.0, 2.0], "strictly increasing"),
-         ([0.0, 2.0, 1.0, 3.0], "strictly increasing"), ([[0.0, 1.0], [2.0, 3.0]], "at least 4")],
+         ([0.0, 2.0, 1.0, 3.0], "strictly increasing"), ([[0.0, 1.0], [2.0, 3.0]], "at least 4"),
+         ([0.0, 1.0, 2.0, math.inf], "finite"), ([-math.inf, 0.0, 1.0, 2.0], "finite"),
+         ([0.0, 1.0, math.nan, 2.0], "finite")],
     )
     def test_frequency_grid_refuses_bad_points(self, points, message):
         with pytest.raises(ValueError, match=message):
@@ -1287,11 +1290,31 @@ def _model_stack(models):
     )
 
 
+def _entries(record):
+    """The points of a :class:`spectra._Occupations` record as a list: the
+    BathcoolError of a failed point, else its n, or ``(n, slope)`` where
+    the record has slopes."""
+    values = record.n.tolist()
+    if record.slope is not None:
+        values = list(zip(values, record.slope.tolist()))
+    return [record.errors.get(i, v) for i, v in enumerate(values)]
+
+
+def _record(entries):
+    """The :class:`spectra._Occupations` record of such a list."""
+    errors = {i: e for i, e in enumerate(entries) if isinstance(e, BathcoolError)}
+    sloped = any(isinstance(e, tuple) for e in entries)
+    rows = [(math.nan, math.nan) if i in errors else e if sloped else (e, math.nan)
+            for i, e in enumerate(entries)]
+    n, slope = np.array(rows, dtype=float).reshape(-1, 2).T
+    return spectra._Occupations(n, slope if sloped else None, errors)
+
+
 def _batch(models):
     """Mode a's covariance entries of ``models`` from one stacked solve."""
     drifts, b, weights, labels = _model_stack(models)
     noise = spectra._prepare_noise(b, weights, _conjugate_swap(labels))
-    return spectra._occupations(noise, drifts, labels.index("a"))
+    return _entries(spectra._occupations(noise, drifts, labels.index("a")))
 
 
 def _entry(e):
@@ -1564,7 +1587,7 @@ class TestStabilityCertificate:
         unstable = np.any(eigvals(forms).real >= 0, axis=1)
         seen = [np.empty((0, d, d))]
         monkeypatch.setattr(np.linalg, "eigvals", lambda x: seen.append(x) or eigvals(x))
-        entries = spectra._occupations(spectra._prepare_noise(b, weights, perm), drifts, 0)
+        entries = _entries(spectra._occupations(spectra._prepare_noise(b, weights, perm), drifts, 0))
         monkeypatch.undo()
         assert [isinstance(e, UnstableSystemError) for e in entries] == unstable.tolist()
         assert np.array_equal(np.concatenate(seen), forms[unstable])
@@ -1633,6 +1656,32 @@ def _bits(entries):
     ]
 
 
+class TestErrorOrder:
+    """The gates of a batch find its errors out of index order: the
+    non-finite drifts first, then the unstable points.  The record lists
+    them by index, with the bits of each point solved on its own."""
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    def test_errors_are_listed_by_index(self, slopes):
+        spec = make_spec(c_ab=50.0)
+        drifts, b, weights, labels = _pencil_stack(spec, [1.0, 1e4, 7.0, 3.0, 30.0])
+        drifts[3, 2, 2] = math.inf  # after the unstable point 1, the stable point 2 between
+        a1 = _pencil(spec, rotating_wave=False)[1] if slopes else None
+        noise = spectra._prepare_noise(b, weights, _conjugate_swap(labels), a1)
+        record = spectra._occupations(noise, drifts, labels.index("a"))
+        assert list(record.errors) == [1, 3]
+        assert isinstance(record.errors[1], UnstableSystemError)
+        assert str(record.errors[3]) == "drift matrix has non-finite entries"
+        columns = [record.n] if record.slope is None else [record.n, record.slope]
+        for column in columns:
+            assert np.isnan(column[[1, 3]]).all() and np.isfinite(column[[0, 2, 4]]).all()
+        singles = [
+            e for i in range(5)
+            for e in _entries(spectra._occupations(noise, drifts[i : i + 1], labels.index("a")))
+        ]
+        assert _bits(_entries(record)) == _bits(singles)
+
+
 class TestPreparedNoise:
     """A sweep prepares each pencil's noise side once and solves only its
     drift stacks: every entry is bitwise the one of a preparation per call."""
@@ -1643,26 +1692,26 @@ class TestPreparedNoise:
         perm = _conjugate_swap(labels)
         noise = spectra._prepare_noise(b, weights, perm, a1)
         parts = (drifts[:1], drifts[1:])
-        prepared = [e for part in parts for e in spectra._occupations(noise, part, 0)]
+        prepared = [e for part in parts for e in _entries(spectra._occupations(noise, part, 0))]
         per_point = lambda x: None if x is None else np.repeat(x[None], len(drifts), axis=0)
-        per_call = spectra._occupations(
+        per_call = _entries(spectra._occupations(
             spectra._prepare_noise(per_point(b), per_point(weights), perm, per_point(a1)), drifts, 0
-        )
+        ))
         assert _bits(prepared) == _bits(per_call)
         return prepared
 
     def _many_pencils(self, drifts, b, weights, labels, a1=None):
         """One preparation of a pencil per point, against a preparation per one-point call."""
         perm = _conjugate_swap(labels)
-        prepared = spectra._occupations(spectra._prepare_noise(b, weights, perm, a1), drifts, 0)
+        prepared = _entries(spectra._occupations(spectra._prepare_noise(b, weights, perm, a1), drifts, 0))
         per_call = [
             e
             for i in range(len(drifts))
-            for e in spectra._occupations(
+            for e in _entries(spectra._occupations(
                 spectra._prepare_noise(b[i], weights[i], perm, None if a1 is None else a1[i]),
                 drifts[i : i + 1],
                 0,
-            )
+            ))
         ]
         assert _bits(prepared) == _bits(per_call)
         return prepared
@@ -1776,16 +1825,18 @@ class TestIntegration:
             integrate_occupation(np.arange(10.0), np.arange(9.0))
 
     @pytest.mark.parametrize(
-        "points", [[], [1.0], np.linspace(50.0, -50.0, 2001)], ids=["empty", "one-point", "decreasing"]
+        "points",
+        [[], [1.0], np.linspace(50.0, -50.0, 2001), np.append(np.linspace(-50.0, 50.0, 2001), math.inf)],
+        ids=["empty", "one-point", "decreasing", "non-finite"],
     )
     def test_bare_points_are_checked_as_a_grid(self, points):
         # the decreasing points carry a line of n = 1.07, which the trapezoid
         # would integrate to -2.05
         points = np.array(points)
         values = 2.0 * (2.0 * 1.07 + 1.0) / 0.5 * 0.25 / (points**2 + 0.25)
-        with pytest.raises(ValueError, match="at least 4 points|strictly increasing"):
+        with pytest.raises(ValueError, match="at least 4 points|strictly increasing|finite"):
             integrate_occupation(points, values)
-        if points.size > 1:  # the same line on increasing points
+        if points.size > 1 and np.isfinite(points).all():  # the same line on increasing points
             assert integrate_occupation(points[::-1], values[::-1])[0] == pytest.approx(1.07, rel=1e-5)
 
 
@@ -1802,16 +1853,18 @@ class TestLorentzFit:
         assert x.flags.writeable  # the points are checked as a grid's, not frozen
 
     @pytest.mark.parametrize(
-        "points", [[], [1.0], np.arange(5.0, -5.001, -0.25)], ids=["empty", "one-point", "decreasing"]
+        "points",
+        [[], [1.0], np.arange(5.0, -5.001, -0.25), np.append(np.arange(-5.0, 5.001, 0.25), math.inf)],
+        ids=["empty", "one-point", "decreasing", "non-finite"],
     )
     def test_bare_points_are_checked_as_a_grid(self, points):
         # a FWHM 0.1 line on a 0.25 grid: increasing, the grid does not resolve
         # it; decreasing, the spacing test would read a negative spacing
         points = np.array(points)
         values = 0.05**2 / (points**2 + 0.05**2)
-        with pytest.raises(ValueError, match="at least 4 points|strictly increasing"):
+        with pytest.raises(ValueError, match="at least 4 points|strictly increasing|finite"):
             fit_lorentzian(points, values, (-5.0, 5.0))
-        if points.size > 1:
+        if points.size > 1 and np.isfinite(points).all():
             with pytest.raises(FitFailureError, match="below the grid spacing"):
                 fit_lorentzian(points[::-1], values[::-1], (-5.0, 5.0))
 

@@ -22,7 +22,7 @@ from bathcool.errors import BathcoolError, NumericsError, PhysicsError, Unstable
 from bathcool.model import DriftModel, _conjugate_swap, _pencil, effective_temperature
 
 from conftest import make_spec
-from test_spectra import _criterion_7_draws
+from test_spectra import _criterion_7_draws, _entries, _record
 
 
 def _driven(spec, c_om):
@@ -301,7 +301,7 @@ class TestFindOptimum:
                 out = evaluate(gammas, slopes)
                 if slopes:
                     steps.append(gammas)
-                    out = [(n, math.copysign(1e12, d1)) for n, d1 in out]
+                    out = _record([(n, math.copysign(1e12, d1)) for n, d1 in _entries(out)])
                 return out
 
             return entries
@@ -322,7 +322,7 @@ class TestUnstableScanPoints:
 
     def test_full_search_skips_the_unstable_end(self, spec50):
         gb = spec50.mode_b.gamma
-        (top,) = sweeps._n_effs([spec50], "full")([self.WIDE[1] * gb])
+        (top,) = _entries(sweeps._n_effs([spec50], "full")([self.WIDE[1] * gb]))
         assert isinstance(top, UnstableSystemError)
         c_star, n_star = find_optimum(spec50, self.WIDE, "full")
         c_ref, n_ref = find_optimum(spec50, fidelity="full")
@@ -343,7 +343,7 @@ class TestUnstableScanPoints:
 
         def install(entries):
             monkeypatch.setattr(
-                sweeps, "_n_effs", lambda specs, fidelity: lambda gammas, slopes=False: entries
+                sweeps, "_n_effs", lambda specs, fidelity: lambda gammas, slopes=False: _record(entries)
             )
 
         return install
@@ -380,6 +380,12 @@ class TestUnstableScanPoints:
     def test_other_point_errors_still_raise(self, spec50, scan):
         scan([3.0, 1.0] + [2.0] * 21 + [NumericsError("n1"), UnstableSystemError("u1")])
         with pytest.raises(NumericsError, match="n1"):
+            find_optimum(spec50)
+        # of two such errors the lower index is raised; an unstable point
+        # below both, and a PhysicsError that is not an instability, do not
+        # change that
+        scan([UnstableSystemError("u0"), 1.0] + [2.0] * 20 + [PhysicsError("p1"), 3.0, NumericsError("n2")])
+        with pytest.raises(PhysicsError, match="p1"):
             find_optimum(spec50)
 
 
@@ -432,8 +438,8 @@ class TestSecantSearch:
             h, tol = 1e-4, 1e-7
         entries = sweeps._n_effs([spec], fidelity)
         for c in (1.0, 3.0, 30.0):
-            (value, slope), = entries([c * gb], slopes=True)
-            assert value == entries([c * gb])[0]
+            (value, slope), = _entries(entries([c * gb], slopes=True))
+            assert value == _entries(entries([c * gb]))[0]
             assert slope == pytest.approx(
                 (n(c * math.exp(h)) - n(c * math.exp(-h))) / (2 * h), rel=tol
             )
@@ -451,7 +457,9 @@ class TestSecantSearch:
         perm = _conjugate_swap(labels, da)
 
         def entry(x, a1=None):
-            (e,) = spectra._occupations(spectra._prepare_noise(b, corr[0], perm, a1), drift(x)[None], 0)
+            (e,) = _entries(
+                spectra._occupations(spectra._prepare_noise(b, corr[0], perm, a1), drift(x)[None], 0)
+            )
             return e
 
         n, slope = entry(lam, da)
@@ -513,6 +521,20 @@ class TestEvaluationCounts:
             split = one.mode_b.omega - one.mode_a.omega
             gamma_a = induced_damping_detuned(one.coupling, gb, c_star * gb, split)
             assert res.linewidths[i] == self.SPEC.mode_a.gamma + gamma_a
+
+
+class TestErrorOrder:
+    def test_sweep_errors_match_single_point_sweeps(self):
+        # a non-finite drift (G overflows past C_OM ~ 1.5e298) after an
+        # unstable point: the batch finds the non-finite one first
+        spec = make_spec(c_ab=50.0)
+        c_oms = [1.0, 7.0, 1e4, 3e5, 1e300]
+        res = sweep_cooperativity(spec, c_oms, fidelity="full")
+        singles = [sweep_cooperativity(spec, [c], fidelity="full") for c in c_oms]
+        assert res.errors == tuple(one.errors[0] for one in singles)
+        assert res.errors[2].startswith("unstable_system: ")
+        assert res.errors[4] == "numerical_failure: drift matrix has non-finite entries"
+        assert np.array_equal(res.n_eff, [one.n_eff[0] for one in singles], equal_nan=True)
 
 
 class TestSweepDetuning:
