@@ -30,7 +30,14 @@
 # "n_errors": 0, and the full sweep over the same range, whose unstable
 # drifts overflow, must exit 0 with an empty stderr; a spectrum whose
 # [cavity] gives only pump_hz must exit 0 (CavityDrive.from_pump);
-# importing the installed CLI, a steady-state occupation of the README
+# a full sweep's JSON table and summary must parse with a strict parser,
+# which refuses NaN and Infinity (a non-finite value is written as null);
+# a spectrum of the cavity (select = c) at zero detuning must exit 0 at
+# both fidelities with T_eff_K null, as a mode at zero frequency has no
+# temperature; a full spectrum at kappa_hz = 1e20, a cavity 1e14 times
+# broader than the mechanical lines, must find n_eff within 1e-3 of
+# steady_state_occupation (the grid must keep the lines of modes a and b
+# apart, and each apart from its mirror image); importing the installed CLI, a steady-state occupation of the README
 # system and a Lorentzian line fit must load no scipy module, and the
 # wheel must require scipy only in its test extra
 set -euo pipefail
@@ -118,6 +125,36 @@ printf '%s\n' 'pump_hz = 1e9' >> pump.ini
 $BATHCOOL spectrum --config pump.ini --fidelity full > pump.out
 sed -e 's/^task = spectrum$/task = sweep/' spectrum.ini > sweep.ini
 $BATHCOOL sweep --config sweep.ini --fidelity full --out sweep
+$BATHCOOL sweep --config sweep.ini --fidelity full --format json --out sweep_json
+python -c "
+import json
+def refused(token):
+    raise ValueError(token + ' is not JSON')
+for path in ('sweep_json.json', 'sweep_json.summary.json'):
+    json.loads(open(path).read(), parse_constant=refused)
+"
+sed -e 's/^detuning_hz = -1e6$/detuning_hz = 0/' -e '/^task = spectrum$/a select = c' spectrum.ini > cavity.ini
+for fidelity in rwa full; do
+  $BATHCOOL spectrum --config cavity.ini --fidelity "$fidelity" > cavity.out 2> cavity.err
+  test ! -s cavity.err
+  python -c "import json; summary = json.load(open('cavity.out')); assert summary['select'] == 'c' and summary['T_eff_K'] is None, summary"
+done
+sed -e 's/^kappa_hz = 3e5$/kappa_hz = 1e20/' spectrum.ini > broad.ini
+$BATHCOOL spectrum --config broad.ini --fidelity full > broad.out
+python - <<'EOF'
+import json, math
+import bathcool
+tp = 2 * math.pi
+spec = bathcool.SystemSpec(
+    mode_a=bathcool.MechanicalMode(tp * 1e6, tp * 1.0, 300.0),
+    mode_b=bathcool.MechanicalMode(tp * 1e6, tp * 1e3, 300.0),
+    cavity=bathcool.CavityDrive(kappa=tp * 1e20, detuning=-tp * 1e6, g0=tp * 10.0, alpha=0.0),
+    coupling=tp * 111.8,
+)
+exact = bathcool.steady_state_occupation(bathcool.build_full_system(spec), "a")
+n = json.load(open("broad.out"))["n_eff"]
+assert abs(n / exact - 1.0) <= 1e-3, (n, exact)
+EOF
 python -c "import sys, bathcool.cli; loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; assert not loaded, loaded"
 python - <<'EOF'
 import math, sys

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 REGIME_FACTOR = 10.0
+_UNDAMPED = "mode a is undamped (gamma_a + Gamma_a = 0)"
 
 
 @dataclass(frozen=True)
@@ -166,32 +167,25 @@ def mode_a_response(omega, spec: SystemSpec, Gamma: float):
     return omega_pulled, gamma_prime
 
 
-def induced_damping_detuned(
-    lam: float, gamma_b: float, Gamma: float, delta: float
-) -> float:
+@np.errstate(over="ignore", invalid="ignore")
+def induced_damping_detuned(lam: float, gamma_b: float, Gamma: float, delta: float) -> float:
     """Induced damping of mode a when b is detuned by delta = omega_b - omega_a.
 
     Gamma_a(delta) = lambda^2*(gamma_b + Gamma) / (delta^2 + (gamma_b + Gamma)^2/4);
     reduces to the on-resonance value at delta = 0.
     """
-    if not gamma_b + Gamma > 0:
+    return float(_induced_damping(lam, gamma_b + np.array([Gamma], dtype=float), delta)[0])
+
+
+def _induced_damping(lam, gtot, delta) -> np.ndarray:
+    """:func:`induced_damping_detuned` at each total b damping of the column ``gtot``
+    (ValueError unless all > 0), squaring by libm pow: numpy's x**2 is x*x, which can
+    differ in the last bit.  Where a square overflows or gtot is infinite, the
+    Lorentzian takes its limit, 0, with numpy's warnings off by the caller."""
+    if not (gtot > 0).all():
         raise ValueError("gamma_b + Gamma must be > 0")
-    return _induced_damping(lam, gamma_b + Gamma, delta)
-
-
-def _induced_damping(lam, gtot, delta):
-    """:func:`induced_damping_detuned` at total b damping gtot, on floats or arrays,
-    squaring by libm pow: numpy's x**2 is x*x, which can differ in the last bit.
-    Where a square overflows or gtot is infinite, the Lorentzian takes its limit, 0."""
-    if isinstance(gtot, np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore"):
-            den = np.float_power(delta, 2) + np.float_power(gtot, 2) / 4.0
-            return np.where(np.isinf(den), 0.0, lam**2 * gtot / den)
-    try:
-        den = pow(delta, 2) + pow(gtot, 2) / 4.0
-    except OverflowError:  # a float's pow raises where numpy's returns inf
-        return 0.0
-    return lam**2 * gtot / den if den < math.inf else 0.0
+    den = np.float_power(delta, 2) + np.float_power(gtot, 2) / 4.0
+    return np.where(np.isinf(den), 0.0, np.float_power(lam, 2) * gtot / den)
 
 
 def cooperativity_ab(spec: SystemSpec) -> float:
@@ -209,14 +203,7 @@ def optomechanical_cooperativity(Gamma: float, gamma_b: float) -> float:
     return Gamma / gamma_b
 
 
-def _bath_occupations(spec: SystemSpec) -> tuple:
-    """``(nbar_a, nbar_b)`` of :func:`n_eff_closed_form`."""
-    nbar = spec.mode_a.nbar
-    if spec.mode_a.bath_temperature == spec.mode_b.bath_temperature:
-        return nbar, nbar
-    return nbar, spec.mode_b.nbar
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def n_eff_closed_form(spec: SystemSpec, Gamma: float) -> float:
     """Effective occupation of mode a from the weighted bath average.
 
@@ -230,30 +217,39 @@ def n_eff_closed_form(spec: SystemSpec, Gamma: float) -> float:
     gracefully when omega_a != omega_b; it is evaluated outside the regime
     too, whose edges :func:`regime_flags` reports.
     """
-    nbar, nbar_b = _bath_occupations(spec)
-    ga, gb = spec.mode_a.gamma, spec.mode_b.gamma
-    delta = spec.mode_b.omega - spec.mode_a.omega
-    gamma_a_ind = induced_damping_detuned(spec.coupling, gb, Gamma, delta)
-    if not ga + gamma_a_ind > 0:
-        raise UnstableSystemError("mode a is undamped (gamma_a + Gamma_a = 0)")
-    num = ga * nbar + gamma_a_ind * (gb / (gb + Gamma)) * nbar_b
-    return float(num / (ga + gamma_a_ind))
+    n = float(_n_eff_columns([spec])(np.array([Gamma], dtype=float))[0][0])
+    if math.isnan(n):
+        raise UnstableSystemError(_UNDAMPED)
+    return n
 
 
-def _n_eff_closed_form_slope(spec: SystemSpec, Gamma: float) -> float:
-    """dn/dGamma of :func:`n_eff_closed_form`.
-
-    With g = gamma_b + Gamma and D = delta^2 + g^2/4, multiplying through
-    by D makes n_eff = P/R a ratio of quadratics in g:
-    P = gamma_a*nbar_a*D + lambda^2*gamma_b*nbar_b, R = gamma_a*D + lambda^2*g.
+def _n_eff_columns(specs):
+    """``(Gamma, slopes=False) -> (n, slope)``: :func:`n_eff_closed_form` at each
+    point (specs[i], Gamma[i]) of a column, one spec per point or one for all, NaN
+    where mode a is undamped (0/0), and with ``slopes`` dn/dGamma, else None.  What
+    Gamma does not move is read once, here; numpy's overflow and invalid warnings
+    are off by the caller.  The slope: with g = gamma_b + Gamma, D = delta^2 + g^2/4,
+    n = P/R, P = gamma_a*nbar_a*D + lambda^2*gamma_b*nbar_b, R = gamma_a*D + lambda^2*g.
     """
-    nbar, nbar_b = _bath_occupations(spec)
-    ga, gb, lam2 = spec.mode_a.gamma, spec.mode_b.gamma, spec.coupling**2
-    g = gb + Gamma
-    d = (spec.mode_b.omega - spec.mode_a.omega) ** 2 + g**2 / 4.0
-    r = ga * d + lam2 * g
-    n = (ga * nbar * d + lam2 * gb * nbar_b) / r
-    return (ga * nbar * g / 2.0 - n * (ga * g / 2.0 + lam2)) / r
+    ga, gb, lam, delta, nbar, nbar_b = np.array([
+        (s.mode_a.gamma, s.mode_b.gamma, s.coupling, s.mode_b.omega - s.mode_a.omega, s.mode_a.nbar,
+         (s.mode_a if s.mode_a.bath_temperature == s.mode_b.bath_temperature else s.mode_b).nbar)
+        for s in specs
+    ]).T
+    lam2 = np.float_power(lam, 2)
+
+    def columns(Gamma, slopes=False):
+        g = gb + Gamma
+        gamma_a = _induced_damping(lam, g, delta)
+        n = (ga * nbar + gamma_a * (gb / g) * nbar_b) / (ga + gamma_a)
+        if not slopes:
+            return n, None
+        d = np.float_power(delta, 2) + np.float_power(g, 2) / 4.0
+        r = ga * d + lam2 * g
+        p = (ga * nbar * d + lam2 * gb * nbar_b) / r
+        return n, (ga * nbar * g / 2.0 - p * (ga * g / 2.0 + lam2)) / r
+
+    return columns
 
 
 def optimal_cooperativity(C_ab: float) -> float:

@@ -481,11 +481,11 @@ def _write_table(path, header, columns, fmt):
         cells = [list(map(repr, c.tolist())) if isinstance(c, np.ndarray) else c for c in columns]
         text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
     else:
-        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
-        text = json.dumps(
-            {"columns": header, "rows": [list(r) for r in rows]},
-            sort_keys=True,
-        ) + "\n"
+        # a non-finite float is written as null: JSON has no NaN or Infinity
+        finite = lambda c: np.where(np.isfinite(c), c, None).tolist()
+        rows = zip(*(finite(c) if isinstance(c, np.ndarray) else c for c in columns))
+        table = {"columns": header, "rows": [list(r) for r in rows]}
+        text = json.dumps(table, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -508,9 +508,15 @@ def run(config: RunConfig, out: str | None = None):
         base = out[: -len(ext)] if out.endswith(ext) else out
         _write_table(base + ext, header, columns, config.format)
         with open(base + ".summary.json", "w") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            _dump_summary(summary, fh)
     return summary
+
+
+def _dump_summary(summary: dict, fh):
+    """Write ``summary`` as indented JSON, each non-finite float value as null."""
+    finite = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in summary.items()}
+    json.dump(finite, fh, sort_keys=True, indent=2, allow_nan=False)
+    fh.write("\n")
 
 
 @functools.cache
@@ -556,8 +562,7 @@ def main(argv=None) -> int:
         _emit_error(exc.kind, str(exc))
         return exc.exit_code
     if not (args.out or config.output):
-        json.dump(summary, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        _dump_summary(summary, sys.stdout)
     return 0
 
 

@@ -105,7 +105,8 @@ class LorentzFit:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Position fluctuation spectrum of one mode plus derived quantities."""
+    """Position fluctuation spectrum of one mode plus derived quantities (``T_eff``
+    NaN for a mode at zero frequency)."""
 
     grid: FrequencyGrid
     values: np.ndarray
@@ -214,25 +215,26 @@ def make_grid(
 def _clusters(eigs: np.ndarray) -> list:
     """(center, linewidth) of every eigenvalue, degenerate ones merged.
 
-    The eigenvalues are taken narrowest line first.  A center within
-    ``tol`` of an earlier one takes that center's value, and a cluster
-    whose width is also within ``tol`` is dropped.  ``tol`` is 1e-9 of
-    the width or 1e-12 of the largest |eigenvalue|, whichever is larger:
-    the eigensolve places degenerate eigenvalues a few ulps of the largest
-    one apart, which can exceed 1e-9 of a narrow line.  Since ``tol``
-    grows with the width, the order fixes which lines merge; narrowest
-    first, it does not depend on the eigensolver's order, so the clusters
-    of a conjugate pair of eigenvalues mirror each other.
+    The eigenvalues are taken narrowest line first.  A center within ``tol``
+    of an earlier one of the same sign takes that center's value, and a
+    cluster whose width is also within 1e-9 of its own is dropped.  ``tol`` is
+    1e-9 of the width or 1e-12 of the largest |eigenvalue|, whichever is larger:
+    the eigensolve places degenerate eigenvalues a few ulps of the largest one
+    apart, which can exceed 1e-9 of a narrow line.  Only the centers take that
+    floor, and not across zero: under a far broader cavity it would merge the
+    lines of modes a and b, and each with its mirror.  Since ``tol`` grows with
+    the width, the order fixes which lines merge; narrowest first, it does not
+    depend on the eigensolver's order, so conjugate pairs' clusters mirror.
     """
     floor = 1e-12 * float(np.max(np.abs(eigs)))
     clusters = []
     for eig in eigs[np.argsort(-eigs.real, kind="stable")]:
         center, width = -eig.imag, -2.0 * eig.real
         tol = max(1e-9 * width, floor)
-        same = [c for c in clusters if abs(c[0] - center) <= tol]
+        same = [c for c in clusters if abs(c[0] - center) <= tol and c[0] * center >= 0]
         if same:
             center = same[0][0]
-            if any(abs(w - width) <= tol for _, w in same):
+            if any(abs(w - width) <= 1e-9 * width for _, w in same):
                 continue
         clusters.append((center, width))
     return clusters
@@ -560,8 +562,9 @@ def position_spectrum(
         if n_eff < -1e-3:
             raise NumericsError(f"integrated occupation {n_eff:.4g} < 0")
         n_eff = 0.0
-    omega_sel = -model.drift[r, r].imag
-    t_eff = effective_temperature(n_eff, abs(omega_sel))
+    # a mode at zero frequency (a cavity at zero detuning) has no temperature
+    omega_sel = abs(model.drift[r, r].imag)
+    t_eff = effective_temperature(n_eff, omega_sel) if omega_sel > 0 else math.nan
     return SpectrumResult(
         grid=grid,
         values=values,

@@ -10,19 +10,18 @@ over the points, not a spectrum integral.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analytics import (
+    _UNDAMPED,
     _induced_damping,
-    _n_eff_closed_form_slope,
+    _n_eff_columns,
     _regime_flags_column,
     cooperativity_ab,
     induced_damping_detuned,
-    n_eff_closed_form,
     optimal_cooperativity,
 )
 from .errors import BathcoolError, PhysicsError, UnstableSystemError
@@ -88,24 +87,20 @@ def _n_effs(specs, fidelity: str):
     are switched off once per sweep or search, not per call here: a secant
     step's solve takes about 85 us and each switch 2 us.
     """
-    if fidelity == "rwa":
-
-        def closed_form(gammas, slopes=False):
-            out, errors = np.full((2, len(gammas)), math.nan), {}
-            for i, (s, g) in enumerate(zip(itertools.cycle(specs), map(float, gammas))):
-                try:
-                    out[0, i] = n_eff_closed_form(s, g)
-                    if slopes:  # d/dlog Gamma = Gamma d/dGamma
-                        out[1, i] = g * _n_eff_closed_form_slope(s, g)
-                except BathcoolError as exc:
-                    errors[i] = exc
-            return _Occupations(out[0], out[1] if slopes else None, errors)
-
-        return closed_form
-    if fidelity != "full":
+    if fidelity not in ("rwa", "full"):
         raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")
     if not specs:
         return lambda gammas, slopes=False: _Occupations(np.empty(0), None, {})
+    if fidelity == "rwa":
+        columns = _n_eff_columns(specs)
+
+        def closed_form(gammas, slopes=False):
+            gammas = np.asarray(gammas, dtype=float)
+            n, slope = columns(gammas, slopes)
+            errors = {i: UnstableSystemError(_UNDAMPED) for i in np.flatnonzero(np.isnan(n)).tolist()}
+            return _Occupations(n, gammas * slope if slopes else None, errors)  # d/dlog Gamma
+
+        return closed_form
     a0, a1, b, corr, labels = zip(*(_pencil(s, rotating_wave=False) for s in specs))
     a0, a1, b, corr = map(np.stack, (a0, a1, b, corr))
     kappa = np.array([s.cavity.kappa for s in specs])
@@ -149,10 +144,7 @@ def _sweep(
         t_ratio /= spec.mode_a.bath_temperature
     if linewidths is None:
         linewidths = np.full(values.size, math.nan)
-        gtot = spec.mode_b.gamma + gammas
-        if not np.all(gtot > 0):
-            raise ValueError("gamma_b + Gamma must be > 0")
-        delta = omega_b - spec.mode_a.omega
+        gtot, delta = spec.mode_b.gamma + gammas, omega_b - spec.mode_a.omega
         linewidths[ok] = spec.mode_a.gamma + _induced_damping(spec.coupling, gtot, delta)
     flags = iter(_regime_flags_column(spec, gammas, omega_b))
     flags = tuple(next(flags) if k else None for k in ok.tolist())

@@ -19,11 +19,13 @@ from bathcool import (
     optical_damping,
     optimal_cooperativity,
 )
-from bathcool.analytics import _n_eff_closed_form_slope, regime_flags
+from bathcool.analytics import _induced_damping, _n_eff_columns, regime_flags
 from bathcool.constants import KB
 from bathcool.errors import UnstableSystemError
 
 from conftest import TWO_PI, make_spec
+from test_spectra import _criterion_7_draws
+from test_sweeps import WIDE, _split
 
 
 class TestOpticalDamping:
@@ -206,10 +208,72 @@ class TestNEffClosedForm:
         if temperature_b is not None:
             spec = _colder_b(spec, temperature_b)
         n = lambda g: n_eff_closed_form(spec, g)
-        for gamma in TWO_PI * np.array([300.0, 4e3, 5e4]):
-            slope = _n_eff_closed_form_slope(spec, gamma)
+        gammas = TWO_PI * np.array([300.0, 4e3, 5e4])
+        for gamma, slope in zip(gammas, _n_eff_columns([spec])(gammas, slopes=True)[1]):
             h = 1e-4 * gamma
             assert slope == pytest.approx((n(gamma + h) - n(gamma - h)) / (2 * h), rel=1e-6)
+
+
+def _paper_closed_form(spec, Gamma):
+    """``(n_eff, dn_eff/dGamma, Gamma_a)`` of the paper's closed form in Python
+    floats, squares by pow, NaN n_eff and slope where mode a is undamped.
+    Where a square overflows the Lorentzian Gamma_a takes its limit, 0."""
+    ga, gb, lam = spec.mode_a.gamma, spec.mode_b.gamma, spec.coupling
+    nbar = spec.mode_a.nbar
+    same = spec.mode_a.bath_temperature == spec.mode_b.bath_temperature
+    nbar_b = nbar if same else spec.mode_b.nbar
+    g = gb + Gamma
+    try:
+        d = pow(spec.mode_b.omega - spec.mode_a.omega, 2) + pow(g, 2) / 4.0
+    except OverflowError:
+        d = math.inf
+    gamma_a = pow(lam, 2) * g / d if d < math.inf else 0.0
+    if not ga + gamma_a > 0:
+        return math.nan, math.nan, gamma_a
+    n = (ga * nbar + gamma_a * (gb / g) * nbar_b) / (ga + gamma_a)
+    # n = P/R with P = ga nbar D + lam^2 gb nbar_b, R = ga D + lam^2 g, D = d
+    r = ga * d + pow(lam, 2) * g
+    p = (ga * nbar * d + pow(lam, 2) * gb * nbar_b) / r
+    return n, (ga * nbar * g / 2.0 - p * (ga * g / 2.0 + pow(lam, 2))) / r, gamma_a
+
+
+class TestOneColumnBody:
+    """The closed forms' one numpy body is the paper's formulas in Python
+    floats, bit for bit, with one spec for all points and one per point."""
+
+    @np.errstate(over="ignore", invalid="ignore")  # as the bodies' callers run them
+    def test_matches_the_python_transcription(self):
+        specs, gammas, expected = [], [], []
+        squares_that_differ = 0
+        for draw in _criterion_7_draws(48, seed=16):
+            for split in (0.0, 0.7, -3.0):
+                spec = _split(draw, split * draw.mode_b.gamma)
+                gb, delta = spec.mode_b.gamma, spec.mode_b.omega - spec.mode_a.omega
+                column = np.concatenate((WIDE * gb, [0.0, 1e200 * gb, math.inf]))
+                reference = np.array([_paper_closed_form(spec, g) for g in column.tolist()]).T
+                n, slope = _n_eff_columns([spec])(column, slopes=True)
+                assert np.array_equal(n, reference[0], equal_nan=True)
+                assert np.array_equal(slope, reference[1], equal_nan=True)
+                damping = _induced_damping(spec.coupling, gb + column, delta)
+                assert np.array_equal(damping, reference[2])
+                # the limits: Gamma_a = 0 past the square's overflow and at Gamma = inf
+                assert damping[-2:].tolist() == [0.0, 0.0]
+                specs += [spec] * column.size
+                gammas.append(column)
+                expected.append(reference)
+                squares_that_differ += sum((gb + g) ** 2 != (gb + g) * (gb + g) for g in WIDE * gb)
+        n, slope = _n_eff_columns(specs)(np.concatenate(gammas), slopes=True)
+        expected = np.concatenate(expected, axis=1)
+        assert np.array_equal(n, expected[0], equal_nan=True)
+        assert np.array_equal(slope, expected[1], equal_nan=True)
+        # squares by x*x would have failed the comparisons above at these points
+        assert squares_that_differ > 0
+
+    @np.errstate(invalid="ignore")
+    def test_undamped_points_are_nan(self):
+        spec = make_spec(c_ab=0.0, gamma_a_hz=0.0)
+        n, slope = _n_eff_columns([spec])(np.array([0.0, 1.0, math.inf]), slopes=True)
+        assert np.isnan(n).all() and np.isnan(slope).all()
 
 
 class TestOptimum:

@@ -496,18 +496,14 @@ class TestSweepTable:
         expected = "\n".join(["x,y,flags", *(",".join(map(str, r)) for r in rows)]) + "\n"
         assert path.read_text() == expected
 
-    @pytest.mark.parametrize(
-        "fidelity, names",
-        [("full", ("regime_flags", "induced_damping_detuned")), ("rwa", ("regime_flags",))],
-    )
-    def test_no_scalar_closed_forms_per_point(self, tmp_path, monkeypatch, fidelity, names):
-        # a sweep without line fits evaluates the flags, and at full fidelity
-        # computes no closed-form linewidth, as columns only; an rwa n_eff is
-        # the scalar n_eff_closed_form, which calls induced_damping_detuned
+    @pytest.mark.parametrize("fidelity", ["full", "rwa"])
+    def test_no_scalar_closed_forms_per_point(self, tmp_path, monkeypatch, fidelity):
+        # a sweep without line fits evaluates the flags, the closed-form
+        # linewidths and, at rwa, n_eff as columns only
         def refused(*args, **kwargs):
             raise AssertionError("scalar closed form called by a sweep")
 
-        for name in names:
+        for name in ("regime_flags", "induced_damping_detuned", "n_eff_closed_form"):
             for module in (analytics, sweeps):  # wherever the sweeps may bind it
                 monkeypatch.setattr(module, name, refused, raising=False)
         path = write_config(tmp_path, base_config("sweep", extra=_MIXED_SWEEP))
@@ -603,6 +599,50 @@ temperature_k = 300
     def test_no_subcommand_prints_help(self, capsys):
         assert main([]) == 1
         assert "spectrum" in capsys.readouterr().err
+
+
+def _strict(text: str):
+    """``text`` parsed as strict JSON, which has no NaN or Infinity."""
+    def refused(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refused)
+
+
+class TestStrictJson:
+    """Every JSON artifact is strict JSON: a non-finite float is written as null."""
+
+    def test_full_sweep_table(self, tmp_path):
+        path = write_config(tmp_path, base_config("sweep", extra=_MIXED_SWEEP, fidelity="full"))
+        out = str(tmp_path / "res")
+        assert main(["sweep", "--config", path, "--out", out, "--format", "json"]) == 0
+        rows = _strict((tmp_path / "res.json").read_text())["rows"]
+        assert {row[3] for row in rows} == {None}  # no line fit, no full linewidth
+        assert sum(row[1] is None for row in rows) == 15  # the unstable points
+        assert _strict((tmp_path / "res.summary.json").read_text())["n_errors"] == 15
+
+    def test_zero_temperature_summary(self, tmp_path, capsys):
+        text = base_config("sweep").replace("temperature_k = 300", "temperature_k = 0")
+        assert main(["sweep", "--config", write_config(tmp_path, text)]) == 0
+        assert _strict(capsys.readouterr().out)["T_ratio_min"] is None
+
+    def test_undamped_mode_a_summary(self, tmp_path):
+        text = base_config("sweep").replace("gamma_a_hz = 1.0", "gamma_a_hz = 0")
+        out = str(tmp_path / "res")
+        assert main(["sweep", "--config", write_config(tmp_path, text), "--out", out]) == 0
+        assert _strict((tmp_path / "res.summary.json").read_text())["C_ab"] is None
+
+    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
+    def test_cavity_spectrum_at_zero_detuning(self, tmp_path, capsys, fidelity):
+        # the spectrum and n_eff are defined; a mode at zero frequency has no temperature
+        text = base_config("spectrum", fidelity=fidelity).replace(
+            "detuning_hz = -1e6", "detuning_hz = 0"
+        ).replace("[run]", "[run]\nselect = c")
+        assert main(["spectrum", "--config", write_config(tmp_path, text)]) == 0
+        captured = capsys.readouterr()
+        summary = _strict(captured.out)
+        assert captured.err == ""
+        assert summary["T_eff_K"] is None and summary["n_eff"] >= 0
 
 
 class TestCachedParser:

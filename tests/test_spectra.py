@@ -227,6 +227,16 @@ class TestGridClusters:
         assert len({c for c, _ in clusters}) == 4
         assert spectra._clusters(eigs[::-1]) == clusters
 
+    @pytest.mark.parametrize("kappa_hz", [1e16, 1e20, 1e100])
+    def test_cavity_far_broader_than_the_mechanical_lines(self, kappa_hz):
+        # undriven: 1e-12 of the cavity's width once merged the widths of
+        # modes a and b (from 1e16 Hz) and the centers +-omega (from 1e20 Hz)
+        model = build_full_system(make_spec(c_ab=50.0, kappa_hz=kappa_hz))
+        grid = make_grid(model)
+        assert len(grid.clusters) == 6 and _mirrored(grid.clusters)
+        exact = steady_state_occupation(model, "a")
+        assert abs(position_spectrum(model, "a", grid).n_eff / exact - 1.0) <= 1e-3
+
 
 def _mirrored(clusters):
     """True when the clusters at omega < 0 mirror those at omega > 0: the
