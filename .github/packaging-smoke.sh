@@ -3,43 +3,47 @@
 #   bash .github/packaging-smoke.sh
 # BATHCOOL is the CLI command (default: bathcool).
 #
-# tier-1 imports from src/, so only an installed wheel shows a missing
-# data file (data/materials.json) or a broken console script; the
-# full-fidelity spectrum runs the susceptibility solver from the wheel on
-# the joint rows a + a_dag and e_a, which take e_a's conjugate mate e_a_dag
-# along, sense the e_a row, which takes its mate along too; spectrum
-# and sense at rwa run the rotating-wave band, whose row-by-row update
-# makes the step-2 fill's own right-hand-side update, with masked row
-# swaps, and must exit 0 with an empty stderr; the
-# full-fidelity optimum and sweep the Lyapunov solve and its
-# derivatives; every scan point of the optimum over C_OM in [5e3, 1e5]
-# is unstable, so no solved covariance certifies it and the real-form
-# eigensolve words the error, which must exit 2 with one JSON error; a
-# full sweep over C_OM in [0.1, 1e5] mixes 46 certified points with 15
-# unstable ones, which must exit 0 with "n_errors": 15 in its summary;
-# the full spectrum at C_OM = 1e4 fails the complex eigensolve, whose
-# message must word the real unstable eigenvalue as the real form does
-# (ending in +0j); a [cavity] with both alpha and pump_hz, a [sweep] of
-# more than 100000 points and a [design] whose 1e200 m arms overflow
-# must each exit 1 with one config_error line and no stdout; a drive
-# whose |alpha| g0 overflows (alpha = 1e200, g0_hz = 1e200) must exit 3
-# with no stdout and a stderr of exactly one numerical_failure line, no
-# numpy warning before it, and so must a full spectrum with kappa_hz =
-# 1e306, whose frequency grid's extent overflows; an rwa sweep over C_OM in [0.01, 1e300], where
-# (gamma_b + Gamma)^2 overflows, must exit 0 with an empty stderr and
-# "n_errors": 0, and the full sweep over the same range, whose unstable
-# drifts overflow, must exit 0 with an empty stderr; a spectrum whose
-# [cavity] gives only pump_hz must exit 0 (CavityDrive.from_pump);
-# a full sweep's JSON table and summary must parse with a strict parser,
-# which refuses NaN and Infinity (a non-finite value is written as null);
-# a spectrum of the cavity (select = c) at zero detuning must exit 0 at
-# both fidelities with T_eff_K null, as a mode at zero frequency has no
-# temperature; a full spectrum at kappa_hz = 1e20, a cavity 1e14 times
-# broader than the mechanical lines, must find n_eff within 1e-3 of
-# steady_state_occupation (the grid must keep the lines of modes a and b
-# apart, and each apart from its mirror image); importing the installed CLI, a steady-state occupation of the README
-# system and a Lorentzian line fit must load no scipy module, and the
-# wheel must require scipy only in its test extra
+# tier-1 imports from src/, so only an installed wheel shows a missing data
+# file or a broken console script.  The checks, in order:
+# - design runs: the wheel ships data/materials.json;
+# - a full spectrum solves the joint rows a + a_dag and e_a (e_a_dag along);
+# - a full sense reads the e_a row that the spectrum kept;
+# - rwa spectrum and sense run the rotating-wave band: exit 0, empty stderr;
+# - a full optimize runs the Lyapunov solve and its derivatives;
+# - an optimize over C_OM in [5e3, 1e5], unstable at every scan point: exit 2,
+#   one unstable_system line, worded by the real-form eigensolve, no stdout;
+# - a full sweep over C_OM in [0.1, 1e5], 46 certified and 15 unstable
+#   points: exit 0, "n_errors": 15;
+# - a full spectrum at C_OM = 1e4 fails the complex eigensolve: exit 2, no
+#   stdout, its message ending in +0j, as the real form words it;
+# - a [cavity] with both alpha and pump_hz: exit 1, one config_error line,
+#   no stdout;
+# - a [sweep] of more than 100000 points: exit 1, one config_error line, no
+#   stdout;
+# - a [design] whose 1e200 m arms overflow: exit 1, one config_error line, no
+#   stdout;
+# - a drive whose |alpha| g0 overflows (alpha = g0_hz = 1e200): exit 3, one
+#   numerical_failure line and no numpy warning before it, no stdout;
+# - a full spectrum at kappa_hz = 1e306, whose grid extent overflows: exit 3,
+#   one numerical_failure line, no stdout;
+# - an rwa sweep at lambda_hz = 1e160, where lambda^2 overflows: exit 0, 2 or
+#   3, no traceback, and an empty stderr or one JSON line;
+# - a spectrum at omega_a_hz = 1e-300, where hbar*omega/(kB*T) underflows:
+#   exit 3, one numerical_failure line, no stdout;
+# - an rwa sweep over C_OM in [0.01, 1e300], where (gamma_b + Gamma)^2
+#   overflows: exit 0, empty stderr, "n_errors": 0;
+# - the full sweep over that range, whose unstable drifts overflow: exit 0,
+#   empty stderr;
+# - a spectrum whose [cavity] gives only pump_hz: exit 0;
+# - a full sweep's JSON table and summary parse with a strict parser: a
+#   non-finite value is written as null;
+# - a cavity spectrum (select = c) at zero detuning: exit 0 at both
+#   fidelities, T_eff_K null, as a mode at zero frequency has no temperature;
+# - a full spectrum at kappa_hz = 1e20, a cavity 1e14 times broader than the
+#   mechanical lines: n_eff within 1e-3 of steady_state_occupation;
+# - importing the CLI loads no scipy;
+# - a steady-state occupation and a line fit load no scipy, and the wheel
+#   requires scipy only in its test extra.
 set -euo pipefail
 BATHCOOL=${BATHCOOL:-bathcool}
 printf '%s\n' '[run]' 'task = design' '' '[design]' \
@@ -113,6 +117,17 @@ $BATHCOOL spectrum --config kappa.ini --fidelity full > kappa.out 2> kappa.err |
 test "$code" -eq 3
 test ! -s kappa.out
 python -c "import json; lines = open('kappa.err').read().splitlines(); assert len(lines) == 1 and json.loads(lines[0])['error'] == 'numerical_failure', lines"
+sed -e 's/^task = spectrum$/task = sweep/' -e 's/^lambda_hz = 111.8$/lambda_hz = 1e160/' spectrum.ini > lambda.ini
+code=0
+$BATHCOOL sweep --config lambda.ini --fidelity rwa > lambda.out 2> lambda.err || code=$?
+test "$code" -eq 0 -o "$code" -eq 2 -o "$code" -eq 3
+python -c "import json; lines = open('lambda.err').read().splitlines(); assert not lines or (len(lines) == 1 and set(json.loads(lines[0])) == {'error', 'message'}), lines"
+sed -e 's/^omega_a_hz = 1e6$/omega_a_hz = 1e-300/' spectrum.ini > tiny_omega.ini
+code=0
+$BATHCOOL spectrum --config tiny_omega.ini > tiny_omega.out 2> tiny_omega.err || code=$?
+test "$code" -eq 3
+test ! -s tiny_omega.out
+python -c "import json; lines = open('tiny_omega.err').read().splitlines(); assert len(lines) == 1 and json.loads(lines[0])['error'] == 'numerical_failure', lines"
 sed -e 's/^task = spectrum$/task = sweep/' spectrum.ini > huge_gamma.ini
 printf '%s\n' '' '[sweep]' 'c_om_min = 0.01' 'c_om_max = 1e300' >> huge_gamma.ini
 $BATHCOOL sweep --config huge_gamma.ini --fidelity rwa > huge_gamma.out 2> huge_gamma.err

@@ -188,12 +188,13 @@ def _induced_damping(lam, gtot, delta) -> np.ndarray:
     return np.where(np.isinf(den), 0.0, np.float_power(lam, 2) * gtot / den)
 
 
+@np.errstate(over="ignore")
 def cooperativity_ab(spec: SystemSpec) -> float:
-    """C_ab = 4*lambda^2/(gamma_a*gamma_b)."""
+    """C_ab = 4*lambda^2/(gamma_a*gamma_b), inf where it overflows."""
     ga, gb = spec.mode_a.gamma, spec.mode_b.gamma
-    if ga <= 0 or gb <= 0:
+    if not ga * gb > 0:  # a damping of 0, or a product that underflows to 0
         return math.inf if spec.coupling > 0 else 0.0
-    return 4.0 * spec.coupling**2 / (ga * gb)
+    return float(4.0 * np.float_power(spec.coupling, 2) / (ga * gb))  # libm pow, as Python's **
 
 
 def optomechanical_cooperativity(Gamma: float, gamma_b: float) -> float:

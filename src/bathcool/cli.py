@@ -5,7 +5,7 @@ are given in Hz and converted to angular units (rad/s) at this boundary,
 nowhere else.  Subcommands: spectrum | sweep | optimize | design | sense.
 
 Exit codes: 0 success, 1 usage/config error, 2 physics/regime error,
-3 numerical failure.
+3 numerical failure, an arithmetic or a linear-algebra error included.
 """
 
 from __future__ import annotations
@@ -17,33 +17,21 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .analytics import cooperativity_ab, force_noise_psd, optical_damping
-from .design import (
-    BeamGeometry,
-    CavityDrive,
-    Material,
-    design_to_system,
-    load_material,
-)
-from .errors import BathcoolError, ConfigError, PhysicsError
-from .model import MechanicalMode, SystemSpec, build_full_system, build_rwa_system
+from .analytics import RegimeFlags, cooperativity_ab, force_noise_psd, optical_damping
+from .design import BeamGeometry, Material, design_to_system, load_material
+from .errors import BathcoolError, ConfigError, NumericsError, PhysicsError
+from .model import CavityDrive, MechanicalMode, SystemSpec, build_full_system, build_rwa_system
 from .spectra import DEFAULT_LOG_POINTS, DEFAULT_POINTS_PER_LW
 from .spectra import force_spectrum_numeric, make_grid, position_spectrum
-from .sweeps import (
-    DEFAULT_POINTS_PER_DECADE,
-    DEFAULT_RANGE,
-    find_optimum,
-    sweep_cooperativity,
-)
+from .sweeps import DEFAULT_POINTS_PER_DECADE, DEFAULT_RANGE, find_optimum, sweep_cooperativity
 
 TWO_PI = 2.0 * math.pi
 
-TASKS = ("spectrum", "sweep", "optimize", "design", "sense")
 MODES = ("a", "b", "c")
 # most grid points of a [grid] and C_OM points of a [sweep]: at 1e5 points the
 # full spectrum's elimination of its rows a + a_dag, e_a and e_a_dag, a (6, 9, n/2)
@@ -340,11 +328,7 @@ def _flags_str(flags) -> str:
         return "error"
     if flags.ok:
         return "ok"
-    bad = [
-        name
-        for name in ("degenerate", "sideband", "hierarchy", "cooperative")
-        if not getattr(flags, name)
-    ]
+    bad = [f.name for f in fields(RegimeFlags) if not getattr(flags, f.name)]
     return "violated:" + "+".join(bad)
 
 
@@ -472,6 +456,7 @@ _RUNNERS = {
     "design": _run_design,
     "sense": _run_sense,
 }
+TASKS = tuple(_RUNNERS)
 
 
 def _write_table(path, header, columns, fmt):
@@ -490,11 +475,12 @@ def _write_table(path, header, columns, fmt):
         fh.write(text)
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def run(config: RunConfig, out: str | None = None):
     """Execute a validated config; write table + JSON summary artifacts.
 
     Returns the summary dict.  Output is byte-identical for identical
-    (config, version).
+    (config, version).  numpy's floating-point errors raise (see main).
     """
     header, columns, summary = _RUNNERS[config.task](config)
     summary = dict(summary)
@@ -561,6 +547,9 @@ def main(argv=None) -> int:
     except BathcoolError as exc:
         _emit_error(exc.kind, str(exc))
         return exc.exit_code
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # run's FloatingPointError included
+        _emit_error(NumericsError.kind, f"{type(exc).__name__}: {exc}")
+        return NumericsError.exit_code
     if not (args.out or config.output):
         _dump_summary(summary, sys.stdout)
     return 0

@@ -227,8 +227,8 @@ def _mates(labels: tuple) -> np.ndarray:
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose-Einstein occupation 1/(exp(hbar*omega/kB/T) - 1).
 
-    Returns 0 at zero temperature.  Uses expm1 so the high-temperature
-    limit (hbar*omega/kB/T -> 0) is evaluated without cancellation.
+    Returns 0 at zero temperature, NumericsError where hbar*omega/kB/T
+    underflows to 0; expm1 keeps the high-temperature limit free of cancellation.
     """
     if not omega > 0:
         raise ValueError(f"omega must be > 0, got {omega}")
@@ -239,6 +239,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     x = HBAR * omega / (KB * temperature)
     if x > 700.0:  # exp overflow; occupation is indistinguishable from 0
         return 0.0
+    if x == 0.0:
+        raise NumericsError(f"hbar*omega/(kB*T) underflows to 0 at omega = {omega:.6g} rad/s")
     return 1.0 / math.expm1(x)
 
 
@@ -253,7 +255,10 @@ def effective_temperature(n_eff: float, omega: float) -> float:
         raise ValueError(f"omega must be > 0, got {omega}")
     if n_eff == 0.0:
         return 0.0
-    return HBAR * omega / (KB * math.log1p(1.0 / n_eff))
+    denominator = KB * math.log1p(1.0 / n_eff)
+    if denominator == 0.0:
+        raise NumericsError(f"kB*log1p(1/n_eff) underflows to 0 at n_eff = {n_eff:.6g}")
+    return HBAR * omega / denominator
 
 
 def intracavity_amplitude(pump: complex, detuning: float, kappa: float) -> complex:

@@ -17,6 +17,7 @@ its own (:func:`_peaks`, :func:`_levenberg_marquardt`).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -527,14 +528,15 @@ def position_spectrum(
     covers both +-omega resonances and, as :class:`DriftModel` holds the
     correlations >= 0, is >= 0 unclipped.  Refuses unstable models.
 
-    One row solve (:func:`_solve_rows`) gives the values.  Where no path
-    joins ``select`` and ``select_dag`` in the graph of A != 0
-    (:func:`_blocks`; every RWA drift), it solves u alone.  Where one does
-    (every full drift), it solves [u, e_select], to which the row solve
-    adds e_select's mate e_select_dag, and the model keeps e_select chi B
+    One row solve (:func:`_solve_rows`) gives the values.  For mode a,
+    where a path joins ``a`` and ``a_dag`` in the graph of A != 0
+    (:func:`_blocks`; every full drift), it solves [u, e_a], to which the
+    row solve adds e_a's mate e_a_dag, and the model keeps e_a chi B
     beside the spectrum, which :func:`force_spectrum_numeric` reads on the
-    same grid points instead of solving again.  Each row's bits are its
-    own solve's, so the values are those of u solved alone.
+    same grid points instead of solving again.  Otherwise (every RWA
+    drift, and modes b and c, whose e_select row nothing reads) it solves
+    u alone.  Each row's bits are its own solve's, so the values are those
+    of u solved alone.
 
     The model keeps its last solved spectrum of each mode.  A ``grid``
     that is the :meth:`FrequencyGrid.halved` of that spectrum's grid, both
@@ -551,7 +553,7 @@ def position_spectrum(
         grid = _grid(model, grid)
         u = _quadrature(model, select)
         blocks = _blocks(model.dimension, (model.drift != 0).tobytes())
-        joined = blocks[r] == blocks[model.index(select + "_dag")]
+        joined = select == "a" and blocks[r] == blocks[model.index("a_dag")]
         y = _solve_rows(model, grid.points, [u, np.eye(model.dimension)[r]] if joined else [u])
         values = np.abs(y[:, 0] @ model.noise_input) ** 2 @ model.input_correlations[0]
         kept = y[:, 1] @ model.noise_input if joined else None
@@ -615,6 +617,7 @@ def _quadrature(model: DriftModel, select: str) -> np.ndarray:
     return u
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def steady_state_occupation(model: DriftModel, select: str) -> float:
     """Stationary occupation (u Sigma u^T - 1) / 2 of mode ``select``.
 
@@ -716,10 +719,12 @@ def _occupations(noise: _Noise, a, r) -> _Occupations:
     (d + 3) eps bounds the rounding of the computed R, d^2 eps the
     backward error of the Cholesky test.  Only the other points run an
     eigensolve, of the real quadrature form (``to_real`` of :func:`_fold`),
-    and :func:`_instability` words their error.  So a singular Q
-    (gamma_a = 0), or a first solve that raises LinAlgError, takes the
-    eigensolve first; an uncertified point that its eigenvalues call
-    stable keeps its S under the residual gate.
+    and :func:`_instability` words their error; a batch whose eigensolve
+    raises LinAlgError is solved point by point, and a point that fails
+    alone is a NumericsError.  So a singular Q (gamma_a = 0), or a first
+    solve that raises LinAlgError, takes the eigensolve first; an
+    uncertified point that its eigenvalues call stable keeps its S under
+    the residual gate.
 
     Given ``a1``, the dA/dG of a drift A0 + G*A1 (broadcasting like the
     noise inputs), the record's ``slope`` is dn/dG: dSigma/dG solves
@@ -780,11 +785,17 @@ def _occupations(noise: _Noise, a, r) -> _Occupations:
     if not ok.all():
         rest = np.flatnonzero(~ok)
         # A's spectrum from the real eigensolver, about half the work of the complex one
-        real_form = a_idx[rest].view(float).reshape(-1, 2 * d * d) @ to_real
-        lam = np.linalg.eigvals(real_form.reshape(-1, d, d))
+        real_form = (a_idx[rest].view(float).reshape(-1, 2 * d * d) @ to_real).reshape(-1, d, d)
+        try:
+            lam = np.linalg.eigvals(real_form)
+        except np.linalg.LinAlgError:  # one point at a time, NaN where it fails
+            lam = np.full(real_form.shape[:2], complex(math.nan))
+            for j, m in enumerate(real_form):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    lam[j] = np.linalg.eigvals(m)
         stable = np.all(lam.real < 0, axis=1)
         for i, eigs in zip(idx[rest[~stable]].tolist(), lam[~stable]):
-            errors[i] = _instability(eigs)
+            errors[i] = _instability(eigs) or NumericsError("eigensolver did not converge")
         ok[rest[stable]] = True
         new = ok & ~solved
         if new.any():

@@ -106,6 +106,21 @@ class TestModeAResponse:
         assert g_half - spec50.mode_a.gamma == pytest.approx(on / 2.0, rel=1e-12)
 
 
+class TestCooperativityAB:
+    def test_bits_of_the_python_float_form(self):
+        # lambda is squared by libm pow, as Python's ** squares it
+        for spec in _criterion_7_draws(20):
+            ga, gb = spec.mode_a.gamma, spec.mode_b.gamma
+            assert cooperativity_ab(spec) == 4.0 * spec.coupling**2 / (ga * gb)
+
+    def test_overflow_is_inf(self, spec50):
+        # lambda^2 overflows from about 1.3e154 rad/s, and 1e-300^2 underflows
+        # to 0; a numpy warning fails the test
+        assert cooperativity_ab(replace(spec50, coupling=1e160)) == math.inf
+        tiny = lambda mode: replace(mode, gamma=1e-300)
+        assert cooperativity_ab(replace(spec50, mode_a=tiny(spec50.mode_a), mode_b=tiny(spec50.mode_b))) == math.inf
+
+
 class TestInducedDamping:
     def test_reference_numbers(self):
         # parameters chosen so C_ab = 50 at gamma_a = 2pi*1 Hz

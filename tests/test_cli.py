@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -739,7 +740,7 @@ FUZZ_UNKNOWN = (
     ("sweep", "points"),
     ("optimize", "c_om"),
 )
-FUZZ_KINDS = ("malformed", "negative", "zero", "inf", "nan", "missing")
+FUZZ_KINDS = ("malformed", "negative", "zero", "tiny", "huge", "inf", "nan", "missing")
 
 
 def _fuzzed(kind, ok):
@@ -747,7 +748,15 @@ def _fuzzed(kind, ok):
         negative = repr(-float(ok))
     except ValueError:
         negative = "-" + ok
-    return {"malformed": "abc", "negative": negative, "zero": "0", "inf": "inf", "nan": "nan"}[kind]
+    return {
+        "malformed": "abc",
+        "negative": negative,
+        "zero": "0",
+        "tiny": "1e-300",
+        "huge": "1e300",
+        "inf": "inf",
+        "nan": "nan",
+    }[kind]
 
 
 def fuzz_text(task, fidelity, spoiled=(), unknown=None, with_cavity=True):
@@ -785,6 +794,44 @@ def fuzz_cases(draw):
 _ZERO_G0 = {("cavity", "g0_hz"): "zero"}
 # mode a with neither intrinsic damping nor coupling to b
 _UNDAMPED_A = {("system", "gamma_a_hz"): "zero", ("system", "lambda_hz"): "zero"}
+# extreme but accepted values that once ended in a traceback, or in a numpy
+# warning on stderr: [system] key, kind, tasks, fidelities
+_EXTREME = (
+    ("omega_a_hz", "tiny", "spectrum sweep optimize sense", "rwa full"),  # hbar*omega/(kB*T) underflows
+    ("omega_b_hz", "tiny", "spectrum sense", "rwa full"),
+    ("omega_b_hz", "tiny", "sweep optimize", "full"),
+    ("gamma_a_hz", "tiny", "sense", "rwa full"),  # the force baseline is 0
+    ("gamma_b_hz", "tiny", "sweep optimize", "rwa"),  # (gamma_b + Gamma)^2 underflows
+    ("gamma_b_hz", "tiny", "sense", "rwa full"),
+    ("lambda_hz", "huge", "sweep", "rwa full"),  # lambda^2 overflows
+    ("temperature_k", "huge", "spectrum", "rwa full"),  # kB*log1p(1/n_eff) underflows
+    ("temperature_k", "huge", "sweep", "rwa"),
+    ("mass_a_kg", "tiny", "sense", "rwa full"),  # the force baseline is 0
+)
+_EXTREME_CASES = [
+    *(
+        (task, fuzz_text(task, fidelity, {("system", key): kind}))
+        for key, kind, tasks, fidelities in _EXTREME
+        for task in tasks.split()
+        for fidelity in fidelities.split()
+    ),
+    *(
+        ("sweep", fuzz_text("sweep", fidelity).replace("lambda_hz = 111.8", "lambda_hz = 1e160"))
+        for fidelity in ("rwa", "full")
+    ),
+    # the real-form eigensolve of this one C_OM's drift can fail to converge (LinAlgError)
+    (
+        "sweep",
+        fuzz_text("sweep", "full", {("cavity", "detuning_hz"): "huge"}).replace(
+            "c_om_min = 3\n", "c_om_min = 0.3831186849557287\n"
+        ),
+    ),
+]
+
+
+def _examples(cases):
+    """A hypothesis ``@example(case=...)`` of each of ``cases``."""
+    return lambda test: functools.reduce(lambda t, case: example(case=case)(t), cases, test)
 
 
 class TestConfigFuzz:
@@ -796,6 +843,7 @@ class TestConfigFuzz:
     @example(case=("optimize", fuzz_text("optimize", "full", _ZERO_G0)))
     @example(case=("sweep", fuzz_text("sweep", "rwa", _UNDAMPED_A)))
     @example(case=("optimize", fuzz_text("optimize", "rwa", _UNDAMPED_A)))
+    @_examples(_EXTREME_CASES)
     def test_exit_code_and_one_json_error(self, case):
         task, text = case
         out, err = io.StringIO(), io.StringIO()

@@ -17,6 +17,7 @@ from bathcool import (
     thermal_occupation,
 )
 from bathcool.constants import HBAR, KB
+from bathcool.errors import NumericsError
 
 from conftest import TWO_PI, make_spec
 
@@ -57,6 +58,11 @@ class TestThermalOccupation:
         with pytest.raises(ValueError):
             thermal_occupation(TWO_PI * 1e6, -1.0)
 
+    def test_underflowing_ratio_is_a_numerics_error(self):
+        # hbar*omega/(kB*T) underflows to 0, where 1/expm1 has no value
+        with pytest.raises(NumericsError, match="hbar\\*omega/\\(kB\\*T\\) underflows to 0"):
+            thermal_occupation(TWO_PI * 1e-300, 300.0)
+
 
 class TestEffectiveTemperature:
     def test_zero_occupation(self):
@@ -77,6 +83,11 @@ class TestEffectiveTemperature:
     def test_negative_occupation_rejected(self):
         with pytest.raises(ValueError):
             effective_temperature(-0.1, TWO_PI * 1e6)
+
+    def test_underflowing_denominator_is_a_numerics_error(self):
+        # kB*log1p(1/n_eff) is about 1.4e-328, below the least subnormal
+        with pytest.raises(NumericsError, match="underflows to 0 at n_eff = 1e\\+305"):
+            effective_temperature(1e305, TWO_PI * 1e6)
 
 
 class TestIntracavityAmplitude:

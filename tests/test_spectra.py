@@ -985,7 +985,9 @@ class TestSharedPairSolve:
     def test_pair_split_follows_the_zero_pattern(self, monkeypatch):
         # the RWA keeps each x and x_dag apart and the driven full model joins
         # them; an undriven, uncoupled full model has the RWA's zero pattern,
-        # so it solves each spectrum's row u alone, as the RWA does
+        # so it solves each spectrum's row u alone, as the RWA does.  Only
+        # mode a's e_a row has a reader (the force spectrum), so modes b and
+        # c solve u alone on every model
         calls = _record_eliminations(monkeypatch)
         spec, bare = make_spec(c_ab=50.0, c_om=5.0), make_spec(c_ab=0.0)
         cases = ((build_rwa_system(spec), 1), (build_full_system(spec), 3), (build_full_system(bare), 1))
@@ -993,7 +995,7 @@ class TestSharedPairSolve:
             for select in ("a", "b", "c"):
                 calls.clear()
                 position_spectrum(model, select)
-                assert [k for _, k in calls] == [rows]
+                assert [k for _, k in calls] == [rows if select == "a" else 1]
         a = np.diag(-1.0 - 1j * np.arange(1.0, 7.0))
         a[0, 5] = a[5, 0] = 0.5  # a joined to c_dag alone
         assert spectra._blocks(6, (a != 0).tobytes()) == (0, 1, 2, 3, 4, 0)
@@ -1146,6 +1148,13 @@ class TestSteadyStateOccupation:
         monkeypatch.setattr(spectra, "RESIDUAL_TOL", math.inf)
         errors = _batch(models)
         assert [str(e) for e in errors] == ["steady-state occupation -0.25 < 0"] * 2
+
+    @pytest.mark.parametrize("kappa_hz", [1e200, 1e250, 1e300, 1e306])
+    def test_huge_kappa_keeps_the_occupation_and_warns_nothing(self, kappa_hz):
+        # the drift's norms overflow, so the eigensolve certifies the point;
+        # a numpy warning fails the test
+        n = steady_state_occupation(build_full_system(make_spec(c_ab=50.0, kappa_hz=kappa_hz)), "a")
+        assert n == steady_state_occupation(build_full_system(make_spec(c_ab=50.0)), "a")
 
     def test_unstable_refused(self):
         spec = make_spec(c_ab=10.0, c_om=50.0)
@@ -1357,6 +1366,30 @@ class TestBatchedCovariance:
                 assert type(entry) is type(exc) and str(entry) == str(exc)
             else:
                 assert entry == single
+
+    def test_an_eigensolve_that_fails_fails_its_point_alone(self, monkeypatch):
+        # the batched eigensolve of the two uncertified (unstable) points
+        # raises; each is solved again alone, and only the one whose
+        # eigensolve raises again takes a NumericsError
+        blue = make_spec(c_ab=10.0, c_om=50.0)
+        blue = replace(blue, cavity=replace(blue.cavity, detuning=-blue.cavity.detuning))
+        models = [build_full_system(s) for s in (blue, make_spec(c_ab=50.0, c_om=5.0), replace(blue, coupling=2 * blue.coupling))]
+        expected = _batch(models)
+        eigvals, singles = np.linalg.eigvals, []
+
+        def flaky(m):
+            if m.ndim == 2:
+                singles.append(m)
+            if m.ndim == 3 or len(singles) == 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(m)
+
+        monkeypatch.setattr(np.linalg, "eigvals", flaky)
+        got = _batch(models)
+        assert len(singles) == 2 and isinstance(expected[0], UnstableSystemError)
+        assert [_entry(e) for e in got] == [
+            _entry(expected[0]), expected[1], (NumericsError, "eigensolver did not converge")
+        ]
 
     def test_non_finite_drift_is_a_per_point_error(self):
         good = build_full_system(make_spec(c_ab=50.0, c_om=5.0))
