@@ -23,12 +23,22 @@ import numpy as np
 
 from . import __version__
 from .analytics import RegimeFlags, cooperativity_ab, force_noise_psd, optical_damping
-from .design import BeamGeometry, Material, design_to_system, load_material
+from .design import (
+    BeamGeometry,
+    Material,
+    design_to_system,
+    load_material,
+)
 from .errors import BathcoolError, ConfigError, NumericsError, PhysicsError
 from .model import CavityDrive, MechanicalMode, SystemSpec, build_full_system, build_rwa_system
 from .spectra import DEFAULT_LOG_POINTS, DEFAULT_POINTS_PER_LW
 from .spectra import force_spectrum_numeric, make_grid, position_spectrum
-from .sweeps import DEFAULT_POINTS_PER_DECADE, DEFAULT_RANGE, find_optimum, sweep_cooperativity
+from .sweeps import (
+    DEFAULT_POINTS_PER_DECADE,
+    DEFAULT_RANGE,
+    find_optimum,
+    sweep_cooperativity,
+)
 
 TWO_PI = 2.0 * math.pi
 

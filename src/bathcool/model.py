@@ -228,7 +228,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose-Einstein occupation 1/(exp(hbar*omega/kB/T) - 1).
 
     Returns 0 at zero temperature, NumericsError where hbar*omega/kB/T
-    underflows to 0; expm1 keeps the high-temperature limit free of cancellation.
+    underflows so far that the occupation overflows; expm1 keeps the
+    high-temperature limit free of cancellation.
     """
     if not omega > 0:
         raise ValueError(f"omega must be > 0, got {omega}")
@@ -239,15 +240,17 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     x = HBAR * omega / (KB * temperature)
     if x > 700.0:  # exp overflow; occupation is indistinguishable from 0
         return 0.0
-    if x == 0.0:
-        raise NumericsError(f"hbar*omega/(kB*T) underflows to 0 at omega = {omega:.6g} rad/s")
-    return 1.0 / math.expm1(x)
+    n = 1.0 / math.expm1(x) if x > 0.0 else math.inf
+    if math.isinf(n):  # x is 0 or subnormal
+        raise NumericsError(f"hbar*omega/(kB*T) underflows to {x:.3g} at omega = {omega:.6g} rad/s")
+    return n
 
 
 def effective_temperature(n_eff: float, omega: float) -> float:
     """Temperature at which a mode of frequency omega has occupation n_eff.
 
-    Inverse of :func:`thermal_occupation`; returns 0 for n_eff = 0.
+    Inverse of :func:`thermal_occupation`; returns 0 for n_eff = 0 and
+    NumericsError where the temperature overflows.
     """
     if n_eff < 0:
         raise ValueError(f"n_eff must be >= 0, got {n_eff}")
@@ -255,10 +258,14 @@ def effective_temperature(n_eff: float, omega: float) -> float:
         raise ValueError(f"omega must be > 0, got {omega}")
     if n_eff == 0.0:
         return 0.0
-    denominator = KB * math.log1p(1.0 / n_eff)
-    if denominator == 0.0:
-        raise NumericsError(f"kB*log1p(1/n_eff) underflows to 0 at n_eff = {n_eff:.6g}")
-    return HBAR * omega / denominator
+    log = math.log1p(1.0 / n_eff)
+    if KB * log > 0.0:
+        return HBAR * omega / (KB * log)
+    # kB*log underflows to 0; the temperature itself may still be finite
+    temperature = float(HBAR * omega / KB) / log if log > 0.0 else math.inf
+    if math.isinf(temperature):
+        raise NumericsError(f"effective temperature overflows at n_eff = {n_eff:.6g}")
+    return temperature
 
 
 def intracavity_amplitude(pump: complex, detuning: float, kappa: float) -> complex:

@@ -790,9 +790,9 @@ def _occupations(noise: _Noise, a, r) -> _Occupations:
             lam = np.linalg.eigvals(real_form)
         except np.linalg.LinAlgError:  # one point at a time, NaN where it fails
             lam = np.full(real_form.shape[:2], complex(math.nan))
-            for j, m in enumerate(real_form):
+            for j, form in enumerate(real_form):
                 with contextlib.suppress(np.linalg.LinAlgError):
-                    lam[j] = np.linalg.eigvals(m)
+                    lam[j] = np.linalg.eigvals(form)
         stable = np.all(lam.real < 0, axis=1)
         for i, eigs in zip(idx[rest[~stable]].tolist(), lam[~stable]):
             errors[i] = _instability(eigs) or NumericsError("eigensolver did not converge")

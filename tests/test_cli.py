@@ -804,7 +804,7 @@ _EXTREME = (
     ("gamma_b_hz", "tiny", "sweep optimize", "rwa"),  # (gamma_b + Gamma)^2 underflows
     ("gamma_b_hz", "tiny", "sense", "rwa full"),
     ("lambda_hz", "huge", "sweep", "rwa full"),  # lambda^2 overflows
-    ("temperature_k", "huge", "spectrum", "rwa full"),  # kB*log1p(1/n_eff) underflows
+    ("temperature_k", "huge", "spectrum", "rwa full"),  # kB*log1p(1/n_eff) underflows, T_eff does not
     ("temperature_k", "huge", "sweep", "rwa"),
     ("mass_a_kg", "tiny", "sense", "rwa full"),  # the force baseline is 0
 )
@@ -817,6 +817,14 @@ _EXTREME_CASES = [
     ),
     *(
         ("sweep", fuzz_text("sweep", fidelity).replace("lambda_hz = 111.8", "lambda_hz = 1e160"))
+        for fidelity in ("rwa", "full")
+    ),
+    # hbar*omega_a/(kB*T) is a subnormal, whose 1/expm1 overflows to inf
+    *(
+        (task, fuzz_text(task, fidelity, {("system", "temperature_k"): "huge"}).replace(
+            "omega_a_hz = 1e6", "omega_a_hz = 10"
+        ))
+        for task in ("spectrum", "sweep", "optimize", "sense")
         for fidelity in ("rwa", "full")
     ),
     # the real-form eigensolve of this one C_OM's drift can fail to converge (LinAlgError)

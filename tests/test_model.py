@@ -63,6 +63,11 @@ class TestThermalOccupation:
         with pytest.raises(NumericsError, match="hbar\\*omega/\\(kB\\*T\\) underflows to 0"):
             thermal_occupation(TWO_PI * 1e-300, 300.0)
 
+    def test_subnormal_ratio_is_a_numerics_error(self):
+        # hbar*omega/(kB*T) is about 4.8e-310, a subnormal: 1/expm1 overflows to inf
+        with pytest.raises(NumericsError, match="underflows to 4.8e-310 at omega = 62.8319"):
+            thermal_occupation(TWO_PI * 10.0, 1e300)
+
 
 class TestEffectiveTemperature:
     def test_zero_occupation(self):
@@ -84,10 +89,17 @@ class TestEffectiveTemperature:
         with pytest.raises(ValueError):
             effective_temperature(-0.1, TWO_PI * 1e6)
 
-    def test_underflowing_denominator_is_a_numerics_error(self):
-        # kB*log1p(1/n_eff) is about 1.4e-328, below the least subnormal
-        with pytest.raises(NumericsError, match="underflows to 0 at n_eff = 1e\\+305"):
-            effective_temperature(1e305, TWO_PI * 1e6)
+    def test_underflowing_denominator_keeps_a_finite_temperature(self):
+        # kB*log1p(1/n_eff) is about 1.4e-328, below the least subnormal,
+        # but the temperature, about 4.8e300 K, is a float
+        omega = TWO_PI * 1e6
+        assert effective_temperature(1e305, omega) == pytest.approx(HBAR * omega / KB * 1e305, rel=1e-12)
+
+    def test_overflowing_temperature_is_a_numerics_error(self):
+        with pytest.raises(NumericsError, match="overflows at n_eff = 1e\\+305"):
+            effective_temperature(1e305, TWO_PI * 1e15)
+        with pytest.raises(NumericsError, match="overflows at n_eff = inf"):
+            effective_temperature(math.inf, TWO_PI * 1e6)
 
 
 class TestIntracavityAmplitude:

@@ -1367,28 +1367,39 @@ class TestBatchedCovariance:
             else:
                 assert entry == single
 
-    def test_an_eigensolve_that_fails_fails_its_point_alone(self, monkeypatch):
-        # the batched eigensolve of the two uncertified (unstable) points
-        # raises; each is solved again alone, and only the one whose
-        # eigensolve raises again takes a NumericsError
+    @pytest.mark.parametrize("slopes", [False, True])
+    def test_an_eigensolve_that_fails_fails_its_point_alone(self, monkeypatch, slopes):
+        # the batched eigensolve of the three uncertified points (two
+        # unstable, one stable with a singular Q) raises; each is solved
+        # again alone, and only the one whose eigensolve raises again takes
+        # a NumericsError; the stable one and the slopes are solved after
         blue = make_spec(c_ab=10.0, c_om=50.0)
         blue = replace(blue, cavity=replace(blue.cavity, detuning=-blue.cavity.detuning))
-        models = [build_full_system(s) for s in (blue, make_spec(c_ab=50.0, c_om=5.0), replace(blue, coupling=2 * blue.coupling))]
-        expected = _batch(models)
+        singular = replace(make_spec(c_ab=50.0, gamma_a_hz=0.0), coupling=TWO_PI * 100.0)
+        specs = (blue, make_spec(c_ab=50.0, c_om=5.0), singular, replace(blue, coupling=2 * blue.coupling))
+        drifts, b, weights, labels = _model_stack([build_full_system(s) for s in specs])
+        a1 = _pencil(make_spec(c_ab=50.0), rotating_wave=False)[1]
+        noise = spectra._prepare_noise(
+            b, weights, _conjugate_swap(labels), np.repeat(a1[None], len(specs), axis=0) if slopes else None
+        )
+        assert noise.q_floor[2] <= 0 < noise.q_floor[1]
+        solve = lambda: _entries(spectra._occupations(noise, drifts, labels.index("a")))
+        expected = solve()
         eigvals, singles = np.linalg.eigvals, []
 
         def flaky(m):
             if m.ndim == 2:
                 singles.append(m)
-            if m.ndim == 3 or len(singles) == 2:
+            if m.ndim == 3 or len(singles) == 3:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return eigvals(m)
 
         monkeypatch.setattr(np.linalg, "eigvals", flaky)
-        got = _batch(models)
-        assert len(singles) == 2 and isinstance(expected[0], UnstableSystemError)
+        got = solve()
+        assert len(singles) == 3 and isinstance(expected[0], UnstableSystemError)
+        assert not isinstance(expected[2], Exception)
         assert [_entry(e) for e in got] == [
-            _entry(expected[0]), expected[1], (NumericsError, "eigensolver did not converge")
+            _entry(expected[0]), expected[1], expected[2], (NumericsError, "eigensolver did not converge")
         ]
 
     def test_non_finite_drift_is_a_per_point_error(self):
