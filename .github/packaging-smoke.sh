@@ -30,6 +30,10 @@
 #   3, no traceback, and an empty stderr or one JSON line;
 # - a spectrum at omega_a_hz = 1e-300, where hbar*omega/(kB*T) underflows:
 #   exit 3, one numerical_failure line, no stdout;
+# - an rwa sweep at gamma_b_hz = 1e-300, where (gamma_b + Gamma)^2 underflows:
+#   exit 0 or 2, no FloatingPointError, and an empty stderr or one JSON line;
+# - a sense at mass_a_kg = 1e-300, whose force baseline underflows to 0: exit 3,
+#   one numerical_failure line that names the baseline;
 # - an rwa sweep over C_OM in [0.01, 1e300], where (gamma_b + Gamma)^2
 #   overflows: exit 0, empty stderr, "n_errors": 0;
 # - the full sweep over that range, whose unstable drifts overflow: exit 0,
@@ -128,6 +132,17 @@ $BATHCOOL spectrum --config tiny_omega.ini > tiny_omega.out 2> tiny_omega.err ||
 test "$code" -eq 3
 test ! -s tiny_omega.out
 python -c "import json; lines = open('tiny_omega.err').read().splitlines(); assert len(lines) == 1 and json.loads(lines[0])['error'] == 'numerical_failure', lines"
+sed -e 's/^task = spectrum$/task = sweep/' -e 's/^gamma_b_hz = 1e3$/gamma_b_hz = 1e-300/' spectrum.ini > tiny_gamma_b.ini
+code=0
+$BATHCOOL sweep --config tiny_gamma_b.ini --fidelity rwa > tiny_gamma_b.out 2> tiny_gamma_b.err || code=$?
+test "$code" -eq 0 -o "$code" -eq 2
+! grep -q FloatingPointError tiny_gamma_b.err
+python -c "import json; lines = open('tiny_gamma_b.err').read().splitlines(); assert not lines or (len(lines) == 1 and set(json.loads(lines[0])) == {'error', 'message'}), lines"
+sed -e 's/^task = spectrum$/task = sense/' -e 's/^mass_a_kg = 1e-12$/mass_a_kg = 1e-300/' spectrum.ini > tiny_mass.ini
+code=0
+$BATHCOOL sense --config tiny_mass.ini > tiny_mass.out 2> tiny_mass.err || code=$?
+test "$code" -eq 3
+python -c "import json; lines = open('tiny_mass.err').read().splitlines(); assert len(lines) == 1 and json.loads(lines[0])['error'] == 'numerical_failure' and 'force baseline' in json.loads(lines[0])['message'], lines"
 sed -e 's/^task = spectrum$/task = sweep/' spectrum.ini > huge_gamma.ini
 printf '%s\n' '' '[sweep]' 'c_om_min = 0.01' 'c_om_max = 1e300' >> huge_gamma.ini
 $BATHCOOL sweep --config huge_gamma.ini --fidelity rwa > huge_gamma.out 2> huge_gamma.err

@@ -181,11 +181,24 @@ def _induced_damping(lam, gtot, delta) -> np.ndarray:
     """:func:`induced_damping_detuned` at each total b damping of the column ``gtot``
     (ValueError unless all > 0), squaring by libm pow: numpy's x**2 is x*x, which can
     differ in the last bit.  Where a square overflows or gtot is infinite, the
-    Lorentzian takes its limit, 0, with numpy's warnings off by the caller."""
+    Lorentzian takes its limit, 0, with numpy's warnings off by the caller.
+    Where the denominator is below the normal range (gtot and |delta| below
+    about 1e-154), it is scaled by s = max(|delta|, gtot) instead:
+    lambda^2 (gtot/s) / D / s with D = (delta/s)^2 + (gtot/s)^2/4 in [1/4, 5/4],
+    which is 4 lambda^2/gtot at delta = 0 and divides by no 0."""
     if not (gtot > 0).all():
         raise ValueError("gamma_b + Gamma must be > 0")
+    lam2 = np.float_power(lam, 2)
     den = np.float_power(delta, 2) + np.float_power(gtot, 2) / 4.0
-    return np.where(np.isinf(den), 0.0, np.float_power(lam, 2) * gtot / den)
+    normal = np.finfo(float).tiny
+    out = np.where(np.isinf(den), 0.0, lam2 * gtot / np.maximum(den, normal))
+    low = den < normal
+    if low.any():
+        lam2, gtot, delta = (np.broadcast_to(x, out.shape)[low] for x in (lam2, gtot, delta))
+        s = np.maximum(np.abs(delta), gtot)
+        scaled = np.float_power(delta / s, 2) + np.float_power(gtot / s, 2) / 4.0
+        out[low] = lam2 * (gtot / s) / scaled / s
+    return out
 
 
 @np.errstate(over="ignore")
@@ -227,10 +240,12 @@ def n_eff_closed_form(spec: SystemSpec, Gamma: float) -> float:
 def _n_eff_columns(specs):
     """``(Gamma, slopes=False) -> (n, slope)``: :func:`n_eff_closed_form` at each
     point (specs[i], Gamma[i]) of a column, one spec per point or one for all, NaN
-    where mode a is undamped (0/0), and with ``slopes`` dn/dGamma, else None.  What
-    Gamma does not move is read once, here; numpy's overflow and invalid warnings
-    are off by the caller.  The slope: with g = gamma_b + Gamma, D = delta^2 + g^2/4,
-    n = P/R, P = gamma_a*nbar_a*D + lambda^2*gamma_b*nbar_b, R = gamma_a*D + lambda^2*g.
+    where mode a is undamped (0/0), and with ``slopes`` dn/dGamma, else None.  Where
+    Gamma_a*nbar_b overflows, n is the same average with the weight
+    gamma_a/(gamma_a + Gamma_a) formed first.  What Gamma does not move is read
+    once, here; numpy's overflow and invalid warnings are off by the caller.  The
+    slope: with g = gamma_b + Gamma, D = delta^2 + g^2/4, n = P/R,
+    P = gamma_a*nbar_a*D + lambda^2*gamma_b*nbar_b, R = gamma_a*D + lambda^2*g.
     """
     ga, gb, lam, delta, nbar, nbar_b = np.array([
         (s.mode_a.gamma, s.mode_b.gamma, s.coupling, s.mode_b.omega - s.mode_a.omega, s.mode_a.nbar,
@@ -243,6 +258,10 @@ def _n_eff_columns(specs):
         g = gb + Gamma
         gamma_a = _induced_damping(lam, g, delta)
         n = (ga * nbar + gamma_a * (gb / g) * nbar_b) / (ga + gamma_a)
+        over = np.isinf(n)
+        if over.any():  # Gamma_a*nbar_b overflows (gamma_b + Gamma ~ 1e-300), n need not
+            w = ga / (ga + gamma_a)
+            n = np.where(over, w * nbar + (1.0 - w) * (gb / g) * nbar_b, n)
         if not slopes:
             return n, None
         d = np.float_power(delta, 2) + np.float_power(g, 2) / 4.0

@@ -252,19 +252,36 @@ def effective_temperature(n_eff: float, omega: float) -> float:
     Inverse of :func:`thermal_occupation`; returns 0 for n_eff = 0 and
     NumericsError where the temperature overflows.
     """
-    if n_eff < 0:
-        raise ValueError(f"n_eff must be >= 0, got {n_eff}")
+    return float(_effective_temperatures(np.array([n_eff], dtype=float), omega)[0])
+
+
+@np.errstate(divide="ignore", over="ignore")
+def _effective_temperatures(n_eff: np.ndarray, omega: float) -> np.ndarray:
+    """:func:`effective_temperature` at each occupation of the column ``n_eff``.
+
+    1/n and the products are numpy's IEEE operations in the scalar
+    formula's order, and the logarithm is math.log1p itself, mapped over
+    the column (np.log1p is not bitwise math.log1p), so each value is the
+    bits of its own scalar call.  At n_eff = 0, 1/n = inf gives T = 0.
+    """
+    negative = n_eff[n_eff < 0]
+    if negative.size:
+        raise ValueError(f"n_eff must be >= 0, got {float(negative[0])}")
     if not omega > 0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    if n_eff == 0.0:
-        return 0.0
-    log = math.log1p(1.0 / n_eff)
-    if KB * log > 0.0:
-        return HBAR * omega / (KB * log)
-    # kB*log underflows to 0; the temperature itself may still be finite
-    temperature = float(HBAR * omega / KB) / log if log > 0.0 else math.inf
-    if math.isinf(temperature):
-        raise NumericsError(f"effective temperature overflows at n_eff = {n_eff:.6g}")
+    log = np.fromiter(map(math.log1p, (1.0 / n_eff).tolist()), float, n_eff.size)
+    kb_log = KB * log
+    temperature = HBAR * omega / kb_log
+    low = ~(kb_log > 0.0)
+    if low.any():
+        # kB*log underflows to 0; the temperature itself may still be finite
+        log = log[low]
+        temperature[low] = np.where(log > 0.0, HBAR * omega / KB / log, math.inf)
+        overflows = np.flatnonzero(np.isinf(temperature) & low)
+        if overflows.size:
+            raise NumericsError(
+                f"effective temperature overflows at n_eff = {float(n_eff[overflows[0]]):.6g}"
+            )
     return temperature
 
 

@@ -630,10 +630,9 @@ def steady_state_occupation(model: DriftModel, select: str) -> float:
     drift eigenvalues.  Refuses unstable models; NumericsError when the
     Lyapunov residual exceeds RESIDUAL_TOL.
     """
-    noise = _prepare_noise(
-        model.noise_input[None], model.input_correlations[0][None], _conjugate_swap(model.labels)
-    )
-    occupation = _occupations(noise, model.drift[None], _mode(model, select))
+    inputs = (model.noise_input[None], model.input_correlations[0][None], _conjugate_swap(model.labels))
+    pencil = _prepare_noise(model.drift[None], None, *inputs)
+    occupation = _occupations(pencil, np.zeros(1), _mode(model, select))
     if occupation.errors:
         raise occupation.errors[0]
     return float(occupation.n[0])
@@ -651,28 +650,37 @@ class _Occupations:
 
 @dataclass(frozen=True)
 class _Noise:
-    """What :func:`_occupations` needs of a pencil that no drift moves.
+    """A prepared pencil A(G) = A0 + G*A1 and its noise: all that
+    :func:`_occupations` needs which no G moves.
 
     ``fold`` holds :func:`_fold`'s tables for the conjugate swap ``perm``.
-    The arrays have one row per distinct Q, broadcasting over the points
-    like the noise inputs: ``qf`` is the folded Q that is solved, ``qs``
-    its Hermitian matrix, ``q_floor`` a Gershgorin lower bound on its
-    lambda_min and ``q_norm`` its Frobenius norm.  ``a1`` is the folded
-    operator of dA/dG, or None when no slope is solved.
+    The arrays have one row per distinct pencil or Q, broadcasting over
+    the points like the noise inputs: ``a0`` and ``a1`` are the drift's
+    parts, ``a1`` None for a drift stack that G does not move, whose
+    points are the rows of ``a0``.  ``ops`` holds the folded operators
+    (:func:`_operator`) L1 and L0 of A1 and A0, flattened, as
+    (rows, 2, m*m), or L0 alone, (rows, 1, m*m), without ``a1``.  ``qf``
+    is the folded Q that is solved, ``qs`` its Hermitian matrix,
+    ``q_floor`` a Gershgorin lower bound on its lambda_min and ``q_norm``
+    its Frobenius norm.
     """
 
     perm: np.ndarray
     fold: tuple
+    a0: np.ndarray
+    a1: np.ndarray | None
+    ops: np.ndarray
     qf: np.ndarray
     qs: np.ndarray
     q_floor: np.ndarray
     q_norm: np.ndarray
-    a1: np.ndarray | None
 
 
-def _prepare_noise(b, weights, perm, a1=None) -> _Noise:
-    """The :class:`_Noise` of the noise inputs ``b``, their <xi xi^dag>
-    ``weights`` and the slope's ``a1`` (see :func:`_occupations`)."""
+def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
+    """The :class:`_Noise` of the pencil A0 + G*A1 (``a1`` None for the
+    drifts ``a0`` alone), its noise inputs ``b`` and their <xi xi^dag>
+    ``weights`` (see :func:`_occupations`).  The only place that folds
+    drifts into operators: a call of :func:`_occupations` adds them."""
     d = b.shape[-2]
     fold = _fold(d, tuple(perm.tolist()))
     op, qmap, unfold, _ = fold
@@ -684,19 +692,24 @@ def _prepare_noise(b, weights, perm, a1=None) -> _Noise:
     # Gershgorin: lambda_min(Q) >= min_i Q_ii - sum_(j != i) |Q_ij|; 2 d eps covers its rounding
     rows = (1 + 2 * d * eps) * np.abs(qs).sum(axis=2)
     q_floor = (2 * qs.diagonal(axis1=1, axis2=2).real - rows).min(axis=1)
-    if a1 is not None:
-        a1 = _operator(a1, op, m)
-    return _Noise(perm, fold, qf, qs, q_floor, np.linalg.norm(qs, axis=(1, 2)), a1)
+    parts = [_operator(x, op, m).reshape(-1, m * m) for x in ((a0,) if a1 is None else (a1, a0))]
+    ops = np.stack(np.broadcast_arrays(*parts), axis=1)
+    return _Noise(perm, fold, a0, a1, ops, qf, qs, q_floor, np.linalg.norm(qs, axis=(1, 2)))
 
 
-def _occupations(noise: _Noise, a, r) -> _Occupations:
-    """Occupation of x = v_r + v_c, c = perm[r], at every drift of the stack ``a``.
+def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
+    """Occupation of x = v_r + v_c, c = perm[r], at every drift A0 + G*A1 of the column ``g``.
 
-    ``noise`` is what no drift of the pencil moves (:func:`_prepare_noise`),
-    prepared once per pencil by a sweep.  ``a`` is (n, d, d), the noise
-    inputs and <xi xi^dag> weights broadcast against it, and its finite
-    drifts and ``a1`` satisfy A = P conj(A) P, P the conjugate swap
-    ``perm`` (:class:`DriftModel`).  Sigma comes from one batched real
+    ``noise`` is the pencil and all that no G moves (:func:`_prepare_noise`),
+    prepared once per pencil by a sweep; without A1 the points are the
+    drifts A0, and ``g`` is a column of zeros as long.  The pencil's rows
+    and the noise inputs and <xi xi^dag> weights broadcast against the
+    points, and its finite drifts and A1 satisfy A = P conj(A) P, P the
+    conjugate swap ``perm`` (:class:`DriftModel`).  Each solve's folded
+    operators are (G, 1) (L1, L0) = G*L1 + L0, one product, bitwise those
+    of A0 + G*A1 for the builders' pencils: every A1 entry is +-i where A0
+    is 0 and every coefficient of the fold is 0, +-1/2, +-1 or +-2, so
+    each entry rounds once either way.  Sigma comes from one batched real
     linear solve of A Sigma + Sigma A^dag = -Q on its real coordinates
     (:func:`_fold`), LU with partial pivoting: backward stable however
     ill-conditioned the eigenbasis, so there is no fallback.  Q becomes
@@ -704,7 +717,8 @@ def _occupations(noise: _Noise, a, r) -> _Occupations:
     Sigma = P conj(Sigma) P has d(d+1)/2 coordinates, not d^2, and
     u Sigma u^T is unchanged (u = e_r + e_c is real, u P = u).  Each
     point's ||A Sigma + Sigma A^dag + Q|| / (2 ||A|| ||Sigma|| + ||Q||),
-    for this Q, must be within RESIDUAL_TOL, else NumericsError.
+    for this Q, must be within RESIDUAL_TOL, else NumericsError; R is
+    formed as X + X^dag + Q, X = A Sigma, as Sigma is Hermitian.
 
     Stability comes from the solve where it can.  For the computed S and
     R = A S + S A^dag + Q, a left eigenvector v^dag A = lam v^dag gives
@@ -726,15 +740,16 @@ def _occupations(noise: _Noise, a, r) -> _Occupations:
     uncertified point that its eigenvalues call stable keeps its S under
     the residual gate.
 
-    Given ``a1``, the dA/dG of a drift A0 + G*A1 (broadcasting like the
-    noise inputs), the record's ``slope`` is dn/dG: dSigma/dG solves
-    A S + S A^dag + A1 Sigma + Sigma A1^dag = 0 on the same operator.
-    The record lists the errors by index, whichever gate found them.
+    With ``slopes``, which needs A1, the record's ``slope`` is dn/dG:
+    dSigma/dG solves A S + S A^dag + A1 Sigma + Sigma A1^dag = 0 on the
+    same operator.  The record lists the errors by index, whichever gate
+    found them.
 
     Every gate fails on a non-finite value, so a point whose norms or
     Sigma overflow is decided by the eigensolve and the residual gate; the
     sweeps call this with numpy's overflow and invalid warnings off.
     """
+    a = noise.a0 if noise.a1 is None else noise.a0 + g[:, None, None] * noise.a1
     finite = np.isfinite(a).all(axis=(1, 2))
     non_finite = "drift matrix has non-finite entries"
     errors = {i: NumericsError(non_finite) for i in np.flatnonzero(~finite).tolist()}
@@ -742,12 +757,14 @@ def _occupations(noise: _Noise, a, r) -> _Occupations:
     # views, not copies, where every drift is finite
     at = _where(finite)
     a_idx = a[at]
-    qf, qs, q_floor, q_norm, a1 = (
-        None if x is None else _rows(x, at)
-        for x in (noise.qf, noise.qs, noise.q_floor, noise.q_norm, noise.a1)
+    qf, qs, q_floor, q_norm, ops = (
+        _rows(x, at) for x in (noise.qf, noise.qs, noise.q_floor, noise.q_norm, noise.ops)
     )
+    coef = np.ones((idx.size, 1, ops.shape[1]))  # (G, 1) of (L1, L0), or 1 of L0 alone
+    if noise.a1 is not None:
+        coef[:, 0, 0] = g[at]
     d = a.shape[-1]
-    op, qmap, unfold, to_real = noise.fold
+    _, qmap, unfold, to_real = noise.fold
     m = qmap.shape[1]
     eps = np.finfo(float).eps
     norm = lambda x: np.linalg.norm(x, axis=(1, 2))
@@ -755,19 +772,20 @@ def _occupations(noise: _Noise, a, r) -> _Occupations:
     y = np.zeros((idx.size, m, 1))  # folded Sigma where solved
 
     def solve(sel, rhs):
-        """Solve the folded Lyapunov operators of the points ``sel`` for ``rhs``.
+        """Solve the folded Lyapunov operators G*L1 + L0 of the points ``sel`` for ``rhs``.
 
         The operators are freed before Sigma is read back: kept for the
         call, the 1 MiB stack of 301 points lifts its heap peak to glibc's
         trim threshold, and every call then faults the heap in again.
         """
-        return np.linalg.solve(_operator(a_idx[sel], op, m), rhs)
+        return np.linalg.solve((coef[sel] @ _rows(ops, sel)).reshape(-1, m, m), rhs)
 
     def covariance():
         """Sigma, ||R||_F, ||Sigma||_F and 2 ||A|| ||Sigma|| + ||Q|| at every point."""
         s = _hermitian(y, unfold, d)
         s_norm = norm(s)
-        r_norm = norm(a_idx @ s + s @ _dagger(a_idx) + qs)
+        x = a_idx @ s  # R = X + X^dag + Q, as S A^dag = (A S)^dag
+        r_norm = norm(x + _dagger(x) + qs)
         return s, r_norm, s_norm, 2 * a_norm * s_norm + q_norm
 
     solved = q_floor > np.zeros(idx.size)  # one decision per point, Q shared or not
@@ -803,8 +821,9 @@ def _occupations(noise: _Noise, a, r) -> _Occupations:
             s, r_norm, s_norm, scale = covariance()
     k = _where(ok)
     sigmas = [s[k]]
-    if a1 is not None:
-        sigmas.append(_hermitian(solve(k, -(_rows(a1, k) @ y[k])), unfold, d))
+    if slopes:
+        l1 = _rows(ops, k)[:, 0].reshape(-1, m, m)
+        sigmas.append(_hermitian(solve(k, -(l1 @ y[k])), unfold, d))
     resid = r_norm[k] / scale[k]
     c = noise.perm[r]  # <x^2> = u Sigma u^T with u = e_r + e_c
     x, *slope = ((s[:, r, r] + s[:, r, c] + s[:, c, r] + s[:, c, c]).real for s in sigmas)
@@ -1155,7 +1174,9 @@ def force_spectrum_numeric(
     response is the one the model kept beside its last mode-a spectrum
     (:func:`position_spectrum`) when that was solved on the same grid
     points, else one row solve.  Needs an ``a``/``a_dag`` pair in the
-    model (ValueError) and refuses unstable models.
+    model (ValueError), refuses unstable models, and raises NumericsError
+    unless the baseline (hbar*m*omega_a/2)*gamma_a*(2*nbar_a + 1) is
+    positive and finite: it underflows at m or gamma_a ~ 1e-300.
     """
     if spec.mass_a is None:
         raise ValueError("spec.mass_a must be set for force noise")
@@ -1176,4 +1197,9 @@ def force_spectrum_numeric(
     prefactor = HBAR * spec.mass_a * spec.mode_a.omega / 2.0
     s_ff = prefactor * (np.abs(f) ** 2 @ weights)
     baseline = prefactor * ga * weights[ia]
+    if not 0.0 < baseline < math.inf:
+        raise NumericsError(
+            f"force baseline hbar*m*omega_a*gamma_a*(2*nbar_a + 1)/2 = {baseline:.3g} "
+            "is not positive and finite"
+        )
     return ForceSpectrumResult(grid=grid, s_ff=s_ff, factor=s_ff / baseline)

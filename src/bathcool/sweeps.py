@@ -25,7 +25,7 @@ from .analytics import (
     optimal_cooperativity,
 )
 from .errors import BathcoolError, PhysicsError, UnstableSystemError
-from .model import DriftModel, SystemSpec, _conjugate_swap, _pencil, effective_temperature
+from .model import DriftModel, SystemSpec, _conjugate_swap, _effective_temperatures, _pencil
 from .spectra import _occupations, _Occupations, _prepare_noise, fit_lorentzian, position_spectrum
 
 __all__ = ["SweepResult", "sweep_cooperativity", "find_optimum", "sweep_detuning"]
@@ -70,14 +70,14 @@ def _n_effs(specs, fidelity: str):
 
     ``specs`` holds one spec per point, or one spec for all points.  At
     full fidelity the pencil of each spec is built once, here, and must be
-    conjugate-paired (ValueError).  Its noise side, all of the covariance
-    solve that G does not move (the folded Q, its floor and norm, the
-    folded A1), is prepared once here too.  So every call is one batched
-    steady-state covariance solve of the drift stack A0 + G*A1 alone, at
-    G = |alpha|*g0 = sqrt(Gamma*kappa)/2, the drive that damps mode b at
-    rate Gamma.  With ``slopes`` the record's slope is dn_eff/dlog Gamma,
-    from the Lyapunov sensitivity or the derivative of the closed form;
-    without, no derivative is computed.
+    conjugate-paired (ValueError).  All of the covariance solve that G
+    does not move (the folded A0 and A1, the folded Q, its floor and
+    norm) is prepared once here too.  So every call is one batched
+    steady-state covariance solve of the drifts A0 + G*A1, whose folded
+    operators are G*L1 + L0, at G = |alpha|*g0 = sqrt(Gamma*kappa)/2, the
+    drive that damps mode b at rate Gamma.  With ``slopes`` the record's
+    slope is dn_eff/dlog Gamma, from the Lyapunov sensitivity or the
+    derivative of the closed form; without, no derivative is computed.
 
     The public sweeps and the optimum search run with numpy's overflow and
     invalid warnings off: past C_OM ~ 1e200 an unstable drift can overflow
@@ -106,13 +106,11 @@ def _n_effs(specs, fidelity: str):
     kappa = np.array([s.cavity.kappa for s in specs])
     perm = _conjugate_swap(labels[0], a0, a1)
     row = labels[0].index("a")
-    # prepared once, with the slope's A1 and without
-    sloped = _prepare_noise(b, corr[:, 0], perm, a1)
-    plain = replace(sloped, a1=None)
+    pencil = _prepare_noise(a0, a1, b, corr[:, 0], perm)
 
     def covariance(gammas, slopes=False):
         g = np.sqrt(np.asarray(gammas, dtype=float) * kappa) / 2.0
-        occupation = _occupations(sloped if slopes else plain, a0 + g[:, None, None] * a1, row)
+        occupation = _occupations(pencil, g, row, slopes)
         if not slopes:
             return occupation
         # d/dlog Gamma = (G/2) d/dG
@@ -138,9 +136,7 @@ def _sweep(
     gammas, omega_b = (np.broadcast_to(x, values.shape)[ok] for x in (gammas, omega_b))
     t_ratio = np.full(values.size, math.nan)
     if spec.mode_a.bath_temperature > 0:
-        # one scalar call per point: np.log1p is not bitwise math.log1p, so
-        # a column form would change the T_ratio column's bits
-        t_ratio[ok] = [effective_temperature(n, spec.mode_a.omega) for n in n_eff[ok].tolist()]
+        t_ratio[ok] = _effective_temperatures(n_eff[ok], spec.mode_a.omega)
         t_ratio /= spec.mode_a.bath_temperature
     if linewidths is None:
         linewidths = np.full(values.size, math.nan)

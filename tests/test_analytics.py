@@ -1,6 +1,8 @@
 import math
+import sys
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -283,6 +285,39 @@ class TestOneColumnBody:
         assert np.array_equal(slope, expected[1], equal_nan=True)
         # squares by x*x would have failed the comparisons above at these points
         assert squares_that_differ > 0
+
+    @np.errstate(over="ignore", invalid="ignore", divide="raise")  # as the CLI runs them
+    def test_underflowing_denominator_keeps_the_lorentzian(self):
+        # delta^2 + gtot^2/4 underflows below about 1e-154: the scaled form
+        # gives 4 lambda^2/gtot at delta = 0, and inf where that overflows
+        lam = TWO_PI * 111.8
+        gtot = TWO_PI * np.array([1e-100, 1e-155, 1e-160, 1e-200, 1e-300, 1e-305, 5e-324])
+        mp.mp.dps = 40
+        for delta in (0.0, 1e-310, 3e-160):
+            got = _induced_damping(lam, gtot, delta)
+            for g, value in zip(gtot.tolist(), got.tolist()):
+                exact = mp.mpf(lam) ** 2 * g / (mp.mpf(delta) ** 2 + mp.mpf(g) ** 2 / 4)
+                if exact > sys.float_info.max:
+                    assert value == math.inf
+                else:
+                    assert abs(value - exact) <= 4e-16 * exact
+        assert _induced_damping(lam, gtot[4:5], 0.0)[0] == 4.0 * lam**2 / gtot[4]
+
+    @np.errstate(over="ignore", invalid="ignore", divide="raise")
+    def test_overflowing_bath_term_keeps_a_finite_occupation(self):
+        # at gamma_b = 1e-300 Hz, Gamma_a*nbar_b overflows but n_eff is
+        # about nbar/(1 + C_OM), the two baths' weighted average
+        spec = make_spec(c_ab=50.0)
+        gb = TWO_PI * 1e-300
+        spec = replace(spec, mode_b=replace(spec.mode_b, gamma=gb))
+        mp.mp.dps = 40
+        nbar, ga, lam = mp.mpf(spec.mode_a.nbar), mp.mpf(spec.mode_a.gamma), mp.mpf(spec.coupling)
+        for c_om in (0.01, 1.0, 1e3):
+            g = gb + c_om * gb
+            gamma_a = 4 * lam**2 / mp.mpf(g)
+            exact = (ga * nbar + gamma_a * (mp.mpf(gb) / g) * nbar) / (ga + gamma_a)
+            n = n_eff_closed_form(spec, c_om * gb)
+            assert abs(n - exact) <= 1e-14 * exact and n == pytest.approx(spec.mode_a.nbar / (1 + c_om))
 
     @np.errstate(invalid="ignore")
     def test_undamped_points_are_nan(self):

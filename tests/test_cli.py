@@ -837,6 +837,24 @@ _EXTREME_CASES = [
 ]
 
 
+# cases whose ending is pinned, (task, INI text, exit code, stderr pattern):
+# they once ended in a bare FloatingPointError
+_PINNED_CASES = [
+    # (gamma_b + Gamma)^2 underflows: a sweep of per-point rows, a search that
+    # ends at the bracket (the optimum C_OM ~ sqrt(C_ab) is near 1e152)
+    *(
+        (task, fuzz_text(task, "rwa", {("system", "gamma_b_hz"): "tiny"}), code, pattern)
+        for task, code, pattern in (("sweep", 0, ""), ("optimize", 2, '"physics_error"'))
+    ),
+    # the force baseline underflows to 0
+    *(
+        ("sense", fuzz_text("sense", fidelity, {("system", key): "tiny"}), 3, "force baseline")
+        for key in ("mass_a_kg", "gamma_a_hz")
+        for fidelity in ("rwa", "full")
+    ),
+]
+
+
 def _examples(cases):
     """A hypothesis ``@example(case=...)`` of each of ``cases``."""
     return lambda test: functools.reduce(lambda t, case: example(case=case)(t), cases, test)
@@ -852,8 +870,9 @@ class TestConfigFuzz:
     @example(case=("sweep", fuzz_text("sweep", "rwa", _UNDAMPED_A)))
     @example(case=("optimize", fuzz_text("optimize", "rwa", _UNDAMPED_A)))
     @_examples(_EXTREME_CASES)
+    @_examples(_PINNED_CASES)
     def test_exit_code_and_one_json_error(self, case):
-        task, text = case
+        task, text, *pinned = case
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "run.ini")
@@ -871,3 +890,5 @@ class TestConfigFuzz:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1
             assert set(json.loads(lines[0])) == {"error", "message"}
+        if pinned:
+            assert code == pinned[0] and pinned[1] in err.getvalue()

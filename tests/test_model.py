@@ -14,12 +14,15 @@ from bathcool import (
     effective_temperature,
     intracavity_amplitude,
     stability_eigenvalues,
+    sweep_cooperativity,
     thermal_occupation,
 )
 from bathcool.constants import HBAR, KB
 from bathcool.errors import NumericsError
+from bathcool.model import _effective_temperatures
 
 from conftest import TWO_PI, make_spec
+from test_spectra import _criterion_7_draws
 
 
 class TestThermalOccupation:
@@ -69,6 +72,16 @@ class TestThermalOccupation:
             thermal_occupation(TWO_PI * 10.0, 1e300)
 
 
+def _python_effective_temperature(n, omega):
+    """The inverse Bose-Einstein occupation in Python floats, as written per point."""
+    if n == 0.0:
+        return 0.0
+    log = math.log1p(1.0 / n)
+    if KB * log > 0.0:
+        return HBAR * omega / (KB * log)
+    return float(HBAR * omega / KB) / log
+
+
 class TestEffectiveTemperature:
     def test_zero_occupation(self):
         assert effective_temperature(0.0, TWO_PI * 1e6) == 0.0
@@ -100,6 +113,24 @@ class TestEffectiveTemperature:
             effective_temperature(1e305, TWO_PI * 1e15)
         with pytest.raises(NumericsError, match="overflows at n_eff = inf"):
             effective_temperature(math.inf, TWO_PI * 1e6)
+        # a column raises at its first overflowing point
+        with pytest.raises(NumericsError, match="overflows at n_eff = inf"):
+            _effective_temperatures(np.array([1.0, math.inf, 1e305]), TWO_PI * 1e15)
+
+    def test_column_is_the_python_float_formula_bit_for_bit(self):
+        # 1/n and the products in numpy, in the scalar formula's order, and
+        # math.log1p itself (np.log1p is not bitwise math.log1p)
+        rng = np.random.default_rng(30)
+        n = [0.0, 5e-324, 1e-300, 0.5, 1.0, 1e300, 1e305, *(10 ** rng.uniform(-12, 12, 2000)).tolist()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for spec in _criterion_7_draws(60, seed=7):  # the occupations of the 60 draws' sweeps
+                for fidelity in ("rwa", "full"):
+                    column = sweep_cooperativity(spec, np.geomspace(1e-2, 1e3, 31), fidelity).n_eff
+                    n += column[np.isfinite(column)].tolist()
+        for omega in (TWO_PI * 1e3, TWO_PI * 1e6, TWO_PI * 1.7e7):
+            expected = [_python_effective_temperature(x, omega).hex() for x in n]
+            assert [t.hex() for t in _effective_temperatures(np.array(n), omega).tolist()] == expected
+            assert [effective_temperature(x, omega).hex() for x in n] == expected
 
 
 class TestIntracavityAmplitude:

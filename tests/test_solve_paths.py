@@ -1,6 +1,7 @@
 """The susceptibility rows have one solve path: only the row solve gates them,
-and only it and its gate eliminate.  The sweeps read a batch's point errors
-by index, not by type."""
+and only it and its gate eliminate.  Only a pencil's preparation folds drifts
+into Lyapunov operators.  The sweeps read a batch's point errors by index, not
+by type."""
 
 import ast
 from pathlib import Path
@@ -35,6 +36,11 @@ def test_only_the_row_solve_gates():
 
 def test_only_the_row_solve_and_its_gate_eliminate():
     assert set(_callers("_eliminate")) == {("spectra", "_solve_rows"), ("spectra", "_gate")}
+
+
+def test_only_a_pencil_preparation_folds_drifts():
+    # a covariance call adds the prepared L0 + G*L1; it folds no drift itself
+    assert _callers("_operator") == [("spectra", "_prepare_noise")]
 
 
 def test_sweeps_read_point_errors_by_index_not_by_type():

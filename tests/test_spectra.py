@@ -1329,11 +1329,18 @@ def _record(entries):
     return spectra._Occupations(n, slope if sloped else None, errors)
 
 
+def _solve(drifts, b, weights, perm, r=0, a1=None):
+    """The :class:`spectra._Occupations` record of the drift stack ``drifts``:
+    the pencil A0 = ``drifts``, A1 = ``a1`` at G = 0, with its slopes if
+    ``a1`` is given."""
+    pencil = spectra._prepare_noise(drifts, a1, b, weights, perm)
+    return spectra._occupations(pencil, np.zeros(len(drifts)), r, slopes=a1 is not None)
+
+
 def _batch(models):
     """Mode a's covariance entries of ``models`` from one stacked solve."""
     drifts, b, weights, labels = _model_stack(models)
-    noise = spectra._prepare_noise(b, weights, _conjugate_swap(labels))
-    return _entries(spectra._occupations(noise, drifts, labels.index("a")))
+    return _entries(_solve(drifts, b, weights, _conjugate_swap(labels), labels.index("a")))
 
 
 def _entry(e):
@@ -1379,11 +1386,11 @@ class TestBatchedCovariance:
         specs = (blue, make_spec(c_ab=50.0, c_om=5.0), singular, replace(blue, coupling=2 * blue.coupling))
         drifts, b, weights, labels = _model_stack([build_full_system(s) for s in specs])
         a1 = _pencil(make_spec(c_ab=50.0), rotating_wave=False)[1]
-        noise = spectra._prepare_noise(
-            b, weights, _conjugate_swap(labels), np.repeat(a1[None], len(specs), axis=0) if slopes else None
-        )
-        assert noise.q_floor[2] <= 0 < noise.q_floor[1]
-        solve = lambda: _entries(spectra._occupations(noise, drifts, labels.index("a")))
+        a1 = np.repeat(a1[None], len(specs), axis=0) if slopes else None
+        perm = _conjugate_swap(labels)
+        q_floor = spectra._prepare_noise(drifts, a1, b, weights, perm).q_floor
+        assert q_floor[2] <= 0 < q_floor[1]
+        solve = lambda: _entries(_solve(drifts, b, weights, perm, labels.index("a"), a1))
         expected = solve()
         eigvals, singles = np.linalg.eigvals, []
 
@@ -1618,12 +1625,16 @@ class TestRealQuadratureForm:
         assert str(stacked).endswith(": 4.89986e+06+0j")
 
 
+def _drive(spec, c_om):
+    """The column G = sqrt(Gamma kappa) / 2 of a sweep over ``c_om``."""
+    return np.sqrt(np.asarray(c_om) * spec.mode_b.gamma * spec.cavity.kappa) / 2.0
+
+
 def _pencil_stack(spec, c_om, rotating_wave=False):
-    """A0 + G A1 at every C_OM of ``c_om``, as a sweep stacks them, with
+    """A0 + G A1 at every C_OM of ``c_om``, as a sweep forms them, with
     the noise input, the <xi xi^dag> weights and the labels."""
     a0, a1, b, corr, labels = _pencil(spec, rotating_wave=rotating_wave)
-    g = np.sqrt(np.asarray(c_om) * spec.mode_b.gamma * spec.cavity.kappa) / 2.0
-    return a0 + g[:, None, None] * a1, b, corr[0], labels
+    return a0 + _drive(spec, c_om)[:, None, None] * a1, b, corr[0], labels
 
 
 class TestStabilityCertificate:
@@ -1641,7 +1652,7 @@ class TestStabilityCertificate:
         unstable = np.any(eigvals(forms).real >= 0, axis=1)
         seen = [np.empty((0, d, d))]
         monkeypatch.setattr(np.linalg, "eigvals", lambda x: seen.append(x) or eigvals(x))
-        entries = _entries(spectra._occupations(spectra._prepare_noise(b, weights, perm), drifts, 0))
+        entries = _entries(_solve(drifts, b, weights, perm))
         monkeypatch.undo()
         assert [isinstance(e, UnstableSystemError) for e in entries] == unstable.tolist()
         assert np.array_equal(np.concatenate(seen), forms[unstable])
@@ -1718,53 +1729,62 @@ class TestErrorOrder:
     @pytest.mark.parametrize("slopes", [False, True])
     def test_errors_are_listed_by_index(self, slopes):
         spec = make_spec(c_ab=50.0)
-        drifts, b, weights, labels = _pencil_stack(spec, [1.0, 1e4, 7.0, 3.0, 30.0])
-        drifts[3, 2, 2] = math.inf  # after the unstable point 1, the stable point 2 between
-        a1 = _pencil(spec, rotating_wave=False)[1] if slopes else None
-        noise = spectra._prepare_noise(b, weights, _conjugate_swap(labels), a1)
-        record = spectra._occupations(noise, drifts, labels.index("a"))
+        a0, a1, b, corr, labels = _pencil(spec, rotating_wave=False)
+        pencil = spectra._prepare_noise(a0, a1, b, corr[0], _conjugate_swap(labels))
+        g = _drive(spec, [1.0, 1e4, 7.0, 3.0, 30.0])
+        g[3] = math.inf  # after the unstable point 1, the stable point 2 between
+        with np.errstate(invalid="ignore"):  # inf * 0 in the drift
+            record = spectra._occupations(pencil, g, labels.index("a"), slopes)
         assert list(record.errors) == [1, 3]
         assert isinstance(record.errors[1], UnstableSystemError)
         assert str(record.errors[3]) == "drift matrix has non-finite entries"
         columns = [record.n] if record.slope is None else [record.n, record.slope]
         for column in columns:
             assert np.isnan(column[[1, 3]]).all() and np.isfinite(column[[0, 2, 4]]).all()
-        singles = [
-            e for i in range(5)
-            for e in _entries(spectra._occupations(noise, drifts[i : i + 1], labels.index("a")))
-        ]
+        with np.errstate(invalid="ignore"):
+            singles = [
+                e for i in range(5)
+                for e in _entries(spectra._occupations(pencil, g[i : i + 1], labels.index("a"), slopes))
+            ]
         assert _bits(_entries(record)) == _bits(singles)
 
 
 class TestPreparedNoise:
-    """A sweep prepares each pencil's noise side once and solves only its
-    drift stacks: every entry is bitwise the one of a preparation per call."""
+    """A sweep prepares each pencil once and solves only its G columns:
+    every entry is bitwise the one of a preparation per call."""
 
-    def _one_pencil(self, drifts, b, weights, labels, a1=None):
-        """One preparation over a one-point stack and the rest, against a
-        preparation of the whole stack with a noise row per point."""
+    def _one_pencil(self, spec, g, rotating_wave=False, slopes=False):
+        """One preparation solved over a one-point column and the rest,
+        against a preparation with a pencil row per point."""
+        a0, a1, b, corr, labels = _pencil(spec, rotating_wave=rotating_wave)
         perm = _conjugate_swap(labels)
-        noise = spectra._prepare_noise(b, weights, perm, a1)
-        parts = (drifts[:1], drifts[1:])
-        prepared = [e for part in parts for e in _entries(spectra._occupations(noise, part, 0))]
-        per_point = lambda x: None if x is None else np.repeat(x[None], len(drifts), axis=0)
-        per_call = _entries(spectra._occupations(
-            spectra._prepare_noise(per_point(b), per_point(weights), perm, per_point(a1)), drifts, 0
-        ))
+        rows = lambda n: [np.repeat(x[None], n, axis=0) for x in (a0, a1, b, corr[0])]
+        pencil = spectra._prepare_noise(*rows(1), perm)
+        with np.errstate(invalid="ignore"):  # inf * 0 where G is not finite
+            prepared = [
+                e for part in (g[:1], g[1:])
+                for e in _entries(spectra._occupations(pencil, part, 0, slopes))
+            ]
+            per_point = spectra._prepare_noise(*rows(len(g)), perm)
+            per_call = _entries(spectra._occupations(per_point, g, 0, slopes))
         assert _bits(prepared) == _bits(per_call)
         return prepared
 
-    def _many_pencils(self, drifts, b, weights, labels, a1=None):
+    def _many_pencils(self, a0, a1, b, weights, labels, g):
         """One preparation of a pencil per point, against a preparation per one-point call."""
         perm = _conjugate_swap(labels)
-        prepared = _entries(spectra._occupations(spectra._prepare_noise(b, weights, perm, a1), drifts, 0))
+        slopes = a1 is not None
+        pencil = spectra._prepare_noise(a0, a1, b, weights, perm)
+        prepared = _entries(spectra._occupations(pencil, g, 0, slopes))
+        one = lambda x, i: None if x is None else x[i : i + 1]
         per_call = [
             e
-            for i in range(len(drifts))
+            for i in range(len(g))
             for e in _entries(spectra._occupations(
-                spectra._prepare_noise(b[i], weights[i], perm, None if a1 is None else a1[i]),
-                drifts[i : i + 1],
+                spectra._prepare_noise(one(a0, i), one(a1, i), one(b, i), one(weights, i), perm),
+                g[i : i + 1],
                 0,
+                slopes,
             ))
         ]
         assert _bits(prepared) == _bits(per_call)
@@ -1777,37 +1797,35 @@ class TestPreparedNoise:
         c_om = np.geomspace(1e-2, 1e6, 24)
         errors = 0
         for spec in _criterion_7_draws(24, seed=502):
-            a1 = _pencil(spec, rotating_wave=rotating_wave)[1] if slopes else None
-            entries = self._one_pencil(*_pencil_stack(spec, c_om, rotating_wave), a1)
+            entries = self._one_pencil(spec, _drive(spec, c_om), rotating_wave, slopes)
             errors += sum(isinstance(e, UnstableSystemError) for e in entries)
         assert rotating_wave or errors > 50
 
     @pytest.mark.parametrize("slopes", [False, True])
     def test_mixed_batch(self, slopes):
+        # arbitrary drifts: pencils at G = 0
         models = _mixed_batch()
         a1 = _pencil(make_spec(c_ab=50.0), rotating_wave=False)[1]
-        entries = self._many_pencils(
-            *_model_stack(models), np.repeat(a1[None], len(models), axis=0) if slopes else None
-        )
+        drifts, b, weights, labels = _model_stack(models)
+        a1 = np.repeat(a1[None], len(models), axis=0) if slopes else None
+        entries = self._many_pencils(drifts, a1, b, weights, labels, np.zeros(len(models)))
         assert isinstance(entries[1], UnstableSystemError)
 
     @pytest.mark.parametrize("slopes", [False, True])
     def test_non_finite_drifts(self, slopes):
         spec = make_spec(c_ab=50.0)
-        drifts, *noise = _pencil_stack(spec, np.geomspace(0.1, 100.0, 12))
-        drifts[0, 0, 0] = math.nan  # the one-point stack alone
-        drifts[5, 2, 2] = math.inf
-        a1 = _pencil(spec, rotating_wave=False)[1] if slopes else None
-        entries = self._one_pencil(drifts, *noise, a1)
+        g = _drive(spec, np.geomspace(0.1, 100.0, 12))
+        g[0] = math.nan  # the one-point column alone
+        g[5] = math.inf
+        entries = self._one_pencil(spec, g, slopes=slopes)
         assert [isinstance(e, NumericsError) for e in entries] == [i in (0, 5) for i in range(12)]
 
     @pytest.mark.parametrize("slopes", [False, True])
     def test_singular_noise_takes_the_eigensolve(self, slopes):
         spec = replace(make_spec(c_ab=50.0, gamma_a_hz=0.0), coupling=TWO_PI * 100.0)
-        drifts, b, weights, labels = _pencil_stack(spec, np.geomspace(0.1, 1e5, 16))
-        assert (spectra._prepare_noise(b, weights, _conjugate_swap(labels)).q_floor <= 0).all()
-        a1 = _pencil(spec, rotating_wave=False)[1] if slopes else None
-        entries = self._one_pencil(drifts, b, weights, labels, a1)
+        a0, a1, b, corr, labels = _pencil(spec, rotating_wave=False)
+        assert (spectra._prepare_noise(a0, a1, b, corr[0], _conjugate_swap(labels)).q_floor <= 0).all()
+        entries = self._one_pencil(spec, _drive(spec, np.geomspace(0.1, 1e5, 16)), slopes=slopes)
         assert not isinstance(entries[0], Exception)
 
     @pytest.mark.parametrize("slopes", [False, True])
@@ -1816,9 +1834,30 @@ class TestPreparedNoise:
         spec = make_spec(c_ab=50.0)
         specs = [replace(spec, mode_b=replace(spec.mode_b, omega=spec.mode_a.omega + x))
                  for x in np.linspace(0.0, 40.0 * spec.mode_b.gamma, 9)]
-        drifts, b, weights, labels = zip(*(_pencil_stack(s, [7.0]) for s in specs))
-        a1 = np.stack([_pencil(s, rotating_wave=False)[1] for s in specs]) if slopes else None
-        self._many_pencils(np.concatenate(drifts), np.stack(b), np.stack(weights), labels[0], a1)
+        a0, a1, b, corr, labels = zip(*(_pencil(s, rotating_wave=False) for s in specs))
+        a0, a1, b, corr = map(np.stack, (a0, a1, b, corr))
+        g = _drive(spec, [7.0] * len(specs))
+        self._many_pencils(a0, a1 if slopes else None, b, corr[:, 0], labels[0], g)
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_operators_are_those_of_the_drifts(self, monkeypatch, builder):
+        # L0 + G*L1 is bitwise the folded operator of A0 + G*A1: every A1
+        # entry is +-i where A0 is 0, and every fold coefficient is a power
+        # of two or 0, so each entry rounds once either way
+        rotating_wave = builder is build_rwa_system
+        g = np.array([0.0, 1e-3, 1.0, 1e3, 1e150])
+        for spec in (make_spec(c_ab=50.0), *_criterion_7_draws(20, seed=7)):
+            a0, a1, b, corr, labels = _pencil(spec, rotating_wave=rotating_wave)
+            assert np.array_equal(builder(spec).drift, a0 + spec.cavity.alpha * spec.cavity.g0 * a1)
+            perm = _conjugate_swap(labels, a0, a1)
+            pencil = spectra._prepare_noise(a0, a1, b, corr[0], perm)
+            seen, solve = [], np.linalg.solve
+            monkeypatch.setattr(np.linalg, "solve", lambda k, q: seen.append(k) or solve(k, q))
+            spectra._occupations(pencil, g, 0)
+            monkeypatch.undo()
+            op, qmap = spectra._fold(6, tuple(perm.tolist()))[:2]
+            expected = spectra._operator(a0 + g[:, None, None] * a1, op, qmap.shape[1])
+            assert seen[0].tobytes() == expected.tobytes()
 
 
 class TestIntegration:
@@ -2177,6 +2216,18 @@ class TestForceSpectrum:
         spec = replace(spec, mode_a=replace(spec.mode_a, gamma=0.0))
         with pytest.raises(ValueError, match="gamma_a must be > 0"):
             force_spectrum_numeric(build_rwa_system(spec), spec)
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    @pytest.mark.parametrize("field", ["mass", "gamma_a"])
+    def test_an_underflowing_baseline_is_a_numerics_error(self, builder, field):
+        # hbar*m*omega_a*gamma_a*(2 nbar_a + 1)/2 underflows to 0 at 1e-300:
+        # the factor would be inf or NaN, with a numpy warning
+        spec = make_spec(c_ab=50.0, c_om=5.0, **{"mass" if field == "mass" else "gamma_a_hz": 1e-300})
+        if field == "gamma_a":  # keep lambda, so mode a stays coupled to b
+            spec = replace(spec, coupling=make_spec(c_ab=50.0).coupling)
+        baseline = r"force baseline hbar\*m\*omega_a\*gamma_a.* = 0 is not positive"
+        with pytest.raises(NumericsError, match=baseline):
+            force_spectrum_numeric(builder(spec), spec)
 
     def test_mass_required(self):
         spec = make_spec()

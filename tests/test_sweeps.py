@@ -51,9 +51,9 @@ def covariance_calls(monkeypatch):
     calls = []
     solve = sweeps._occupations
 
-    def counted(noise, a, r):
-        calls.append((a.shape[0], noise.a1 is not None))
-        return solve(noise, a, r)
+    def counted(pencil, g, r, slopes=False):
+        calls.append((g.shape[0], slopes))
+        return solve(pencil, g, r, slopes)
 
     monkeypatch.setattr(sweeps, "_occupations", counted)
     return calls
@@ -457,9 +457,8 @@ class TestSecantSearch:
         perm = _conjugate_swap(labels, da)
 
         def entry(x, a1=None):
-            (e,) = _entries(
-                spectra._occupations(spectra._prepare_noise(b, corr[0], perm, a1), drift(x)[None], 0)
-            )
+            pencil = spectra._prepare_noise(drift(x)[None], a1, b, corr[0], perm)  # at G = 0
+            (e,) = _entries(spectra._occupations(pencil, np.zeros(1), 0, slopes=a1 is not None))
             return e
 
         n, slope = entry(lam, da)
