@@ -14,6 +14,9 @@
 #   one unstable_system line, worded by the real-form eigensolve, no stdout;
 # - a full sweep over C_OM in [0.1, 1e5], 46 certified and 15 unstable
 #   points: exit 0, "n_errors": 15;
+# - a full sweep of 301 points at C_ab = 1e4 (lambda_hz = 1581.14), on the
+#   pencil's modal form, whose refinement step passes the residual gate:
+#   exit 0, empty stderr, "n_errors": 0;
 # - a full spectrum at C_OM = 1e4 fails the complex eigensolve: exit 2, no
 #   stdout, its message ending in +0j, as the real form words it;
 # - a [cavity] with both alpha and pump_hz: exit 1, one config_error line,
@@ -81,6 +84,10 @@ code=0
 $BATHCOOL sweep --config mixed.ini --fidelity full > mixed.out || code=$?
 test "$code" -eq 0
 grep -q '"n_errors": 15' mixed.out
+sed -e 's/^task = spectrum$/task = sweep/' -e 's/^lambda_hz = 111.8$/lambda_hz = 1581.14/' spectrum.ini > modal.ini
+$BATHCOOL sweep --config modal.ini --fidelity full > modal.out 2> modal.err
+test ! -s modal.err
+grep -q '"n_errors": 0' modal.out
 cp spectrum.ini c1e4.ini
 printf '%s\n' 'alpha = 86602.54' >> c1e4.ini
 code=0

@@ -309,7 +309,10 @@ def force_noise_psd(
         raise ValueError("temperature must be > 0")
     cab = cooperativity_ab(spec)
     com = optomechanical_cooperativity(Gamma, spec.mode_b.gamma)
-    factor = 1.0 + cab / (1.0 + com) ** 2
+    with np.errstate(over="ignore"):
+        den = float(np.float_power(1.0 + com, 2))  # libm pow, as Python's **; inf past C_OM ~ 1.3e154
+    # where the square overflows, dividing twice keeps the term, and its limit 0 at C_OM = inf
+    factor = 1.0 + (cab / den if den < math.inf else cab / (1.0 + com) / (1.0 + com))
     s_ff = factor * spec.mass_a * spec.mode_a.gamma * KB * temperature
     nbar = thermal_occupation(spec.mode_a.omega, temperature)
     return ForceNoiseResult(s_ff=s_ff, factor=factor, classical=nbar >= REGIME_FACTOR)

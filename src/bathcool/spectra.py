@@ -662,7 +662,8 @@ class _Noise:
     (rows, 2, m*m), or L0 alone, (rows, 1, m*m), without ``a1``.  ``qf``
     is the folded Q that is solved, ``qs`` its Hermitian matrix,
     ``q_floor`` a Gershgorin lower bound on its lambda_min and ``q_norm``
-    its Frobenius norm.
+    its Frobenius norm.  :attr:`modal` is the one shared pencil's
+    eigendecomposition, prepared on the first call that uses it.
     """
 
     perm: np.ndarray
@@ -674,6 +675,53 @@ class _Noise:
     qs: np.ndarray
     q_floor: np.ndarray
     q_norm: np.ndarray
+
+    @functools.cached_property
+    def modal(self) -> tuple | None:
+        """``(d, V, W)`` of the pencil L(G) = L0 + G*L1 = L0 (I - G K):
+        K = -L0^-1 L1 = V diag(d) V^-1 and W = V^-1 L0^-1 = (L0 V)^-1, so
+        L(G)^-1 = V diag(1/(1 - G d)) W, with poles at G = 1/d.  None
+        without one pencil for all points, or where L0 is singular or the
+        preparation is not finite: such a pencil takes the LU.  About
+        0.15 ms, once per pencil, as :func:`_occupations` reads it only on a
+        call of _MODAL_POINTS points or more."""
+        if self.a1 is None or len(self.ops) != 1:
+            return None
+        m = self.qf.shape[1]
+        l1, l0 = self.ops[0].reshape(2, m, m)
+        try:
+            with np.errstate(all="ignore"):  # a non-finite part is refused below
+                d, v = np.linalg.eig(-np.linalg.solve(l0, l1))
+                w = np.linalg.inv(l0 @ v)
+        except np.linalg.LinAlgError:
+            return None
+        parts = (d, v, w)
+        return parts if all(np.isfinite(x).all() for x in parts) else None
+
+
+# A covariance call of this many points or more on one shared pencil takes
+# its modal form (_Noise.modal).  On the README pencil a call with its
+# preparation broke even with the LU at about 56 points (0.94 of its time at
+# 64, 0.49 at 301, one BLAS thread); below this, calls stay bitwise the LU.
+_MODAL_POINTS = 64
+
+
+def _modal_solve(modal: tuple, ops: np.ndarray, g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Rows y with L(G) y = ``rhs`` at each G of the column ``g``: the modal
+    inverse of the pencil (:attr:`_Noise.modal`), then one refinement step
+    y += L(G)^-1 (rhs - L(G) y), L(G) = L0 + G*L1 with ``ops`` (2, m*m) =
+    (L1, L0).  V's condition (8e8 to 4e9 on the README pencils) costs the
+    modal form alone up to 1e-8 relative; the step, whose residual is
+    formed from L0 and L1 directly, brings it to the LU's rounding.  A G at
+    or past a pole gives a meaningless or non-finite y, which the gates of
+    :func:`_occupations` refuse."""
+    d, v, w = modal
+    l1, l0 = ops.reshape(2, *v.shape)
+    with np.errstate(all="ignore"):
+        c = 1.0 / (1.0 - g[:, None] * d)
+        inverse = lambda x: ((c * (x @ w.T)) @ v.T).real
+        y = inverse(rhs)
+        return y + inverse(rhs - y @ l0.T - g[:, None] * (y @ l1.T))
 
 
 def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
@@ -712,13 +760,23 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     each entry rounds once either way.  Sigma comes from one batched real
     linear solve of A Sigma + Sigma A^dag = -Q on its real coordinates
     (:func:`_fold`), LU with partial pivoting: backward stable however
-    ill-conditioned the eigenbasis, so there is no fallback.  Q becomes
+    ill-conditioned the eigenbasis.  Q becomes
     (Q + P conj(Q) P)/2, weight (2n+1)/2 per channel, so
     Sigma = P conj(Sigma) P has d(d+1)/2 coordinates, not d^2, and
     u Sigma u^T is unchanged (u = e_r + e_c is real, u P = u).  Each
     point's ||A Sigma + Sigma A^dag + Q|| / (2 ||A|| ||Sigma|| + ||Q||),
     for this Q, must be within RESIDUAL_TOL, else NumericsError; R is
     formed as X + X^dag + Q, X = A Sigma, as Sigma is Hermitian.
+
+    A call of _MODAL_POINTS points or more on one shared pencil solves
+    first by its modal form instead (:attr:`_Noise.modal`,
+    :func:`_modal_solve`: a few batched 21-wide products and one
+    refinement step, where the LU factors every operator).  Its Sigma is
+    kept where the certificate below and the residual gate pass it; the
+    LU solves every other point again before any gate can make it an
+    error, so no point fails that the LU passes.  A smaller call, a stack
+    of drifts or of pencils, and a pencil without a modal form take the
+    LU alone, bit for bit as before.
 
     Stability comes from the solve where it can.  For the computed S and
     R = A S + S A^dag + Q, a left eigenvector v^dag A = lam v^dag gives
@@ -742,8 +800,9 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
 
     With ``slopes``, which needs A1, the record's ``slope`` is dn/dG:
     dSigma/dG solves A S + S A^dag + A1 Sigma + Sigma A1^dag = 0 on the
-    same operator.  The record lists the errors by index, whichever gate
-    found them.
+    same operator, by the modal form where it gave every Sigma, else by
+    the LU.  The record lists the errors by index, whichever gate found
+    them.
 
     Every gate fails on a non-finite value, so a point whose norms or
     Sigma overflow is decided by the eigensolve and the residual gate; the
@@ -772,13 +831,19 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     y = np.zeros((idx.size, m, 1))  # folded Sigma where solved
 
     def solve(sel, rhs):
-        """Solve the folded Lyapunov operators G*L1 + L0 of the points ``sel`` for ``rhs``.
+        """Solve the folded Lyapunov operators G*L1 + L0 of the points ``sel`` for ``rhs`` by LU.
 
-        The operators are freed before Sigma is read back: kept for the
-        call, the 1 MiB stack of 301 points lifts its heap peak to glibc's
-        trim threshold, and every call then faults the heap in again.
+        The operators are freed before Sigma is read back: a stack kept for
+        the call (1 MiB at 301 points, which a stack of pencils still makes;
+        one shared pencil solves that many by its modal form) lifts the heap
+        peak to glibc's trim threshold, and every call then faults the heap
+        in again.
         """
         return np.linalg.solve((coef[sel] @ _rows(ops, sel)).reshape(-1, m, m), rhs)
+
+    def modal_solve(sel, rhs):
+        """:func:`_modal_solve` of the points ``sel`` for the columns ``rhs``."""
+        return _modal_solve(modal, ops[0], coef[sel, 0, 0], rhs[..., 0])[..., None]
 
     def covariance():
         """Sigma, ||R||_F, ||Sigma||_F and 2 ||A|| ||Sigma|| + ||Q|| at every point."""
@@ -788,18 +853,35 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
         r_norm = norm(x + _dagger(x) + qs)
         return s, r_norm, s_norm, 2 * a_norm * s_norm + q_norm
 
+    def certified(sel):
+        """The points of the mask ``sel`` whose solved Sigma certifies them stable."""
+        # a non-finite Sigma has a non-finite scale, so it fails the bound
+        ok = sel & (r_norm + (d + 3) * eps * scale < q_floor)
+        fits = _where(ok)
+        ok[fits] = _positive_definite(s[fits] - (d * d * eps * s_norm[fits])[:, None, None] * np.eye(d))
+        return ok
+
     solved = q_floor > np.zeros(idx.size)  # one decision per point, Q shared or not
-    first = _where(solved)
+    kept = np.zeros(idx.size, dtype=bool)  # the modal form's Sigma, certified and within the gate
+    lu = solved  # the points the LU solves
+    modal = noise.modal if idx.size >= _MODAL_POINTS else None
+    if modal is not None and solved.any():
+        first = _where(solved)
+        y[first] = modal_solve(first, -_rows(qf, first)[:, :, None])
+        s, r_norm, s_norm, scale = covariance()
+        kept = certified(solved)
+        fits = _where(kept)
+        kept[fits] = r_norm[fits] / scale[fits] <= RESIDUAL_TOL
+        lu = solved & ~kept  # each point the modal form leaves, before a gate can fail it
     try:
-        if solved.any():
+        if lu.any():
+            first = _where(lu)
             y[first] = solve(first, -_rows(qf, first)[:, :, None])
     except np.linalg.LinAlgError:
-        solved[:] = False
-    s, r_norm, s_norm, scale = covariance()
-    # a non-finite Sigma has a non-finite scale, so it fails the bound
-    ok = solved & (r_norm + (d + 3) * eps * scale < q_floor)
-    fits = _where(ok)
-    ok[fits] = _positive_definite(s[fits] - (d * d * eps * s_norm[fits])[:, None, None] * np.eye(d))
+        solved &= ~lu
+    if lu.any() or not kept.any():  # else every Sigma is the modal form's, read above
+        s, r_norm, s_norm, scale = covariance()
+    ok = kept | certified(solved & ~kept)
     if not ok.all():
         rest = np.flatnonzero(~ok)
         # A's spectrum from the real eigensolver, about half the work of the complex one
@@ -823,7 +905,9 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     sigmas = [s[k]]
     if slopes:
         l1 = _rows(ops, k)[:, 0].reshape(-1, m, m)
-        sigmas.append(_hermitian(solve(k, -(l1 @ y[k])), unfold, d))
+        # on the modal form only where it gave every Sigma
+        how = modal_solve if modal is not None and (kept == ok).all() else solve
+        sigmas.append(_hermitian(how(k, -(l1 @ y[k])), unfold, d))
     resid = r_norm[k] / scale[k]
     c = noise.perm[r]  # <x^2> = u Sigma u^T with u = e_r + e_c
     x, *slope = ((s[:, r, r] + s[:, r, c] + s[:, c, r] + s[:, c, c]).real for s in sigmas)

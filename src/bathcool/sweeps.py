@@ -72,10 +72,14 @@ def _n_effs(specs, fidelity: str):
     full fidelity the pencil of each spec is built once, here, and must be
     conjugate-paired (ValueError).  All of the covariance solve that G
     does not move (the folded A0 and A1, the folded Q, its floor and
-    norm) is prepared once here too.  So every call is one batched
-    steady-state covariance solve of the drifts A0 + G*A1, whose folded
-    operators are G*L1 + L0, at G = |alpha|*g0 = sqrt(Gamma*kappa)/2, the
-    drive that damps mode b at rate Gamma.  With ``slopes`` the record's
+    norm) is prepared once here too, and the modal form of one spec's
+    pencil on its first call of _MODAL_POINTS points or more
+    (:func:`_occupations`).  So every call is one batched steady-state
+    covariance solve of the drifts A0 + G*A1, whose folded operators are
+    G*L1 + L0, at G = |alpha|*g0 = sqrt(Gamma*kappa)/2, the drive that
+    damps mode b at rate Gamma: by LU for find_optimum's 25-point scan and
+    secant steps, by the modal form for a 301-point sweep.  With
+    ``slopes`` the record's
     slope is dn_eff/dlog Gamma, from the Lyapunov sensitivity or the
     derivative of the closed form; without, no derivative is computed.
 
@@ -85,7 +89,7 @@ def _n_effs(specs, fidelity: str):
     holds inf * 0.  Every such point is already a recorded error
     (:func:`_occupations` gates on finite values).  The warnings
     are switched off once per sweep or search, not per call here: a secant
-    step's solve takes about 85 us and each switch 2 us.
+    step's solve takes 110-200 us and each switch 1.5-3 us.
     """
     if fidelity not in ("rwa", "full"):
         raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")

@@ -383,6 +383,17 @@ class TestForceNoise:
             spec.mass_a * spec.mode_a.gamma * KB * 300.0, rel=1e-12
         )
 
+    def test_overflowing_square_keeps_the_factor(self):
+        # (1 + C_OM)^2 overflows past C_OM ~ 1.3e154; the term C_ab/(1 + C_OM)^2
+        # is kept where it still counts, and goes to its limit 0 at C_OM = inf
+        spec = make_spec(c_ab=1e300)
+        cab, gb = cooperativity_ab(spec), spec.mode_b.gamma
+        for c_om in (2e154, 1e200, 1e308):
+            with mp.workdps(40):
+                exact = 1 + mp.mpf(cab) / (1 + mp.mpf(c_om * gb) / mp.mpf(gb)) ** 2
+            assert force_noise_psd(spec, c_om * gb, 300.0).factor == pytest.approx(float(exact), rel=1e-15)
+        assert force_noise_psd(spec, math.inf, 300.0).factor == 1.0
+
     def test_monotonicity(self, spec50):
         gb = spec50.mode_b.gamma
         factors = [force_noise_psd(spec50, c * gb, 300.0).factor for c in

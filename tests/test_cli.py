@@ -838,7 +838,7 @@ _EXTREME_CASES = [
 
 
 # cases whose ending is pinned, (task, INI text, exit code, stderr pattern):
-# they once ended in a bare FloatingPointError
+# they once ended in a bare FloatingPointError or OverflowError
 _PINNED_CASES = [
     # (gamma_b + Gamma)^2 underflows: a sweep of per-point rows, a search that
     # ends at the bracket (the optimum C_OM ~ sqrt(C_ab) is near 1e152)
@@ -850,6 +850,12 @@ _PINNED_CASES = [
     *(
         ("sense", fuzz_text("sense", fidelity, {("system", key): "tiny"}), 3, "force baseline")
         for key in ("mass_a_kg", "gamma_a_hz")
+        for fidelity in ("rwa", "full")
+    ),
+    # C_OM = Gamma/gamma_b is near 7e303, so (1 + C_OM)^2 of the closed-form
+    # force factor overflows; the factor is its limit 1
+    *(
+        ("sense", fuzz_text("sense", fidelity, {("system", "gamma_b_hz"): "tiny"}), 0, "")
         for fidelity in ("rwa", "full")
     ),
 ]

@@ -1,7 +1,7 @@
 """The susceptibility rows have one solve path: only the row solve gates them,
 and only it and its gate eliminate.  Only a pencil's preparation folds drifts
-into Lyapunov operators.  The sweeps read a batch's point errors by index, not
-by type."""
+into Lyapunov operators, and only its modal form eigendecomposes one.  The
+sweeps read a batch's point errors by index, not by type."""
 
 import ast
 from pathlib import Path
@@ -41,6 +41,12 @@ def test_only_the_row_solve_and_its_gate_eliminate():
 def test_only_a_pencil_preparation_folds_drifts():
     # a covariance call adds the prepared L0 + G*L1; it folds no drift itself
     assert _callers("_operator") == [("spectra", "_prepare_noise")]
+
+
+def test_only_a_pencil_preparation_eigendecomposes_a_folded_operator():
+    # the modal form of _Noise is prepared once per pencil; a covariance call
+    # runs eigenvalue solves of drifts (eigvals) and of Sigma (eigvalsh) only
+    assert _callers("eig") == [("spectra", "_Noise")]
 
 
 def test_sweeps_read_point_errors_by_index_not_by_type():

@@ -30,6 +30,7 @@ from bathcool import (
 )
 import bathcool
 from bathcool import spectra
+from bathcool.design import BeamGeometry, design_to_system, load_material
 from bathcool.errors import (
     BathcoolError,
     CoverageError,
@@ -1858,6 +1859,163 @@ class TestPreparedNoise:
             op, qmap = spectra._fold(6, tuple(perm.tolist()))[:2]
             expected = spectra._operator(a0 + g[:, None, None] * a1, op, qmap.shape[1])
             assert seen[0].tobytes() == expected.tobytes()
+
+
+def _record_lu_solves(monkeypatch) -> list:
+    """Record the point count of every stacked LU solve, ``np.linalg.solve`` of
+    a stack of folded operators (the modal preparation solves one matrix)."""
+    counts, solve = [], np.linalg.solve
+
+    def counted(k, q):
+        if k.ndim == 3:
+            counts.append(k.shape[0])
+        return solve(k, q)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return counts
+
+
+def _shared_pencil(spec, rotating_wave=False):
+    """The prepared pencil of ``spec``, its A0 and A1, and mode a's row."""
+    a0, a1, b, corr, labels = _pencil(spec, rotating_wave=rotating_wave)
+    pencil = spectra._prepare_noise(a0, a1, b, corr[0], _conjugate_swap(labels, a0, a1))
+    return pencil, a0, a1, labels.index("a")
+
+
+def _beam_spec():
+    """The README ``[design]`` beam, with kappa = 2 pi 0.3 MHz at detuning -omega_b
+    (ROADMAP item 11): its drift goes unstable at C_OM = 29086.57."""
+    geometry = BeamGeometry(20.01e-6, 19.99e-6, 0.3e-6, 0.3e-6)
+    cavity = CavityDrive(kappa=TWO_PI * 3e5, detuning=0.0, g0=TWO_PI * 10.0, alpha=0.0)
+    spec = design_to_system(geometry, load_material("silicon_nitride"), 300.0, cavity).system
+    return replace(spec, cavity=replace(cavity, detuning=-spec.mode_b.omega))
+
+
+def _at(spec, g):
+    """``spec`` driven at G = ``g`` exactly (g0 = 1, alpha = G)."""
+    return replace(spec, cavity=replace(spec.cavity, alpha=g, g0=1.0))
+
+
+class TestModalCovariance:
+    """A call of _MODAL_POINTS points or more on one shared pencil solves by
+    the pencil's eigendecomposition and one refinement step.  Every gate
+    stays, and the LU solves again each point the modal form leaves
+    uncertified or above the residual gate."""
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_batches_above_the_crossover_match_a_40_digit_solve(self, monkeypatch, builder):
+        rotating_wave = builder is build_rwa_system
+        for spec in TestCovarianceAccuracy.SPECS + list(_criterion_7_draws(3, seed=31)):
+            pencil, a0, a1, row = _shared_pencil(spec, rotating_wave)
+            g0 = spec.cavity.alpha * spec.cavity.g0
+            model = builder(spec)
+            assert np.array_equal(model.drift, a0 + g0 * a1)
+            # the model's own G, then a sweep's column of the crossover's size
+            g = np.append(g0, _drive(spec, np.geomspace(1e-2, 10.0, spectra._MODAL_POINTS)))
+            lu = _record_lu_solves(monkeypatch)
+            record = spectra._occupations(pencil, g, row)
+            monkeypatch.undo()
+            assert pencil.modal is not None and lu == [] and not record.errors
+            exact = _kronecker_occupation(model)
+            assert abs(record.n[0] - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("c_ab", [10.0, 50.0, 300.0, 1e4])
+    def test_readme_sweeps_match_the_lu(self, monkeypatch, c_ab):
+        spec = make_spec(c_ab=c_ab)
+        pencil, _, _, row = _shared_pencil(spec)
+        g = _drive(spec, np.geomspace(1e-2, 1e3, 301))
+        lu = _record_lu_solves(monkeypatch)
+        modal = spectra._occupations(pencil, g, row, slopes=True)
+        # no point falls back: at C_ab = 1e4 the refinement step is what
+        # passes the gate, as the modal form alone misses it at 117 points
+        assert lu == [] and not modal.errors
+        parts = np.array_split(g, 8)
+        assert len(parts[0]) < spectra._MODAL_POINTS
+        by_lu = [spectra._occupations(pencil, part, row, slopes=True) for part in parts]
+        assert lu == [len(part) for part in parts for _ in range(2)]  # Sigma, then its slope
+        n, slope = (np.concatenate([getattr(r, x) for r in by_lu]) for x in ("n", "slope"))
+        np.testing.assert_allclose(modal.n, n, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(modal.slope, slope, rtol=1e-12, atol=0)
+
+    def test_beam_near_its_pole_is_no_further_from_a_40_digit_solve_than_the_lu(self, monkeypatch):
+        # C_OM = 2.9e4 is 0.3% below the pole, where Sigma is ill-conditioned:
+        # the modal form keeps every point, 2e-13 from the 40-digit solve
+        # there, against the LU's 1.7e-8
+        spec = _beam_spec()
+        pencil, a0, a1, row = _shared_pencil(spec)
+        g = _drive(spec, np.geomspace(1e2, 2.9e4, spectra._MODAL_POINTS))
+        lu = _record_lu_solves(monkeypatch)
+        modal = spectra._occupations(pencil, g, row)
+        monkeypatch.undo()
+        assert lu == [] and not modal.errors
+        for i in (-1, -2):
+            model = build_full_system(_at(spec, g[i]))
+            assert np.array_equal(model.drift, a0 + g[i] * a1)
+            exact = _kronecker_occupation(model)
+            (by_lu,) = spectra._occupations(pencil, g[[i]], row).n
+            assert abs(modal.n[i] - exact) <= abs(by_lu - exact)
+
+    def test_a_batch_below_the_crossover_is_bitwise_the_lu(self):
+        spec = make_spec(c_ab=50.0)
+        pencil, _, _, row = _shared_pencil(spec)
+        g = _drive(spec, np.geomspace(1e-2, 1e3, spectra._MODAL_POINTS - 1))
+        batch = _entries(spectra._occupations(pencil, g, row, slopes=True))
+        assert "modal" not in vars(pencil)  # never prepared
+        singles = [
+            e for i in range(len(g))
+            for e in _entries(spectra._occupations(pencil, g[i : i + 1], row, slopes=True))
+        ]
+        assert _bits(batch) == _bits(singles)
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    def test_points_past_the_pole_are_solved_again_by_the_lu(self, monkeypatch, slopes):
+        # C_OM in [0.1, 1e5]: 20 of the 81 points lie past the pole at
+        # C_OM = 3408, where the modal form is meaningless; the LU solves
+        # them again, and the eigensolve words the same errors
+        spec = make_spec(c_ab=50.0)
+        pencil, _, _, row = _shared_pencil(spec)
+        g = _drive(spec, np.geomspace(0.1, 1e5, 81))
+        lu = _record_lu_solves(monkeypatch)
+        batch = _entries(spectra._occupations(pencil, g, row, slopes))
+        monkeypatch.undo()
+        assert lu == [20] and pencil.modal is not None
+        singles = [
+            e for i in range(len(g)) for e in _entries(spectra._occupations(pencil, g[i : i + 1], row, slopes))
+        ]
+        failed = [isinstance(e, Exception) for e in singles]
+        assert sum(failed) == 20 and [isinstance(e, Exception) for e in batch] == failed
+        for got, single in zip(batch, singles):
+            if isinstance(single, Exception):
+                assert _entry(got) == _entry(single)
+            else:
+                assert got == pytest.approx(single, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("slopes", [False, True])
+    def test_a_modal_form_that_misses_every_gate_leaves_the_lu_bitwise(self, monkeypatch, slopes):
+        spec = make_spec(c_ab=50.0)
+        pencil, _, _, row = _shared_pencil(spec)
+        g = _drive(spec, np.geomspace(1e-2, 1e3, 301))
+        expected = _bits(_entries(spectra._occupations(pencil, g, row, slopes)))
+        miss = lambda modal, ops, g, rhs: np.full((len(g), rhs.shape[-1]), math.nan)
+        monkeypatch.setattr(spectra, "_modal_solve", miss)
+        lu = _record_lu_solves(monkeypatch)
+        record = spectra._occupations(pencil, g, row, slopes)
+        assert lu == [301] * (1 + slopes) and not record.errors
+        monkeypatch.setattr(spectra, "_MODAL_POINTS", 302)
+        assert _bits(_entries(record)) == _bits(_entries(spectra._occupations(pencil, g, row, slopes)))
+        assert _bits(_entries(record)) != expected  # the modal form's bits differ by rounding
+
+    def test_pencils_without_a_modal_form(self):
+        spec = make_spec(c_ab=50.0)
+        a0, a1, b, corr, labels = _pencil(spec, rotating_wave=False)
+        perm = _conjugate_swap(labels)
+        two = lambda x: np.repeat(x[None], 2, axis=0)
+        assert spectra._prepare_noise(a0, None, b, corr[0], perm).modal is None  # no A1
+        assert spectra._prepare_noise(two(a0), two(a1), b, corr[0], perm).modal is None  # two pencils
+        # mode a undamped and uncoupled: A0 has the eigenvalues -+i omega_a,
+        # so L0 is singular, and every point takes the LU path
+        a0, a1, b, corr, labels = _pencil(make_spec(c_ab=0.0, gamma_a_hz=0.0), rotating_wave=False)
+        assert spectra._prepare_noise(a0, a1, b, corr[0], perm).modal is None
 
 
 class TestIntegration:

@@ -59,6 +59,20 @@ def covariance_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def modal_solves(monkeypatch):
+    """The point count of every covariance solve by a pencil's modal form."""
+    calls = []
+    solve = spectra._modal_solve
+
+    def counted(modal, ops, g, rhs):
+        calls.append(g.shape[0])
+        return solve(modal, ops, g, rhs)
+
+    monkeypatch.setattr(spectra, "_modal_solve", counted)
+    return calls
+
+
 class TestSweepCooperativity:
     def test_rwa_points_match_closed_form(self, spec50):
         c_oms = np.geomspace(0.1, 100.0, 13)
@@ -493,6 +507,14 @@ class TestEvaluationCounts:
         assert {with_slopes for _, with_slopes in covariance_calls} == {False, True}
         sweep_detuning(self.SPEC, [0.0, 1e3, 2e3], fidelity="full", c_om=7.0)
         assert len(prepared) == 2 and prepared[1][0].shape[0] == 3
+
+    def test_a_search_solves_by_lu_and_a_sweep_by_the_modal_form(self, covariance_calls, modal_solves):
+        # the 25-point scan and the one-point secant steps stay below the
+        # crossover; a 301-point sweep takes the modal form, Sigma only
+        find_optimum(self.SPEC, bracket=(1e-2, 1e3), fidelity="full")
+        assert covariance_calls[0] == (25, False) and modal_solves == []
+        sweep_cooperativity(self.SPEC, np.geomspace(0.01, 1e3, 301), fidelity="full")
+        assert covariance_calls[-1] == (301, False) and modal_solves == [301]
 
     def test_sweeps_compute_no_derivatives(self, covariance_calls):
         sweep_cooperativity(self.SPEC, np.geomspace(0.01, 1e3, 301), fidelity="full")
