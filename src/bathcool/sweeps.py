@@ -79,9 +79,9 @@ def _n_effs(specs, fidelity: str):
     G*L1 + L0, at G = |alpha|*g0 = sqrt(Gamma*kappa)/2, the drive that
     damps mode b at rate Gamma: by LU for find_optimum's 25-point scan and
     secant steps, by the modal form for a 301-point sweep.  With
-    ``slopes`` the record's
-    slope is dn_eff/dlog Gamma, from the Lyapunov sensitivity or the
-    derivative of the closed form; without, no derivative is computed.
+    ``slopes`` the record's slope is dn_eff/dlog Gamma, from the Lyapunov
+    sensitivity or the derivative of the closed form; without, no
+    derivative is computed.
 
     The public sweeps and the optimum search run with numpy's overflow and
     invalid warnings off: past C_OM ~ 1e200 an unstable drift can overflow

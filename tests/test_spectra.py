@@ -1891,11 +1891,6 @@ def _beam_spec():
     return replace(spec, cavity=replace(cavity, detuning=-spec.mode_b.omega))
 
 
-def _at(spec, g):
-    """``spec`` driven at G = ``g`` exactly (g0 = 1, alpha = G)."""
-    return replace(spec, cavity=replace(spec.cavity, alpha=g, g0=1.0))
-
-
 class TestModalCovariance:
     """A call of _MODAL_POINTS points or more on one shared pencil solves by
     the pencil's eigendecomposition and one refinement step.  Every gate
@@ -1949,7 +1944,7 @@ class TestModalCovariance:
         monkeypatch.undo()
         assert lu == [] and not modal.errors
         for i in (-1, -2):
-            model = build_full_system(_at(spec, g[i]))
+            model = build_full_system(replace(spec, cavity=replace(spec.cavity, alpha=g[i], g0=1.0)))
             assert np.array_equal(model.drift, a0 + g[i] * a1)
             exact = _kronecker_occupation(model)
             (by_lu,) = spectra._occupations(pencil, g[[i]], row).n
