@@ -660,9 +660,19 @@ class _Noise:
     points are the rows of ``a0``.  ``ops`` holds the folded operators
     (:func:`_operator`) L1 and L0 of A1 and A0, flattened, as
     (rows, 2, m*m), or L0 alone, (rows, 1, m*m), without ``a1``.  ``qf``
-    is the folded Q that is solved, ``qs`` its Hermitian matrix,
-    ``q_floor`` a Gershgorin lower bound on its lambda_min and ``q_norm``
-    its Frobenius norm.  :attr:`modal` is the one shared pencil's
+    is the folded Q that is solved, ``q_floor`` a Gershgorin lower bound
+    on its lambda_min and ``q_norm`` its Frobenius norm.
+
+    The rest serves the residual, which :func:`_occupations` forms on the
+    folded coordinates y and not on drift matrices.  ``weights`` holds
+    w_k = ||unfold[k]||^2, 2 or 4 (:func:`_fold`), so
+    ||Sigma||_F^2 = sum_k w_k y_k^2.  ``parts`` holds ||A0||_F^2,
+    2 Re<A0, A1> and ||A1||_F^2, so ||A0 + G*A1||_F^2 is
+    ``parts @ (1, G, G^2)``; ``rounding`` holds gamma_{k+3} nu1 and
+    gamma_{k+3} nu0, the residual's rounding per unit ||Sigma||_F at G = 1
+    and 0 (both past the first 0 without ``a1``).  ``reach`` is the |G| up
+    to which every entry of A0 + G*A1 is surely finite, NaN where A0 or A1
+    is not (:func:`_finite`).  :attr:`modal` is the one shared pencil's
     eigendecomposition, prepared on the first call that uses it.
     """
 
@@ -672,9 +682,12 @@ class _Noise:
     a1: np.ndarray | None
     ops: np.ndarray
     qf: np.ndarray
-    qs: np.ndarray
     q_floor: np.ndarray
     q_norm: np.ndarray
+    weights: np.ndarray
+    parts: np.ndarray
+    rounding: np.ndarray
+    reach: np.ndarray
 
     @functools.cached_property
     def modal(self) -> tuple | None:
@@ -740,9 +753,49 @@ def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
     # Gershgorin: lambda_min(Q) >= min_i Q_ii - sum_(j != i) |Q_ij|; 2 d eps covers its rounding
     rows = (1 + 2 * d * eps) * np.abs(qs).sum(axis=2)
     q_floor = (2 * qs.diagonal(axis1=1, axis2=2).real - rows).min(axis=1)
-    parts = [_operator(x, op, m).reshape(-1, m * m) for x in ((a0,) if a1 is None else (a1, a0))]
-    ops = np.stack(np.broadcast_arrays(*parts), axis=1)
-    return _Noise(perm, fold, a0, a1, ops, qf, qs, q_floor, np.linalg.norm(qs, axis=(1, 2)))
+    a0, a1 = (x if x is None else np.reshape(x, (-1, d, d)) for x in (a0, a1))
+    drifts = (a0,) if a1 is None else (a1, a0)
+    ops = np.stack(np.broadcast_arrays(*[_operator(x, op, m).reshape(-1, m * m) for x in drifts]), axis=1)
+    w = np.square(unfold).sum(axis=1)
+    # nu = sqrt(||M||_1 ||M||_inf) >= ||M||_2, M = W^1/2 |L| W^-1/2, of each part L;
+    # gamma_{k+3} < (k+4) u also covers the rounding of nu and of t itself
+    size = np.abs(ops).reshape(len(ops), -1, m, m)
+    scaled = size * np.sqrt(w[:, None] / w)
+    nu = np.sqrt(scaled.sum(axis=3).max(axis=2) * scaled.sum(axis=2).max(axis=2))
+    k = (size != 0).sum(axis=(1, 3)).max(axis=1)  # nonzeros in a row of [L0 L1]
+    rounding = (k[:, None] + 4) * (eps / 2) * nu
+    v0, v1 = (np.zeros((1, 2 * d * d)) if x is None else np.ascontiguousarray(x).reshape(len(x), -1).view(float)
+              for x in (a0, a1))
+    parts = np.stack(np.broadcast_arrays((v0 * v0).sum(axis=1), 2 * (v0 * v1).sum(axis=1), (v1 * v1).sum(axis=1)), axis=1)
+    if a1 is None:
+        rounding = np.concatenate((np.zeros_like(rounding), rounding), axis=1)
+    # |G| <= reach keeps every |A0 + G*A1| entry below max/4 (1 + u)^2: finite
+    x0, x1 = (np.abs(v).max(axis=1) for v in (v0, v1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = (np.finfo(float).max / 4 - x0) / x1
+    reach = np.where(np.isfinite(x0) & np.isfinite(x1), reach, math.nan)
+    q_norm = np.linalg.norm(qs, axis=(1, 2))
+    return _Noise(perm, fold, a0, a1, ops, qf, q_floor, q_norm, w, parts, rounding, reach)
+
+
+def _drifts(noise: _Noise, g: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The drifts A0 + G*A1 of the points ``points`` (indices into the column
+    ``g``), bitwise those of the whole column."""
+    a0 = _rows(noise.a0, points)
+    return a0 if noise.a1 is None else a0 + g[points, None, None] * _rows(noise.a1, points)
+
+
+def _finite(noise: _Noise, g: np.ndarray) -> np.ndarray:
+    """Whether the drift A0 + G*A1 at each G of the column ``g`` is finite,
+    as a test of the formed drift would say, from G and the pencil: so
+    where |G| <= ``reach``, not where G or the pencil row is not finite
+    (G*A1 then holds inf or inf * 0), and by the formed drift
+    (:func:`_drifts`) only between, where a sum may overflow."""
+    finite = np.abs(g) <= noise.reach
+    near = np.flatnonzero(np.isfinite(g) & (np.abs(g) > noise.reach))
+    if near.size:
+        finite[near] = np.isfinite(_drifts(noise, g, near)).all(axis=(1, 2))
+    return finite
 
 
 def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
@@ -753,7 +806,8 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     drifts A0, and ``g`` is a column of zeros as long.  The pencil's rows
     and the noise inputs and <xi xi^dag> weights broadcast against the
     points, and its finite drifts and A1 satisfy A = P conj(A) P, P the
-    conjugate swap ``perm`` (:class:`DriftModel`).  Each solve's folded
+    conjugate swap ``perm`` (:class:`DriftModel`).  A point whose drift is
+    not finite (:func:`_finite`) is a NumericsError.  Each solve's folded
     operators are (G, 1) (L1, L0) = G*L1 + L0, one product, bitwise those
     of A0 + G*A1 for the builders' pencils: every A1 entry is +-i where A0
     is 0 and every coefficient of the fold is 0, +-1/2, +-1 or +-2, so
@@ -762,11 +816,17 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     (:func:`_fold`), LU with partial pivoting: backward stable however
     ill-conditioned the eigenbasis.  Q becomes
     (Q + P conj(Q) P)/2, weight (2n+1)/2 per channel, so
-    Sigma = P conj(Sigma) P has d(d+1)/2 coordinates, not d^2, and
-    u Sigma u^T is unchanged (u = e_r + e_c is real, u P = u).  Each
-    point's ||A Sigma + Sigma A^dag + Q|| / (2 ||A|| ||Sigma|| + ||Q||),
-    for this Q, must be within RESIDUAL_TOL, else NumericsError; R is
-    formed as X + X^dag + Q, X = A Sigma, as Sigma is Hermitian.
+    Sigma = P conj(Sigma) P has m = d(d+1)/2 coordinates y, not d^2, and
+    u Sigma u^T is unchanged (u = e_r + e_c is real, u P = u).
+
+    The residual R = A Sigma + Sigma A^dag + Q is formed on the same
+    coordinates, r = G*(L1 y) + L0 y + qf in that order: one product of
+    the batch with a shared pencil's (L1; L0), else one per point with
+    its own rows.  The coordinates have disjoint supports in Sigma, so
+    ||R||_F^2 = sum_k w_k r_k^2 and ||Sigma||_F^2 = sum_k w_k y_k^2
+    (``weights`` of :class:`_Noise`), and ||A||_F comes from the pencil's
+    three norms.  Each point's ||R||_F / (2 ||A|| ||Sigma|| + ||Q||), for
+    this Q, must be within RESIDUAL_TOL, else NumericsError.
 
     A call of _MODAL_POINTS points or more on one shared pencil solves
     first by its modal form instead (:attr:`_Noise.modal`,
@@ -779,19 +839,35 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     LU alone, bit for bit as before.
 
     Stability comes from the solve where it can.  For the computed S and
-    R = A S + S A^dag + Q, a left eigenvector v^dag A = lam v^dag gives
-    2 Re lam v^dag S v = v^dag (R - Q) v.  If S is positive definite and
-    ||R||_F < lambda_min(Q), the right side is negative, so Re lam < 0 for
-    the exact A (Lyapunov's theorem).  So every finite point whose Q has a
-    positive Gershgorin lower bound L <= lambda_min(Q) (exact for the
-    builders' diagonal Q; positive for positive rates, even at T = 0) is
-    solved first.  It is certified stable when
-    ||R||_F + (d + 3) eps (2 ||A|| ||S|| + ||Q||) < L, which also needs S
-    finite, and S - d^2 eps ||S||_F I passes :func:`_positive_definite`:
-    (d + 3) eps bounds the rounding of the computed R, d^2 eps the
-    backward error of the Cholesky test.  Only the other points run an
-    eigensolve, of the real quadrature form (``to_real`` of :func:`_fold`),
-    and :func:`_instability` words their error; a batch whose eigensolve
+    the exact R of A = A0 + G*A1 and this Q, a left eigenvector
+    v^dag A = lam v^dag gives 2 Re lam v^dag S v = v^dag (R - Q) v.  If S
+    is positive definite and ||R||_F < lambda_min(Q), the right side is
+    negative, so Re lam < 0 (Lyapunov's theorem).  So every finite point
+    whose Q has a positive Gershgorin lower bound L <= lambda_min(Q) (exact
+    for the builders' diagonal Q; positive for positive rates, even at
+    T = 0) is solved first.  It is certified stable when the computed
+    ||R||_F + t < L, which also needs S finite, and
+    S - d^2 eps ||S||_F I passes :func:`_positive_definite` (d^2 eps the
+    backward error of the Cholesky test), where
+
+        t = gamma_{k+3} (nu0 + |G| nu1) ||S||_F + gamma_{h+2} ||Q||_F,
+
+    gamma_n = n u / (1 - n u), u = eps/2 (Higham, Accuracy and Stability
+    of Numerical Algorithms, section 3.1), h = ceil(m/2), k the most
+    nonzeros in a row of [L0 L1] (8 on the full README pencil, 5 on the
+    rwa one) and nu = sqrt(||M||_1 ||M||_inf) >= ||M||_2 of
+    M = W^1/2 |L| W^-1/2 for each part L (``rounding`` of
+    :class:`_Noise`).  A product in r passes k + 3 roundings at most: its
+    dot product's, G's, the two sums' and the one of the stored L, whose
+    entries each sum two of A's (:func:`_fold`); qf passes one.  So
+    |r^ - r| <= gamma_{k+3} (|G| |L1| + |L0|) |y| + u |qf|, and in the
+    weighted norm ||W^1/2 |L| |y|||_2 <= ||M||_2 ||S||_F.  The computed
+    norm is within gamma_{h+1} of ||r^||, which is below L <= ||Q||_F
+    where the test passes.  Each gamma_n is taken as (n + 1) u, which also
+    covers the rounding of t.  Only the other points run an eigensolve,
+    of the real quadrature form (``to_real`` of :func:`_fold`) of their
+    drifts, which are formed for them alone (:func:`_drifts`), and
+    :func:`_instability` words their error; a batch whose eigensolve
     raises LinAlgError is solved point by point, and a point that fails
     alone is a NumericsError.  So a singular Q (gamma_a = 0), or a first
     solve that raises LinAlgError, takes the eigensolve first; an
@@ -808,27 +884,31 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     Sigma overflow is decided by the eigensolve and the residual gate; the
     sweeps call this with numpy's overflow and invalid warnings off.
     """
-    a = noise.a0 if noise.a1 is None else noise.a0 + g[:, None, None] * noise.a1
-    finite = np.isfinite(a).all(axis=(1, 2))
+    finite = _finite(noise, g)
     non_finite = "drift matrix has non-finite entries"
     errors = {i: NumericsError(non_finite) for i in np.flatnonzero(~finite).tolist()}
     idx = np.flatnonzero(finite)
     # views, not copies, where every drift is finite
     at = _where(finite)
-    a_idx = a[at]
-    qf, qs, q_floor, q_norm, ops = (
-        _rows(x, at) for x in (noise.qf, noise.qs, noise.q_floor, noise.q_norm, noise.ops)
+    qf, q_floor, q_norm, ops, parts, rounding = (
+        _rows(x, at) for x in (noise.qf, noise.q_floor, noise.q_norm, noise.ops, noise.parts, noise.rounding)
     )
+    gk = g[at]  # zeros without A1
     coef = np.ones((idx.size, 1, ops.shape[1]))  # (G, 1) of (L1, L0), or 1 of L0 alone
     if noise.a1 is not None:
-        coef[:, 0, 0] = g[at]
-    d = a.shape[-1]
+        coef[:, 0, 0] = gk
+    d = noise.a0.shape[-1]
     _, qmap, unfold, to_real = noise.fold
     m = qmap.shape[1]
     eps = np.finfo(float).eps
-    norm = lambda x: np.linalg.norm(x, axis=(1, 2))
-    a_norm = norm(a_idx)
+    w = noise.weights
+    # below 0 only by rounding, where A0 nearly cancels G*A1
+    a_norm = np.sqrt(np.maximum(parts[:, 0] + gk * (parts[:, 1] + gk * parts[:, 2]), 0.0))
+    growth = rounding[:, 1] + np.abs(gk) * rounding[:, 0]  # gamma_{k+3} (nu0 + |G| nu1)
+    q_rounding = (math.ceil(m / 2) + 3) * (eps / 2) * q_norm  # gamma_{h+2} ||Q||_F
     y = np.zeros((idx.size, m, 1))  # folded Sigma where solved
+    s = np.zeros((idx.size, d, d), dtype=complex)
+    r_norm, s_norm, scale, bound = np.zeros((4, idx.size))
 
     def solve(sel, rhs):
         """Solve the folded Lyapunov operators G*L1 + L0 of the points ``sel`` for ``rhs`` by LU.
@@ -845,18 +925,28 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
         """:func:`_modal_solve` of the points ``sel`` for the columns ``rhs``."""
         return _modal_solve(modal, ops[0], coef[sel, 0, 0], rhs[..., 0])[..., None]
 
-    def covariance():
-        """Sigma, ||R||_F, ||Sigma||_F and 2 ||A|| ||Sigma|| + ||Q|| at every point."""
-        s = _hermitian(y, unfold, d)
-        s_norm = norm(s)
-        x = a_idx @ s  # R = X + X^dag + Q, as S A^dag = (A S)^dag
-        r_norm = norm(x + _dagger(x) + qs)
-        return s, r_norm, s_norm, 2 * a_norm * s_norm + q_norm
+    def covariance(sel):
+        """Sigma, ||R||_F, ||Sigma||_F, 2 ||A|| ||Sigma|| + ||Q|| and t at the points ``sel``, from y."""
+        ys = y[sel, :, 0]
+        s[sel] = _hermitian(ys, unfold, d)
+        pencil = _rows(ops, sel)
+        with np.errstate(over="ignore", invalid="ignore"):  # an unstable point's y may overflow them
+            if len(pencil) == 1:
+                p = ys @ pencil[0].reshape(-1, m).T
+            else:
+                p = (pencil.reshape(len(pencil), -1, m) @ ys[..., None])[..., 0]
+            if noise.a1 is not None:
+                p = gk[sel, None] * p[:, :m] + p[:, m:]
+            res = p + _rows(qf, sel)
+            r_norm[sel] = np.sqrt((res * res) @ w)
+            s_norm[sel] = norm = np.sqrt((ys * ys) @ w)
+            scale[sel] = 2 * a_norm[sel] * norm + _rows(q_norm, sel)
+            bound[sel] = growth[sel] * norm + _rows(q_rounding, sel)
 
     def certified(sel):
         """The points of the mask ``sel`` whose solved Sigma certifies them stable."""
-        # a non-finite Sigma has a non-finite scale, so it fails the bound
-        ok = sel & (r_norm + (d + 3) * eps * scale < q_floor)
+        # a non-finite Sigma has a non-finite t, so it fails the bound
+        ok = sel & (r_norm + bound < q_floor)
         fits = _where(ok)
         ok[fits] = _positive_definite(s[fits] - (d * d * eps * s_norm[fits])[:, None, None] * np.eye(d))
         return ok
@@ -868,24 +958,25 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     if modal is not None and solved.any():
         first = _where(solved)
         y[first] = modal_solve(first, -_rows(qf, first)[:, :, None])
-        s, r_norm, s_norm, scale = covariance()
+        covariance(first)
         kept = certified(solved)
         fits = _where(kept)
         kept[fits] = r_norm[fits] / scale[fits] <= RESIDUAL_TOL
         lu = solved & ~kept  # each point the modal form leaves, before a gate can fail it
-    try:
-        if lu.any():
-            first = _where(lu)
+    if lu.any():
+        first = _where(lu)
+        try:
             y[first] = solve(first, -_rows(qf, first)[:, :, None])
-    except np.linalg.LinAlgError:
-        solved &= ~lu
-    if lu.any() or not kept.any():  # else every Sigma is the modal form's, read above
-        s, r_norm, s_norm, scale = covariance()
-    ok = kept | certified(solved & ~kept)
+        except np.linalg.LinAlgError:
+            solved &= ~lu
+        else:
+            covariance(first)
+    unsure = solved & ~kept
+    ok = kept | certified(unsure) if unsure.any() else kept.copy()
     if not ok.all():
         rest = np.flatnonzero(~ok)
         # A's spectrum from the real eigensolver, about half the work of the complex one
-        real_form = (a_idx[rest].view(float).reshape(-1, 2 * d * d) @ to_real).reshape(-1, d, d)
+        real_form = (_drifts(noise, g, idx[rest]).view(float).reshape(-1, 2 * d * d) @ to_real).reshape(-1, d, d)
         try:
             lam = np.linalg.eigvals(real_form)
         except np.linalg.LinAlgError:  # one point at a time, NaN where it fails
@@ -900,7 +991,7 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
         new = ok & ~solved
         if new.any():
             y[new] = solve(new, -_rows(qf, new)[:, :, None])
-            s, r_norm, s_norm, scale = covariance()
+            covariance(new)
     k = _where(ok)
     sigmas = [s[k]]
     if slopes:
@@ -912,7 +1003,7 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     c = noise.perm[r]  # <x^2> = u Sigma u^T with u = e_r + e_c
     x, *slope = ((s[:, r, r] + s[:, r, c] + s[:, c, r] + s[:, c, c]).real for s in sigmas)
     n = (x - 1.0) / 2.0  # the vacuum floor <x^2> = 1 is clipped to roundoff
-    out = np.full((len(sigmas), a.shape[0]), math.nan)  # n, and the slope if solved
+    out = np.full((len(sigmas), len(g)), math.nan)  # n, and the slope if solved
     points = idx[k]
     out[:, points] = [np.maximum(n, 0.0), *(dn / 2.0 for dn in slope)]
     for j in np.flatnonzero(~(resid <= RESIDUAL_TOL) | (n < -1e-9 * x)).tolist():
