@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .analytics import RegimeFlags, cooperativity_ab, force_noise_psd, optical_damping
+from .analytics import _FLAG_SETS, RegimeFlags, cooperativity_ab, force_noise_psd, optical_damping
 from .design import (
     BeamGeometry,
     Material,
@@ -332,14 +332,19 @@ def _build_model(config: RunConfig):
     return builder(config.system)
 
 
-@functools.cache
 def _flags_str(flags) -> str:
+    """A sweep table's flags entry: "error" for a failed point, "ok", or the failed tests."""
     if flags is None:
         return "error"
     if flags.ok:
         return "ok"
     bad = [f.name for f in fields(RegimeFlags) if not getattr(flags, f.name)]
     return "violated:" + "+".join(bad)
+
+
+# the entry of each of the 16 flag sets a sweep shares (and of None), by identity:
+# hashing a frozen dataclass per row cost about 90 us per 301 rows
+_FLAG_STRS = {id(flags): _flags_str(flags) for flags in (None, *_FLAG_SETS)}
 
 
 def _run_spectrum(config: RunConfig):
@@ -365,7 +370,7 @@ def _run_sweep(config: RunConfig):
     values = np.geomspace(s["c_om_min"], s["c_om_max"], s["points"])
     result = sweep_cooperativity(config.system, values, fidelity=config.fidelity)
     header = ["C_OM", "n_eff", "T_ratio", "linewidth_rad_s", "flags"]
-    flags = [_flags_str(f) for f in result.validity_flags]
+    flags = [_FLAG_STRS.get(id(f)) or _flags_str(f) for f in result.validity_flags]
     columns = [result.axis_values, result.n_eff, result.T_ratio, result.linewidths, flags]
     finite = np.isfinite(result.n_eff)
     if not finite.any():

@@ -901,7 +901,6 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     _, qmap, unfold, to_real = noise.fold
     m = qmap.shape[1]
     eps = np.finfo(float).eps
-    w = noise.weights
     # below 0 only by rounding, where A0 nearly cancels G*A1
     a_norm = np.sqrt(np.maximum(parts[:, 0] + gk * (parts[:, 1] + gk * parts[:, 2]), 0.0))
     growth = rounding[:, 1] + np.abs(gk) * rounding[:, 0]  # gamma_{k+3} (nu0 + |G| nu1)
@@ -929,19 +928,10 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
         """Sigma, ||R||_F, ||Sigma||_F, 2 ||A|| ||Sigma|| + ||Q|| and t at the points ``sel``, from y."""
         ys = y[sel, :, 0]
         s[sel] = _hermitian(ys, unfold, d)
-        pencil = _rows(ops, sel)
         with np.errstate(over="ignore", invalid="ignore"):  # an unstable point's y may overflow them
-            if len(pencil) == 1:
-                p = ys @ pencil[0].reshape(-1, m).T
-            else:
-                p = (pencil.reshape(len(pencil), -1, m) @ ys[..., None])[..., 0]
-            if noise.a1 is not None:
-                p = gk[sel, None] * p[:, :m] + p[:, m:]
-            res = p + _rows(qf, sel)
-            r_norm[sel] = np.sqrt((res * res) @ w)
-            s_norm[sel] = norm = np.sqrt((ys * ys) @ w)
-            scale[sel] = 2 * a_norm[sel] * norm + _rows(q_norm, sel)
-            bound[sel] = growth[sel] * norm + _rows(q_rounding, sel)
+            r_norm[sel], s_norm[sel] = _residual(_rows(ops, sel), _rows(qf, sel), gk[sel], ys, noise.weights)
+            scale[sel] = 2 * a_norm[sel] * s_norm[sel] + _rows(q_norm, sel)
+            bound[sel] = growth[sel] * s_norm[sel] + _rows(q_rounding, sel)
 
     def certified(sel):
         """The points of the mask ``sel`` whose solved Sigma certifies them stable."""
@@ -1013,6 +1003,24 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
             message = f"Lyapunov residual {resid[j]:.3g} exceeds {RESIDUAL_TOL}"
         errors[int(points[j])] = NumericsError(message)
     return _Occupations(out[0], out[1] if slope else None, dict(sorted(errors.items())))
+
+
+def _residual(ops: np.ndarray, qf: np.ndarray, g: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple:
+    """``(||R||_F, ||Sigma||_F)`` of the folded Sigma rows ``y`` (n, m) at
+    the drifts A0 + G*A1 of the column ``g``, with their rows of ``ops``
+    and ``qf`` (:class:`_Noise`, one row or n) and the weights ``w``.  R's
+    folded coordinates are G*(L1 y) + L0 y + qf, in that order, or
+    L0 y + qf without L1: one product of the batch with a shared (L1; L0),
+    else one per point.  ||X||_F^2 = sum_k w_k x_k^2 of folded x."""
+    m = y.shape[1]
+    if len(ops) == 1:
+        p = y @ ops[0].reshape(-1, m).T
+    else:
+        p = (ops.reshape(len(ops), -1, m) @ y[..., None])[..., 0]
+    if ops.shape[1] == 2:
+        p = g[:, None] * p[:, :m] + p[:, m:]
+    r = p + qf
+    return np.sqrt((r * r) @ w), np.sqrt((y * y) @ w)
 
 
 def _rows(x: np.ndarray, sel) -> np.ndarray:
@@ -1351,7 +1359,9 @@ def force_spectrum_numeric(
     points, else one row solve.  Needs an ``a``/``a_dag`` pair in the
     model (ValueError), refuses unstable models, and raises NumericsError
     unless the baseline (hbar*m*omega_a/2)*gamma_a*(2*nbar_a + 1) is
-    positive and finite: it underflows at m or gamma_a ~ 1e-300.
+    positive and finite (it underflows at m or gamma_a ~ 1e-300), or
+    where the density is not finite: with mode b undamped
+    (gamma_b ~ 1e-300, no drive), |f_b|^2 overflows near omega_b.
     """
     if spec.mass_a is None:
         raise ValueError("spec.mass_a must be set for force noise")
@@ -1370,11 +1380,18 @@ def force_spectrum_numeric(
     f = resp / chi_eff[:, None]  # f[:, a_in] = sqrt(gamma_a) exactly
     weights = model.input_correlations.sum(axis=0)  # 2*nbar + 1 per channel
     prefactor = HBAR * spec.mass_a * spec.mode_a.omega / 2.0
-    s_ff = prefactor * (np.abs(f) ** 2 @ weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        s_ff = prefactor * (np.abs(f) ** 2 @ weights)
     baseline = prefactor * ga * weights[ia]
     if not 0.0 < baseline < math.inf:
         raise NumericsError(
             f"force baseline hbar*m*omega_a*gamma_a*(2*nbar_a + 1)/2 = {baseline:.3g} "
             "is not positive and finite"
+        )
+    over = np.flatnonzero(~np.isfinite(s_ff))
+    if over.size:
+        raise NumericsError(
+            "force density hbar*m*omega_a/2 * sum_k |f_k|^2 (2*nbar_k + 1) overflows "
+            f"at omega = {grid.points[over[0]]:.6g} rad/s"
         )
     return ForceSpectrumResult(grid=grid, s_ff=s_ff, factor=s_ff / baseline)

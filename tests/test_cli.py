@@ -852,6 +852,14 @@ _PINNED_CASES = [
         for key in ("mass_a_kg", "gamma_a_hz")
         for fidelity in ("rwa", "full")
     ),
+    # mode b undamped and undriven: |f_b|^2 of the rwa force density
+    # overflows at omega_b
+    (
+        "sense",
+        fuzz_text("sense", "rwa", {("system", "gamma_b_hz"): "tiny", ("cavity", "alpha"): "missing"}),
+        3,
+        "force density hbar*m*omega_a/2 * sum_k |f_k|^2 (2*nbar_k + 1) overflows at omega = 6.28319e+06 rad/s",
+    ),
     # C_OM = Gamma/gamma_b is near 7e303, so (1 + C_OM)^2 of the closed-form
     # force factor overflows; the factor is its limit 1
     *(

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -2011,6 +2012,131 @@ class TestModalCovariance:
         # so L0 is singular, and every point takes the LU path
         a0, a1, b, corr, labels = _pencil(make_spec(c_ab=0.0, gamma_a_hz=0.0), rotating_wave=False)
         assert spectra._prepare_noise(a0, a1, b, corr[0], perm).modal is None
+
+
+def _exact_norm2(*terms):
+    """||X||_F^2, exactly in fractions, of the sum of the terms, each a complex
+    matrix or a ``(A, S)`` pair that adds A S + S A^dag (S Hermitian)."""
+    total = {}
+    for term in terms:
+        if isinstance(term, tuple):
+            a, s = term
+            for (i, k) in zip(*np.nonzero(a)):
+                ar, ai = Fraction(a[i, k].real), Fraction(a[i, k].imag)
+                for j in range(s.shape[1]):
+                    sr, si = Fraction(s[k, j].real), Fraction(s[k, j].imag)
+                    x = (ar * sr - ai * si, ar * si + ai * sr)  # (A S)_ij, and its mate (S A^dag)_ji
+                    for key, (re, im) in (((i, j), x), ((j, i), (x[0], -x[1]))):
+                        old = total.get(key, (0, 0))
+                        total[key] = (old[0] + re, old[1] + im)
+        else:
+            for (i, j) in zip(*np.nonzero(term)):
+                old = total.get((i, j), (0, 0))
+                total[(i, j)] = (old[0] + Fraction(term[i, j].real), old[1] + Fraction(term[i, j].imag))
+    return sum(re * re + im * im for re, im in total.values())
+
+
+def _lu_solve(pencil, g):
+    """The folded Sigma of each G of ``g`` by the LU of G*L1 + L0, as a call forms it."""
+    m = pencil.qf.shape[1]
+    coef = np.stack((g, np.ones_like(g)), axis=1)[:, None, :]
+    return np.linalg.solve((coef @ pencil.ops).reshape(-1, m, m), -pencil.qf[:, :, None])[..., 0]
+
+
+class TestResidualRounding:
+    """The covariance certificate's ||R||_F is formed on the folded
+    coordinates: G*(L1 y) + L0 y + qf, weighted.  Its rounding term t covers
+    the gap between that computed norm and the exact ||A S + S A^dag + Q||_F
+    of the same computed S, for this Q and A = A0 + G*A1, with every
+    product in fractions."""
+
+    def _check(self, pencil, a, g, y, perturbed=False):
+        """``a`` holds each point's A0 + G*A1 exactly (the builders' pencils round no entry)."""
+        m, unfold = pencil.qf.shape[1], pencil.fold[2]
+        r_norm, s_norm = spectra._residual(pencil.ops, pencil.qf, g, y, pencil.weights)
+        t = (pencil.rounding[:, 1] + np.abs(g) * pencil.rounding[:, 0]) * s_norm
+        t += (math.ceil(m / 2) + 3) * np.finfo(float).eps / 2 * pencil.q_norm
+        s = spectra._hermitian(y, unfold, 6)  # exact: every unfold entry is 0 or +-1
+        q = spectra._hermitian(pencil.qf, unfold, 6)
+        for i in range(len(g)):
+            exact = _exact_norm2((a[i], s[i]), q[i if len(q) > 1 else 0])
+            assert abs(Fraction(s_norm[i]) ** 2 / _exact_norm2(s[i]) - 1) <= 1e-14
+            # off the solution the norm's own rounding, relative, is not t's to cover
+            slack = Fraction(t[i]) + (Fraction(1e-14 * r_norm[i]) if perturbed else 0)
+            low = max(Fraction(r_norm[i]) - slack, Fraction(0))
+            assert low**2 <= exact <= (Fraction(r_norm[i]) + slack) ** 2
+
+    def _pencil_cases(self, spec, c_om, rotating_wave):
+        pencil, a0, a1, _ = _shared_pencil(spec, rotating_wave)
+        g = _drive(spec, c_om)
+        a = a0 + g[:, None, None] * a1
+        assert pencil.modal is not None
+        for y in (spectra._modal_solve(pencil.modal, pencil.ops[0], g, -pencil.qf), _lu_solve(pencil, g)):
+            self._check(pencil, a, g, y)
+            self._check(pencil, a, g, y * (1.0 + 1e-7 * np.sin(np.arange(y.size))).reshape(y.shape), True)
+
+    @pytest.mark.parametrize("rotating_wave", [False, True])
+    @pytest.mark.parametrize("c_ab", [10.0, 50.0, 300.0, 1e4])
+    def test_readme_sweeps(self, c_ab, rotating_wave):
+        self._pencil_cases(make_spec(c_ab=c_ab), np.geomspace(1e-2, 1e3, 301)[::50], rotating_wave)
+
+    @pytest.mark.parametrize("rotating_wave", [False, True])
+    def test_criterion_7_draws(self, rotating_wave):
+        for spec in _criterion_7_draws(4, seed=32):
+            self._pencil_cases(spec, np.geomspace(1e-2, 1e2, 4), rotating_wave)
+
+    @pytest.mark.parametrize("rotating_wave", [False, True])
+    def test_beam_below_its_pole(self, rotating_wave):
+        # C_OM = 2.9e4 is 0.3% below the full drift's pole, where ||Sigma|| is largest
+        self._pencil_cases(_beam_spec(), np.array([1e2, 2.5e4, 2.9e4]), rotating_wave)
+
+    def test_dense_pencils(self):
+        # the builders' pencils multiply their large entries (omega) by small
+        # coherences, so their gaps stay 1e-2 of t or less.  Random paired
+        # pencils, A0 ~ 1e6 and A1 ~ 1 on the other entries (A0 + G*A1 is
+        # exact at G = 2^k), with Q = -(L y) for a random y: the products all
+        # cancel, and their rounding is what nu ||Sigma||_F bounds
+        rng = np.random.default_rng(32)
+        perm = np.array([1, 0, 3, 2, 5, 4])
+        pairs = np.flatnonzero(np.arange(6) < perm)
+
+        def paired(x):  # A = P conj(A) P from the rows i < perm[i]
+            x[perm[pairs][:, None], perm] = x[pairs].conj()
+            return x
+
+        g = 2.0 ** np.array([-3, 4, 10])
+        for _ in range(8):
+            a = paired(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+            mask = paired(rng.random((6, 6)) + 0j).real < 0.5
+            a0, a1 = np.where(mask, 1e6 * a, 0), np.where(mask, 0, a)
+            pencil = spectra._prepare_noise(a0, a1, np.eye(6), np.ones(6), perm)
+            self._check(pencil, a0 + g[:, None, None] * a1, g, _lu_solve(pencil, g))
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_drift_stacks(self, builder):
+        # one operator row per point: the product of each point with its own row
+        models = [builder(spec) for spec in _criterion_7_draws(4, seed=33)]
+        drifts, b, weights, labels = _model_stack(models)
+        pencil = spectra._prepare_noise(drifts, None, b, weights, _conjugate_swap(labels))
+        g = np.zeros(len(models))
+        m = pencil.qf.shape[1]
+        y = np.linalg.solve(pencil.ops.reshape(-1, m, m), -pencil.qf[:, :, None])[..., 0]
+        self._check(pencil, drifts, g, y)
+
+    def test_no_larger_than_the_term_it_replaced(self):
+        # (d + 3) eps (2 ||A||_F ||Sigma||_F + ||Q||_F) bounded the complex
+        # residual A S + S A^dag + Q; the folded one's term is 0.23-0.50 of it
+        for rotating_wave in (False, True):
+            for c_ab in (10.0, 50.0, 300.0, 1e4):
+                spec = make_spec(c_ab=c_ab)
+                pencil, a0, a1, _ = _shared_pencil(spec, rotating_wave)
+                g = _drive(spec, np.geomspace(1e-2, 1e3, 301))
+                y = spectra._modal_solve(pencil.modal, pencil.ops[0], g, -pencil.qf)
+                _, s_norm = spectra._residual(pencil.ops, pencil.qf, g, y, pencil.weights)
+                eps = np.finfo(float).eps
+                t = (pencil.rounding[:, 1] + g * pencil.rounding[:, 0]) * s_norm + 7 * eps * pencil.q_norm
+                a_norm = np.linalg.norm(a0 + g[:, None, None] * a1, axis=(1, 2))
+                assert (t <= 9 * eps * (2 * a_norm * s_norm + pencil.q_norm)).all()
 
 
 class TestIntegration:
