@@ -14,6 +14,9 @@
 #   one unstable_system line, worded by the real-form eigensolve, no stdout;
 # - a full sweep over C_OM in [0.1, 1e5], 46 certified and 15 unstable
 #   points: exit 0, "n_errors": 15;
+# - the same range at 20 points per decade, 121 points on the pencil's modal
+#   form, whose 30 unstable points alone have their drift matrices formed, for
+#   the eigensolve that words them: exit 0, empty stderr, "n_errors": 30;
 # - a full sweep of 301 points at C_ab = 1e4 (lambda_hz = 1581.14), on the
 #   pencil's modal form, whose refinement step passes the residual gate:
 #   exit 0, empty stderr, "n_errors": 0;
@@ -84,6 +87,10 @@ code=0
 $BATHCOOL sweep --config mixed.ini --fidelity full > mixed.out || code=$?
 test "$code" -eq 0
 grep -q '"n_errors": 15' mixed.out
+sed -e 's/^points_per_decade = 10$/points_per_decade = 20/' mixed.ini > fine.ini
+$BATHCOOL sweep --config fine.ini --fidelity full > fine.out 2> fine.err
+test ! -s fine.err
+grep -q '"n_errors": 30' fine.out
 sed -e 's/^task = spectrum$/task = sweep/' -e 's/^lambda_hz = 111.8$/lambda_hz = 1581.14/' spectrum.ini > modal.ini
 $BATHCOOL sweep --config modal.ini --fidelity full > modal.out 2> modal.err
 test ! -s modal.err

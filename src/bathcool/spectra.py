@@ -897,7 +897,7 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     coef = np.ones((idx.size, 1, ops.shape[1]))  # (G, 1) of (L1, L0), or 1 of L0 alone
     if noise.a1 is not None:
         coef[:, 0, 0] = gk
-    d = noise.a0.shape[-1]
+    d = noise.perm.size
     _, qmap, unfold, to_real = noise.fold
     m = qmap.shape[1]
     eps = np.finfo(float).eps

@@ -1,12 +1,18 @@
 """The susceptibility rows have one solve path: only the row solve gates them,
 and only it and its gate eliminate.  Only a pencil's preparation folds drifts
-into Lyapunov operators, and only its modal form eigendecomposes one.  The
-sweeps read a batch's point errors by index, not by type."""
+into Lyapunov operators, and only its modal form eigendecomposes one.  A
+covariance call forms drift matrices only for the points its certificate
+leaves to the eigensolve.  The sweeps read a batch's point errors by index,
+not by type."""
 
 import ast
 from pathlib import Path
 
-from bathcool import errors
+import numpy as np
+
+from bathcool import errors, spectra, sweeps
+
+from conftest import make_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,6 +53,37 @@ def test_only_a_pencil_preparation_eigendecomposes_a_folded_operator():
     # the modal form of _Noise is prepared once per pencil; a covariance call
     # runs eigenvalue solves of drifts (eigvals) and of Sigma (eigvalsh) only
     assert _callers("eig") == [("spectra", "_Noise")]
+
+
+def _readers(attribute: str) -> set:
+    """``(module, function)`` of every read of ``.attribute`` in the program."""
+    found = set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            holder = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == attribute:
+                    found.add((path.stem, holder))
+    return found
+
+
+def test_only_drift_rows_form_drift_matrices():
+    # the certificate works on folded coordinates: a covariance call forms
+    # A0 + G*A1 only through _drifts, for the points the eigensolve words
+    # and those whose finiteness G and the pencil leave open
+    assert _readers("a0") == {("spectra", "_drifts")}
+    assert set(_callers("_drifts")) == {("spectra", "_occupations"), ("spectra", "_finite")}
+
+
+def test_drift_rows_are_formed_for_uncertified_points_alone(monkeypatch):
+    formed, drifts = [], spectra._drifts
+    monkeypatch.setattr(spectra, "_drifts", lambda noise, g, points: formed.append(len(points)) or drifts(noise, g, points))
+    # a certified batch: the README sweep of 301 points, on the modal form
+    result = sweeps.sweep_cooperativity(make_spec(c_ab=50.0), np.geomspace(1e-2, 1e3, 301), "full")
+    assert formed == [] and not any(result.errors)
+    # the README sweep over C_OM in [0.1, 1e5], 61 points: 15 unstable ones
+    result = sweeps.sweep_cooperativity(make_spec(c_ab=50.0), np.geomspace(0.1, 1e5, 61), "full")
+    assert formed == [15] and sum(e is not None for e in result.errors) == 15
 
 
 def test_sweeps_read_point_errors_by_index_not_by_type():
