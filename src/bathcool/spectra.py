@@ -663,17 +663,14 @@ class _Noise:
     is the folded Q that is solved, ``q_floor`` a Gershgorin lower bound
     on its lambda_min and ``q_norm`` its Frobenius norm.
 
-    The rest serves the residual, which :func:`_occupations` forms on the
-    folded coordinates y and not on drift matrices.  ``weights`` holds
-    w_k = ||unfold[k]||^2, 2 or 4 (:func:`_fold`), so
-    ||Sigma||_F^2 = sum_k w_k y_k^2.  ``parts`` holds ||A0||_F^2,
-    2 Re<A0, A1> and ||A1||_F^2, so ||A0 + G*A1||_F^2 is
-    ``parts @ (1, G, G^2)``; ``rounding`` holds gamma_{k+3} nu1 and
-    gamma_{k+3} nu0, the residual's rounding per unit ||Sigma||_F at G = 1
-    and 0 (both past the first 0 without ``a1``).  ``reach`` is the |G| up
-    to which every entry of A0 + G*A1 is surely finite, NaN where A0 or A1
-    is not (:func:`_finite`).  :attr:`modal` is the one shared pencil's
-    eigendecomposition, prepared on the first call that uses it.
+    Two more serve the residual, which :func:`_occupations` forms on the
+    folded coordinates and not on drift matrices, with a column per row:
+    ``parts`` holds ||A0||_F^2, 2 Re<A0, A1> and ||A1||_F^2, so
+    ||A0 + G*A1||_F^2 = (1, G, G^2) @ parts, and ``rounding`` holds
+    gamma_{k+3} nu1 and gamma_{k+3} nu0, the rounding of the residual per
+    unit ||Sigma||_F, |G| and 1 (0 and 0 past the first without ``a1``).
+    :attr:`modal` is the one shared pencil's eigendecomposition, prepared
+    on the first call that uses it.
     """
 
     perm: np.ndarray
@@ -684,10 +681,8 @@ class _Noise:
     qf: np.ndarray
     q_floor: np.ndarray
     q_norm: np.ndarray
-    weights: np.ndarray
     parts: np.ndarray
     rounding: np.ndarray
-    reach: np.ndarray
 
     @functools.cached_property
     def modal(self) -> tuple | None:
@@ -744,7 +739,7 @@ def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
     drifts into operators: a call of :func:`_occupations` adds them."""
     d = b.shape[-2]
     fold = _fold(d, tuple(perm.tolist()))
-    op, qmap, unfold, _ = fold
+    op, qmap, unfold, _, w, margins = fold
     m = qmap.shape[1]
     eps = np.finfo(float).eps
     q = (b * weights[..., None, :]) @ b.swapaxes(-1, -2)
@@ -754,28 +749,25 @@ def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
     rows = (1 + 2 * d * eps) * np.abs(qs).sum(axis=2)
     q_floor = (2 * qs.diagonal(axis1=1, axis2=2).real - rows).min(axis=1)
     a0, a1 = (x if x is None else np.reshape(x, (-1, d, d)) for x in (a0, a1))
-    drifts = (a0,) if a1 is None else (a1, a0)
-    ops = np.stack(np.broadcast_arrays(*[_operator(x, op, m).reshape(-1, m * m) for x in drifts]), axis=1)
-    w = np.square(unfold).sum(axis=1)
-    # nu = sqrt(||M||_1 ||M||_inf) >= ||M||_2, M = W^1/2 |L| W^-1/2, of each part L;
-    # gamma_{k+3} < (k+4) u also covers the rounding of nu and of t itself
-    size = np.abs(ops).reshape(len(ops), -1, m, m)
-    scaled = size * np.sqrt(w[:, None] / w)
-    nu = np.sqrt(scaled.sum(axis=3).max(axis=2) * scaled.sum(axis=2).max(axis=2))
-    k = (size != 0).sum(axis=(1, 3)).max(axis=1)  # nonzeros in a row of [L0 L1]
-    rounding = (k[:, None] + 4) * (eps / 2) * nu
-    v0, v1 = (np.zeros((1, 2 * d * d)) if x is None else np.ascontiguousarray(x).reshape(len(x), -1).view(float)
-              for x in (a0, a1))
-    parts = np.stack(np.broadcast_arrays((v0 * v0).sum(axis=1), 2 * (v0 * v1).sum(axis=1), (v1 * v1).sum(axis=1)), axis=1)
-    if a1 is None:
-        rounding = np.concatenate((np.zeros_like(rounding), rounding), axis=1)
-    # |G| <= reach keeps every |A0 + G*A1| entry below max/4 (1 + u)^2: finite
-    x0, x1 = (np.abs(v).max(axis=1) for v in (v0, v1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reach = (np.finfo(float).max / 4 - x0) / x1
-    reach = np.where(np.isfinite(x0) & np.isfinite(x1), reach, math.nan)
-    q_norm = np.linalg.norm(qs, axis=(1, 2))
-    return _Noise(perm, fold, a0, a1, ops, qf, q_floor, q_norm, w, parts, rounding, reach)
+    # A1 and A0 of each row (A1 = 0 without a1), and their folded operators
+    pair = np.zeros_like(a0) if a1 is None else a1
+    if len(pair) != len(a0):
+        pair, a0 = np.broadcast_arrays(pair, a0)
+    pair = np.concatenate((pair, a0), axis=1).reshape(-1, 2, d, d)
+    both = _operator(pair, op, m).reshape(len(pair), 2, m, m)
+    ops = both.reshape(len(pair), 2, m * m)[:, int(a1 is None) :]
+    # nu = sqrt(||M||_1 ||M||_inf) >= ||M||_2 of M = W^1/2 |L| W^-1/2, for L1 and L0,
+    # and k the most nonzeros in a row of [L0 L1]: gamma_{k+3} < (k+4) u also covers
+    # the rounding of nu and of t itself
+    sums = np.maximum.reduce((np.abs(both).reshape(-1, m * m) @ margins).reshape(len(pair), 2, 2, m), axis=3)
+    k = np.maximum.reduce(np.add.reduce(both != 0, axis=(1, 3)), axis=1)
+    rounding = (k + 4) * (eps / 2) * np.sqrt(np.multiply.reduce(sums, axis=2)).T
+    # ||A0||_F^2, 2 Re<A0, A1> and ||A1||_F^2 from the float views' Gram matrix
+    v = pair.reshape(len(pair), 2, -1).view(float)
+    (n1, c), (_, n0) = (v @ v.swapaxes(1, 2)).T
+    parts = np.stack((n0, c + c, n1))
+    q_norm = np.sqrt(np.square(qf) @ w)
+    return _Noise(perm, fold, a0, a1, ops, qf, q_floor, q_norm, parts, rounding)
 
 
 def _drifts(noise: _Noise, g: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -785,19 +777,7 @@ def _drifts(noise: _Noise, g: np.ndarray, points: np.ndarray) -> np.ndarray:
     return a0 if noise.a1 is None else a0 + g[points, None, None] * _rows(noise.a1, points)
 
 
-def _finite(noise: _Noise, g: np.ndarray) -> np.ndarray:
-    """Whether the drift A0 + G*A1 at each G of the column ``g`` is finite,
-    as a test of the formed drift would say, from G and the pencil: so
-    where |G| <= ``reach``, not where G or the pencil row is not finite
-    (G*A1 then holds inf or inf * 0), and by the formed drift
-    (:func:`_drifts`) only between, where a sum may overflow."""
-    finite = np.abs(g) <= noise.reach
-    near = np.flatnonzero(np.isfinite(g) & (np.abs(g) > noise.reach))
-    if near.size:
-        finite[near] = np.isfinite(_drifts(noise, g, near)).all(axis=(1, 2))
-    return finite
-
-
+@np.errstate(over="ignore", invalid="ignore")  # an unstable point's Sigma may overflow its norms
 def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     """Occupation of x = v_r + v_c, c = perm[r], at every drift A0 + G*A1 of the column ``g``.
 
@@ -807,7 +787,8 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     and the noise inputs and <xi xi^dag> weights broadcast against the
     points, and its finite drifts and A1 satisfy A = P conj(A) P, P the
     conjugate swap ``perm`` (:class:`DriftModel`).  A point whose drift is
-    not finite (:func:`_finite`) is a NumericsError.  Each solve's folded
+    not finite is a NumericsError, decided from G and the pencil's norms
+    where they are finite, as they are short of G ~ 1e154.  Each solve's folded
     operators are (G, 1) (L1, L0) = G*L1 + L0, one product, bitwise those
     of A0 + G*A1 for the builders' pencils: every A1 entry is +-i where A0
     is 0 and every coefficient of the fold is 0, +-1/2, +-1 or +-2, so
@@ -824,7 +805,7 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     the batch with a shared pencil's (L1; L0), else one per point with
     its own rows.  The coordinates have disjoint supports in Sigma, so
     ||R||_F^2 = sum_k w_k r_k^2 and ||Sigma||_F^2 = sum_k w_k y_k^2
-    (``weights`` of :class:`_Noise`), and ||A||_F comes from the pencil's
+    (the weights of :func:`_fold`), and ||A||_F comes from the pencil's
     three norms.  Each point's ||R||_F / (2 ||A|| ||Sigma|| + ||Q||), for
     this Q, must be within RESIDUAL_TOL, else NumericsError.
 
@@ -881,33 +862,39 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     them.
 
     Every gate fails on a non-finite value, so a point whose norms or
-    Sigma overflow is decided by the eigensolve and the residual gate; the
-    sweeps call this with numpy's overflow and invalid warnings off.
+    Sigma overflow is decided by the eigensolve and the residual gate,
+    with numpy's overflow and invalid warnings off.
     """
-    finite = _finite(noise, g)
+    p0, p1, p2 = noise.parts
+    a_squared = p0 + g * (p1 + g * p2)  # ||A||_F^2
+    # where it is finite, every |A_ij| is below sqrt(max): A is finite; where
+    # G is not, A holds inf or inf * 0; only between is A formed to be tested
+    finite = np.isfinite(a_squared)
+    if not finite.all():
+        near = np.flatnonzero(~finite & np.isfinite(g))
+        finite[near] = np.isfinite(_drifts(noise, g, near)).all(axis=(1, 2))
     non_finite = "drift matrix has non-finite entries"
     errors = {i: NumericsError(non_finite) for i in np.flatnonzero(~finite).tolist()}
     idx = np.flatnonzero(finite)
     # views, not copies, where every drift is finite
     at = _where(finite)
-    qf, q_floor, q_norm, ops, parts, rounding = (
-        _rows(x, at) for x in (noise.qf, noise.q_floor, noise.q_norm, noise.ops, noise.parts, noise.rounding)
-    )
+    qf, q_floor, q_norm, ops = (_rows(x, at) for x in (noise.qf, noise.q_floor, noise.q_norm, noise.ops))
     gk = g[at]  # zeros without A1
     coef = np.ones((idx.size, 1, ops.shape[1]))  # (G, 1) of (L1, L0), or 1 of L0 alone
     if noise.a1 is not None:
         coef[:, 0, 0] = gk
     d = noise.perm.size
-    _, qmap, unfold, to_real = noise.fold
+    _, qmap, unfold, to_real, w, _ = noise.fold
     m = qmap.shape[1]
     eps = np.finfo(float).eps
     # below 0 only by rounding, where A0 nearly cancels G*A1
-    a_norm = np.sqrt(np.maximum(parts[:, 0] + gk * (parts[:, 1] + gk * parts[:, 2]), 0.0))
-    growth = rounding[:, 1] + np.abs(gk) * rounding[:, 0]  # gamma_{k+3} (nu0 + |G| nu1)
+    a_norm = np.sqrt(np.maximum(a_squared[at], 0.0))
+    nu1, nu0 = noise.rounding
+    growth = (nu0 + np.abs(g) * nu1)[at]  # gamma_{k+3} (nu0 + |G| nu1)
     q_rounding = (math.ceil(m / 2) + 3) * (eps / 2) * q_norm  # gamma_{h+2} ||Q||_F
     y = np.zeros((idx.size, m, 1))  # folded Sigma where solved
     s = np.zeros((idx.size, d, d), dtype=complex)
-    r_norm, s_norm, scale, bound = np.zeros((4, idx.size))
+    r_norm, s_norm = np.zeros((2, idx.size))
 
     def solve(sel, rhs):
         """Solve the folded Lyapunov operators G*L1 + L0 of the points ``sel`` for ``rhs`` by LU.
@@ -925,18 +912,19 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
         return _modal_solve(modal, ops[0], coef[sel, 0, 0], rhs[..., 0])[..., None]
 
     def covariance(sel):
-        """Sigma, ||R||_F, ||Sigma||_F, 2 ||A|| ||Sigma|| + ||Q|| and t at the points ``sel``, from y."""
+        """Sigma, ||R||_F and ||Sigma||_F at the points ``sel``, from their y."""
         ys = y[sel, :, 0]
         s[sel] = _hermitian(ys, unfold, d)
-        with np.errstate(over="ignore", invalid="ignore"):  # an unstable point's y may overflow them
-            r_norm[sel], s_norm[sel] = _residual(_rows(ops, sel), _rows(qf, sel), gk[sel], ys, noise.weights)
-            scale[sel] = 2 * a_norm[sel] * s_norm[sel] + _rows(q_norm, sel)
-            bound[sel] = growth[sel] * s_norm[sel] + _rows(q_rounding, sel)
+        r_norm[sel], s_norm[sel] = _residual(_rows(ops, sel), _rows(qf, sel), gk[sel], ys, w)
+
+    def residual(sel):
+        """||R||_F / (2 ||A|| ||Sigma|| + ||Q||) at the points ``sel``, which the gate bounds."""
+        return r_norm[sel] / (2 * a_norm[sel] * s_norm[sel] + _rows(q_norm, sel))
 
     def certified(sel):
         """The points of the mask ``sel`` whose solved Sigma certifies them stable."""
         # a non-finite Sigma has a non-finite t, so it fails the bound
-        ok = sel & (r_norm + bound < q_floor)
+        ok = sel & (r_norm + (growth * s_norm + q_rounding) < q_floor)
         fits = _where(ok)
         ok[fits] = _positive_definite(s[fits] - (d * d * eps * s_norm[fits])[:, None, None] * np.eye(d))
         return ok
@@ -951,7 +939,7 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
         covariance(first)
         kept = certified(solved)
         fits = _where(kept)
-        kept[fits] = r_norm[fits] / scale[fits] <= RESIDUAL_TOL
+        kept[fits] = residual(fits) <= RESIDUAL_TOL
         lu = solved & ~kept  # each point the modal form leaves, before a gate can fail it
     if lu.any():
         first = _where(lu)
@@ -989,7 +977,7 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
         # on the modal form only where it gave every Sigma
         how = modal_solve if modal is not None and (kept == ok).all() else solve
         sigmas.append(_hermitian(how(k, -(l1 @ y[k])), unfold, d))
-    resid = r_norm[k] / scale[k]
+    resid = residual(k)
     c = noise.perm[r]  # <x^2> = u Sigma u^T with u = e_r + e_c
     x, *slope = ((s[:, r, r] + s[:, r, c] + s[:, c, r] + s[:, c, c]).real for s in sigmas)
     n = (x - 1.0) / 2.0  # the vacuum floor <x^2> = 1 is clipped to roundoff
@@ -1062,8 +1050,8 @@ def _positive_definite(h: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _fold(d: int, perm: tuple) -> tuple:
-    """``(op, qmap, unfold, to_real)``: A Sigma + Sigma A^dag on Sigma's real
-    coordinates, and A's real quadrature form.
+    """``(op, qmap, unfold, to_real, weights, margins)``: A Sigma + Sigma A^dag
+    on Sigma's real coordinates, and A's real quadrature form.
 
     A Hermitian Sigma has d^2 real coordinates, Re Sigma_ij (i <= j) and
     Im Sigma_ij (i < j).  Sigma -> P conj(Sigma) P, P the permutation
@@ -1073,7 +1061,11 @@ def _fold(d: int, perm: tuple) -> tuple:
     of A is its float view times ``op`` (m x m), the folded
     (Q + P conj(Q) P)/2 of a real Q is ``Q.ravel() @ qmap``, and the
     Hermitian matrix of folded coordinates y has the float view
-    ``y @ unfold``.  ``to_real`` takes A's float view to M = U A U^-1,
+    ``y @ unfold``.  Distinct coordinates fill disjoint entries, so
+    ||Sigma||_F^2 = sum_k w_k y_k^2, ``weights`` w_k = ||unfold[k]||^2
+    (2 or 4 where every coordinate has a mate); ``margins`` takes a folded
+    operator's |L|, flattened, to the row and then the column sums of
+    W^1/2 |L| W^-1/2, W = diag(w).  ``to_real`` takes A's float view to M = U A U^-1,
     row-major, U mapping each pair i < Pi in turn to x = v_i + v_Pi and
     p = -i (v_i - v_Pi).  For A = P conj(A) P, M is real
     with A's eigenvalues: M[x_k, x_l] = Re A_ij + Re A_{i,Pj},
@@ -1108,7 +1100,14 @@ def _fold(d: int, perm: tuple) -> tuple:
     rows = real_a[:, i] @ u_inv.reshape(d, d)
     # stacked into a C-contiguous array; .real alone is a strided view
     to_real = 2.0 * np.stack((rows.real, rows.imag), axis=2).reshape(2 * n, n)
-    return (op @ span)[:, keep].reshape(2 * n, -1), qmap[:, keep], unfold, to_real
+    weights = np.square(unfold).sum(axis=1)
+    # |L| flattened, times margins: the row and then the column sums of W^1/2 |L| W^-1/2
+    ratio = np.sqrt(weights[:, None] / weights)
+    margins = np.zeros((keep.size, keep.size, 2, keep.size))
+    margins[:, :, 0, :] = (ratio[:, :, None] * np.eye(keep.size)[:, None, :])
+    margins[:, :, 1, :] = (ratio[:, :, None] * np.eye(keep.size)[None, :, :])
+    margins = margins.reshape(keep.size**2, 2 * keep.size)
+    return (op @ span)[:, keep].reshape(2 * n, -1), qmap[:, keep], unfold, to_real, weights, margins
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:

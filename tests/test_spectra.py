@@ -1523,11 +1523,13 @@ class TestBatchedCovariance:
     @pytest.mark.parametrize("perm, m", [((1, 0, 3, 2, 5, 4), 21)])
     def test_fold_is_exact_and_combines_at_most_two_entries(self, perm, m):
         # so it adds no rounding to A or Q beyond their own, in any batch
-        op, qmap, unfold, _ = spectra._fold(6, perm)
+        op, qmap, unfold, _, weights, _ = spectra._fold(6, perm)
         assert op.shape == (72, m * m) and qmap.shape == (36, m) and unfold.shape == (m, 72)
         for x in (op, qmap, unfold):
             assert set(np.unique(x)) <= {-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0}
             assert (x != 0).sum(axis=0).max() <= 2
+        # distinct coordinates fill disjoint entries: ||Sigma||_F^2 = sum_k w_k y_k^2
+        assert (unfold != 0).sum(axis=0).max() == 1 and set(weights) == {2.0, 4.0}
 
 
 def _real_form(model):
@@ -2053,8 +2055,9 @@ class TestResidualRounding:
     def _check(self, pencil, a, g, y, perturbed=False):
         """``a`` holds each point's A0 + G*A1 exactly (the builders' pencils round no entry)."""
         m, unfold = pencil.qf.shape[1], pencil.fold[2]
-        r_norm, s_norm = spectra._residual(pencil.ops, pencil.qf, g, y, pencil.weights)
-        t = (pencil.rounding[:, 1] + np.abs(g) * pencil.rounding[:, 0]) * s_norm
+        r_norm, s_norm = spectra._residual(pencil.ops, pencil.qf, g, y, pencil.fold[4])
+        nu1, nu0 = pencil.rounding  # gamma_{k+3} nu of L1 and of L0
+        t = (nu0 + np.abs(g) * nu1) * s_norm
         t += (math.ceil(m / 2) + 3) * np.finfo(float).eps / 2 * pencil.q_norm
         s = spectra._hermitian(y, unfold, 6)  # exact: every unfold entry is 0 or +-1
         q = spectra._hermitian(pencil.qf, unfold, 6)
@@ -2132,9 +2135,10 @@ class TestResidualRounding:
                 pencil, a0, a1, _ = _shared_pencil(spec, rotating_wave)
                 g = _drive(spec, np.geomspace(1e-2, 1e3, 301))
                 y = spectra._modal_solve(pencil.modal, pencil.ops[0], g, -pencil.qf)
-                _, s_norm = spectra._residual(pencil.ops, pencil.qf, g, y, pencil.weights)
+                _, s_norm = spectra._residual(pencil.ops, pencil.qf, g, y, pencil.fold[4])
                 eps = np.finfo(float).eps
-                t = (pencil.rounding[:, 1] + g * pencil.rounding[:, 0]) * s_norm + 7 * eps * pencil.q_norm
+                nu1, nu0 = pencil.rounding
+                t = (nu0 + g * nu1) * s_norm + 7 * eps * pencil.q_norm
                 a_norm = np.linalg.norm(a0 + g[:, None, None] * a1, axis=(1, 2))
                 assert (t <= 9 * eps * (2 * a_norm * s_norm + pencil.q_norm)).all()
 
