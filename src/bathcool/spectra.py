@@ -764,8 +764,8 @@ def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
     rounding = (k + 4) * (eps / 2) * np.sqrt(np.multiply.reduce(sums, axis=2)).T
     # ||A0||_F^2, 2 Re<A0, A1> and ||A1||_F^2 from the float views' Gram matrix
     v = pair.reshape(len(pair), 2, -1).view(float)
-    (n1, c), (_, n0) = (v @ v.swapaxes(1, 2)).T
-    parts = np.stack((n0, c + c, n1))
+    parts = (v @ v.swapaxes(1, 2)).reshape(-1, 4).T[[3, 1, 0]]
+    parts[1] *= 2.0
     q_norm = np.sqrt(np.square(qf) @ w)
     return _Noise(perm, fold, a0, a1, ops, qf, q_floor, q_norm, parts, rounding)
 
@@ -870,14 +870,15 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     # where it is finite, every |A_ij| is below sqrt(max): A is finite; where
     # G is not, A holds inf or inf * 0; only between is A formed to be tested
     finite = np.isfinite(a_squared)
+    errors = {}
     if not finite.all():
         near = np.flatnonzero(~finite & np.isfinite(g))
         finite[near] = np.isfinite(_drifts(noise, g, near)).all(axis=(1, 2))
-    non_finite = "drift matrix has non-finite entries"
-    errors = {i: NumericsError(non_finite) for i in np.flatnonzero(~finite).tolist()}
+        non_finite = "drift matrix has non-finite entries"
+        errors = {i: NumericsError(non_finite) for i in np.flatnonzero(~finite).tolist()}
     idx = np.flatnonzero(finite)
     # views, not copies, where every drift is finite
-    at = _where(finite)
+    at = idx if errors else slice(None)
     qf, q_floor, q_norm, ops = (_rows(x, at) for x in (noise.qf, noise.q_floor, noise.q_norm, noise.ops))
     gk = g[at]  # zeros without A1
     coef = np.ones((idx.size, 1, ops.shape[1]))  # (G, 1) of (L1, L0), or 1 of L0 alone
