@@ -663,14 +663,16 @@ class _Noise:
     is the folded Q that is solved, ``q_floor`` a Gershgorin lower bound
     on its lambda_min and ``q_norm`` its Frobenius norm.
 
-    Two more serve the residual, which :func:`_occupations` forms on the
-    folded coordinates and not on drift matrices, with a column per row:
-    ``parts`` holds ||A0||_F^2, 2 Re<A0, A1> and ||A1||_F^2, so
-    ||A0 + G*A1||_F^2 = (1, G, G^2) @ parts, and ``rounding`` holds
-    gamma_{k+3} nu1 and gamma_{k+3} nu0, the rounding of the residual per
-    unit ||Sigma||_F, |G| and 1 (0 and 0 past the first without ``a1``).
-    :attr:`modal` is the one shared pencil's eigendecomposition, prepared
-    on the first call that uses it.
+    The rest serves the residual, which :func:`_occupations` forms on the
+    folded coordinates and not on drift matrices, with a column per row
+    (the terms of A1 are 0 without ``a1``): ``parts`` holds ||A0||_F^2,
+    2 Re<A0, A1> and ||A1||_F^2, so ||A0 + G*A1||_F^2 = (1, G, G^2) @ parts;
+    :attr:`nu` holds gamma_{k+3} nu1 and gamma_{k+3} nu0, the rounding of
+    the residual per unit ||Sigma||_F and |G| or 1; and ``cover`` bounds
+    them by the fold's ``cover`` times ||A1||_F and ||A0||_F, at no cost
+    per pencil.  :attr:`modal` is the one shared pencil's
+    eigendecomposition, and :attr:`nu` is prepared on the first call that
+    uses it too.
     """
 
     perm: np.ndarray
@@ -682,7 +684,20 @@ class _Noise:
     q_floor: np.ndarray
     q_norm: np.ndarray
     parts: np.ndarray
-    rounding: np.ndarray
+    cover: np.ndarray
+
+    @functools.cached_property
+    def nu(self) -> np.ndarray:
+        """gamma_{k+3} nu1 and gamma_{k+3} nu0 of each row, as ``cover``:
+        nu = sqrt(||M||_1 ||M||_inf) >= ||M||_2 of M = W^1/2 |L| W^-1/2 for L1
+        and L0, and k the most nonzeros in a row of [L0 L1].  The (k+4) u
+        taken for gamma_{k+3} also covers the rounding of nu and of t."""
+        m = self.qf.shape[1]
+        size = np.abs(self.ops).reshape(len(self.ops), -1, m, m)
+        sums = (size.reshape(-1, m * m) @ self.fold[5]).reshape(len(size), -1, 2, m).max(axis=3)
+        k = (size != 0).sum(axis=(1, 3)).max(axis=1)
+        nu = (k + 4) * (np.finfo(float).eps / 2) * np.sqrt(sums.prod(axis=2)).T
+        return nu if self.a1 is not None else np.concatenate((np.zeros_like(nu), nu))
 
     @functools.cached_property
     def modal(self) -> tuple | None:
@@ -739,7 +754,7 @@ def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
     drifts into operators: a call of :func:`_occupations` adds them."""
     d = b.shape[-2]
     fold = _fold(d, tuple(perm.tolist()))
-    op, qmap, unfold, _, w, margins = fold
+    op, qmap, unfold, _, w, _, cover = fold
     m = qmap.shape[1]
     eps = np.finfo(float).eps
     q = (b * weights[..., None, :]) @ b.swapaxes(-1, -2)
@@ -754,20 +769,13 @@ def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
     if len(pair) != len(a0):
         pair, a0 = np.broadcast_arrays(pair, a0)
     pair = np.concatenate((pair, a0), axis=1).reshape(-1, 2, d, d)
-    both = _operator(pair, op, m).reshape(len(pair), 2, m, m)
-    ops = both.reshape(len(pair), 2, m * m)[:, int(a1 is None) :]
-    # nu = sqrt(||M||_1 ||M||_inf) >= ||M||_2 of M = W^1/2 |L| W^-1/2, for L1 and L0,
-    # and k the most nonzeros in a row of [L0 L1]: gamma_{k+3} < (k+4) u also covers
-    # the rounding of nu and of t itself
-    sums = np.maximum.reduce((np.abs(both).reshape(-1, m * m) @ margins).reshape(len(pair), 2, 2, m), axis=3)
-    k = np.maximum.reduce(np.add.reduce(both != 0, axis=(1, 3)), axis=1)
-    rounding = (k + 4) * (eps / 2) * np.sqrt(np.multiply.reduce(sums, axis=2)).T
+    ops = _operator(pair, op, m).reshape(len(pair), 2, m * m)[:, int(a1 is None) :]
     # ||A0||_F^2, 2 Re<A0, A1> and ||A1||_F^2 from the float views' Gram matrix
     v = pair.reshape(len(pair), 2, -1).view(float)
     parts = (v @ v.swapaxes(1, 2)).reshape(-1, 4).T[[3, 1, 0]]
     parts[1] *= 2.0
     q_norm = np.sqrt(np.square(qf) @ w)
-    return _Noise(perm, fold, a0, a1, ops, qf, q_floor, q_norm, parts, rounding)
+    return _Noise(perm, fold, a0, a1, ops, qf, q_floor, q_norm, parts, cover * np.sqrt(parts[[2, 0]]))
 
 
 def _drifts(noise: _Noise, g: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -787,9 +795,10 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     and the noise inputs and <xi xi^dag> weights broadcast against the
     points, and its finite drifts and A1 satisfy A = P conj(A) P, P the
     conjugate swap ``perm`` (:class:`DriftModel`).  A point whose drift is
-    not finite is a NumericsError, decided from G and the pencil's norms
-    where they are finite, as they are short of G ~ 1e154.  Each solve's folded
-    operators are (G, 1) (L1, L0) = G*L1 + L0, one product, bitwise those
+    not finite is a NumericsError.  Where ||A||_F^2, from G and the
+    pencil's norms, is finite, so is every entry; only where it is not
+    (G past 1e154, say) and G is finite is the drift formed to be tested.
+    Each solve's folded operators are (G, 1) (L1, L0) = G*L1 + L0, one product, bitwise those
     of A0 + G*A1 for the builders' pencils: every A1 entry is +-i where A0
     is 0 and every coefficient of the fold is 0, +-1/2, +-1 or +-2, so
     each entry rounds once either way.  Sigma comes from one batched real
@@ -845,7 +854,13 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     weighted norm ||W^1/2 |L| |y|||_2 <= ||M||_2 ||S||_F.  The computed
     norm is within gamma_{h+1} of ||r^||, which is below L <= ||Q||_F
     where the test passes.  Each gamma_n is taken as (n + 1) u, which also
-    covers the rounding of t.  Only the other points run an eigensolve,
+    covers the rounding of t.  The test reads t's cover first, which the
+    fold gives from ||A0||_F and ||A1||_F (``cover`` of :class:`_Noise`,
+    8 to 27 times gamma_{k+3} nu on the README and criterion-7 pencils),
+    and t itself, whose nu the
+    pencil prepares on first need, only at a point that the cover fails
+    and ||R||_F + gamma_{h+2} ||Q||_F does not: so every decision is t's.
+    Only the other points run an eigensolve,
     of the real quadrature form (``to_real`` of :func:`_fold`) of their
     drifts, which are formed for them alone (:func:`_drifts`), and
     :func:`_instability` words their error; a batch whose eigensolve
@@ -885,13 +900,13 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     if noise.a1 is not None:
         coef[:, 0, 0] = gk
     d = noise.perm.size
-    _, qmap, unfold, to_real, w, _ = noise.fold
+    _, qmap, unfold, to_real, w, _, _ = noise.fold
     m = qmap.shape[1]
     eps = np.finfo(float).eps
     # below 0 only by rounding, where A0 nearly cancels G*A1
     a_norm = np.sqrt(np.maximum(a_squared[at], 0.0))
-    nu1, nu0 = noise.rounding
-    growth = (nu0 + np.abs(g) * nu1)[at]  # gamma_{k+3} (nu0 + |G| nu1)
+    nu1, nu0 = noise.cover
+    cover = (nu0 + np.abs(g) * nu1)[at]  # at least gamma_{k+3} (nu0 + |G| nu1)
     q_rounding = (math.ceil(m / 2) + 3) * (eps / 2) * q_norm  # gamma_{h+2} ||Q||_F
     y = np.zeros((idx.size, m, 1))  # folded Sigma where solved
     s = np.zeros((idx.size, d, d), dtype=complex)
@@ -918,15 +933,22 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
         s[sel] = _hermitian(ys, unfold, d)
         r_norm[sel], s_norm[sel] = _residual(_rows(ops, sel), _rows(qf, sel), gk[sel], ys, w)
 
-    def residual(sel):
+    def relative_residual(sel):
         """||R||_F / (2 ||A|| ||Sigma|| + ||Q||) at the points ``sel``, which the gate bounds."""
         return r_norm[sel] / (2 * a_norm[sel] * s_norm[sel] + _rows(q_norm, sel))
 
     def certified(sel):
         """The points of the mask ``sel`` whose solved Sigma certifies them stable."""
         # a non-finite Sigma has a non-finite t, so it fails the bound
-        ok = sel & (r_norm + (growth * s_norm + q_rounding) < q_floor)
+        ok = sel & (r_norm + (cover * s_norm + q_rounding) < q_floor)
         fits = _where(ok)
+        if not isinstance(fits, slice):  # t itself where its cover is too coarse
+            near = np.flatnonzero(sel & ~ok & (r_norm + q_rounding < q_floor))
+            if near.size:
+                nu1, nu0 = (_rows(x, idx[near]) for x in noise.nu)
+                t = (nu0 + np.abs(g[idx[near]]) * nu1) * s_norm[near] + _rows(q_rounding, near)
+                ok[near] = r_norm[near] + t < _rows(q_floor, near)
+                fits = _where(ok)
         ok[fits] = _positive_definite(s[fits] - (d * d * eps * s_norm[fits])[:, None, None] * np.eye(d))
         return ok
 
@@ -940,7 +962,7 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
         covariance(first)
         kept = certified(solved)
         fits = _where(kept)
-        kept[fits] = residual(fits) <= RESIDUAL_TOL
+        kept[fits] = relative_residual(fits) <= RESIDUAL_TOL
         lu = solved & ~kept  # each point the modal form leaves, before a gate can fail it
     if lu.any():
         first = _where(lu)
@@ -978,7 +1000,7 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
         # on the modal form only where it gave every Sigma
         how = modal_solve if modal is not None and (kept == ok).all() else solve
         sigmas.append(_hermitian(how(k, -(l1 @ y[k])), unfold, d))
-    resid = residual(k)
+    resid = relative_residual(k)
     c = noise.perm[r]  # <x^2> = u Sigma u^T with u = e_r + e_c
     x, *slope = ((s[:, r, r] + s[:, r, c] + s[:, c, r] + s[:, c, c]).real for s in sigmas)
     n = (x - 1.0) / 2.0  # the vacuum floor <x^2> = 1 is clipped to roundoff
@@ -1051,8 +1073,8 @@ def _positive_definite(h: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _fold(d: int, perm: tuple) -> tuple:
-    """``(op, qmap, unfold, to_real, weights, margins)``: A Sigma + Sigma A^dag
-    on Sigma's real coordinates, and A's real quadrature form.
+    """``(op, qmap, unfold, to_real, weights, margins, cover)``: A Sigma +
+    Sigma A^dag on Sigma's real coordinates, and A's real quadrature form.
 
     A Hermitian Sigma has d^2 real coordinates, Re Sigma_ij (i <= j) and
     Im Sigma_ij (i < j).  Sigma -> P conj(Sigma) P, P the permutation
@@ -1066,8 +1088,9 @@ def _fold(d: int, perm: tuple) -> tuple:
     ||Sigma||_F^2 = sum_k w_k y_k^2, ``weights`` w_k = ||unfold[k]||^2
     (2 or 4 where every coordinate has a mate); ``margins`` takes a folded
     operator's |L|, flattened, to the row and then the column sums of
-    W^1/2 |L| W^-1/2, W = diag(w).  ``to_real`` takes A's float view to M = U A U^-1,
-    row-major, U mapping each pair i < Pi in turn to x = v_i + v_Pi and
+    W^1/2 |L| W^-1/2, W = diag(w), and ``cover`` times ||A||_F bounds
+    gamma_{k+3} nu of any A's operator (:func:`_occupations`).  ``to_real``
+    takes A's float view to M = U A U^-1, row-major, U mapping each pair i < Pi in turn to x = v_i + v_Pi and
     p = -i (v_i - v_Pi).  For A = P conj(A) P, M is real
     with A's eigenvalues: M[x_k, x_l] = Re A_ij + Re A_{i,Pj},
     M[x_k, p_l] = -Im A_ij + Im A_{i,Pj}, M[p_k, x_l] = Im A_ij + Im A_{i,Pj}
@@ -1101,14 +1124,22 @@ def _fold(d: int, perm: tuple) -> tuple:
     rows = real_a[:, i] @ u_inv.reshape(d, d)
     # stacked into a C-contiguous array; .real alone is a strided view
     to_real = 2.0 * np.stack((rows.real, rows.imag), axis=2).reshape(2 * n, n)
+    folded = (op @ span)[:, keep].reshape(2 * n, -1)
     weights = np.square(unfold).sum(axis=1)
     # |L| flattened, times margins: the row and then the column sums of W^1/2 |L| W^-1/2
+    m = keep.size
     ratio = np.sqrt(weights[:, None] / weights)
-    margins = np.zeros((keep.size, keep.size, 2, keep.size))
-    margins[:, :, 0, :] = (ratio[:, :, None] * np.eye(keep.size)[:, None, :])
-    margins[:, :, 1, :] = (ratio[:, :, None] * np.eye(keep.size)[None, :, :])
-    margins = margins.reshape(keep.size**2, 2 * keep.size)
-    return (op @ span)[:, keep].reshape(2 * n, -1), qmap[:, keep], unfold, to_real, weights, margins
+    margins = np.zeros((m, m, 2, m))
+    margins[:, :, 0, :] = ratio[:, :, None] * np.eye(m)[:, None, :]
+    margins[:, :, 1, :] = ratio[:, :, None] * np.eye(m)[None, :, :]
+    margins = margins.reshape(m * m, 2 * m)
+    # |L| <= |a| @ |op| entrywise for A's float view a, so each sum is at most
+    # ||A||_F times a column norm of |op| @ margins (Cauchy-Schwarz), and a row of
+    # [L0 L1] holds at most twice the nonzeros that a row of op's pattern allows
+    sums = np.sqrt(np.square(np.abs(folded) @ margins).sum(axis=0)).reshape(2, m).max(axis=1)
+    k = 2 * (np.abs(folded).reshape(-1, m, m).sum(axis=0) != 0).sum(axis=1).max()
+    cover = (k + 4) * (np.finfo(float).eps / 2) * math.sqrt(sums[0] * sums[1])
+    return folded, qmap[:, keep], unfold, to_real, weights, margins, cover
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:

@@ -72,7 +72,8 @@ def _n_effs(specs, fidelity: str):
     full fidelity the pencil of each spec is built once, here, and must be
     conjugate-paired (ValueError).  All of the covariance solve that G
     does not move (the folded A0 and A1, the folded Q, its floor and
-    norm) is prepared once here too, and the modal form of one spec's
+    norm, the drift's norms and the certificate's rounding coefficients)
+    is prepared once here too, and the modal form of one spec's
     pencil on its first call of _MODAL_POINTS points or more
     (:func:`_occupations`).  So every call is one batched steady-state
     covariance solve of the drifts A0 + G*A1, whose folded operators are
@@ -84,12 +85,13 @@ def _n_effs(specs, fidelity: str):
     derivative is computed.
 
     The public sweeps and the optimum search run with numpy's overflow and
-    invalid warnings off: past C_OM ~ 1e200 an unstable drift can overflow
-    the covariance certificate's norms, and where G overflows the drift
-    holds inf * 0.  Every such point is already a recorded error
-    (:func:`_occupations` gates on finite values).  The warnings
-    are switched off once per sweep or search, not per call here: a secant
-    step's solve takes 110-200 us and each switch 1.5-3 us.
+    invalid warnings off: past C_OM ~ 1e200 G, its slope factor and the
+    closed forms overflow, and where G overflows the drift holds inf * 0.
+    Every such point is already a recorded error (:func:`_occupations`
+    gates on finite values, and switches the warnings off for its own
+    norms, which an unstable point's Sigma can overflow).  The warnings
+    are switched off once per sweep or search, not per call here: a
+    secant step's solve takes 110-200 us and each switch 1.5-3 us.
     """
     if fidelity not in ("rwa", "full"):
         raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")

@@ -1523,7 +1523,7 @@ class TestBatchedCovariance:
     @pytest.mark.parametrize("perm, m", [((1, 0, 3, 2, 5, 4), 21)])
     def test_fold_is_exact_and_combines_at_most_two_entries(self, perm, m):
         # so it adds no rounding to A or Q beyond their own, in any batch
-        op, qmap, unfold, _, weights, _ = spectra._fold(6, perm)
+        op, qmap, unfold, _, weights, *_ = spectra._fold(6, perm)
         assert op.shape == (72, m * m) and qmap.shape == (36, m) and unfold.shape == (m, 72)
         for x in (op, qmap, unfold):
             assert set(np.unique(x)) <= {-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0}
@@ -2045,6 +2045,24 @@ def _lu_solve(pencil, g):
     return np.linalg.solve((coef @ pencil.ops).reshape(-1, m, m), -pencil.qf[:, :, None])[..., 0]
 
 
+def _dense_pencils(n):
+    """``(pencil, A0, A1)`` of ``n`` random paired pencils with Q = I, A0 ~ 1e6
+    and A1 ~ 1 on the other entries, so A0 + G*A1 is exact at G = 2^k."""
+    rng = np.random.default_rng(32)
+    perm = np.array([1, 0, 3, 2, 5, 4])
+    pairs = np.flatnonzero(np.arange(6) < perm)
+
+    def paired(x):  # A = P conj(A) P from the rows i < perm[i]
+        x[perm[pairs][:, None], perm] = x[pairs].conj()
+        return x
+
+    for _ in range(n):
+        a = paired(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        mask = paired(rng.random((6, 6)) + 0j).real < 0.5
+        a0, a1 = np.where(mask, 1e6 * a, 0), np.where(mask, 0, a)
+        yield spectra._prepare_noise(a0, a1, np.eye(6), np.ones(6), perm), a0, a1
+
+
 class TestResidualRounding:
     """The covariance certificate's ||R||_F is formed on the folded
     coordinates: G*(L1 y) + L0 y + qf, weighted.  Its rounding term t covers
@@ -2056,7 +2074,7 @@ class TestResidualRounding:
         """``a`` holds each point's A0 + G*A1 exactly (the builders' pencils round no entry)."""
         m, unfold = pencil.qf.shape[1], pencil.fold[2]
         r_norm, s_norm = spectra._residual(pencil.ops, pencil.qf, g, y, pencil.fold[4])
-        nu1, nu0 = pencil.rounding  # gamma_{k+3} nu of L1 and of L0
+        nu1, nu0 = pencil.nu  # gamma_{k+3} nu of L1 and of L0
         t = (nu0 + np.abs(g) * nu1) * s_norm
         t += (math.ceil(m / 2) + 3) * np.finfo(float).eps / 2 * pencil.q_norm
         s = spectra._hermitian(y, unfold, 6)  # exact: every unfold entry is 0 or +-1
@@ -2096,24 +2114,19 @@ class TestResidualRounding:
     def test_dense_pencils(self):
         # the builders' pencils multiply their large entries (omega) by small
         # coherences, so their gaps stay 1e-2 of t or less.  Random paired
-        # pencils, A0 ~ 1e6 and A1 ~ 1 on the other entries (A0 + G*A1 is
-        # exact at G = 2^k), with Q = -(L y) for a random y: the products all
-        # cancel, and their rounding is what nu ||Sigma||_F bounds
-        rng = np.random.default_rng(32)
-        perm = np.array([1, 0, 3, 2, 5, 4])
-        pairs = np.flatnonzero(np.arange(6) < perm)
-
-        def paired(x):  # A = P conj(A) P from the rows i < perm[i]
-            x[perm[pairs][:, None], perm] = x[pairs].conj()
-            return x
-
+        # pencils solved for Q = I: large products cancel in every row, and
+        # their rounding is what nu ||Sigma||_F bounds, not ||Q||
         g = 2.0 ** np.array([-3, 4, 10])
-        for _ in range(8):
-            a = paired(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-            mask = paired(rng.random((6, 6)) + 0j).real < 0.5
-            a0, a1 = np.where(mask, 1e6 * a, 0), np.where(mask, 0, a)
-            pencil = spectra._prepare_noise(a0, a1, np.eye(6), np.ones(6), perm)
+        for pencil, a0, a1 in _dense_pencils(8):
             self._check(pencil, a0 + g[:, None, None] * a1, g, _lu_solve(pencil, g))
+
+    def test_the_cover_bounds_nu(self):
+        # the certificate reads the fold's cover of gamma_{k+3} nu, from
+        # ||A0||_F and ||A1||_F, first, and nu only where the cover fails
+        specs = (make_spec(c_ab=50.0), _beam_spec(), *_criterion_7_draws(8, seed=34))
+        pencils = [_shared_pencil(spec, rotating_wave)[0] for spec in specs for rotating_wave in (False, True)]
+        for pencil in pencils + [pencil for pencil, _, _ in _dense_pencils(8)]:
+            assert (pencil.nu <= pencil.cover).all()
 
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
     def test_drift_stacks(self, builder):
@@ -2137,7 +2150,7 @@ class TestResidualRounding:
                 y = spectra._modal_solve(pencil.modal, pencil.ops[0], g, -pencil.qf)
                 _, s_norm = spectra._residual(pencil.ops, pencil.qf, g, y, pencil.fold[4])
                 eps = np.finfo(float).eps
-                nu1, nu0 = pencil.rounding
+                nu1, nu0 = pencil.nu
                 t = (nu0 + g * nu1) * s_norm + 7 * eps * pencil.q_norm
                 a_norm = np.linalg.norm(a0 + g[:, None, None] * a1, axis=(1, 2))
                 assert (t <= 9 * eps * (2 * a_norm * s_norm + pencil.q_norm)).all()
