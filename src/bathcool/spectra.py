@@ -693,10 +693,10 @@ class _Noise:
         and L0, and k the most nonzeros in a row of [L0 L1].  The (k+4) u
         taken for gamma_{k+3} also covers the rounding of nu and of t."""
         m = self.qf.shape[1]
-        size = np.abs(self.ops).reshape(len(self.ops), -1, m, m)
-        sums = (size.reshape(-1, m * m) @ self.fold[5]).reshape(len(size), -1, 2, m).max(axis=3)
-        k = (size != 0).sum(axis=(1, 3)).max(axis=1)
-        nu = (k + 4) * (np.finfo(float).eps / 2) * np.sqrt(sums.prod(axis=2)).T
+        scaled = np.abs(self.ops).reshape(len(self.ops), -1, m, m) * self.fold[5]
+        k = (scaled != 0).sum(axis=(1, 3)).max(axis=1)
+        nu = np.sqrt(scaled.sum(axis=3).max(axis=2) * scaled.sum(axis=2).max(axis=2))
+        nu = (k + 4) * (np.finfo(float).eps / 2) * nu.T
         return nu if self.a1 is not None else np.concatenate((np.zeros_like(nu), nu))
 
     @functools.cached_property
@@ -798,13 +798,13 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     not finite is a NumericsError.  Where ||A||_F^2, from G and the
     pencil's norms, is finite, so is every entry; only where it is not
     (G past 1e154, say) and G is finite is the drift formed to be tested.
-    Each solve's folded operators are (G, 1) (L1, L0) = G*L1 + L0, one product, bitwise those
-    of A0 + G*A1 for the builders' pencils: every A1 entry is +-i where A0
-    is 0 and every coefficient of the fold is 0, +-1/2, +-1 or +-2, so
-    each entry rounds once either way.  Sigma comes from one batched real
-    linear solve of A Sigma + Sigma A^dag = -Q on its real coordinates
-    (:func:`_fold`), LU with partial pivoting: backward stable however
-    ill-conditioned the eigenbasis.  Q becomes
+    Each solve's folded operators are (G, 1) (L1, L0) = G*L1 + L0, one
+    product, bitwise those of A0 + G*A1 for the builders' pencils: every
+    A1 entry is +-i where A0 is 0 and every coefficient of the fold is 0,
+    +-1/2, +-1 or +-2, so each entry rounds once either way.  Sigma comes
+    from one batched real linear solve of A Sigma + Sigma A^dag = -Q on
+    its real coordinates (:func:`_fold`), LU with partial pivoting:
+    backward stable however ill-conditioned the eigenbasis.  Q becomes
     (Q + P conj(Q) P)/2, weight (2n+1)/2 per channel, so
     Sigma = P conj(Sigma) P has m = d(d+1)/2 coordinates y, not d^2, and
     u Sigma u^T is unchanged (u = e_r + e_c is real, u P = u).
@@ -846,10 +846,10 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     of Numerical Algorithms, section 3.1), h = ceil(m/2), k the most
     nonzeros in a row of [L0 L1] (8 on the full README pencil, 5 on the
     rwa one) and nu = sqrt(||M||_1 ||M||_inf) >= ||M||_2 of
-    M = W^1/2 |L| W^-1/2 for each part L (``rounding`` of
-    :class:`_Noise`).  A product in r passes k + 3 roundings at most: its
-    dot product's, G's, the two sums' and the one of the stored L, whose
-    entries each sum two of A's (:func:`_fold`); qf passes one.  So
+    M = W^1/2 |L| W^-1/2 for each part L (:attr:`_Noise.nu`).  A product
+    in r passes k + 3 roundings at most: its dot product's, G's, the two
+    sums' and the one of the stored L, whose entries each sum two of A's
+    (:func:`_fold`); qf passes one.  So
     |r^ - r| <= gamma_{k+3} (|G| |L1| + |L0|) |y| + u |qf|, and in the
     weighted norm ||W^1/2 |L| |y|||_2 <= ||M||_2 ||S||_F.  The computed
     norm is within gamma_{h+1} of ||r^||, which is below L <= ||Q||_F
@@ -857,10 +857,9 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     covers the rounding of t.  The test reads t's cover first, which the
     fold gives from ||A0||_F and ||A1||_F (``cover`` of :class:`_Noise`,
     8 to 27 times gamma_{k+3} nu on the README and criterion-7 pencils),
-    and t itself, whose nu the
-    pencil prepares on first need, only at a point that the cover fails
-    and ||R||_F + gamma_{h+2} ||Q||_F does not: so every decision is t's.
-    Only the other points run an eigensolve,
+    and t itself, whose nu the pencil prepares on first need, only at a
+    point that the cover fails and ||R||_F + gamma_{h+2} ||Q||_F does not:
+    so every decision is t's.  Only the other points run an eigensolve,
     of the real quadrature form (``to_real`` of :func:`_fold`) of their
     drifts, which are formed for them alone (:func:`_drifts`), and
     :func:`_instability` words their error; a batch whose eigensolve
@@ -939,7 +938,7 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
 
     def certified(sel):
         """The points of the mask ``sel`` whose solved Sigma certifies them stable."""
-        # a non-finite Sigma has a non-finite t, so it fails the bound
+        # a non-finite Sigma has a non-finite cover of t, so it fails the bound
         ok = sel & (r_norm + (cover * s_norm + q_rounding) < q_floor)
         fits = _where(ok)
         if not isinstance(fits, slice):  # t itself where its cover is too coarse
@@ -977,7 +976,8 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     if not ok.all():
         rest = np.flatnonzero(~ok)
         # A's spectrum from the real eigensolver, about half the work of the complex one
-        real_form = (_drifts(noise, g, idx[rest]).view(float).reshape(-1, 2 * d * d) @ to_real).reshape(-1, d, d)
+        drifts = _drifts(noise, g, idx[rest]).view(float).reshape(-1, 2 * d * d)
+        real_form = (drifts @ to_real).reshape(-1, d, d)
         try:
             lam = np.linalg.eigvals(real_form)
         except np.linalg.LinAlgError:  # one point at a time, NaN where it fails
@@ -1073,7 +1073,7 @@ def _positive_definite(h: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _fold(d: int, perm: tuple) -> tuple:
-    """``(op, qmap, unfold, to_real, weights, margins, cover)``: A Sigma +
+    """``(op, qmap, unfold, to_real, weights, ratio, cover)``: A Sigma +
     Sigma A^dag on Sigma's real coordinates, and A's real quadrature form.
 
     A Hermitian Sigma has d^2 real coordinates, Re Sigma_ij (i <= j) and
@@ -1086,13 +1086,13 @@ def _fold(d: int, perm: tuple) -> tuple:
     Hermitian matrix of folded coordinates y has the float view
     ``y @ unfold``.  Distinct coordinates fill disjoint entries, so
     ||Sigma||_F^2 = sum_k w_k y_k^2, ``weights`` w_k = ||unfold[k]||^2
-    (2 or 4 where every coordinate has a mate); ``margins`` takes a folded
-    operator's |L|, flattened, to the row and then the column sums of
-    W^1/2 |L| W^-1/2, W = diag(w), and ``cover`` times ||A||_F bounds
-    gamma_{k+3} nu of any A's operator (:func:`_occupations`).  ``to_real``
-    takes A's float view to M = U A U^-1, row-major, U mapping each pair i < Pi in turn to x = v_i + v_Pi and
-    p = -i (v_i - v_Pi).  For A = P conj(A) P, M is real
-    with A's eigenvalues: M[x_k, x_l] = Re A_ij + Re A_{i,Pj},
+    (2 or 4 where every coordinate has a mate); W^1/2 |L| W^-1/2 =
+    ``ratio`` * |L|, W = diag(w), for a folded operator L, and ``cover``
+    times ||A||_F bounds gamma_{k+3} nu of any A's (:func:`_occupations`).
+    ``to_real`` takes A's float view to M = U A U^-1, row-major, U mapping
+    each pair i < Pi in turn to x = v_i + v_Pi and p = -i (v_i - v_Pi).
+    For A = P conj(A) P, M is real with A's eigenvalues:
+    M[x_k, x_l] = Re A_ij + Re A_{i,Pj},
     M[x_k, p_l] = -Im A_ij + Im A_{i,Pj}, M[p_k, x_l] = Im A_ij + Im A_{i,Pj}
     and M[p_k, p_l] = Re A_ij - Re A_{i,Pj} (pair k's i, pair l's j).  All
     entries are 0, +-1/2, +-1 or +-2, built exactly, and each entry of a
@@ -1126,20 +1126,17 @@ def _fold(d: int, perm: tuple) -> tuple:
     to_real = 2.0 * np.stack((rows.real, rows.imag), axis=2).reshape(2 * n, n)
     folded = (op @ span)[:, keep].reshape(2 * n, -1)
     weights = np.square(unfold).sum(axis=1)
-    # |L| flattened, times margins: the row and then the column sums of W^1/2 |L| W^-1/2
     m = keep.size
-    ratio = np.sqrt(weights[:, None] / weights)
-    margins = np.zeros((m, m, 2, m))
-    margins[:, :, 0, :] = ratio[:, :, None] * np.eye(m)[:, None, :]
-    margins[:, :, 1, :] = ratio[:, :, None] * np.eye(m)[None, :, :]
-    margins = margins.reshape(m * m, 2 * m)
-    # |L| <= |a| @ |op| entrywise for A's float view a, so each sum is at most
-    # ||A||_F times a column norm of |op| @ margins (Cauchy-Schwarz), and a row of
-    # [L0 L1] holds at most twice the nonzeros that a row of op's pattern allows
-    sums = np.sqrt(np.square(np.abs(folded) @ margins).sum(axis=0)).reshape(2, m).max(axis=1)
-    k = 2 * (np.abs(folded).reshape(-1, m, m).sum(axis=0) != 0).sum(axis=1).max()
+    ratio = np.sqrt(weights[:, None] / weights)  # W^1/2 |L| W^-1/2 = ratio * |L|
+    # |L| <= |a| @ |op| entrywise for A's float view a, so each row or column
+    # sum of ratio * |L| is at most ||A||_F times the norm of that sum taken over
+    # |op|'s rows (Cauchy-Schwarz), and a row of [L0 L1] holds at most twice the
+    # nonzeros that a row of op's pattern allows
+    scaled = np.abs(folded).reshape(-1, m, m) * ratio
+    sums = [np.sqrt(np.square(scaled.sum(axis=axis)).sum(axis=0)).max() for axis in (2, 1)]
+    k = 2 * (scaled.sum(axis=0) != 0).sum(axis=1).max()
     cover = (k + 4) * (np.finfo(float).eps / 2) * math.sqrt(sums[0] * sums[1])
-    return folded, qmap[:, keep], unfold, to_real, weights, margins, cover
+    return folded, qmap[:, keep], unfold, to_real, weights, ratio, cover
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:

@@ -77,7 +77,12 @@ def test_only_drift_rows_form_drift_matrices():
 
 def test_drift_rows_are_formed_for_uncertified_points_alone(monkeypatch):
     formed, drifts = [], spectra._drifts
-    monkeypatch.setattr(spectra, "_drifts", lambda noise, g, points: formed.append(len(points)) or drifts(noise, g, points))
+
+    def counted(noise, g, points):
+        formed.append(len(points))
+        return drifts(noise, g, points)
+
+    monkeypatch.setattr(spectra, "_drifts", counted)
     # a certified batch: the README sweep of 301 points, on the modal form
     result = sweeps.sweep_cooperativity(make_spec(c_ab=50.0), np.geomspace(1e-2, 1e3, 301), "full")
     assert formed == [] and not any(result.errors)
