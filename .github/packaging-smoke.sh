@@ -17,6 +17,9 @@
 # - the same range at 20 points per decade, 121 points on the pencil's modal
 #   form, whose 30 unstable points alone have their drift matrices formed, for
 #   the eigensolve that words them: exit 0, empty stderr, "n_errors": 30;
+# - the same range at 50 points per decade, 301 points on the modal form, whose
+#   74 points past the pole go from it to the eigensolve: exit 0, empty stderr,
+#   "n_errors": 74;
 # - a full sweep of 301 points at C_ab = 1e4 (lambda_hz = 1581.14), on the
 #   pencil's modal form, whose refinement step passes the residual gate:
 #   exit 0, empty stderr, "n_errors": 0;
@@ -91,6 +94,10 @@ sed -e 's/^points_per_decade = 10$/points_per_decade = 20/' mixed.ini > fine.ini
 $BATHCOOL sweep --config fine.ini --fidelity full > fine.out 2> fine.err
 test ! -s fine.err
 grep -q '"n_errors": 30' fine.out
+sed -e 's/^points_per_decade = 10$/points_per_decade = 50/' mixed.ini > wide.ini
+$BATHCOOL sweep --config wide.ini --fidelity full > wide.out 2> wide.err
+test ! -s wide.err
+grep -q '"n_errors": 74' wide.out
 sed -e 's/^task = spectrum$/task = sweep/' -e 's/^lambda_hz = 111.8$/lambda_hz = 1581.14/' spectrum.ini > modal.ini
 $BATHCOOL sweep --config modal.ini --fidelity full > modal.out 2> modal.err
 test ! -s modal.err

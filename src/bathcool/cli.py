@@ -342,8 +342,8 @@ def _flags_str(flags) -> str:
     return "violated:" + "+".join(bad)
 
 
-# the entry of each of the 16 flag sets a sweep shares (and of None), by identity:
-# hashing a frozen dataclass per row cost about 90 us per 301 rows
+# the entry of each flags value a sweep can hold (None or one of _FLAG_SETS), by
+# identity: hashing a frozen dataclass per row cost about 90 us per 301 rows
 _FLAG_STRS = {id(flags): _flags_str(flags) for flags in (None, *_FLAG_SETS)}
 
 
@@ -370,7 +370,7 @@ def _run_sweep(config: RunConfig):
     values = np.geomspace(s["c_om_min"], s["c_om_max"], s["points"])
     result = sweep_cooperativity(config.system, values, fidelity=config.fidelity)
     header = ["C_OM", "n_eff", "T_ratio", "linewidth_rad_s", "flags"]
-    flags = [_FLAG_STRS.get(id(f)) or _flags_str(f) for f in result.validity_flags]
+    flags = [_FLAG_STRS[id(f)] for f in result.validity_flags]
     columns = [result.axis_values, result.n_eff, result.T_ratio, result.linewidths, flags]
     finite = np.isfinite(result.n_eff)
     if not finite.any():

@@ -656,16 +656,16 @@ class _Noise:
     ``fold`` holds :func:`_fold`'s tables for the conjugate swap ``perm``.
     The arrays have one row per distinct pencil or Q, broadcasting over
     the points like the noise inputs: ``a0`` and ``a1`` are the drift's
-    parts, ``a1`` None for a drift stack that G does not move, whose
-    points are the rows of ``a0``.  ``ops`` holds the folded operators
-    (:func:`_operator`) L1 and L0 of A1 and A0, flattened, as
-    (rows, 2, m*m), or L0 alone, (rows, 1, m*m), without ``a1``.  ``qf``
-    is the folded Q that is solved, ``q_floor`` a Gershgorin lower bound
-    on its lambda_min and ``q_norm`` its Frobenius norm.
+    parts.  A drift stack that G does not move is the pencil (A0, A1 = 0)
+    at G = 0, its points the rows of ``a0``.  ``ops`` holds the folded
+    operators (:func:`_operator`) L1 and L0 of A1 and A0, flattened, as
+    (rows, 2, m*m).  ``qf`` is the folded Q that is solved, ``q_floor`` a
+    Gershgorin lower bound on its lambda_min and ``q_norm`` its Frobenius
+    norm.
 
     The rest serves the residual, which :func:`_occupations` forms on the
-    folded coordinates and not on drift matrices, with a column per row
-    (the terms of A1 are 0 without ``a1``): ``parts`` holds ||A0||_F^2,
+    folded coordinates and not on drift matrices, with a column per row:
+    ``parts`` holds ||A0||_F^2,
     2 Re<A0, A1> and ||A1||_F^2, so ||A0 + G*A1||_F^2 = (1, G, G^2) @ parts;
     :attr:`nu` holds gamma_{k+3} nu1 and gamma_{k+3} nu0, the rounding of
     the residual per unit ||Sigma||_F and |G| or 1; and ``cover`` bounds
@@ -678,7 +678,7 @@ class _Noise:
     perm: np.ndarray
     fold: tuple
     a0: np.ndarray
-    a1: np.ndarray | None
+    a1: np.ndarray
     ops: np.ndarray
     qf: np.ndarray
     q_floor: np.ndarray
@@ -696,8 +696,7 @@ class _Noise:
         scaled = np.abs(self.ops).reshape(len(self.ops), -1, m, m) * self.fold[5]
         k = (scaled != 0).sum(axis=(1, 3)).max(axis=1)
         nu = np.sqrt(scaled.sum(axis=3).max(axis=2) * scaled.sum(axis=2).max(axis=2))
-        nu = (k + 4) * (np.finfo(float).eps / 2) * nu.T
-        return nu if self.a1 is not None else np.concatenate((np.zeros_like(nu), nu))
+        return (k + 4) * (np.finfo(float).eps / 2) * nu.T
 
     @functools.cached_property
     def modal(self) -> tuple | None:
@@ -708,7 +707,7 @@ class _Noise:
         preparation is not finite: such a pencil takes the LU.  About
         0.15 ms, once per pencil, as :func:`_occupations` reads it only on a
         call of _MODAL_POINTS points or more."""
-        if self.a1 is None or len(self.ops) != 1:
+        if len(self.ops) != 1:
             return None
         m = self.qf.shape[1]
         l1, l0 = self.ops[0].reshape(2, m, m)
@@ -748,10 +747,10 @@ def _modal_solve(modal: tuple, ops: np.ndarray, g: np.ndarray, rhs: np.ndarray) 
 
 
 def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
-    """The :class:`_Noise` of the pencil A0 + G*A1 (``a1`` None for the
-    drifts ``a0`` alone), its noise inputs ``b`` and their <xi xi^dag>
-    ``weights`` (see :func:`_occupations`).  The only place that folds
-    drifts into operators: a call of :func:`_occupations` adds them."""
+    """The :class:`_Noise` of the pencil A0 + G*A1 (``a1`` None for
+    A1 = 0), its noise inputs ``b`` and their <xi xi^dag> ``weights``
+    (see :func:`_occupations`).  The only place that folds drifts into
+    operators: a call of :func:`_occupations` adds them."""
     d = b.shape[-2]
     fold = _fold(d, tuple(perm.tolist()))
     op, qmap, unfold, _, w, _, cover = fold
@@ -763,13 +762,12 @@ def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
     # Gershgorin: lambda_min(Q) >= min_i Q_ii - sum_(j != i) |Q_ij|; 2 d eps covers its rounding
     rows = (1 + 2 * d * eps) * np.abs(qs).sum(axis=2)
     q_floor = (2 * qs.diagonal(axis1=1, axis2=2).real - rows).min(axis=1)
-    a0, a1 = (x if x is None else np.reshape(x, (-1, d, d)) for x in (a0, a1))
-    # A1 and A0 of each row (A1 = 0 without a1), and their folded operators
-    pair = np.zeros_like(a0) if a1 is None else a1
-    if len(pair) != len(a0):
-        pair, a0 = np.broadcast_arrays(pair, a0)
-    pair = np.concatenate((pair, a0), axis=1).reshape(-1, 2, d, d)
-    ops = _operator(pair, op, m).reshape(len(pair), 2, m * m)[:, int(a1 is None) :]
+    a0 = np.reshape(a0, (-1, d, d))
+    a1 = np.zeros_like(a0[:1]) if a1 is None else np.reshape(a1, (-1, d, d))
+    # A1 and A0 of each row, and their folded operators
+    a1, a0 = np.broadcast_arrays(a1, a0)
+    pair = np.concatenate((a1, a0), axis=1).reshape(-1, 2, d, d)
+    ops = _operator(pair, op, m).reshape(len(pair), 2, m * m)
     # ||A0||_F^2, 2 Re<A0, A1> and ||A1||_F^2 from the float views' Gram matrix
     v = pair.reshape(len(pair), 2, -1).view(float)
     parts = (v @ v.swapaxes(1, 2)).reshape(-1, 4).T[[3, 1, 0]]
@@ -781,8 +779,7 @@ def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
 def _drifts(noise: _Noise, g: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The drifts A0 + G*A1 of the points ``points`` (indices into the column
     ``g``), bitwise those of the whole column."""
-    a0 = _rows(noise.a0, points)
-    return a0 if noise.a1 is None else a0 + g[points, None, None] * _rows(noise.a1, points)
+    return _rows(noise.a0, points) + g[points, None, None] * _rows(noise.a1, points)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an unstable point's Sigma may overflow its norms
@@ -790,8 +787,8 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     """Occupation of x = v_r + v_c, c = perm[r], at every drift A0 + G*A1 of the column ``g``.
 
     ``noise`` is the pencil and all that no G moves (:func:`_prepare_noise`),
-    prepared once per pencil by a sweep; without A1 the points are the
-    drifts A0, and ``g`` is a column of zeros as long.  The pencil's rows
+    prepared once per pencil by a sweep; a drift stack A0 is the pencil
+    (A0, A1 = 0) at a column ``g`` of zeros as long.  The pencil's rows
     and the noise inputs and <xi xi^dag> weights broadcast against the
     points, and its finite drifts and A1 satisfy A = P conj(A) P, P the
     conjugate swap ``perm`` (:class:`DriftModel`).  A point whose drift is
@@ -818,15 +815,15 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     three norms.  Each point's ||R||_F / (2 ||A|| ||Sigma|| + ||Q||), for
     this Q, must be within RESIDUAL_TOL, else NumericsError.
 
-    A call of _MODAL_POINTS points or more on one shared pencil solves
-    first by its modal form instead (:attr:`_Noise.modal`,
-    :func:`_modal_solve`: a few batched 21-wide products and one
-    refinement step, where the LU factors every operator).  Its Sigma is
-    kept where the certificate below and the residual gate pass it; the
-    LU solves every other point again before any gate can make it an
-    error, so no point fails that the LU passes.  A smaller call, a stack
-    of drifts or of pencils, and a pencil without a modal form take the
-    LU alone, bit for bit as before.
+    A call of _MODAL_POINTS points or more on one shared pencil (a drift
+    stack of one row too) solves by its modal form instead
+    (:attr:`_Noise.modal`, :func:`_modal_solve`: a few batched 21-wide
+    products and one refinement step, where the LU factors every
+    operator); a smaller call, a stack of drifts or of pencils, and a
+    pencil without a modal form take the LU.  Each point is solved once,
+    and one pass through the gates below serves both solves: a certified
+    modal Sigma that misses the residual gate is proved stable, and the
+    LU solves it again with no second certificate and no eigensolve.
 
     Stability comes from the solve where it can.  For the computed S and
     the exact R of A = A0 + G*A1 and this Q, a left eigenvector
@@ -864,12 +861,13 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     drifts, which are formed for them alone (:func:`_drifts`), and
     :func:`_instability` words their error; a batch whose eigensolve
     raises LinAlgError is solved point by point, and a point that fails
-    alone is a NumericsError.  So a singular Q (gamma_a = 0), or a first
-    solve that raises LinAlgError, takes the eigensolve first; an
-    uncertified point that its eigenvalues call stable keeps its S under
-    the residual gate.
+    alone is a NumericsError.  So a singular Q (gamma_a = 0), a first
+    solve that raises LinAlgError, or a modal S that the certificate
+    refuses (past a pole) takes the eigensolve first; a stable point
+    keeps its uncertified LU S under the residual gate, and the LU
+    solves each other stable point.
 
-    With ``slopes``, which needs A1, the record's ``slope`` is dn/dG:
+    With ``slopes`` the record's ``slope`` is dn/dG, 0 on a drift stack:
     dSigma/dG solves A S + S A^dag + A1 Sigma + Sigma A1^dag = 0 on the
     same operator, by the modal form where it gave every Sigma, else by
     the LU.  The record lists the errors by index, whichever gate found
@@ -894,10 +892,9 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     # views, not copies, where every drift is finite
     at = idx if errors else slice(None)
     qf, q_floor, q_norm, ops = (_rows(x, at) for x in (noise.qf, noise.q_floor, noise.q_norm, noise.ops))
-    gk = g[at]  # zeros without A1
-    coef = np.ones((idx.size, 1, ops.shape[1]))  # (G, 1) of (L1, L0), or 1 of L0 alone
-    if noise.a1 is not None:
-        coef[:, 0, 0] = gk
+    gk = g[at]
+    coef = np.ones((idx.size, 1, 2))  # (G, 1) of (L1, L0)
+    coef[:, 0, 0] = gk
     d = noise.perm.size
     _, qmap, unfold, to_real, w, _, _ = noise.fold
     m = qmap.shape[1]
@@ -952,27 +949,19 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
         return ok
 
     solved = q_floor > np.zeros(idx.size)  # one decision per point, Q shared or not
-    kept = np.zeros(idx.size, dtype=bool)  # the modal form's Sigma, certified and within the gate
-    lu = solved  # the points the LU solves
     modal = noise.modal if idx.size >= _MODAL_POINTS else None
-    if modal is not None and solved.any():
+    how = solve if modal is None else modal_solve  # the solve that gave every kept Sigma
+    if solved.any():
         first = _where(solved)
-        y[first] = modal_solve(first, -_rows(qf, first)[:, :, None])
-        covariance(first)
-        kept = certified(solved)
-        fits = _where(kept)
-        kept[fits] = relative_residual(fits) <= RESIDUAL_TOL
-        lu = solved & ~kept  # each point the modal form leaves, before a gate can fail it
-    if lu.any():
-        first = _where(lu)
         try:
-            y[first] = solve(first, -_rows(qf, first)[:, :, None])
+            y[first] = how(first, -_rows(qf, first)[:, :, None])
         except np.linalg.LinAlgError:
-            solved &= ~lu
+            solved[:] = False
         else:
             covariance(first)
-    unsure = solved & ~kept
-    ok = kept | certified(unsure) if unsure.any() else kept.copy()
+    ok = certified(solved)
+    if modal is not None:  # a certified Sigma above the gate is stable: the LU solves it below
+        solved = ok & (relative_residual(slice(None)) <= RESIDUAL_TOL)
     if not ok.all():
         rest = np.flatnonzero(~ok)
         # A's spectrum from the real eigensolver, about half the work of the complex one
@@ -989,16 +978,15 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
         for i, eigs in zip(idx[rest[~stable]].tolist(), lam[~stable]):
             errors[i] = _instability(eigs) or NumericsError("eigensolver did not converge")
         ok[rest[stable]] = True
-        new = ok & ~solved
-        if new.any():
-            y[new] = solve(new, -_rows(qf, new)[:, :, None])
-            covariance(new)
+    new = ok & ~solved  # stable, with no kept Sigma in y
+    if new.any():
+        how = solve
+        y[new] = solve(new, -_rows(qf, new)[:, :, None])
+        covariance(new)
     k = _where(ok)
     sigmas = [s[k]]
     if slopes:
         l1 = _rows(ops, k)[:, 0].reshape(-1, m, m)
-        # on the modal form only where it gave every Sigma
-        how = modal_solve if modal is not None and (kept == ok).all() else solve
         sigmas.append(_hermitian(how(k, -(l1 @ y[k])), unfold, d))
     resid = relative_residual(k)
     c = noise.perm[r]  # <x^2> = u Sigma u^T with u = e_r + e_c
@@ -1020,17 +1008,15 @@ def _residual(ops: np.ndarray, qf: np.ndarray, g: np.ndarray, y: np.ndarray, w: 
     """``(||R||_F, ||Sigma||_F)`` of the folded Sigma rows ``y`` (n, m) at
     the drifts A0 + G*A1 of the column ``g``, with their rows of ``ops``
     and ``qf`` (:class:`_Noise`, one row or n) and the weights ``w``.  R's
-    folded coordinates are G*(L1 y) + L0 y + qf, in that order, or
-    L0 y + qf without L1: one product of the batch with a shared (L1; L0),
-    else one per point.  ||X||_F^2 = sum_k w_k x_k^2 of folded x."""
+    folded coordinates are G*(L1 y) + L0 y + qf, in that order: one
+    product of the batch with a shared (L1; L0), else one per point.
+    ||X||_F^2 = sum_k w_k x_k^2 of folded x."""
     m = y.shape[1]
     if len(ops) == 1:
         p = y @ ops[0].reshape(-1, m).T
     else:
         p = (ops.reshape(len(ops), -1, m) @ y[..., None])[..., 0]
-    if ops.shape[1] == 2:
-        p = g[:, None] * p[:, :m] + p[:, m:]
-    r = p + qf
+    r = g[:, None] * p[:, :m] + p[:, m:] + qf
     return np.sqrt((r * r) @ w), np.sqrt((y * y) @ w)
 
 

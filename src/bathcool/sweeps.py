@@ -79,7 +79,8 @@ def _n_effs(specs, fidelity: str):
     covariance solve of the drifts A0 + G*A1, whose folded operators are
     G*L1 + L0, at G = |alpha|*g0 = sqrt(Gamma*kappa)/2, the drive that
     damps mode b at rate Gamma: by LU for find_optimum's 25-point scan and
-    secant steps, by the modal form for a 301-point sweep.  With
+    secant steps, by the modal form for a 301-point sweep, then one pass
+    through the gates for either.  With
     ``slopes`` the record's slope is dn_eff/dlog Gamma, from the Lyapunov
     sensitivity or the derivative of the closed form; without, no
     derivative is computed.

@@ -483,6 +483,16 @@ class TestSweepTable:
         assert errors == (15 if extra and fidelity == "full" else 0)
         assert rows[-1].endswith(",error") == bool(errors)
 
+    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
+    def test_flags_entries_are_the_shared_flag_sets(self, tmp_path, sweep_results, fidelity):
+        # the table words each flags entry by its identity (cli._FLAG_STRS)
+        shared = {id(flags) for flags in (None, *analytics._FLAG_SETS)}
+        for extra in ("", _MIXED_SWEEP):
+            path = write_config(tmp_path, base_config("sweep", extra=extra))
+            assert main(["sweep", "--config", path, "--out", str(tmp_path / "result"), "--fidelity", fidelity]) == 0
+        assert len(sweep_results) == 2 and (fidelity == "rwa" or None in sweep_results[1].validity_flags)
+        assert all({id(flags) for flags in res.validity_flags} <= shared for res in sweep_results)
+
     def test_columns_write_the_row_wise_str_text(self, tmp_path):
         # the CSV formats each float column at once; its text is what str
         # of every cell, row by row, writes

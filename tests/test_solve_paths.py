@@ -1,9 +1,9 @@
 """The susceptibility rows have one solve path: only the row solve gates them,
 and only it and its gate eliminate.  Only a pencil's preparation folds drifts
 into Lyapunov operators, and only its modal form eigendecomposes one.  A
-covariance call forms drift matrices only for the points its certificate
-leaves to the eigensolve.  The sweeps read a batch's point errors by index,
-not by type."""
+covariance call certifies at one site, and forms drift matrices only for
+the points its certificate leaves to the eigensolve.  The sweeps read a
+batch's point errors by index, not by type."""
 
 import ast
 from pathlib import Path
@@ -13,6 +13,7 @@ import numpy as np
 from bathcool import errors, spectra, sweeps
 
 from conftest import make_spec
+from test_spectra import _record_lu_solves
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -89,6 +90,19 @@ def test_drift_rows_are_formed_for_uncertified_points_alone(monkeypatch):
     # the README sweep over C_OM in [0.1, 1e5], 61 points: 15 unstable ones
     result = sweeps.sweep_cooperativity(make_spec(c_ab=50.0), np.geomspace(0.1, 1e5, 61), "full")
     assert formed == [15] and sum(e is not None for e in result.errors) == 15
+    # the same range at 121 points, on the modal form: its 30 points past the
+    # pole go from the certificate to the eigensolve, and none to the LU
+    formed.clear()
+    lu = _record_lu_solves(monkeypatch)
+    result = sweeps.sweep_cooperativity(make_spec(c_ab=50.0), np.geomspace(0.1, 1e5, 121), "full")
+    assert formed == [30] and lu == [] and sum(e is not None for e in result.errors) == 30
+
+
+def test_a_covariance_call_certifies_at_one_site():
+    # one gate pass for the modal form and the LU: the certificate runs once
+    # per call, and a certified Sigma above the residual gate is solved again
+    # by the LU with no second certificate
+    assert _callers("certified") == [("spectra", "_occupations")]
 
 
 def test_sweeps_read_point_errors_by_index_not_by_type():

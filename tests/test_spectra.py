@@ -1356,6 +1356,16 @@ class TestBatchedCovariance:
     certify stable."""
 
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+    def test_drift_stack_slopes_are_zero(self, builder):
+        # a drift stack is the pencil (A0, A1 = 0) at G = 0, which no G moves
+        model = builder(make_spec(c_ab=50.0, c_om=5.0))
+        drifts, b, weights, labels = _model_stack([model])
+        pencil = spectra._prepare_noise(drifts, None, b, weights, _conjugate_swap(labels))
+        record = spectra._occupations(pencil, np.zeros(1), labels.index("a"), slopes=True)
+        assert record.slope.tolist() == [0.0] and not record.errors
+        assert record.n.tolist() == [steady_state_occupation(model, "a")]
+
+    @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
     def test_exceptional_point_matches_a_40_digit_solve(self, builder):
         model = builder(_exceptional_point_spec())
         # the eigenbasis is defective there: an eigenvector solve is ill-conditioned
@@ -1897,8 +1907,9 @@ def _beam_spec():
 class TestModalCovariance:
     """A call of _MODAL_POINTS points or more on one shared pencil solves by
     the pencil's eigendecomposition and one refinement step.  Every gate
-    stays, and the LU solves again each point the modal form leaves
-    uncertified or above the residual gate."""
+    stays: the LU solves again each certified point above the residual
+    gate, and each point the certificate leaves that the eigensolve calls
+    stable."""
 
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
     def test_batches_above_the_crossover_match_a_40_digit_solve(self, monkeypatch, builder):
@@ -1966,17 +1977,20 @@ class TestModalCovariance:
         assert _bits(batch) == _bits(singles)
 
     @pytest.mark.parametrize("slopes", [False, True])
-    def test_points_past_the_pole_are_solved_again_by_the_lu(self, monkeypatch, slopes):
+    def test_points_past_the_pole_go_from_the_modal_form_to_the_eigensolve(self, monkeypatch, slopes):
         # C_OM in [0.1, 1e5]: 20 of the 81 points lie past the pole at
-        # C_OM = 3408, where the modal form is meaningless; the LU solves
-        # them again, and the eigensolve words the same errors
+        # C_OM = 3408, where the modal form is meaningless; the certificate
+        # refuses them, and the eigensolve alone words their errors, as the
+        # single-point calls do, with no LU solve
         spec = make_spec(c_ab=50.0)
         pencil, _, _, row = _shared_pencil(spec)
         g = _drive(spec, np.geomspace(0.1, 1e5, 81))
+        formed, drifts = [], spectra._drifts
+        monkeypatch.setattr(spectra, "_drifts", lambda *a: formed.append(len(a[2])) or drifts(*a))
         lu = _record_lu_solves(monkeypatch)
         batch = _entries(spectra._occupations(pencil, g, row, slopes))
         monkeypatch.undo()
-        assert lu == [20] and pencil.modal is not None
+        assert lu == [] and formed == [20] and pencil.modal is not None
         singles = [
             e for i in range(len(g)) for e in _entries(spectra._occupations(pencil, g[i : i + 1], row, slopes))
         ]
@@ -2003,12 +2017,29 @@ class TestModalCovariance:
         assert _bits(_entries(record)) == _bits(_entries(spectra._occupations(pencil, g, row, slopes)))
         assert _bits(_entries(record)) != expected  # the modal form's bits differ by rounding
 
+    def test_a_one_row_drift_stack_of_64_points_takes_the_modal_form(self, monkeypatch):
+        # one drift (A1 = 0, at G = 0) under 64 bath temperatures: the
+        # points are the rows of its noise, and L(G)^-1 = L0^-1 at every one
+        models = [build_full_system(make_spec(c_om=5.0, temperature=t)) for t in np.geomspace(1.0, 1e3, 64)]
+        drift, labels = models[0].drift, models[0].labels
+        assert all(np.array_equal(model.drift, drift) for model in models)
+        weights = np.stack([model.input_correlations[0] for model in models])
+        b, perm, row = models[0].noise_input, _conjugate_swap(labels), labels.index("a")
+        pencil = spectra._prepare_noise(drift[None], None, b, weights, perm)
+        g = np.zeros(len(models))
+        lu = _record_lu_solves(monkeypatch)
+        modal = spectra._occupations(pencil, g, row)
+        monkeypatch.undo()
+        assert lu == [] and pencil.modal is not None and not modal.errors
+        by_lu = [spectra._occupations(spectra._prepare_noise(drift[None], None, b, w, perm), g[:1], row).n[0]
+                 for w in weights]
+        np.testing.assert_allclose(modal.n, by_lu, rtol=1e-15, atol=0)
+
     def test_pencils_without_a_modal_form(self):
         spec = make_spec(c_ab=50.0)
         a0, a1, b, corr, labels = _pencil(spec, rotating_wave=False)
         perm = _conjugate_swap(labels)
         two = lambda x: np.repeat(x[None], 2, axis=0)
-        assert spectra._prepare_noise(a0, None, b, corr[0], perm).modal is None  # no A1
         assert spectra._prepare_noise(two(a0), two(a1), b, corr[0], perm).modal is None  # two pencils
         # mode a undamped and uncoupled: A0 has the eigenvalues -+i omega_a,
         # so L0 is singular, and every point takes the LU path
@@ -2136,7 +2167,7 @@ class TestResidualRounding:
         pencil = spectra._prepare_noise(drifts, None, b, weights, _conjugate_swap(labels))
         g = np.zeros(len(models))
         m = pencil.qf.shape[1]
-        y = np.linalg.solve(pencil.ops.reshape(-1, m, m), -pencil.qf[:, :, None])[..., 0]
+        y = np.linalg.solve(pencil.ops[:, 1].reshape(-1, m, m), -pencil.qf[:, :, None])[..., 0]
         self._check(pencil, drifts, g, y)
 
     def test_no_larger_than_the_term_it_replaced(self):
