@@ -10,6 +10,8 @@
 # - a full sense reads the e_a row that the spectrum kept;
 # - rwa spectrum and sense run the rotating-wave band: exit 0, empty stderr;
 # - a full optimize runs the Lyapunov solve and its derivatives;
+# - an optimize at --fidelity exact, a usage error: exit 1, one config_error
+#   line, no stdout;
 # - an optimize over C_OM in [5e3, 1e5], unstable at every scan point: exit 2,
 #   one unstable_system line, worded by the real-form eigensolve, no stdout;
 # - a full sweep over C_OM in [0.1, 1e5], 46 certified and 15 unstable
@@ -77,6 +79,11 @@ test ! -s sense_rwa.err
 sed -e 's/^task = spectrum$/task = optimize/' spectrum.ini > optimize.ini
 printf '%s\n' '' '[optimize]' 'c_om_min = 0.01' 'c_om_max = 1000' >> optimize.ini
 $BATHCOOL optimize --config optimize.ini --fidelity full
+code=0
+$BATHCOOL optimize --config optimize.ini --fidelity exact > exact.out 2> exact.err || code=$?
+test "$code" -eq 1
+test ! -s exact.out
+python -c "import json; lines = open('exact.err').read().splitlines(); assert len(lines) == 1 and json.loads(lines[0])['error'] == 'config_error', lines"
 sed -e 's/^task = spectrum$/task = optimize/' spectrum.ini > unstable.ini
 printf '%s\n' '' '[optimize]' 'c_om_min = 5000' 'c_om_max = 100000' >> unstable.ini
 code=0

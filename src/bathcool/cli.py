@@ -520,10 +520,18 @@ def _dump_summary(summary: dict, fh):
     fh.write("\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors (a missing --config, an unknown task or
+    choice) are ConfigErrors: exit 1 and one JSON line, as a bad config's."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing keeps no state in it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bathcool",
         description="Optomechanical bath-engineering cooling toolkit",
     )
@@ -540,11 +548,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
-    if args.task is None:
-        parser.print_help(sys.stderr)
-        return 1
     try:
+        args = parser.parse_args(argv)  # --help and --version exit 0 here
+        if args.task is None:
+            parser.print_help(sys.stderr)
+            return 1
         with open(args.config) as fh:
             config = parse_config(fh.read())
         if config.task != args.task:

@@ -660,17 +660,19 @@ class _Noise:
     at G = 0, its points the rows of ``a0``.  ``ops`` holds the folded
     operators (:func:`_operator`) L1 and L0 of A1 and A0, flattened, as
     (rows, 2, m*m).  ``qf`` is the folded Q that is solved, ``q_floor`` a
-    Gershgorin lower bound on its lambda_min and ``q_norm`` its Frobenius
-    norm.
+    Gershgorin lower bound on its lambda_min, ``q_norm`` its Frobenius
+    norm and ``q_rounding`` gamma_{h+2} ||Q||_F, qf's share of the
+    residual's rounding.
 
-    The rest serves the residual, which :func:`_occupations` forms on the
-    folded coordinates and not on drift matrices, with a column per row:
-    ``parts`` holds ||A0||_F^2,
+    The rest serves the residual and the certificate (:meth:`certified`),
+    which work on the folded coordinates and not on drift matrices, with
+    a column per row: ``parts`` holds ||A0||_F^2,
     2 Re<A0, A1> and ||A1||_F^2, so ||A0 + G*A1||_F^2 = (1, G, G^2) @ parts;
     :attr:`nu` holds gamma_{k+3} nu1 and gamma_{k+3} nu0, the rounding of
-    the residual per unit ||Sigma||_F and |G| or 1; and ``cover`` bounds
+    the residual per unit ||Sigma||_F and |G| or 1; ``cover`` bounds
     them by the fold's ``cover`` times ||A1||_F and ||A0||_F, at no cost
-    per pencil.  :attr:`modal` is the one shared pencil's
+    per pencil; and ``shift`` is d^2 eps I, the Cholesky test's backward
+    error per unit ||Sigma||_F.  :attr:`modal` is the one shared pencil's
     eigendecomposition, and :attr:`nu` is prepared on the first call that
     uses it too.
     """
@@ -683,8 +685,10 @@ class _Noise:
     qf: np.ndarray
     q_floor: np.ndarray
     q_norm: np.ndarray
+    q_rounding: np.ndarray
     parts: np.ndarray
     cover: np.ndarray
+    shift: np.ndarray
 
     @functools.cached_property
     def nu(self) -> np.ndarray:
@@ -720,6 +724,29 @@ class _Noise:
         parts = (d, v, w)
         return parts if all(np.isfinite(x).all() for x in parts) else None
 
+    def certified(self, sel, at, g, y, r_norm, s_norm) -> np.ndarray:
+        """The points of the mask ``sel`` whose solved Sigma certifies them
+        stable (:func:`_occupations`): the points ``at`` of the column
+        ``g``, with their folded Sigma ``y`` (n, m, 1), ||R||_F and
+        ||Sigma||_F."""
+        nu1, nu0 = self.cover
+        q_rounding, q_floor = _rows(self.q_rounding, at), _rows(self.q_floor, at)
+        # t's cover, (nu0 + |G| nu1) at least gamma_{k+3}'s; a non-finite Sigma
+        # has a non-finite cover of t, so it fails the bound
+        ok = sel & (r_norm + ((nu0 + np.abs(g) * nu1)[at] * s_norm + q_rounding) < q_floor)
+        fits = _where(ok)
+        if not isinstance(fits, slice):  # t itself where its cover is too coarse
+            near = np.flatnonzero(sel & ~ok & (r_norm + q_rounding < q_floor))
+            if near.size:
+                points = np.arange(len(g))[at][near]
+                nu1, nu0 = (_rows(x, points) for x in self.nu)
+                t = (nu0 + np.abs(g[points]) * nu1) * s_norm[near] + _rows(q_rounding, near)
+                ok[near] = r_norm[near] + t < _rows(q_floor, near)
+                fits = _where(ok)
+        s = _hermitian(y[fits, :, 0], self.fold[2], self.perm.size)
+        ok[fits] = _positive_definite(s - s_norm[fits, None, None] * self.shift)
+        return ok
+
 
 # A covariance call of this many points or more on one shared pencil takes
 # its modal form (_Noise.modal).  On the README pencil a call with its
@@ -753,7 +780,7 @@ def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
     operators: a call of :func:`_occupations` adds them."""
     d = b.shape[-2]
     fold = _fold(d, tuple(perm.tolist()))
-    op, qmap, unfold, _, w, _, cover = fold
+    op, qmap, unfold, _, w, _, cover, _ = fold
     m = qmap.shape[1]
     eps = np.finfo(float).eps
     q = (b * weights[..., None, :]) @ b.swapaxes(-1, -2)
@@ -773,7 +800,10 @@ def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
     parts = (v @ v.swapaxes(1, 2)).reshape(-1, 4).T[[3, 1, 0]]
     parts[1] *= 2.0
     q_norm = np.sqrt(np.square(qf) @ w)
-    return _Noise(perm, fold, a0, a1, ops, qf, q_floor, q_norm, parts, cover * np.sqrt(parts[[2, 0]]))
+    q_rounding = (math.ceil(m / 2) + 3) * (eps / 2) * q_norm  # gamma_{h+2} ||Q||_F
+    cover = cover * np.sqrt(parts[[2, 0]])
+    shift = d * d * eps * np.eye(d)
+    return _Noise(perm, fold, a0, a1, ops, qf, q_floor, q_norm, q_rounding, parts, cover, shift)
 
 
 def _drifts(noise: _Noise, g: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -804,7 +834,9 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     backward stable however ill-conditioned the eigenbasis.  Q becomes
     (Q + P conj(Q) P)/2, weight (2n+1)/2 per channel, so
     Sigma = P conj(Sigma) P has m = d(d+1)/2 coordinates y, not d^2, and
-    u Sigma u^T is unchanged (u = e_r + e_c is real, u P = u).
+    u Sigma u^T is unchanged (u = e_r + e_c is real, u P = u).  It is
+    read from y (``reads`` of :func:`_fold`), bitwise the sum over Sigma's
+    Hermitian matrix, which only the certificate's Cholesky test forms.
 
     The residual R = A Sigma + Sigma A^dag + Q is formed on the same
     coordinates, r = G*(L1 y) + L0 y + qf in that order: one product of
@@ -835,7 +867,7 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     T = 0) is solved first.  It is certified stable when the computed
     ||R||_F + t < L, which also needs S finite, and
     S - d^2 eps ||S||_F I passes :func:`_positive_definite` (d^2 eps the
-    backward error of the Cholesky test), where
+    backward error of the Cholesky test; :meth:`_Noise.certified`), where
 
         t = gamma_{k+3} (nu0 + |G| nu1) ||S||_F + gamma_{h+2} ||Q||_F,
 
@@ -870,8 +902,9 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     With ``slopes`` the record's ``slope`` is dn/dG, 0 on a drift stack:
     dSigma/dG solves A S + S A^dag + A1 Sigma + Sigma A1^dag = 0 on the
     same operator, by the modal form where it gave every Sigma, else by
-    the LU.  The record lists the errors by index, whichever gate found
-    them.
+    the LU, and is read from its y as n is.  The record lists the errors
+    by index, whichever gate found them.  A call whose points are all
+    finite, solved and certified fills no buffer and builds no error table.
 
     Every gate fails on a non-finite value, so a point whose norms or
     Sigma overflow is decided by the eigensolve and the residual gate,
@@ -882,90 +915,47 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     # where it is finite, every |A_ij| is below sqrt(max): A is finite; where
     # G is not, A holds inf or inf * 0; only between is A formed to be tested
     finite = np.isfinite(a_squared)
-    errors = {}
-    if not finite.all():
+    errors, at = {}, slice(None)  # the finite points: views, not copies, where all are
+    qf, q_floor, q_norm, ops = noise.qf, noise.q_floor, noise.q_norm, noise.ops
+    if not _all(finite):
         near = np.flatnonzero(~finite & np.isfinite(g))
         finite[near] = np.isfinite(_drifts(noise, g, near)).all(axis=(1, 2))
         non_finite = "drift matrix has non-finite entries"
         errors = {i: NumericsError(non_finite) for i in np.flatnonzero(~finite).tolist()}
-    idx = np.flatnonzero(finite)
-    # views, not copies, where every drift is finite
-    at = idx if errors else slice(None)
-    qf, q_floor, q_norm, ops = (_rows(x, at) for x in (noise.qf, noise.q_floor, noise.q_norm, noise.ops))
+        at = np.flatnonzero(finite)
+        qf, q_floor, q_norm, ops = (_rows(x, at) for x in (qf, q_floor, q_norm, ops))
     gk = g[at]
-    coef = np.ones((idx.size, 1, 2))  # (G, 1) of (L1, L0)
-    coef[:, 0, 0] = gk
-    d = noise.perm.size
-    _, qmap, unfold, to_real, w, _, _ = noise.fold
-    m = qmap.shape[1]
-    eps = np.finfo(float).eps
-    # below 0 only by rounding, where A0 nearly cancels G*A1
-    a_norm = np.sqrt(np.maximum(a_squared[at], 0.0))
-    nu1, nu0 = noise.cover
-    cover = (nu0 + np.abs(g) * nu1)[at]  # at least gamma_{k+3} (nu0 + |G| nu1)
-    q_rounding = (math.ceil(m / 2) + 3) * (eps / 2) * q_norm  # gamma_{h+2} ||Q||_F
-    y = np.zeros((idx.size, m, 1))  # folded Sigma where solved
-    s = np.zeros((idx.size, d, d), dtype=complex)
-    r_norm, s_norm = np.zeros((2, idx.size))
-
-    def solve(sel, rhs):
-        """Solve the folded Lyapunov operators G*L1 + L0 of the points ``sel`` for ``rhs`` by LU.
-
-        The operators are freed before Sigma is read back: a stack kept for
-        the call (1 MiB at 301 points, which a stack of pencils still makes;
-        one shared pencil solves that many by its modal form) lifts the heap
-        peak to glibc's trim threshold, and every call then faults the heap
-        in again.
-        """
-        return np.linalg.solve((coef[sel] @ _rows(ops, sel)).reshape(-1, m, m), rhs)
-
-    def modal_solve(sel, rhs):
-        """:func:`_modal_solve` of the points ``sel`` for the columns ``rhs``."""
-        return _modal_solve(modal, ops[0], coef[sel, 0, 0], rhs[..., 0])[..., None]
-
-    def covariance(sel):
-        """Sigma, ||R||_F and ||Sigma||_F at the points ``sel``, from their y."""
-        ys = y[sel, :, 0]
-        s[sel] = _hermitian(ys, unfold, d)
-        r_norm[sel], s_norm[sel] = _residual(_rows(ops, sel), _rows(qf, sel), gk[sel], ys, w)
-
-    def relative_residual(sel):
-        """||R||_F / (2 ||A|| ||Sigma|| + ||Q||) at the points ``sel``, which the gate bounds."""
-        return r_norm[sel] / (2 * a_norm[sel] * s_norm[sel] + _rows(q_norm, sel))
-
-    def certified(sel):
-        """The points of the mask ``sel`` whose solved Sigma certifies them stable."""
-        # a non-finite Sigma has a non-finite cover of t, so it fails the bound
-        ok = sel & (r_norm + (cover * s_norm + q_rounding) < q_floor)
-        fits = _where(ok)
-        if not isinstance(fits, slice):  # t itself where its cover is too coarse
-            near = np.flatnonzero(sel & ~ok & (r_norm + q_rounding < q_floor))
-            if near.size:
-                nu1, nu0 = (_rows(x, idx[near]) for x in noise.nu)
-                t = (nu0 + np.abs(g[idx[near]]) * nu1) * s_norm[near] + _rows(q_rounding, near)
-                ok[near] = r_norm[near] + t < _rows(q_floor, near)
-                fits = _where(ok)
-        ok[fits] = _positive_definite(s[fits] - (d * d * eps * s_norm[fits])[:, None, None] * np.eye(d))
-        return ok
-
-    solved = q_floor > np.zeros(idx.size)  # one decision per point, Q shared or not
-    modal = noise.modal if idx.size >= _MODAL_POINTS else None
-    how = solve if modal is None else modal_solve  # the solve that gave every kept Sigma
-    if solved.any():
-        first = _where(solved)
+    size = gk.size
+    coef = np.empty((size, 1, 2))  # (G, 1) of (L1, L0)
+    coef[:, 0, 0], coef[:, 0, 1] = gk, 1.0
+    _, qmap, _, to_real, w, _, _, reads = noise.fold
+    d, m = noise.perm.size, qmap.shape[1]
+    solved = q_floor > np.zeros(size)  # one decision per point, Q shared or not
+    modal = noise.modal if size >= _MODAL_POINTS else None  # the solve that gave every kept Sigma
+    first, sigma = _where(solved), None  # y, ||R||_F and ||Sigma||_F where solved
+    if np.count_nonzero(solved):
         try:
-            y[first] = how(first, -_rows(qf, first)[:, :, None])
+            sigma = _covariance(modal, ops, qf, coef, w, first)
         except np.linalg.LinAlgError:
             solved[:] = False
-        else:
-            covariance(first)
-    ok = certified(solved)
+    if sigma is None or not isinstance(first, slice):  # zero rows where unsolved
+        whole = np.zeros((size, m, 1)), np.zeros(size), np.zeros(size)
+        for x, part in zip(whole, sigma or ()):
+            x[first] = part
+        sigma = whole
+    y, r_norm, s_norm = sigma
+    # below 0 only by rounding, where A0 nearly cancels G*A1
+    a_norm = np.sqrt(np.maximum(a_squared[at], 0.0))
+    resid = r_norm / (2 * a_norm * s_norm + q_norm)  # what the residual gate bounds
+    ok = noise.certified(solved, at, g, y, r_norm, s_norm)
     if modal is not None:  # a certified Sigma above the gate is stable: the LU solves it below
-        solved = ok & (relative_residual(slice(None)) <= RESIDUAL_TOL)
-    if not ok.all():
+        solved = ok & (resid <= RESIDUAL_TOL)
+    k = _where(ok)
+    if not isinstance(k, slice):
         rest = np.flatnonzero(~ok)
+        points = np.arange(len(g))[at][rest]
         # A's spectrum from the real eigensolver, about half the work of the complex one
-        drifts = _drifts(noise, g, idx[rest]).view(float).reshape(-1, 2 * d * d)
+        drifts = _drifts(noise, g, points).view(float).reshape(-1, 2 * d * d)
         real_form = (drifts @ to_real).reshape(-1, d, d)
         try:
             lam = np.linalg.eigvals(real_form)
@@ -975,33 +965,62 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
                 with contextlib.suppress(np.linalg.LinAlgError):
                     lam[j] = np.linalg.eigvals(form)
         stable = np.all(lam.real < 0, axis=1)
-        for i, eigs in zip(idx[rest[~stable]].tolist(), lam[~stable]):
+        for i, eigs in zip(points[~stable].tolist(), lam[~stable]):
             errors[i] = _instability(eigs) or NumericsError("eigensolver did not converge")
         ok[rest[stable]] = True
+        k = _where(ok)
     new = ok & ~solved  # stable, with no kept Sigma in y
-    if new.any():
-        how = solve
-        y[new] = solve(new, -_rows(qf, new)[:, :, None])
-        covariance(new)
-    k = _where(ok)
-    sigmas = [s[k]]
+    if np.count_nonzero(new):
+        modal = None  # the LU solves every slope too
+        y[new], r_norm[new], s_norm[new] = _covariance(None, ops, qf, coef, w, new)
+        resid = r_norm / (2 * a_norm * s_norm + q_norm)
+    ys = [y[k]]
     if slopes:
         l1 = _rows(ops, k)[:, 0].reshape(-1, m, m)
-        sigmas.append(_hermitian(how(k, -(l1 @ y[k])), unfold, d))
-    resid = relative_residual(k)
-    c = noise.perm[r]  # <x^2> = u Sigma u^T with u = e_r + e_c
-    x, *slope = ((s[:, r, r] + s[:, r, c] + s[:, c, r] + s[:, c, c]).real for s in sigmas)
+        ys.append(_solve(modal, _rows(ops, k), coef[k], -(l1 @ ys[0])))
+    # <x^2> = u Sigma u^T with u = e_r + e_c: Re Sigma_rr + Re Sigma_rc + Re Sigma_cr + Re Sigma_cc
+    rr, rc, cr, cc = reads[r]
+    x, *slope = [v[:, rr, 0] + v[:, rc, 0] + v[:, cr, 0] + v[:, cc, 0] for v in ys]
+    resid = resid[k]
     n = (x - 1.0) / 2.0  # the vacuum floor <x^2> = 1 is clipped to roundoff
-    out = np.full((len(sigmas), len(g)), math.nan)  # n, and the slope if solved
-    points = idx[k]
-    out[:, points] = [np.maximum(n, 0.0), *(dn / 2.0 for dn in slope)]
-    for j in np.flatnonzero(~(resid <= RESIDUAL_TOL) | (n < -1e-9 * x)).tolist():
-        out[:, points[j]] = math.nan
-        message = f"steady-state occupation {n[j]:.4g} < 0"
-        if not resid[j] <= RESIDUAL_TOL:
-            message = f"Lyapunov residual {resid[j]:.3g} exceeds {RESIDUAL_TOL}"
-        errors[int(points[j])] = NumericsError(message)
-    return _Occupations(out[0], out[1] if slope else None, dict(sorted(errors.items())))
+    out = [np.maximum(n, 0.0), *(dn / 2.0 for dn in slope)]  # n, and the slope if solved
+    failed = ~(resid <= RESIDUAL_TOL) | (n < -1e-9 * x)
+    if errors or np.count_nonzero(failed):  # NaN at every failed point
+        points = np.arange(len(g))[at][k]
+        for j in np.flatnonzero(failed).tolist():
+            message = f"steady-state occupation {n[j]:.4g} < 0"
+            if not resid[j] <= RESIDUAL_TOL:
+                message = f"Lyapunov residual {resid[j]:.3g} exceeds {RESIDUAL_TOL}"
+            errors[int(points[j])] = NumericsError(message)
+        whole = np.full((len(out), len(g)), math.nan)
+        whole[:, points] = out
+        whole[:, list(errors)] = math.nan
+        out, errors = whole, dict(sorted(errors.items()))
+    return _Occupations(out[0], out[1] if slope else None, errors)
+
+
+def _solve(modal, ops: np.ndarray, coef: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Rows y (n, m, 1) with (G*L1 + L0) y = ``rhs`` at the (G, 1) rows ``coef`` of
+    (L1, L0) ``ops``: by the modal form ``modal``, or by LU where it is None.
+
+    The LU's operators are freed before Sigma is read back: a stack kept
+    for the call (1 MiB at 301 points, which a stack of pencils still
+    makes; one shared pencil solves that many by its modal form) lifts the
+    heap peak to glibc's trim threshold, and every call then faults the
+    heap in again.
+    """
+    if modal is not None:
+        return _modal_solve(modal, ops[0], coef[:, 0, 0], rhs[..., 0])[..., None]
+    m = rhs.shape[1]
+    return np.linalg.solve((coef @ ops).reshape(-1, m, m), rhs)
+
+
+def _covariance(modal, ops: np.ndarray, qf: np.ndarray, coef: np.ndarray, w: np.ndarray, sel) -> tuple:
+    """``(y, ||R||_F, ||Sigma||_F)`` of the points ``sel``: their folded Sigma by
+    :func:`_solve` and its norms (:func:`_residual`)."""
+    ops, qf, coef = _rows(ops, sel), _rows(qf, sel), coef[sel]
+    y = _solve(modal, ops, coef, -qf[:, :, None])
+    return (y, *_residual(ops, qf, coef[:, 0, 0], y[..., 0], w))
 
 
 def _residual(ops: np.ndarray, qf: np.ndarray, g: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple:
@@ -1036,9 +1055,14 @@ def _hermitian(y: np.ndarray, unfold: np.ndarray, d: int) -> np.ndarray:
     return (y.reshape(-1, unfold.shape[0]) @ unfold).view(complex).reshape(-1, d, d)
 
 
+def _all(mask: np.ndarray) -> bool:
+    """Whether every entry of ``mask`` is True: a count, a third of ``mask.all()``'s cost."""
+    return np.count_nonzero(mask) == mask.size
+
+
 def _where(mask: np.ndarray):
     """Index of the True entries of ``mask``; a slice, which indexes by views, if all are."""
-    return slice(None) if mask.all() else np.flatnonzero(mask)
+    return slice(None) if _all(mask) else np.flatnonzero(mask)
 
 
 def _positive_definite(h: np.ndarray) -> np.ndarray:
@@ -1050,7 +1074,7 @@ def _positive_definite(h: np.ndarray) -> np.ndarray:
     each matrix is tested by its smallest eigenvalue (eigvalsh, ~1 ms).
     """
     try:
-        if np.isfinite(np.linalg.cholesky(h)).all():
+        if _all(np.isfinite(np.linalg.cholesky(h))):
             return np.ones(len(h), dtype=bool)
     except np.linalg.LinAlgError:
         pass
@@ -1059,7 +1083,7 @@ def _positive_definite(h: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _fold(d: int, perm: tuple) -> tuple:
-    """``(op, qmap, unfold, to_real, weights, ratio, cover)``: A Sigma +
+    """``(op, qmap, unfold, to_real, weights, ratio, cover, reads)``: A Sigma +
     Sigma A^dag on Sigma's real coordinates, and A's real quadrature form.
 
     A Hermitian Sigma has d^2 real coordinates, Re Sigma_ij (i <= j) and
@@ -1070,7 +1094,10 @@ def _fold(d: int, perm: tuple) -> tuple:
     of A is its float view times ``op`` (m x m), the folded
     (Q + P conj(Q) P)/2 of a real Q is ``Q.ravel() @ qmap``, and the
     Hermitian matrix of folded coordinates y has the float view
-    ``y @ unfold``.  Distinct coordinates fill disjoint entries, so
+    ``y @ unfold``.  Distinct coordinates fill disjoint entries, and a real
+    part's entries in ``unfold`` are 0 or 1: ``reads[r]`` holds the one
+    coordinate of each of Re Sigma_rr, Re Sigma_rc, Re Sigma_cr and
+    Re Sigma_cc, c = perm[r], which read u Sigma u^T, u = e_r + e_c, exactly.  So
     ||Sigma||_F^2 = sum_k w_k y_k^2, ``weights`` w_k = ||unfold[k]||^2
     (2 or 4 where every coordinate has a mate); W^1/2 |L| W^-1/2 =
     ``ratio`` * |L|, W = diag(w), for a folded operator L, and ``cover``
@@ -1122,7 +1149,10 @@ def _fold(d: int, perm: tuple) -> tuple:
     sums = [np.sqrt(np.square(scaled.sum(axis=axis)).sum(axis=0)).max() for axis in (2, 1)]
     k = 2 * (scaled.sum(axis=0) != 0).sum(axis=1).max()
     cover = (k + 4) * (np.finfo(float).eps / 2) * math.sqrt(sums[0] * sums[1])
-    return folded, qmap[:, keep], unfold, to_real, weights, ratio, cover
+    r, c = np.arange(d), np.array(perm)
+    entries = np.stack((r * d + r, r * d + c, c * d + r, c * d + c), axis=1)
+    reads = tuple(map(tuple, unfold.argmax(axis=0)[2 * entries].tolist()))
+    return folded, qmap[:, keep], unfold, to_real, weights, ratio, cover, reads
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:

@@ -682,11 +682,14 @@ class TestCachedParser:
 
     def test_bad_argv_then_a_good_call(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config("optimize"))
-        for argv in (["optimize", "--config", path, "--fidelity", "exact"], ["optimize"]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-        capsys.readouterr()
+        # a usage error is a config error: exit 1 and one JSON line, no usage text
+        bad = (["optimize", "--config", path, "--fidelity", "exact"], ["optimize"], ["optimise"],
+               ["optimize", "--config", path, "--format", "xml"])
+        for argv in bad:
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            (line,) = captured.err.splitlines()
+            assert json.loads(line)["error"] == "config_error" and captured.out == ""
         assert main(["optimize", "--config", path]) == 0
         captured = capsys.readouterr()
         assert json.loads(captured.out)["fidelity"] == "rwa" and captured.err == ""

@@ -2,18 +2,28 @@
 and only it and its gate eliminate.  Only a pencil's preparation folds drifts
 into Lyapunov operators, and only its modal form eigendecomposes one.  A
 covariance call certifies at one site, and forms drift matrices only for
-the points its certificate leaves to the eigensolve.  The sweeps read a
-batch's point errors by index, not by type."""
+the points its certificate leaves to the eigensolve, and reads n and its
+slope from the folded coordinates, bitwise the Hermitian matrices' readout.
+The sweeps read a batch's point errors by index, not by type."""
 
 import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from bathcool import errors, spectra, sweeps
+from bathcool import build_full_system, build_rwa_system, errors, spectra, sweeps
+from bathcool.model import _conjugate_swap
 
 from conftest import make_spec
-from test_spectra import _record_lu_solves
+from test_spectra import (
+    _beam_spec,
+    _criterion_7_draws,
+    _drive,
+    _model_stack,
+    _record_lu_solves,
+    _shared_pencil,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,6 +113,71 @@ def test_a_covariance_call_certifies_at_one_site():
     # per call, and a certified Sigma above the residual gate is solved again
     # by the LU with no second certificate
     assert _callers("certified") == [("spectra", "_occupations")]
+
+
+def _captured_solves(monkeypatch) -> list:
+    """The folded Sigma rows (n, m, 1) that each solve of a covariance call
+    returns, in order: stacked LU solves and modal solves alike."""
+    found, solve, modal = [], np.linalg.solve, spectra._modal_solve
+
+    def by_modes(*args):
+        found.append(modal(*args)[..., None])
+        return found[-1][..., 0]
+
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: found.append(solve(a, b)) or found[-1])
+    monkeypatch.setattr(spectra, "_modal_solve", by_modes)
+    return found
+
+
+def _hermitian_readout(pencil, y, r) -> np.ndarray:
+    """<x^2> of x = v_r + v_c, c = perm[r], summed over the Hermitian matrices
+    of the folded rows ``y``: Sigma_rr + Sigma_rc + Sigma_cr + Sigma_cc."""
+    s = spectra._hermitian(y[..., 0], pencil.fold[2], pencil.perm.size)
+    c = pencil.perm[r]
+    return (s[:, r, r] + s[:, r, c] + s[:, c, r] + s[:, c, c]).real
+
+
+@pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
+def test_occupations_are_read_from_the_folded_coordinates_bitwise(monkeypatch, builder):
+    # the README pencil by LU (1 and 25 points) and by its modal form (301),
+    # for modes a and b; the beam up to its pole; criterion-7 draws; and a
+    # drift stack, whose slopes are 0
+    rotating_wave = builder is build_rwa_system
+    cases = []
+    for spec, c_om in [(make_spec(c_ab=50.0), np.geomspace(1e-2, 1e3, n)) for n in (1, 25, 301)] + [
+        (_beam_spec(), np.geomspace(1e2, 2.9e4, n)) for n in (3, 64)
+    ] + [(spec, np.geomspace(1e-2, 1e2, 8)) for spec in _criterion_7_draws(6, seed=34)]:
+        pencil, _, _, row = _shared_pencil(spec, rotating_wave)
+        cases += [(pencil, _drive(spec, c_om), r) for r in (row, row + 2)]
+    models = [builder(spec) for spec in _criterion_7_draws(6, seed=35)]
+    drifts, b, weights, labels = _model_stack(models)
+    pencil = spectra._prepare_noise(drifts, None, b, weights, _conjugate_swap(labels))
+    cases.append((pencil, np.zeros(len(models)), labels.index("a")))
+    for pencil, g, r in cases:
+        _ = pencil.modal  # prepared, with its own solve, before the capture
+        ys = _captured_solves(monkeypatch)
+        record = spectra._occupations(pencil, g, r, slopes=True)
+        monkeypatch.undo()
+        assert not record.errors and len(ys) == 2  # Sigma, then its slope
+        x, dx = (_hermitian_readout(pencil, y, r) for y in ys)
+        assert record.n.tobytes() == np.maximum((x - 1.0) / 2.0, 0.0).tobytes()
+        assert record.slope.tobytes() == (dx / 2.0).tobytes()
+
+
+def test_a_certified_point_costs_its_solves_and_one_cholesky(monkeypatch):
+    # a one-point call with its slope, as each secant step of find_optimum
+    # makes: the Sigma solve, the slope's solve and the certificate's
+    # Cholesky test, and no eigensolve
+    counts = dict.fromkeys(("solve", "cholesky", "eigvals", "eigvalsh"), 0)
+    for name in counts:
+        def counted(*args, name=name, call=getattr(np.linalg, name)):
+            counts[name] += 1
+            return call(*args)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    spec = make_spec(c_ab=50.0)
+    point = sweeps._n_effs([spec], "full")([7.1 * spec.mode_b.gamma], slopes=True)
+    assert not point.errors and counts == {"solve": 2, "cholesky": 1, "eigvals": 0, "eigvalsh": 0}
 
 
 def test_sweeps_read_point_errors_by_index_not_by_type():

@@ -293,6 +293,26 @@ class TestFindOptimum:
         with pytest.raises(ValueError):
             find_optimum(spec50, bracket=(-1.0, 10.0))
 
+    # (C_ab, fidelity, repr of C* and n*) on the README system over the
+    # default bracket, pinned bit for bit: the covariance call's bookkeeping
+    # may change, its numbers may not.  The full-fidelity bits are those of
+    # the LU in numpy 2's OpenBLAS on x86-64; another LAPACK may round them
+    # differently.
+    PINNED = [
+        (10.0, "rwa", ("3.316624790341272", "2896237.521297933")),
+        (10.0, "full", ("3.3276088736706413", "2900349.2853145027")),
+        (50.0, "rwa", ("7.14142842854341", "1535599.163331309")),
+        (50.0, "full", ("7.165080180510523", "1539014.3698846535")),
+        (300.0, "rwa", ("17.34935157289713", "681330.3801785514")),
+        (300.0, "full", ("17.406834679557694", "683228.7251139985")),
+    ]
+
+    @pytest.mark.parametrize("c_ab, fidelity, pinned", PINNED)
+    def test_readme_optima_are_pinned_bitwise(self, c_ab, fidelity, pinned):
+        if fidelity == "full" and np.lib.NumpyVersion(np.__version__) < "2.0.0":
+            pytest.skip("the full-fidelity bits are pinned for numpy 2's LAPACK")
+        assert tuple(map(repr, find_optimum(make_spec(c_ab=c_ab), fidelity=fidelity))) == pinned
+
     def test_rwa_lands_on_the_analytic_optimum(self, spec50):
         # with the detuning-free closed form the optimum is sqrt(1 + C_ab) exactly
         c_star, n_star = find_optimum(spec50, fidelity="rwa")
