@@ -31,6 +31,8 @@
 #   no stdout;
 # - a [sweep] of more than 100000 points: exit 1, one config_error line, no
 #   stdout;
+# - a [sweep] at 1.5 points per decade, not a whole number: exit 1, one
+#   config_error line that names points_per_decade, no stdout;
 # - a [design] whose 1e200 m arms overflow: exit 1, one config_error line, no
 #   stdout;
 # - a drive whose |alpha| g0 overflows (alpha = g0_hz = 1e200): exit 3, one
@@ -130,6 +132,13 @@ $BATHCOOL sweep --config huge.ini --fidelity full > huge.out 2> huge.err || code
 test "$code" -eq 1
 test ! -s huge.out
 python -c "import json; lines = open('huge.err').read().splitlines(); assert len(lines) == 1 and json.loads(lines[0])['error'] == 'config_error', lines"
+sed -e 's/^task = spectrum$/task = sweep/' spectrum.ini > fraction.ini
+printf '%s\n' '' '[sweep]' 'points_per_decade = 1.5' >> fraction.ini
+code=0
+$BATHCOOL sweep --config fraction.ini --fidelity full > fraction.out 2> fraction.err || code=$?
+test "$code" -eq 1
+test ! -s fraction.out
+python -c "import json; lines = open('fraction.err').read().splitlines(); assert len(lines) == 1 and json.loads(lines[0])['error'] == 'config_error' and 'points_per_decade' in json.loads(lines[0])['message'], lines"
 sed -e 's/^l_left_m = .*/l_left_m = 1e200/' -e 's/^l_right_m = .*/l_right_m = 1e200/' design.ini > arms.ini
 code=0
 $BATHCOOL design --config arms.ini > arms.out 2> arms.err || code=$?

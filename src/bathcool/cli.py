@@ -285,11 +285,11 @@ def config_from_dict(sections: dict) -> RunConfig:
         "points_per_decade",
         sweep_items.get("points_per_decade", DEFAULT_POINTS_PER_DECADE),
     )
-    if per_decade < 1:
-        raise ConfigError(f"[sweep] points_per_decade must be >= 1, got {per_decade!r}")
+    if not (per_decade >= 1 and per_decade.is_integer()):
+        raise ConfigError(f"[sweep] points_per_decade must be a whole number >= 1, got {per_decade!r}")
     sweep = _c_om_range("sweep", sweep_items)
     # at least 2 points; capped before rounding, which raises on an inf count
-    count = math.log10(sweep["c_om_max"] / sweep["c_om_min"]) * int(per_decade)
+    count = math.log10(sweep["c_om_max"] / sweep["c_om_min"]) * per_decade
     sweep["points"] = max(2, int(round(min(count, _MAX_GRID_POINTS))) + 1)
     if sweep["points"] > _MAX_GRID_POINTS:
         raise ConfigError(f"[sweep] asks for {count + 1:.6g} C_OM points, over {_MAX_GRID_POINTS}")

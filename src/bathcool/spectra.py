@@ -668,13 +668,11 @@ class _Noise:
     which work on the folded coordinates and not on drift matrices, with
     a column per row: ``parts`` holds ||A0||_F^2,
     2 Re<A0, A1> and ||A1||_F^2, so ||A0 + G*A1||_F^2 = (1, G, G^2) @ parts;
-    :attr:`nu` holds gamma_{k+3} nu1 and gamma_{k+3} nu0, the rounding of
-    the residual per unit ||Sigma||_F and |G| or 1; ``cover`` bounds
-    them by the fold's ``cover`` times ||A1||_F and ||A0||_F, at no cost
-    per pencil; and ``shift`` is d^2 eps I, the Cholesky test's backward
-    error per unit ||Sigma||_F.  :attr:`modal` is the one shared pencil's
-    eigendecomposition, and :attr:`nu` is prepared on the first call that
-    uses it too.
+    ``nu`` holds gamma_{k+3} nu1 and gamma_{k+3} nu0, the rounding of the
+    residual per unit ||Sigma||_F and |G| or 1 (:func:`_prepare_noise`);
+    and ``shift`` is d^2 eps I, the Cholesky test's backward error per
+    unit ||Sigma||_F.  :attr:`modal` is the one shared pencil's
+    eigendecomposition, prepared on the first call that uses it.
     """
 
     perm: np.ndarray
@@ -687,20 +685,8 @@ class _Noise:
     q_norm: np.ndarray
     q_rounding: np.ndarray
     parts: np.ndarray
-    cover: np.ndarray
+    nu: np.ndarray
     shift: np.ndarray
-
-    @functools.cached_property
-    def nu(self) -> np.ndarray:
-        """gamma_{k+3} nu1 and gamma_{k+3} nu0 of each row, as ``cover``:
-        nu = sqrt(||M||_1 ||M||_inf) >= ||M||_2 of M = W^1/2 |L| W^-1/2 for L1
-        and L0, and k the most nonzeros in a row of [L0 L1].  The (k+4) u
-        taken for gamma_{k+3} also covers the rounding of nu and of t."""
-        m = self.qf.shape[1]
-        scaled = np.abs(self.ops).reshape(len(self.ops), -1, m, m) * self.fold[5]
-        k = (scaled != 0).sum(axis=(1, 3)).max(axis=1)
-        nu = np.sqrt(scaled.sum(axis=3).max(axis=2) * scaled.sum(axis=2).max(axis=2))
-        return (k + 4) * (np.finfo(float).eps / 2) * nu.T
 
     @functools.cached_property
     def modal(self) -> tuple | None:
@@ -729,20 +715,11 @@ class _Noise:
         stable (:func:`_occupations`): the points ``at`` of the column
         ``g``, with their folded Sigma ``y`` (n, m, 1), ||R||_F and
         ||Sigma||_F."""
-        nu1, nu0 = self.cover
+        nu1, nu0 = self.nu
         q_rounding, q_floor = _rows(self.q_rounding, at), _rows(self.q_floor, at)
-        # t's cover, (nu0 + |G| nu1) at least gamma_{k+3}'s; a non-finite Sigma
-        # has a non-finite cover of t, so it fails the bound
+        # ||R||_F + t < L; a non-finite Sigma has a non-finite t, so it fails the bound
         ok = sel & (r_norm + ((nu0 + np.abs(g) * nu1)[at] * s_norm + q_rounding) < q_floor)
         fits = _where(ok)
-        if not isinstance(fits, slice):  # t itself where its cover is too coarse
-            near = np.flatnonzero(sel & ~ok & (r_norm + q_rounding < q_floor))
-            if near.size:
-                points = np.arange(len(g))[at][near]
-                nu1, nu0 = (_rows(x, points) for x in self.nu)
-                t = (nu0 + np.abs(g[points]) * nu1) * s_norm[near] + _rows(q_rounding, near)
-                ok[near] = r_norm[near] + t < _rows(q_floor, near)
-                fits = _where(ok)
         s = _hermitian(y[fits, :, 0], self.fold[2], self.perm.size)
         ok[fits] = _positive_definite(s - s_norm[fits, None, None] * self.shift)
         return ok
@@ -780,7 +757,7 @@ def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
     operators: a call of :func:`_occupations` adds them."""
     d = b.shape[-2]
     fold = _fold(d, tuple(perm.tolist()))
-    op, qmap, unfold, _, w, _, cover, _ = fold
+    op, qmap, unfold, _, w, ratio, _ = fold
     m = qmap.shape[1]
     eps = np.finfo(float).eps
     q = (b * weights[..., None, :]) @ b.swapaxes(-1, -2)
@@ -801,9 +778,15 @@ def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
     parts[1] *= 2.0
     q_norm = np.sqrt(np.square(qf) @ w)
     q_rounding = (math.ceil(m / 2) + 3) * (eps / 2) * q_norm  # gamma_{h+2} ||Q||_F
-    cover = cover * np.sqrt(parts[[2, 0]])
+    # gamma_{k+3} nu1 and gamma_{k+3} nu0: nu = sqrt(||M||_1 ||M||_inf) >= ||M||_2
+    # of M = W^1/2 |L| W^-1/2 for L1 and L0, k the most nonzeros in a row of
+    # [L0 L1]; the (k+4) u taken for gamma_{k+3} also covers nu's and t's rounding
+    scaled = np.abs(ops).reshape(len(ops), -1, m, m) * ratio
+    k = (scaled != 0).sum(axis=(1, 3)).max(axis=1)
+    nu = np.sqrt(scaled.sum(axis=3).max(axis=2) * scaled.sum(axis=2).max(axis=2))
+    nu = (k + 4) * (eps / 2) * nu.T
     shift = d * d * eps * np.eye(d)
-    return _Noise(perm, fold, a0, a1, ops, qf, q_floor, q_norm, q_rounding, parts, cover, shift)
+    return _Noise(perm, fold, a0, a1, ops, qf, q_floor, q_norm, q_rounding, parts, nu, shift)
 
 
 def _drifts(noise: _Noise, g: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -875,20 +858,15 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     of Numerical Algorithms, section 3.1), h = ceil(m/2), k the most
     nonzeros in a row of [L0 L1] (8 on the full README pencil, 5 on the
     rwa one) and nu = sqrt(||M||_1 ||M||_inf) >= ||M||_2 of
-    M = W^1/2 |L| W^-1/2 for each part L (:attr:`_Noise.nu`).  A product
-    in r passes k + 3 roundings at most: its dot product's, G's, the two
-    sums' and the one of the stored L, whose entries each sum two of A's
-    (:func:`_fold`); qf passes one.  So
+    M = W^1/2 |L| W^-1/2 for each part L (``nu`` of :class:`_Noise`,
+    prepared with the pencil).  A product in r passes k + 3 roundings at
+    most: its dot product's, G's, the two sums' and the one of the stored
+    L, whose entries each sum two of A's (:func:`_fold`); qf passes one.  So
     |r^ - r| <= gamma_{k+3} (|G| |L1| + |L0|) |y| + u |qf|, and in the
     weighted norm ||W^1/2 |L| |y|||_2 <= ||M||_2 ||S||_F.  The computed
     norm is within gamma_{h+1} of ||r^||, which is below L <= ||Q||_F
     where the test passes.  Each gamma_n is taken as (n + 1) u, which also
-    covers the rounding of t.  The test reads t's cover first, which the
-    fold gives from ||A0||_F and ||A1||_F (``cover`` of :class:`_Noise`,
-    8 to 27 times gamma_{k+3} nu on the README and criterion-7 pencils),
-    and t itself, whose nu the pencil prepares on first need, only at a
-    point that the cover fails and ||R||_F + gamma_{h+2} ||Q||_F does not:
-    so every decision is t's.  Only the other points run an eigensolve,
+    covers the rounding of t.  Only the other points run an eigensolve,
     of the real quadrature form (``to_real`` of :func:`_fold`) of their
     drifts, which are formed for them alone (:func:`_drifts`), and
     :func:`_instability` words their error; a batch whose eigensolve
@@ -928,7 +906,7 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     size = gk.size
     coef = np.empty((size, 1, 2))  # (G, 1) of (L1, L0)
     coef[:, 0, 0], coef[:, 0, 1] = gk, 1.0
-    _, qmap, _, to_real, w, _, _, reads = noise.fold
+    _, qmap, _, to_real, w, _, reads = noise.fold
     d, m = noise.perm.size, qmap.shape[1]
     solved = q_floor > np.zeros(size)  # one decision per point, Q shared or not
     modal = noise.modal if size >= _MODAL_POINTS else None  # the solve that gave every kept Sigma
@@ -1083,7 +1061,7 @@ def _positive_definite(h: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _fold(d: int, perm: tuple) -> tuple:
-    """``(op, qmap, unfold, to_real, weights, ratio, cover, reads)``: A Sigma +
+    """``(op, qmap, unfold, to_real, weights, ratio, reads)``: A Sigma +
     Sigma A^dag on Sigma's real coordinates, and A's real quadrature form.
 
     A Hermitian Sigma has d^2 real coordinates, Re Sigma_ij (i <= j) and
@@ -1099,9 +1077,9 @@ def _fold(d: int, perm: tuple) -> tuple:
     coordinate of each of Re Sigma_rr, Re Sigma_rc, Re Sigma_cr and
     Re Sigma_cc, c = perm[r], which read u Sigma u^T, u = e_r + e_c, exactly.  So
     ||Sigma||_F^2 = sum_k w_k y_k^2, ``weights`` w_k = ||unfold[k]||^2
-    (2 or 4 where every coordinate has a mate); W^1/2 |L| W^-1/2 =
-    ``ratio`` * |L|, W = diag(w), for a folded operator L, and ``cover``
-    times ||A||_F bounds gamma_{k+3} nu of any A's (:func:`_occupations`).
+    (2 or 4 where every coordinate has a mate), and W^1/2 |L| W^-1/2 =
+    ``ratio`` * |L|, W = diag(w), for a folded operator L (the ``nu`` of
+    :func:`_prepare_noise`).
     ``to_real`` takes A's float view to M = U A U^-1, row-major, U mapping
     each pair i < Pi in turn to x = v_i + v_Pi and p = -i (v_i - v_Pi).
     For A = P conj(A) P, M is real with A's eigenvalues:
@@ -1139,20 +1117,11 @@ def _fold(d: int, perm: tuple) -> tuple:
     to_real = 2.0 * np.stack((rows.real, rows.imag), axis=2).reshape(2 * n, n)
     folded = (op @ span)[:, keep].reshape(2 * n, -1)
     weights = np.square(unfold).sum(axis=1)
-    m = keep.size
     ratio = np.sqrt(weights[:, None] / weights)  # W^1/2 |L| W^-1/2 = ratio * |L|
-    # |L| <= |a| @ |op| entrywise for A's float view a, so each row or column
-    # sum of ratio * |L| is at most ||A||_F times the norm of that sum taken over
-    # |op|'s rows (Cauchy-Schwarz), and a row of [L0 L1] holds at most twice the
-    # nonzeros that a row of op's pattern allows
-    scaled = np.abs(folded).reshape(-1, m, m) * ratio
-    sums = [np.sqrt(np.square(scaled.sum(axis=axis)).sum(axis=0)).max() for axis in (2, 1)]
-    k = 2 * (scaled.sum(axis=0) != 0).sum(axis=1).max()
-    cover = (k + 4) * (np.finfo(float).eps / 2) * math.sqrt(sums[0] * sums[1])
     r, c = np.arange(d), np.array(perm)
     entries = np.stack((r * d + r, r * d + c, c * d + r, c * d + c), axis=1)
     reads = tuple(map(tuple, unfold.argmax(axis=0)[2 * entries].tolist()))
-    return folded, qmap[:, keep], unfold, to_real, weights, ratio, cover, reads
+    return folded, qmap[:, keep], unfold, to_real, weights, ratio, reads
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:

@@ -175,6 +175,7 @@ class TestConfigBoundary:
             ("optimize", "\n[optimize]\nc_om_min = abc\n", None, None),
             ("sweep", "\n[sweep]\nc_om_min = 10\nc_om_max = 1\n", None, None),
             ("sweep", "\n[sweep]\npoints_per_decade = 0\n", None, None),
+            ("sweep", "\n[sweep]\npoints_per_decade = 1.9\n", None, None),
             ("optimize", "", "temperature_k = 300", "temperature_k = inf"),
             ("sweep", "", "temperature_k = 300", "temperature_k = nan"),
             ("spectrum", "\n[grid]\nspan_linewidths = 3\n", None, None),
@@ -196,6 +197,7 @@ class TestConfigBoundary:
             "optimize-c_om_min-text",
             "sweep-range-reversed",
             "sweep-points_per_decade-zero",
+            "sweep-points_per_decade-fraction",
             "temperature-inf",
             "temperature-nan",
             "grid-span_linewidths-below-5",

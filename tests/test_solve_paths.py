@@ -1,12 +1,14 @@
 """The susceptibility rows have one solve path: only the row solve gates them,
 and only it and its gate eliminate.  Only a pencil's preparation folds drifts
-into Lyapunov operators, and only its modal form eigendecomposes one.  A
-covariance call certifies at one site, and forms drift matrices only for
-the points its certificate leaves to the eigensolve, and reads n and its
-slope from the folded coordinates, bitwise the Hermitian matrices' readout.
-The sweeps read a batch's point errors by index, not by type."""
+into Lyapunov operators, and only its modal form, the one part of a pencil
+prepared on first use, eigendecomposes one.  A covariance call certifies at
+one site, and forms drift matrices only for the points its certificate
+leaves to the eigensolve, and reads n and its slope from the folded
+coordinates, bitwise the Hermitian matrices' readout.  The sweeps read a
+batch's point errors by index, not by type."""
 
 import ast
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +66,13 @@ def test_only_a_pencil_preparation_eigendecomposes_a_folded_operator():
     # the modal form of _Noise is prepared once per pencil; a covariance call
     # runs eigenvalue solves of drifts (eigvals) and of Sigma (eigvalsh) only
     assert _callers("eig") == [("spectra", "_Noise")]
+
+
+def test_only_the_modal_form_is_prepared_lazily():
+    # a pencil prepares all that its certificate reads; only the modal form,
+    # which a call of fewer than _MODAL_POINTS points never reads, waits for one
+    lazy = [name for name, value in vars(spectra._Noise).items() if isinstance(value, functools.cached_property)]
+    assert lazy == ["modal"]
 
 
 def _readers(attribute: str) -> set:

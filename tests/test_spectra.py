@@ -1709,6 +1709,24 @@ class TestStabilityCertificate:
         h[0, 0, 0], h[0, 0, 1], h[0, 1, 0] = 1e-300, 1e200, 1e200
         assert spectra._positive_definite(h).tolist() == [False, True]
 
+    def test_the_pole_edge_is_decided_by_t(self, monkeypatch):
+        # the beam's full drift goes unstable at C_OM = 29086.57; 0.57 to 0.07
+        # below it, (||R||_F + t) / L reads 0.089, 0.19 and 0.75, and one call
+        # certifies every point with no drift formed and no eigensolve
+        spec = _beam_spec()
+        pencil, _, _, row = _shared_pencil(spec)
+        g = _drive(spec, np.array([29086.0, 29086.3, 29086.5]))
+        y = _lu_solve(pencil, g)
+        r_norm, s_norm = spectra._residual(pencil.ops, pencil.qf, g, y, pencil.fold[4])
+        nu1, nu0 = pencil.nu
+        delta = (r_norm + (nu0 + g * nu1) * s_norm + pencil.q_rounding) / pencil.q_floor
+        assert 0.05 < delta[0] < delta[1] < delta[2] < 1.0
+        formed, drifts, eigvals = [], spectra._drifts, np.linalg.eigvals
+        monkeypatch.setattr(spectra, "_drifts", lambda *args: formed.append(args[2]) or drifts(*args))
+        monkeypatch.setattr(np.linalg, "eigvals", lambda x: formed.append(x) or eigvals(x))
+        record = spectra._occupations(pencil, g, row)
+        assert not record.errors and np.isfinite(record.n).all() and formed == []
+
     def test_a_large_residual_is_not_certified(self, monkeypatch):
         # an unstable drift handed the positive-definite Sigma of a stable
         # one (same Q): only ||R|| against lambda_min(Q) rejects it
@@ -2096,7 +2114,8 @@ def _dense_pencils(n):
 
 class TestResidualRounding:
     """The covariance certificate's ||R||_F is formed on the folded
-    coordinates: G*(L1 y) + L0 y + qf, weighted.  Its rounding term t covers
+    coordinates: G*(L1 y) + L0 y + qf, weighted.  Its rounding term t, the
+    certificate's only one, from the ``nu`` that the pencil prepares, covers
     the gap between that computed norm and the exact ||A S + S A^dag + Q||_F
     of the same computed S, for this Q and A = A0 + G*A1, with every
     product in fractions."""
@@ -2151,13 +2170,25 @@ class TestResidualRounding:
         for pencil, a0, a1 in _dense_pencils(8):
             self._check(pencil, a0 + g[:, None, None] * a1, g, _lu_solve(pencil, g))
 
-    def test_the_cover_bounds_nu(self):
-        # the certificate reads the fold's cover of gamma_{k+3} nu, from
-        # ||A0||_F and ||A1||_F, first, and nu only where the cover fails
+    def test_prepared_nu_is_the_scaled_norm_bound(self):
+        # nu = (k+4) u sqrt(||M||_1 ||M||_inf) >= (k+4) u ||M||_2 of
+        # M = W^1/2 |L| W^-1/2 for L1 and L0, k the most nonzeros in a row of [L0 L1]
         specs = (make_spec(c_ab=50.0), _beam_spec(), *_criterion_7_draws(8, seed=34))
         pencils = [_shared_pencil(spec, rotating_wave)[0] for spec in specs for rotating_wave in (False, True)]
+        u = np.finfo(float).eps / 2
         for pencil in pencils + [pencil for pencil, _, _ in _dense_pencils(8)]:
-            assert (pencil.nu <= pencil.cover).all()
+            m, root = pencil.qf.shape[1], np.sqrt(pencil.fold[4])
+            assert pencil.nu.shape == (2, len(pencil.ops))
+            for row, ops in enumerate(pencil.ops):
+                parts = ops.reshape(2, m, m)
+                k = np.count_nonzero(np.hstack(parts[::-1]), axis=1).max()
+                for nu, part in zip(pencil.nu[:, row], parts):
+                    scaled = np.diag(root) @ np.abs(part) @ np.diag(1.0 / root)
+                    bound = math.sqrt(np.linalg.norm(scaled, 1) * np.linalg.norm(scaled, np.inf))
+                    assert nu == pytest.approx((k + 4) * u * bound, rel=1e-15, abs=0.0)
+                    # equal in exact arithmetic for the builders' L0, whose largest
+                    # row is its 2-norm: up to both norms' rounding, a few ulps
+                    assert nu >= (k + 4) * u * np.linalg.norm(scaled, 2) * (1 - 8 * u)
 
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
     def test_drift_stacks(self, builder):
