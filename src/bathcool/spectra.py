@@ -669,7 +669,7 @@ class _Noise:
     a column per row: ``parts`` holds ||A0||_F^2,
     2 Re<A0, A1> and ||A1||_F^2, so ||A0 + G*A1||_F^2 = (1, G, G^2) @ parts;
     ``nu`` holds gamma_{k+3} nu1 and gamma_{k+3} nu0, the rounding of the
-    residual per unit ||Sigma||_F and |G| or 1 (:func:`_prepare_noise`);
+    residual per unit ||Sigma||_F and |G| or 1 (:func:`_nu`);
     and ``shift`` is d^2 eps I, the Cholesky test's backward error per
     unit ||Sigma||_F.  :attr:`modal` is the one shared pencil's
     eigendecomposition, prepared on the first call that uses it.
@@ -757,7 +757,7 @@ def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
     operators: a call of :func:`_occupations` adds them."""
     d = b.shape[-2]
     fold = _fold(d, tuple(perm.tolist()))
-    op, qmap, unfold, _, w, ratio, _ = fold
+    op, qmap, unfold, _, w, _ = fold
     m = qmap.shape[1]
     eps = np.finfo(float).eps
     q = (b * weights[..., None, :]) @ b.swapaxes(-1, -2)
@@ -768,25 +768,72 @@ def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
     q_floor = (2 * qs.diagonal(axis1=1, axis2=2).real - rows).min(axis=1)
     a0 = np.reshape(a0, (-1, d, d))
     a1 = np.zeros_like(a0[:1]) if a1 is None else np.reshape(a1, (-1, d, d))
-    # A1 and A0 of each row, and their folded operators
+    # A1 and A0 of each row, and their folded operators; a stack whose rows
+    # share one A1, as a stack of the builders' pencils does, folds it once
+    shared = len(a0) > 1 and (len(a1) == 1 or _all(a1 == a1[0]))
     a1, a0 = np.broadcast_arrays(a1, a0)
     pair = np.concatenate((a1, a0), axis=1).reshape(-1, 2, d, d)
-    ops = _operator(pair, op, m).reshape(len(pair), 2, m * m)
+    if shared:
+        ops = np.empty((len(pair), 2, m * m))
+        _operator(a1[:1], op, m, out=ops[:1, 0])
+        _operator(a0, op, m, out=ops[:, 1])
+        ops[1:, 0] = ops[0, 0]
+    else:
+        ops = _operator(pair, op, m).reshape(len(pair), 2, m * m)
     # ||A0||_F^2, 2 Re<A0, A1> and ||A1||_F^2 from the float views' Gram matrix
     v = pair.reshape(len(pair), 2, -1).view(float)
     parts = (v @ v.swapaxes(1, 2)).reshape(-1, 4).T[[3, 1, 0]]
     parts[1] *= 2.0
     q_norm = np.sqrt(np.square(qf) @ w)
     q_rounding = (math.ceil(m / 2) + 3) * (eps / 2) * q_norm  # gamma_{h+2} ||Q||_F
-    # gamma_{k+3} nu1 and gamma_{k+3} nu0: nu = sqrt(||M||_1 ||M||_inf) >= ||M||_2
-    # of M = W^1/2 |L| W^-1/2 for L1 and L0, k the most nonzeros in a row of
-    # [L0 L1]; the (k+4) u taken for gamma_{k+3} also covers nu's and t's rounding
-    scaled = np.abs(ops).reshape(len(ops), -1, m, m) * ratio
-    k = (scaled != 0).sum(axis=(1, 3)).max(axis=1)
-    nu = np.sqrt(scaled.sum(axis=3).max(axis=2) * scaled.sum(axis=2).max(axis=2))
-    nu = (k + 4) * (eps / 2) * nu.T
     shift = d * d * eps * np.eye(d)
+    nu = _nu(ops, w, shared)
     return _Noise(perm, fold, a0, a1, ops, qf, q_floor, q_norm, q_rounding, parts, nu, shift)
+
+
+def _nu(ops: np.ndarray, weights: np.ndarray, shared: bool) -> np.ndarray:
+    """gamma_{k+3} nu1 and gamma_{k+3} nu0 (2, rows) of the folded
+    operators ``ops`` (rows, 2, m*m) = (L1, L0), each row's L1 the first's
+    where ``shared``, and the coordinates' ``weights`` W (:func:`_fold`):
+    nu = sqrt(||M||_1 ||M||_inf) >= ||M||_2 of M = W^1/2 |L| W^-1/2
+    (:func:`_scaled_norms`), k the most nonzeros in a row of [L0 L1]."""
+    m = weights.size
+    root = np.sqrt(weights)
+    if shared:
+        (n1, c1), (n0, c0) = (_scaled_norms(x, root) for x in (ops[:1, 0], ops[:, 1]))
+        norms, counts = np.stack((np.broadcast_to(n1, n0.shape), n0)), c1 + c0
+    else:
+        norms, counts = _scaled_norms(ops.reshape(-1, m * m), root)
+        norms, counts = norms.reshape(-1, 2).T, counts.reshape(-1, 2, m).sum(axis=1)
+    return (counts.max(axis=1) + 4) * (np.finfo(float).eps / 2) * norms
+
+
+# Operators that _scaled_norms takes at a time: their buffer (0.45 MB at
+# m = 21) stays in cache, and a stack of many pencils (one per point of a
+# detuning sweep) holds no copy of them.
+_NU_BLOCK = 128
+
+
+def _scaled_norms(operators: np.ndarray, root: np.ndarray) -> tuple:
+    """sqrt(||M||_1 ||M||_inf) of M = W^1/2 |L| W^-1/2, ``root`` = W^1/2,
+    and the nonzeros in each row of L, for each L of ``operators``
+    (n, m*m).  M's row and column sums come from |L| and the vectors
+    W^+-1/2 by BLAS products, so no weighted copy of |L| is made.  Each
+    sum passes m + 2 roundings at most, and the (k+4) u that :func:`_nu`
+    takes for gamma_{k+3} also covers them, nu's and t's.  An operator's
+    norm is the same in any stack."""
+    m = root.size
+    inverse, ones = 1.0 / root, np.ones(m)
+    norms, counts = np.empty(len(operators)), np.empty((len(operators), m))
+    buffer = np.empty((min(len(operators), _NU_BLOCK), m, m))
+    for start in range(0, len(operators), _NU_BLOCK):
+        block = operators[start : start + _NU_BLOCK].reshape(-1, m, m)
+        a = np.abs(block, out=buffer[: len(block)])
+        row_sums = (a @ inverse) * root  # ||M||_inf
+        column_sums = (root @ a) / root  # ||M||_1
+        norms[start : start + _NU_BLOCK] = np.sqrt(row_sums.max(axis=1) * column_sums.max(axis=1))
+        counts[start : start + _NU_BLOCK] = np.not_equal(a, 0.0, out=a) @ ones  # over the read |L|
+    return norms, counts
 
 
 def _drifts(noise: _Noise, g: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -859,9 +906,10 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     nonzeros in a row of [L0 L1] (8 on the full README pencil, 5 on the
     rwa one) and nu = sqrt(||M||_1 ||M||_inf) >= ||M||_2 of
     M = W^1/2 |L| W^-1/2 for each part L (``nu`` of :class:`_Noise`,
-    prepared with the pencil).  A product in r passes k + 3 roundings at
-    most: its dot product's, G's, the two sums' and the one of the stored
-    L, whose entries each sum two of A's (:func:`_fold`); qf passes one.  So
+    prepared with the pencil, one per row: :func:`_nu`).  A product in r
+    passes k + 3 roundings at most: its dot product's, G's, the two sums'
+    and the one of the stored L, whose entries each sum two of A's
+    (:func:`_fold`); qf passes one.  So
     |r^ - r| <= gamma_{k+3} (|G| |L1| + |L0|) |y| + u |qf|, and in the
     weighted norm ||W^1/2 |L| |y|||_2 <= ||M||_2 ||S||_F.  The computed
     norm is within gamma_{h+1} of ||r^||, which is below L <= ||Q||_F
@@ -906,7 +954,7 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     size = gk.size
     coef = np.empty((size, 1, 2))  # (G, 1) of (L1, L0)
     coef[:, 0, 0], coef[:, 0, 1] = gk, 1.0
-    _, qmap, _, to_real, w, _, reads = noise.fold
+    _, qmap, _, to_real, w, reads = noise.fold
     d, m = noise.perm.size, qmap.shape[1]
     solved = q_floor > np.zeros(size)  # one decision per point, Q shared or not
     modal = noise.modal if size >= _MODAL_POINTS else None  # the solve that gave every kept Sigma
@@ -1022,10 +1070,12 @@ def _rows(x: np.ndarray, sel) -> np.ndarray:
     return x if len(x) == 1 else x[sel]
 
 
-def _operator(x: np.ndarray, op: np.ndarray, m: int) -> np.ndarray:
-    """Folded operators (n, m, m) of A Sigma + Sigma A^dag, A the drifts ``x`` (:func:`_fold`)."""
+def _operator(x: np.ndarray, op: np.ndarray, m: int, out=None) -> np.ndarray:
+    """Folded operators (n, m, m) of A Sigma + Sigma A^dag, A the drifts
+    ``x`` (:func:`_fold`), written to ``out`` (n, m*m) if given."""
     # a complex matrix enters by its float view, [Re A_00, Im A_00, Re A_01, ...]
-    return (np.ascontiguousarray(x).view(float).reshape(-1, op.shape[0]) @ op).reshape(-1, m, m)
+    v = np.ascontiguousarray(x).view(float).reshape(-1, op.shape[0])
+    return np.matmul(v, op, out=out).reshape(-1, m, m)
 
 
 def _hermitian(y: np.ndarray, unfold: np.ndarray, d: int) -> np.ndarray:
@@ -1061,7 +1111,7 @@ def _positive_definite(h: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _fold(d: int, perm: tuple) -> tuple:
-    """``(op, qmap, unfold, to_real, weights, ratio, reads)``: A Sigma +
+    """``(op, qmap, unfold, to_real, weights, reads)``: A Sigma +
     Sigma A^dag on Sigma's real coordinates, and A's real quadrature form.
 
     A Hermitian Sigma has d^2 real coordinates, Re Sigma_ij (i <= j) and
@@ -1077,9 +1127,8 @@ def _fold(d: int, perm: tuple) -> tuple:
     coordinate of each of Re Sigma_rr, Re Sigma_rc, Re Sigma_cr and
     Re Sigma_cc, c = perm[r], which read u Sigma u^T, u = e_r + e_c, exactly.  So
     ||Sigma||_F^2 = sum_k w_k y_k^2, ``weights`` w_k = ||unfold[k]||^2
-    (2 or 4 where every coordinate has a mate), and W^1/2 |L| W^-1/2 =
-    ``ratio`` * |L|, W = diag(w), for a folded operator L (the ``nu`` of
-    :func:`_prepare_noise`).
+    (2 or 4 where every coordinate has a mate), W = diag(w) (the ``nu``
+    of :func:`_nu` weighs a folded operator L as W^1/2 |L| W^-1/2).
     ``to_real`` takes A's float view to M = U A U^-1, row-major, U mapping
     each pair i < Pi in turn to x = v_i + v_Pi and p = -i (v_i - v_Pi).
     For A = P conj(A) P, M is real with A's eigenvalues:
@@ -1117,11 +1166,10 @@ def _fold(d: int, perm: tuple) -> tuple:
     to_real = 2.0 * np.stack((rows.real, rows.imag), axis=2).reshape(2 * n, n)
     folded = (op @ span)[:, keep].reshape(2 * n, -1)
     weights = np.square(unfold).sum(axis=1)
-    ratio = np.sqrt(weights[:, None] / weights)  # W^1/2 |L| W^-1/2 = ratio * |L|
     r, c = np.arange(d), np.array(perm)
     entries = np.stack((r * d + r, r * d + c, c * d + r, c * d + c), axis=1)
     reads = tuple(map(tuple, unfold.argmax(axis=0)[2 * entries].tolist()))
-    return folded, qmap[:, keep], unfold, to_real, weights, ratio, reads
+    return folded, qmap[:, keep], unfold, to_real, weights, reads
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:

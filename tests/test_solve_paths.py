@@ -59,7 +59,8 @@ def test_only_the_row_solve_and_its_gate_eliminate():
 
 def test_only_a_pencil_preparation_folds_drifts():
     # a covariance call adds the prepared L0 + G*L1; it folds no drift itself
-    assert _callers("_operator") == [("spectra", "_prepare_noise")]
+    # (the preparation folds a pencil, or a stack's one shared L1 and its L0s)
+    assert _callers("_operator") == [("spectra", "_prepare_noise")] * 3
 
 
 def test_only_a_pencil_preparation_eigendecomposes_a_folded_operator():

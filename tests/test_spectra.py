@@ -2190,6 +2190,44 @@ class TestResidualRounding:
                     # row is its 2-norm: up to both norms' rounding, a few ulps
                     assert nu >= (k + 4) * u * np.linalg.norm(scaled, 2) * (1 - 8 * u)
 
+    def test_a_rows_nu_is_the_same_in_any_stack(self):
+        # _scaled_norms takes a long stack in blocks of _NU_BLOCK operators, and
+        # _nu takes a shared L1 once: a stack of several blocks and a ragged
+        # last one, with or without a shared L1, gives each row its own nu
+        pencils = [_shared_pencil(spec, rw)[0] for spec in (make_spec(), _beam_spec()) for rw in (False, True)]
+        pencils += [pencil for pencil, _, _ in _dense_pencils(4)]
+        ops = np.concatenate([pencil.ops for pencil in pencils])
+        stack = ops[np.random.default_rng(35).integers(0, len(ops), spectra._NU_BLOCK + 7)]
+        shared = stack.copy()
+        shared[:, 0] = stack[0, 0]
+        weights = pencils[0].fold[4]
+        for rows, one_l1 in ((stack, False), (shared, False), (shared, True)):
+            alone = [spectra._nu(row[None], weights, False) for row in rows]
+            assert np.array_equal(spectra._nu(rows, weights, one_l1), np.hstack(alone))
+
+    def _check_stack(self, a0, a1, b, weights, perm):
+        # every row's operators, nu and norms are those of the row alone
+        stack = spectra._prepare_noise(np.stack(a0), np.stack(a1), np.stack(b), np.stack(weights), perm)
+        for i in range(len(a0)):
+            alone = spectra._prepare_noise(a0[i], a1[i], b[i], weights[i], perm)
+            for name in ("ops", "q_floor", "q_rounding"):  # a row per pencil
+                assert np.array_equal(getattr(stack, name)[i], getattr(alone, name)[0])
+            for name in ("nu", "parts"):  # a column per pencil
+                assert np.array_equal(getattr(stack, name)[:, i], getattr(alone, name)[:, 0])
+
+    @pytest.mark.parametrize("rotating_wave", [False, True])
+    def test_a_stack_of_the_builders_pencils_is_prepared_as_its_rows(self, rotating_wave):
+        # the builders' pencils share A1, so a stack of them folds L1 once
+        specs = [make_spec(c_ab=10.0), make_spec(c_ab=50.0), *_criterion_7_draws(3, seed=35)]
+        a0, a1, b, corr, labels = zip(*(_pencil(spec, rotating_wave=rotating_wave) for spec in specs))
+        assert all(np.array_equal(x, a1[0]) for x in a1)
+        self._check_stack(a0, a1, b, [x[0] for x in corr], _conjugate_swap(labels[0], a0[0], a1[0]))
+
+    def test_a_stack_of_dense_pencils_is_prepared_as_its_rows(self):
+        # each row its own A1: no L1 is shared
+        _, a0, a1 = zip(*_dense_pencils(6))
+        self._check_stack(a0, a1, [np.eye(6)] * 6, [np.ones(6)] * 6, np.array([1, 0, 3, 2, 5, 4]))
+
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
     def test_drift_stacks(self, builder):
         # one operator row per point: the product of each point with its own row
