@@ -59,6 +59,9 @@
 # - a full spectrum at kappa_hz = 1e20, a cavity 1e14 times broader than the
 #   mechanical lines: n_eff within 1e-3 of steady_state_occupation;
 # - importing the CLI loads no scipy;
+# - a full sweep_detuning of the README system at C_OM = sqrt(51), 301
+#   points solved as one pencil in omega_b on its modal form: no point
+#   error, every n_eff finite, and no scipy loaded;
 # - a steady-state occupation and a line fit load no scipy, and the wheel
 #   requires scipy only in its test extra.
 set -euo pipefail
@@ -223,6 +226,23 @@ n = json.load(open("broad.out"))["n_eff"]
 assert abs(n / exact - 1.0) <= 1e-3, (n, exact)
 EOF
 python -c "import sys, bathcool.cli; loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; assert not loaded, loaded"
+python - <<'EOF'
+import math, sys
+import numpy as np
+import bathcool
+tp = 2 * math.pi
+spec = bathcool.SystemSpec(
+    mode_a=bathcool.MechanicalMode(tp * 1e6, tp * 1.0, 300.0),
+    mode_b=bathcool.MechanicalMode(tp * 1e6, tp * 1e3, 300.0),
+    cavity=bathcool.CavityDrive(kappa=tp * 3e5, detuning=-tp * 1e6, g0=tp * 10.0),
+    coupling=tp * 111.8,
+)
+splittings = np.linspace(0.0, 40.0, 301) * spec.mode_b.gamma
+result = bathcool.sweep_detuning(spec, splittings, fidelity="full", c_om=math.sqrt(51.0))
+assert not any(result.errors) and np.isfinite(result.n_eff).all(), result.errors
+loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']
+assert not loaded, loaded
+EOF
 python - <<'EOF'
 import math, sys
 import bathcool

@@ -20,7 +20,7 @@ import numpy as np
 
 from .constants import KB
 from .errors import UnstableSystemError
-from .model import SystemSpec, thermal_occupation
+from .model import SystemSpec, _thermal_occupations, thermal_occupation
 
 __all__ = [
     "RegimeFlags",
@@ -231,27 +231,27 @@ def n_eff_closed_form(spec: SystemSpec, Gamma: float) -> float:
     gracefully when omega_a != omega_b; it is evaluated outside the regime
     too, whose edges :func:`regime_flags` reports.
     """
-    n = float(_n_eff_columns([spec])(np.array([Gamma], dtype=float))[0][0])
+    n = float(_n_eff_columns(spec, spec.mode_b.omega)(np.array([Gamma], dtype=float))[0][0])
     if math.isnan(n):
         raise UnstableSystemError(_UNDAMPED)
     return n
 
 
-def _n_eff_columns(specs):
+def _n_eff_columns(spec: SystemSpec, omega_b):
     """``(Gamma, slopes=False) -> (n, slope)``: :func:`n_eff_closed_form` at each
-    point (specs[i], Gamma[i]) of a column, one spec per point or one for all, NaN
-    where mode a is undamped (0/0), and with ``slopes`` dn/dGamma, else None.  Where
-    Gamma_a*nbar_b overflows, n is the same average with the weight
+    Gamma of a column, mode b at ``omega_b`` (a float, or a column like Gamma),
+    NaN where mode a is undamped (0/0), and with ``slopes`` dn/dGamma, else None.
+    Where Gamma_a*nbar_b overflows, n is the same average with the weight
     gamma_a/(gamma_a + Gamma_a) formed first.  What Gamma does not move is read
     once, here; numpy's overflow and invalid warnings are off by the caller.  The
     slope: with g = gamma_b + Gamma, D = delta^2 + g^2/4, n = P/R,
     P = gamma_a*nbar_a*D + lambda^2*gamma_b*nbar_b, R = gamma_a*D + lambda^2*g.
     """
-    ga, gb, lam, delta, nbar, nbar_b = np.array([
-        (s.mode_a.gamma, s.mode_b.gamma, s.coupling, s.mode_b.omega - s.mode_a.omega, s.mode_a.nbar,
-         (s.mode_a if s.mode_a.bath_temperature == s.mode_b.bath_temperature else s.mode_b).nbar)
-        for s in specs
-    ]).T
+    ma, mb = spec.mode_a, spec.mode_b
+    ga, gb, lam, delta, nbar = ma.gamma, mb.gamma, spec.coupling, omega_b - ma.omega, ma.nbar
+    nbar_b = nbar
+    if ma.bath_temperature != mb.bath_temperature:
+        nbar_b = _thermal_occupations(np.atleast_1d(omega_b), mb.bath_temperature)
     lam2 = np.float_power(lam, 2)
 
     def columns(Gamma, slopes=False):

@@ -246,6 +246,11 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     return n
 
 
+def _thermal_occupations(omegas: np.ndarray, temperature: float) -> np.ndarray:
+    """:func:`thermal_occupation` at each frequency of the column ``omegas``, its scalar calls' bits."""
+    return np.fromiter((thermal_occupation(w, temperature) for w in omegas.tolist()), float, omegas.size)
+
+
 def effective_temperature(n_eff: float, omega: float) -> float:
     """Temperature at which a mode of frequency omega has occupation n_eff.
 

@@ -627,11 +627,12 @@ def steady_state_occupation(model: DriftModel, select: str) -> float:
     :func:`position_spectrum` approximates by quadrature.  The equation
     is exact, and its backward-stable solve (:func:`_occupations`) is
     accurate to eps*max|lam|/min(-Re lam) relative at worst, lam the
-    drift eigenvalues.  Refuses unstable models; NumericsError when the
-    Lyapunov residual exceeds RESIDUAL_TOL.
+    drift eigenvalues; the drift A is solved as the pencil (A, 0) at G = 0.
+    Refuses unstable models; NumericsError when the Lyapunov residual
+    exceeds RESIDUAL_TOL.
     """
-    inputs = (model.noise_input[None], model.input_correlations[0][None], _conjugate_swap(model.labels))
-    pencil = _prepare_noise(model.drift[None], None, *inputs)
+    a, perm = model.drift, _conjugate_swap(model.labels)
+    pencil = _prepare_noise(a, np.zeros_like(a), model.noise_input, model.input_correlations[0], perm)
     occupation = _occupations(pencil, np.zeros(1), _mode(model, select))
     if occupation.errors:
         raise occupation.errors[0]
@@ -653,26 +654,26 @@ class _Noise:
     """A prepared pencil A(G) = A0 + G*A1 and its noise: all that
     :func:`_occupations` needs which no G moves.
 
-    ``fold`` holds :func:`_fold`'s tables for the conjugate swap ``perm``.
-    The arrays have one row per distinct pencil or Q, broadcasting over
-    the points like the noise inputs: ``a0`` and ``a1`` are the drift's
-    parts.  A drift stack that G does not move is the pencil (A0, A1 = 0)
-    at G = 0, its points the rows of ``a0``.  ``ops`` holds the folded
-    operators (:func:`_operator`) L1 and L0 of A1 and A0, flattened, as
-    (rows, 2, m*m).  ``qf`` is the folded Q that is solved, ``q_floor`` a
-    Gershgorin lower bound on its lambda_min, ``q_norm`` its Frobenius
-    norm and ``q_rounding`` gamma_{h+2} ||Q||_F, qf's share of the
-    residual's rounding.
+    G is the pencil's parameter: the linearized coupling of a cooperativity
+    sweep, mode b's frequency of a detuning sweep, or 0 for one drift A
+    as the pencil (A, 0).  ``fold`` holds :func:`_fold`'s tables for the
+    conjugate swap ``perm``.  ``a0`` and ``a1`` are the drift's parts, and
+    ``ops`` their folded operators (:func:`_operator`) L1 and L0,
+    flattened, as (2, m*m).  The noise side has one row, or one row per
+    point where Q varies along the column: ``qf`` is the folded Q that is
+    solved, ``q_floor`` a Gershgorin lower bound on its lambda_min,
+    ``q_norm`` its Frobenius norm and ``q_rounding`` gamma_{h+2} ||Q||_F,
+    qf's share of the residual's rounding.
 
     The rest serves the residual and the certificate (:meth:`certified`),
-    which work on the folded coordinates and not on drift matrices, with
-    a column per row: ``parts`` holds ||A0||_F^2,
-    2 Re<A0, A1> and ||A1||_F^2, so ||A0 + G*A1||_F^2 = (1, G, G^2) @ parts;
-    ``nu`` holds gamma_{k+3} nu1 and gamma_{k+3} nu0, the rounding of the
-    residual per unit ||Sigma||_F and |G| or 1 (:func:`_nu`);
-    and ``shift`` is d^2 eps I, the Cholesky test's backward error per
-    unit ||Sigma||_F.  :attr:`modal` is the one shared pencil's
-    eigendecomposition, prepared on the first call that uses it.
+    which work on the folded coordinates and not on drift matrices:
+    ``parts`` holds ||A0||_F^2, 2 Re<A0, A1> and ||A1||_F^2, so
+    ||A0 + G*A1||_F^2 = (1, G, G^2) @ parts; ``nu`` holds gamma_{k+3} nu1
+    and gamma_{k+3} nu0, the rounding of the residual per unit ||Sigma||_F
+    and |G| or 1 (:func:`_nu`); and ``shift`` is d^2 eps I, the Cholesky
+    test's backward error per unit ||Sigma||_F.  :attr:`modal` is the
+    pencil's eigendecomposition about the G ``origin``, prepared on the
+    first call that uses it.
     """
 
     perm: np.ndarray
@@ -687,28 +688,29 @@ class _Noise:
     parts: np.ndarray
     nu: np.ndarray
     shift: np.ndarray
+    origin: float
 
     @functools.cached_property
     def modal(self) -> tuple | None:
-        """``(d, V, W)`` of the pencil L(G) = L0 + G*L1 = L0 (I - G K):
-        K = -L0^-1 L1 = V diag(d) V^-1 and W = V^-1 L0^-1 = (L0 V)^-1, so
-        L(G)^-1 = V diag(1/(1 - G d)) W, with poles at G = 1/d.  None
-        without one pencil for all points, or where L0 is singular or the
-        preparation is not finite: such a pencil takes the LU.  About
-        0.15 ms, once per pencil, as :func:`_occupations` reads it only on a
-        call of _MODAL_POINTS points or more."""
-        if len(self.ops) != 1:
-            return None
+        """``(d, V, W, L(o), o)`` of the pencil L(G) = L0 + G*L1 about its
+        ``origin`` o, L(G) = L(o) (I - (G - o) K): K = -L(o)^-1 L1 =
+        V diag(d) V^-1 and W = V^-1 L(o)^-1 = (L(o) V)^-1, so
+        L(G)^-1 = V diag(1/(1 - (G - o) d)) W, with poles at G = o + 1/d.
+        None where L(o) is singular or the preparation is not finite: such
+        a pencil takes the LU.  About 0.15 ms, once per pencil, as
+        :func:`_occupations` reads it only on a call of _MODAL_POINTS
+        points or more."""
         m = self.qf.shape[1]
-        l1, l0 = self.ops[0].reshape(2, m, m)
+        l1, l0 = self.ops.reshape(2, m, m)
         try:
             with np.errstate(all="ignore"):  # a non-finite part is refused below
-                d, v = np.linalg.eig(-np.linalg.solve(l0, l1))
-                w = np.linalg.inv(l0 @ v)
+                lo = l0 + self.origin * l1 if self.origin else l0  # L(o); about 0, L0 itself
+                d, v = np.linalg.eig(-np.linalg.solve(lo, l1))
+                w = np.linalg.inv(lo @ v)
         except np.linalg.LinAlgError:
             return None
-        parts = (d, v, w)
-        return parts if all(np.isfinite(x).all() for x in parts) else None
+        parts = (d, v, w, lo)
+        return (*parts, self.origin) if all(np.isfinite(x).all() for x in parts) else None
 
     def certified(self, sel, at, g, y, r_norm, s_norm) -> np.ndarray:
         """The points of the mask ``sel`` whose solved Sigma certifies them
@@ -725,35 +727,41 @@ class _Noise:
         return ok
 
 
-# A covariance call of this many points or more on one shared pencil takes
-# its modal form (_Noise.modal).  On the README pencil a call with its
-# preparation broke even with the LU at about 56 points (0.94 of its time at
-# 64, 0.49 at 301, one BLAS thread); below this, calls stay bitwise the LU.
+# A covariance call of this many points or more takes its pencil's modal form
+# (_Noise.modal).  On the README pencil a call with its preparation broke even
+# with the LU at about 56 points (0.94 of its time at 64, 0.49 at 301, one
+# BLAS thread); below this, calls stay bitwise the LU.
 _MODAL_POINTS = 64
 
 
 def _modal_solve(modal: tuple, ops: np.ndarray, g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Rows y with L(G) y = ``rhs`` at each G of the column ``g``: the modal
     inverse of the pencil (:attr:`_Noise.modal`), then one refinement step
-    y += L(G)^-1 (rhs - L(G) y), L(G) = L0 + G*L1 with ``ops`` (2, m*m) =
-    (L1, L0).  V's condition (8e8 to 4e9 on the README pencils) costs the
-    modal form alone up to 1e-8 relative; the step, whose residual is
-    formed from L0 and L1 directly, brings it to the LU's rounding.  A G at
-    or past a pole gives a meaningless or non-finite y, which the gates of
-    :func:`_occupations` refuse."""
-    d, v, w = modal
-    l1, l0 = ops.reshape(2, *v.shape)
+    y += L(G)^-1 (rhs - L(G) y), L(G) = L(o) + (G - o) L1 with ``ops``
+    (2, m*m) = (L1, L0).  V's condition (8e8 to 4e9 on the README pencils)
+    costs the modal form alone up to 1e-8 relative; the step, whose
+    residual is formed from L(o) and L1 directly, brings it to the LU's
+    rounding.  Where G*L1 cancels part of L0 (along omega_b, mode b's
+    frequency against mode a's), that needs an origin o near the column:
+    about 0, the step left up to 1e-11 relative on criterion-7 draws;
+    about omega_a, 1e-15.  A G at or past a pole gives a meaningless or
+    non-finite y, which the gates of :func:`_occupations` refuse."""
+    d, v, w, lo, origin = modal
+    l1 = ops.reshape(2, *v.shape)[0]
+    dg = g[:, None] - origin
     with np.errstate(all="ignore"):
-        c = 1.0 / (1.0 - g[:, None] * d)
+        c = 1.0 / (1.0 - dg * d)
         inverse = lambda x: ((c * (x @ w.T)) @ v.T).real
         y = inverse(rhs)
-        return y + inverse(rhs - y @ l0.T - g[:, None] * (y @ l1.T))
+        return y + inverse(rhs - y @ lo.T - dg * (y @ l1.T))
 
 
-def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
-    """The :class:`_Noise` of the pencil A0 + G*A1 (``a1`` None for
-    A1 = 0), its noise inputs ``b`` and their <xi xi^dag> ``weights``
-    (see :func:`_occupations`).  The only place that folds drifts into
+def _prepare_noise(a0, a1, b, weights, perm, origin=0.0) -> _Noise:
+    """The :class:`_Noise` of the pencil A0 + G*A1, its noise inputs ``b``
+    and their <xi xi^dag> ``weights`` (see :func:`_occupations`): one
+    row (d,), or one row per point (n, d), as a detuning sweep moves mode
+    b's bath occupation with its frequency.  The modal form is taken
+    about the G ``origin``.  The only place that folds drifts into
     operators: a call of :func:`_occupations` adds them."""
     d = b.shape[-2]
     fold = _fold(d, tuple(perm.tolist()))
@@ -766,80 +774,39 @@ def _prepare_noise(a0, a1, b, weights, perm) -> _Noise:
     # Gershgorin: lambda_min(Q) >= min_i Q_ii - sum_(j != i) |Q_ij|; 2 d eps covers its rounding
     rows = (1 + 2 * d * eps) * np.abs(qs).sum(axis=2)
     q_floor = (2 * qs.diagonal(axis1=1, axis2=2).real - rows).min(axis=1)
-    a0 = np.reshape(a0, (-1, d, d))
-    a1 = np.zeros_like(a0[:1]) if a1 is None else np.reshape(a1, (-1, d, d))
-    # A1 and A0 of each row, and their folded operators; a stack whose rows
-    # share one A1, as a stack of the builders' pencils does, folds it once
-    shared = len(a0) > 1 and (len(a1) == 1 or _all(a1 == a1[0]))
-    a1, a0 = np.broadcast_arrays(a1, a0)
-    pair = np.concatenate((a1, a0), axis=1).reshape(-1, 2, d, d)
-    if shared:
-        ops = np.empty((len(pair), 2, m * m))
-        _operator(a1[:1], op, m, out=ops[:1, 0])
-        _operator(a0, op, m, out=ops[:, 1])
-        ops[1:, 0] = ops[0, 0]
-    else:
-        ops = _operator(pair, op, m).reshape(len(pair), 2, m * m)
+    pair = np.stack((a1, a0))
+    ops = _operator(pair, op, m).reshape(2, m * m)
     # ||A0||_F^2, 2 Re<A0, A1> and ||A1||_F^2 from the float views' Gram matrix
-    v = pair.reshape(len(pair), 2, -1).view(float)
-    parts = (v @ v.swapaxes(1, 2)).reshape(-1, 4).T[[3, 1, 0]]
+    v = pair.reshape(1, 2, -1).view(float)
+    parts = (v @ v.swapaxes(1, 2)).reshape(4)[[3, 1, 0]]
     parts[1] *= 2.0
     q_norm = np.sqrt(np.square(qf) @ w)
     q_rounding = (math.ceil(m / 2) + 3) * (eps / 2) * q_norm  # gamma_{h+2} ||Q||_F
     shift = d * d * eps * np.eye(d)
-    nu = _nu(ops, w, shared)
-    return _Noise(perm, fold, a0, a1, ops, qf, q_floor, q_norm, q_rounding, parts, nu, shift)
+    return _Noise(perm, fold, a0, a1, ops, qf, q_floor, q_norm, q_rounding, parts, _nu(ops, w), shift, origin)
 
 
-def _nu(ops: np.ndarray, weights: np.ndarray, shared: bool) -> np.ndarray:
-    """gamma_{k+3} nu1 and gamma_{k+3} nu0 (2, rows) of the folded
-    operators ``ops`` (rows, 2, m*m) = (L1, L0), each row's L1 the first's
-    where ``shared``, and the coordinates' ``weights`` W (:func:`_fold`):
-    nu = sqrt(||M||_1 ||M||_inf) >= ||M||_2 of M = W^1/2 |L| W^-1/2
-    (:func:`_scaled_norms`), k the most nonzeros in a row of [L0 L1]."""
-    m = weights.size
+def _nu(ops: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """gamma_{k+3} nu1 and gamma_{k+3} nu0 of the folded operators ``ops``
+    (2, m*m) = (L1, L0) and the coordinates' ``weights`` W (:func:`_fold`):
+    nu = sqrt(||M||_1 ||M||_inf) >= ||M||_2 of M = W^1/2 |L| W^-1/2, k the
+    most nonzeros in a row of [L0 L1].  M's row and column sums come from
+    |L| and the vectors W^+-1/2 by BLAS products, so no weighted copy of
+    |L| is made.  Each sum passes m + 2 roundings at most, and the (k+4) u
+    taken for gamma_{k+3} also covers them, nu's and t's."""
     root = np.sqrt(weights)
-    if shared:
-        (n1, c1), (n0, c0) = (_scaled_norms(x, root) for x in (ops[:1, 0], ops[:, 1]))
-        norms, counts = np.stack((np.broadcast_to(n1, n0.shape), n0)), c1 + c0
-    else:
-        norms, counts = _scaled_norms(ops.reshape(-1, m * m), root)
-        norms, counts = norms.reshape(-1, 2).T, counts.reshape(-1, 2, m).sum(axis=1)
-    return (counts.max(axis=1) + 4) * (np.finfo(float).eps / 2) * norms
-
-
-# Operators that _scaled_norms takes at a time: their buffer (0.45 MB at
-# m = 21) stays in cache, and a stack of many pencils (one per point of a
-# detuning sweep) holds no copy of them.
-_NU_BLOCK = 128
-
-
-def _scaled_norms(operators: np.ndarray, root: np.ndarray) -> tuple:
-    """sqrt(||M||_1 ||M||_inf) of M = W^1/2 |L| W^-1/2, ``root`` = W^1/2,
-    and the nonzeros in each row of L, for each L of ``operators``
-    (n, m*m).  M's row and column sums come from |L| and the vectors
-    W^+-1/2 by BLAS products, so no weighted copy of |L| is made.  Each
-    sum passes m + 2 roundings at most, and the (k+4) u that :func:`_nu`
-    takes for gamma_{k+3} also covers them, nu's and t's.  An operator's
-    norm is the same in any stack."""
-    m = root.size
-    inverse, ones = 1.0 / root, np.ones(m)
-    norms, counts = np.empty(len(operators)), np.empty((len(operators), m))
-    buffer = np.empty((min(len(operators), _NU_BLOCK), m, m))
-    for start in range(0, len(operators), _NU_BLOCK):
-        block = operators[start : start + _NU_BLOCK].reshape(-1, m, m)
-        a = np.abs(block, out=buffer[: len(block)])
-        row_sums = (a @ inverse) * root  # ||M||_inf
-        column_sums = (root @ a) / root  # ||M||_1
-        norms[start : start + _NU_BLOCK] = np.sqrt(row_sums.max(axis=1) * column_sums.max(axis=1))
-        counts[start : start + _NU_BLOCK] = np.not_equal(a, 0.0, out=a) @ ones  # over the read |L|
-    return norms, counts
+    a = np.abs(ops).reshape(2, root.size, root.size)
+    row_sums = (a @ (1.0 / root)) * root  # ||M||_inf
+    column_sums = (root @ a) / root  # ||M||_1
+    norms = np.sqrt(row_sums.max(axis=1) * column_sums.max(axis=1))
+    k = np.count_nonzero(a, axis=(0, 2)).max()
+    return (k + 4) * (np.finfo(float).eps / 2) * norms
 
 
 def _drifts(noise: _Noise, g: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The drifts A0 + G*A1 of the points ``points`` (indices into the column
     ``g``), bitwise those of the whole column."""
-    return _rows(noise.a0, points) + g[points, None, None] * _rows(noise.a1, points)
+    return noise.a0 + g[points, None, None] * noise.a1
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an unstable point's Sigma may overflow its norms
@@ -847,21 +814,22 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     """Occupation of x = v_r + v_c, c = perm[r], at every drift A0 + G*A1 of the column ``g``.
 
     ``noise`` is the pencil and all that no G moves (:func:`_prepare_noise`),
-    prepared once per pencil by a sweep; a drift stack A0 is the pencil
-    (A0, A1 = 0) at a column ``g`` of zeros as long.  The pencil's rows
-    and the noise inputs and <xi xi^dag> weights broadcast against the
-    points, and its finite drifts and A1 satisfy A = P conj(A) P, P the
+    prepared once per pencil by a sweep; one drift A is the pencil (A, 0)
+    at G = 0.  The noise side has one row or a row per point, and the
+    pencil's finite drifts and A1 satisfy A = P conj(A) P, P the
     conjugate swap ``perm`` (:class:`DriftModel`).  A point whose drift is
     not finite is a NumericsError.  Where ||A||_F^2, from G and the
     pencil's norms, is finite, so is every entry; only where it is not
     (G past 1e154, say) and G is finite is the drift formed to be tested.
     Each solve's folded operators are (G, 1) (L1, L0) = G*L1 + L0, one
-    product, bitwise those of A0 + G*A1 for the builders' pencils: every
-    A1 entry is +-i where A0 is 0 and every coefficient of the fold is 0,
-    +-1/2, +-1 or +-2, so each entry rounds once either way.  Sigma comes
-    from one batched real linear solve of A Sigma + Sigma A^dag = -Q on
-    its real coordinates (:func:`_fold`), LU with partial pivoting:
-    backward stable however ill-conditioned the eigenbasis.  Q becomes
+    product, bitwise those of A0 + G*A1 for the builders' pencils: each
+    nonzero float-view component of A1 is +-1 where A0's is 0 (an entry
+    +-i of the coupling, or mode b's frequency along omega_b) and every
+    coefficient of the fold is 0, +-1/2, +-1 or +-2, so each entry
+    rounds once either way.  Sigma comes from one batched real linear
+    solve of A Sigma + Sigma A^dag = -Q on its real coordinates
+    (:func:`_fold`), LU with partial pivoting: backward stable however
+    ill-conditioned the eigenbasis.  Q becomes
     (Q + P conj(Q) P)/2, weight (2n+1)/2 per channel, so
     Sigma = P conj(Sigma) P has m = d(d+1)/2 coordinates y, not d^2, and
     u Sigma u^T is unchanged (u = e_r + e_c is real, u P = u).  It is
@@ -870,22 +838,20 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
 
     The residual R = A Sigma + Sigma A^dag + Q is formed on the same
     coordinates, r = G*(L1 y) + L0 y + qf in that order: one product of
-    the batch with a shared pencil's (L1; L0), else one per point with
-    its own rows.  The coordinates have disjoint supports in Sigma, so
-    ||R||_F^2 = sum_k w_k r_k^2 and ||Sigma||_F^2 = sum_k w_k y_k^2
-    (the weights of :func:`_fold`), and ||A||_F comes from the pencil's
-    three norms.  Each point's ||R||_F / (2 ||A|| ||Sigma|| + ||Q||), for
+    the batch with the pencil's (L1; L0).  The coordinates have disjoint
+    supports in Sigma, so ||R||_F^2 = sum_k w_k r_k^2 and
+    ||Sigma||_F^2 = sum_k w_k y_k^2 (the weights of :func:`_fold`), and
+    ||A||_F comes from the pencil's three norms.  Each point's ||R||_F / (2 ||A|| ||Sigma|| + ||Q||), for
     this Q, must be within RESIDUAL_TOL, else NumericsError.
 
-    A call of _MODAL_POINTS points or more on one shared pencil (a drift
-    stack of one row too) solves by its modal form instead
-    (:attr:`_Noise.modal`, :func:`_modal_solve`: a few batched 21-wide
-    products and one refinement step, where the LU factors every
-    operator); a smaller call, a stack of drifts or of pencils, and a
-    pencil without a modal form take the LU.  Each point is solved once,
-    and one pass through the gates below serves both solves: a certified
-    modal Sigma that misses the residual gate is proved stable, and the
-    LU solves it again with no second certificate and no eigensolve.
+    A call of _MODAL_POINTS points or more solves by the pencil's modal
+    form instead (:attr:`_Noise.modal`, :func:`_modal_solve`: a few
+    batched 21-wide products and one refinement step, where the LU
+    factors every operator); a smaller call and a pencil without a modal
+    form take the LU.  Each point is solved once, and one pass through the
+    gates below serves both solves: a certified modal Sigma that misses
+    the residual gate is proved stable, and the LU solves it again with
+    no second certificate and no eigensolve.
 
     Stability comes from the solve where it can.  For the computed S and
     the exact R of A = A0 + G*A1 and this Q, a left eigenvector
@@ -903,10 +869,14 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
 
     gamma_n = n u / (1 - n u), u = eps/2 (Higham, Accuracy and Stability
     of Numerical Algorithms, section 3.1), h = ceil(m/2), k the most
-    nonzeros in a row of [L0 L1] (8 on the full README pencil, 5 on the
-    rwa one) and nu = sqrt(||M||_1 ||M||_inf) >= ||M||_2 of
+    nonzeros in a row of [L0 L1] (8 on the full README pencil in G, 5 on
+    the rwa one) and nu = sqrt(||M||_1 ||M||_inf) >= ||M||_2 of
     M = W^1/2 |L| W^-1/2 for each part L (``nu`` of :class:`_Noise`,
-    prepared with the pencil, one per row: :func:`_nu`).  A product in r
+    prepared with the pencil: :func:`_nu`).  Along omega_b, A1 is
+    E = diag(0, 0, -i, i, 0, 0): it shares diagonal entries with A0 but
+    no float-view component, as omega_b is moved out of A0, so its
+    products round as G's do; its L1 has one nonzero per row, and k is 9
+    on the full README pencil in omega_b, 6 on the rwa one.  A product in r
     passes k + 3 roundings at most: its dot product's, G's, the two sums'
     and the one of the stored L, whose entries each sum two of A's
     (:func:`_fold`); qf passes one.  So
@@ -925,7 +895,7 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     keeps its uncertified LU S under the residual gate, and the LU
     solves each other stable point.
 
-    With ``slopes`` the record's ``slope`` is dn/dG, 0 on a drift stack:
+    With ``slopes`` the record's ``slope`` is dn/dG, 0 for a drift (A, 0):
     dSigma/dG solves A S + S A^dag + A1 Sigma + Sigma A1^dag = 0 on the
     same operator, by the modal form where it gave every Sigma, else by
     the LU, and is read from its y as n is.  The record lists the errors
@@ -949,7 +919,7 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
         non_finite = "drift matrix has non-finite entries"
         errors = {i: NumericsError(non_finite) for i in np.flatnonzero(~finite).tolist()}
         at = np.flatnonzero(finite)
-        qf, q_floor, q_norm, ops = (_rows(x, at) for x in (qf, q_floor, q_norm, ops))
+        qf, q_floor, q_norm = (_rows(x, at) for x in (qf, q_floor, q_norm))
     gk = g[at]
     size = gk.size
     coef = np.empty((size, 1, 2))  # (G, 1) of (L1, L0)
@@ -1002,8 +972,7 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
         resid = r_norm / (2 * a_norm * s_norm + q_norm)
     ys = [y[k]]
     if slopes:
-        l1 = _rows(ops, k)[:, 0].reshape(-1, m, m)
-        ys.append(_solve(modal, _rows(ops, k), coef[k], -(l1 @ ys[0])))
+        ys.append(_solve(modal, ops, coef[k], -(ops[0].reshape(m, m) @ ys[0])))
     # <x^2> = u Sigma u^T with u = e_r + e_c: Re Sigma_rr + Re Sigma_rc + Re Sigma_cr + Re Sigma_cc
     rr, rc, cr, cc = reads[r]
     x, *slope = [v[:, rr, 0] + v[:, rc, 0] + v[:, cr, 0] + v[:, cc, 0] for v in ys]
@@ -1030,13 +999,12 @@ def _solve(modal, ops: np.ndarray, coef: np.ndarray, rhs: np.ndarray) -> np.ndar
     (L1, L0) ``ops``: by the modal form ``modal``, or by LU where it is None.
 
     The LU's operators are freed before Sigma is read back: a stack kept
-    for the call (1 MiB at 301 points, which a stack of pencils still
-    makes; one shared pencil solves that many by its modal form) lifts the
-    heap peak to glibc's trim threshold, and every call then faults the
-    heap in again.
+    for the call (1 MiB at 301 points, which the modal form solves instead)
+    lifts the heap peak to glibc's trim threshold, and every call then
+    faults the heap in again.
     """
     if modal is not None:
-        return _modal_solve(modal, ops[0], coef[:, 0, 0], rhs[..., 0])[..., None]
+        return _modal_solve(modal, ops, coef[:, 0, 0], rhs[..., 0])[..., None]
     m = rhs.shape[1]
     return np.linalg.solve((coef @ ops).reshape(-1, m, m), rhs)
 
@@ -1044,38 +1012,34 @@ def _solve(modal, ops: np.ndarray, coef: np.ndarray, rhs: np.ndarray) -> np.ndar
 def _covariance(modal, ops: np.ndarray, qf: np.ndarray, coef: np.ndarray, w: np.ndarray, sel) -> tuple:
     """``(y, ||R||_F, ||Sigma||_F)`` of the points ``sel``: their folded Sigma by
     :func:`_solve` and its norms (:func:`_residual`)."""
-    ops, qf, coef = _rows(ops, sel), _rows(qf, sel), coef[sel]
+    qf, coef = _rows(qf, sel), coef[sel]
     y = _solve(modal, ops, coef, -qf[:, :, None])
     return (y, *_residual(ops, qf, coef[:, 0, 0], y[..., 0], w))
 
 
 def _residual(ops: np.ndarray, qf: np.ndarray, g: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple:
     """``(||R||_F, ||Sigma||_F)`` of the folded Sigma rows ``y`` (n, m) at
-    the drifts A0 + G*A1 of the column ``g``, with their rows of ``ops``
-    and ``qf`` (:class:`_Noise`, one row or n) and the weights ``w``.  R's
-    folded coordinates are G*(L1 y) + L0 y + qf, in that order: one
-    product of the batch with a shared (L1; L0), else one per point.
-    ||X||_F^2 = sum_k w_k x_k^2 of folded x."""
+    the drifts A0 + G*A1 of the column ``g``, with the pencil's ``ops``
+    (:class:`_Noise`), the rows of ``qf`` (one or n) and the weights ``w``.
+    R's folded coordinates are G*(L1 y) + L0 y + qf, in that order, from
+    one product of the batch with (L1; L0).  ||X||_F^2 = sum_k w_k x_k^2
+    of folded x."""
     m = y.shape[1]
-    if len(ops) == 1:
-        p = y @ ops[0].reshape(-1, m).T
-    else:
-        p = (ops.reshape(len(ops), -1, m) @ y[..., None])[..., 0]
+    p = y @ ops.reshape(-1, m).T
     r = g[:, None] * p[:, :m] + p[:, m:] + qf
     return np.sqrt((r * r) @ w), np.sqrt((y * y) @ w)
 
 
 def _rows(x: np.ndarray, sel) -> np.ndarray:
-    """Rows ``sel`` of the per-point stack ``x``; a stack of one row serves every point."""
+    """Rows ``sel`` of the noise side's per-point rows ``x``; one row serves every point."""
     return x if len(x) == 1 else x[sel]
 
 
-def _operator(x: np.ndarray, op: np.ndarray, m: int, out=None) -> np.ndarray:
-    """Folded operators (n, m, m) of A Sigma + Sigma A^dag, A the drifts
-    ``x`` (:func:`_fold`), written to ``out`` (n, m*m) if given."""
+def _operator(x: np.ndarray, op: np.ndarray, m: int) -> np.ndarray:
+    """Folded operators (n, m, m) of A Sigma + Sigma A^dag, A the drifts ``x`` (:func:`_fold`)."""
     # a complex matrix enters by its float view, [Re A_00, Im A_00, Re A_01, ...]
     v = np.ascontiguousarray(x).view(float).reshape(-1, op.shape[0])
-    return np.matmul(v, op, out=out).reshape(-1, m, m)
+    return (v @ op).reshape(-1, m, m)
 
 
 def _hermitian(y: np.ndarray, unfold: np.ndarray, d: int) -> np.ndarray:

@@ -5,7 +5,9 @@ setting G = |alpha|*g0 = sqrt(Gamma*kappa)/2 at fixed kappa (the
 experimental pump-power knob), at either closed-form ("rwa") or
 six-component ("full") fidelity.  A full-fidelity n_eff is the
 steady-state covariance of the 6x6 drift A0 + G*A1, one batched solve
-over the points, not a spectrum integral.
+over the points, not a spectrum integral.  At a fixed C_OM a detuning
+sweep is solved the same way, on the pencil A0' + omega_b*E in mode b's
+frequency.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .analytics import (
     optimal_cooperativity,
 )
 from .errors import BathcoolError, PhysicsError, UnstableSystemError
-from .model import DriftModel, SystemSpec, _conjugate_swap, _effective_temperatures, _pencil
+from .model import DriftModel, SystemSpec, _conjugate_swap, _effective_temperatures, _pencil, _thermal_occupations
 from .spectra import _occupations, _Occupations, _prepare_noise, fit_lorentzian, position_spectrum
 
 __all__ = ["SweepResult", "sweep_cooperativity", "find_optimum", "sweep_detuning"]
@@ -64,26 +66,26 @@ class SweepResult:
                 raise ValueError(f"{name} length mismatch")
 
 
-def _n_effs(specs, fidelity: str):
-    """``(gammas, slopes=False) -> _Occupations``: n_eff of mode a at
-    every point (specs[i], gammas[i]).
+def _n_effs(spec: SystemSpec, fidelity: str, omega_b=None):
+    """``(gammas, slopes=False) -> _Occupations``: n_eff of mode a at every
+    damping of the column ``gammas``.  The closed form takes mode b at
+    ``omega_b``, a column like ``gammas``, where given; the covariance of
+    a column in omega_b is one pencil of its own (:func:`_detuning_pencil`).
 
-    ``specs`` holds one spec per point, or one spec for all points.  At
-    full fidelity the pencil of each spec is built once, here, and must be
+    At full fidelity the pencil of ``spec`` is built once, here, and must be
     conjugate-paired (ValueError).  All of the covariance solve that G
     does not move (the folded A0 and A1, the folded Q, its floor and
     norm, the drift's norms and the certificate's rounding coefficients)
-    is prepared once here too, and the modal form of one spec's
-    pencil on its first call of _MODAL_POINTS points or more
-    (:func:`_occupations`).  So every call is one batched steady-state
-    covariance solve of the drifts A0 + G*A1, whose folded operators are
-    G*L1 + L0, at G = |alpha|*g0 = sqrt(Gamma*kappa)/2, the drive that
-    damps mode b at rate Gamma: by LU for find_optimum's 25-point scan and
-    secant steps, by the modal form for a 301-point sweep, then one pass
-    through the gates for either.  With
-    ``slopes`` the record's slope is dn_eff/dlog Gamma, from the Lyapunov
-    sensitivity or the derivative of the closed form; without, no
-    derivative is computed.
+    is prepared once here too, and the pencil's modal form on its first
+    call of _MODAL_POINTS points or more (:func:`_occupations`).  So
+    every call is one batched steady-state covariance solve of the drifts
+    A0 + G*A1, whose folded operators are G*L1 + L0, at
+    G = |alpha|*g0 = sqrt(Gamma*kappa)/2, the drive that damps mode b at
+    rate Gamma: by LU for find_optimum's 25-point scan and secant steps,
+    by the modal form for a 301-point sweep, then one pass through the
+    gates for either.  With ``slopes`` the record's slope is
+    dn_eff/dlog Gamma, from the Lyapunov sensitivity or the derivative of
+    the closed form; without, no derivative is computed.
 
     The public sweeps and the optimum search run with numpy's overflow and
     invalid warnings off: past C_OM ~ 1e200 G, its slope factor and the
@@ -96,10 +98,8 @@ def _n_effs(specs, fidelity: str):
     """
     if fidelity not in ("rwa", "full"):
         raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")
-    if not specs:
-        return lambda gammas, slopes=False: _Occupations(np.empty(0), None, {})
     if fidelity == "rwa":
-        columns = _n_eff_columns(specs)
+        columns = _n_eff_columns(spec, spec.mode_b.omega if omega_b is None else omega_b)
 
         def closed_form(gammas, slopes=False):
             gammas = np.asarray(gammas, dtype=float)
@@ -108,12 +108,9 @@ def _n_effs(specs, fidelity: str):
             return _Occupations(n, gammas * slope if slopes else None, errors)  # d/dlog Gamma
 
         return closed_form
-    a0, a1, b, corr, labels = zip(*(_pencil(s, rotating_wave=False) for s in specs))
-    a0, a1, b, corr = map(np.stack, (a0, a1, b, corr))
-    kappa = np.array([s.cavity.kappa for s in specs])
-    perm = _conjugate_swap(labels[0], a0, a1)
-    row = labels[0].index("a")
-    pencil = _prepare_noise(a0, a1, b, corr[:, 0], perm)
+    a0, a1, b, corr, labels = _pencil(spec, rotating_wave=False)
+    pencil = _prepare_noise(a0, a1, b, corr[0], _conjugate_swap(labels, a0, a1))
+    row, kappa = labels.index("a"), spec.cavity.kappa
 
     def covariance(gammas, slopes=False):
         g = np.sqrt(np.asarray(gammas, dtype=float) * kappa) / 2.0
@@ -123,6 +120,29 @@ def _n_effs(specs, fidelity: str):
         return occupation
 
     return covariance
+
+
+def _detuning_pencil(spec: SystemSpec, g: float, omega_b: np.ndarray, rotating_wave: bool = False) -> tuple:
+    """``(pencil, row)``: the prepared pencil A0' + omega_b*E of ``spec``'s
+    drift at G = ``g``, along mode b's frequency, and mode a's row.
+
+    A0' is A0 + G*A1 (:func:`_pencil`) with mode b's frequency taken out,
+    and E = diag(0, 0, -i, i, 0, 0) puts it back, so at each omega_b of
+    the column ``omega_b`` the drift is bitwise that of ``spec`` with mode
+    b there.  Q has a row per point: mode b's bath occupation moves with
+    its frequency.  One covariance call solves a detuning sweep on it, by
+    the modal form, taken about omega_a, from _MODAL_POINTS points on,
+    else bitwise the LU of each point's own drift.
+    """
+    a0, a1, b, corr, labels = _pencil(spec, rotating_wave)
+    perm = _conjugate_swap(labels, a0, a1)
+    a0 = a0 + g * a1
+    a0.imag[[2, 3], [2, 3]] = 0.0
+    nbar_b = _thermal_occupations(omega_b, spec.mode_b.bath_temperature)
+    weights = np.repeat(corr[:1], omega_b.size, axis=0)
+    weights[:, 2], weights[:, 3] = nbar_b + 1, nbar_b
+    e = np.diag([0, 0, -1j, 1j, 0, 0])
+    return _prepare_noise(a0, e, b, weights, perm, spec.mode_a.omega), labels.index("a")
 
 
 def _sweep(
@@ -176,7 +196,7 @@ def sweep_cooperativity(
     if np.any(values < 0):
         raise ValueError("C_OM values must be >= 0")
     gammas = values * spec.mode_b.gamma
-    occupation = _n_effs([spec], fidelity)(gammas)
+    occupation = _n_effs(spec, fidelity)(gammas)
     errors = dict(occupation.errors)
     if fidelity == "rwa":
         return _sweep(spec, "C_OM", values, occupation.n, errors, gammas, spec.mode_b.omega)
@@ -230,7 +250,7 @@ def find_optimum(spec: SystemSpec, bracket: tuple = DEFAULT_RANGE, fidelity: str
     """
     lo, hi = _bracket(bracket)
     gb = spec.mode_b.gamma
-    n_effs = _n_effs([spec], fidelity)
+    n_effs = _n_effs(spec, fidelity)
     xs = np.linspace(math.log(lo), math.log(hi), _COARSE_POINTS).tolist()
     scan = n_effs([math.exp(x) * gb for x in xs])
     others = [e for e in scan.errors.values() if e.kind != UnstableSystemError.kind]  # by index
@@ -282,10 +302,15 @@ def sweep_detuning(
 
     omega_b is moved away from the fixed omega_a.  Evaluation is either
     at a fixed C_OM or, with ``optimize_each``, at the per-point optimum
-    within ``bracket``.  A non-finite or negative ``c_om`` and a
-    non-finite bracket end are ValueErrors.
+    within ``bracket``.  A non-finite or negative splitting or ``c_om``
+    and a non-finite bracket end are ValueErrors.  At a fixed C_OM a full
+    sweep is one covariance call on the pencil in omega_b
+    (:func:`_detuning_pencil`).
     """
     values = np.asarray(list(delta_ab_values), dtype=float)
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"detuning values must be finite, got {float(bad[0])!r}")
     if np.any(values < 0):
         raise ValueError("detuning values must be >= 0")
     _bracket(bracket)
@@ -296,15 +321,19 @@ def sweep_detuning(
         c_om = optimal_cooperativity(cab) if math.isfinite(cab) else 1.0
     gb = spec.mode_b.gamma
     omega_b = spec.mode_a.omega + values
-    specs = [replace(spec, mode_b=replace(spec.mode_b, omega=w)) for w in omega_b]
     if not optimize_each:
-        gammas = c_om * gb
-        occupation = _n_effs(specs, fidelity)([gammas] * values.size)
-        return _sweep(spec, "delta_ab", values, occupation.n, occupation.errors, gammas, omega_b)
+        gamma = c_om * gb
+        if fidelity == "full":
+            pencil, row = _detuning_pencil(spec, math.sqrt(gamma * spec.cavity.kappa) / 2.0, omega_b)
+            occupation = _occupations(pencil, omega_b, row)
+        else:  # the closed form on the same column, or an unknown fidelity's ValueError
+            occupation = _n_effs(spec, fidelity, omega_b)(np.full(values.size, gamma))
+        return _sweep(spec, "delta_ab", values, occupation.n, occupation.errors, gamma, omega_b)
     c_opt, n_eff, errors = np.full(values.size, math.nan), np.full(values.size, math.nan), {}
-    for i, s in enumerate(specs):
+    for i, w in enumerate(omega_b):
         try:
-            c_opt[i], n_eff[i] = find_optimum(s, bracket, fidelity)
+            split = replace(spec, mode_b=replace(spec.mode_b, omega=w))
+            c_opt[i], n_eff[i] = find_optimum(split, bracket, fidelity)
         except BathcoolError as exc:
             errors[i] = exc
     return _sweep(spec, "delta_ab", values, n_eff, errors, c_opt * gb, omega_b)

@@ -226,7 +226,7 @@ class TestNEffClosedForm:
             spec = _colder_b(spec, temperature_b)
         n = lambda g: n_eff_closed_form(spec, g)
         gammas = TWO_PI * np.array([300.0, 4e3, 5e4])
-        for gamma, slope in zip(gammas, _n_eff_columns([spec])(gammas, slopes=True)[1]):
+        for gamma, slope in zip(gammas, _n_eff_columns(spec, spec.mode_b.omega)(gammas, slopes=True)[1]):
             h = 1e-4 * gamma
             assert slope == pytest.approx((n(gamma + h) - n(gamma - h)) / (2 * h), rel=1e-6)
 
@@ -256,33 +256,36 @@ def _paper_closed_form(spec, Gamma):
 
 class TestOneColumnBody:
     """The closed forms' one numpy body is the paper's formulas in Python
-    floats, bit for bit, with one spec for all points and one per point."""
+    floats, bit for bit, with mode b at one frequency for all points and
+    at one per point."""
 
     @np.errstate(over="ignore", invalid="ignore")  # as the bodies' callers run them
     def test_matches_the_python_transcription(self):
-        specs, gammas, expected = [], [], []
         squares_that_differ = 0
         for draw in _criterion_7_draws(48, seed=16):
+            omega_b, gammas, expected = [], [], []
             for split in (0.0, 0.7, -3.0):
                 spec = _split(draw, split * draw.mode_b.gamma)
                 gb, delta = spec.mode_b.gamma, spec.mode_b.omega - spec.mode_a.omega
                 column = np.concatenate((WIDE * gb, [0.0, 1e200 * gb, math.inf]))
                 reference = np.array([_paper_closed_form(spec, g) for g in column.tolist()]).T
-                n, slope = _n_eff_columns([spec])(column, slopes=True)
+                n, slope = _n_eff_columns(spec, spec.mode_b.omega)(column, slopes=True)
                 assert np.array_equal(n, reference[0], equal_nan=True)
                 assert np.array_equal(slope, reference[1], equal_nan=True)
                 damping = _induced_damping(spec.coupling, gb + column, delta)
                 assert np.array_equal(damping, reference[2])
                 # the limits: Gamma_a = 0 past the square's overflow and at Gamma = inf
                 assert damping[-2:].tolist() == [0.0, 0.0]
-                specs += [spec] * column.size
+                omega_b.append(np.full(column.size, spec.mode_b.omega))
                 gammas.append(column)
                 expected.append(reference)
                 squares_that_differ += sum((gb + g) ** 2 != (gb + g) * (gb + g) for g in WIDE * gb)
-        n, slope = _n_eff_columns(specs)(np.concatenate(gammas), slopes=True)
-        expected = np.concatenate(expected, axis=1)
-        assert np.array_equal(n, expected[0], equal_nan=True)
-        assert np.array_equal(slope, expected[1], equal_nan=True)
+            # the three splittings in one call, mode b's frequency a column, as
+            # sweep_detuning reads it
+            n, slope = _n_eff_columns(draw, np.concatenate(omega_b))(np.concatenate(gammas), slopes=True)
+            expected = np.concatenate(expected, axis=1)
+            assert np.array_equal(n, expected[0], equal_nan=True)
+            assert np.array_equal(slope, expected[1], equal_nan=True)
         # squares by x*x would have failed the comparisons above at these points
         assert squares_that_differ > 0
 
@@ -322,7 +325,7 @@ class TestOneColumnBody:
     @np.errstate(invalid="ignore")
     def test_undamped_points_are_nan(self):
         spec = make_spec(c_ab=0.0, gamma_a_hz=0.0)
-        n, slope = _n_eff_columns([spec])(np.array([0.0, 1.0, math.inf]), slopes=True)
+        n, slope = _n_eff_columns(spec, spec.mode_b.omega)(np.array([0.0, 1.0, math.inf]), slopes=True)
         assert np.isnan(n).all() and np.isnan(slope).all()
 
 

@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from bathcool import build_full_system, build_rwa_system, errors, spectra, sweeps
-from bathcool.model import _conjugate_swap
 
 from conftest import make_spec
 from test_spectra import (
     _beam_spec,
     _criterion_7_draws,
+    _drift_pencil,
     _drive,
-    _model_stack,
     _record_lu_solves,
     _shared_pencil,
 )
@@ -58,9 +57,9 @@ def test_only_the_row_solve_and_its_gate_eliminate():
 
 
 def test_only_a_pencil_preparation_folds_drifts():
-    # a covariance call adds the prepared L0 + G*L1; it folds no drift itself
-    # (the preparation folds a pencil, or a stack's one shared L1 and its L0s)
-    assert _callers("_operator") == [("spectra", "_prepare_noise")] * 3
+    # a covariance call adds the prepared L0 + G*L1; it folds no drift itself,
+    # and the preparation folds its one pencil (L1, L0) in one product
+    assert _callers("_operator") == [("spectra", "_prepare_noise")]
 
 
 def test_only_a_pencil_preparation_eigendecomposes_a_folded_operator():
@@ -150,8 +149,8 @@ def _hermitian_readout(pencil, y, r) -> np.ndarray:
 @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
 def test_occupations_are_read_from_the_folded_coordinates_bitwise(monkeypatch, builder):
     # the README pencil by LU (1 and 25 points) and by its modal form (301),
-    # for modes a and b; the beam up to its pole; criterion-7 draws; and a
-    # drift stack, whose slopes are 0
+    # for modes a and b; the beam up to its pole; criterion-7 draws; and
+    # drifts as the pencil (A, 0), whose slopes are 0
     rotating_wave = builder is build_rwa_system
     cases = []
     for spec, c_om in [(make_spec(c_ab=50.0), np.geomspace(1e-2, 1e3, n)) for n in (1, 25, 301)] + [
@@ -159,10 +158,8 @@ def test_occupations_are_read_from_the_folded_coordinates_bitwise(monkeypatch, b
     ] + [(spec, np.geomspace(1e-2, 1e2, 8)) for spec in _criterion_7_draws(6, seed=34)]:
         pencil, _, _, row = _shared_pencil(spec, rotating_wave)
         cases += [(pencil, _drive(spec, c_om), r) for r in (row, row + 2)]
-    models = [builder(spec) for spec in _criterion_7_draws(6, seed=35)]
-    drifts, b, weights, labels = _model_stack(models)
-    pencil = spectra._prepare_noise(drifts, None, b, weights, _conjugate_swap(labels))
-    cases.append((pencil, np.zeros(len(models)), labels.index("a")))
+    for model in [builder(spec) for spec in _criterion_7_draws(6, seed=35)]:
+        cases.append((_drift_pencil(model), np.zeros(1), model.index("a")))
     for pencil, g, r in cases:
         _ = pencil.modal  # prepared, with its own solve, before the capture
         ys = _captured_solves(monkeypatch)
@@ -186,7 +183,7 @@ def test_a_certified_point_costs_its_solves_and_one_cholesky(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     spec = make_spec(c_ab=50.0)
-    point = sweeps._n_effs([spec], "full")([7.1 * spec.mode_b.gamma], slopes=True)
+    point = sweeps._n_effs(spec, "full")([7.1 * spec.mode_b.gamma], slopes=True)
     assert not point.errors and counts == {"solve": 2, "cholesky": 1, "eigvals": 0, "eigvalsh": 0}
 
 

@@ -28,6 +28,7 @@ from bathcool import (
     optical_damping,
     position_spectrum,
     steady_state_occupation,
+    sweep_detuning,
 )
 import bathcool
 from bathcool import spectra
@@ -48,6 +49,7 @@ from bathcool.model import (
     _pencil,
 )
 from bathcool.spectra import RESIDUAL_TOL, _peaks, _solve_rows
+from bathcool.sweeps import _detuning_pencil
 
 from conftest import TWO_PI, make_spec
 
@@ -1144,11 +1146,12 @@ class TestSteadyStateOccupation:
     def test_occupation_below_the_vacuum_raises(self, monkeypatch):
         # a Sigma at half the vacuum's, let through the residual gate, reads
         # <x^2> = 1/2 at both points of a batch: n = -1/4
-        models = [build_rwa_system(make_spec(c_ab=c, c_om=5.0, temperature=0.0)) for c in (8, 50)]
+        spec = make_spec(c_ab=50.0, temperature=0.0)
+        pencil, _, _, row = _shared_pencil(spec, rotating_wave=True)
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda k, q: solve(k, q) * 0.5)
         monkeypatch.setattr(spectra, "RESIDUAL_TOL", math.inf)
-        errors = _batch(models)
+        errors = _entries(spectra._occupations(pencil, _drive(spec, [3.0, 5.0]), row))
         assert [str(e) for e in errors] == ["steady-state occupation -0.25 < 0"] * 2
 
     @pytest.mark.parametrize("kappa_hz", [1e200, 1e250, 1e300, 1e306])
@@ -1288,27 +1291,26 @@ class TestCovarianceAccuracy:
             assert abs(steady_state_occupation(model, "a") - exact) <= 1e-14 * exact
 
 
-def _mixed_batch():
-    """A stable, a blue-detuned, an exceptional-point and an rwa model."""
-    blue = make_spec(c_ab=10.0, c_om=50.0)
-    blue = replace(blue, cavity=replace(blue.cavity, detuning=-blue.cavity.detuning))
-    return [
-        build_full_system(make_spec(c_ab=50.0, c_om=5.0)),
-        build_full_system(blue),
-        build_full_system(_exceptional_point_spec()),
-        build_rwa_system(make_spec(c_ab=8.0, c_om=3.0)),
-    ]
+def _models(spec, g, rotating_wave=False):
+    """The models of ``spec``'s pencil at each G of the column ``g``, their
+    drifts A0 + G*A1 bitwise a covariance call's."""
+    a0, a1, *inputs = _pencil(spec, rotating_wave=rotating_wave)
+    return [DriftModel(6, a0 + x * a1, *inputs) for x in g.tolist()]
 
 
-def _model_stack(models):
-    """The drifts, noise inputs and <xi xi^dag> weights of ``models``,
-    stacked, with the label tuple they share."""
-    return (
-        np.stack([m.drift for m in models]),
-        np.stack([m.noise_input for m in models]),
-        np.stack([m.input_correlations[0] for m in models]),
-        models[0].labels,
-    )
+def _drift_pencil(model):
+    """The prepared pencil (A, 0) of ``model``'s drift A, as steady_state_occupation solves it."""
+    a = model.drift
+    return spectra._prepare_noise(a, np.zeros_like(a), model.noise_input, model.input_correlations[0],
+                                  _conjugate_swap(model.labels))
+
+
+def _across_the_pole(c_om):
+    """The README pencil, mode a's row and its G column at ``c_om``: the
+    full drift goes unstable at C_OM = 3408."""
+    spec = make_spec(c_ab=50.0)
+    pencil, _, _, row = _shared_pencil(spec)
+    return spec, pencil, row, _drive(spec, c_om)
 
 
 def _entries(record):
@@ -1331,37 +1333,21 @@ def _record(entries):
     return spectra._Occupations(n, slope if sloped else None, errors)
 
 
-def _solve(drifts, b, weights, perm, r=0, a1=None):
-    """The :class:`spectra._Occupations` record of the drift stack ``drifts``:
-    the pencil A0 = ``drifts``, A1 = ``a1`` at G = 0, with its slopes if
-    ``a1`` is given."""
-    pencil = spectra._prepare_noise(drifts, a1, b, weights, perm)
-    return spectra._occupations(pencil, np.zeros(len(drifts)), r, slopes=a1 is not None)
-
-
-def _batch(models):
-    """Mode a's covariance entries of ``models`` from one stacked solve."""
-    drifts, b, weights, labels = _model_stack(models)
-    return _entries(_solve(drifts, b, weights, _conjugate_swap(labels), labels.index("a")))
-
-
 def _entry(e):
-    """An entry of :func:`_batch`, comparable with ==."""
+    """An entry of :func:`_entries`, comparable with ==."""
     return (type(e), str(e)) if isinstance(e, Exception) else e
 
 
 class TestBatchedCovariance:
-    """The stacked covariance: one folded real linear solve per batch,
-    and an eigensolve only of the points the solved covariances do not
+    """The batched covariance: one folded real linear solve per call, and
+    an eigensolve only of the points the solved covariances do not
     certify stable."""
 
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
-    def test_drift_stack_slopes_are_zero(self, builder):
-        # a drift stack is the pencil (A0, A1 = 0) at G = 0, which no G moves
+    def test_a_drift_has_zero_slopes(self, builder):
+        # one drift is the pencil (A, 0) at G = 0, which no G moves
         model = builder(make_spec(c_ab=50.0, c_om=5.0))
-        drifts, b, weights, labels = _model_stack([model])
-        pencil = spectra._prepare_noise(drifts, None, b, weights, _conjugate_swap(labels))
-        record = spectra._occupations(pencil, np.zeros(1), labels.index("a"), slopes=True)
+        record = spectra._occupations(_drift_pencil(model), np.zeros(1), model.index("a"), slopes=True)
         assert record.slope.tolist() == [0.0] and not record.errors
         assert record.n.tolist() == [steady_state_occupation(model, "a")]
 
@@ -1375,10 +1361,11 @@ class TestBatchedCovariance:
         assert abs(steady_state_occupation(model, "a") - exact) <= 1e-14 * exact
 
     def test_mixed_batch_matches_single_calls(self):
-        models = _mixed_batch()
-        batch = _batch(models)
-        assert isinstance(batch[1], UnstableSystemError)
-        for model, entry in zip(models, batch):
+        # the README pencil over C_OM in [0.1, 1e5]: 46 stable points, then 15 unstable
+        spec, pencil, row, g = _across_the_pole(np.geomspace(0.1, 1e5, 61))
+        batch = _entries(spectra._occupations(pencil, g, row))
+        assert [isinstance(e, UnstableSystemError) for e in batch] == [False] * 46 + [True] * 15
+        for model, entry in zip(_models(spec, g), batch):
             try:
                 single = steady_state_occupation(model, "a")
             except UnstableSystemError as exc:
@@ -1388,21 +1375,19 @@ class TestBatchedCovariance:
 
     @pytest.mark.parametrize("slopes", [False, True])
     def test_an_eigensolve_that_fails_fails_its_point_alone(self, monkeypatch, slopes):
-        # the batched eigensolve of the three uncertified points (two
-        # unstable, one stable with a singular Q) raises; each is solved
-        # again alone, and only the one whose eigensolve raises again takes
-        # a NumericsError; the stable one and the slopes are solved after
-        blue = make_spec(c_ab=10.0, c_om=50.0)
-        blue = replace(blue, cavity=replace(blue.cavity, detuning=-blue.cavity.detuning))
-        singular = replace(make_spec(c_ab=50.0, gamma_a_hz=0.0), coupling=TWO_PI * 100.0)
-        specs = (blue, make_spec(c_ab=50.0, c_om=5.0), singular, replace(blue, coupling=2 * blue.coupling))
-        drifts, b, weights, labels = _model_stack([build_full_system(s) for s in specs])
-        a1 = _pencil(make_spec(c_ab=50.0), rotating_wave=False)[1]
-        a1 = np.repeat(a1[None], len(specs), axis=0) if slopes else None
-        perm = _conjugate_swap(labels)
-        q_floor = spectra._prepare_noise(drifts, a1, b, weights, perm).q_floor
-        assert q_floor[2] <= 0 < q_floor[1]
-        solve = lambda: _entries(_solve(drifts, b, weights, perm, labels.index("a"), a1))
+        # the batched eigensolve of the three uncertified points (two past
+        # the pole, one stable whose Q row has no mode-a bath, so is
+        # singular) raises; each is solved again alone, and only the one
+        # whose eigensolve raises again takes a NumericsError; the stable one
+        # and the slopes are solved after
+        spec = make_spec(c_ab=50.0)
+        a0, a1, b, corr, labels = _pencil(spec, rotating_wave=False)
+        weights = np.repeat(corr[:1], 4, axis=0)
+        weights[2, :2] = 0.0
+        pencil = spectra._prepare_noise(a0, a1, b, weights, _conjugate_swap(labels))
+        assert pencil.q_floor[2] <= 0 < pencil.q_floor[1]
+        g = _drive(spec, [1e4, 5.0, 7.0, 3e4])
+        solve = lambda: _entries(spectra._occupations(pencil, g, labels.index("a"), slopes))
         expected = solve()
         eigvals, singles = np.linalg.eigvals, []
 
@@ -1422,13 +1407,10 @@ class TestBatchedCovariance:
         ]
 
     def test_non_finite_drift_is_a_per_point_error(self):
-        good = build_full_system(make_spec(c_ab=50.0, c_om=5.0))
-        drift = good.drift.copy()
-        drift[0, 0] = complex(math.nan, 0.0)
-        bad = replace(good, drift=drift)
-        n_bad, n_good = _batch([bad, good])
+        spec, pencil, row, g = _across_the_pole([math.nan, 5.0])
+        n_bad, n_good = _entries(spectra._occupations(pencil, g, row))
         assert isinstance(n_bad, NumericsError)
-        assert n_good == steady_state_occupation(good, "a")
+        assert n_good == steady_state_occupation(_models(spec, g[1:])[0], "a")
 
     def test_a_reordered_basis_gives_the_same_occupation(self, spec50):
         # the same system with its b and c pairs swapped: a paired basis of
@@ -1443,9 +1425,7 @@ class TestBatchedCovariance:
         assert steady_state_occupation(swapped, "a") == pytest.approx(n, rel=1e-14)
 
     def test_eigvals_runs_only_on_uncertified_points(self, monkeypatch):
-        spec = make_spec(c_ab=50.0, gamma_a_hz=0.1, gamma_b_hz=10.0, kappa_hz=1e4)
-        models = [build_full_system(replace(spec, coupling=spec.coupling * f))
-                  for f in (0.5, 1.0, 2.0)]
+        _, pencil, row, g = _across_the_pole([1.0, 7.0, 30.0, 1e4])
         calls = []
 
         dtypes = []
@@ -1465,24 +1445,23 @@ class TestBatchedCovariance:
         monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
         monkeypatch.setattr(np.linalg, "eig", refused)
         monkeypatch.setattr(spectra, "stability_eigenvalues", None)
-        _batch(models)
+        spectra._occupations(pencil, g[:3], row)
         # 21 = 6*7/2 real coordinates of a paired Hermitian Sigma; every
         # point's covariance certifies it stable, so no eigensolve runs
         assert calls == [("solve", (3, 21, 21))]
-        # one blue-detuned point: it alone takes the eigensolve, that of its
+        # one point past the pole: it alone takes the eigensolve, that of its
         # real quadrature form, and the batch is not solved again
         calls.clear()
         dtypes.clear()
-        blue = make_spec(c_ab=10.0, c_om=50.0)
-        blue = replace(blue, cavity=replace(blue.cavity, detuning=-blue.cavity.detuning))
-        entries = _batch([models[0], build_full_system(blue), models[2]])
+        entries = _entries(spectra._occupations(pencil, g[[0, 3, 2]], row))
         assert isinstance(entries[1], UnstableSystemError)
         assert calls == [("solve", (3, 21, 21)), ("eigvals", (1, 6, 6))]
         assert dtypes[1] == np.float64
 
     def test_a_failed_first_solve_takes_the_eigensolve_first(self, monkeypatch):
-        models = _mixed_batch()
-        expected = _batch(models)
+        _, pencil, row, g = _across_the_pole([5.0, 1e4, 7.0, 3.0])
+        batch = lambda: _entries(spectra._occupations(pencil, g, row))
+        expected = batch()
         calls = []
         solve, eigvals = np.linalg.solve, np.linalg.eigvals
 
@@ -1498,7 +1477,7 @@ class TestBatchedCovariance:
 
         monkeypatch.setattr(np.linalg, "solve", solve_once)
         monkeypatch.setattr(np.linalg, "eigvals", counted)
-        entries = _batch(models)
+        entries = batch()
         # the order without a certificate: every point's eigenvalues, then
         # one solve of the stable ones
         assert calls == [("solve", (4, 21, 21)), ("eigvals", (4, 6, 6)), ("solve", (3, 21, 21))]
@@ -1518,14 +1497,14 @@ class TestBatchedCovariance:
             monkeypatch.setattr(
                 np.linalg, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args)
             )
-        (error,) = _batch([undamped])
-        assert isinstance(error, UnstableSystemError)
-        assert str(error) == (
+        with pytest.raises(UnstableSystemError) as error:
+            steady_state_occupation(undamped, "a")
+        assert str(error.value) == (
             "drift matrix has non-negative-real-part eigenvalue(s): 0-6.28319e+06j, 0+6.28319e+06j"
         )
         assert calls == ["eigvals"]
         calls.clear()
-        (n,) = _batch([coupled])
+        n = steady_state_occupation(coupled, "a")
         assert calls == ["eigvals", "solve"]
         exact = _kronecker_occupation(coupled)
         assert abs(n - exact) <= bound * exact
@@ -1600,12 +1579,11 @@ class TestRealQuadratureForm:
 
     def test_stability_decisions_match_on_the_readme_sweep(self):
         # the README system at C_OM in [0.1, 1e5], as a full-fidelity CLI sweep
-        c_om = np.geomspace(0.1, 1e5, 61)
-        models = [build_full_system(make_spec(c_ab=50.0, c_om=c)) for c in c_om]
-        entries = _batch(models)
+        spec, pencil, row, g = _across_the_pole(np.geomspace(0.1, 1e5, 61))
+        entries = _entries(spectra._occupations(pencil, g, row))
         unstable = [isinstance(e, UnstableSystemError) for e in entries]
         assert sum(unstable) == 15
-        complex_form = [spectra.stability_eigenvalues(m) for m in models]
+        complex_form = [spectra.stability_eigenvalues(m) for m in _models(spec, g)]
         assert unstable == [bool(np.any(lam.real >= 0)) for lam in complex_form]
 
     def test_instability_messages_are_canonical(self):
@@ -1622,21 +1600,24 @@ class TestRealQuadratureForm:
         error = spectra._instability(np.array([2.0 + 1e4 * eps * 1j, -3.0]))
         assert str(error).endswith(f": {2.0 + 1e4 * eps * 1j:.6g}")
 
-    def test_stacked_and_single_model_messages_agree(self):
+    def test_batched_and_single_model_messages_agree(self):
         blue = make_spec(c_ab=10.0, c_om=50.0)
         blue = replace(blue, cavity=replace(blue.cavity, detuning=-blue.cavity.detuning))
         # the README system at C_OM = 1e4: a real unstable eigenvalue, on
         # which zgeev leaves an imaginary part
         readme = make_spec(c_ab=50.0, c_om=1e4)
         for spec, n_bad in ((blue, 2), (readme, 1)):
+            pencil, a0, a1, row = _shared_pencil(spec)
+            g = np.array([spec.cavity.alpha * spec.cavity.g0])
             model = build_full_system(spec)
-            (stacked,) = _batch([model])
+            assert np.array_equal(model.drift, a0 + g[0] * a1)
+            (batched,) = _entries(spectra._occupations(pencil, g, row))
             with pytest.raises(UnstableSystemError) as single:
                 spectra._require_stable(model)
-            assert isinstance(stacked, UnstableSystemError)
-            assert str(stacked) == str(single.value)
-            assert str(stacked).count(", ") == n_bad - 1
-        assert str(stacked).endswith(": 4.89986e+06+0j")
+            assert isinstance(batched, UnstableSystemError)
+            assert str(batched) == str(single.value)
+            assert str(batched).count(", ") == n_bad - 1
+        assert str(batched).endswith(": 4.89986e+06+0j")
 
 
 def _drive(spec, c_om):
@@ -1644,29 +1625,24 @@ def _drive(spec, c_om):
     return np.sqrt(np.asarray(c_om) * spec.mode_b.gamma * spec.cavity.kappa) / 2.0
 
 
-def _pencil_stack(spec, c_om, rotating_wave=False):
-    """A0 + G A1 at every C_OM of ``c_om``, as a sweep forms them, with
-    the noise input, the <xi xi^dag> weights and the labels."""
-    a0, a1, b, corr, labels = _pencil(spec, rotating_wave=rotating_wave)
-    return a0 + _drive(spec, c_om)[:, None, None] * a1, b, corr[0], labels
-
-
 class TestStabilityCertificate:
     """A point whose solved covariance certifies it stable runs no
     eigensolve, and the certified points are exactly those the real-form
     eigensolve calls stable."""
 
-    def _check(self, monkeypatch, drifts, b, weights, labels):
-        """The decisions, and that the eigensolve saw exactly the unstable points."""
+    def _check(self, monkeypatch, spec, c_om, rotating_wave=False):
+        """The decisions at the G column of ``c_om``, and that the eigensolve
+        saw exactly the unstable points."""
         eigvals = np.linalg.eigvals
-        d = drifts.shape[-1]
-        perm = _conjugate_swap(labels, drifts)
-        to_real = spectra._fold(d, tuple(perm.tolist()))[3]
-        forms = (drifts.view(float).reshape(-1, 2 * d * d) @ to_real).reshape(-1, d, d)
+        pencil, a0, a1, row = _shared_pencil(spec, rotating_wave)
+        g = _drive(spec, c_om)
+        drifts = a0 + g[:, None, None] * a1
+        to_real = pencil.fold[3]
+        forms = (drifts.view(float).reshape(-1, 72) @ to_real).reshape(-1, 6, 6)
         unstable = np.any(eigvals(forms).real >= 0, axis=1)
-        seen = [np.empty((0, d, d))]
+        seen = [np.empty((0, 6, 6))]
         monkeypatch.setattr(np.linalg, "eigvals", lambda x: seen.append(x) or eigvals(x))
-        entries = _entries(_solve(drifts, b, weights, perm))
+        entries = _entries(spectra._occupations(pencil, g, row))
         monkeypatch.undo()
         assert [isinstance(e, UnstableSystemError) for e in entries] == unstable.tolist()
         assert np.array_equal(np.concatenate(seen), forms[unstable])
@@ -1680,7 +1656,7 @@ class TestStabilityCertificate:
         c_om = np.geomspace(1e-2, 1e6, 60)
         counts = np.zeros(2, dtype=int)
         for spec in _criterion_7_draws(256, seed=501):
-            unstable = self._check(monkeypatch, *_pencil_stack(spec, c_om, rotating_wave))
+            unstable = self._check(monkeypatch, spec, c_om, rotating_wave)
             counts += (~unstable).sum(), unstable.sum()
         assert counts[0] > 13000 and (rotating_wave or counts[1] > 1000)
 
@@ -1689,7 +1665,7 @@ class TestStabilityCertificate:
         # where the last stable points have ||Sigma|| ~ 1e13
         scan = np.linspace(3408.0, 3408.7, 20001)
         unstable = [
-            self._check(monkeypatch, *_pencil_stack(make_spec(c_ab=50.0), chunk))
+            self._check(monkeypatch, make_spec(c_ab=50.0), chunk)
             for chunk in np.array_split(scan, 10)
         ]
         assert 9000 < np.concatenate(unstable).sum() < 11000
@@ -1739,9 +1715,9 @@ class TestStabilityCertificate:
         stable_op = (stable.drift.view(float).reshape(1, -1) @ op).reshape(1, 21, 21)
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda k, q: solve(stable_op, q))
-        (entry,) = _batch([blue])
-        assert isinstance(entry, UnstableSystemError)
-        assert str(entry) == str(single.value)
+        with pytest.raises(UnstableSystemError) as batched:
+            steady_state_occupation(blue, "a")
+        assert str(batched.value) == str(single.value)
 
 
 def _bits(entries):
@@ -1785,42 +1761,29 @@ class TestPreparedNoise:
     """A sweep prepares each pencil once and solves only its G columns:
     every entry is bitwise the one of a preparation per call."""
 
-    def _one_pencil(self, spec, g, rotating_wave=False, slopes=False):
-        """One preparation solved over a one-point column and the rest,
-        against a preparation with a pencil row per point."""
-        a0, a1, b, corr, labels = _pencil(spec, rotating_wave=rotating_wave)
+    def _prepared_once(self, a0, a1, b, weights, labels, g, slopes=False):
+        """One preparation, against a preparation per one-point call with
+        that point's noise row where ``weights`` has one per point.  One
+        noise row serves a one-point column and the rest in two calls."""
         perm = _conjugate_swap(labels)
-        rows = lambda n: [np.repeat(x[None], n, axis=0) for x in (a0, a1, b, corr[0])]
-        pencil = spectra._prepare_noise(*rows(1), perm)
+        rows = weights.ndim == 2
+        pencil = spectra._prepare_noise(a0, a1, b, weights, perm)
         with np.errstate(invalid="ignore"):  # inf * 0 where G is not finite
             prepared = [
-                e for part in (g[:1], g[1:])
-                for e in _entries(spectra._occupations(pencil, part, 0, slopes))
+                e for part in ([slice(None)] if rows else [slice(0, 1), slice(1, None)])
+                for e in _entries(spectra._occupations(pencil, g[part], 0, slopes))
             ]
-            per_point = spectra._prepare_noise(*rows(len(g)), perm)
-            per_call = _entries(spectra._occupations(per_point, g, 0, slopes))
+            per_call = [
+                e for i in range(len(g)) for e in _entries(spectra._occupations(
+                    spectra._prepare_noise(a0, a1, b, weights[i] if rows else weights, perm), g[i : i + 1], 0, slopes
+                ))
+            ]
         assert _bits(prepared) == _bits(per_call)
         return prepared
 
-    def _many_pencils(self, a0, a1, b, weights, labels, g):
-        """One preparation of a pencil per point, against a preparation per one-point call."""
-        perm = _conjugate_swap(labels)
-        slopes = a1 is not None
-        pencil = spectra._prepare_noise(a0, a1, b, weights, perm)
-        prepared = _entries(spectra._occupations(pencil, g, 0, slopes))
-        one = lambda x, i: None if x is None else x[i : i + 1]
-        per_call = [
-            e
-            for i in range(len(g))
-            for e in _entries(spectra._occupations(
-                spectra._prepare_noise(one(a0, i), one(a1, i), one(b, i), one(weights, i), perm),
-                g[i : i + 1],
-                0,
-                slopes,
-            ))
-        ]
-        assert _bits(prepared) == _bits(per_call)
-        return prepared
+    def _one_pencil(self, spec, g, rotating_wave=False, slopes=False):
+        a0, a1, b, corr, labels = _pencil(spec, rotating_wave=rotating_wave)
+        return self._prepared_once(a0, a1, b, corr[0], labels, g, slopes)
 
     @pytest.mark.parametrize("slopes", [False, True])
     @pytest.mark.parametrize("rotating_wave", [True, False])
@@ -1835,13 +1798,16 @@ class TestPreparedNoise:
 
     @pytest.mark.parametrize("slopes", [False, True])
     def test_mixed_batch(self, slopes):
-        # arbitrary drifts: pencils at G = 0
-        models = _mixed_batch()
-        a1 = _pencil(make_spec(c_ab=50.0), rotating_wave=False)[1]
-        drifts, b, weights, labels = _model_stack(models)
-        a1 = np.repeat(a1[None], len(models), axis=0) if slopes else None
-        entries = self._many_pencils(drifts, a1, b, weights, labels, np.zeros(len(models)))
-        assert isinstance(entries[1], UnstableSystemError)
+        # a noise row per point across the pole: baths from 1 K to 1000 K, and
+        # one row without mode a's bath, whose Q is singular
+        spec = make_spec(c_ab=50.0)
+        a0, a1, b, corr, labels = _pencil(spec, rotating_wave=False)
+        c_om = np.geomspace(0.1, 1e5, 12)
+        weights = np.stack([build_full_system(make_spec(temperature=t)).input_correlations[0]
+                            for t in np.geomspace(1.0, 1e3, len(c_om))])
+        weights[4, :2] = 0.0
+        entries = self._prepared_once(a0, a1, b, weights, labels, _drive(spec, c_om), slopes)
+        assert [isinstance(e, UnstableSystemError) for e in entries] == [False] * 9 + [True] * 3
 
     @pytest.mark.parametrize("slopes", [False, True])
     def test_non_finite_drifts(self, slopes):
@@ -1860,36 +1826,42 @@ class TestPreparedNoise:
         entries = self._one_pencil(spec, _drive(spec, np.geomspace(0.1, 1e5, 16)), slopes=slopes)
         assert not isinstance(entries[0], Exception)
 
-    @pytest.mark.parametrize("slopes", [False, True])
-    def test_sweep_detuning_pencils(self, slopes):
-        # sweep_detuning stacks one pencil per splitting
-        spec = make_spec(c_ab=50.0)
-        specs = [replace(spec, mode_b=replace(spec.mode_b, omega=spec.mode_a.omega + x))
-                 for x in np.linspace(0.0, 40.0 * spec.mode_b.gamma, 9)]
-        a0, a1, b, corr, labels = zip(*(_pencil(s, rotating_wave=False) for s in specs))
-        a0, a1, b, corr = map(np.stack, (a0, a1, b, corr))
-        g = _drive(spec, [7.0] * len(specs))
-        self._many_pencils(a0, a1 if slopes else None, b, corr[:, 0], labels[0], g)
-
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
     def test_operators_are_those_of_the_drifts(self, monkeypatch, builder):
-        # L0 + G*L1 is bitwise the folded operator of A0 + G*A1: every A1
-        # entry is +-i where A0 is 0, and every fold coefficient is a power
-        # of two or 0, so each entry rounds once either way
+        # L0 + G*L1 is bitwise the folded operator of A0 + G*A1: every nonzero
+        # float-view component of A1 is +-1 where A0's is 0, and every fold
+        # coefficient is a power of two or 0, so each entry rounds once either
+        # way.  So too along omega_b: E = diag(0, 0, -i, i, 0, 0) meets A0'
+        # on the diagonal, but in its real parts, not its imaginary ones
         rotating_wave = builder is build_rwa_system
         g = np.array([0.0, 1e-3, 1.0, 1e3, 1e150])
-        for spec in (make_spec(c_ab=50.0), *_criterion_7_draws(20, seed=7)):
+        for spec in (make_spec(c_ab=50.0), _beam_spec(), *_criterion_7_draws(20, seed=7)):
             a0, a1, b, corr, labels = _pencil(spec, rotating_wave=rotating_wave)
             assert np.array_equal(builder(spec).drift, a0 + spec.cavity.alpha * spec.cavity.g0 * a1)
-            perm = _conjugate_swap(labels, a0, a1)
-            pencil = spectra._prepare_noise(a0, a1, b, corr[0], perm)
-            seen, solve = [], np.linalg.solve
-            monkeypatch.setattr(np.linalg, "solve", lambda k, q: seen.append(k) or solve(k, q))
-            spectra._occupations(pencil, g, 0)
-            monkeypatch.undo()
-            op, qmap = spectra._fold(6, tuple(perm.tolist()))[:2]
-            expected = spectra._operator(a0 + g[:, None, None] * a1, op, qmap.shape[1])
-            assert seen[0].tobytes() == expected.tobytes()
+            # at the builder's own G, mode b from omega_a out to 40 gamma_b, and
+            # at 3.7 omega_a, 2^-20 omega_a and 1e150
+            wa, gb = spec.mode_a.omega, spec.mode_b.gamma
+            omega_b = np.array([wa, wa + 1e-3 * gb, wa + 0.5 * gb, wa + 40.0 * gb, 3.7 * wa, 2.0**-20 * wa, 1e150])
+            g0 = spec.cavity.alpha_g0
+            cases = [(g, spectra._prepare_noise(a0, a1, b, corr[0], _conjugate_swap(labels, a0, a1)),
+                      [builder(_at(spec, g0=x)).drift for x in g.tolist()]),
+                     (omega_b, _detuning_pencil(spec, g0, omega_b, rotating_wave)[0],
+                      [builder(_at(spec, omega_b=x)).drift for x in omega_b.tolist()])]
+            for column, pencil, drifts in cases:
+                seen, solve = [], np.linalg.solve
+                monkeypatch.setattr(np.linalg, "solve", lambda k, q: seen.append(k) or solve(k, q))
+                with np.errstate(over="ignore", invalid="ignore"):  # an unstable point's norms
+                    spectra._occupations(pencil, column, 0)
+                monkeypatch.undo()
+                op, qmap = pencil.fold[:2]
+                assert seen[0].tobytes() == spectra._operator(np.stack(drifts), op, qmap.shape[1]).tobytes()
+
+
+def _at(spec, g0=None, omega_b=None):
+    """``spec`` driven at G = ``g0`` (alpha = G, g0 = 1) or with mode b at ``omega_b``."""
+    if g0 is not None:
+        return replace(spec, cavity=replace(spec.cavity, alpha=g0, g0=1.0))
+    return replace(spec, mode_b=replace(spec.mode_b, omega=omega_b))
 
 
 def _record_lu_solves(monkeypatch) -> list:
@@ -2035,34 +2007,53 @@ class TestModalCovariance:
         assert _bits(_entries(record)) == _bits(_entries(spectra._occupations(pencil, g, row, slopes)))
         assert _bits(_entries(record)) != expected  # the modal form's bits differ by rounding
 
-    def test_a_one_row_drift_stack_of_64_points_takes_the_modal_form(self, monkeypatch):
-        # one drift (A1 = 0, at G = 0) under 64 bath temperatures: the
-        # points are the rows of its noise, and L(G)^-1 = L0^-1 at every one
+    def test_one_drift_under_64_noise_rows_takes_the_modal_form(self, monkeypatch):
+        # one drift, the pencil (A, 0) at G = 0, under 64 bath temperatures:
+        # the points are the rows of its noise, and L(G)^-1 = L0^-1 at every one
         models = [build_full_system(make_spec(c_om=5.0, temperature=t)) for t in np.geomspace(1.0, 1e3, 64)]
         drift, labels = models[0].drift, models[0].labels
         assert all(np.array_equal(model.drift, drift) for model in models)
         weights = np.stack([model.input_correlations[0] for model in models])
         b, perm, row = models[0].noise_input, _conjugate_swap(labels), labels.index("a")
-        pencil = spectra._prepare_noise(drift[None], None, b, weights, perm)
+        pencil = spectra._prepare_noise(drift, np.zeros_like(drift), b, weights, perm)  # 64 Q rows
         g = np.zeros(len(models))
         lu = _record_lu_solves(monkeypatch)
         modal = spectra._occupations(pencil, g, row)
         monkeypatch.undo()
         assert lu == [] and pencil.modal is not None and not modal.errors
-        by_lu = [spectra._occupations(spectra._prepare_noise(drift[None], None, b, w, perm), g[:1], row).n[0]
-                 for w in weights]
+        by_lu = [steady_state_occupation(model, "a") for model in models]
         np.testing.assert_allclose(modal.n, by_lu, rtol=1e-15, atol=0)
 
     def test_pencils_without_a_modal_form(self):
-        spec = make_spec(c_ab=50.0)
-        a0, a1, b, corr, labels = _pencil(spec, rotating_wave=False)
-        perm = _conjugate_swap(labels)
-        two = lambda x: np.repeat(x[None], 2, axis=0)
-        assert spectra._prepare_noise(two(a0), two(a1), b, corr[0], perm).modal is None  # two pencils
         # mode a undamped and uncoupled: A0 has the eigenvalues -+i omega_a,
         # so L0 is singular, and every point takes the LU path
         a0, a1, b, corr, labels = _pencil(make_spec(c_ab=0.0, gamma_a_hz=0.0), rotating_wave=False)
-        assert spectra._prepare_noise(a0, a1, b, corr[0], perm).modal is None
+        assert spectra._prepare_noise(a0, a1, b, corr[0], _conjugate_swap(labels)).modal is None
+
+    @pytest.mark.parametrize(
+        "spec", [make_spec(c_ab=50.0), _beam_spec(), list(_criterion_7_draws(3, seed=18))[2]],
+        ids=["readme", "beam", "criterion-7"],
+    )
+    def test_detuning_sweeps_match_a_40_digit_solve(self, monkeypatch, spec):
+        # a full sweep_detuning of 301 points at C_OM = sqrt(51), out to 40
+        # gamma_b of splitting, is one pencil in omega_b on its modal form,
+        # taken about omega_a.  Measured at every fifth point: within 4.1e-16
+        # of the 40-digit solve on the README system (the LU of each point:
+        # 6.3e-16), 5.0e-16 on the beam (the LU: 9.9e-16) and 4.1e-16 on this
+        # draw, where the form about 0 was 8e-12 off
+        gb, wa = spec.mode_b.gamma, spec.mode_a.omega
+        splittings = np.linspace(0.0, 40.0, 301) * gb
+        lu, modal = _record_lu_solves(monkeypatch), []
+        solve = spectra._modal_solve
+        monkeypatch.setattr(spectra, "_modal_solve", lambda *args: modal.append(len(args[2])) or solve(*args))
+        result = sweep_detuning(spec, splittings, fidelity="full", c_om=math.sqrt(51.0))
+        monkeypatch.undo()
+        assert lu == [] and modal == [301] and not any(result.errors)
+        g = math.sqrt(math.sqrt(51.0) * gb * spec.cavity.kappa) / 2.0
+        for i in (0, 30, 110, 260):
+            model = build_full_system(_at(_at(spec, g0=g), omega_b=wa + splittings[i]))
+            exact = _kronecker_occupation(model)
+            assert abs(result.n_eff[i] - exact) <= 1e-15 * exact
 
 
 def _exact_norm2(*terms):
@@ -2142,7 +2133,7 @@ class TestResidualRounding:
         g = _drive(spec, c_om)
         a = a0 + g[:, None, None] * a1
         assert pencil.modal is not None
-        for y in (spectra._modal_solve(pencil.modal, pencil.ops[0], g, -pencil.qf), _lu_solve(pencil, g)):
+        for y in (spectra._modal_solve(pencil.modal, pencil.ops, g, -pencil.qf), _lu_solve(pencil, g)):
             self._check(pencil, a, g, y)
             self._check(pencil, a, g, y * (1.0 + 1e-7 * np.sin(np.arange(y.size))).reshape(y.shape), True)
 
@@ -2178,66 +2169,43 @@ class TestResidualRounding:
         u = np.finfo(float).eps / 2
         for pencil in pencils + [pencil for pencil, _, _ in _dense_pencils(8)]:
             m, root = pencil.qf.shape[1], np.sqrt(pencil.fold[4])
-            assert pencil.nu.shape == (2, len(pencil.ops))
-            for row, ops in enumerate(pencil.ops):
-                parts = ops.reshape(2, m, m)
-                k = np.count_nonzero(np.hstack(parts[::-1]), axis=1).max()
-                for nu, part in zip(pencil.nu[:, row], parts):
-                    scaled = np.diag(root) @ np.abs(part) @ np.diag(1.0 / root)
-                    bound = math.sqrt(np.linalg.norm(scaled, 1) * np.linalg.norm(scaled, np.inf))
-                    assert nu == pytest.approx((k + 4) * u * bound, rel=1e-15, abs=0.0)
-                    # equal in exact arithmetic for the builders' L0, whose largest
-                    # row is its 2-norm: up to both norms' rounding, a few ulps
-                    assert nu >= (k + 4) * u * np.linalg.norm(scaled, 2) * (1 - 8 * u)
-
-    def test_a_rows_nu_is_the_same_in_any_stack(self):
-        # _scaled_norms takes a long stack in blocks of _NU_BLOCK operators, and
-        # _nu takes a shared L1 once: a stack of several blocks and a ragged
-        # last one, with or without a shared L1, gives each row its own nu
-        pencils = [_shared_pencil(spec, rw)[0] for spec in (make_spec(), _beam_spec()) for rw in (False, True)]
-        pencils += [pencil for pencil, _, _ in _dense_pencils(4)]
-        ops = np.concatenate([pencil.ops for pencil in pencils])
-        stack = ops[np.random.default_rng(35).integers(0, len(ops), spectra._NU_BLOCK + 7)]
-        shared = stack.copy()
-        shared[:, 0] = stack[0, 0]
-        weights = pencils[0].fold[4]
-        for rows, one_l1 in ((stack, False), (shared, False), (shared, True)):
-            alone = [spectra._nu(row[None], weights, False) for row in rows]
-            assert np.array_equal(spectra._nu(rows, weights, one_l1), np.hstack(alone))
-
-    def _check_stack(self, a0, a1, b, weights, perm):
-        # every row's operators, nu and norms are those of the row alone
-        stack = spectra._prepare_noise(np.stack(a0), np.stack(a1), np.stack(b), np.stack(weights), perm)
-        for i in range(len(a0)):
-            alone = spectra._prepare_noise(a0[i], a1[i], b[i], weights[i], perm)
-            for name in ("ops", "q_floor", "q_rounding"):  # a row per pencil
-                assert np.array_equal(getattr(stack, name)[i], getattr(alone, name)[0])
-            for name in ("nu", "parts"):  # a column per pencil
-                assert np.array_equal(getattr(stack, name)[:, i], getattr(alone, name)[:, 0])
+            assert pencil.nu.shape == (2,)
+            parts = pencil.ops.reshape(2, m, m)
+            k = np.count_nonzero(np.hstack(parts[::-1]), axis=1).max()
+            for nu, part in zip(pencil.nu, parts):
+                scaled = np.diag(root) @ np.abs(part) @ np.diag(1.0 / root)
+                bound = math.sqrt(np.linalg.norm(scaled, 1) * np.linalg.norm(scaled, np.inf))
+                assert nu == pytest.approx((k + 4) * u * bound, rel=1e-15, abs=0.0)
+                # equal in exact arithmetic for the builders' L0, whose largest
+                # row is its 2-norm: up to both norms' rounding, a few ulps
+                assert nu >= (k + 4) * u * np.linalg.norm(scaled, 2) * (1 - 8 * u)
 
     @pytest.mark.parametrize("rotating_wave", [False, True])
-    def test_a_stack_of_the_builders_pencils_is_prepared_as_its_rows(self, rotating_wave):
-        # the builders' pencils share A1, so a stack of them folds L1 once
-        specs = [make_spec(c_ab=10.0), make_spec(c_ab=50.0), *_criterion_7_draws(3, seed=35)]
-        a0, a1, b, corr, labels = zip(*(_pencil(spec, rotating_wave=rotating_wave) for spec in specs))
-        assert all(np.array_equal(x, a1[0]) for x in a1)
-        self._check_stack(a0, a1, b, [x[0] for x in corr], _conjugate_swap(labels[0], a0[0], a1[0]))
-
-    def test_a_stack_of_dense_pencils_is_prepared_as_its_rows(self):
-        # each row its own A1: no L1 is shared
-        _, a0, a1 = zip(*_dense_pencils(6))
-        self._check_stack(a0, a1, [np.eye(6)] * 6, [np.ones(6)] * 6, np.array([1, 0, 3, 2, 5, 4]))
+    def test_detuning_pencils(self, rotating_wave):
+        # along omega_b, A1 is E = diag(0, 0, -i, i, 0, 0): each L1 row holds
+        # one nonzero, and k is 9 on the full README pencil, 6 on the rwa one;
+        # A0' + omega_b*E is exact, and Q has a row per point
+        for spec, c_om in ((make_spec(c_ab=50.0), math.sqrt(51.0)), (_beam_spec(), 2.5e4)):
+            g = math.sqrt(c_om * spec.mode_b.gamma * spec.cavity.kappa) / 2.0
+            omega_b = spec.mode_a.omega + np.array([0.0, 0.3, 2.0, 40.0]) * spec.mode_b.gamma
+            pencil, _ = _detuning_pencil(spec, g, omega_b, rotating_wave)
+            m = pencil.qf.shape[1]
+            k = np.count_nonzero(pencil.ops.reshape(2, m, m), axis=(0, 2)).max()
+            assert np.count_nonzero(pencil.ops[0].reshape(m, m), axis=1).max() == 1
+            assert k == (6 if rotating_wave else 9)
+            a = pencil.a0 + omega_b[:, None, None] * pencil.a1
+            assert pencil.modal is not None
+            for y in (spectra._modal_solve(pencil.modal, pencil.ops, omega_b, -pencil.qf), _lu_solve(pencil, omega_b)):
+                self._check(pencil, a, omega_b, y)
+                self._check(pencil, a, omega_b, y * (1.0 + 1e-7 * np.sin(np.arange(y.size))).reshape(y.shape), True)
 
     @pytest.mark.parametrize("builder", [build_rwa_system, build_full_system])
-    def test_drift_stacks(self, builder):
-        # one operator row per point: the product of each point with its own row
-        models = [builder(spec) for spec in _criterion_7_draws(4, seed=33)]
-        drifts, b, weights, labels = _model_stack(models)
-        pencil = spectra._prepare_noise(drifts, None, b, weights, _conjugate_swap(labels))
-        g = np.zeros(len(models))
-        m = pencil.qf.shape[1]
-        y = np.linalg.solve(pencil.ops[:, 1].reshape(-1, m, m), -pencil.qf[:, :, None])[..., 0]
-        self._check(pencil, drifts, g, y)
+    def test_drifts_at_g_0(self, builder):
+        # one drift A as the pencil (A, 0), as steady_state_occupation solves it
+        g = np.zeros(1)
+        for model in [builder(spec) for spec in _criterion_7_draws(4, seed=33)]:
+            pencil = _drift_pencil(model)
+            self._check(pencil, model.drift[None], g, _lu_solve(pencil, g))
 
     def test_no_larger_than_the_term_it_replaced(self):
         # (d + 3) eps (2 ||A||_F ||Sigma||_F + ||Q||_F) bounded the complex
@@ -2247,7 +2215,7 @@ class TestResidualRounding:
                 spec = make_spec(c_ab=c_ab)
                 pencil, a0, a1, _ = _shared_pencil(spec, rotating_wave)
                 g = _drive(spec, np.geomspace(1e-2, 1e3, 301))
-                y = spectra._modal_solve(pencil.modal, pencil.ops[0], g, -pencil.qf)
+                y = spectra._modal_solve(pencil.modal, pencil.ops, g, -pencil.qf)
                 _, s_norm = spectra._residual(pencil.ops, pencil.qf, g, y, pencil.fold[4])
                 eps = np.finfo(float).eps
                 nu1, nu0 = pencil.nu

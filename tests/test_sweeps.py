@@ -247,7 +247,7 @@ class TestFullFidelityCovariance:
         monkeypatch.setattr(sweeps, "_pencil", broken)
         monkeypatch.setattr(sweeps, "_prepare_noise", None)
         with pytest.raises(ValueError, match="not conjugate-paired"):
-            sweeps._n_effs([self.SPEC], "full")
+            sweeps._n_effs(self.SPEC, "full")
 
     def test_line_fit_still_builds_the_spectrum(self, monkeypatch):
         calls = []
@@ -328,8 +328,8 @@ class TestFindOptimum:
         n_effs = sweeps._n_effs
         steps = []
 
-        def sign_only(specs, fidelity):
-            evaluate = n_effs(specs, fidelity)
+        def sign_only(spec, fidelity):
+            evaluate = n_effs(spec, fidelity)
 
             def entries(gammas, slopes=False):
                 out = evaluate(gammas, slopes)
@@ -356,7 +356,7 @@ class TestUnstableScanPoints:
 
     def test_full_search_skips_the_unstable_end(self, spec50):
         gb = spec50.mode_b.gamma
-        (top,) = _entries(sweeps._n_effs([spec50], "full")([self.WIDE[1] * gb]))
+        (top,) = _entries(sweeps._n_effs(spec50, "full")([self.WIDE[1] * gb]))
         assert isinstance(top, UnstableSystemError)
         c_star, n_star = find_optimum(spec50, self.WIDE, "full")
         c_ref, n_ref = find_optimum(spec50, fidelity="full")
@@ -377,7 +377,7 @@ class TestUnstableScanPoints:
 
         def install(entries):
             monkeypatch.setattr(
-                sweeps, "_n_effs", lambda specs, fidelity: lambda gammas, slopes=False: _record(entries)
+                sweeps, "_n_effs", lambda spec, fidelity: lambda gammas, slopes=False: _record(entries)
             )
 
         return install
@@ -470,7 +470,7 @@ class TestSecantSearch:
         else:
             n = lambda c: n_eff_closed_form(spec, c * gb)
             h, tol = 1e-4, 1e-7
-        entries = sweeps._n_effs([spec], fidelity)
+        entries = sweeps._n_effs(spec, fidelity)
         for c in (1.0, 3.0, 30.0):
             (value, slope), = _entries(entries([c * gb], slopes=True))
             assert value == _entries(entries([c * gb]))[0]
@@ -490,12 +490,12 @@ class TestSecantSearch:
 
         perm = _conjugate_swap(labels, da)
 
-        def entry(x, a1=None):
-            pencil = spectra._prepare_noise(drift(x)[None], a1, b, corr[0], perm)  # at G = 0
-            (e,) = _entries(spectra._occupations(pencil, np.zeros(1), 0, slopes=a1 is not None))
+        def entry(x, slopes=False):
+            pencil = spectra._prepare_noise(drift(x), da, b, corr[0], perm)  # at G = 0
+            (e,) = _entries(spectra._occupations(pencil, np.zeros(1), 0, slopes))
             return e
 
-        n, slope = entry(lam, da)
+        n, slope = entry(lam, slopes=True)
         assert n == steady_state_occupation(DriftModel(6, drift(lam), b, corr, labels), "a")
         h = 1e-2 * lam
         assert slope == pytest.approx((entry(lam + h) - entry(lam - h)) / (2 * h), rel=1e-5)
@@ -525,8 +525,9 @@ class TestEvaluationCounts:
         find_optimum(self.SPEC, bracket=(1e-2, 1e3), fidelity="full")
         assert len(prepared) == 1
         assert {with_slopes for _, with_slopes in covariance_calls} == {False, True}
+        # a detuning sweep is one pencil in omega_b, with a noise row per point
         sweep_detuning(self.SPEC, [0.0, 1e3, 2e3], fidelity="full", c_om=7.0)
-        assert len(prepared) == 2 and prepared[1][0].shape[0] == 3
+        assert len(prepared) == 2 and prepared[1][0].shape == (6, 6) and prepared[1][3].shape == (3, 6)
 
     def test_a_search_solves_by_lu_and_a_sweep_by_the_modal_form(self, covariance_calls, modal_solves):
         # the 25-point scan and the one-point secant steps stay below the
@@ -620,8 +621,8 @@ class TestSweepDetuning:
 
 
 class TestNonFiniteInputs:
-    """A non-finite C_OM, bracket end or c_om is a ValueError naming it,
-    raised before any point is evaluated."""
+    """A non-finite C_OM, splitting, bracket end or c_om is a ValueError
+    naming it, raised before any point is evaluated."""
 
     @pytest.fixture(autouse=True)
     def no_evaluation(self, monkeypatch):
@@ -629,12 +630,21 @@ class TestNonFiniteInputs:
             raise AssertionError("evaluated before the arguments were checked")
 
         monkeypatch.setattr(sweeps, "_n_effs", refused)
+        monkeypatch.setattr(sweeps, "_detuning_pencil", refused)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("fidelity", ["rwa", "full"])
     def test_sweep_cooperativity(self, spec50, fidelity, bad):
         with pytest.raises(ValueError, match=f"C_OM values must be finite, got {bad!r}"):
             sweep_cooperativity(spec50, [1.0, bad], fidelity=fidelity)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    @pytest.mark.parametrize("optimize_each", [False, True])
+    @pytest.mark.parametrize("fidelity", ["rwa", "full"])
+    def test_sweep_detuning_splitting(self, spec50, fidelity, optimize_each, bad):
+        # the first non-finite value is named, before the sign test and any spec
+        with pytest.raises(ValueError, match=f"^detuning values must be finite, got {bad!r}$"):
+            sweep_detuning(spec50, [0.0, -1.0, bad, math.nan], fidelity=fidelity, optimize_each=optimize_each)
 
     @pytest.mark.parametrize("bracket", [(0.01, math.inf), (math.nan, 10.0), (0.01, math.nan)])
     @pytest.mark.parametrize("fidelity", ["rwa", "full"])
