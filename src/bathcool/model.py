@@ -338,6 +338,21 @@ def _pencil(spec: SystemSpec, rotating_wave: bool) -> tuple:
     return a0, a1, np.diag(amps), corr, ("a", "a_dag", "b", "b_dag", "c", "c_dag")
 
 
+def _omega_b_pencil(spec: SystemSpec, g: float, omega_b: np.ndarray) -> tuple:
+    """``(A0', E, noise_input, weights, labels)``: the full drift of ``spec``
+    at G = ``g`` as the pencil A0' + omega_b*E, bitwise ``spec``'s drift with
+    mode b at each omega_b of ``omega_b``.  A0' is A0 + G*A1 (:func:`_pencil`)
+    less mode b's frequency, E = diag(0, 0, -i, i, 0, 0) puts it back, and
+    the <xi xi^dag> weights have a row per point, as mode b's bath does."""
+    a0, a1, b, corr, labels = _pencil(spec, rotating_wave=False)
+    a0 = a0 + g * a1
+    a0.imag[[2, 3], [2, 3]] = 0.0
+    nb = _thermal_occupations(omega_b, spec.mode_b.bath_temperature)
+    weights = np.repeat(corr[:1], omega_b.size, axis=0)
+    weights[:, 2], weights[:, 3] = nb + 1, nb
+    return a0, np.diag([0, 0, -1j, 1j, 0, 0]), b, weights, labels
+
+
 def build_rwa_system(spec: SystemSpec) -> DriftModel:
     """The rotating-wave model: :func:`build_full_system` with every
     counter-rotating entry zeroed, in the same basis.

@@ -876,7 +876,7 @@ def _occupations(noise: _Noise, g, r, slopes: bool = False) -> _Occupations:
     E = diag(0, 0, -i, i, 0, 0): it shares diagonal entries with A0 but
     no float-view component, as omega_b is moved out of A0, so its
     products round as G's do; its L1 has one nonzero per row, and k is 9
-    on the full README pencil in omega_b, 6 on the rwa one.  A product in r
+    on the full README pencil in omega_b (the only one built).  A product in r
     passes k + 3 roundings at most: its dot product's, G's, the two sums'
     and the one of the stored L, whose entries each sum two of A's
     (:func:`_fold`); qf passes one.  So

@@ -27,7 +27,7 @@ from .analytics import (
     optimal_cooperativity,
 )
 from .errors import BathcoolError, PhysicsError, UnstableSystemError
-from .model import DriftModel, SystemSpec, _conjugate_swap, _effective_temperatures, _pencil, _thermal_occupations
+from .model import DriftModel, SystemSpec, _conjugate_swap, _effective_temperatures, _omega_b_pencil, _pencil
 from .spectra import _occupations, _Occupations, _prepare_noise, fit_lorentzian, position_spectrum
 
 __all__ = ["SweepResult", "sweep_cooperativity", "find_optimum", "sweep_detuning"]
@@ -66,11 +66,28 @@ class SweepResult:
                 raise ValueError(f"{name} length mismatch")
 
 
-def _n_effs(spec: SystemSpec, fidelity: str, omega_b=None):
+def _fidelity(fidelity: str) -> str:
+    """``fidelity``, unless it is neither "rwa" nor "full" (ValueError)."""
+    if fidelity not in ("rwa", "full"):
+        raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")
+    return fidelity
+
+
+def _closed_form(columns):
+    """``(gammas, slopes=False) -> _Occupations`` of :func:`_n_eff_columns`' ``columns``."""
+
+    def closed_form(gammas, slopes=False):
+        gammas = np.asarray(gammas, dtype=float)
+        n, slope = columns(gammas, slopes)
+        errors = {i: UnstableSystemError(_UNDAMPED) for i in np.flatnonzero(np.isnan(n)).tolist()}
+        return _Occupations(n, gammas * slope if slopes else None, errors)  # d/dlog Gamma
+
+    return closed_form
+
+
+def _n_effs(spec: SystemSpec, fidelity: str):
     """``(gammas, slopes=False) -> _Occupations``: n_eff of mode a at every
-    damping of the column ``gammas``.  The closed form takes mode b at
-    ``omega_b``, a column like ``gammas``, where given; the covariance of
-    a column in omega_b is one pencil of its own (:func:`_detuning_pencil`).
+    damping of the column ``gammas``.
 
     At full fidelity the pencil of ``spec`` is built once, here, and must be
     conjugate-paired (ValueError).  All of the covariance solve that G
@@ -96,18 +113,8 @@ def _n_effs(spec: SystemSpec, fidelity: str, omega_b=None):
     are switched off once per sweep or search, not per call here: a
     secant step's call takes about 0.1 ms and each switch 1.5-3 us.
     """
-    if fidelity not in ("rwa", "full"):
-        raise ValueError(f"fidelity must be 'rwa' or 'full', got {fidelity!r}")
-    if fidelity == "rwa":
-        columns = _n_eff_columns(spec, spec.mode_b.omega if omega_b is None else omega_b)
-
-        def closed_form(gammas, slopes=False):
-            gammas = np.asarray(gammas, dtype=float)
-            n, slope = columns(gammas, slopes)
-            errors = {i: UnstableSystemError(_UNDAMPED) for i in np.flatnonzero(np.isnan(n)).tolist()}
-            return _Occupations(n, gammas * slope if slopes else None, errors)  # d/dlog Gamma
-
-        return closed_form
+    if _fidelity(fidelity) == "rwa":
+        return _closed_form(_n_eff_columns(spec, spec.mode_b.omega))
     a0, a1, b, corr, labels = _pencil(spec, rotating_wave=False)
     pencil = _prepare_noise(a0, a1, b, corr[0], _conjugate_swap(labels, a0, a1))
     row, kappa = labels.index("a"), spec.cavity.kappa
@@ -120,29 +127,6 @@ def _n_effs(spec: SystemSpec, fidelity: str, omega_b=None):
         return occupation
 
     return covariance
-
-
-def _detuning_pencil(spec: SystemSpec, g: float, omega_b: np.ndarray, rotating_wave: bool = False) -> tuple:
-    """``(pencil, row)``: the prepared pencil A0' + omega_b*E of ``spec``'s
-    drift at G = ``g``, along mode b's frequency, and mode a's row.
-
-    A0' is A0 + G*A1 (:func:`_pencil`) with mode b's frequency taken out,
-    and E = diag(0, 0, -i, i, 0, 0) puts it back, so at each omega_b of
-    the column ``omega_b`` the drift is bitwise that of ``spec`` with mode
-    b there.  Q has a row per point: mode b's bath occupation moves with
-    its frequency.  One covariance call solves a detuning sweep on it, by
-    the modal form, taken about omega_a, from _MODAL_POINTS points on,
-    else bitwise the LU of each point's own drift.
-    """
-    a0, a1, b, corr, labels = _pencil(spec, rotating_wave)
-    perm = _conjugate_swap(labels, a0, a1)
-    a0 = a0 + g * a1
-    a0.imag[[2, 3], [2, 3]] = 0.0
-    nbar_b = _thermal_occupations(omega_b, spec.mode_b.bath_temperature)
-    weights = np.repeat(corr[:1], omega_b.size, axis=0)
-    weights[:, 2], weights[:, 3] = nbar_b + 1, nbar_b
-    e = np.diag([0, 0, -1j, 1j, 0, 0])
-    return _prepare_noise(a0, e, b, weights, perm, spec.mode_a.omega), labels.index("a")
 
 
 def _sweep(
@@ -305,7 +289,7 @@ def sweep_detuning(
     within ``bracket``.  A non-finite or negative splitting or ``c_om``
     and a non-finite bracket end are ValueErrors.  At a fixed C_OM a full
     sweep is one covariance call on the pencil in omega_b
-    (:func:`_detuning_pencil`).
+    (:func:`_omega_b_pencil`).
     """
     values = np.asarray(list(delta_ab_values), dtype=float)
     bad = values[~np.isfinite(values)]
@@ -323,11 +307,13 @@ def sweep_detuning(
     omega_b = spec.mode_a.omega + values
     if not optimize_each:
         gamma = c_om * gb
-        if fidelity == "full":
-            pencil, row = _detuning_pencil(spec, math.sqrt(gamma * spec.cavity.kappa) / 2.0, omega_b)
-            occupation = _occupations(pencil, omega_b, row)
-        else:  # the closed form on the same column, or an unknown fidelity's ValueError
-            occupation = _n_effs(spec, fidelity, omega_b)(np.full(values.size, gamma))
+        if _fidelity(fidelity) == "full":  # the modal form about omega_a, from _MODAL_POINTS points on
+            a0, e, b, weights, labels = _omega_b_pencil(spec, math.sqrt(gamma * spec.cavity.kappa) / 2.0, omega_b)
+            # paired as _pencil builds it; an overflowed G leaves NaN in A0', a per-point error
+            pencil = _prepare_noise(a0, e, b, weights, _conjugate_swap(labels), spec.mode_a.omega)
+            occupation = _occupations(pencil, omega_b, labels.index("a"))
+        else:
+            occupation = _closed_form(_n_eff_columns(spec, omega_b))(np.full(values.size, gamma))
         return _sweep(spec, "delta_ab", values, occupation.n, occupation.errors, gamma, omega_b)
     c_opt, n_eff, errors = np.full(values.size, math.nan), np.full(values.size, math.nan), {}
     for i, w in enumerate(omega_b):

@@ -46,10 +46,10 @@ from bathcool.model import (
     MechanicalMode,
     SystemSpec,
     _conjugate_swap,
+    _omega_b_pencil,
     _pencil,
 )
 from bathcool.spectra import RESIDUAL_TOL, _peaks, _solve_rows
-from bathcool.sweeps import _detuning_pencil
 
 from conftest import TWO_PI, make_spec
 
@@ -1831,8 +1831,9 @@ class TestPreparedNoise:
         # L0 + G*L1 is bitwise the folded operator of A0 + G*A1: every nonzero
         # float-view component of A1 is +-1 where A0's is 0, and every fold
         # coefficient is a power of two or 0, so each entry rounds once either
-        # way.  So too along omega_b: E = diag(0, 0, -i, i, 0, 0) meets A0'
-        # on the diagonal, but in its real parts, not its imaginary ones
+        # way.  So too along omega_b for the full drift, the only one a
+        # detuning sweep solves: E = diag(0, 0, -i, i, 0, 0) meets A0' on the
+        # diagonal, but in its real parts, not its imaginary ones
         rotating_wave = builder is build_rwa_system
         g = np.array([0.0, 1e-3, 1.0, 1e3, 1e150])
         for spec in (make_spec(c_ab=50.0), _beam_spec(), *_criterion_7_draws(20, seed=7)):
@@ -1844,9 +1845,10 @@ class TestPreparedNoise:
             omega_b = np.array([wa, wa + 1e-3 * gb, wa + 0.5 * gb, wa + 40.0 * gb, 3.7 * wa, 2.0**-20 * wa, 1e150])
             g0 = spec.cavity.alpha_g0
             cases = [(g, spectra._prepare_noise(a0, a1, b, corr[0], _conjugate_swap(labels, a0, a1)),
-                      [builder(_at(spec, g0=x)).drift for x in g.tolist()]),
-                     (omega_b, _detuning_pencil(spec, g0, omega_b, rotating_wave)[0],
-                      [builder(_at(spec, omega_b=x)).drift for x in omega_b.tolist()])]
+                      [builder(_at(spec, g0=x)).drift for x in g.tolist()])]
+            if not rotating_wave:
+                cases.append((omega_b, _detuning_pencil(spec, g0, omega_b),
+                              [builder(_at(spec, omega_b=x)).drift for x in omega_b.tolist()]))
             for column, pencil, drifts in cases:
                 seen, solve = [], np.linalg.solve
                 monkeypatch.setattr(np.linalg, "solve", lambda k, q: seen.append(k) or solve(k, q))
@@ -1855,6 +1857,14 @@ class TestPreparedNoise:
                 monkeypatch.undo()
                 op, qmap = pencil.fold[:2]
                 assert seen[0].tobytes() == spectra._operator(np.stack(drifts), op, qmap.shape[1]).tobytes()
+
+
+def _detuning_pencil(spec, g, omega_b):
+    """The prepared pencil of a full detuning sweep of ``spec`` at G = ``g``
+    over mode b at ``omega_b``, as :func:`sweep_detuning` prepares it, and
+    its pairing checked (the sweep takes it from the labels)."""
+    a0, e, b, weights, labels = _omega_b_pencil(spec, g, omega_b)
+    return spectra._prepare_noise(a0, e, b, weights, _conjugate_swap(labels, a0, e), spec.mode_a.omega)
 
 
 def _at(spec, g0=None, omega_b=None):
@@ -2180,19 +2190,18 @@ class TestResidualRounding:
                 # row is its 2-norm: up to both norms' rounding, a few ulps
                 assert nu >= (k + 4) * u * np.linalg.norm(scaled, 2) * (1 - 8 * u)
 
-    @pytest.mark.parametrize("rotating_wave", [False, True])
-    def test_detuning_pencils(self, rotating_wave):
+    def test_detuning_pencils(self):
         # along omega_b, A1 is E = diag(0, 0, -i, i, 0, 0): each L1 row holds
-        # one nonzero, and k is 9 on the full README pencil, 6 on the rwa one;
+        # one nonzero, and k is 9 on the full README pencil;
         # A0' + omega_b*E is exact, and Q has a row per point
         for spec, c_om in ((make_spec(c_ab=50.0), math.sqrt(51.0)), (_beam_spec(), 2.5e4)):
             g = math.sqrt(c_om * spec.mode_b.gamma * spec.cavity.kappa) / 2.0
             omega_b = spec.mode_a.omega + np.array([0.0, 0.3, 2.0, 40.0]) * spec.mode_b.gamma
-            pencil, _ = _detuning_pencil(spec, g, omega_b, rotating_wave)
+            pencil = _detuning_pencil(spec, g, omega_b)
             m = pencil.qf.shape[1]
             k = np.count_nonzero(pencil.ops.reshape(2, m, m), axis=(0, 2)).max()
             assert np.count_nonzero(pencil.ops[0].reshape(m, m), axis=1).max() == 1
-            assert k == (6 if rotating_wave else 9)
+            assert k == 9
             a = pencil.a0 + omega_b[:, None, None] * pencil.a1
             assert pencil.modal is not None
             for y in (spectra._modal_solve(pencil.modal, pencil.ops, omega_b, -pencil.qf), _lu_solve(pencil, omega_b)):

@@ -615,6 +615,12 @@ class TestSweepDetuning:
         assert res.errors == (None, None)
         assert res.n_eff.tolist() == [spec50.mode_a.nbar] * 2
 
+    def test_full_at_an_overflowing_gamma(self, spec50):
+        # G overflows, so A0' holds inf * 0: a per-point error, not a refused pencil
+        res = sweep_detuning(spec50, [0.0, 10.0], fidelity="full", c_om=1e300)
+        assert res.errors == ("numerical_failure: drift matrix has non-finite entries",) * 2
+        assert np.isnan(res.n_eff).all()
+
     def test_negative_detuning_rejected(self, spec50):
         with pytest.raises(ValueError):
             sweep_detuning(spec50, [-1.0], c_om=1.0)
@@ -629,8 +635,8 @@ class TestNonFiniteInputs:
         def refused(*args, **kwargs):
             raise AssertionError("evaluated before the arguments were checked")
 
-        monkeypatch.setattr(sweeps, "_n_effs", refused)
-        monkeypatch.setattr(sweeps, "_detuning_pencil", refused)
+        for name in ("_n_effs", "_n_eff_columns", "_omega_b_pencil"):
+            monkeypatch.setattr(sweeps, name, refused)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("fidelity", ["rwa", "full"])
