@@ -10,6 +10,11 @@
 # - a full sense reads the e_a row that the spectrum kept;
 # - rwa spectrum and sense run the rotating-wave band: exit 0, empty stderr;
 # - a full optimize runs the Lyapunov solve and its derivatives;
+# - the same config respelled, with key: value lines, upper-case keys, an
+#   indented ; comment and a [run] # note header, writes byte-identical
+#   CSV and summary files;
+# - a config with a byte that is not UTF-8: exit 1, one config_error line,
+#   no stdout;
 # - an optimize at --fidelity exact, a usage error: exit 1, one config_error
 #   line, no stdout;
 # - an optimize over C_OM in [5e3, 1e5], unstable at every scan point: exit 2,
@@ -84,6 +89,21 @@ test ! -s sense_rwa.err
 sed -e 's/^task = spectrum$/task = optimize/' spectrum.ini > optimize.ini
 printf '%s\n' '' '[optimize]' 'c_om_min = 0.01' 'c_om_max = 1000' >> optimize.ini
 $BATHCOOL optimize --config optimize.ini --fidelity full
+sed -e 's/ = /: /' -e 's/^[a-z0-9_]*:/\U&/' -e 's/^\[run\]$/[run] # note/' \
+  -e 's/^\[system\]$/&\n  ; modes a and b, in Hz/' optimize.ini > respelled.ini
+grep -qx 'TASK: optimize' respelled.ini
+grep -qx '\[run\] # note' respelled.ini
+grep -qx '  ; modes a and b, in Hz' respelled.ini
+$BATHCOOL optimize --config optimize.ini --fidelity full --out plain
+$BATHCOOL optimize --config respelled.ini --fidelity full --out respelled
+cmp plain.csv respelled.csv
+cmp plain.summary.json respelled.summary.json
+printf '[run]\ntask = optimize\n\xff\n' > latin.ini
+code=0
+$BATHCOOL optimize --config latin.ini > latin.out 2> latin.err || code=$?
+test "$code" -eq 1
+test ! -s latin.out
+python -c "import json; lines = open('latin.err').read().splitlines(); assert len(lines) == 1 and json.loads(lines[0])['error'] == 'config_error', lines"
 code=0
 $BATHCOOL optimize --config optimize.ini --fidelity exact > exact.out 2> exact.err || code=$?
 test "$code" -eq 1

@@ -1,8 +1,9 @@
 """Command-line interface: config ingestion and deterministic table output.
 
-Config files are INI-style (key = value under [sections]); frequencies
-are given in Hz and converted to angular units (rad/s) at this boundary,
-nowhere else.  Subcommands: spectrum | sweep | optimize | design | sense.
+Config files are INI-style (one key = value or key: value per line under
+[sections], full-line # and ; comments); frequencies are given in Hz and
+converted to angular units (rad/s) at this boundary, nowhere else.
+Subcommands: spectrum | sweep | optimize | design | sense.
 
 Exit codes: 0 success, 1 usage/config error, 2 physics/regime error,
 3 numerical failure, an arithmetic or a linear-algebra error included.
@@ -11,7 +12,6 @@ Exit codes: 0 success, 1 usage/config error, 2 physics/regime error,
 from __future__ import annotations
 
 import argparse
-import configparser
 import difflib
 import functools
 import json
@@ -309,15 +309,58 @@ def config_from_dict(sections: dict) -> RunConfig:
     )
 
 
+def _parse_error(lineno: int, what: str) -> ConfigError:
+    return ConfigError(f"config parse error: line {lineno}: {what}")
+
+
+def _read_ini(text: str) -> dict:
+    """``{section: {key: value}}`` of INI text, in file order.
+
+    The dict is the one ``configparser.ConfigParser(interpolation=None)``
+    reads from every text it accepts, save two: a continuation line (a line
+    indented deeper than the option line before it in its section) is an
+    error, not part of a multi-line value, and ``[DEFAULT]`` is an ordinary
+    section.  A full-line comment starts with ``#`` or ``;``; a key is
+    compared in lower case; a section or key may appear once.
+    """
+    sections = {}
+    items = None
+    option_indent = None  # of the last option line since the last header
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line[0] in "#;":
+            continue
+        indent = len(raw) - len(raw.lstrip())
+        if option_indent is not None and indent > option_indent:
+            raise _parse_error(lineno, f"{line!r} is indented as a continuation; "
+                               "a value takes one line")
+        if line[0] == "[" and (close := line.rfind("]")) >= 2:
+            name = line[1:close]
+            if name in sections:
+                raise _parse_error(lineno, f"duplicate section [{name}]")
+            items = sections[name] = {}
+            option_indent = None
+            continue
+        if items is None:
+            raise _parse_error(lineno, f"{line!r} comes before any [section] header")
+        key, sep, value = line.partition("=")
+        if ":" in key:
+            key, sep, value = line.partition(":")
+        if not sep:
+            raise _parse_error(lineno, f"{line!r} is not key = value or key: value")
+        key = key.rstrip().lower()
+        if not key:
+            raise _parse_error(lineno, f"{line!r} has no key")
+        if key in items:
+            raise _parse_error(lineno, f"duplicate key {key!r} in [{name}]")
+        items[key] = value.strip()
+        option_indent = indent
+    return sections
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate INI-style config text into a RunConfig."""
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
-    sections = {s: dict(parser.items(s)) for s in parser.sections()}
-    return config_from_dict(sections)
+    return config_from_dict(_read_ini(text))
 
 
 def _require_positive(task: str, **values):
@@ -516,8 +559,7 @@ def run(config: RunConfig, out: str | None = None):
 def _dump_summary(summary: dict, fh):
     """Write ``summary`` as indented JSON, each non-finite float value as null."""
     finite = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in summary.items()}
-    json.dump(finite, fh, sort_keys=True, indent=2, allow_nan=False)
-    fh.write("\n")
+    fh.write(json.dumps(finite, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -553,8 +595,12 @@ def main(argv=None) -> int:
         if args.task is None:
             parser.print_help(sys.stderr)
             return 1
-        with open(args.config) as fh:
-            config = parse_config(fh.read())
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {args.config!r} is not UTF-8 text: {exc}") from exc
+        config = parse_config(text)
         if config.task != args.task:
             raise ConfigError(
                 f"config task {config.task!r} does not match subcommand {args.task!r}"

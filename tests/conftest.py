@@ -7,6 +7,26 @@ from bathcool import CavityDrive, MechanicalMode, SystemSpec
 
 TWO_PI = 2.0 * math.pi
 
+# the README "Command line" system, as a config for any task but design
+README_CONFIG = """
+[run]
+task = {task}
+
+[system]
+omega_a_hz = 1e6
+gamma_a_hz = 1.0
+omega_b_hz = 1e6
+gamma_b_hz = 1e3
+lambda_hz = 111.8
+temperature_k = 300
+mass_a_kg = 1e-12
+
+[cavity]
+kappa_hz = 3e5
+detuning_hz = -1e6
+g0_hz = 10
+"""
+
 if not hasattr(np, "trapezoid"):  # numpy < 2 names the trapezoidal rule trapz
     np.trapezoid = np.trapz
 

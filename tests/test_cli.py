@@ -1,9 +1,12 @@
+import configparser
 import contextlib
 import functools
+import gc
 import io
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -16,7 +19,7 @@ from bathcool.cli import main, parse_config
 from bathcool.errors import ConfigError
 from bathcool.model import intracavity_amplitude
 
-from conftest import TWO_PI
+from conftest import README_CONFIG, TWO_PI
 
 GAMMA_B_HZ = 1e3
 LAMBDA_HZ = math.sqrt(50.0 * 1.0 * GAMMA_B_HZ) / 2.0  # C_ab = 50
@@ -116,6 +119,121 @@ class TestParseConfig:
     def test_config_echo_round_trip(self):
         config = parse_config(base_config("spectrum"))
         assert config.echo["system"]["omega_a_hz"] == "1e6"
+
+
+    def test_parsing_leaves_no_cyclic_garbage(self):
+        text = README_CONFIG.format(task="optimize")
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                parse_config(text)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+# line texts that an INI reader must take apart alike: spacing, by Python's
+# whitespace; header names and trailing text, where a later ']' moves the end of
+# the name; keys of mixed case, which may hold '[', ']', '#' and a second delimiter
+_INI_SPACE = st.sampled_from(("", " ", "  ", "\t", " \xa0"))
+_INI_NAMES = st.sampled_from(("run", "Run", "system", "cavity", "sec tion", "x", "]", "[y"))
+_INI_TAILS = st.sampled_from(("", " ; note", " # note", "x", "]", " [y]"))
+_INI_KEYS = st.sampled_from(("task", "Task", "fidelity", "g0_HZ", "a b", "k]")) | st.text(
+    alphabet="aAbBcC_1 []#;:=", min_size=1, max_size=4
+)
+_INI_VALUES = st.text(alphabet="xX1 =:#;[]\t", max_size=5)
+# lines that are no header, comment or option: one makes a text unreadable
+_INI_FAULTS = st.sampled_from(("bare", "x y", "[", "[]", "= 5", ": 5"))
+
+
+@st.composite
+def ini_texts(draw):
+    """INI text of headers, options, indented comments and blank lines, with
+    duplicate sections and keys and, in half the draws, a line that is no
+    option or one before any header; no line but a comment is indented."""
+    kinds = ("header",) + ("option",) * 4 + ("comment", "blank")
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        if kind == "header":
+            lines.append(f"[{draw(_INI_NAMES)}]{draw(_INI_TAILS)}")
+        elif kind == "option":
+            key, delimiter = draw(_INI_KEYS), draw(st.sampled_from("=:"))
+            line = f"{key}{draw(_INI_SPACE)}{delimiter}{draw(_INI_SPACE)}{draw(_INI_VALUES)}"
+            lines.append(line.lstrip())
+        elif kind == "comment":
+            lines.append(draw(_INI_SPACE) + draw(st.sampled_from("#;")) + draw(_INI_VALUES))
+        else:
+            lines.append(draw(_INI_SPACE))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_INI_FAULTS))
+    # most texts open with a header, so that most are read to their end
+    header = draw(st.sampled_from(("[run]",) * 3 + ("",)))
+    return "\n".join([header, *lines]) + draw(st.sampled_from(("", "\n")))
+
+
+def _configparser_items(text):
+    """[(section, [(key, value)])] as configparser reads ``text``, or None
+    if it refuses it."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error:
+        return None
+    return [(s, parser.items(s)) for s in parser.sections()]
+
+
+class TestReadIni:
+    """The config reader takes from each text the sections, keys and values
+    that configparser does, in its order, or refuses it as configparser does."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=ini_texts())
+    @example(text="[run] ; note\nTask: optimize # not a comment\n  ; comment\nfidelity=full")
+    def test_reads_as_configparser(self, text):
+        expected = _configparser_items(text)
+        try:
+            sections = cli._read_ini(text)
+        except ConfigError as exc:
+            assert expected is None, (text, str(exc))
+            # the error names a line that is neither blank nor a comment
+            lineno = re.match(r"config parse error: line (\d+): ", str(exc))
+            line = text.split("\n")[int(lineno.group(1)) - 1].strip()
+            assert line and line[0] not in "#;"
+        else:
+            assert [(s, list(items.items())) for s, items in sections.items()] == expected
+
+    @pytest.mark.parametrize(
+        "text, lineno, needle",
+        [
+            ("\ntask = optimize\n[run]\n", 2, "before any [section] header"),
+            ("[run]\n\n  # comment\ntask\n", 4, "is not key = value"),
+            ("[run]\n = optimize\n", 2, "has no key"),
+            ("[run]\ntask = optimize\n[system]\n[run]\n", 4, "duplicate section [run]"),
+            ("[run]\ntask = optimize\nTask: sweep\n", 3, "duplicate key 'task' in [run]"),
+        ],
+        ids=["no-header", "no-delimiter", "empty-key", "duplicate-section", "duplicate-key"],
+    )
+    def test_a_parse_error_names_its_line(self, text, lineno, needle):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value).startswith(f"config parse error: line {lineno}: ")
+        assert needle in str(exc.value)
+
+    def test_a_continuation_line_is_an_error(self):
+        # configparser would join it to the value above, across the blank and comment lines
+        text = "[run]\ntask = optimize\n\n  # comment\n  fidelity = full\n"
+        assert _configparser_items(text) == [("run", [("task", "optimize\n\nfidelity = full")])]
+        with pytest.raises(ConfigError, match="line 5: 'fidelity = full' is indented as a continuation"):
+            parse_config(text)
+
+    def test_default_is_an_ordinary_section(self):
+        # configparser would merge its keys into every section
+        text = "[DEFAULT]\nfidelity = full\n\n[run]\ntask = optimize\n"
+        assert _configparser_items(text) == [("run", [("fidelity", "full"), ("task", "optimize")])]
+        assert cli._read_ini(text) == {"DEFAULT": {"fidelity": "full"}, "run": {"task": "optimize"}}
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            parse_config(text)
 
 
 class TestMainExitCodes:
@@ -367,6 +485,17 @@ class TestConfigErrorPaths:
         err = json.loads(lines[0])
         assert err["error"] == "config_error"
         assert needle in err["message"]
+
+    def test_a_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin.ini"
+        path.write_bytes(b"[run]\ntask = optimize\n\xff\n")
+        assert main(["optimize", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "config_error"
+        assert f"config file {str(path)!r} is not UTF-8 text" in err["message"]
 
 
 class TestSweepCap:

@@ -15,27 +15,9 @@ from pathlib import Path
 import pytest
 
 import bathcool
+from conftest import README_CONFIG
 
 SRC = str(Path(bathcool.__file__).resolve().parent.parent)
-
-README_CONFIG = """
-[run]
-task = {task}
-
-[system]
-omega_a_hz = 1e6
-gamma_a_hz = 1.0
-omega_b_hz = 1e6
-gamma_b_hz = 1e3
-lambda_hz = 111.8
-temperature_k = 300
-mass_a_kg = 1e-12
-
-[cavity]
-kappa_hz = 3e5
-detuning_hz = -1e6
-g0_hz = 10
-"""
 
 # the last line a script prints: the scipy modules it has loaded
 SCIPY_LOADED = (
