@@ -120,7 +120,6 @@ class TestParseConfig:
         config = parse_config(base_config("spectrum"))
         assert config.echo["system"]["omega_a_hz"] == "1e6"
 
-
     def test_parsing_leaves_no_cyclic_garbage(self):
         text = README_CONFIG.format(task="optimize")
         gc.collect()
@@ -143,7 +142,7 @@ _INI_KEYS = st.sampled_from(("task", "Task", "fidelity", "g0_HZ", "a b", "k]")) 
     alphabet="aAbBcC_1 []#;:=", min_size=1, max_size=4
 )
 _INI_VALUES = st.text(alphabet="xX1 =:#;[]\t", max_size=5)
-# lines that are no header, comment or option: one makes a text unreadable
+# lines that are no header, comment or keyed option: one makes a text unreadable
 _INI_FAULTS = st.sampled_from(("bare", "x y", "[", "[]", "= 5", ": 5"))
 
 
@@ -197,8 +196,9 @@ class TestReadIni:
         except ConfigError as exc:
             assert expected is None, (text, str(exc))
             # the error names a line that is neither blank nor a comment
-            lineno = re.match(r"config parse error: line (\d+): ", str(exc))
-            line = text.split("\n")[int(lineno.group(1)) - 1].strip()
+            named = re.match(r"config parse error: line (\d+): ", str(exc))
+            assert named, str(exc)
+            line = text.split("\n")[int(named.group(1)) - 1].strip()
             assert line and line[0] not in "#;"
         else:
             assert [(s, list(items.items())) for s, items in sections.items()] == expected
